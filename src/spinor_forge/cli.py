@@ -5,8 +5,10 @@ antisymmetry, Jacobi, spanning and Killing-rank battery; `export`
 writes the JSON structure constants; `props` runs the property suites
 for one n.  Machine-readable JSON goes to stdout, human-readable
 summaries to stderr.  Exit codes: 0 success, 1 verification failure,
-2 usage error.  The env var SPINOR_FORGE_THREADS caps the Jacobi
-sweep's parallelism.
+2 usage error (arguments are checked before any work starts), 3 internal
+failure while running, reported as {"error": ...} on stdout.  The env var
+SPINOR_FORGE_THREADS sets the Jacobi sweep's worker processes, capped at
+the CPUs available.
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ import argparse
 import hashlib
 import json
 import sys
+import traceback
 from typing import Optional, Sequence
 
 from .exceptional import (
     build_e6,
     build_e7,
     build_e8,
+    jacobi_workers,
     killing_form,
     spanning_check,
     to_json,
@@ -28,7 +32,7 @@ from .exceptional import (
     verify_jacobi,
 )
 from .field import make_field
-from .props import SUITES, run_suites
+from .props import SUITES, run_suites, suite_names
 
 _BUILDERS = {"e6": build_e6, "e7": build_e7, "e8": build_e8}
 
@@ -193,6 +197,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _validate(cfg: RunConfig) -> None:
+    """Raise ValueError for a usage error, before any work starts."""
+    if cfg.command == "props":
+        suite_names(cfg.n, cfg.suite)
+        return
+    make_field(cfg.field)
+    if cfg.command == "verify":
+        jacobi_workers()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     cfg = RunConfig(
@@ -205,10 +219,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     handlers = {"verify": cmd_verify, "export": cmd_export, "props": cmd_props}
     try:
-        return handlers[cfg.command](cfg)
+        _validate(cfg)
     except ValueError as exc:
         _say(f"error: {exc}")
         return 2
+    try:
+        return handlers[cfg.command](cfg)
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        message = f"{type(exc).__name__}: {exc}"
+        _say(f"internal error: {message}")
+        _emit({"command": cfg.command, "error": message})
+        return 3
 
 
 if __name__ == "__main__":

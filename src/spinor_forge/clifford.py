@@ -260,7 +260,8 @@ def trace(x: CliffordElem) -> Scalar:
         if emask != imask:
             continue
         sign, new = apply_monomial(emask, imask, emask)
-        assert new == emask
+        if new != emask:
+            raise AssertionError("diagonal monomial moved its own basis vector")
         count = config.field.from_int(sign * (1 << (config.n - emask.bit_count())))
         total = total + c * count
     return total
@@ -405,7 +406,8 @@ def grade_project(x: CliffordElem, k: int) -> CliffordElem:
                 gpref *= slot_metric(s)
         rev_sign = -1 if (k * (k - 1) // 2) & 1 else 1
         square_coeff, square_mask = blade_mul(bmask, bmask)
-        assert square_mask == 0
+        if square_mask != 0:
+            raise AssertionError("a blade squared to a non-scalar")
         tr = cb * field.from_int(rev_sign * square_coeff * config.size)
         scalar = inv_dim * field.from_int(gpref) * tr
         out = out + blade_to_elem(config, bmask).scale(scalar)

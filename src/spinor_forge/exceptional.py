@@ -5,7 +5,10 @@ label pairs, and a sparse structure-constant table memoized per unordered
 pair.  The degree-zero part is always the grade-2 part of the Clifford
 algebra (plus sl2 or the grading element where the construction calls for
 it) acting on one of its spinor modules; the spinor-spinor bracket is built
-from the grade-2 and top-grade pairings.
+from the grade-2 and top-grade pairings, evaluated on basis pairs by their
+closed forms (basis_grade2_pairing, basis_top_grade_coefficient).  Each
+bracket enters the table once: verify_antisymmetry hands the results it
+computes to the table, so a later sweep does not evaluate them again.
 
 Verification is numeric and exact: the Jacobi identity is checked as the
 matrix identity ad([x,y]) = [ad x, ad y] over integer lifts, the Killing
@@ -32,8 +35,8 @@ from .clifford import CliffordElem, act, commutator, grading_element, multiply, 
 from .field import Field, Rationals, Scalar, scalar_str
 from .fock import Config, SpinorVec, mask_str, parity
 from .linalg import IncrementalRank, echelon_rank, nullspace, rank_mod_p
-from .norms import BilinearForm, b_eval, solve_spinor_norm
-from .pairings import grade2_pairing, top_grade_coefficient
+from .norms import BilinearForm, solve_spinor_norm
+from .pairings import basis_grade2_pairing, basis_top_grade_coefficient
 
 Label = tuple
 
@@ -138,7 +141,9 @@ class LieAlgebra:
     Structure constants come from fn(label_a, label_b) -> {label: scalar}
     on first use; only the i < j entry is stored and the flipped order is
     resolved by a sign, so the stored table is antisymmetric by
-    construction (verify_antisymmetry checks fn itself).
+    construction (verify_antisymmetry checks fn itself).  Each entry is
+    stored once and never replaced, so every bracket is evaluated at most
+    once into the table.
     """
 
     __slots__ = ("name", "config", "basis", "index", "_fn", "_table")
@@ -175,10 +180,33 @@ class LieAlgebra:
             return tuple((k, -c) for k, c in self.bracket(j, i))
         got = self._table.get((i, j))
         if got is None:
-            coords = self.raw_bracket(self.basis[i], self.basis[j])
+            got = self.remember(i, j, self.raw_bracket(self.basis[i], self.basis[j]))
+        return got
+
+    def remember(self, i: int, j: int, coords: dict[Label, Scalar]) -> tuple:
+        """Store coords = raw_bracket(b_i, b_j), i < j, unless [b_i, b_j] is stored.
+
+        For callers that have already evaluated the bracket function on
+        the pair, so the table does not evaluate it again.  An entry
+        already present (a mutated copy's flipped sign, say) is kept.
+        Returns the stored entry.
+        """
+        if not 0 <= i < j < self.dim:
+            raise ValueError(f"bad index pair ({i}, {j})")
+        got = self._table.get((i, j))
+        if got is None:
             got = tuple(sorted((self.index[lab], c) for lab, c in coords.items()))
             self._table[(i, j)] = got
         return got
+
+    def with_entry(
+        self, i: int, j: int, terms: tuple[tuple[int, Scalar], ...], name: str
+    ) -> "LieAlgebra":
+        """A copy named `name` that shares every stored bracket but [b_i, b_j]."""
+        clone = LieAlgebra(name, self.config, self.basis, self._fn)
+        clone._table = dict(self._table)
+        clone._table[(i, j)] = terms
+        return clone
 
     def materialize(self) -> "LieAlgebra":
         for i in range(self.dim):
@@ -216,12 +244,8 @@ def with_flipped_sign(L: LieAlgebra, i: int, j: int, k: int) -> LieAlgebra:
     terms = L.bracket(i, j)
     if k not in {t[0] for t in terms}:
         raise ValueError(f"no structure constant at ({i}, {j}, {k})")
-    clone = LieAlgebra(f"{L.name}~flip({i},{j},{k})", L.config, L.basis, L._fn)
-    clone._table = dict(L._table)
-    clone._table[(i, j)] = tuple(
-        (kk, -c if kk == k else c) for kk, c in terms
-    )
-    return clone
+    flipped = tuple((kk, -c if kk == k else c) for kk, c in terms)
+    return L.with_entry(i, j, flipped, f"{L.name}~flip({i},{j},{k})")
 
 
 def _builder_setup(
@@ -270,10 +294,7 @@ def build_e8(
         if not sb:
             out = act(c2_elem(config, lb), SpinorVec.basis(config, la[1]))
             return {("s", m): -c for m, c in out.terms.items()}
-        pair = grade2_pairing(
-            form, SpinorVec.basis(config, la[1]), SpinorVec.basis(config, lb[1])
-        )
-        return c2_coords(pair)
+        return c2_coords(basis_grade2_pairing(form, la[1], lb[1]))
 
     return LieAlgebra("e8", config, labels, fn)
 
@@ -320,9 +341,7 @@ def _e7_jacobi_rows(
         mc, sc = triple[c]
         w = _OMEGA.get((sa, sb))
         if w:
-            elem = grade2_pairing(
-                form, SpinorVec.basis(config, ma), SpinorVec.basis(config, mb)
-            )
+            elem = basis_grade2_pairing(form, ma, mb)
             out = act(elem, SpinorVec.basis(config, mc))
             ws = field.from_int(w)
             for m, coeff in out.terms.items():
@@ -330,9 +349,7 @@ def _e7_jacobi_rows(
                 add = coeff * ws
                 prev = pvals.get(key)
                 pvals[key] = add if prev is None else prev + add
-        bval = b_eval(
-            form, SpinorVec.basis(config, ma), SpinorVec.basis(config, mb)
-        )
+        bval = form.entry(ma, mb)
         if bval:
             for slot, w2 in ((sb, _OMEGA.get((sa, sc))), (sa, _OMEGA.get((sb, sc)))):
                 if not w2:
@@ -429,15 +446,11 @@ def build_e7(
             coords: dict[Label, Scalar] = {}
             w = _OMEGA.get((sa, sb))
             if w:
-                pair = grade2_pairing(
-                    form, SpinorVec.basis(config, ma), SpinorVec.basis(config, mb)
-                )
+                pair = basis_grade2_pairing(form, ma, mb)
                 cw = c1 * field_.from_int(w)
                 for lab, c in c2_coords(pair).items():
                     coords[lab] = c * cw
-            bval = b_eval(
-                form, SpinorVec.basis(config, ma), SpinorVec.basis(config, mb)
-            )
+            bval = form.entry(ma, mb)
             if bval:
                 cb = c2 * bval
                 for t, k in _SIGMA[(sa, sb)]:
@@ -519,12 +532,11 @@ def build_e6(
         if kb != "s":
             out = act(zero_part(lb), SpinorVec.basis(config, la[1]))
             return {("s", m): -c for m, c in out.terms.items()}
-        p1 = SpinorVec.basis(config, la[1])
-        p2 = SpinorVec.basis(config, lb[1])
+        pair = basis_grade2_pairing(form, la[1], lb[1])
         coords: dict[Label, Scalar] = {
-            lab: c * a_s for lab, c in c2_coords(grade2_pairing(form, p1, p2)).items()
+            lab: c * a_s for lab, c in c2_coords(pair).items()
         }
-        top = top_grade_coefficient(form, p1, p2)
+        top = basis_top_grade_coefficient(form, la[1], lb[1])
         if top:
             coords[("eps",)] = top * b_s
         return coords
@@ -562,22 +574,16 @@ def _lifted_table(L: LieAlgebra) -> tuple[dict, int, Optional[int]]:
     product of two constants lives on the D^2 scale; over F_p constants
     are lifted to canonical representatives and residuals reduced mod p.
     """
-    L.materialize()
+    table = L.materialize().nonzero_brackets()
     p = L.config.field.characteristic or None
     if p is None:
         d = 1
-        for terms in L._table.values():
+        for _, terms in table:
             for _, c in terms:
                 d = lcm(d, c.denominator)
-        lifted = {
-            ij: tuple((k, int(c * d)) for k, c in terms)
-            for ij, terms in L._table.items()
-        }
+        lifted = {ij: tuple((k, int(c * d)) for k, c in terms) for ij, terms in table}
         return lifted, d, None
-    lifted = {
-        ij: tuple((k, c.value) for k, c in terms)
-        for ij, terms in L._table.items()
-    }
+    lifted = {ij: tuple((k, c.value) for k, c in terms) for ij, terms in table}
     return lifted, 1, p
 
 
@@ -737,6 +743,38 @@ def _jacobi_worker(chunk):
     return _jacobi_scan_int64(chunk, mats, lifted, flat, nmats, p)
 
 
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_pool(processes: int):
+    import multiprocessing as mp
+
+    return mp.get_context("fork").Pool(processes)
+
+
+def jacobi_workers(threads: Optional[int] = None) -> int:
+    """Processes a Jacobi sweep may fork: `threads`, else SPINOR_FORGE_THREADS.
+
+    Unset or empty means 1.  The count is capped at the CPUs this process
+    may run on, so no setting asks for more processes than that; a
+    variable that is not a positive integer raises ValueError.
+    """
+    if threads is None:
+        raw = os.environ.get("SPINOR_FORGE_THREADS", "").strip()
+        try:
+            threads = int(raw) if raw else 1
+        except ValueError:
+            threads = 0
+        if threads < 1:
+            raise ValueError(
+                f"SPINOR_FORGE_THREADS must be a positive integer, got {raw!r}"
+            )
+    return max(1, min(threads, _available_cpus()))
+
+
 def verify_jacobi(
     L: LieAlgebra, pairs=None, threads: Optional[int] = None
 ) -> JacobiReport:
@@ -745,11 +783,13 @@ def verify_jacobi(
     Each pair identity covers every Jacobi triple (b_i, b_j, b_k) at once,
     so the default full sweep covers all C(dim, 3) distinct triples.  Work
     is exact: int64 sparse matrices over integer lifts when the value
-    bounds rule out overflow, arbitrary-precision dicts otherwise.
-    SPINOR_FORGE_THREADS > 1 forks the scan (fork start method), falling
-    back to sequential when that is unavailable.
+    bounds rule out overflow, arbitrary-precision dicts otherwise.  With
+    more than one worker (see jacobi_workers) the int64 scan is forked
+    (fork start method), falling back to sequential when that is
+    unavailable.
     """
     t0 = perf_counter()
+    workers = jacobi_workers(threads)
     lifted, _, p = _lifted_table(L)
     n = L.dim
     if pairs is None:
@@ -774,18 +814,12 @@ def verify_jacobi(
         flat = vstack(
             [m.tocoo().reshape(1, n * n) for m in mats], format="csr"
         )
-        if threads is None:
-            threads = int(os.environ.get("SPINOR_FORGE_THREADS", "1") or "1")
-        threads = max(1, threads)
         violations = None
-        if threads > 1 and len(pair_list) >= 256:
+        if workers > 1 and len(pair_list) >= 256:
             try:
-                import multiprocessing as mp
-
-                ctx = mp.get_context("fork")
                 _WORKER_STATE["args"] = (mats, lifted, flat, n, p)
-                chunks = [pair_list[t::threads] for t in range(threads)]
-                with ctx.Pool(threads) as pool:
+                chunks = [pair_list[t::workers] for t in range(workers)]
+                with _fork_pool(workers) as pool:
                     parts = pool.map(_jacobi_worker, chunks)
                 violations = sorted(v for part in parts for v in part)
             except (ImportError, OSError, ValueError):
@@ -814,7 +848,8 @@ def verify_antisymmetry(L: LieAlgebra, pairs=None) -> list[tuple[int, int]]:
 
     The stored table is antisymmetric by construction, so this evaluates
     the raw bracket function in both orders (and on the diagonal, which
-    must vanish).
+    must vanish).  The ascending-order result is handed to L.remember, so
+    a later materialize or Jacobi sweep does not evaluate it again.
     """
     n = L.dim
     if pairs is None:
@@ -827,6 +862,10 @@ def verify_antisymmetry(L: LieAlgebra, pairs=None) -> list[tuple[int, int]]:
                 bad.append((i, j))
             continue
         rev = L.raw_bracket(L.basis[j], L.basis[i])
+        if i < j:
+            L.remember(i, j, fwd)
+        else:
+            L.remember(j, i, rev)
         if fwd != {lab: -c for lab, c in rev.items()}:
             bad.append((i, j))
     return bad
@@ -1165,15 +1204,10 @@ def to_json(L: LieAlgebra) -> str:
     "brackets": [{"i", "j", "terms": [[k, scalar string], ...]}, ...]}
     with i < j ascending and only nonzero brackets listed.
     """
-    L.materialize()
-    brackets = []
-    for i, j in sorted(L._table):
-        terms = L._table[(i, j)]
-        if not terms:
-            continue
-        brackets.append(
-            {"i": i, "j": j, "terms": [[k, scalar_str(c)] for k, c in terms]}
-        )
+    brackets = [
+        {"i": i, "j": j, "terms": [[k, scalar_str(c)] for k, c in terms]}
+        for (i, j), terms in L.materialize().nonzero_brackets()
+    ]
     obj = {
         "name": L.name,
         "field": L.config.field.spec,

@@ -1,11 +1,14 @@
 """Spinor-pair operators valued in the Clifford algebra.
 
 The central object is the normalized grade-2 pairing taking two spinors to
-an element of the grade-2 part (the orthogonal Lie algebra inside C), with
-a closed-form matrix on Fock basis pairs that is implemented separately so
-the two routes can validate each other.  The top-grade and graded variants
-and the orbit-map adjoint round out the toolkit the exceptional
-constructions are built from.
+an element of the grade-2 part (the orthogonal Lie algebra inside C).  The
+generic four-sum grade2_pairing works on any two spinors and is the
+oracle.  On a pair of Fock basis vectors, basis_grade2_pairing and
+basis_top_grade_coefficient evaluate only the terms the two masks allow;
+they are the build path of the exceptional algebras.  The case-table
+action grade2_pairing_on_basis is implemented without the four-sum so the
+routes validate each other.  The top-grade and graded variants and the
+orbit-map adjoint round out the toolkit.
 """
 
 from __future__ import annotations
@@ -100,6 +103,71 @@ def grade2_pairing(form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec) -> Clif
     return CliffordElem(config, out)
 
 
+def _matrix_entry(x: CliffordElem, row: int, col: int) -> Scalar:
+    """The coefficient of e_row.v in x applied to e_col.v."""
+    acc = x.config.field.zero()
+    for (emask, imask), c in x.terms.items():
+        hit = apply_monomial(emask, imask, col)
+        if hit is not None and hit[1] == row:
+            acc = acc + (c if hit[0] > 0 else -c)
+    return acc
+
+
+def _check_masks(config: Config, *masks: int) -> None:
+    for m in masks:
+        if not 0 <= m < config.size:
+            raise ValueError(f"mask {m} out of range for n={config.n}")
+
+
+def basis_grade2_pairing(form: BilinearForm, imask: int, jmask: int) -> CliffordElem:
+    """grade2_pairing(form, e_I.v, e_J.v) for two Fock basis masks.
+
+    B pairs e_J.v only with e_{J^c}.v, so a four-sum term survives only
+    when its generator word moves e_I.v onto e_{J^c}.v.  Writing
+    P = I n J and R = I^c n J^c:
+
+        (|P|, |R|) = (0, 2): the ii terms with {a, b} = R;
+                     (2, 0): the ee terms with {a, b} = P;
+                     (1, 1): the one e_a i_b term with a in R, b in P;
+                     (0, 0): J = I^c and all n diagonal terms;
+
+    and every other pair of masks gives zero.  Each surviving term is the
+    norm entry B(e_{J^c}.v, e_J.v), times the sign of the move, times its
+    constant element from the four-sum.  This is the build path of the
+    exceptional algebras; the four-sum grade2_pairing stays the oracle.
+    """
+    config = form.config
+    _check_masks(config, imask, jmask)
+    partner = jmask ^ (config.size - 1)
+    val = form.entries.get((partner, jmask))
+    if val is None:
+        return CliffordElem.zero(config)
+    ee, ii, ei, ie_minus, diag_in, diag_out = _four_sum_elements(config)
+    p = imask & jmask
+    r = partner & ~imask
+    weight = val
+    if p == 0 and r.bit_count() == 2:
+        a, b = r.bit_length(), (r & -r).bit_length()
+        terms = [(ee[(a, b)], ii[(a, b)]), (ee[(b, a)], ii[(b, a)])]
+    elif p.bit_count() == 2 and r == 0:
+        a, b = p.bit_length(), (p & -p).bit_length()
+        terms = [(ii[(a, b)], ee[(a, b)]), (ii[(b, a)], ee[(b, a)])]
+    elif p.bit_count() == 1 and r.bit_count() == 1:
+        a, b = r.bit_length(), p.bit_length()
+        terms = [(ei[(a, b)], ie_minus[(a, b)])]
+    elif p == 0 and r == 0:
+        weight = val * config.field.from_fraction(1, 2)
+        terms = [(diag_in[a], diag_out[a]) for a in range(1, config.n + 1)]
+    else:
+        return CliffordElem.zero(config)
+    out: dict = {}
+    for move, elem in terms:
+        c = _matrix_entry(move, partner, imask)
+        if c:
+            _accum(out, elem, c * weight)
+    return CliffordElem(config, out)
+
+
 def grade2_pairing_projected(
     form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec
 ) -> CliffordElem:
@@ -121,11 +189,8 @@ def grade2_pairing_on_basis(
     routes cross-validate.
     """
     config = form.config
-    size = config.size
-    full = size - 1
-    for m in (imask, jmask, kmask):
-        if not 0 <= m < size:
-            raise ValueError(f"mask {m} out of range for n={config.n}")
+    _check_masks(config, imask, jmask, kmask)
+    full = config.size - 1
     field = config.field
     zero = SpinorVec.zero(config)
     p = imask & jmask
@@ -198,6 +263,22 @@ def top_grade_coefficient(
     inv = config.field.from_fraction(1, config.size)
     eps = grading_element(config)
     return inv * b_eval(form, psi1, act(eps, psi2))
+
+
+def basis_top_grade_coefficient(form: BilinearForm, imask: int, jmask: int) -> Scalar:
+    """top_grade_coefficient(form, e_I.v, e_J.v) for two Fock basis masks.
+
+    The grading element is diagonal on the Fock basis and B pairs e_I.v
+    only with e_{I^c}.v, so the coefficient vanishes unless J = I^c.
+    """
+    config = form.config
+    _check_masks(config, imask, jmask)
+    field = config.field
+    val = form.entries.get((imask, jmask))
+    if val is None:
+        return field.zero()
+    eps = _matrix_entry(grading_element(config), jmask, jmask)
+    return field.from_fraction(1, config.size) * val * eps
 
 
 def top_grade_pairing(

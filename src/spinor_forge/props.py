@@ -756,8 +756,8 @@ SUITES: dict[str, tuple] = {
 }
 
 
-def run_suites(n: int, suites=None) -> list[CheckResult]:
-    """Run the named property suites (all of them by default) at one n."""
+def suite_names(n: int, suites=None) -> tuple[str, ...]:
+    """The suites a run_suites(n, suites) call runs; ValueError if it is invalid."""
     if not 1 <= n <= 8:
         raise ValueError(f"property suites require 1 <= n <= 8, got {n}")
     names = tuple(SUITES) if suites is None else tuple(suites)
@@ -766,8 +766,13 @@ def run_suites(n: int, suites=None) -> list[CheckResult]:
             raise ValueError(
                 f"unknown suite {name!r}; choose from {sorted(SUITES)}"
             )
+    return names
+
+
+def run_suites(n: int, suites=None) -> list[CheckResult]:
+    """Run the named property suites (all of them by default) at one n."""
     results = []
-    for name in names:
+    for name in suite_names(n, suites):
         for fn in SUITES[name]:
             results.append(fn(n))
     return results

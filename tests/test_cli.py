@@ -66,6 +66,64 @@ class TestVerify:
         assert exc.value.code == 2
 
 
+class TestExitCodes:
+    def test_internal_failure_exit_3(self, capsys, monkeypatch):
+        from spinor_forge import cli
+        from spinor_forge.exceptional import DecompositionError
+
+        def broken(field=None):
+            raise DecompositionError("monomial lies outside the grade-2 span")
+
+        monkeypatch.setitem(cli._BUILDERS, "e6", broken)
+        code, out, err = run_cli(capsys, ["verify", "--algebra", "e6"])
+        assert code == 3
+        report = json.loads(out)
+        assert report["command"] == "verify"
+        assert report["error"].startswith("DecompositionError: monomial")
+        assert "internal error" in err
+
+    def test_runtime_error_exit_3(self, capsys, monkeypatch):
+        from spinor_forge import cli
+
+        def broken(field=None):
+            raise RuntimeError("no bracket constants satisfy the Jacobi identity")
+
+        monkeypatch.setitem(cli._BUILDERS, "e7", broken)
+        code, out, _ = run_cli(
+            capsys, ["export", "--algebra", "e7", "--out", "unused.json"]
+        )
+        assert code == 3
+        assert json.loads(out)["error"].startswith("RuntimeError: ")
+
+    @pytest.mark.parametrize("raw", ["many", "0"])
+    def test_bad_thread_count_exit_2_before_building(
+        self, capsys, monkeypatch, raw
+    ):
+        from spinor_forge import cli
+
+        def never(field=None):
+            raise AssertionError("built despite a usage error")
+
+        monkeypatch.setitem(cli._BUILDERS, "e6", never)
+        monkeypatch.setenv("SPINOR_FORGE_THREADS", raw)
+        code, out, err = run_cli(capsys, ["verify", "--algebra", "e6"])
+        assert code == 2
+        assert out == ""
+        assert "SPINOR_FORGE_THREADS" in err
+
+    def test_bad_field_exit_2_before_building(self, capsys, monkeypatch):
+        from spinor_forge import cli
+
+        def never(field=None):
+            raise AssertionError("built despite a usage error")
+
+        monkeypatch.setitem(cli._BUILDERS, "e8", never)
+        code, out, _ = run_cli(capsys, ["export", "--algebra", "e8", "--field",
+                                        "fp:4", "--out", "unused.json"])
+        assert code == 2
+        assert out == ""
+
+
 class TestExport:
     def test_export_writes_schema_and_digest(self, capsys, tmp_path):
         out_path = tmp_path / "e6.json"

@@ -1,6 +1,7 @@
 """Tests for the exceptional algebra constructions and their verifiers."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from spinor_forge.exceptional import (
     c2_coords,
     c2_elem,
     c2_labels,
+    jacobi_workers,
     killing_form,
     label_str,
     root_decomposition,
@@ -449,6 +451,123 @@ class TestVerifyJacobi:
             "seconds",
         }
         assert d["ok"] is True and d["violations"] == []
+
+
+def wrapped_e6(base, broken=None):
+    """e6's bracket function behind a call counter, optionally broken on
+    one ordered label pair (its result gains one extra term)."""
+    calls = Counter()
+    extra = base.basis[0]
+
+    def fn(la, lb):
+        calls[(la, lb)] += 1
+        out = base.raw_bracket(la, lb)
+        if (la, lb) == broken:
+            out[extra] = out.get(extra, 0) + 1
+        return out
+
+    return LieAlgebra("e6~wrapped", base.config, base.basis, fn), calls
+
+
+class TestBracketsBuiltOnce:
+    def test_each_forward_bracket_evaluated_once(self, e6):
+        L, calls = wrapped_e6(e6)
+        assert verify_antisymmetry(L) == []
+        L.materialize()
+        n = L.dim
+        for i in range(n):
+            for j in range(n):
+                assert calls[(L.basis[i], L.basis[j])] == 1
+        assert L.nonzero_brackets() == e6.materialize().nonzero_brackets()
+
+    def test_reversed_pairs_store_ascending_order(self, e6):
+        L, calls = wrapped_e6(e6)
+        assert verify_antisymmetry(L, [(60, 2)]) == []
+        assert L.bracket(2, 60) == e6.bracket(2, 60)
+        assert calls[(L.basis[2], L.basis[60])] == 1
+
+    @pytest.mark.parametrize("materialize_first", [False, True])
+    @pytest.mark.parametrize("order", ["forward", "reverse"])
+    def test_broken_pair_reported(self, e6, materialize_first, order):
+        i, j = 3, 70
+        broken = (e6.basis[i], e6.basis[j])
+        if order == "reverse":
+            broken = broken[::-1]
+        L, calls = wrapped_e6(e6, broken)
+        if materialize_first:
+            L.materialize()
+        pairs = [(i, j), (j, i), (3, 71), (5, 5)]
+        assert verify_antisymmetry(L, pairs) == [(i, j), (j, i)]
+        if not materialize_first:
+            L.materialize()
+        assert verify_antisymmetry(L) == [(i, j)]
+        # the table holds what the bracket function gave in ascending order
+        want = dict(e6.bracket(i, j))
+        if order == "forward":
+            want[0] = want.get(0, 0) + 1
+        assert dict(L.bracket(i, j)) == want
+
+    def test_flipped_entry_never_overwritten(self, e6):
+        e6.materialize()
+        (i, j), terms = e6.nonzero_brackets()[0]
+        clone = with_flipped_sign(e6, i, j, terms[0][0])
+        flipped = clone.bracket(i, j)
+        assert verify_antisymmetry(clone, [(i, j), (j, i)]) == []
+        assert clone.bracket(i, j) == flipped != e6.bracket(i, j)
+
+    def test_remember_rejects_bad_pairs(self, e6):
+        with pytest.raises(ValueError):
+            e6.remember(5, 5, {})
+        with pytest.raises(ValueError):
+            e6.remember(9, 2, {})
+
+
+class TestJacobiWorkers:
+    def test_default_is_one(self, monkeypatch):
+        monkeypatch.delenv("SPINOR_FORGE_THREADS", raising=False)
+        assert jacobi_workers() == 1
+        monkeypatch.setenv("SPINOR_FORGE_THREADS", "")
+        assert jacobi_workers() == 1
+
+    def test_clamped_to_available_cpus(self, monkeypatch):
+        import os
+
+        cpus = len(os.sched_getaffinity(0))
+        monkeypatch.setenv("SPINOR_FORGE_THREADS", str(10**6))
+        assert jacobi_workers() == cpus
+        assert jacobi_workers(10**6) == cpus
+        assert jacobi_workers(0) == 1
+
+    @pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-3", "2x"])
+    def test_bad_values_name_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("SPINOR_FORGE_THREADS", raw)
+        with pytest.raises(ValueError, match="SPINOR_FORGE_THREADS"):
+            jacobi_workers()
+
+    def test_pool_size_is_bounded(self, monkeypatch, e6):
+        from spinor_forge import exceptional
+
+        asked = []
+
+        class FakePool:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return [fn(chunk) for chunk in chunks]
+
+        def fake_pool(processes):
+            asked.append(processes)
+            return FakePool()
+
+        monkeypatch.setattr(exceptional, "_fork_pool", fake_pool)
+        monkeypatch.setattr(exceptional, "_available_cpus", lambda: 3)
+        monkeypatch.setenv("SPINOR_FORGE_THREADS", str(10**6))
+        rep = verify_jacobi(e6)
+        assert rep and asked == [3]
 
 
 class TestKillingForm:

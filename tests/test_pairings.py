@@ -26,6 +26,8 @@ from spinor_forge.norms import b_eval, graded_norm, solve_spinor_norm
 from spinor_forge.pairings import (
     PolarisationChange,
     apply_swapped_word,
+    basis_grade2_pairing,
+    basis_top_grade_coefficient,
     change_polarisation,
     endomorphism_pairing,
     grade2_pairing,
@@ -301,6 +303,52 @@ class TestMatrixEntry:
         form = solve_spinor_norm(config)
         with pytest.raises(ValueError, match="out of range"):
             grade2_pairing_on_basis(form, 4, 0, 0)
+
+
+FIELDS = [Rationals(), PrimeField(7)]
+
+
+class TestBasisClosedForm:
+    """The build-path closed forms against the generic four-sum oracle."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.spec)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_grade2_every_ordered_pair(self, n, field):
+        config = Config(n, field)
+        form = solve_spinor_norm(config)
+        for im in range(config.size):
+            for jm in range(config.size):
+                oracle = grade2_pairing(form, basis(config, im), basis(config, jm))
+                assert basis_grade2_pairing(form, im, jm) == oracle, (im, jm)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.spec)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_top_grade_every_ordered_pair(self, n, field):
+        config = Config(n, field)
+        form = solve_spinor_norm(config)
+        for im in range(config.size):
+            for jm in range(config.size):
+                oracle = top_grade_coefficient(
+                    form, basis(config, im), basis(config, jm)
+                )
+                assert basis_top_grade_coefficient(form, im, jm) == oracle
+
+    def test_only_complement_has_top_grade(self):
+        config = Config(4)
+        form = solve_spinor_norm(config)
+        full = config.size - 1
+        for im in range(config.size):
+            for jm in range(config.size):
+                got = basis_top_grade_coefficient(form, im, jm)
+                assert bool(got) == (jm == im ^ full)
+
+    def test_mask_range_checked(self):
+        config = Config(2)
+        form = solve_spinor_norm(config)
+        with pytest.raises(ValueError, match="out of range"):
+            basis_grade2_pairing(form, 0, 4)
+        with pytest.raises(ValueError, match="out of range"):
+            basis_top_grade_coefficient(form, -1, 0)
 
 
 class TestTopGrade:
