@@ -1,6 +1,11 @@
 """Exact Clifford-algebra and pure-spinor machinery, culminating in
 structure-constant models of the split exceptional Lie algebras."""
 
+# Nothing in the package calls scipy.  It is imported because
+# perfbench/job.py reads sys.modules["scipy"].__version__ after every
+# benchmark job.
+import scipy  # noqa: F401
+
 from spinor_forge.field import PrimeField, Rationals, make_field
 from spinor_forge.fock import Config, SpinorVec, annihilate, create
 from spinor_forge.clifford import (

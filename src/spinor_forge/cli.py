@@ -6,9 +6,7 @@ writes the JSON structure constants; `props` runs the property suites
 for one n.  Machine-readable JSON goes to stdout, human-readable
 summaries to stderr.  Exit codes: 0 success, 1 verification failure,
 2 usage error (arguments are checked before any work starts), 3 internal
-failure while running, reported as {"error": ...} on stdout.  The env var
-SPINOR_FORGE_THREADS sets the Jacobi sweep's worker processes, capped at
-the CPUs available.
+failure while running, reported as {"error": ...} on stdout.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from .exceptional import (
     build_e6,
     build_e7,
     build_e8,
-    jacobi_workers,
     killing_form,
     spanning_check,
     to_json,
@@ -203,8 +200,6 @@ def _validate(cfg: RunConfig) -> None:
         suite_names(cfg.n, cfg.suite)
         return
     make_field(cfg.field)
-    if cfg.command == "verify":
-        jacobi_workers()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -19,7 +19,6 @@ recovers the Dynkin type from scratch.
 from __future__ import annotations
 
 import json
-import os
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +28,6 @@ from time import perf_counter
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix, vstack
 
 from .clifford import CliffordElem, act, commutator, grading_element, multiply, witt_e, witt_i
 from .field import Field, Rationals, Scalar, scalar_str
@@ -564,7 +562,7 @@ def sweep_e6_coefficients(
     return good
 
 
-# --- integer lifts and the Jacobi / Killing machinery ---
+# --- integer lifts and the keyed-product engine for Jacobi and Killing ---
 
 
 def _lifted_table(L: LieAlgebra) -> tuple[dict, int, Optional[int]]:
@@ -587,106 +585,121 @@ def _lifted_table(L: LieAlgebra) -> tuple[dict, int, Optional[int]]:
     return lifted, 1, p
 
 
-def _lift_stats(lifted: dict, n: int) -> tuple[int, int, int, int]:
-    """(max |value|, max row nnz, max terms per bracket, max nnz per matrix)."""
-    maxval, maxterms = 0, 1
-    rowcount: dict[tuple[int, int], int] = {}
-    matcount = [0] * n
-    for (i, j), terms in lifted.items():
-        if terms:
-            maxterms = max(maxterms, len(terms))
-        for k, v in terms:
-            maxval = max(maxval, abs(v))
-            rowcount[(i, k)] = rowcount.get((i, k), 0) + 1
-            rowcount[(j, k)] = rowcount.get((j, k), 0) + 1
-            matcount[i] += 1
-            matcount[j] += 1
-    maxrow = max(rowcount.values(), default=1)
-    return maxval, maxrow, maxterms, max(matcount, default=1)
+# Index pairs per batch of the product engine: the joined arrays of one
+# batch stay a few MiB on e8, so memory does not grow with the sweep.
+_BATCH_PAIRS = 1024
 
 
-def _ad_matrices(lifted: dict, n: int) -> list[csr_matrix]:
-    triplets: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for (i, j), terms in lifted.items():
-        for k, v in terms:
-            triplets[i].append((k, j, v))
-            triplets[j].append((k, i, -v))
-    mats = []
-    for tri in triplets:
-        if tri:
-            rows, cols, vals = zip(*tri)
-        else:
-            rows, cols, vals = (), (), ()
-        mats.append(
-            csr_matrix(
-                (np.asarray(vals, dtype=np.int64), (rows, cols)),
-                shape=(n, n),
-                dtype=np.int64,
-            )
+def _ragged(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, index) over every index in every range [starts[q], stops[q])."""
+    lens = stops - starts
+    owner = np.repeat(np.arange(lens.size), lens)
+    offsets = np.cumsum(lens) - lens
+    return owner, np.arange(owner.size) - offsets[owner] + starts[owner]
+
+
+class _AdjointProducts:
+    """Every ad b_a stored once, as row-sorted COO arrays over integer lifts.
+
+    Indices are int64 arrays and values Python ints in object arrays, so
+    no product or sum can overflow and one code path serves Q and every
+    prime.  Products ad_a ad_b for a batch of index pairs come from a
+    ragged join of the entries of ad_a with the rows of ad_b.
+    """
+
+    def __init__(self, L: LieAlgebra) -> None:
+        lifted, self.scale, self.p = _lifted_table(L)
+        n = self.n = L.dim
+        mat, row, col, val = [], [], [], []
+        keys, ptr, term_k, term_v = [], [0], [], []
+        for (i, j), terms in lifted.items():
+            keys.append(i * n + j)
+            for k, v in terms:
+                term_k.append(k)
+                term_v.append(v)
+                # ad_i[k, j] = v and ad_j[k, i] = -v
+                mat += (i, j)
+                row += (k, k)
+                col += (j, i)
+                val += (v, -v)
+            ptr.append(len(term_k))
+        # a sentinel past every real key keeps lookups in range
+        self.pair_key = np.array(keys + [n * n], dtype=np.int64)
+        self.term_ptr = np.array(ptr + [len(term_k)], dtype=np.int64)
+        self.term_k = np.array(term_k, dtype=np.int64)
+        self.term_v = np.array(term_v, dtype=object)
+        mat_a = np.array(mat, dtype=np.int64)
+        row_a = np.array(row, dtype=np.int64)
+        order = np.lexsort((row_a, mat_a))
+        self.row = row_a[order]
+        self.col = np.array(col, dtype=np.int64)[order]
+        self.val = np.array(val, dtype=object)[order]
+        mat_a = mat_a[order]
+        self.mat_ptr = np.searchsorted(mat_a, np.arange(n + 1))
+        self.row_ptr = np.searchsorted(mat_a * n + self.row, np.arange(n * n + 1))
+
+    def join(self, left: np.ndarray, right: np.ndarray):
+        """(q, e, f): entry e of ad_left[q] meets entry f of ad_right[q].
+
+        Each triple is one term of (ad_left[q] ad_right[q])[row[e], col[f]],
+        with value val[e] * val[f].
+        """
+        q, e = _ragged(self.mat_ptr[left], self.mat_ptr[left + 1])
+        at = right[q] * self.n + self.col[e]
+        hit, f = _ragged(self.row_ptr[at], self.row_ptr[at + 1])
+        return q[hit], e[hit], f
+
+    def jacobi_violations(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Batch positions q, ascending, where ad [b_l, b_r] != [ad b_l, ad b_r]
+        for l = left[q] < r = right[q]."""
+        n = self.n
+        keys, vals = [], []
+        for a, b, sign in ((left, right, 1), (right, left, -1)):
+            q, e, f = self.join(a, b)
+            keys.append((q * n + self.row[e]) * n + self.col[f])
+            vals.append(sign * (self.val[e] * self.val[f]))
+        # minus sum_m c_lr^m ad_m, from the stored terms of [b_l, b_r]
+        want = left * n + right
+        pos = np.searchsorted(self.pair_key, want)
+        found = self.pair_key[pos] == want
+        q, s = _ragged(
+            np.where(found, self.term_ptr[pos], 0),
+            np.where(found, self.term_ptr[pos + 1], 0),
         )
-    return mats
+        m = self.term_k[s]
+        hit, g = _ragged(self.mat_ptr[m], self.mat_ptr[m + 1])
+        keys.append((q[hit] * n + self.row[g]) * n + self.col[g])
+        vals.append(-(self.term_v[s[hit]] * self.val[g]))
+        key = np.concatenate(keys)
+        if not key.size:
+            return key
+        order = np.argsort(key)
+        key = key[order]
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        sums = np.add.reduceat(np.concatenate(vals)[order], starts)
+        if self.p is not None:
+            sums = sums % self.p
+        return np.unique(key[starts][sums != 0] // (n * n))
 
-
-def _jacobi_scan_int64(pair_list, mats, lifted, flat, nmats, p):
-    violations = []
-    size = flat.shape[1]
-    for i, j in pair_list:
-        resid = (mats[i] @ mats[j] - mats[j] @ mats[i]).reshape(1, size).tocsr()
-        terms = lifted.get((i, j), ())
-        if terms:
-            ks, vs = zip(*terms)
-            coeff = csr_matrix(
-                (np.asarray(vs, dtype=np.int64), ([0] * len(ks), ks)),
-                shape=(1, nmats),
-                dtype=np.int64,
-            )
-            resid = (resid - coeff @ flat).tocsr()
-        if p is not None and resid.nnz:
-            resid.data %= p
-        resid.eliminate_zeros()
-        if resid.nnz:
-            violations.append((i, j))
-    return violations
-
-
-def _column_map(lifted: dict, n: int) -> list[dict[int, list[tuple[int, int]]]]:
-    cols: list[dict[int, list[tuple[int, int]]]] = [dict() for _ in range(n)]
-    for (i, j), terms in lifted.items():
-        for k, v in terms:
-            cols[i].setdefault(j, []).append((k, v))
-            cols[j].setdefault(i, []).append((k, -v))
-    return cols
-
-
-def _jacobi_scan_exact(pair_list, cols, lifted, p):
-    """Arbitrary-precision fallback scan, column by column."""
-    violations = []
-    for i, j in pair_list:
-        terms = lifted.get((i, j), ())
-        support = set(cols[i]) | set(cols[j])
-        for m, _ in terms:
-            support |= set(cols[m])
-        bad = False
-        for c in support:
-            acc: dict[int, int] = {}
-            for k1, v1 in cols[j].get(c, ()):
-                for k2, v2 in cols[i].get(k1, ()):
-                    acc[k2] = acc.get(k2, 0) + v1 * v2
-            for k1, v1 in cols[i].get(c, ()):
-                for k2, v2 in cols[j].get(k1, ()):
-                    acc[k2] = acc.get(k2, 0) - v1 * v2
-            for m, vm in terms:
-                for k2, v2 in cols[m].get(c, ()):
-                    acc[k2] = acc.get(k2, 0) - vm * v2
-            for val in acc.values():
-                if (val % p if p is not None else val) != 0:
-                    bad = True
-                    break
-            if bad:
-                break
-        if bad:
-            violations.append((i, j))
-    return violations
+    def gram(self) -> list[list[int]]:
+        """tr(ad_i ad_j) for all i, j: the diagonal terms of the products."""
+        n = self.n
+        gram = [[0] * n for _ in range(n)]
+        upper_i, upper_j = np.triu_indices(n)
+        for s in range(0, upper_i.size, _BATCH_PAIRS):
+            left = upper_i[s : s + _BATCH_PAIRS]
+            right = upper_j[s : s + _BATCH_PAIRS]
+            q, e, f = self.join(left, right)
+            diag = self.row[e] == self.col[f]
+            q, e, f = q[diag], e[diag], f[diag]
+            if not q.size:
+                continue
+            starts = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
+            sums = np.add.reduceat(self.val[e] * self.val[f], starts)
+            for t, v in zip(q[starts].tolist(), sums):
+                i, j = int(left[t]), int(right[t])
+                gram[i][j] = gram[j][i] = v
+        return gram
 
 
 class JacobiReport:
@@ -735,62 +748,17 @@ class JacobiReport:
         )
 
 
-_WORKER_STATE: dict = {}
-
-
-def _jacobi_worker(chunk):
-    mats, lifted, flat, nmats, p = _WORKER_STATE["args"]
-    return _jacobi_scan_int64(chunk, mats, lifted, flat, nmats, p)
-
-
-def _available_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fork_pool(processes: int):
-    import multiprocessing as mp
-
-    return mp.get_context("fork").Pool(processes)
-
-
-def jacobi_workers(threads: Optional[int] = None) -> int:
-    """Processes a Jacobi sweep may fork: `threads`, else SPINOR_FORGE_THREADS.
-
-    Unset or empty means 1.  The count is capped at the CPUs this process
-    may run on, so no setting asks for more processes than that; a
-    variable that is not a positive integer raises ValueError.
-    """
-    if threads is None:
-        raw = os.environ.get("SPINOR_FORGE_THREADS", "").strip()
-        try:
-            threads = int(raw) if raw else 1
-        except ValueError:
-            threads = 0
-        if threads < 1:
-            raise ValueError(
-                f"SPINOR_FORGE_THREADS must be a positive integer, got {raw!r}"
-            )
-    return max(1, min(threads, _available_cpus()))
-
-
-def verify_jacobi(
-    L: LieAlgebra, pairs=None, threads: Optional[int] = None
-) -> JacobiReport:
+def verify_jacobi(L: LieAlgebra, pairs=None) -> JacobiReport:
     """Check ad([b_i, b_j]) = [ad b_i, ad b_j] for the given index pairs.
 
     Each pair identity covers every Jacobi triple (b_i, b_j, b_k) at once,
     so the default full sweep covers all C(dim, 3) distinct triples.  Work
-    is exact: int64 sparse matrices over integer lifts when the value
-    bounds rule out overflow, arbitrary-precision dicts otherwise.  With
-    more than one worker (see jacobi_workers) the int64 scan is forked
-    (fork start method), falling back to sequential when that is
-    unavailable.
+    is exact, on Python ints over integer lifts (reduced mod p over F_p):
+    the pairs go through the keyed-product engine in batches of at most
+    _BATCH_PAIRS, whose terms of ad_i ad_j, ad_j ad_i and
+    sum_k c_ij^k ad_k are summed by (pair, row, column) key.
     """
     t0 = perf_counter()
-    workers = jacobi_workers(threads)
-    lifted, _, p = _lifted_table(L)
     n = L.dim
     if pairs is None:
         pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -808,29 +776,12 @@ def verify_jacobi(
         }
         triples = len(covered)
 
-    maxval, maxrow, maxterms, _ = _lift_stats(lifted, n)
-    if (2 * maxrow + maxterms) * maxval * maxval < (1 << 62):
-        mats = _ad_matrices(lifted, n)
-        flat = vstack(
-            [m.tocoo().reshape(1, n * n) for m in mats], format="csr"
-        )
-        violations = None
-        if workers > 1 and len(pair_list) >= 256:
-            try:
-                _WORKER_STATE["args"] = (mats, lifted, flat, n, p)
-                chunks = [pair_list[t::workers] for t in range(workers)]
-                with _fork_pool(workers) as pool:
-                    parts = pool.map(_jacobi_worker, chunks)
-                violations = sorted(v for part in parts for v in part)
-            except (ImportError, OSError, ValueError):
-                violations = None
-            finally:
-                _WORKER_STATE.clear()
-        if violations is None:
-            violations = _jacobi_scan_int64(pair_list, mats, lifted, flat, n, p)
-    else:
-        cols = _column_map(lifted, n)
-        violations = _jacobi_scan_exact(pair_list, cols, lifted, p)
+    engine = _AdjointProducts(L)
+    violations = []
+    for s in range(0, len(pair_list), _BATCH_PAIRS):
+        batch = np.array(pair_list[s : s + _BATCH_PAIRS], dtype=np.int64)
+        bad = engine.jacobi_violations(batch[:, 0], batch[:, 1])
+        violations += [pair_list[s + q] for q in bad.tolist()]
 
     return JacobiReport(
         L.name,
@@ -871,51 +822,23 @@ def verify_antisymmetry(L: LieAlgebra, pairs=None) -> list[tuple[int, int]]:
     return bad
 
 
-def _gram_exact(lifted: dict, n: int) -> list[list[int]]:
-    mats: list[dict[tuple[int, int], int]] = [dict() for _ in range(n)]
-    for (i, j), terms in lifted.items():
-        for k, v in terms:
-            mats[i][(k, j)] = v
-            mats[j][(k, i)] = -v
-    gram = [[0] * n for _ in range(n)]
-    for i in range(n):
-        mi = mats[i]
-        for j in range(i, n):
-            mj = mats[j]
-            small, big = (mi, mj) if len(mi) <= len(mj) else (mj, mi)
-            s = 0
-            for (k, l), v in small.items():
-                w = big.get((l, k))
-                if w:
-                    s += v * w
-            gram[i][j] = s
-            gram[j][i] = s
-    return gram
-
-
 def killing_form(L: LieAlgebra) -> tuple[list[list[Scalar]], int]:
     """The Killing matrix kappa(b_i, b_j) = tr(ad b_i ad b_j) and its rank.
 
-    Over Q the rank is certified mod 2^31 - 1 (full rank mod a prime
-    implies full rank over Q) with an exact fraction elimination fallback;
-    over F_p the modular rank is the exact field rank.
+    The Gram matrix comes from the keyed-product engine of verify_jacobi:
+    exact Python ints over the integer lifts, the pairs i <= j in bounded
+    batches, each entry the sum of the diagonal terms of ad_i ad_j.  Over
+    Q the rank is certified mod 2^31 - 1 (full rank mod a prime implies
+    full rank over Q) with an exact fraction elimination fallback; over
+    F_p the modular rank is the exact field rank.
     """
-    lifted, d, p = _lifted_table(L)
+    engine = _AdjointProducts(L)
+    gram = engine.gram()
     n = L.dim
     field = L.config.field
-    maxval, _, _, maxnnz = _lift_stats(lifted, n)
-    if maxnnz * maxval * maxval < (1 << 62):
-        mats = _ad_matrices(lifted, n)
-        x = vstack([m.tocoo().reshape(1, n * n) for m in mats], format="csr")
-        y = vstack(
-            [m.transpose().tocoo().reshape(1, n * n) for m in mats], format="csr"
-        )
-        dense = (x @ y.T).toarray()
-        gram = [[int(dense[i, j]) for j in range(n)] for i in range(n)]
-    else:
-        gram = _gram_exact(lifted, n)
+    p = engine.p
     if p is None:
-        denom = d * d
+        denom = engine.scale * engine.scale
         matrix = [[Fraction(v, denom) for v in row] for row in gram]
         rank = rank_mod_p(gram, (1 << 31) - 1)
         if rank < n:

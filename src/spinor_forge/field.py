@@ -219,26 +219,3 @@ def parse_scalar(s: str, field: Field) -> Scalar:
     if not sep or int(p) != field.p:
         raise ValueError(f"cannot parse {s!r} as an element of {field!r}")
     return Residue(int(value), field.p)
-
-
-def _same_kind(a: Scalar, b: Scalar) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return True
-    if isinstance(a, Residue) and isinstance(b, Residue):
-        return a.p == b.p
-    return False
-
-
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Checked field arithmetic, one of {add, sub, mul, div}."""
-    if not _same_kind(a, b):
-        raise ValueError("mixed-field operands")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")

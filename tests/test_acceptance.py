@@ -70,7 +70,7 @@ def test_criterion_01_dimensions():
 
 
 def test_criterion_02_jacobi_all_triples_both_fields(e6q, e7q, e8q):
-    report8 = verify_jacobi(e8q, threads=1)
+    report8 = verify_jacobi(e8q)
     assert not report8.violations
     assert report8.triples_covered == comb(248, 3) == 2511496
     assert report8.seconds <= 60.0, f"e8 sweep took {report8.seconds:.1f}s"

@@ -95,22 +95,6 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(out)["error"].startswith("RuntimeError: ")
 
-    @pytest.mark.parametrize("raw", ["many", "0"])
-    def test_bad_thread_count_exit_2_before_building(
-        self, capsys, monkeypatch, raw
-    ):
-        from spinor_forge import cli
-
-        def never(field=None):
-            raise AssertionError("built despite a usage error")
-
-        monkeypatch.setitem(cli._BUILDERS, "e6", never)
-        monkeypatch.setenv("SPINOR_FORGE_THREADS", raw)
-        code, out, err = run_cli(capsys, ["verify", "--algebra", "e6"])
-        assert code == 2
-        assert out == ""
-        assert "SPINOR_FORGE_THREADS" in err
-
     def test_bad_field_exit_2_before_building(self, capsys, monkeypatch):
         from spinor_forge import cli
 

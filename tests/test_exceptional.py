@@ -17,7 +17,6 @@ from spinor_forge.exceptional import (
     c2_coords,
     c2_elem,
     c2_labels,
-    jacobi_workers,
     killing_form,
     label_str,
     root_decomposition,
@@ -408,12 +407,6 @@ class TestVerifyJacobi:
         with pytest.raises(ValueError):
             verify_jacobi(e6, pairs=[(0, 100)])
 
-    def test_threads_agree(self, e6):
-        seq = verify_jacobi(e6, threads=1)
-        par = verify_jacobi(e6, threads=2)
-        assert bool(seq) and bool(par)
-        assert seq.violations == par.violations == ()
-
     def test_exact_fallback_large_prime(self):
         field = PrimeField((1 << 31) - 1)
         L = build_e6(field=field)
@@ -451,6 +444,82 @@ class TestVerifyJacobi:
             "seconds",
         }
         assert d["ok"] is True and d["violations"] == []
+
+
+def oracle_violations(L, pairs):
+    """Pairs (i, j) with a k where the Jacobiator of (b_i, b_j, b_k) is
+    nonzero, from L.bracket alone (no ad matrices, no integer lifts)."""
+    zero = L.config.field.zero()
+
+    def bracket_with(x, k):
+        # [x, b_k] for x = {m: coefficient}
+        out = {}
+        for m, c in x.items():
+            for t, d in L.bracket(m, k):
+                out[t] = out.get(t, zero) + c * d
+        return out
+
+    bad = []
+    for i, j in pairs:
+        for k in range(L.dim):
+            # [[b_i, b_j], b_k] - [b_i, [b_j, b_k]] + [b_j, [b_i, b_k]]
+            resid = bracket_with(dict(L.bracket(i, j)), k)
+            for x, y, sign in ((j, i, 1), (i, j, -1)):
+                for t, c in bracket_with(dict(L.bracket(x, k)), y).items():
+                    resid[t] = resid.get(t, zero) + sign * c
+            if any(resid.values()):
+                bad.append((i, j))
+                break
+    return bad
+
+
+def seeded_flips(L, seed, count):
+    stored = L.materialize().nonzero_brackets()
+    r = rng(seed)
+    out = []
+    for _ in range(count):
+        (i, j), terms = r.choice(stored)
+        k, _ = r.choice(terms)
+        out.append((i, j, with_flipped_sign(L, i, j, k)))
+    return out
+
+
+class TestJacobiOracle:
+    """verify_jacobi's violation sets against a Jacobiator built from
+    L.bracket alone."""
+
+    @pytest.mark.parametrize("p", [None, 7, (1 << 31) - 1])
+    def test_e6_flips_match_oracle(self, p):
+        L = build_e6(field=PrimeField(p) if p else None)
+        for i, j, mutant in seeded_flips(L, 60 + (p or 0) % 97, 3):
+            pairs = pairs_touching(L, i, j)
+            rep = verify_jacobi(mutant, pairs=pairs)
+            assert rep.violations
+            assert list(rep.violations) == oracle_violations(mutant, pairs)
+
+    @pytest.mark.parametrize("batch", [None, 97])
+    def test_full_sweep_across_batches(self, monkeypatch, batch):
+        # e7 has 8778 pairs, so the full sweep spans several batches.  A
+        # flip at (i, j) can only break pairs touching i or j, or pairs
+        # whose bracket has a b_i or b_j term; the oracle checks exactly
+        # those.
+        from spinor_forge import exceptional
+
+        if batch is not None:
+            monkeypatch.setattr(exceptional, "_BATCH_PAIRS", batch)
+        L = build_e7(field=PrimeField(7))
+        ((i, j, mutant),) = seeded_flips(L, 11, 1)
+        full = verify_jacobi(mutant)
+        assert full.pairs_checked > exceptional._BATCH_PAIRS
+        candidates = set(pairs_touching(L, i, j))
+        for (a, b), terms in L.nonzero_brackets():
+            if {i, j} & {k for k, _ in terms}:
+                candidates.add((a, b))
+        want = oracle_violations(mutant, sorted(candidates))
+        assert list(full.violations) == want
+        assert any(v not in set(pairs_touching(L, i, j)) for v in want)
+        subset = verify_jacobi(mutant, pairs=pairs_touching(L, i, j))
+        assert set(subset.violations) == set(want) & set(pairs_touching(L, i, j))
 
 
 def wrapped_e6(base, broken=None):
@@ -522,54 +591,6 @@ class TestBracketsBuiltOnce:
             e6.remember(9, 2, {})
 
 
-class TestJacobiWorkers:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("SPINOR_FORGE_THREADS", raising=False)
-        assert jacobi_workers() == 1
-        monkeypatch.setenv("SPINOR_FORGE_THREADS", "")
-        assert jacobi_workers() == 1
-
-    def test_clamped_to_available_cpus(self, monkeypatch):
-        import os
-
-        cpus = len(os.sched_getaffinity(0))
-        monkeypatch.setenv("SPINOR_FORGE_THREADS", str(10**6))
-        assert jacobi_workers() == cpus
-        assert jacobi_workers(10**6) == cpus
-        assert jacobi_workers(0) == 1
-
-    @pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-3", "2x"])
-    def test_bad_values_name_the_variable(self, monkeypatch, raw):
-        monkeypatch.setenv("SPINOR_FORGE_THREADS", raw)
-        with pytest.raises(ValueError, match="SPINOR_FORGE_THREADS"):
-            jacobi_workers()
-
-    def test_pool_size_is_bounded(self, monkeypatch, e6):
-        from spinor_forge import exceptional
-
-        asked = []
-
-        class FakePool:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks):
-                return [fn(chunk) for chunk in chunks]
-
-        def fake_pool(processes):
-            asked.append(processes)
-            return FakePool()
-
-        monkeypatch.setattr(exceptional, "_fork_pool", fake_pool)
-        monkeypatch.setattr(exceptional, "_available_cpus", lambda: 3)
-        monkeypatch.setenv("SPINOR_FORGE_THREADS", str(10**6))
-        rep = verify_jacobi(e6)
-        assert rep and asked == [3]
-
-
 class TestKillingForm:
     def test_e6_full_rank_and_symmetry(self, e6):
         mat, rank = killing_form(e6)
@@ -611,6 +632,21 @@ class TestKillingForm:
         mat, _ = killing_form(e6)
         i = e6.index[("ee", 1, 2)]
         assert mat[i][i] == 0
+
+    def test_large_prime_entries_are_traces(self):
+        field = PrimeField((1 << 31) - 1)
+        L = build_e6(field=field)
+        mat, rank = killing_form(L)
+        assert rank == 78
+        r = rng(47)
+        for _ in range(40):
+            i, j = r.randrange(78), r.randrange(78)
+            # tr(ad b_i ad b_j) = sum_k coefficient of b_k in [b_i, [b_j, b_k]]
+            trace = field.zero()
+            for k in range(78):
+                for m, c in L.bracket(j, k):
+                    trace += c * dict(L.bracket(i, m)).get(k, field.zero())
+            assert mat[i][j] == trace
 
 
 class TestSpanningCheck:

@@ -11,7 +11,6 @@ from spinor_forge.field import (
     is_prime,
     make_field,
     parse_scalar,
-    scalar_arith,
     scalar_str,
 )
 
@@ -107,19 +106,6 @@ def test_serialization_round_trip():
     assert parse_scalar("5 mod 7", f7) == Residue(5, 7)
     with pytest.raises(ValueError):
         parse_scalar("5 mod 11", f7)
-
-
-def test_scalar_arith_dispatch():
-    assert scalar_arith(Fraction(1, 2), Fraction(1, 3), "add") == Fraction(5, 6)
-    assert scalar_arith(Residue(2, 5), Residue(3, 5), "mul") == Residue(1, 5)
-    assert scalar_arith(Fraction(3), Fraction(2), "sub") == Fraction(1)
-    assert scalar_arith(Fraction(1), Fraction(4), "div") == Fraction(1, 4)
-    with pytest.raises(ValueError):
-        scalar_arith(Fraction(1), Residue(1, 5), "add")
-    with pytest.raises(ValueError):
-        scalar_arith(Residue(1, 5), Residue(1, 7), "add")
-    with pytest.raises(ValueError):
-        scalar_arith(Fraction(1), Fraction(2), "pow")
 
 
 residues = st.integers(min_value=0, max_value=6).map(lambda v: Residue(v, 7))
