@@ -3,7 +3,7 @@
 Three subcommands: `verify` builds one algebra and runs the
 antisymmetry, Jacobi, spanning and Killing-rank battery; `export`
 writes the JSON structure constants; `props` runs the property suites
-for one n.  Machine-readable JSON goes to stdout, human-readable
+for one n, timing each check.  JSON goes to stdout, human-readable
 summaries to stderr.  Exit codes: 0 success, 1 verification failure,
 2 usage error (arguments are checked before any work starts), 3 internal
 failure while running, reported as {"error": ...} on stdout.
@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
+import time
 import traceback
 from typing import Optional, Sequence
 
@@ -29,7 +30,7 @@ from .exceptional import (
     verify_jacobi,
 )
 from .field import make_field
-from .props import SUITES, run_suites, suite_names
+from .props import SUITES, suite_names
 
 _BUILDERS = {"e6": build_e6, "e7": build_e7, "e8": build_e8}
 
@@ -143,17 +144,24 @@ def cmd_export(cfg: RunConfig) -> int:
 
 
 def cmd_props(cfg: RunConfig) -> int:
-    results = run_suites(cfg.n, cfg.suite)
-    for res in results:
-        status = "ok  " if res.ok else "FAIL"
-        _say(f"{status} {res.check} (n={res.n}): {res.detail}")
-    ok = all(res.ok for res in results)
+    results = []
+    start = time.perf_counter()
+    for name in suite_names(cfg.n, cfg.suite):
+        for fn in SUITES[name]:
+            t0 = time.perf_counter()
+            res = fn(cfg.n)
+            seconds = time.perf_counter() - t0
+            results.append({**res.to_dict(), "seconds": round(seconds, 3)})
+            status = "ok  " if res.ok else "FAIL"
+            _say(f"{status} {res.check} (n={res.n}, {seconds:.2f}s): {res.detail}")
+    ok = all(res["ok"] for res in results)
     _emit(
         {
             "command": "props",
             "n": cfg.n,
             "suites": sorted(SUITES) if cfg.suite is None else list(cfg.suite),
-            "results": [res.to_dict() for res in results],
+            "results": results,
+            "seconds": round(time.perf_counter() - start, 3),
             "ok": ok,
         }
     )

@@ -13,6 +13,12 @@ algebra; elements are sparse maps from the bitmask pair (emask, imask) to a
 nonzero scalar.  The algebra acts faithfully on the 2^n-dimensional Fock
 space, which is how the trace and all endomorphism questions are resolved.
 
+The kernels work on the masks with integer signs.  The product of two
+monomials is Wick's theorem in closed form (see `multiply`): contracting
+i_B against e_C over each subset S of B n C leaves one signed monomial,
+whose sign is a sum of popcount parities.  `to_blades` expands a monomial
+with +-1 coefficients and scales once.
+
 An orthonormal basis is derived from the Witt basis by E_{2a-1} = e_a + i_a
 (square +1) and E_{2a} = e_a - i_a (square -1).  Internally these 2n vectors
 are numbered by slots 0..2n-1 in that interleaved order, so ascending slots
@@ -26,13 +32,9 @@ from functools import lru_cache
 from typing import Iterator, Optional, Union
 
 from .field import Scalar
-from .fock import Config, SpinorVec, apply_monomial
+from .fock import Config, SpinorVec, apply_monomial, inversion_parity, prefix_parity
 
 Monomial = tuple[int, int]
-
-
-def _below(mask: int, bit: int) -> int:
-    return (mask & ((1 << bit) - 1)).bit_count()
 
 
 def monomial_str(mono: Monomial) -> str:
@@ -137,72 +139,58 @@ def witt_i(config: Config, a: int) -> CliffordElem:
     return CliffordElem.monomial(config, 0, 1 << (a - 1))
 
 
-def _left_mul_i(terms: dict[Monomial, Scalar], bit: int) -> dict[Monomial, Scalar]:
-    """Left-multiply normal-ordered terms by i_{bit+1}.
-
-    Moving i past the e block anticommutes except at a matching e, where
-    i_a e_a = 1 - e_a i_a splits the term in two: a contraction dropping
-    the e factor, and a pass-through joining the i block.
-    """
-    out: dict[Monomial, Scalar] = {}
-    one_bit = 1 << bit
-    for (emask, imask), c in terms.items():
-        if emask & one_bit:
-            sign = -1 if _below(emask, bit) & 1 else 1
-            key = (emask & ~one_bit, imask)
-            prev = out.get(key)
-            term = c if sign > 0 else -c
-            out[key] = term if prev is None else prev + term
-        if not imask & one_bit:
-            par = (emask.bit_count() + _below(imask, bit)) & 1
-            key = (emask, imask | one_bit)
-            prev = out.get(key)
-            term = -c if par else c
-            out[key] = term if prev is None else prev + term
-    return {m: c for m, c in out.items() if c}
-
-
-def _left_mul_e(terms: dict[Monomial, Scalar], bit: int) -> dict[Monomial, Scalar]:
-    """Left-multiply normal-ordered terms by e_{bit+1}."""
-    out: dict[Monomial, Scalar] = {}
-    one_bit = 1 << bit
-    for (emask, imask), c in terms.items():
-        if emask & one_bit:
-            continue
-        sign = -1 if _below(emask, bit) & 1 else 1
-        key = (emask | one_bit, imask)
-        prev = out.get(key)
-        term = c if sign > 0 else -c
-        out[key] = term if prev is None else prev + term
-    return {m: c for m, c in out.items() if c}
-
-
-def _bits_desc(mask: int) -> Iterator[int]:
-    while mask:
-        bit = mask.bit_length() - 1
-        mask &= ~(1 << bit)
-        yield bit
-
-
 def multiply(x: CliffordElem, y: CliffordElem) -> CliffordElem:
     """The Clifford product, renormalized to the e_A i_B monomial basis.
 
-    Each monomial of x is a generator word; the word is applied to y one
-    generator at a time, rightmost first, using the three Witt relations
-    as rewriting rules.
+    Wick's theorem in closed form.  For an x-term c_x e_A i_B and a
+    y-term c_y e_C i_D, each subset S of B n C (the i factors contracted
+    against matching e factors) gives, with B' = B - S and C' = C - S,
+
+        (-1)^sigma c_x c_y e_{A u C'} i_{B' u D},
+
+    which vanishes when A n C' or B' n D is nonempty, where
+
+        sigma = |B'||C'| + C(|S|, 2) + inv(B', S) + inv(S, C')
+              + inv(A, C') + inv(B', D)
+
+    and inv(L, H) = #{x in L, y in H : y < x} (`inversion_parity`).  The
+    first four terms normal-order i_B e_C, the last two merge the e and i
+    blocks.  inv(A, C') is computed as inv(A, C) + inv(A, S), so with the
+    prefix parities of C and D taken once per y-term, the common case
+    B n C = {} (only S = {}) costs three popcounts.
     """
     x.config.check_same(y.config)
+    ys = [
+        (c, d, prefix_parity(c), prefix_parity(d), cy)
+        for (c, d), cy in y.terms.items()
+    ]
     acc: dict[Monomial, Scalar] = {}
-    for (emask, imask), cx in x.terms.items():
-        terms = y.terms
-        for bit in _bits_desc(imask):
-            terms = _left_mul_i(terms, bit)
-        for bit in _bits_desc(emask):
-            terms = _left_mul_e(terms, bit)
-        for m, c in terms.items():
-            prev = acc.get(m)
-            term = cx * c
-            acc[m] = term if prev is None else prev + term
+    for (amask, bmask), cx in x.terms.items():
+        for cmask, dmask, pc, pd, cy in ys:
+            both = sub = bmask & cmask
+            while True:
+                b_rest, c_rest = bmask ^ sub, cmask ^ sub
+                if not (amask & c_rest or b_rest & dmask):
+                    sigma = (
+                        b_rest.bit_count() * c_rest.bit_count()
+                        + (amask & pc).bit_count()
+                        + (b_rest & pd).bit_count()
+                    )
+                    if sub:
+                        k = sub.bit_count()
+                        sigma += (
+                            (k * (k - 1) >> 1)
+                            + inversion_parity(b_rest, sub)
+                            + inversion_parity(sub, c_rest)
+                            + inversion_parity(amask, sub)
+                        )
+                    key = (amask | c_rest, b_rest | dmask)
+                    term = -(cx * cy) if sigma & 1 else cx * cy
+                    prev = acc.get(key)
+                    acc[key] = term if prev is None else prev + term
+                if not sub:
+                    break
+                sub = (sub - 1) & both
     return CliffordElem(x.config, acc)
 
 
@@ -271,6 +259,9 @@ def trace(x: CliffordElem) -> Scalar:
 # e_a - i_a with square -1; ascending slots give the ordered basis.
 
 
+_ODD_SLOTS = 0xAAAAAA  # slots 1, 3, ..., 23: the vectors of square -1
+
+
 def slot_metric(slot: int) -> int:
     return -1 if slot & 1 else 1
 
@@ -308,66 +299,46 @@ def q_map(config: Config, slots: tuple[int, ...] | list[int]) -> CliffordElem:
     return out
 
 
-def blade_mul_slot(bmask: int, slot: int) -> tuple[int, int]:
-    """Right-multiply the blade `bmask` by the orthonormal vector `slot`.
-
-    Returns (sign-and-metric coefficient, new blade mask): the vector
-    anticommutes past every higher slot and contracts on a repeat.
-    """
-    sign = -1 if (bmask >> (slot + 1)).bit_count() & 1 else 1
-    if (bmask >> slot) & 1:
-        return sign * slot_metric(slot), bmask & ~(1 << slot)
-    return sign, bmask | (1 << slot)
-
-
 def blade_mul(m1: int, m2: int) -> tuple[int, int]:
-    """Product of two orthonormal blades: (coefficient, blade mask)."""
-    coeff, mask = 1, m1
-    m = m2
-    while m:
-        slot = (m & -m).bit_length() - 1
-        m &= m - 1
-        c, mask = blade_mul_slot(mask, slot)
-        coeff *= c
-    return coeff, mask
+    """Product of two orthonormal blades: (coefficient, blade mask).
+
+    Each pair of slots out of order costs a sign, and each shared slot
+    contracts to its metric, -1 on the odd slots.
+    """
+    odd = inversion_parity(m1, m2) + (m1 & m2 & _ODD_SLOTS).bit_count()
+    return (-1 if odd & 1 else 1), m1 ^ m2
 
 
 def to_blades(x: CliffordElem) -> dict[int, Scalar]:
     """Coordinates of x in the orthonormal blade basis.
 
     Each Witt generator is half a sum or difference of two orthonormal
-    vectors: e_a = (E + E~)/2 and i_a = (E - E~)/2 at block a.
+    vectors: e_a = (E + E~)/2 and i_a = (E - E~)/2 at block a.  A monomial
+    with k generators expands to 2^k signed blade products with integer
+    coefficients, which are scaled once by c/2^k.
     """
-    config = x.config
-    field = config.field
-    half = field.from_fraction(1, 2)
+    field = x.config.field
     out: dict[int, Scalar] = {}
     for (emask, imask), c in x.terms.items():
-        acc: dict[int, Scalar] = {0: c}
-        factors: list[tuple[int, bool]] = []
-        for a in range(1, config.n + 1):
-            if (emask >> (a - 1)) & 1:
-                factors.append((a, False))
-        for a in range(1, config.n + 1):
-            if (imask >> (a - 1)) & 1:
-                factors.append((a, True))
-        for a, is_i in factors:
-            plus_slot = 2 * (a - 1)
-            minus_slot = plus_slot + 1
-            nxt: dict[int, Scalar] = {}
+        factors = [(b, False) for b in range(emask.bit_length()) if (emask >> b) & 1]
+        factors += [(b, True) for b in range(imask.bit_length()) if (imask >> b) & 1]
+        acc: dict[int, int] = {0: 1}
+        for bit, is_i in factors:
+            nxt: dict[int, int] = {}
             for bmask, cb in acc.items():
-                chalf = cb * half
-                for slot, negate in ((plus_slot, False), (minus_slot, is_i)):
-                    s, new = blade_mul_slot(bmask, slot)
-                    if negate:
-                        s = -s
-                    term = chalf if s > 0 else -chalf
-                    prev = nxt.get(new)
-                    nxt[new] = term if prev is None else prev + term
+                for slot, odd in ((2 * bit, False), (2 * bit + 1, is_i)):
+                    # E_slot passes the blade's higher slots; on a repeat it
+                    # contracts to its metric, -1 on an odd slot
+                    odd += (bmask >> (slot + 1)).bit_count()
+                    odd += bmask >> slot & slot & 1
+                    new = bmask ^ (1 << slot)
+                    nxt[new] = nxt.get(new, 0) + (-cb if odd & 1 else cb)
             acc = {m: cb for m, cb in nxt.items() if cb}
+        scale = c * field.from_fraction(1, 1 << len(factors))
         for bmask, cb in acc.items():
+            term = scale * cb
             prev = out.get(bmask)
-            out[bmask] = cb if prev is None else prev + cb
+            out[bmask] = term if prev is None else prev + term
     return {m: cb for m, cb in out.items() if cb}
 
 
@@ -400,14 +371,9 @@ def grade_project(x: CliffordElem, k: int) -> CliffordElem:
     for bmask, cb in sorted(to_blades(x).items()):
         if bmask.bit_count() != k:
             continue
-        gpref = 1
-        for s in range(bmask.bit_length()):
-            if (bmask >> s) & 1:
-                gpref *= slot_metric(s)
+        gpref = -1 if (bmask & _ODD_SLOTS).bit_count() & 1 else 1
         rev_sign = -1 if (k * (k - 1) // 2) & 1 else 1
-        square_coeff, square_mask = blade_mul(bmask, bmask)
-        if square_mask != 0:
-            raise AssertionError("a blade squared to a non-scalar")
+        square_coeff, _ = blade_mul(bmask, bmask)
         tr = cb * field.from_int(rev_sign * square_coeff * config.size)
         scalar = inv_dim * field.from_int(gpref) * tr
         out = out + blade_to_elem(config, bmask).scale(scalar)

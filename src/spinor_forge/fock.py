@@ -30,7 +30,7 @@ class Config:
         raise AttributeError("Config is immutable")
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return other is self or (
             isinstance(other, Config)
             and other.n == self.n
             and other.field == self.field
@@ -43,7 +43,7 @@ class Config:
         return f"Config(n={self.n}, field={self.field!r})"
 
     def check_same(self, other: "Config") -> None:
-        if self != other:
+        if other is not self and self != other:
             raise ValueError(f"config mismatch: {self!r} vs {other!r}")
 
 
@@ -64,33 +64,43 @@ def parity(mask: int) -> int:
     return mask.bit_count() & 1
 
 
+def prefix_parity(mask: int) -> int:
+    """Bit x holds the parity of the bits of `mask` below x (mask < 2^32)."""
+    mask ^= mask << 1
+    mask ^= mask << 2
+    mask ^= mask << 4
+    mask ^= mask << 8
+    mask ^= mask << 16
+    return mask << 1
+
+
+def inversion_parity(low: int, high: int) -> int:
+    """#{x in low, y in high : y < x} mod 2.
+
+    The sign of reordering a product of anticommuting factors, `low`'s
+    block then `high`'s, into one ascending block.  The prefix XOR of
+    `high`, shifted up one place, holds at bit x the parity of the bits of
+    `high` below x; popcount against `low` sums them.
+    """
+    return (low & prefix_parity(high)).bit_count() & 1
+
+
 def apply_monomial(emask: int, imask: int, mask: int) -> Optional[tuple[int, int]]:
     """Apply the normal-ordered generator word e_A i_B to the basis index `mask`.
 
     Generators act right to left: the i factors in descending index order,
     then the e factors in descending index order.  Each single move on e_I.v
     carries the sign (-1)^#{b in I : b < a}; a repeated creation or an
-    annihilation of an absent index kills the term.  Returns (sign, new mask)
-    or None when the result is zero.
+    annihilation of an absent index kills the term.  Taken in descending
+    order, each move sees only the original bits below it, so the word
+    sends M to (M - B) u A with sign (-1)^(inv(B, M) + inv(A, M - B)).
+    Returns (sign, new mask) or None when the result is zero.
     """
-    sign_parity = 0
-    m = imask
-    while m:
-        bit = m.bit_length() - 1
-        m &= ~(1 << bit)
-        if not (mask >> bit) & 1:
-            return None
-        sign_parity ^= (mask & ((1 << bit) - 1)).bit_count() & 1
-        mask &= ~(1 << bit)
-    m = emask
-    while m:
-        bit = m.bit_length() - 1
-        m &= ~(1 << bit)
-        if (mask >> bit) & 1:
-            return None
-        sign_parity ^= (mask & ((1 << bit) - 1)).bit_count() & 1
-        mask |= 1 << bit
-    return (-1 if sign_parity else 1, mask)
+    rest = mask ^ imask
+    if imask & ~mask or emask & rest:
+        return None
+    odd = inversion_parity(imask, mask) ^ inversion_parity(emask, rest)
+    return (-1 if odd else 1, rest | emask)
 
 
 class SpinorVec:
@@ -144,10 +154,7 @@ class SpinorVec:
         out = dict(self.terms)
         for m, c in other.terms.items():
             s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                out[m] = s + c
+            out[m] = c if s is None else s + c
         return SpinorVec(self.config, out)
 
     def __sub__(self, other: "SpinorVec") -> "SpinorVec":

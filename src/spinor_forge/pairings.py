@@ -329,17 +329,32 @@ def orbit_map_adjoint(
     """The vector phi^*(psi) = sum_s g_ss B(phi, E_s.psi) E_s.
 
     Adjoint to the orbit map v -> v.phi in the sense
-    B(v.phi, psi) = g(v, phi^*(psi)).
+    B(v.phi, psi) = g(v, phi^*(psi)).  As E_s = e_a +- i_a with g_ss = +-1,
+
+        phi^*(psi) = 2 sum_a ( B(phi, i_a.psi) e_a + B(phi, e_a.psi) i_a ).
+
+    On e_M.v exactly one of the two moves survives (i_a if a is in M, else
+    e_a); it sends M to M xor {a} with sign (-1)^#{b in M : b < a}, and B
+    pairs the image only with phi's coefficient at the complement.
     """
     config = _check_pair(form, phi, psi)
-    field = config.field
+    full = config.size - 1
     out: dict = {}
-    for s in range(2 * config.n):
-        vs = orthonormal_vector(config, s)
-        c = b_eval(form, phi, act(vs, psi))
-        if c:
-            _accum(out, vs, c * field.from_int(slot_metric(s)))
-    return CliffordElem(config, out)
+    for mask, c in psi.terms.items():
+        for bit in range(config.n):
+            one = 1 << bit
+            new = mask ^ one
+            cp = phi.terms.get(new ^ full)
+            val = form.entries.get((new ^ full, new))
+            if cp is None or val is None:
+                continue
+            odd = (mask & (one - 1)).bit_count() & 1
+            term = -(cp * val * c) if odd else cp * val * c
+            key = (one, 0) if mask & one else (0, one)
+            prev = out.get(key)
+            out[key] = term if prev is None else prev + term
+    two = config.field.from_int(2)
+    return CliffordElem(config, {key: two * val for key, val in out.items()})
 
 
 @lru_cache(maxsize=None)

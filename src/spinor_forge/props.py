@@ -11,6 +11,7 @@ seeded generators so repeat runs are byte-identical.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations
 
 from .clifford import (
@@ -83,6 +84,11 @@ class CheckResult:
         }
 
 
+# One Config per n for every check, so the cached norms and Clifford
+# elements share it and config checks take the identity fast path.
+_config = lru_cache(maxsize=None)(Config)
+
+
 def _ok(check: str, n: int, detail: str) -> CheckResult:
     return CheckResult(check, n, True, detail)
 
@@ -104,7 +110,7 @@ def _sample_spinor(config: Config, r: random.Random, nterms: int = 2) -> SpinorV
 def check_car_relations(n: int) -> CheckResult:
     """create/annihilate anticommute among themselves; the mixed bracket
     is delta_ab times the identity.  Exhaustive on every basis vector."""
-    config = Config(n)
+    config = _config(n)
     zero = SpinorVec.zero(config)
     checked = 0
     for m in range(config.size):
@@ -134,7 +140,7 @@ def check_car_relations(n: int) -> CheckResult:
 def check_h_eigenvalues(n: int) -> CheckResult:
     """The number operator acts on a k-particle basis vector with
     eigenvalue k - n/2 and satisfies [H, e_a] = e_a, [H, i_a] = -i_a."""
-    config = Config(n)
+    config = _config(n)
     field = config.field
     h = h_operator(config)
     for m in range(config.size):
@@ -166,7 +172,7 @@ def check_q_isometry(n: int) -> CheckResult:
     """2^n g(alpha, beta) = Tr(transpose(Q(alpha)) Q(beta)) on wedge
     basis pairs: exhaustive for n <= 3, exhaustive up to grade 2 plus
     stratified higher-grade samples for larger n."""
-    config = Config(n)
+    config = _config(n)
     field = config.field
     nslots = 2 * n
 
@@ -176,38 +182,39 @@ def check_q_isometry(n: int) -> CheckResult:
             g *= slot_metric(s)
         return g
 
-    def pair_ok(s1: tuple[int, ...], s2: tuple[int, ...]) -> bool:
-        got = trace(multiply(transpose(q_map(config, s1)), q_map(config, s2)))
-        want = config.size * metric(s1) if s1 == s2 else 0
-        return got == field.from_int(want)
+    def failure(outer: list, inner: list) -> str | None:
+        """The first failing (s1, s2) pair; each blade and each outer
+        transpose is built once, every pair still traces its product."""
+        blades = {s: q_map(config, s) for s in outer + inner}
+        for s1 in outer:
+            t1 = transpose(blades[s1])
+            for s2 in inner:
+                got = trace(multiply(t1, blades[s2]))
+                want = config.size * metric(s1) if s1 == s2 else 0
+                if got != field.from_int(want):
+                    return f"failed at pair {s1} x {s2}"
+        return None
 
     if n <= 3:
-        blades = [
-            s for k in range(nslots + 1) for s in combinations(range(nslots), k)
-        ]
-        for s1 in blades:
-            for s2 in blades:
-                if not pair_ok(s1, s2):
-                    return _fail("q-isometry", n, f"failed at pair {s1} x {s2}")
+        every = [s for k in range(nslots + 1) for s in combinations(range(nslots), k)]
+        if bad := failure(every, every):
+            return _fail("q-isometry", n, bad)
         return _ok(
-            "q-isometry", n, f"exhaustive over all {len(blades)}^2 wedge pairs"
+            "q-isometry", n, f"exhaustive over all {len(every)}^2 wedge pairs"
         )
 
     low = [s for k in range(3) for s in combinations(range(nslots), k)]
-    for s1 in low:
-        for s2 in low:
-            if not pair_ok(s1, s2):
-                return _fail("q-isometry", n, f"failed at pair {s1} x {s2}")
+    if bad := failure(low, low):
+        return _fail("q-isometry", n, bad)
     r = random.Random(1009 + n)
     extra = 0
     for k in range(3, nslots + 1):
         a = tuple(sorted(r.sample(range(nslots), k)))
         b = tuple(sorted(r.sample(range(nslots), k)))
         c = tuple(sorted(r.sample(range(nslots), r.randrange(k))))
-        for s1, s2 in ((a, a), (a, b), (a, c)):
-            if not pair_ok(s1, s2):
-                return _fail("q-isometry", n, f"failed at pair {s1} x {s2}")
-            extra += 1
+        if bad := failure([a], [a, b, c]):
+            return _fail("q-isometry", n, bad)
+        extra += 3
     return _ok(
         "q-isometry",
         n,
@@ -220,7 +227,7 @@ def check_pi_completeness(n: int) -> CheckResult:
     """The grade projections sum to the identity: exhaustive on basis
     monomials for n <= 3, seeded sparse elements plus the structured
     elements H and the grading element for larger n."""
-    config = Config(n)
+    config = _config(n)
 
     def complete(x: CliffordElem) -> bool:
         total = CliffordElem.zero(config)
@@ -273,7 +280,7 @@ def check_eps_duality(n: int) -> CheckResult:
     c.  Exhaustive over monomials and grades for n <= 3; for larger n,
     seeded monomials at k <= 3 (the identity then also exercises the
     complementary top-side projections on the left)."""
-    config = Config(n)
+    config = _config(n)
     eps = grading_element(config)
 
     def dual_ok(c: CliffordElem, k: int) -> bool:
@@ -325,7 +332,7 @@ def check_eps_duality(n: int) -> CheckResult:
 def check_norm_dimension(n: int) -> CheckResult:
     """The defining system for the spinor norm has a one dimensional
     solution space; re-solved from scratch over all basis pairs."""
-    dim = norm_solution_dimension(Config(n))
+    dim = norm_solution_dimension(_config(n))
     if dim != 1:
         return _fail(
             "norm-dimension", n, f"solution space has dimension {dim}, not 1"
@@ -361,7 +368,7 @@ def _symmetry_check(
 def check_plain_symmetry(n: int) -> CheckResult:
     """The spinor norm matches its n mod 4 symmetry and parity row."""
     return _symmetry_check(
-        "plain-symmetry", n, solve_spinor_norm(Config(n)), PLAIN_NORM_TABLE
+        "plain-symmetry", n, solve_spinor_norm(_config(n)), PLAIN_NORM_TABLE
     )
 
 
@@ -370,7 +377,7 @@ def check_graded_symmetry(n: int) -> CheckResult:
     return _symmetry_check(
         "graded-symmetry",
         n,
-        graded_norm(solve_spinor_norm(Config(n))),
+        graded_norm(solve_spinor_norm(_config(n))),
         GRADED_NORM_TABLE,
     )
 
@@ -385,7 +392,7 @@ def check_ck_invariance(n: int) -> CheckResult:
     exhaustively plus seeded higher-grade samples beyond), together with
     seeded direct triples.
     """
-    config = Config(n)
+    config = _config(n)
     form = solve_spinor_norm(config)
     field = config.field
     nslots = 2 * n
@@ -472,7 +479,7 @@ def check_grade2_symmetry(n: int) -> CheckResult:
     """The grade-2 pairing matches its n mod 4 symmetry sign and
     vanishes off its parity row: exhaustive on basis pairs for n <= 5,
     seeded basis and sparse pairs beyond."""
-    config = Config(n)
+    config = _config(n)
     form = solve_spinor_norm(config)
     sym, par = GRADE2_TABLE[n % 4]
     sgn = config.field.from_int(sym)
@@ -524,7 +531,7 @@ def check_top_symmetry(n: int) -> CheckResult:
     antidiagonal and matches its n mod 4 symmetry sign; exhaustive over
     the support for every n, with off-support vanishing checked
     exhaustively for n <= 4 and on seeded pairs beyond."""
-    config = Config(n)
+    config = _config(n)
     form = solve_spinor_norm(config)
     field = config.field
     sym, par = TOP_TABLE[n % 4]
@@ -579,7 +586,7 @@ def check_graded_pairing_symmetry(n: int) -> CheckResult:
     """The graded pairing matches its n mod 4 symmetry sign and its two
     components vanish off their complementary parity rows: exhaustive on
     basis pairs for n <= 4, seeded pairs beyond."""
-    config = Config(n)
+    config = _config(n)
     gform = graded_norm(solve_spinor_norm(config))
     sym, par2 = GRADED_PAIRING_TABLE[n % 4]
     par1 = 1 - par2
@@ -642,7 +649,7 @@ def check_bracket_relations(n: int, pairs: int = 1000) -> CheckResult:
     vector w.  Exhaustive on basis pairs for n <= 3, plus seeded random
     pairs (basis and sparse) for every n.
     """
-    config = Config(n)
+    config = _config(n)
     form = solve_spinor_norm(config)
     field = config.field
     sign = -1 if (n * (n - 1) // 2) & 1 else 1
@@ -701,7 +708,7 @@ def check_matrix_agreement(n: int, samples: int | None = None) -> CheckResult:
     the four-sum route applied to basis vectors: exhaustive over all
     (I, J, K) triples for n <= 5, seeded triples beyond (600 by default,
     more when requested)."""
-    config = Config(n)
+    config = _config(n)
     form = solve_spinor_norm(config)
     size = config.size
     basis_vecs = [SpinorVec.basis(config, m) for m in range(size)]
@@ -771,8 +778,4 @@ def suite_names(n: int, suites=None) -> tuple[str, ...]:
 
 def run_suites(n: int, suites=None) -> list[CheckResult]:
     """Run the named property suites (all of them by default) at one n."""
-    results = []
-    for name in suite_names(n, suites):
-        for fn in SUITES[name]:
-            results.append(fn(n))
-    return results
+    return [fn(n) for name in suite_names(n, suites) for fn in SUITES[name]]

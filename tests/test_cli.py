@@ -157,6 +157,18 @@ class TestProps:
         assert report["ok"] is True
         assert err.count("ok  ") == 14
 
+    def test_per_check_seconds(self, capsys):
+        code, out, err = run_cli(capsys, ["props", "--n", "2", "--suite", "clifford"])
+        assert code == 0
+        report = json.loads(out)
+        assert set(report) == {"command", "n", "suites", "results", "seconds", "ok"}
+        for res in report["results"]:
+            assert set(res) == {"check", "n", "ok", "detail", "seconds"}
+            assert isinstance(res["seconds"], float) and res["seconds"] >= 0
+            assert f"{res['check']} (n=2, " in err
+        assert report["seconds"] >= sum(r["seconds"] for r in report["results"]) - 0.01
+        assert out.count("\n") == 1
+
     def test_suite_filter_repeatable(self, capsys):
         code, out, _ = run_cli(
             capsys, ["props", "--n", "2", "--suite", "fock", "--suite", "clifford"]

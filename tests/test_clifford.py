@@ -37,9 +37,11 @@ from spinor_forge.clifford import (
     witt_i,
 )
 from spinor_forge.field import PrimeField, Rationals
-from spinor_forge.fock import Config, SpinorVec, epsilon_action
+from spinor_forge.fock import Config, SpinorVec, epsilon_action, inversion_parity
 
 from .helpers import rand_elem, rand_spinor, rng
+
+F7 = PrimeField(7)
 
 Q = Rationals()
 
@@ -348,6 +350,45 @@ class TestBlades:
             assert bsum == to_blades(x + y)
 
 
+    @pytest.mark.parametrize("field", [Q, F7], ids=["q", "fp7"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_to_blades_matches_stepwise_expansion(self, n, field):
+        c = Config(n, field)
+        r = rng(700 + n)
+        elems = [rand_elem(c, r, nmono=4) for _ in range(10)]
+        if n <= 2:
+            elems += [CliffordElem(c, {m: field.one()}) for m in all_monomials(c)]
+        for x in elems:
+            assert to_blades(x) == stepwise_blades(x)
+
+
+def stepwise_blades(x: CliffordElem) -> dict:
+    """Blade coordinates of x by replacing one Witt generator at a time
+    with (E +- E~)/2, the factor 1/2 taken as a field element."""
+    field = x.config.field
+    half = field.from_fraction(1, 2)
+    out = {}
+    for (emask, imask), c in x.terms.items():
+        gens = [(a, False) for a in range(x.config.n) if (emask >> a) & 1]
+        gens += [(a, True) for a in range(x.config.n) if (imask >> a) & 1]
+        acc = {0: c}
+        for a, is_i in gens:
+            nxt = {}
+            for bmask, cb in acc.items():
+                for slot, sign in ((2 * a, 1), (2 * a + 1, -1 if is_i else 1)):
+                    # right-multiply by E_slot: pass the higher slots, and
+                    # contract with the slot's metric on a repeat
+                    sign *= -1 if (bmask >> (slot + 1)).bit_count() & 1 else 1
+                    if (bmask >> slot) & 1:
+                        sign *= slot_metric(slot)
+                    new = bmask ^ (1 << slot)
+                    nxt[new] = nxt.get(new, field.zero()) + cb * half * sign
+            acc = nxt
+        for bmask, cb in acc.items():
+            out[bmask] = out.get(bmask, field.zero()) + cb
+    return {m: cb for m, cb in out.items() if cb}
+
+
 class TestGradeProjection:
     def test_scalar(self):
         c = cfg(2)
@@ -536,6 +577,109 @@ class TestPrinting:
     def test_monomial_range_check(self):
         with pytest.raises(ValueError):
             CliffordElem.monomial(cfg(1), 0b10, 0)
+
+
+# The generator-by-generator rewrite of the three Witt relations, kept
+# here as an oracle for the closed-form Wick product in `multiply`.
+
+
+def _below(mask, bit):
+    return (mask & ((1 << bit) - 1)).bit_count()
+
+
+def _rewrite_left_mul_i(terms, bit):
+    """Left-multiply normal-ordered terms by i_{bit+1}: a matching e
+    factor splits the term into a contraction and a pass-through."""
+    out = {}
+    one_bit = 1 << bit
+    for (emask, imask), c in terms.items():
+        if emask & one_bit:
+            key = (emask & ~one_bit, imask)
+            term = -c if _below(emask, bit) & 1 else c
+            out[key] = out[key] + term if key in out else term
+        if not imask & one_bit:
+            key = (emask, imask | one_bit)
+            term = -c if (emask.bit_count() + _below(imask, bit)) & 1 else c
+            out[key] = out[key] + term if key in out else term
+    return {m: c for m, c in out.items() if c}
+
+
+def _rewrite_left_mul_e(terms, bit):
+    """Left-multiply normal-ordered terms by e_{bit+1}."""
+    out = {}
+    one_bit = 1 << bit
+    for (emask, imask), c in terms.items():
+        if emask & one_bit:
+            continue
+        key = (emask | one_bit, imask)
+        term = -c if _below(emask, bit) & 1 else c
+        out[key] = out[key] + term if key in out else term
+    return {m: c for m, c in out.items() if c}
+
+
+def rewrite_multiply(x: CliffordElem, y: CliffordElem) -> dict:
+    """Terms of x*y: each monomial of x applied to y one generator at a
+    time, rightmost first."""
+    acc = {}
+    for (emask, imask), cx in x.terms.items():
+        terms = y.terms
+        for bit in reversed(range(x.config.n)):
+            if (imask >> bit) & 1:
+                terms = _rewrite_left_mul_i(terms, bit)
+        for bit in reversed(range(x.config.n)):
+            if (emask >> bit) & 1:
+                terms = _rewrite_left_mul_e(terms, bit)
+        for m, c in terms.items():
+            acc[m] = acc[m] + cx * c if m in acc else cx * c
+    return {m: c for m, c in acc.items() if c}
+
+
+class TestWickOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_monomial_pair(self, n):
+        c = cfg(n)
+        monos = [CliffordElem(c, {m: Q.one()}) for m in all_monomials(c)]
+        for x in monos:
+            for y in monos:
+                assert multiply(x, y).terms == rewrite_multiply(x, y), (x, y)
+
+    @pytest.mark.parametrize("field", [Q, F7], ids=["q", "fp7"])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_seeded_elements(self, n, field):
+        c = Config(n, field)
+        r = rng(600 + n)
+        for _ in range(12):
+            x, y = rand_elem(c, r, nmono=5), rand_elem(c, r, nmono=5)
+            assert multiply(x, y).terms == rewrite_multiply(x, y)
+
+    def test_contraction_heavy_pairs(self):
+        # i_B against e_C with B n C large exercises every subset S
+        c = cfg(6)
+        r = rng(617)
+        for _ in range(40):
+            a, b, cm, d = (r.randrange(c.size) for _ in range(4))
+            shared = r.randrange(c.size)
+            x = CliffordElem.monomial(c, a, b | shared)
+            y = CliffordElem.monomial(c, cm | shared, d)
+            assert multiply(x, y).terms == rewrite_multiply(x, y)
+
+    def test_inversion_parity_against_double_loop(self):
+        # 12 bits is Config's largest n, 24 bits its largest blade mask
+        def loop(low, high):
+            return sum(
+                1
+                for x in range(24)
+                for y in range(x)
+                if (low >> x) & 1 and (high >> y) & 1
+            ) & 1
+
+        r = rng(612)
+        masks = [0, 1, 0x800, 0xFFF, 0xAAA, 0x555, 0xFFFFFF, 0x800000]
+        masks += [r.randrange(1 << 12) for _ in range(40)]
+        masks += [r.randrange(1 << 24) for _ in range(20)]
+        for low in masks:
+            for high in masks:
+                assert inversion_parity(low, high) == loop(low, high), (low, high)
 
 
 class TestConfigGuards:

@@ -215,6 +215,28 @@ class TestApplyMonomial:
         # e_1 i_1 on e_1 v: i_1 removes (sign +1), e_1 restores.
         assert apply_monomial(0b01, 0b01, 0b01) == (1, 0b01)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_single_moves(self, n):
+        # the word one generator at a time, rightmost (highest i) first
+        def stepwise(emask, imask, mask):
+            sign = 1
+            for bits, creating in ((imask, False), (emask, True)):
+                for bit in reversed(range(n)):
+                    if not (bits >> bit) & 1:
+                        continue
+                    if bool((mask >> bit) & 1) == creating:
+                        return None
+                    sign *= (-1) ** bin(mask & ((1 << bit) - 1)).count("1")
+                    mask ^= 1 << bit
+            return sign, mask
+
+        size = 1 << n
+        for emask in range(size):
+            for imask in range(size):
+                for mask in range(size):
+                    want = stepwise(emask, imask, mask)
+                    assert apply_monomial(emask, imask, mask) == want
+
 
 class TestSpinorVecAlgebra:
     def test_zero_dropped(self):

@@ -533,6 +533,34 @@ class TestOrbitAdjoint:
                 assert lhs == config.field.from_int(slot_metric(s)) * coeff
 
 
+    @pytest.mark.parametrize("field", [Rationals(), PrimeField(7)], ids=["q", "fp7"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_slot_sum(self, n, field):
+        # phi^*(psi) = sum_s g_ss B(phi, E_s.psi) E_s, term by term
+        config = Config(n, field)
+        form = solve_spinor_norm(config)
+        full = config.size - 1
+        r = rng(140 + n)
+        nonzero = 0
+        for _ in range(8):
+            psi = rand_spinor(config, r, nterms=4)
+            # give phi weight on the partners of psi's one-move images
+            hits = {
+                (m ^ (1 << r.randrange(n))) ^ full: field.from_int(r.randrange(1, 6))
+                for m in psi.terms
+            }
+            phi = rand_spinor(config, r, nterms=3) + SpinorVec(config, hits)
+            want = CliffordElem.zero(config)
+            for s in range(2 * n):
+                vec = orthonormal_vector(config, s)
+                c = b_eval(form, phi, act(vec, psi))
+                want = want + vec.scale(field.from_int(slot_metric(s)) * c)
+            got = orbit_map_adjoint(form, phi, psi)
+            assert got == want
+            nonzero += not got.is_zero()
+        assert nonzero >= 4
+
+
 class TestRelations:
     @staticmethod
     def check_pair(config, form, sign, phi, psi):
