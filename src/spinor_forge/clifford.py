@@ -17,7 +17,7 @@ The kernels work on the masks with integer signs.  The product of two
 monomials is Wick's theorem in closed form (see `multiply`): contracting
 i_B against e_C over each subset S of B n C leaves one signed monomial,
 whose sign is a sum of popcount parities.  `to_blades` expands a monomial
-with +-1 coefficients and scales once.
+with integer coefficients and scales once.
 
 An orthonormal basis is derived from the Witt basis by E_{2a-1} = e_a + i_a
 (square +1) and E_{2a} = e_a - i_a (square -1).  Internally these 2n vectors
@@ -157,7 +157,7 @@ def multiply(x: CliffordElem, y: CliffordElem) -> CliffordElem:
     first four terms normal-order i_B e_C, the last two merge the e and i
     blocks.  inv(A, C') is computed as inv(A, C) + inv(A, S), so with the
     prefix parities of C and D taken once per y-term, the common case
-    B n C = {} (only S = {}) costs three popcounts.
+    B n C = {} (only S = {}) costs four popcounts.
     """
     x.config.check_same(y.config)
     ys = [
