@@ -30,9 +30,13 @@ from .exceptional import (
     verify_jacobi,
 )
 from .field import make_field
+from .fock import Config
+from .norms import solve_spinor_norm
 from .props import SUITES, suite_names
 
 _BUILDERS = {"e6": build_e6, "e7": build_e7, "e8": build_e8}
+# The n of the spinor norm each builder takes as form=.
+_SPINOR_N = {"e6": 5, "e7": 6, "e8": 8}
 
 
 class RunConfig:
@@ -67,16 +71,24 @@ def _say(line: str) -> None:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    start = time.perf_counter()
     field = make_field(cfg.field)
-    algebra = _BUILDERS[cfg.algebra](field=field)
+    form = solve_spinor_norm(Config(_SPINOR_N[cfg.algebra], field))
+    norm_seconds = time.perf_counter() - start
+    t0 = time.perf_counter()
+    algebra = _BUILDERS[cfg.algebra](field=field, form=form)
+    build_seconds = time.perf_counter() - t0
+    _say(f"norm solve {norm_seconds:.2f}s, build {build_seconds:.2f}s")
     checks = []
 
+    t0 = time.perf_counter()
     bad_pairs = verify_antisymmetry(algebra)
     checks.append(
         {
             "check": "antisymmetry",
             "ok": not bad_pairs,
             "violations": [list(p) for p in bad_pairs],
+            "seconds": round(time.perf_counter() - t0, 3),
         }
     )
     _say(f"antisymmetry: {'ok' if not bad_pairs else f'{len(bad_pairs)} violations'}")
@@ -92,10 +104,18 @@ def cmd_verify(cfg: RunConfig) -> int:
         f"({jacobi.triples_covered} triples, {jacobi.seconds:.1f}s)"
     )
 
+    t0 = time.perf_counter()
     span = spanning_check(algebra)
-    checks.append({"check": "degree-zero-spanning", **span.to_dict()})
+    checks.append(
+        {
+            "check": "degree-zero-spanning",
+            **span.to_dict(),
+            "seconds": round(time.perf_counter() - t0, 3),
+        }
+    )
     _say(f"degree-zero spanning: rank {span.rank} of {span.expected}")
 
+    t0 = time.perf_counter()
     _, rank = killing_form(algebra)
     checks.append(
         {
@@ -103,6 +123,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             "rank": rank,
             "dim": algebra.dim,
             "ok": rank == algebra.dim,
+            "seconds": round(time.perf_counter() - t0, 3),
         }
     )
     _say(f"killing rank: {rank} of {algebra.dim}")
@@ -114,7 +135,10 @@ def cmd_verify(cfg: RunConfig) -> int:
             "algebra": cfg.algebra,
             "field": field.spec,
             "dim": algebra.dim,
+            "norm_seconds": round(norm_seconds, 3),
+            "build_seconds": round(build_seconds, 3),
             "checks": checks,
+            "seconds": round(time.perf_counter() - start, 3),
             "ok": ok,
         }
     )

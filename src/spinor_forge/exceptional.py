@@ -6,7 +6,10 @@ pair.  The degree-zero part is always the grade-2 part of the Clifford
 algebra (plus sl2 or the grading element where the construction calls for
 it) acting on one of its spinor modules; the spinor-spinor bracket is built
 from the grade-2 and top-grade pairings, evaluated on basis pairs by their
-closed forms (basis_grade2_pairing, basis_top_grade_coefficient).  Each
+closed forms (basis_grade2_pairing, basis_top_grade_coefficient).  Brackets
+inside the grade-2 part come from the so(2n) table on labels
+(_c2_bracket) and its action on a spinor basis vector is one Fock move
+per label (_c2_move); no Clifford product is formed for either.  Each
 bracket enters the table once: verify_antisymmetry hands the results it
 computes to the table, so a later sweep does not evaluate them again.
 
@@ -31,7 +34,7 @@ import numpy as np
 
 from .clifford import CliffordElem, act, commutator, grading_element, multiply, witt_e, witt_i
 from .field import Field, Rationals, Scalar, scalar_str
-from .fock import Config, SpinorVec, mask_str, parity
+from .fock import Config, SpinorVec, apply_monomial, mask_str, parity
 from .linalg import IncrementalRank, echelon_rank, nullspace, rank_mod_p
 from .norms import BilinearForm, solve_spinor_norm
 from .pairings import basis_grade2_pairing, basis_top_grade_coefficient
@@ -259,8 +262,76 @@ def _builder_setup(
     return config, form
 
 
-def _c2_pair_coords(config: Config, la: Label, lb: Label) -> dict[Label, Scalar]:
-    return c2_coords(commutator(c2_elem(config, la), c2_elem(config, lb)))
+def _c2_bracket(field: Field, la: Label, lb: Label) -> dict[Label, Scalar]:
+    """[la, lb] for grade-2 labels, read off the so(2n) table.
+
+    With F_ab = 2 e_a i_b - delta_ab, E_ab = e_a e_b and I_ab = i_a i_b
+    (E and I antisymmetric in their indices, zero on a = b), the Witt
+    relations give
+
+        [F_ab, F_cd] = 2 d_bc F_ad - 2 d_ad F_cb,
+        [F_ab, E_cd] = 2 d_bc E_ad - 2 d_bd E_ac,
+        [F_ab, I_cd] = 2 d_ac I_db - 2 d_ad I_cb,
+        [E_ab, I_cd] = (d_bc F_ad - d_bd F_ac - d_ac F_bd + d_ad F_bc) / 2,
+
+    and E's commute with E's, I's with I's.  No Clifford product is formed.
+    """
+    ka, kb = la[0], lb[0]
+    if (ka != "ei" and kb == "ei") or (ka, kb) == ("ii", "ee"):
+        return {lab: -c for lab, c in _c2_bracket(field, lb, la).items()}
+    _, a, b = la
+    _, c, d = lb
+    if ka == "ei":
+        if kb == "ei":
+            terms = ((b == c, 2, "ei", a, d), (a == d, -2, "ei", c, b))
+        elif kb == "ee":
+            terms = ((b == c, 2, "ee", a, d), (b == d, -2, "ee", a, c))
+        else:
+            terms = ((a == c, 2, "ii", d, b), (a == d, -2, "ii", c, b))
+    elif ka == kb:
+        return {}
+    else:
+        terms = (
+            (b == c, 1, "ei", a, d),
+            (b == d, -1, "ei", a, c),
+            (a == c, -1, "ei", b, d),
+            (a == d, 1, "ei", b, c),
+        )
+    coeffs: dict[Label, int] = {}
+    for hit, k, kind, x, y in terms:
+        if not hit or (kind != "ei" and x == y):
+            continue
+        if kind != "ei" and x > y:
+            x, y, k = y, x, -k
+        coeffs[(kind, x, y)] = coeffs.get((kind, x, y), 0) + k
+    if ka == "ee":
+        return {lab: field.from_fraction(k, 2) for lab, k in coeffs.items() if k}
+    return {lab: field.from_int(k) for lab, k in coeffs.items() if k}
+
+
+def _c2_move(field: Field, label: Label, mask: int) -> Optional[tuple[int, Scalar]]:
+    """label . e_M.v for a grade-2 label: (new mask, coefficient) or None.
+
+    Each label is one Fock move: e_a e_b and i_a i_b are the monomials
+    themselves, F_ab = 2 e_a i_b for a != b, and F_aa = 2 e_a i_a - 1
+    acts on e_M.v by 2[a in M] - 1.
+    """
+    kind, a, b = label
+    if kind not in ("ee", "ii", "ei"):
+        raise ValueError(f"not a grade-2 label: {label!r}")
+    bit_a, bit_b = 1 << (a - 1), 1 << (b - 1)
+    if kind == "ee":
+        hit, scale = apply_monomial(bit_a | bit_b, 0, mask), 1
+    elif kind == "ii":
+        hit, scale = apply_monomial(0, bit_a | bit_b, mask), 1
+    elif a == b:
+        return mask, field.from_int(1 if mask & bit_a else -1)
+    else:
+        hit, scale = apply_monomial(bit_a, bit_b, mask), 2
+    if hit is None:
+        return None
+    sign, moved = hit
+    return moved, field.from_int(sign * scale)
 
 
 def build_e8(
@@ -276,6 +347,7 @@ def build_e8(
     construction only depends on it up to scale.
     """
     config, form = _builder_setup(8, field, form)
+    field_ = config.field
     if half not in ("+", "-"):
         raise ValueError("half must be '+' or '-'")
     want = 0 if half == "+" else 1
@@ -285,13 +357,13 @@ def build_e8(
     def fn(la: Label, lb: Label) -> dict[Label, Scalar]:
         sa, sb = la[0] == "s", lb[0] == "s"
         if not sa and not sb:
-            return _c2_pair_coords(config, la, lb)
+            return _c2_bracket(field_, la, lb)
         if not sa:
-            out = act(c2_elem(config, la), SpinorVec.basis(config, lb[1]))
-            return {("s", m): c for m, c in out.terms.items()}
+            hit = _c2_move(field_, la, lb[1])
+            return {} if hit is None else {("s", hit[0]): hit[1]}
         if not sb:
-            out = act(c2_elem(config, lb), SpinorVec.basis(config, la[1]))
-            return {("s", m): -c for m, c in out.terms.items()}
+            hit = _c2_move(field_, lb, la[1])
+            return {} if hit is None else {("s", hit[0]): -hit[1]}
         return c2_coords(basis_grade2_pairing(form, la[1], lb[1]))
 
     return LieAlgebra("e8", config, labels, fn)
@@ -477,12 +549,12 @@ def build_e7(
             # sl2 commutes with the grade-2 part
             return {}
         if ka == "s2":
-            out = act(c2_elem(config, lb), SpinorVec.basis(config, la[1]))
-            return {("s2", m, la[2]): -c for m, c in out.terms.items()}
+            hit = _c2_move(field_, lb, la[1])
+            return {} if hit is None else {("s2", hit[0], la[2]): -hit[1]}
         if kb == "s2":
-            out = act(c2_elem(config, la), SpinorVec.basis(config, lb[1]))
-            return {("s2", m, lb[2]): c for m, c in out.terms.items()}
-        return _c2_pair_coords(config, la, lb)
+            hit = _c2_move(field_, la, lb[1])
+            return {} if hit is None else {("s2", hit[0], lb[2]): hit[1]}
+        return _c2_bracket(field_, la, lb)
 
     return LieAlgebra("e7", config, labels, fn)
 
@@ -513,23 +585,26 @@ def build_e6(
     def zero_part(lab: Label) -> CliffordElem:
         return eps if lab[0] == "eps" else c2_elem(config, lab)
 
+    def move(lab: Label, mask: int) -> dict[int, Scalar]:
+        if lab[0] == "eps":
+            return act(eps, SpinorVec.basis(config, mask)).terms
+        hit = _c2_move(field_, lab, mask)
+        return {} if hit is None else {hit[0]: hit[1]}
+
     def fn(la: Label, lb: Label) -> dict[Label, Scalar]:
         ka, kb = la[0], lb[0]
         if ka != "s" and kb != "s":
-            x = commutator(zero_part(la), zero_part(lb))
             if ka == "eps" or kb == "eps":
-                if not x.is_zero():
+                if not commutator(zero_part(la), zero_part(lb)).is_zero():
                     raise RuntimeError(
                         "grading element failed to centralize the grade-2 part"
                     )
                 return {}
-            return c2_coords(x)
+            return _c2_bracket(field_, la, lb)
         if ka != "s":
-            out = act(zero_part(la), SpinorVec.basis(config, lb[1]))
-            return {("s", m): c for m, c in out.terms.items()}
+            return {("s", m): c for m, c in move(la, lb[1]).items()}
         if kb != "s":
-            out = act(zero_part(lb), SpinorVec.basis(config, la[1]))
-            return {("s", m): -c for m, c in out.terms.items()}
+            return {("s", m): -c for m, c in move(lb, la[1]).items()}
         pair = basis_grade2_pairing(form, la[1], lb[1])
         coords: dict[Label, Scalar] = {
             lab: c * a_s for lab, c in c2_coords(pair).items()
@@ -839,7 +914,8 @@ def killing_form(L: LieAlgebra) -> tuple[list[list[Scalar]], int]:
     p = engine.p
     if p is None:
         denom = engine.scale * engine.scale
-        matrix = [[Fraction(v, denom) for v in row] for row in gram]
+        zero = Fraction(0)
+        matrix = [[Fraction(v, denom) if v else zero for v in row] for row in gram]
         rank = rank_mod_p(gram, (1 << 31) - 1)
         if rank < n:
             rank = echelon_rank(matrix, field)

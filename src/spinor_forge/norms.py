@@ -5,12 +5,19 @@ property B(x.phi, psi) = B(phi, x.psi) for every vector generator x.  It
 is constructed here by actually solving that homogeneous system over all
 Fock basis pairs and asserting the solution space is one dimensional, so
 the construction certifies the uniqueness statement it relies on.
+
+Each constraint ties two unknowns up to sign or forces one to zero, so
+the system is solved as a signed graph: one node per (unknown, sign),
+connected components found with numpy by min-label propagation with
+pointer jumping.  The solve accepts n <= MAX_NORM_N.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Iterator
+
+import numpy as np
 
 from .field import Scalar
 from .fock import Config, SpinorVec, apply_monomial, mask_str, parity
@@ -99,78 +106,114 @@ def b_eval(form: BilinearForm, phi: SpinorVec, psi: SpinorVec) -> Scalar:
     return acc
 
 
-def _generator_moves(config: Config) -> list[list[tuple[int, int] | None]]:
-    """Action tables of e_1, i_1, ..., e_n, i_n on basis masks."""
-    moves = []
+# Largest n the norm solve accepts: its arrays grow as 4^n (about 100 MiB
+# at n = 10, about 1 GiB at n = 12), and its int32 node numbers stay
+# below 2^21 at n = 10.
+MAX_NORM_N = 10
+
+
+def _generator_moves(
+    config: Config,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(valid, target, odd) tables of e_1, i_1, ..., e_n, i_n on basis masks.
+
+    valid[m] says the move keeps e_M.v nonzero; then it sends the mask m to
+    target[m] with sign (-1)^odd[m].
+    """
     for a in range(1, config.n + 1):
         bit = 1 << (a - 1)
-        moves.append([apply_monomial(bit, 0, m) for m in range(config.size)])
-        moves.append([apply_monomial(0, bit, m) for m in range(config.size)])
-    return moves
+        for emask, imask in ((bit, 0), (0, bit)):
+            hits = [apply_monomial(emask, imask, m) for m in range(config.size)]
+            yield (
+                np.array([h is not None for h in hits]),
+                np.array([h[1] if h else 0 for h in hits], dtype=np.int32),
+                np.array([h is not None and h[0] < 0 for h in hits]),
+            )
 
 
-def _solve_components(config: Config):
-    """The signed union-find underlying the norm solver.
+def _signed_components(
+    nvars: int, blocks: list[tuple[np.ndarray, np.ndarray]], forced: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signed connected components of a system x_a = +-x_b, x_v = 0.
 
-    Unknowns are the 4^n values B(e_I.v, e_J.v).  Every compatibility
-    constraint either identifies two unknowns up to sign or forces one to
-    zero; the surviving components are the solution space.  Returns
-    (find, zero_roots, surviving_roots).
+    Node 2v stands for +x_v and 2v + 1 for -x_v.  Each block is a pair of
+    int32 node arrays (a, b), one edge per position saying node a equals
+    node b; its mirror a ^ 1 = b ^ 1 is implied.  `forced` marks the
+    unknowns forced to zero.  Components come from min-label propagation
+    with pointer jumping, repeated until every edge joins equal labels.
+
+    A component is zero when it holds both signs of one unknown, holds a
+    forced zero, or its mirror does; the other components come in mirror
+    pairs, one per dimension of the solution space.  Returns (plus, minus,
+    zero): the component labels of +x_v and -x_v, and which unknowns are
+    zero.
     """
+    label = np.arange(2 * nvars, dtype=np.int32)
+    while True:
+        for a, b in blocks:
+            for x, y in ((a, b), (a ^ 1, b ^ 1)):
+                lx, ly = label[x], label[y]
+                low = np.minimum(lx, ly)
+                np.minimum.at(label, lx, low)
+                np.minimum.at(label, ly, low)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+        if all(
+            np.array_equal(label[a], label[b])
+            and np.array_equal(label[a ^ 1], label[b ^ 1])
+            for a, b in blocks
+        ):
+            break
+
+    plus, minus = label[0::2], label[1::2]
+    dead = np.zeros(label.size, dtype=bool)
+    dead[plus[forced]] = True
+    dead[minus[forced]] = True
+    dead[plus[plus == minus]] = True
+    return plus, minus, dead[plus]
+
+
+def _solve_components(config: Config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signed components of the norm's defining system (see _signed_components).
+
+    Unknowns are the 4^n values B(e_I.v, e_J.v), numbered v = I 2^n + J.
+    Every compatibility constraint s_l B[I', J] = s_r B[I, J'] either
+    identifies two unknowns up to sign, joining (va, +) to (vb, s_l s_r),
+    or forces one to zero when the other side is killed.  Each generator
+    gives one int32 edge block; forced zeros go in a boolean mask.
+    """
+    if config.n > MAX_NORM_N:
+        raise ValueError(
+            f"the norm solve accepts n <= {MAX_NORM_N}, got {config.n} "
+            f"({4 ** config.n} unknowns)"
+        )
     size = config.size
-    nvars = size * size
-    parent = list(range(nvars))
-    sgn = [1] * nvars
+    forced = np.zeros((size, size), dtype=bool)
+    blocks = []
+    for valid, target, odd in _generator_moves(config):
+        good = np.flatnonzero(valid).astype(np.int32)
+        bad = np.flatnonzero(~valid)
+        moved, sign = target[good], odd[good]
+        forced[np.ix_(bad, moved)] = True
+        forced[np.ix_(moved, bad)] = True
+        va = moved[:, None] * size + good[None, :]
+        vb = good[:, None] * size + moved[None, :]
+        flip = sign[:, None] ^ sign[None, :]
+        blocks.append(((2 * va).ravel(), (2 * vb + flip).ravel()))
+    return _signed_components(size * size, blocks, forced.ravel())
 
-    def find(v: int) -> tuple[int, int]:
-        path = []
-        while parent[v] != v:
-            path.append(v)
-            v = parent[v]
-        acc = 1
-        for u in reversed(path):
-            acc *= sgn[u]
-            parent[u] = v
-            sgn[u] = acc
-        return v, acc
 
-    forced_zero: list[int] = []
-    moves = _generator_moves(config)
-    for imask in range(size):
-        base = imask * size
-        for move in moves:
-            left = move[imask]
-            for jmask in range(size):
-                right = move[jmask]
-                if left is None:
-                    if right is not None:
-                        forced_zero.append(base + right[1])
-                    continue
-                if right is None:
-                    forced_zero.append(left[1] * size + jmask)
-                    continue
-                # s_l B[I', J] = s_r B[I, J']
-                va = left[1] * size + jmask
-                vb = base + right[1]
-                rel = left[0] * right[0]
-                ra, sa = find(va)
-                rb, sb = find(vb)
-                if ra == rb:
-                    if sa != rel * sb:
-                        forced_zero.append(va)
-                else:
-                    parent[ra] = rb
-                    sgn[ra] = sa * rel * sb
-
-    zero_roots = {find(v)[0] for v in forced_zero}
-    roots = {find(v)[0] for v in range(nvars)}
-    surviving = roots - zero_roots
-    return find, zero_roots, surviving
+def _dimension(plus: np.ndarray, minus: np.ndarray, zero: np.ndarray) -> int:
+    """Mirror pairs of surviving components, each named by its smaller label."""
+    return int(np.unique(np.minimum(plus, minus)[~zero]).size)
 
 
 def norm_solution_dimension(config: Config) -> int:
     """Dimension of the space of generator-compatible pairings on spinors."""
-    return len(_solve_components(config)[2])
+    return _dimension(*_solve_components(config))
 
 
 @lru_cache(maxsize=None)
@@ -178,26 +221,26 @@ def solve_spinor_norm(config: Config) -> BilinearForm:
     """Solve B(x.phi, psi) = B(phi, x.psi) over all generators and basis pairs.
 
     The solution space must be one dimensional; the result is scaled so
-    that B(v, e_{1..n}.v) = 1.
+    that B(v, e_{1..n}.v) = 1, and each entry is +1 or -1 as its unknown
+    lies in the component of +B(v, e_{1..n}.v) or of its mirror.
     """
     size = config.size
-    find, zero_roots, surviving = _solve_components(config)
-    if len(surviving) != 1:
+    plus, minus, zero = _solve_components(config)
+    dim = _dimension(plus, minus, zero)
+    if dim != 1:
         raise AssertionError(
-            f"spinor norm solution space has dimension {len(surviving)}, not 1"
+            f"spinor norm solution space has dimension {dim}, not 1"
         )
-
-    full = size - 1
-    anchor_root, anchor_sign = find(full)  # the variable B(v, e_{1..n}.v)
-    if anchor_root in zero_roots:
+    anchor = size - 1  # the unknown B(v, e_{1..n}.v)
+    if zero[anchor]:
         raise AssertionError("normalization entry solved to zero")
     field = config.field
-    entries: dict[tuple[int, int], Scalar] = {}
-    for v in range(size * size):
-        root, s = find(v)
-        if root in zero_roots:
-            continue
-        entries[(v // size, v % size)] = field.from_int(s * anchor_sign)
+    signs = (field.from_int(-1), field.one())
+    alive = np.flatnonzero(~zero)
+    same = plus[alive] == plus[anchor]
+    entries: dict[tuple[int, int], Scalar] = {
+        divmod(v, size): signs[s] for v, s in zip(alive.tolist(), same.tolist())
+    }
     return BilinearForm(config, "plain", entries)
 
 

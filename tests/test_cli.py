@@ -38,6 +38,36 @@ class TestVerify:
         assert (span["rank"], span["expected"]) == (46, 46)
         assert "killing rank: 78 of 78" in err
 
+    def test_reports_stage_seconds(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "--algebra", "e6", "--field", "fp:7"])
+        assert code == 0
+        report = json.loads(out)
+        assert list(report) == [
+            "command",
+            "algebra",
+            "field",
+            "dim",
+            "norm_seconds",
+            "build_seconds",
+            "checks",
+            "seconds",
+            "ok",
+        ]
+        stages = [report["norm_seconds"], report["build_seconds"]]
+        stages += [c["seconds"] for c in report["checks"]]
+        assert all(isinstance(t, float) and t >= 0 for t in stages)
+        assert report["seconds"] >= report["norm_seconds"] + report["build_seconds"]
+        jacobi = report["checks"][1]
+        assert set(jacobi) == {
+            "check",
+            "dim",
+            "pairs_checked",
+            "triples_covered",
+            "violations",
+            "ok",
+            "seconds",
+        }
+
     def test_characteristic_2_rejected(self, capsys):
         code, out, err = run_cli(
             capsys, ["verify", "--algebra", "e8", "--field", "fp:2"]
@@ -71,7 +101,7 @@ class TestExitCodes:
         from spinor_forge import cli
         from spinor_forge.exceptional import DecompositionError
 
-        def broken(field=None):
+        def broken(field=None, form=None):
             raise DecompositionError("monomial lies outside the grade-2 span")
 
         monkeypatch.setitem(cli._BUILDERS, "e6", broken)

@@ -9,6 +9,8 @@ import pytest
 from spinor_forge.clifford import act, commutator
 from spinor_forge.exceptional import (
     DecompositionError,
+    _c2_bracket,
+    _c2_move,
     JacobiReport,
     LieAlgebra,
     build_e6,
@@ -122,6 +124,41 @@ class TestC2Coords:
 
         with pytest.raises(DecompositionError):
             c2_coords(CliffordElem.one(config))
+
+
+FIELDS = [Rationals(), PrimeField(7)]
+
+
+class TestC2ClosedForms:
+    """The label tables against the generic Clifford route they replace."""
+
+    @pytest.mark.parametrize("n", list(range(1, 9)))
+    @pytest.mark.parametrize("field", FIELDS, ids=["q", "fp7"])
+    def test_bracket_matches_commutator(self, n, field):
+        config = Config(n, field)
+        labs = c2_labels(n)
+        for la in labs:
+            x = c2_elem(config, la)
+            for lb in labs:
+                want = c2_coords(commutator(x, c2_elem(config, lb)))
+                assert _c2_bracket(field, la, lb) == {
+                    lab: c for lab, c in want.items() if c
+                }, (la, lb)
+
+    @pytest.mark.parametrize("n", list(range(1, 9)))
+    @pytest.mark.parametrize("field", FIELDS, ids=["q", "fp7"])
+    def test_move_matches_act(self, n, field):
+        config = Config(n, field)
+        for lab in c2_labels(n):
+            x = c2_elem(config, lab)
+            for mask in range(config.size):
+                want = act(x, SpinorVec.basis(config, mask)).terms
+                hit = _c2_move(field, lab, mask)
+                assert ({} if hit is None else {hit[0]: hit[1]}) == want, (lab, mask)
+
+    def test_move_rejects_other_labels(self):
+        with pytest.raises(ValueError, match="grade-2"):
+            _c2_move(Rationals(), ("s2", 3, 0), 0)
 
 
 class TestLieAlgebraCore:

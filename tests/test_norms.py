@@ -2,9 +2,11 @@
 tables, and the invariance statements that feed the Lie constructions."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from spinor_forge.clifford import (
@@ -16,8 +18,24 @@ from spinor_forge.clifford import (
     witt_i,
 )
 from spinor_forge.field import PrimeField, Rationals
-from spinor_forge.fock import Config, SpinorVec, annihilate, create, mask_from_indices
-from spinor_forge.norms import BilinearForm, b_eval, graded_norm, solve_spinor_norm
+from spinor_forge.fock import (
+    Config,
+    SpinorVec,
+    annihilate,
+    apply_monomial,
+    create,
+    mask_from_indices,
+)
+from spinor_forge.norms import (
+    BilinearForm,
+    _dimension,
+    _signed_components,
+    _solve_components,
+    b_eval,
+    graded_norm,
+    norm_solution_dimension,
+    solve_spinor_norm,
+)
 
 from .helpers import rand_elem, rand_spinor, rng
 
@@ -124,6 +142,144 @@ class TestDefiningProperty:
                 phi, psi = rand_spinor(c, r), rand_spinor(c, r)
                 lhs = b_eval(B, act(x, phi), psi)
                 assert lhs == b_eval(B, phi, act(transpose(x), psi))
+
+
+def union_find(nvars, constraints, forced_zero):
+    """Test-local oracle: a system x_a = rel x_b, x_v = 0 by signed union-find.
+
+    Returns, for every unknown that is not forced to zero, (r, s): r the
+    smallest unknown it is tied to and s its sign relative to x_r.  A
+    component is zero when it holds a forced zero or when its signs
+    contradict.
+    """
+    parent = list(range(nvars))
+    sgn = [1] * nvars
+
+    def find(v):
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        acc = 1
+        for u in reversed(path):
+            acc *= sgn[u]
+            parent[u] = v
+            sgn[u] = acc
+        return v, acc
+
+    zero = list(forced_zero)
+    for va, vb, rel in constraints:
+        (ra, sa), (rb, sb) = find(va), find(vb)
+        if ra == rb:
+            if sa != rel * sb:
+                zero.append(va)
+        else:
+            parent[ra] = rb
+            sgn[ra] = sa * rel * sb
+    zero_roots = {find(v)[0] for v in zero}
+    first = {}
+    out = {}
+    for v in range(nvars):
+        root, s = find(v)
+        if root not in zero_roots:
+            r, sr = first.setdefault(root, (v, s))
+            out[v] = (r, s * sr)
+    return out
+
+
+def numpy_solution(plus, minus, zero):
+    """The same (r, s) map read from _signed_components' output."""
+    first = {}
+    out = {}
+    for v in np.flatnonzero(~zero).tolist():
+        pair = min(plus[v], minus[v])
+        r = first.setdefault(pair, v)
+        out[v] = (r, 1 if plus[v] == plus[r] else -1)
+    return out
+
+
+@lru_cache(maxsize=None)
+def union_find_norm(n: int) -> dict[int, tuple[int, int]]:
+    """The union-find oracle on the norm's defining system.
+
+    One scalar pass over every (generator, I, J): each constraint
+    s_l B[I', J] = s_r B[I, J'] ties two unknowns up to sign, or forces
+    one to zero when a side is killed.
+    """
+    size = 1 << n
+    constraints, forced_zero = [], []
+    moves = [
+        [apply_monomial(e, i, m) for m in range(size)]
+        for a in range(n)
+        for e, i in ((1 << a, 0), (0, 1 << a))
+    ]
+    for imask in range(size):
+        for move in moves:
+            left = move[imask]
+            for jmask in range(size):
+                right = move[jmask]
+                if left is None:
+                    if right is not None:
+                        forced_zero.append(imask * size + right[1])
+                elif right is None:
+                    forced_zero.append(left[1] * size + jmask)
+                else:
+                    va, vb = left[1] * size + jmask, imask * size + right[1]
+                    constraints.append((va, vb, left[0] * right[0]))
+    return union_find(size * size, constraints, forced_zero)
+
+
+class TestUnionFindOracle:
+    @pytest.mark.parametrize("n", list(range(1, 9)))
+    @pytest.mark.parametrize("field", [Rationals(), PrimeField(7)], ids=["q", "fp7"])
+    def test_entries_match(self, n, field):
+        solution = union_find_norm(n)
+        c = Config(n, field)
+        assert norm_solution_dimension(c) == 1
+        assert numpy_solution(*_solve_components(c)) == solution
+        # one surviving class, anchored at B(v, e_{1..n}.v) = 1
+        anchor = c.size - 1
+        assert {r for r, _ in solution.values()} == {anchor}
+        rel = solution[anchor][1]
+        want = {
+            divmod(v, c.size): field.from_int(s * rel) for v, (_, s) in solution.items()
+        }
+        got = solve_spinor_norm(c).entries
+        assert list(got) == sorted(want)
+        assert got == want
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_signed_systems(self, seed):
+        # small systems with sign contradictions and lone forced zeros,
+        # which the norm's own system never produces
+        r = rng(900 + seed)
+        nvars = r.randint(2, 40)
+        constraints = [
+            (r.randrange(nvars), r.randrange(nvars), r.choice((1, -1)))
+            for _ in range(r.randint(0, nvars))
+        ]
+        forced_zero = r.sample(range(nvars), r.randint(0, 3))
+        forced = np.zeros(nvars, dtype=bool)
+        forced[forced_zero] = True
+        edges = [(2 * a, 2 * b + (rel < 0)) for a, b, rel in constraints]
+        half = len(edges) // 2
+        blocks = [
+            tuple(np.array(side, dtype=np.int32).reshape(-1) for side in zip(*part))
+            for part in (edges[:half], edges[half:])
+            if part
+        ]
+        plus, minus, zero = _signed_components(nvars, blocks, forced)
+        want = union_find(nvars, constraints, forced_zero)
+        assert numpy_solution(plus, minus, zero) == want
+        assert _dimension(plus, minus, zero) == len({rv for rv, _ in want.values()})
+
+
+class TestSolveBound:
+    def test_n11_rejected_before_solving(self):
+        c = Config(11)  # building the Config starts no solve
+        for solve in (norm_solution_dimension, solve_spinor_norm):
+            with pytest.raises(ValueError, match="n <= 10"):
+                solve(c)
 
 
 SYMMETRY_TABLE = {0: (1, 0), 1: (1, 1), 2: (-1, 0), 3: (-1, 1)}
