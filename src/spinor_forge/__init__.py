@@ -13,6 +13,7 @@ from spinor_forge.clifford import (
     act,
     commutator,
     grade_project,
+    grade_projections,
     grading_element,
     h_operator,
     multiply,
@@ -69,6 +70,7 @@ __all__ = [
     "create",
     "grade2_pairing",
     "grade_project",
+    "grade_projections",
     "graded_norm",
     "graded_pairing",
     "grading_element",

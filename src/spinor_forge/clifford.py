@@ -17,7 +17,8 @@ The kernels work on the masks with integer signs.  The product of two
 monomials is Wick's theorem in closed form (see `multiply`): contracting
 i_B against e_C over each subset S of B n C leaves one signed monomial,
 whose sign is a sum of popcount parities.  `to_blades` expands a monomial
-with integer coefficients and scales once.
+with integer coefficients and scales once, and `_blade_terms` expands an
+orthonormal blade back into monomials block by block.
 
 An orthonormal basis is derived from the Witt basis by E_{2a-1} = e_a + i_a
 (square +1) and E_{2a} = e_a - i_a (square -1).  Internally these 2n vectors
@@ -27,7 +28,6 @@ match the ordered orthonormal basis used by the grade projection.
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 from typing import Iterator, Optional, Union
 
@@ -225,7 +225,7 @@ def transpose(x: CliffordElem) -> CliffordElem:
     after which the i...e word is renormal-ordered by multiplication.
     """
     config = x.config
-    out = CliffordElem.zero(config)
+    acc: dict[Monomial, Scalar] = {}
     for (emask, imask), c in x.terms.items():
         p, q = emask.bit_count(), imask.bit_count()
         sign = -1 if ((p * (p - 1) // 2) + (q * (q - 1) // 2)) & 1 else 1
@@ -233,8 +233,12 @@ def transpose(x: CliffordElem) -> CliffordElem:
             CliffordElem.monomial(config, 0, imask),
             CliffordElem.monomial(config, emask, 0),
         )
-        out = out + prod.scale(c if sign > 0 else -c)
-    return out
+        coeff = c if sign > 0 else -c
+        for mono, cp in prod.terms.items():
+            term = cp * coeff
+            prev = acc.get(mono)
+            acc[mono] = term if prev is None else prev + term
+    return CliffordElem(config, acc)
 
 
 def trace(x: CliffordElem) -> Scalar:
@@ -342,9 +346,72 @@ def to_blades(x: CliffordElem) -> dict[int, Scalar]:
     return {m: cb for m, cb in out.items() if cb}
 
 
+def _blade_terms(bmask: int) -> dict[Monomial, int]:
+    """Integer Witt coordinates of the ascending orthonormal blade `bmask`.
+
+    The blade is the product of its block words in ascending block order:
+    E = e_a + i_a, E~ = e_a - i_a, and E E~ = 1 - 2 e_a i_a when both
+    slots of block a are present.  Choosing one Witt term per block gives
+    the word e_A i_B with its e and i factors interleaved by block;
+    normal-ordering it passes each e_y over the i_x with x < y, which
+    costs (-1)^inv(A, B).
+    """
+    terms: dict[Monomial, int] = {(0, 0): 1}
+    for a in range((bmask.bit_length() + 1) >> 1):
+        pair = (bmask >> (2 * a)) & 3
+        if not pair:
+            continue
+        bit = 1 << a
+        nxt: dict[Monomial, int] = {}
+        for (emask, imask), c in terms.items():
+            if pair == 3:
+                nxt[(emask, imask)] = c
+                nxt[(emask | bit, imask | bit)] = -2 * c
+            else:
+                nxt[(emask | bit, imask)] = c
+                nxt[(emask, imask | bit)] = -c if pair == 2 else c
+        terms = nxt
+    return {
+        (emask, imask): -c if inversion_parity(emask, imask) else c
+        for (emask, imask), c in terms.items()
+    }
+
+
 def blade_to_elem(config: Config, bmask: int) -> CliffordElem:
-    slots = tuple(s for s in range(2 * config.n) if (bmask >> s) & 1)
-    return q_map(config, slots)
+    """The orthonormal blade `bmask` (bit s set for slot s) as an element.
+
+    Equal to q_map of its ascending slots, expanded in closed form by
+    `_blade_terms` instead of as a product of vectors.
+    """
+    if not 0 <= bmask < 1 << (2 * config.n):
+        raise ValueError(f"blade mask {bmask} out of range for n={config.n}")
+    field = config.field
+    return CliffordElem(
+        config, {mono: field.from_int(c) for mono, c in _blade_terms(bmask).items()}
+    )
+
+
+def _project(config: Config, blades: dict[int, Scalar], k: int) -> CliffordElem:
+    """The grade-k part of the element with blade coordinates `blades`.
+
+    Every blade passed in has grade k.  The orthonormal trace formula's
+    factors are evaluated per blade, and each blade is expanded once by
+    `_blade_terms` into one accumulator.
+    """
+    field = config.field
+    inv_dim = field.from_fraction(1, config.size)
+    rev_sign = -1 if (k * (k - 1) // 2) & 1 else 1
+    acc: dict[Monomial, Scalar] = {}
+    for bmask, cb in blades.items():
+        gpref = -1 if (bmask & _ODD_SLOTS).bit_count() & 1 else 1
+        square_coeff, _ = blade_mul(bmask, bmask)
+        tr = cb * field.from_int(rev_sign * square_coeff * config.size)
+        scalar = inv_dim * field.from_int(gpref) * tr
+        for mono, c in _blade_terms(bmask).items():
+            term = scalar * c
+            prev = acc.get(mono)
+            acc[mono] = term if prev is None else prev + term
+    return CliffordElem(config, acc)
 
 
 def grade_project(x: CliffordElem, k: int) -> CliffordElem:
@@ -356,28 +423,27 @@ def grade_project(x: CliffordElem, k: int) -> CliffordElem:
         (1/2^n) g(E_1,E_1)...g(E_k,E_k) Tr(E_k...E_1 x) E_1...E_k.
 
     The trace factor vanishes unless the blade coordinates of x meet the
-    combination, so the sweep runs over the blade support of x; every
-    sign and metric factor of the formula is evaluated literally.
-    Completeness (the projections sum to x) is the independent crosscheck.
+    combination, so the sum runs over the grade-k blades of one
+    `to_blades(x)`; every sign and metric factor of the formula is
+    evaluated literally, and each kept blade is expanded once in closed
+    form.  The cost is the blade expansion of x's own terms, so every n
+    that `Config` accepts is accepted.  Completeness (the projections sum
+    to x) is the independent crosscheck.
     """
     config = x.config
     if not 0 <= k <= 2 * config.n:
         raise ValueError(f"grade {k} out of range for n={config.n}")
-    if config.n > 8:
-        warnings.warn(f"grade sweep is combinatorial for n={config.n} > 8")
-    field = config.field
-    inv_dim = field.from_fraction(1, config.size)
-    out = CliffordElem.zero(config)
-    for bmask, cb in sorted(to_blades(x).items()):
-        if bmask.bit_count() != k:
-            continue
-        gpref = -1 if (bmask & _ODD_SLOTS).bit_count() & 1 else 1
-        rev_sign = -1 if (k * (k - 1) // 2) & 1 else 1
-        square_coeff, _ = blade_mul(bmask, bmask)
-        tr = cb * field.from_int(rev_sign * square_coeff * config.size)
-        scalar = inv_dim * field.from_int(gpref) * tr
-        out = out + blade_to_elem(config, bmask).scale(scalar)
-    return out
+    blades = {m: cb for m, cb in to_blades(x).items() if m.bit_count() == k}
+    return _project(config, blades, k)
+
+
+def grade_projections(x: CliffordElem) -> list[CliffordElem]:
+    """[grade_project(x, k) for k in 0..2n] from one `to_blades(x)`."""
+    config = x.config
+    by_grade: list[dict[int, Scalar]] = [{} for _ in range(2 * config.n + 1)]
+    for bmask, cb in to_blades(x).items():
+        by_grade[bmask.bit_count()][bmask] = cb
+    return [_project(config, blades, k) for k, blades in enumerate(by_grade)]
 
 
 @lru_cache(maxsize=None)

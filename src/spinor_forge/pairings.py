@@ -3,26 +3,28 @@
 The central object is the normalized grade-2 pairing taking two spinors to
 an element of the grade-2 part (the orthogonal Lie algebra inside C).  The
 generic four-sum grade2_pairing works on any two spinors and is the
-oracle.  On a pair of Fock basis vectors, basis_grade2_pairing and
-basis_top_grade_coefficient evaluate only the terms the two masks allow;
-they are the build path of the exceptional algebras.  The case-table
-action grade2_pairing_on_basis is implemented without the four-sum so the
-routes validate each other.  The top-grade and graded variants and the
-orbit-map adjoint round out the toolkit.
+oracle; each of its terms B(w.psi1, psi2) for a two-generator word w is
+evaluated by direct Fock moves, one signed move per (word term, spinor
+term), with no pruning by the basis case table.  On a pair of Fock basis
+vectors, basis_grade2_pairing and basis_top_grade_coefficient evaluate
+only the terms the two masks allow; they are the build path of the
+exceptional algebras.  The case-table action grade2_pairing_on_basis is
+implemented without the four-sum so the routes validate each other.  The
+top-grade and graded variants (the graded one also by direct moves) and
+the orbit-map adjoint round out the toolkit.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Optional
 
 from .clifford import (
     CliffordElem,
     act,
+    blade_to_elem,
     grading_element,
     multiply,
-    orthonormal_vector,
-    q_map,
-    slot_metric,
     witt_e,
     witt_i,
 )
@@ -40,10 +42,41 @@ def _check_pair(form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec) -> Config:
 
 def _accum(dst: dict, elem: CliffordElem, scalar: Scalar) -> None:
     """dst += scalar * elem on raw term dicts, avoiding element copies."""
-    for mono, c in elem.items():
+    for mono, c in elem.terms.items():
         prev = dst.get(mono)
         val = c * scalar
         dst[mono] = val if prev is None else prev + val
+
+
+def _move_pairing(
+    form: BilinearForm, word: CliffordElem, phi: SpinorVec, psi: SpinorVec
+) -> Optional[Scalar]:
+    """B(word.phi, psi) by direct Fock moves, or None if no term meets psi.
+
+    Each (word term, phi term) pair is one `apply_monomial`; B pairs the
+    image mask only with psi's coefficient at its complement.  Equals
+    b_eval(form, act(word, phi), psi) without building the spinor.
+    """
+    full = form.config.size - 1
+    entries = form.entries
+    acc = None
+    for (emask, imask), cw in word.terms.items():
+        for mask, cp in phi.terms.items():
+            hit = apply_monomial(emask, imask, mask)
+            if hit is None:
+                continue
+            sign, new = hit
+            cq = psi.terms.get(new ^ full)
+            if cq is None:
+                continue
+            val = entries.get((new, new ^ full))
+            if val is None:
+                continue
+            term = cw * cp * cq * val
+            if sign < 0:
+                term = -term
+            acc = term if acc is None else acc + term
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -76,6 +109,11 @@ def grade2_pairing(form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec) -> Clif
       + sum_{a != b} B(e_a i_b.psi1, psi2) (i_a e_b - e_b i_a)
       + (1/2) sum_a B((e_a i_a - i_a e_a).psi1, psi2) (i_a e_a - e_a i_a).
 
+    Every coefficient B(w.psi1, psi2), all n(n-1) off-diagonal words of
+    each sum and all n diagonal ones, is evaluated by `_move_pairing`;
+    no term is skipped by the basis case table, so this stays the oracle
+    for basis_grade2_pairing and grade2_pairing_on_basis.
+
     Equals 2^(n-1) times the grade-2 projection of the endomorphism
     pairing; that identity is checked in tests, not assumed here.
     """
@@ -87,17 +125,17 @@ def grade2_pairing(form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec) -> Clif
         for b in range(1, config.n + 1):
             if a == b:
                 continue
-            c = b_eval(form, act(ee[(a, b)], psi1), psi2)
+            c = _move_pairing(form, ee[(a, b)], psi1, psi2)
             if c:
                 _accum(out, ii[(a, b)], c)
-            c = b_eval(form, act(ii[(a, b)], psi1), psi2)
+            c = _move_pairing(form, ii[(a, b)], psi1, psi2)
             if c:
                 _accum(out, ee[(a, b)], c)
-            c = b_eval(form, act(ei[(a, b)], psi1), psi2)
+            c = _move_pairing(form, ei[(a, b)], psi1, psi2)
             if c:
                 _accum(out, ie_minus[(a, b)], c)
     for a in range(1, config.n + 1):
-        c = b_eval(form, act(diag_in[a], psi1), psi2)
+        c = _move_pairing(form, diag_in[a], psi1, psi2)
         if c:
             _accum(out, diag_out[a], c * half)
     return CliffordElem(config, out)
@@ -299,6 +337,12 @@ def graded_pairing(
         (1/2^n) ( sum_s g_ss B_eps(psi1, E_s.psi2) E_s
                 + sum_{s<t} g_ss g_tt B_eps(psi1, E_t E_s.psi2) E_s E_t ).
 
+    Evaluated by direct Fock moves: on e_M.v exactly one Witt term of
+    E_s = e_a +- i_a survives (i_a if a is in M, else e_a), so E_s and
+    E_t E_s send each psi2 term to one signed basis vector, which B pairs
+    only with psi1's coefficient at the complement.  One scalar is summed
+    per blade and each blade is expanded once.
+
     Expects the graded norm; with it the result is equivariant for the
     degree one-plus-two part, not just for grade 2.
     """
@@ -306,21 +350,46 @@ def graded_pairing(
         raise ValueError("graded_pairing expects the graded norm")
     config = _check_pair(form, psi1, psi2)
     field = config.field
+    full = config.size - 1
+    entries = form.entries
+    nslots = 2 * config.n
+
+    def move(mask: int, slot: int) -> tuple[int, int]:
+        # E_slot on e_M.v: (sign parity times g_ss, new mask); the i_a term
+        # of E~ = e_a - i_a and the metric g = -1 both sit on odd slots
+        bit = 1 << (slot >> 1)
+        odd = (mask & (bit - 1)).bit_count()
+        if slot & 1:
+            odd += 1 + ((mask & bit) != 0)
+        return odd, mask ^ bit
+
+    scal: dict[int, Scalar] = {}
+
+    def add(blade: int, odd: int, new: int, c: Scalar) -> None:
+        # scal[blade] += (-1)^odd B_eps(psi1, c e_new.v)
+        cp = psi1.terms.get(new ^ full)
+        if cp is None:
+            return
+        val = entries.get((new ^ full, new))
+        if val is None:
+            return
+        term = -(cp * c * val) if odd & 1 else cp * c * val
+        prev = scal.get(blade)
+        scal[blade] = term if prev is None else prev + term
+
+    for mask, c in psi2.terms.items():
+        for s in range(nslots):
+            odd_s, m1 = move(mask, s)
+            add(1 << s, odd_s, m1, c)
+            for t in range(s + 1, nslots):
+                odd_t, m2 = move(m1, t)
+                add((1 << s) | (1 << t), odd_s + odd_t, m2, c)
     inv = field.from_fraction(1, config.size)
     out: dict = {}
-    nslots = 2 * config.n
-    for s in range(nslots):
-        vs = orthonormal_vector(config, s)
-        c = b_eval(form, psi1, act(vs, psi2))
+    for blade, c in scal.items():
         if c:
-            _accum(out, vs, c * field.from_int(slot_metric(s)))
-        for t in range(s + 1, nslots):
-            vt = orthonormal_vector(config, t)
-            c = b_eval(form, psi1, act(vt, act(vs, psi2)))
-            if c:
-                g = slot_metric(s) * slot_metric(t)
-                _accum(out, q_map(config, (s, t)), c * field.from_int(g))
-    return CliffordElem(config, out).scale(inv)
+            _accum(out, blade_to_elem(config, blade), c * inv)
+    return CliffordElem(config, out)
 
 
 def orbit_map_adjoint(

@@ -19,6 +19,7 @@ from .clifford import (
     act,
     commutator,
     grade_project,
+    grade_projections,
     grading_element,
     h_operator,
     multiply,
@@ -231,8 +232,8 @@ def check_pi_completeness(n: int) -> CheckResult:
 
     def complete(x: CliffordElem) -> bool:
         total = CliffordElem.zero(config)
-        for k in range(2 * n + 1):
-            total = total + grade_project(x, k)
+        for part in grade_projections(x):
+            total = total + part
         return total == x
 
     if n <= 3:

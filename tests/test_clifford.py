@@ -6,6 +6,7 @@ an element must agree with the matrix trace of its action.
 """
 
 import random
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,6 +22,7 @@ from spinor_forge.clifford import (
     blade_to_elem,
     commutator,
     grade_project,
+    grade_projections,
     grading_element,
     h_operator,
     monomial_str,
@@ -497,6 +499,101 @@ class TestGradeProjection:
         eps = grading_element(c)
         for s1, s2 in combinations(range(6), 2):
             assert commutator(q_map(c, (s1, s2)), eps).is_zero()
+
+
+# The routes the closed-form blade expansion and the one-pass projection
+# replaced, kept here as oracles: each blade is the literal product
+# `q_map`, and the projection adds one scaled blade element per kept blade.
+
+
+def blade_slots(n: int, bmask: int) -> tuple[int, ...]:
+    return tuple(s for s in range(2 * n) if (bmask >> s) & 1)
+
+
+def project_by_products(x: CliffordElem, k: int) -> CliffordElem:
+    """grade_project with each kept blade built by q_map and added as an
+    element, every factor of the trace formula taken as written."""
+    config = x.config
+    field = config.field
+    out = CliffordElem.zero(config)
+    for bmask, cb in sorted(to_blades(x).items()):
+        if bmask.bit_count() != k:
+            continue
+        gpref = 1
+        for s in blade_slots(config.n, bmask):
+            gpref *= slot_metric(s)
+        rev_sign = -1 if (k * (k - 1) // 2) & 1 else 1
+        square_coeff, _ = blade_mul(bmask, bmask)
+        tr = cb * field.from_int(rev_sign * square_coeff * config.size)
+        scalar = field.from_fraction(1, config.size) * field.from_int(gpref) * tr
+        out = out + q_map(config, blade_slots(config.n, bmask)).scale(scalar)
+    return out
+
+
+def transpose_by_copies(x: CliffordElem) -> CliffordElem:
+    config = x.config
+    out = CliffordElem.zero(config)
+    for (emask, imask), c in x.terms.items():
+        p, q = emask.bit_count(), imask.bit_count()
+        sign = -1 if ((p * (p - 1) // 2) + (q * (q - 1) // 2)) & 1 else 1
+        prod = multiply(
+            CliffordElem.monomial(config, 0, imask),
+            CliffordElem.monomial(config, emask, 0),
+        )
+        out = out + prod.scale(c if sign > 0 else -c)
+    return out
+
+
+class TestClosedFormBlades:
+    @pytest.mark.parametrize("field", [Q, F7], ids=["q", "fp7"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_blade_to_elem_matches_q_map_every_blade(self, n, field):
+        c = Config(n, field)
+        for bmask in range(1 << (2 * n)):
+            assert blade_to_elem(c, bmask) == q_map(c, blade_slots(n, bmask)), bmask
+
+    def test_blade_mask_range_checked(self):
+        with pytest.raises(ValueError, match="out of range"):
+            blade_to_elem(cfg(2), 1 << 4)
+
+    @pytest.mark.parametrize("field", [Q, F7], ids=["q", "fp7"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_projection_matches_product_route(self, n, field):
+        c = Config(n, field)
+        r = rng(1500 + n)
+        elems = [rand_elem(c, r, nmono=4) for _ in range(4)]
+        elems += [grading_element(c), h_operator(c)]
+        for x in elems:
+            parts = grade_projections(x)
+            assert len(parts) == 2 * n + 1
+            for k, part in enumerate(parts):
+                assert part == grade_project(x, k)
+                assert part == project_by_products(x, k)
+
+    @pytest.mark.parametrize("field", [Q, F7], ids=["q", "fp7"])
+    def test_transpose_matches_copying_route(self, field):
+        c = Config(5, field)
+        r = rng(1550)
+        for _ in range(12):
+            x = rand_elem(c, r, nmono=5)
+            assert transpose(x) == transpose_by_copies(x)
+
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_projection_accepts_every_config_n(self, n):
+        # no warning and no combinatorial sweep above n = 8
+        c = cfg(n)
+        top = 1 << (n - 1)
+        x = CliffordElem(
+            c, {(top, 0): Q.from_int(3), (top | 1, top | 2): Q.from_int(-2), (0, 0): Q.one()}
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parts = grade_projections(x)
+            assert parts[1] == grade_project(x, 1)
+        total = CliffordElem.zero(c)
+        for part in parts:
+            total = total + part
+        assert total == x
 
 
 class TestGradingElement:

@@ -15,6 +15,7 @@ from spinor_forge.clifford import (
     grading_element,
     multiply,
     orthonormal_vector,
+    q_map,
     slot_metric,
     to_blades,
     witt_e,
@@ -23,6 +24,7 @@ from spinor_forge.clifford import (
 from spinor_forge.field import PrimeField, Rationals
 from spinor_forge.fock import Config, SpinorVec, mask_from_indices, parity
 from spinor_forge.norms import b_eval, graded_norm, solve_spinor_norm
+import spinor_forge.pairings as pairings_mod
 from spinor_forge.pairings import (
     PolarisationChange,
     apply_swapped_word,
@@ -483,6 +485,129 @@ class TestGradedPairing:
             assert graded_pairing(gform, p1, p2) == (
                 grade_project(tau, 1) + grade_project(tau, 2)
             )
+
+
+# The generic routes the direct-move kernels replaced, kept here as
+# oracles: every pairing coefficient is b_eval of a full `act`, and every
+# generator word and blade is a literal product of Witt generators.
+
+
+def four_sum_oracle(form, psi1, psi2) -> CliffordElem:
+    """grade2_pairing with each B(w.psi1, psi2) as b_eval(act(w, psi1), psi2)."""
+    config = form.config
+    half = config.field.from_fraction(1, 2)
+    out = CliffordElem.zero(config)
+    for a in range(1, config.n + 1):
+        ea, ia = witt_e(config, a), witt_i(config, a)
+        for b in range(1, config.n + 1):
+            if a == b:
+                continue
+            eb, ib = witt_e(config, b), witt_i(config, b)
+            terms = [
+                (multiply(ea, eb), multiply(ia, ib)),
+                (multiply(ia, ib), multiply(ea, eb)),
+                (multiply(ea, ib), multiply(ia, eb) - multiply(eb, ia)),
+            ]
+            for word, elem in terms:
+                out = out + elem.scale(b_eval(form, act(word, psi1), psi2))
+        diag = multiply(ea, ia) - multiply(ia, ea)
+        c = b_eval(form, act(diag, psi1), psi2)
+        out = out + (-diag).scale(half * c)
+    return out
+
+
+def graded_pairing_oracle(gform, psi1, psi2) -> CliffordElem:
+    """graded_pairing with each slot term as act, act and b_eval, and each
+    blade as q_map."""
+    config = gform.config
+    field = config.field
+    out = CliffordElem.zero(config)
+    for s in range(2 * config.n):
+        vs = orthonormal_vector(config, s)
+        c = b_eval(gform, psi1, act(vs, psi2))
+        out = out + vs.scale(c * field.from_int(slot_metric(s)))
+        for t in range(s + 1, 2 * config.n):
+            vt = orthonormal_vector(config, t)
+            c = b_eval(gform, psi1, act(vt, act(vs, psi2)))
+            g = slot_metric(s) * slot_metric(t)
+            out = out + q_map(config, (s, t)).scale(c * field.from_int(g))
+    return out.scale(field.from_fraction(1, config.size))
+
+
+def partnered_spinors(config, r, moved_bits: int):
+    """Two seeded multi-term spinors where psi2 has weight on the B-partners
+    of psi1's terms after flipping 0..moved_bits random bits, so that many
+    pairing coefficients are nonzero."""
+    full = config.size - 1
+    psi1 = rand_spinor(config, r, nterms=3)
+    hits = {}
+    for m in psi1.terms:
+        for _ in range(2):
+            flip = 0
+            for _ in range(r.randrange(moved_bits + 1)):
+                flip |= 1 << r.randrange(config.n)
+            hits[(m ^ flip) ^ full] = config.field.from_int(r.randrange(1, 6))
+    return psi1, rand_spinor(config, r, nterms=2) + SpinorVec(config, hits)
+
+
+FIELDS = [Rationals(), PrimeField(7)]
+
+
+class TestDirectMoveOracles:
+    @pytest.mark.parametrize("field", FIELDS, ids=["q", "fp7"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_four_sum_against_act_route(self, n, field):
+        config = Config(n, field)
+        form = solve_spinor_norm(config)
+        r = rng(1600 + n)
+        nonzero = 0
+        for _ in range(6):
+            psi1, psi2 = partnered_spinors(config, r, moved_bits=2)
+            got = grade2_pairing(form, psi1, psi2)
+            assert got == four_sum_oracle(form, psi1, psi2)
+            nonzero += not got.is_zero()
+        assert nonzero >= 3
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["q", "fp7"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_graded_pairing_against_act_route(self, n, field):
+        config = Config(n, field)
+        gform = graded_norm(solve_spinor_norm(config))
+        r = rng(1700 + n)
+        nonzero = 0
+        for _ in range(6):
+            psi2, psi1 = partnered_spinors(config, r, moved_bits=2)
+            got = graded_pairing(gform, psi1, psi2)
+            assert got == graded_pairing_oracle(gform, psi1, psi2)
+            nonzero += not got.is_zero()
+        assert nonzero >= 3
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_graded_pairing_every_basis_pair(self, n):
+        config = Config(n)
+        gform = graded_norm(solve_spinor_norm(config))
+        for im in range(config.size):
+            for jm in range(config.size):
+                p1, p2 = basis(config, im), basis(config, jm)
+                assert graded_pairing(gform, p1, p2) == graded_pairing_oracle(
+                    gform, p1, p2
+                )
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_four_sum_independent_of_basis_closed_forms(self, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the four-sum must not use the basis closed forms")
+
+        monkeypatch.setattr(pairings_mod, "basis_grade2_pairing", refuse)
+        monkeypatch.setattr(pairings_mod, "grade2_pairing_on_basis", refuse)
+        config = Config(n)
+        form = solve_spinor_norm(config)
+        for im in range(config.size):
+            for jm in range(config.size):
+                p1, p2 = basis(config, im), basis(config, jm)
+                assert pairings_mod.grade2_pairing(form, p1, p2) == four_sum_oracle(
+                    form, p1, p2
+                )
 
 
 class TestOrbitAdjoint:
