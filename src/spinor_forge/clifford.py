@@ -13,12 +13,18 @@ algebra; elements are sparse maps from the bitmask pair (emask, imask) to a
 nonzero scalar.  The algebra acts faithfully on the 2^n-dimensional Fock
 space, which is how the trace and all endomorphism questions are resolved.
 
-The kernels work on the masks with integer signs.  The product of two
-monomials is Wick's theorem in closed form (see `multiply`): contracting
-i_B against e_C over each subset S of B n C leaves one signed monomial,
-whose sign is a sum of popcount parities.  `to_blades` expands a monomial
-with integer coefficients and scales once, and `_blade_terms` expands an
-orthonormal blade back into monomials block by block.
+An element stores int numerators over one denominator (see `field`);
+the kernels compute on those ints alone, with integer signs on the
+masks, build each result through one private constructor that brings it
+to canonical form, and turn numbers into field scalars only at the
+public boundary (`terms`, `get`, `items`, the returned traces).  The
+product of two monomials is Wick's theorem in closed form (see `_wick`):
+contracting i_B against e_C over each subset S of B n C leaves one
+signed monomial, whose sign is a sum of popcount parities.
+`trace_product` runs the same closed form but keeps only the diagonal
+outputs, so Tr(xy) never builds xy.  `to_blades` expands a monomial with
+integer coefficients over one common power of two, and `_blade_terms`
+expands an orthonormal blade back into monomials block by block.
 
 An orthonormal basis is derived from the Witt basis by E_{2a-1} = e_a + i_a
 (square +1) and E_{2a} = e_a - i_a (square -1).  Internally these 2n vectors
@@ -29,10 +35,17 @@ match the ordered orthonormal basis used by the grade projection.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .field import Scalar
-from .fock import Config, SpinorVec, apply_monomial, inversion_parity, prefix_parity
+from .fock import (
+    Config,
+    SparseTerms,
+    SpinorVec,
+    apply_monomial,
+    inversion_parity,
+    prefix_parity,
+)
 
 Monomial = tuple[int, int]
 
@@ -46,62 +59,33 @@ def monomial_str(mono: Monomial) -> str:
     return " ".join(tokens)
 
 
-class CliffordElem:
+class CliffordElem(SparseTerms):
     """Sparse element: map from normal-ordered monomial to nonzero scalar."""
 
-    __slots__ = ("config", "terms")
+    __slots__ = ()
 
-    def __init__(self, config: Config, terms: dict[Monomial, Scalar]) -> None:
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
+    @staticmethod
+    def _check_key(config: Config, mono: Monomial) -> None:
+        emask, imask = mono
+        if not (0 <= emask < config.size and 0 <= imask < config.size):
+            raise ValueError(
+                f"monomial masks ({emask}, {imask}) out of range for n={config.n}"
+            )
 
-    def __setattr__(self, name: str, val: object) -> None:
-        raise AttributeError("CliffordElem is immutable")
-
-    @classmethod
-    def zero(cls, config: Config) -> "CliffordElem":
-        return cls(config, {})
+    _key_str = staticmethod(monomial_str)
 
     @classmethod
     def one(cls, config: Config) -> "CliffordElem":
-        return cls(config, {(0, 0): config.field.one()})
+        return cls._make(config, {(0, 0): 1})
 
     @classmethod
     def monomial(
         cls, config: Config, emask: int, imask: int, coeff: Optional[Scalar] = None
     ) -> "CliffordElem":
-        if emask >= config.size or imask >= config.size:
-            raise ValueError(f"monomial masks out of range for n={config.n}")
-        return cls(config, {(emask, imask): coeff if coeff is not None else config.field.one()})
-
-    def items(self) -> Iterator[tuple[Monomial, Scalar]]:
-        """Terms in canonical (emask, imask) order."""
-        return iter(sorted(self.terms.items()))
-
-    def get(self, mono: Monomial) -> Scalar:
-        return self.terms.get(mono, self.config.field.zero())
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "CliffordElem") -> "CliffordElem":
-        self.config.check_same(other.config)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            out[m] = c if s is None else s + c
-        return CliffordElem(self.config, out)
-
-    def __sub__(self, other: "CliffordElem") -> "CliffordElem":
-        return self + (-other)
-
-    def __neg__(self) -> "CliffordElem":
-        return CliffordElem(self.config, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, s: Scalar) -> "CliffordElem":
-        if not s:
-            return CliffordElem.zero(self.config)
-        return CliffordElem(self.config, {m: c * s for m, c in self.terms.items()})
+        if coeff is not None:
+            return cls(config, {(emask, imask): coeff})
+        cls._check_key(config, (emask, imask))
+        return cls._make(config, {(emask, imask): 1})
 
     def __mul__(self, other: Union["CliffordElem", Scalar, int]) -> "CliffordElem":
         if isinstance(other, CliffordElem):
@@ -110,19 +94,6 @@ class CliffordElem:
 
     def __rmul__(self, other: Union[Scalar, int]) -> "CliffordElem":
         return self.scale(other)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CliffordElem):
-            return NotImplemented
-        return self.config == other.config and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.config, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " ".join(f"+ ({c}) {monomial_str(m)}" for m, c in self.items())
 
 
 @lru_cache(maxsize=None)
@@ -139,8 +110,8 @@ def witt_i(config: Config, a: int) -> CliffordElem:
     return CliffordElem.monomial(config, 0, 1 << (a - 1))
 
 
-def multiply(x: CliffordElem, y: CliffordElem) -> CliffordElem:
-    """The Clifford product, renormalized to the e_A i_B monomial basis.
+def _wick(acc: dict[Monomial, int], xs: dict, ys: dict, flip: int) -> None:
+    """acc += (-1)^flip times the product of the int term maps xs and ys.
 
     Wick's theorem in closed form.  For an x-term c_x e_A i_B and a
     y-term c_y e_C i_D, each subset S of B n C (the i factors contracted
@@ -159,20 +130,19 @@ def multiply(x: CliffordElem, y: CliffordElem) -> CliffordElem:
     prefix parities of C and D taken once per y-term, the common case
     B n C = {} (only S = {}) costs four popcounts.
     """
-    x.config.check_same(y.config)
     ys = [
         (c, d, prefix_parity(c), prefix_parity(d), cy)
-        for (c, d), cy in y.terms.items()
+        for (c, d), cy in ys.items()
     ]
-    acc: dict[Monomial, Scalar] = {}
-    for (amask, bmask), cx in x.terms.items():
+    for (amask, bmask), cx in xs.items():
         for cmask, dmask, pc, pd, cy in ys:
             both = sub = bmask & cmask
             while True:
                 b_rest, c_rest = bmask ^ sub, cmask ^ sub
                 if not (amask & c_rest or b_rest & dmask):
                     sigma = (
-                        b_rest.bit_count() * c_rest.bit_count()
+                        flip
+                        + b_rest.bit_count() * c_rest.bit_count()
                         + (amask & pc).bit_count()
                         + (b_rest & pd).bit_count()
                     )
@@ -186,77 +156,152 @@ def multiply(x: CliffordElem, y: CliffordElem) -> CliffordElem:
                         )
                     key = (amask | c_rest, b_rest | dmask)
                     term = -(cx * cy) if sigma & 1 else cx * cy
-                    prev = acc.get(key)
-                    acc[key] = term if prev is None else prev + term
+                    acc[key] = acc.get(key, 0) + term
                 if not sub:
                     break
                 sub = (sub - 1) & both
-    return CliffordElem(x.config, acc)
+
+
+def multiply(x: CliffordElem, y: CliffordElem) -> CliffordElem:
+    """The Clifford product, renormalized to the e_A i_B monomial basis.
+
+    Wick's theorem in closed form on the int numerators (see `_wick`);
+    the denominators multiply.
+    """
+    x.config.check_same(y.config)
+    acc: dict[Monomial, int] = {}
+    _wick(acc, x._num, y._num, 0)
+    return CliffordElem._make(x.config, acc, x._den * y._den)
+
+
+def commutator(x: CliffordElem, y: CliffordElem) -> CliffordElem:
+    """xy - yx, both Wick products summed into one accumulator."""
+    x.config.check_same(y.config)
+    acc: dict[Monomial, int] = {}
+    _wick(acc, x._num, y._num, 0)
+    _wick(acc, y._num, x._num, 1)
+    return CliffordElem._make(x.config, acc, x._den * y._den)
 
 
 def act(x: CliffordElem, psi: SpinorVec) -> SpinorVec:
     """Apply x to a spinor: each monomial is the composite of the fock
     creation/annihilation moves in the monomial's written order."""
     x.config.check_same(psi.config)
-    out: dict[int, Scalar] = {}
-    for (emask, imask), c in x.terms.items():
-        for mask, cm in psi.terms.items():
+    out: dict[int, int] = {}
+    for (emask, imask), c in x._num.items():
+        for mask, cm in psi._num.items():
             hit = apply_monomial(emask, imask, mask)
             if hit is None:
                 continue
             sign, new = hit
-            term = c * cm
-            if sign < 0:
-                term = -term
-            prev = out.get(new)
-            out[new] = term if prev is None else prev + term
-    return SpinorVec(x.config, out)
-
-
-def commutator(x: CliffordElem, y: CliffordElem) -> CliffordElem:
-    return multiply(x, y) - multiply(y, x)
+            out[new] = out.get(new, 0) + (c * cm if sign > 0 else -(c * cm))
+    return SpinorVec._make(x.config, out, x._den * psi._den)
 
 
 def transpose(x: CliffordElem) -> CliffordElem:
     """The anti-automorphism extending the identity on V.
 
     Reversing e_A i_B gives the word i_B-reversed e_A-reversed; reversing
-    inside a block of p anticommuting generators costs (-1)^(p(p-1)/2),
-    after which the i...e word is renormal-ordered by multiplication.
+    inside a block of p anticommuting generators costs (-1)^(p(p-1)/2).
+    The word i_B e_A is then normal-ordered by the two-monomial case of
+    Wick's theorem (see `_wick`): each S in A n B contracts to the term
+
+        (-1)^(|B - S||A - S| + C(|S|, 2) + inv(B - S, S) + inv(S, A - S))
+            e_{A - S} i_{B - S},
+
+    which never vanishes, since the outer blocks of i_B e_A are empty.
     """
-    config = x.config
-    acc: dict[Monomial, Scalar] = {}
-    for (emask, imask), c in x.terms.items():
-        p, q = emask.bit_count(), imask.bit_count()
-        sign = -1 if ((p * (p - 1) // 2) + (q * (q - 1) // 2)) & 1 else 1
-        prod = multiply(
-            CliffordElem.monomial(config, 0, imask),
-            CliffordElem.monomial(config, emask, 0),
-        )
-        coeff = c if sign > 0 else -c
-        for mono, cp in prod.terms.items():
-            term = cp * coeff
-            prev = acc.get(mono)
-            acc[mono] = term if prev is None else prev + term
-    return CliffordElem(config, acc)
+    acc: dict[Monomial, int] = {}
+    for (amask, bmask), c in x._num.items():
+        p, q = amask.bit_count(), bmask.bit_count()
+        rev = (p * (p - 1) >> 1) + (q * (q - 1) >> 1)
+        both = sub = amask & bmask
+        while True:
+            a_rest, b_rest = amask ^ sub, bmask ^ sub
+            sigma = rev + b_rest.bit_count() * a_rest.bit_count()
+            if sub:
+                k = sub.bit_count()
+                sigma += (
+                    (k * (k - 1) >> 1)
+                    + inversion_parity(b_rest, sub)
+                    + inversion_parity(sub, a_rest)
+                )
+            key = (a_rest, b_rest)
+            acc[key] = acc.get(key, 0) + (-c if sigma & 1 else c)
+            if not sub:
+                break
+            sub = (sub - 1) & both
+    return CliffordElem._make(x.config, acc, x._den)
 
 
 def trace(x: CliffordElem) -> Scalar:
-    """Trace of the Fock action.  Off-diagonal monomials (emask != imask)
-    move every basis vector, so only diagonal monomials contribute; their
-    constant diagonal entry is read off from one action call and weighted
-    by the 2^(n-|A|) basis vectors containing A."""
-    config = x.config
-    total = config.field.zero()
-    for (emask, imask), c in x.terms.items():
+    """Trace of the Fock action.
+
+    Off-diagonal monomials (emask != imask) move every basis vector, so
+    only diagonal monomials e_K i_K contribute.  e_K i_K fixes each of
+    the 2^(n-|K|) basis vectors e_M.v with K in M, with sign
+    (-1)^C(|K|, 2) (`apply_monomial` on M = K), and kills the others.
+    Summed on the int numerators and divided once.
+    """
+    n = x.config.n
+    total = 0
+    for (emask, imask), c in x._num.items():
         if emask != imask:
             continue
-        sign, new = apply_monomial(emask, imask, emask)
-        if new != emask:
-            raise AssertionError("diagonal monomial moved its own basis vector")
-        count = config.field.from_int(sign * (1 << (config.n - emask.bit_count())))
-        total = total + c * count
-    return total
+        k = emask.bit_count()
+        term = c << (n - k)
+        total += -term if (k * (k - 1) >> 1) & 1 else term
+    return x.config.field.from_fraction(total, x._den)
+
+
+def trace_product(x: CliffordElem, y: CliffordElem) -> Scalar:
+    """Tr(x y) without building the product.
+
+    Runs the Wick closed form of `_wick`, but keeps only the contractions
+    whose output monomial is diagonal, e_K i_K, each weighted as in
+    `trace` by (-1)^C(|K|, 2) 2^(n-|K|).  The term pair e_A i_B, e_C i_D
+    is skipped unless A u C = B u D: the output e_{A u C'} i_{B' u D} of
+    a contraction S is diagonal only if adding S to both sides gives
+    A u C = B u D.
+    """
+    config = x.config
+    config.check_same(y.config)
+    n = config.n
+    ys = [
+        (c, d, prefix_parity(c), prefix_parity(d), cy)
+        for (c, d), cy in y._num.items()
+    ]
+    total = 0
+    for (amask, bmask), cx in x._num.items():
+        for cmask, dmask, pc, pd, cy in ys:
+            if amask | cmask != bmask | dmask:
+                continue
+            both = sub = bmask & cmask
+            while True:
+                b_rest, c_rest = bmask ^ sub, cmask ^ sub
+                kmask = amask | c_rest
+                if kmask == b_rest | dmask and not (amask & c_rest or b_rest & dmask):
+                    k = kmask.bit_count()
+                    sigma = (
+                        (k * (k - 1) >> 1)
+                        + b_rest.bit_count() * c_rest.bit_count()
+                        + (amask & pc).bit_count()
+                        + (b_rest & pd).bit_count()
+                    )
+                    if sub:
+                        s = sub.bit_count()
+                        sigma += (
+                            (s * (s - 1) >> 1)
+                            + inversion_parity(b_rest, sub)
+                            + inversion_parity(sub, c_rest)
+                            + inversion_parity(amask, sub)
+                        )
+                    term = (cx * cy) << (n - k)
+                    total += -term if sigma & 1 else term
+                if not sub:
+                    break
+                sub = (sub - 1) & both
+    return config.field.from_fraction(total, x._den * y._den)
 
 
 # Orthonormal slots: slot 2(a-1) is e_a + i_a with square +1, slot 2a-1 is
@@ -313,17 +358,18 @@ def blade_mul(m1: int, m2: int) -> tuple[int, int]:
     return (-1 if odd & 1 else 1), m1 ^ m2
 
 
-def to_blades(x: CliffordElem) -> dict[int, Scalar]:
-    """Coordinates of x in the orthonormal blade basis.
+def _blade_ints(x: CliffordElem) -> tuple[dict[int, int], int]:
+    """Blade coordinates of x as canonical (numerators, denominator).
 
     Each Witt generator is half a sum or difference of two orthonormal
     vectors: e_a = (E + E~)/2 and i_a = (E - E~)/2 at block a.  A monomial
     with k generators expands to 2^k signed blade products with integer
-    coefficients, which are scaled once by c/2^k.
+    coefficients; over the common denominator den(x) 2^K, K the most
+    generators in a term, its blades carry c 2^(K-k).
     """
-    field = x.config.field
-    out: dict[int, Scalar] = {}
-    for (emask, imask), c in x.terms.items():
+    top = max((e.bit_count() + i.bit_count() for e, i in x._num), default=0)
+    out: dict[int, int] = {}
+    for (emask, imask), c in x._num.items():
         factors = [(b, False) for b in range(emask.bit_length()) if (emask >> b) & 1]
         factors += [(b, True) for b in range(imask.bit_length()) if (imask >> b) & 1]
         acc: dict[int, int] = {0: 1}
@@ -338,12 +384,17 @@ def to_blades(x: CliffordElem) -> dict[int, Scalar]:
                     new = bmask ^ (1 << slot)
                     nxt[new] = nxt.get(new, 0) + (-cb if odd & 1 else cb)
             acc = {m: cb for m, cb in nxt.items() if cb}
-        scale = c * field.from_fraction(1, 1 << len(factors))
+        scale = c << (top - len(factors))
         for bmask, cb in acc.items():
-            term = scale * cb
-            prev = out.get(bmask)
-            out[bmask] = term if prev is None else prev + term
-    return {m: cb for m, cb in out.items() if cb}
+            out[bmask] = out.get(bmask, 0) + scale * cb
+    return x.config.field.canon(out, x._den << top)
+
+
+def to_blades(x: CliffordElem) -> dict[int, Scalar]:
+    """Coordinates of x in the orthonormal blade basis (see `_blade_ints`)."""
+    num, den = _blade_ints(x)
+    scalar = x.config.field.from_fraction
+    return {bmask: scalar(cb, den) for bmask, cb in num.items()}
 
 
 def _blade_terms(bmask: int) -> dict[Monomial, int]:
@@ -385,33 +436,28 @@ def blade_to_elem(config: Config, bmask: int) -> CliffordElem:
     """
     if not 0 <= bmask < 1 << (2 * config.n):
         raise ValueError(f"blade mask {bmask} out of range for n={config.n}")
-    field = config.field
-    return CliffordElem(
-        config, {mono: field.from_int(c) for mono, c in _blade_terms(bmask).items()}
-    )
+    return CliffordElem._make(config, _blade_terms(bmask))
 
 
-def _project(config: Config, blades: dict[int, Scalar], k: int) -> CliffordElem:
-    """The grade-k part of the element with blade coordinates `blades`.
+def _project(config: Config, blades: dict[int, int], den: int, k: int) -> CliffordElem:
+    """The grade-k part of the element with blade coordinates blades / den.
 
     Every blade passed in has grade k.  The orthonormal trace formula's
-    factors are evaluated per blade, and each blade is expanded once by
-    `_blade_terms` into one accumulator.
+    factors are evaluated per blade as integers, the 1/2^n going into the
+    denominator, and each blade is expanded once by `_blade_terms` into
+    one accumulator.
     """
-    field = config.field
-    inv_dim = field.from_fraction(1, config.size)
+    size = config.size
     rev_sign = -1 if (k * (k - 1) // 2) & 1 else 1
-    acc: dict[Monomial, Scalar] = {}
+    acc: dict[Monomial, int] = {}
     for bmask, cb in blades.items():
         gpref = -1 if (bmask & _ODD_SLOTS).bit_count() & 1 else 1
         square_coeff, _ = blade_mul(bmask, bmask)
-        tr = cb * field.from_int(rev_sign * square_coeff * config.size)
-        scalar = inv_dim * field.from_int(gpref) * tr
+        tr = cb * rev_sign * square_coeff * size
+        scalar = gpref * tr
         for mono, c in _blade_terms(bmask).items():
-            term = scalar * c
-            prev = acc.get(mono)
-            acc[mono] = term if prev is None else prev + term
-    return CliffordElem(config, acc)
+            acc[mono] = acc.get(mono, 0) + scalar * c
+    return CliffordElem._make(config, acc, den * size)
 
 
 def grade_project(x: CliffordElem, k: int) -> CliffordElem:
@@ -424,7 +470,7 @@ def grade_project(x: CliffordElem, k: int) -> CliffordElem:
 
     The trace factor vanishes unless the blade coordinates of x meet the
     combination, so the sum runs over the grade-k blades of one
-    `to_blades(x)`; every sign and metric factor of the formula is
+    `_blade_ints(x)`; every sign and metric factor of the formula is
     evaluated literally, and each kept blade is expanded once in closed
     form.  The cost is the blade expansion of x's own terms, so every n
     that `Config` accepts is accepted.  Completeness (the projections sum
@@ -433,17 +479,19 @@ def grade_project(x: CliffordElem, k: int) -> CliffordElem:
     config = x.config
     if not 0 <= k <= 2 * config.n:
         raise ValueError(f"grade {k} out of range for n={config.n}")
-    blades = {m: cb for m, cb in to_blades(x).items() if m.bit_count() == k}
-    return _project(config, blades, k)
+    num, den = _blade_ints(x)
+    blades = {m: cb for m, cb in num.items() if m.bit_count() == k}
+    return _project(config, blades, den, k)
 
 
 def grade_projections(x: CliffordElem) -> list[CliffordElem]:
-    """[grade_project(x, k) for k in 0..2n] from one `to_blades(x)`."""
+    """[grade_project(x, k) for k in 0..2n] from one blade conversion."""
     config = x.config
-    by_grade: list[dict[int, Scalar]] = [{} for _ in range(2 * config.n + 1)]
-    for bmask, cb in to_blades(x).items():
+    num, den = _blade_ints(x)
+    by_grade: list[dict[int, int]] = [{} for _ in range(2 * config.n + 1)]
+    for bmask, cb in num.items():
         by_grade[bmask.bit_count()][bmask] = cb
-    return [_project(config, blades, k) for k, blades in enumerate(by_grade)]
+    return [_project(config, blades, den, k) for k, blades in enumerate(by_grade)]
 
 
 @lru_cache(maxsize=None)

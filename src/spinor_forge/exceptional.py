@@ -104,34 +104,34 @@ def c2_coords(x: CliffordElem) -> dict[Label, Scalar]:
     Monomial pattern (2,0) is an ee term, (0,2) an ii term, (1,1) half an
     F_ab; the scalar monomial must equal minus the diagonal F_aa total
     (each F_aa = 2 e_a i_a - 1 carries a constant).  Anything else raises
-    DecompositionError.
+    DecompositionError.  Read on x's int numerators; each coordinate is
+    turned into a field scalar once.
     """
     field = x.config.field
-    half = field.from_fraction(1, 2)
+    scalar, den = field.from_fraction, x._den
     coords: dict[Label, Scalar] = {}
-    const = field.zero()
-    diag = field.zero()
-    for (emask, imask), c in x.terms.items():
+    const = 0
+    diag = 0
+    for (emask, imask), c in x._num.items():
         en, im = emask.bit_count(), imask.bit_count()
         if en == 0 and im == 0:
             const = c
         elif en == 2 and im == 0:
             a = (emask & -emask).bit_length()
-            coords[("ee", a, emask.bit_length())] = c
+            coords[("ee", a, emask.bit_length())] = scalar(c, den)
         elif en == 0 and im == 2:
             a = (imask & -imask).bit_length()
-            coords[("ii", a, imask.bit_length())] = c
+            coords[("ii", a, imask.bit_length())] = scalar(c, den)
         elif en == 1 and im == 1:
             a, b = emask.bit_length(), imask.bit_length()
-            val = c * half
-            coords[("ei", a, b)] = val
+            coords[("ei", a, b)] = scalar(c, 2 * den)
             if a == b:
-                diag = diag + val
+                diag += c
         else:
             raise DecompositionError(
                 f"monomial {(emask, imask)} lies outside the grade-2 span"
             )
-    if const != -diag:
+    if field.from_int(2 * const + diag):
         raise DecompositionError("constant term does not match the diagonal part")
     return coords
 

@@ -5,12 +5,21 @@ either `fractions.Fraction` (characteristic 0) or `Residue` instances
 (characteristic p with p prime, p not in {2, 3}).  The two kinds never mix:
 mixing residues of different moduli raises ValueError, mixing a Residue
 with a Fraction raises TypeError through the normal operator protocol.
+
+Sparse vectors (Clifford elements, spinors) store their coefficients as
+int numerators over one common denominator.  Each field brings them to
+its canonical form with `canon`: over Q the denominator is at least 1,
+zero numerators are dropped and gcd(den, every numerator) = 1; over F_p
+the numerators are reduced mod p and the denominator is 1.  `split`
+turns field scalars into that form, and `from_fraction` turns one
+numerator and the denominator back into a field scalar.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from math import gcd, lcm
+from typing import Hashable, Union
 
 Scalar = Union[Fraction, "Residue"]
 
@@ -147,6 +156,33 @@ class Rationals:
     def from_fraction(self, num: int, den: int) -> Fraction:
         return Fraction(num, den)
 
+    def parts(self, s: Scalar | int) -> tuple[int, int]:
+        """(numerator, denominator) of one int or Fraction, denominator >= 1."""
+        try:
+            return s.numerator, s.denominator
+        except AttributeError:
+            raise TypeError(f"{s!r} is not a rational scalar") from None
+
+    def canon(self, num: dict[Hashable, int], den: int) -> tuple[dict, int]:
+        """Drop zero numerators; for den > 1, divide out gcd(den, numerators).
+
+        May return `num` itself: callers hand over a dict they no longer use.
+        """
+        if 0 in num.values():
+            num = {k: c for k, c in num.items() if c}
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {k: c // g for k, c in num.items()}
+        return num, den
+
+    def split(self, values: dict[Hashable, Scalar | int]) -> tuple[dict, int]:
+        """Canonical (numerators, denominator) of a map to scalars."""
+        parts = {k: self.parts(c) for k, c in values.items() if c}
+        den = lcm(*(d for _, d in parts.values()))
+        return {k: c * (den // d) for k, (c, d) in parts.items()}, den
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Rationals)
 
@@ -179,7 +215,35 @@ class PrimeField:
         return Residue(k, self.p)
 
     def from_fraction(self, num: int, den: int) -> Residue:
-        return Residue(num, self.p) / Residue(den, self.p)
+        if den != 1:
+            if not den % self.p:
+                raise ZeroDivisionError(f"division by zero in F_{self.p}")
+            num *= pow(den, -1, self.p)
+        return Residue(num, self.p)
+
+    def parts(self, s: Scalar | int) -> tuple[int, int]:
+        """(canonical residue, 1) of one scalar."""
+        if isinstance(s, Residue):
+            if s.p != self.p:
+                raise ValueError(f"mixed moduli: {s.p} vs {self.p}")
+            return s.value, 1
+        try:
+            num, den = s.numerator, s.denominator
+        except AttributeError:
+            raise TypeError(f"{s!r} is not a scalar of F_{self.p}") from None
+        return self.from_fraction(num, den).value, 1
+
+    def canon(self, num: dict[Hashable, int], den: int) -> tuple[dict, int]:
+        """Numerators times den^-1, reduced mod p, zeros dropped; den 1."""
+        p = self.p
+        if den != 1:
+            inv = pow(den, -1, p)
+            num = {k: c * inv for k, c in num.items()}
+        return {k: r for k, c in num.items() if (r := c % p)}, 1
+
+    def split(self, values: dict[Hashable, Scalar | int]) -> tuple[dict, int]:
+        """Canonical (residues, 1) of a map to scalars."""
+        return self.canon({k: self.parts(c)[0] for k, c in values.items()}, 1)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p

@@ -5,10 +5,16 @@ v is the vacuum spinor killed by every annihilation generator and e_I means
 the creation generators applied in ascending index order.  Subsets are
 stored as bitmasks: bit a-1 set iff a is in I.  Even-popcount masks span
 the half-spinor space S_plus containing v, odd masks span S_minus.
+
+A spinor stores int numerators over one denominator, in the field's
+canonical form (see `field`).  The moves `create`, `annihilate` and
+`epsilon_action` work on those ints; the public accessors return field
+scalars.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterator, Optional
 
 from .field import Field, Rationals, Scalar
@@ -103,102 +109,169 @@ def apply_monomial(emask: int, imask: int, mask: int) -> Optional[tuple[int, int
     return (-1 if odd else 1, rest | emask)
 
 
-class SpinorVec:
-    """Sparse vector in S: a map from basis bitmask to nonzero coefficient.
+class SparseTerms:
+    """Sparse map from a bitmask key to a nonzero field scalar.
 
-    Values are immutable; all operations return fresh vectors.
+    The one storage of spinors and Clifford elements: int numerators keyed
+    by mask (`_num`) over one denominator (`_den`), in the field's canonical
+    form (see `field`), so equal values compare and hash equal whatever
+    denominators built them.  The kernels read `_num` and `_den` and build
+    their results with `_make`; every public accessor returns field
+    scalars.  Values are immutable; all operations return fresh values.
     """
 
-    __slots__ = ("config", "terms")
+    __slots__ = ("config", "_num", "_den")
 
-    def __init__(self, config: Config, terms: dict[int, Scalar]) -> None:
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
+    def __init__(self, config: Config, terms: dict) -> None:
+        for key in terms:
+            self._check_key(config, key)
+        num, den = config.field.split(terms)
+        _set_config(self, config)
+        _set_num(self, num)
+        _set_den(self, den)
 
-    def __setattr__(self, name: str, val: object) -> None:
-        raise AttributeError("SpinorVec is immutable")
+    @staticmethod
+    def _check_key(config: Config, key) -> None:
+        """Raise ValueError unless `key` is a valid key at `config`."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _key_str(key) -> str:
+        raise NotImplementedError
 
     @classmethod
-    def zero(cls, config: Config) -> "SpinorVec":
-        return cls(config, {})
+    def _make(cls, config: Config, num: dict, den: int = 1):
+        """The value num / den, brought to canonical form; keys unchecked.
+
+        Takes over `num`: callers pass a dict they no longer use.
+        """
+        self = object.__new__(cls)
+        num, den = config.field.canon(num, den)
+        _set_config(self, config)
+        _set_num(self, num)
+        _set_den(self, den)
+        return self
+
+    def __setattr__(self, name: str, val: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, config: Config):
+        return cls._make(config, {})
+
+    @property
+    def terms(self) -> dict:
+        """A fresh map from key to nonzero field scalar."""
+        from_fraction, den = self.config.field.from_fraction, self._den
+        return {k: from_fraction(c, den) for k, c in self._num.items()}
+
+    def items(self) -> Iterator[tuple]:
+        """Terms in ascending key order (deterministic exports)."""
+        return iter(sorted(self.terms.items()))
+
+    def get(self, key) -> Scalar:
+        return self.config.field.from_fraction(self._num.get(key, 0), self._den)
+
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self.config.check_same(other.config)
+        xs, xden, ys, yden = self._num, self._den, other._num, other._den
+        if xden == yden:
+            num = dict(xs)
+            for k, c in ys.items():
+                num[k] = num.get(k, 0) + c
+            return self._make(self.config, num, xden)
+        den = lcm(xden, yden)
+        fx, fy = den // xden, den // yden
+        num = {k: c * fx for k, c in xs.items()}
+        for k, c in ys.items():
+            num[k] = num.get(k, 0) + c * fy
+        return self._make(self.config, num, den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._make(self.config, {k: -c for k, c in self._num.items()}, self._den)
+
+    def scale(self, s: Scalar):
+        num, den = self.config.field.parts(s)
+        return self._make(
+            self.config, {k: c * num for k, c in self._num.items()}, self._den * den
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.config == other.config
+            and self._den == other._den
+            and self._num == other._num
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.config, self._den, tuple(sorted(self._num.items()))))
+
+    def __repr__(self) -> str:
+        if not self._num:
+            return "0"
+        return " ".join(f"+ ({c}) {self._key_str(k)}" for k, c in self.items())
+
+
+# Slot setters that bypass the immutability guard, for the constructors.
+_set_config = SparseTerms.config.__set__
+_set_num = SparseTerms._num.__set__
+_set_den = SparseTerms._den.__set__
+
+
+class SpinorVec(SparseTerms):
+    """Sparse vector in S: a map from basis bitmask to nonzero coefficient."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check_key(config: Config, mask: int) -> None:
+        if not 0 <= mask < config.size:
+            raise ValueError(f"basis index {mask} out of range for n={config.n}")
+
+    _key_str = staticmethod(mask_str)
 
     @classmethod
     def basis(cls, config: Config, mask: int) -> "SpinorVec":
-        if not 0 <= mask < config.size:
-            raise ValueError(f"basis index {mask} out of range for n={config.n}")
-        return cls(config, {mask: config.field.one()})
+        cls._check_key(config, mask)
+        return cls._make(config, {mask: 1})
 
     @classmethod
     def vacuum(cls, config: Config) -> "SpinorVec":
         return cls.basis(config, 0)
 
-    def items(self) -> Iterator[tuple[int, Scalar]]:
-        """Terms in ascending mask order (deterministic exports)."""
-        return iter(sorted(self.terms.items()))
-
-    def get(self, mask: int) -> Scalar:
-        return self.terms.get(mask, self.config.field.zero())
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def parity(self) -> Optional[int]:
         """0 if the vector lies in S_plus, 1 if in S_minus, None if mixed."""
-        parities = {parity(m) for m in self.terms}
+        parities = {parity(m) for m in self._num}
         if len(parities) == 1:
             return parities.pop()
         return None
-
-    def __add__(self, other: "SpinorVec") -> "SpinorVec":
-        self.config.check_same(other.config)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            out[m] = c if s is None else s + c
-        return SpinorVec(self.config, out)
-
-    def __sub__(self, other: "SpinorVec") -> "SpinorVec":
-        return self + (-other)
-
-    def __neg__(self) -> "SpinorVec":
-        return SpinorVec(self.config, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, s: Scalar) -> "SpinorVec":
-        if not s:
-            return SpinorVec.zero(self.config)
-        return SpinorVec(self.config, {m: c * s for m, c in self.terms.items()})
 
     def __mul__(self, s: Scalar) -> "SpinorVec":
         return self.scale(s)
 
     __rmul__ = __mul__
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpinorVec):
-            return NotImplemented
-        return self.config == other.config and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.config, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " ".join(f"+ ({c}) {mask_str(m)}" for m, c in self.items())
-
 
 def _apply_single(config: Config, emask: int, imask: int, psi: SpinorVec) -> SpinorVec:
     config.check_same(psi.config)
-    out: dict[int, Scalar] = {}
-    for mask, c in psi.terms.items():
+    out: dict[int, int] = {}
+    for mask, c in psi._num.items():
         hit = apply_monomial(emask, imask, mask)
         if hit is None:
             continue
         sign, new = hit
-        term = c if sign > 0 else -c
-        s = out.get(new)
-        out[new] = term if s is None else s + term
-    return SpinorVec(config, out)
+        out[new] = out.get(new, 0) + (c if sign > 0 else -c)
+    return SpinorVec._make(config, out, psi._den)
 
 
 def create(a: int, psi: SpinorVec) -> SpinorVec:
@@ -217,7 +290,8 @@ def annihilate(a: int, psi: SpinorVec) -> SpinorVec:
 
 def epsilon_action(psi: SpinorVec) -> SpinorVec:
     """The grading element: +1 on S_plus, -1 on S_minus."""
-    return SpinorVec(
+    return SpinorVec._make(
         psi.config,
-        {m: (c if not parity(m) else -c) for m, c in psi.terms.items()},
+        {m: (c if not parity(m) else -c) for m, c in psi._num.items()},
+        psi._den,
     )

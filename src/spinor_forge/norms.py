@@ -28,10 +28,12 @@ class BilinearForm:
 
     entries maps (imask, jmask) to a nonzero scalar; for both flavors the
     support satisfies jmask = complement of imask, so each basis vector
-    pairs with exactly one partner.
+    pairs with exactly one partner.  The kernels read the same entries as
+    int numerators keyed by imask alone, over one denominator (`_num`,
+    `_den`, in the field's canonical form), built with the form.
     """
 
-    __slots__ = ("config", "flavor", "entries")
+    __slots__ = ("config", "flavor", "entries", "_num", "_den")
 
     def __init__(
         self,
@@ -52,7 +54,10 @@ class BilinearForm:
                 raise ValueError("stored entries must be nonzero")
         object.__setattr__(self, "config", config)
         object.__setattr__(self, "flavor", flavor)
+        num, den = config.field.split({i: v for (i, _), v in entries.items()})
         object.__setattr__(self, "entries", dict(entries))
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name: str, val: object) -> None:
         raise AttributeError("BilinearForm is immutable")
@@ -91,19 +96,21 @@ class BilinearForm:
 
 
 def b_eval(form: BilinearForm, phi: SpinorVec, psi: SpinorVec) -> Scalar:
-    form.config.check_same(phi.config)
-    form.config.check_same(psi.config)
-    full = form.config.size - 1
-    acc = form.config.field.zero()
-    for imask, ci in phi.terms.items():
-        jmask = imask ^ full
-        cj = psi.terms.get(jmask)
+    """B(phi, psi), summed on the int numerators and divided once."""
+    config = form.config
+    config.check_same(phi.config)
+    config.check_same(psi.config)
+    full = config.size - 1
+    entries, psi_num = form._num, psi._num
+    acc = 0
+    for imask, ci in phi._num.items():
+        cj = psi_num.get(imask ^ full)
         if cj is None:
             continue
-        val = form.entries.get((imask, jmask))
+        val = entries.get(imask)
         if val is not None:
-            acc = acc + ci * cj * val
-    return acc
+            acc += ci * cj * val
+    return config.field.from_fraction(acc, phi._den * psi._den * form._den)
 
 
 # Largest n the norm solve accepts: its arrays grow as 4^n (about 100 MiB

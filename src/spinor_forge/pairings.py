@@ -21,8 +21,8 @@ from typing import Optional
 
 from .clifford import (
     CliffordElem,
+    _blade_terms,
     act,
-    blade_to_elem,
     grading_element,
     multiply,
     witt_e,
@@ -40,36 +40,35 @@ def _check_pair(form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec) -> Config:
     return config
 
 
-def _accum(dst: dict, elem: CliffordElem, scalar: Scalar) -> None:
-    """dst += scalar * elem on raw term dicts, avoiding element copies."""
-    for mono, c in elem.terms.items():
-        prev = dst.get(mono)
-        val = c * scalar
-        dst[mono] = val if prev is None else prev + val
+def _accum(dst: dict, num: dict, scalar: int) -> None:
+    """dst += scalar * num on int numerator maps, avoiding element copies."""
+    for mono, c in num.items():
+        dst[mono] = dst.get(mono, 0) + c * scalar
 
 
 def _move_pairing(
     form: BilinearForm, word: CliffordElem, phi: SpinorVec, psi: SpinorVec
-) -> Optional[Scalar]:
+) -> Optional[int]:
     """B(word.phi, psi) by direct Fock moves, or None if no term meets psi.
 
     Each (word term, phi term) pair is one `apply_monomial`; B pairs the
     image mask only with psi's coefficient at its complement.  Equals
     b_eval(form, act(word, phi), psi) without building the spinor.
+    Returns the int numerator over den(word) den(phi) den(psi) den(B).
     """
     full = form.config.size - 1
-    entries = form.entries
+    entries, psi_num = form._num, psi._num
     acc = None
-    for (emask, imask), cw in word.terms.items():
-        for mask, cp in phi.terms.items():
+    for (emask, imask), cw in word._num.items():
+        for mask, cp in phi._num.items():
             hit = apply_monomial(emask, imask, mask)
             if hit is None:
                 continue
             sign, new = hit
-            cq = psi.terms.get(new ^ full)
+            cq = psi_num.get(new ^ full)
             if cq is None:
                 continue
-            val = entries.get((new, new ^ full))
+            val = entries.get(new)
             if val is None:
                 continue
             term = cw * cp * cq * val
@@ -81,7 +80,11 @@ def _move_pairing(
 
 @lru_cache(maxsize=None)
 def _four_sum_elements(config: Config):
-    """Constant Clifford elements appearing in the four-sum formula."""
+    """Constant Clifford elements appearing in the four-sum formula.
+
+    Products and differences of Witt generators, so all of them are
+    integral (denominator 1): callers read their numerators directly.
+    """
     ee, ii, ei, ie_minus = {}, {}, {}, {}
     diag_in, diag_out = {}, {}
     for a in range(1, config.n + 1):
@@ -115,11 +118,12 @@ def grade2_pairing(form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec) -> Clif
     for basis_grade2_pairing and grade2_pairing_on_basis.
 
     Equals 2^(n-1) times the grade-2 projection of the endomorphism
-    pairing; that identity is checked in tests, not assumed here.
+    pairing; that identity is checked in tests, not assumed here.  The
+    sum runs on int numerators over den(psi1) den(psi2) den(B) times 2,
+    the 2 carrying the diagonal half.
     """
     config = _check_pair(form, psi1, psi2)
     ee, ii, ei, ie_minus, diag_in, diag_out = _four_sum_elements(config)
-    half = config.field.from_fraction(1, 2)
     out: dict = {}
     for a in range(1, config.n + 1):
         for b in range(1, config.n + 1):
@@ -127,27 +131,27 @@ def grade2_pairing(form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec) -> Clif
                 continue
             c = _move_pairing(form, ee[(a, b)], psi1, psi2)
             if c:
-                _accum(out, ii[(a, b)], c)
+                _accum(out, ii[(a, b)]._num, 2 * c)
             c = _move_pairing(form, ii[(a, b)], psi1, psi2)
             if c:
-                _accum(out, ee[(a, b)], c)
+                _accum(out, ee[(a, b)]._num, 2 * c)
             c = _move_pairing(form, ei[(a, b)], psi1, psi2)
             if c:
-                _accum(out, ie_minus[(a, b)], c)
+                _accum(out, ie_minus[(a, b)]._num, 2 * c)
     for a in range(1, config.n + 1):
         c = _move_pairing(form, diag_in[a], psi1, psi2)
         if c:
-            _accum(out, diag_out[a], c * half)
-    return CliffordElem(config, out)
+            _accum(out, diag_out[a]._num, c)
+    return CliffordElem._make(config, out, 2 * psi1._den * psi2._den * form._den)
 
 
-def _matrix_entry(x: CliffordElem, row: int, col: int) -> Scalar:
-    """The coefficient of e_row.v in x applied to e_col.v."""
-    acc = x.config.field.zero()
-    for (emask, imask), c in x.terms.items():
+def _matrix_entry(x: CliffordElem, row: int, col: int) -> int:
+    """The coefficient of e_row.v in x applied to e_col.v, over den(x)."""
+    acc = 0
+    for (emask, imask), c in x._num.items():
         hit = apply_monomial(emask, imask, col)
         if hit is not None and hit[1] == row:
-            acc = acc + (c if hit[0] > 0 else -c)
+            acc += c if hit[0] > 0 else -c
     return acc
 
 
@@ -177,13 +181,13 @@ def basis_grade2_pairing(form: BilinearForm, imask: int, jmask: int) -> Clifford
     config = form.config
     _check_masks(config, imask, jmask)
     partner = jmask ^ (config.size - 1)
-    val = form.entries.get((partner, jmask))
+    val = form._num.get(partner)
     if val is None:
         return CliffordElem.zero(config)
     ee, ii, ei, ie_minus, diag_in, diag_out = _four_sum_elements(config)
     p = imask & jmask
     r = partner & ~imask
-    weight = val
+    den = form._den
     if p == 0 and r.bit_count() == 2:
         a, b = r.bit_length(), (r & -r).bit_length()
         terms = [(ee[(a, b)], ii[(a, b)]), (ee[(b, a)], ii[(b, a)])]
@@ -194,7 +198,7 @@ def basis_grade2_pairing(form: BilinearForm, imask: int, jmask: int) -> Clifford
         a, b = r.bit_length(), p.bit_length()
         terms = [(ei[(a, b)], ie_minus[(a, b)])]
     elif p == 0 and r == 0:
-        weight = val * config.field.from_fraction(1, 2)
+        den *= 2
         terms = [(diag_in[a], diag_out[a]) for a in range(1, config.n + 1)]
     else:
         return CliffordElem.zero(config)
@@ -202,8 +206,8 @@ def basis_grade2_pairing(form: BilinearForm, imask: int, jmask: int) -> Clifford
     for move, elem in terms:
         c = _matrix_entry(move, partner, imask)
         if c:
-            _accum(out, elem, c * weight)
-    return CliffordElem(config, out)
+            _accum(out, elem._num, c * val)
+    return CliffordElem._make(config, out, den)
 
 
 def grade2_pairing_projected(
@@ -229,46 +233,48 @@ def grade2_pairing_on_basis(
     config = form.config
     _check_masks(config, imask, jmask, kmask)
     full = config.size - 1
-    field = config.field
     zero = SpinorVec.zero(config)
     p = imask & jmask
     r = full & ~(imask | jmask)
-    two = field.from_int(2)
+
+    def entry(mask: int) -> Optional[int]:
+        # the numerator of B(e_mask.v, e_J.v), None off the support
+        return form._num.get(mask) if mask ^ jmask == full else None
 
     if p == 0 and r.bit_count() == 2:
         # 2 B(e_a e_b e_I.v, e_J.v) i_a i_b e_K.v with {a,b} = R
         left = apply_monomial(r, 0, imask)
         if left is None:
             return zero
-        val = form.entries.get((left[1], jmask))
+        val = entry(left[1])
         if val is None:
             return zero
         move = apply_monomial(0, r, kmask)
         if move is None:
             return zero
-        coeff = two * val * field.from_int(left[0] * move[0])
-        return SpinorVec(config, {move[1]: coeff})
+        coeff = 2 * val * left[0] * move[0]
+        return SpinorVec._make(config, {move[1]: coeff}, form._den)
 
     if p.bit_count() == 2 and r == 0:
         # 2 B(i_a i_b e_I.v, e_J.v) e_a e_b e_K.v with {a,b} = P
         left = apply_monomial(0, p, imask)
         if left is None:
             return zero
-        val = form.entries.get((left[1], jmask))
+        val = entry(left[1])
         if val is None:
             return zero
         move = apply_monomial(p, 0, kmask)
         if move is None:
             return zero
-        coeff = two * val * field.from_int(left[0] * move[0])
-        return SpinorVec(config, {move[1]: coeff})
+        coeff = 2 * val * left[0] * move[0]
+        return SpinorVec._make(config, {move[1]: coeff}, form._den)
 
     if p.bit_count() == 1 and r.bit_count() == 1:
         # 2 B(e_a i_b e_I.v, e_J.v) i_a e_b e_K.v with b in P, a in R
         left = apply_monomial(r, p, imask)
         if left is None:
             return zero
-        val = form.entries.get((left[1], jmask))
+        val = entry(left[1])
         if val is None:
             return zero
         first = apply_monomial(p, 0, kmask)  # e_b first, then i_a
@@ -277,18 +283,17 @@ def grade2_pairing_on_basis(
         second = apply_monomial(0, r, first[1])
         if second is None:
             return zero
-        coeff = two * val * field.from_int(left[0] * first[0] * second[0])
-        return SpinorVec(config, {second[1]: coeff})
+        coeff = 2 * val * left[0] * first[0] * second[0]
+        return SpinorVec._make(config, {second[1]: coeff}, form._den)
 
     if p == 0 and r == 0:
         # (1/2) B(e_I.v, e_J.v) (n - 2|I n K| - 2|I^c n K^c|) e_K.v
-        val = form.entries.get((imask, jmask))
+        val = entry(imask)
         if val is None:
             return zero
         count = config.n - 2 * (imask & kmask).bit_count()
         count -= 2 * (full & ~imask & ~kmask).bit_count()
-        coeff = field.from_fraction(1, 2) * val * field.from_int(count)
-        return SpinorVec(config, {kmask: coeff})
+        return SpinorVec._make(config, {kmask: val * count}, 2 * form._den)
 
     return zero
 
@@ -312,11 +317,13 @@ def basis_top_grade_coefficient(form: BilinearForm, imask: int, jmask: int) -> S
     config = form.config
     _check_masks(config, imask, jmask)
     field = config.field
-    val = form.entries.get((imask, jmask))
-    if val is None:
+    val = form._num.get(imask)
+    if val is None or jmask != imask ^ (config.size - 1):
         return field.zero()
-    eps = _matrix_entry(grading_element(config), jmask, jmask)
-    return field.from_fraction(1, config.size) * val * eps
+    eps = grading_element(config)
+    return field.from_fraction(
+        val * _matrix_entry(eps, jmask, jmask), config.size * form._den * eps._den
+    )
 
 
 def top_grade_pairing(
@@ -349,9 +356,8 @@ def graded_pairing(
     if form.flavor != "graded":
         raise ValueError("graded_pairing expects the graded norm")
     config = _check_pair(form, psi1, psi2)
-    field = config.field
     full = config.size - 1
-    entries = form.entries
+    entries, psi1_num = form._num, psi1._num
     nslots = 2 * config.n
 
     def move(mask: int, slot: int) -> tuple[int, int]:
@@ -363,33 +369,32 @@ def graded_pairing(
             odd += 1 + ((mask & bit) != 0)
         return odd, mask ^ bit
 
-    scal: dict[int, Scalar] = {}
+    scal: dict[int, int] = {}
 
-    def add(blade: int, odd: int, new: int, c: Scalar) -> None:
-        # scal[blade] += (-1)^odd B_eps(psi1, c e_new.v)
-        cp = psi1.terms.get(new ^ full)
+    def add(blade: int, odd: int, new: int, c: int) -> None:
+        # scal[blade] += (-1)^odd B_eps(psi1, c e_new.v), on numerators
+        cp = psi1_num.get(new ^ full)
         if cp is None:
             return
-        val = entries.get((new ^ full, new))
+        val = entries.get(new ^ full)
         if val is None:
             return
-        term = -(cp * c * val) if odd & 1 else cp * c * val
-        prev = scal.get(blade)
-        scal[blade] = term if prev is None else prev + term
+        term = cp * c * val
+        scal[blade] = scal.get(blade, 0) + (-term if odd & 1 else term)
 
-    for mask, c in psi2.terms.items():
+    for mask, c in psi2._num.items():
         for s in range(nslots):
             odd_s, m1 = move(mask, s)
             add(1 << s, odd_s, m1, c)
             for t in range(s + 1, nslots):
                 odd_t, m2 = move(m1, t)
                 add((1 << s) | (1 << t), odd_s + odd_t, m2, c)
-    inv = field.from_fraction(1, config.size)
     out: dict = {}
     for blade, c in scal.items():
         if c:
-            _accum(out, blade_to_elem(config, blade), c * inv)
-    return CliffordElem(config, out)
+            _accum(out, _blade_terms(blade), c)
+    den = config.size * psi1._den * psi2._den * form._den
+    return CliffordElem._make(config, out, den)
 
 
 def orbit_map_adjoint(
@@ -408,22 +413,21 @@ def orbit_map_adjoint(
     """
     config = _check_pair(form, phi, psi)
     full = config.size - 1
+    entries, phi_num = form._num, phi._num
     out: dict = {}
-    for mask, c in psi.terms.items():
+    for mask, c in psi._num.items():
         for bit in range(config.n):
             one = 1 << bit
             new = mask ^ one
-            cp = phi.terms.get(new ^ full)
-            val = form.entries.get((new ^ full, new))
+            cp = phi_num.get(new ^ full)
+            val = entries.get(new ^ full)
             if cp is None or val is None:
                 continue
             odd = (mask & (one - 1)).bit_count() & 1
-            term = -(cp * val * c) if odd else cp * val * c
+            term = 2 * cp * val * c
             key = (one, 0) if mask & one else (0, one)
-            prev = out.get(key)
-            out[key] = term if prev is None else prev + term
-    two = config.field.from_int(2)
-    return CliffordElem(config, {key: two * val for key, val in out.items()})
+            out[key] = out.get(key, 0) + (-term if odd else term)
+    return CliffordElem._make(config, out, phi._den * psi._den * form._den)
 
 
 @lru_cache(maxsize=None)
@@ -464,15 +468,15 @@ def endomorphism_pairing(
     config = _check_pair(form, phi, psi)
     out: dict = {}
     full = config.size - 1
-    for imask, ci in phi.terms.items():
-        qmask = imask ^ full
-        val = form.entries.get((imask, qmask))
+    for imask, ci in phi._num.items():
+        val = form._num.get(imask)
         if val is None:
             continue
         bval = ci * val
-        for pmask, cp in psi.terms.items():
-            _accum(out, matrix_unit(config, pmask, qmask), bval * cp)
-    return CliffordElem(config, out)
+        for pmask, cp in psi._num.items():
+            # every matrix unit is integral (denominator 1)
+            _accum(out, matrix_unit(config, pmask, imask ^ full)._num, bval * cp)
+    return CliffordElem._make(config, out, phi._den * psi._den * form._den)
 
 
 class PolarisationChange:

@@ -26,7 +26,7 @@ from .clifford import (
     orthonormal_vector,
     q_map,
     slot_metric,
-    trace,
+    trace_product,
     transpose,
     witt_e,
     witt_i,
@@ -185,12 +185,13 @@ def check_q_isometry(n: int) -> CheckResult:
 
     def failure(outer: list, inner: list) -> str | None:
         """The first failing (s1, s2) pair; each blade and each outer
-        transpose is built once, every pair still traces its product."""
+        transpose is built once, every pair traces its product without
+        forming it."""
         blades = {s: q_map(config, s) for s in outer + inner}
         for s1 in outer:
             t1 = transpose(blades[s1])
             for s2 in inner:
-                got = trace(multiply(t1, blades[s2]))
+                got = trace_product(t1, blades[s2])
                 want = config.size * metric(s1) if s1 == s2 else 0
                 if got != field.from_int(want):
                     return f"failed at pair {s1} x {s2}"
