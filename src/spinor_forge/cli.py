@@ -146,8 +146,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_export(cfg: RunConfig) -> int:
+    start = time.perf_counter()
     field = make_field(cfg.field)
     algebra = _BUILDERS[cfg.algebra](field=field)
+    build_seconds = time.perf_counter() - start
     raw = to_json(algebra).encode("utf-8")
     with open(cfg.out, "wb") as fh:
         fh.write(raw)
@@ -162,6 +164,8 @@ def cmd_export(cfg: RunConfig) -> int:
             "out": cfg.out,
             "bytes": len(raw),
             "sha256": digest,
+            "build_seconds": round(build_seconds, 3),
+            "seconds": round(time.perf_counter() - start, 3),
         }
     )
     return 0

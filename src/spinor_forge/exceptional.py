@@ -4,14 +4,17 @@ Three constructions on one chassis: a labeled basis, a bracket function on
 label pairs, and a sparse structure-constant table memoized per unordered
 pair.  The degree-zero part is always the grade-2 part of the Clifford
 algebra (plus sl2 or the grading element where the construction calls for
-it) acting on one of its spinor modules; the spinor-spinor bracket is built
-from the grade-2 and top-grade pairings, evaluated on basis pairs by their
-closed forms (basis_grade2_pairing, basis_top_grade_coefficient).  Brackets
-inside the grade-2 part come from the so(2n) table on labels
-(_c2_bracket) and its action on a spinor basis vector is one Fock move
-per label (_c2_move); no Clifford product is formed for either.  Each
-bracket enters the table once: verify_antisymmetry hands the results it
-computes to the table, so a later sweep does not evaluate them again.
+it) acting on one of its spinor modules.  The builders work on labels
+only and form no Clifford element: the spinor-spinor bracket is the
+paper's L_2 on a pair of basis spinors, written straight in grade-2 labels
+by its closed form (_l2_coords), plus the top-grade coefficient
+(pairings.basis_top_grade_coefficient) for e6; brackets inside the
+grade-2 part come from the so(2n) table on labels (_c2_bracket), and the
+action of a label on a spinor basis vector is one Fock move (_c2_move).
+The generic Clifford route (the four-sum pairing, commutators, act) is the
+test oracle.  Each bracket enters the table once: verify_antisymmetry
+hands the results it computes to the table, so a later sweep does not
+evaluate them again.
 
 Verification is numeric and exact: the Jacobi identity is checked as the
 matrix identity ad([x,y]) = [ad x, ad y] over integer lifts, the Killing
@@ -24,7 +27,6 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd, lcm
 from time import perf_counter
@@ -32,18 +34,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .clifford import CliffordElem, act, commutator, grading_element, multiply, witt_e, witt_i
 from .field import Field, Rationals, Scalar, scalar_str
-from .fock import Config, SpinorVec, apply_monomial, mask_str, parity
+from .fock import Config, apply_monomial, mask_str, parity
 from .linalg import IncrementalRank, echelon_rank, nullspace, rank_mod_p
 from .norms import BilinearForm, solve_spinor_norm
-from .pairings import basis_grade2_pairing, basis_top_grade_coefficient
+from .pairings import basis_top_grade_coefficient
 
 Label = tuple
-
-
-class DecompositionError(ValueError):
-    """An element fell outside the span it was asked to be written in."""
 
 
 def c2_labels(n: int) -> list[Label]:
@@ -82,58 +79,6 @@ def label_str(label: Label) -> str:
 
 def is_spinor_label(label: Label) -> bool:
     return label[0] in ("s", "s2")
-
-
-@lru_cache(maxsize=None)
-def c2_elem(config: Config, label: Label) -> CliffordElem:
-    """The grade-2 basis element a label names, as a Clifford element."""
-    kind = label[0]
-    if kind == "ee":
-        return multiply(witt_e(config, label[1]), witt_e(config, label[2]))
-    if kind == "ii":
-        return multiply(witt_i(config, label[1]), witt_i(config, label[2]))
-    if kind == "ei":
-        ea, ib = witt_e(config, label[1]), witt_i(config, label[2])
-        return multiply(ea, ib) - multiply(ib, ea)
-    raise ValueError(f"not a grade-2 label: {label!r}")
-
-
-def c2_coords(x: CliffordElem) -> dict[Label, Scalar]:
-    """Write a grade-2 element in the c2_labels basis.
-
-    Monomial pattern (2,0) is an ee term, (0,2) an ii term, (1,1) half an
-    F_ab; the scalar monomial must equal minus the diagonal F_aa total
-    (each F_aa = 2 e_a i_a - 1 carries a constant).  Anything else raises
-    DecompositionError.  Read on x's int numerators; each coordinate is
-    turned into a field scalar once.
-    """
-    field = x.config.field
-    scalar, den = field.from_fraction, x._den
-    coords: dict[Label, Scalar] = {}
-    const = 0
-    diag = 0
-    for (emask, imask), c in x._num.items():
-        en, im = emask.bit_count(), imask.bit_count()
-        if en == 0 and im == 0:
-            const = c
-        elif en == 2 and im == 0:
-            a = (emask & -emask).bit_length()
-            coords[("ee", a, emask.bit_length())] = scalar(c, den)
-        elif en == 0 and im == 2:
-            a = (imask & -imask).bit_length()
-            coords[("ii", a, imask.bit_length())] = scalar(c, den)
-        elif en == 1 and im == 1:
-            a, b = emask.bit_length(), imask.bit_length()
-            coords[("ei", a, b)] = scalar(c, 2 * den)
-            if a == b:
-                diag += c
-        else:
-            raise DecompositionError(
-                f"monomial {(emask, imask)} lies outside the grade-2 span"
-            )
-    if field.from_int(2 * const + diag):
-        raise DecompositionError("constant term does not match the diagonal part")
-    return coords
 
 
 class LieAlgebra:
@@ -176,6 +121,8 @@ class LieAlgebra:
     def bracket(self, i: int, j: int) -> tuple[tuple[int, Scalar], ...]:
         """[b_i, b_j] as ((k, coefficient), ...) ascending in k."""
         if i == j:
+            if not 0 <= i < self.dim:
+                raise ValueError(f"bad index pair ({i}, {j})")
             return ()
         if i > j:
             return tuple((k, -c) for k, c in self.bracket(j, i))
@@ -334,6 +281,49 @@ def _c2_move(field: Field, label: Label, mask: int) -> Optional[tuple[int, Scala
     return moved, field.from_int(sign * scale)
 
 
+def _l2_coords(form: BilinearForm, imask: int, jmask: int) -> dict[Label, Scalar]:
+    """The normalized grade-2 pairing L_2(e_I.v, e_J.v) in grade-2 labels.
+
+    B pairs e_J.v only with e_{J^c}.v; write beta = B(e_{J^c}.v, e_J.v).
+    With P = I n J and R = I^c n J^c, the monomial e_R i_P sends e_I.v to
+    s e_{J^c}.v for a sign s, and the paper's basis matrix of L_2 reads
+
+        (|P|, |R|) = (0, 2): 2 s beta on ii(R),
+                     (2, 0): 2 s beta on ee(P),
+                     (1, 1):  -s beta on ei(b, a), P = {b} and R = {a},
+                     (0, 0): J = I^c, and beta/2 on ei(a, a) for a not
+                             in I, -beta/2 for a in I;
+
+    every other pair of masks gives zero.  Each coefficient is one int
+    numerator over the form's denominator.  These are the values of the
+    four-sum pairings.grade2_pairing in c2_labels coordinates, which the
+    tests keep as the oracle.
+    """
+    config = form.config
+    partner = jmask ^ (config.size - 1)
+    val = form._num.get(partner)
+    if val is None:
+        return {}
+    field, den = config.field, form._den
+    p, r = imask & jmask, partner & ~imask
+    if p == 0 and r == 0:
+        half = field.from_fraction(val, 2 * den)
+        return {
+            ("ei", a, a): -half if imask >> (a - 1) & 1 else half
+            for a in range(1, config.n + 1)
+        }
+    if p.bit_count() + r.bit_count() != 2:
+        return {}
+    # P lies in I and R outside it, so the move never vanishes
+    sign = apply_monomial(r, p, imask)[0]
+    if p and r:
+        label = ("ei", p.bit_length(), r.bit_length())
+        return {label: field.from_fraction(-sign * val, den)}
+    pair = p | r
+    label = ("ee" if p else "ii", (pair & -pair).bit_length(), pair.bit_length())
+    return {label: field.from_fraction(2 * sign * val, den)}
+
+
 def build_e8(
     field: Optional[Field] = None,
     half: str = "+",
@@ -364,7 +354,7 @@ def build_e8(
         if not sb:
             hit = _c2_move(field_, lb, la[1])
             return {} if hit is None else {("s", hit[0]): -hit[1]}
-        return c2_coords(basis_grade2_pairing(form, la[1], lb[1]))
+        return _l2_coords(form, la[1], lb[1])
 
     return LieAlgebra("e8", config, labels, fn)
 
@@ -400,7 +390,8 @@ def _e7_jacobi_rows(
     For [psi (x) x, phi (x) y] = c1 omega(x,y) pairing(psi,phi)
     + c2 B(psi,phi) sigma(x,y), the cyclic Jacobi sum over a triple is
     linear in (c1, c2); P collects the pairing-action part and Q the
-    sigma part, one row per output coordinate.
+    sigma part, one row per output coordinate.  The pairing acts label by
+    label through _l2_coords and _c2_move, the operator the table stores.
     """
     field = config.field
     pvals: dict[tuple[int, int], Scalar] = {}
@@ -411,12 +402,13 @@ def _e7_jacobi_rows(
         mc, sc = triple[c]
         w = _OMEGA.get((sa, sb))
         if w:
-            elem = basis_grade2_pairing(form, ma, mb)
-            out = act(elem, SpinorVec.basis(config, mc))
             ws = field.from_int(w)
-            for m, coeff in out.terms.items():
-                key = (m, sc)
-                add = coeff * ws
+            for lab, coeff in _l2_coords(form, ma, mb).items():
+                hit = _c2_move(field, lab, mc)
+                if hit is None:
+                    continue
+                key = (hit[0], sc)
+                add = coeff * hit[1] * ws
                 prev = pvals.get(key)
                 pvals[key] = add if prev is None else prev + add
         bval = form.entry(ma, mb)
@@ -516,9 +508,8 @@ def build_e7(
             coords: dict[Label, Scalar] = {}
             w = _OMEGA.get((sa, sb))
             if w:
-                pair = basis_grade2_pairing(form, ma, mb)
                 cw = c1 * field_.from_int(w)
-                for lab, c in c2_coords(pair).items():
+                for lab, c in _l2_coords(form, ma, mb).items():
                     coords[lab] = c * cw
             bval = form.entry(ma, mb)
             if bval:
@@ -580,22 +571,30 @@ def build_e6(
     b_s = field_.from_int(spinor_coeffs[1])
     labels = c2_labels(5) + [("eps",)]
     labels += [("s", m) for m in range(config.size)]
-    eps = grading_element(config)
-
-    def zero_part(lab: Label) -> CliffordElem:
-        return eps if lab[0] == "eps" else c2_elem(config, lab)
 
     def move(lab: Label, mask: int) -> dict[int, Scalar]:
         if lab[0] == "eps":
-            return act(eps, SpinorVec.basis(config, mask)).terms
+            # eps e_M.v = (-1)^|M| e_M.v
+            return {mask: field_.from_int(-1 if parity(mask) else 1)}
         hit = _c2_move(field_, lab, mask)
         return {} if hit is None else {hit[0]: hit[1]}
+
+    def centralizes(lab: Label) -> bool:
+        # C = End(S), so eps commutes with lab iff lab's Fock move keeps
+        # |M| mod 2 on every basis vector e_M.v
+        if lab[0] == "eps":
+            return True
+        for mask in range(config.size):
+            hit = _c2_move(field_, lab, mask)
+            if hit is not None and parity(hit[0]) != parity(mask):
+                return False
+        return True
 
     def fn(la: Label, lb: Label) -> dict[Label, Scalar]:
         ka, kb = la[0], lb[0]
         if ka != "s" and kb != "s":
             if ka == "eps" or kb == "eps":
-                if not commutator(zero_part(la), zero_part(lb)).is_zero():
+                if not (centralizes(la) and centralizes(lb)):
                     raise RuntimeError(
                         "grading element failed to centralize the grade-2 part"
                     )
@@ -605,9 +604,8 @@ def build_e6(
             return {("s", m): c for m, c in move(la, lb[1]).items()}
         if kb != "s":
             return {("s", m): -c for m, c in move(lb, la[1]).items()}
-        pair = basis_grade2_pairing(form, la[1], lb[1])
         coords: dict[Label, Scalar] = {
-            lab: c * a_s for lab, c in c2_coords(pair).items()
+            lab: c * a_s for lab, c in _l2_coords(form, la[1], lb[1]).items()
         }
         top = basis_top_grade_coefficient(form, la[1], lb[1])
         if top:
@@ -875,11 +873,17 @@ def verify_antisymmetry(L: LieAlgebra, pairs=None) -> list[tuple[int, int]]:
     The stored table is antisymmetric by construction, so this evaluates
     the raw bracket function in both orders (and on the diagonal, which
     must vanish).  The ascending-order result is handed to L.remember, so
-    a later materialize or Jacobi sweep does not evaluate it again.
+    a later materialize or Jacobi sweep does not evaluate it again.  Every
+    index must lie in [0, dim), checked before any bracket is evaluated.
     """
     n = L.dim
     if pairs is None:
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    else:
+        pairs = list(pairs)
+        for i, j in pairs:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"bad index pair ({i}, {j})")
     bad = []
     for i, j in pairs:
         fwd = L.raw_bracket(L.basis[i], L.basis[j])

@@ -6,12 +6,12 @@ generic four-sum grade2_pairing works on any two spinors and is the
 oracle; each of its terms B(w.psi1, psi2) for a two-generator word w is
 evaluated by direct Fock moves, one signed move per (word term, spinor
 term), with no pruning by the basis case table.  On a pair of Fock basis
-vectors, basis_grade2_pairing and basis_top_grade_coefficient evaluate
-only the terms the two masks allow; they are the build path of the
-exceptional algebras.  The case-table action grade2_pairing_on_basis is
-implemented without the four-sum so the routes validate each other.  The
-top-grade and graded variants (the graded one also by direct moves) and
-the orbit-map adjoint round out the toolkit.
+vectors the exceptional builders read the pairing in closed form, straight
+in grade-2 labels (exceptional._l2_coords), and the top-grade coefficient
+from basis_top_grade_coefficient.  The case-table action
+grade2_pairing_on_basis is implemented without the four-sum so the routes
+validate each other.  The top-grade and graded variants (the graded one
+also by direct moves) and the orbit-map adjoint round out the toolkit.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .clifford import (
     witt_i,
 )
 from .field import Scalar
-from .fock import Config, SpinorVec, apply_monomial, mask_str
+from .fock import Config, SpinorVec, apply_monomial, mask_str, parity
 from .norms import BilinearForm, b_eval
 
 
@@ -115,7 +115,7 @@ def grade2_pairing(form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec) -> Clif
     Every coefficient B(w.psi1, psi2), all n(n-1) off-diagonal words of
     each sum and all n diagonal ones, is evaluated by `_move_pairing`;
     no term is skipped by the basis case table, so this stays the oracle
-    for basis_grade2_pairing and grade2_pairing_on_basis.
+    for exceptional._l2_coords and grade2_pairing_on_basis.
 
     Equals 2^(n-1) times the grade-2 projection of the endomorphism
     pairing; that identity is checked in tests, not assumed here.  The
@@ -145,69 +145,10 @@ def grade2_pairing(form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec) -> Clif
     return CliffordElem._make(config, out, 2 * psi1._den * psi2._den * form._den)
 
 
-def _matrix_entry(x: CliffordElem, row: int, col: int) -> int:
-    """The coefficient of e_row.v in x applied to e_col.v, over den(x)."""
-    acc = 0
-    for (emask, imask), c in x._num.items():
-        hit = apply_monomial(emask, imask, col)
-        if hit is not None and hit[1] == row:
-            acc += c if hit[0] > 0 else -c
-    return acc
-
-
 def _check_masks(config: Config, *masks: int) -> None:
     for m in masks:
         if not 0 <= m < config.size:
             raise ValueError(f"mask {m} out of range for n={config.n}")
-
-
-def basis_grade2_pairing(form: BilinearForm, imask: int, jmask: int) -> CliffordElem:
-    """grade2_pairing(form, e_I.v, e_J.v) for two Fock basis masks.
-
-    B pairs e_J.v only with e_{J^c}.v, so a four-sum term survives only
-    when its generator word moves e_I.v onto e_{J^c}.v.  Writing
-    P = I n J and R = I^c n J^c:
-
-        (|P|, |R|) = (0, 2): the ii terms with {a, b} = R;
-                     (2, 0): the ee terms with {a, b} = P;
-                     (1, 1): the one e_a i_b term with a in R, b in P;
-                     (0, 0): J = I^c and all n diagonal terms;
-
-    and every other pair of masks gives zero.  Each surviving term is the
-    norm entry B(e_{J^c}.v, e_J.v), times the sign of the move, times its
-    constant element from the four-sum.  This is the build path of the
-    exceptional algebras; the four-sum grade2_pairing stays the oracle.
-    """
-    config = form.config
-    _check_masks(config, imask, jmask)
-    partner = jmask ^ (config.size - 1)
-    val = form._num.get(partner)
-    if val is None:
-        return CliffordElem.zero(config)
-    ee, ii, ei, ie_minus, diag_in, diag_out = _four_sum_elements(config)
-    p = imask & jmask
-    r = partner & ~imask
-    den = form._den
-    if p == 0 and r.bit_count() == 2:
-        a, b = r.bit_length(), (r & -r).bit_length()
-        terms = [(ee[(a, b)], ii[(a, b)]), (ee[(b, a)], ii[(b, a)])]
-    elif p.bit_count() == 2 and r == 0:
-        a, b = p.bit_length(), (p & -p).bit_length()
-        terms = [(ii[(a, b)], ee[(a, b)]), (ii[(b, a)], ee[(b, a)])]
-    elif p.bit_count() == 1 and r.bit_count() == 1:
-        a, b = r.bit_length(), p.bit_length()
-        terms = [(ei[(a, b)], ie_minus[(a, b)])]
-    elif p == 0 and r == 0:
-        den *= 2
-        terms = [(diag_in[a], diag_out[a]) for a in range(1, config.n + 1)]
-    else:
-        return CliffordElem.zero(config)
-    out: dict = {}
-    for move, elem in terms:
-        c = _matrix_entry(move, partner, imask)
-        if c:
-            _accum(out, elem._num, c * val)
-    return CliffordElem._make(config, out, den)
 
 
 def grade2_pairing_projected(
@@ -311,8 +252,9 @@ def top_grade_coefficient(
 def basis_top_grade_coefficient(form: BilinearForm, imask: int, jmask: int) -> Scalar:
     """top_grade_coefficient(form, e_I.v, e_J.v) for two Fock basis masks.
 
-    The grading element is diagonal on the Fock basis and B pairs e_I.v
-    only with e_{I^c}.v, so the coefficient vanishes unless J = I^c.
+    The grading element acts on e_J.v by (-1)^|J| and B pairs e_I.v only
+    with e_{I^c}.v, so the coefficient is B(e_I.v, e_J.v) (-1)^|J| / 2^n
+    when J = I^c and zero otherwise.
     """
     config = form.config
     _check_masks(config, imask, jmask)
@@ -320,10 +262,7 @@ def basis_top_grade_coefficient(form: BilinearForm, imask: int, jmask: int) -> S
     val = form._num.get(imask)
     if val is None or jmask != imask ^ (config.size - 1):
         return field.zero()
-    eps = grading_element(config)
-    return field.from_fraction(
-        val * _matrix_entry(eps, jmask, jmask), config.size * form._den * eps._den
-    )
+    return field.from_fraction(-val if parity(jmask) else val, config.size * form._den)
 
 
 def top_grade_pairing(

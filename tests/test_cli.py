@@ -99,17 +99,16 @@ class TestVerify:
 class TestExitCodes:
     def test_internal_failure_exit_3(self, capsys, monkeypatch):
         from spinor_forge import cli
-        from spinor_forge.exceptional import DecompositionError
 
         def broken(field=None, form=None):
-            raise DecompositionError("monomial lies outside the grade-2 span")
+            raise RuntimeError("grading element failed to centralize the grade-2 part")
 
         monkeypatch.setitem(cli._BUILDERS, "e6", broken)
         code, out, err = run_cli(capsys, ["verify", "--algebra", "e6"])
         assert code == 3
         report = json.loads(out)
         assert report["command"] == "verify"
-        assert report["error"].startswith("DecompositionError: monomial")
+        assert report["error"].startswith("RuntimeError: grading element")
         assert "internal error" in err
 
     def test_runtime_error_exit_3(self, capsys, monkeypatch):
@@ -151,6 +150,11 @@ class TestExport:
         import hashlib
 
         assert report["sha256"] == hashlib.sha256(raw).hexdigest()
+        assert list(report) == [
+            "command", "algebra", "field", "dim", "out", "bytes", "sha256",
+            "build_seconds", "seconds",
+        ]
+        assert 0 <= report["build_seconds"] <= report["seconds"]
         data = json.loads(raw)
         assert list(data) == ["name", "field", "dim", "basis", "brackets"]
         assert data["dim"] == 78

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from spinor_forge.clifford import act, commutator
+import spinor_forge.exceptional as exceptional_mod
+from spinor_forge.clifford import CliffordElem, act, commutator, grading_element
 from spinor_forge.exceptional import (
-    DecompositionError,
     _c2_bracket,
     _c2_move,
     JacobiReport,
@@ -16,8 +16,6 @@ from spinor_forge.exceptional import (
     build_e6,
     build_e7,
     build_e8,
-    c2_coords,
-    c2_elem,
     c2_labels,
     killing_form,
     label_str,
@@ -35,7 +33,7 @@ from spinor_forge.fock import Config, SpinorVec, parity
 from spinor_forge.norms import BilinearForm, b_eval, solve_spinor_norm
 from spinor_forge.pairings import grade2_pairing, grade2_pairing_projected
 
-from .helpers import rand_spinor, rng
+from .helpers import c2_coords, c2_elem, rand_spinor, rng
 
 
 @pytest.fixture(scope="module")
@@ -112,17 +110,13 @@ class TestC2Coords:
 
     def test_rejects_higher_grade(self):
         config = Config(2)
-        from spinor_forge.clifford import CliffordElem
-
         bad = CliffordElem.monomial(config, 0b11, 0b01)
-        with pytest.raises(DecompositionError):
+        with pytest.raises(ValueError, match="outside the grade-2 span"):
             c2_coords(bad)
 
     def test_rejects_stray_constant(self):
         config = Config(2)
-        from spinor_forge.clifford import CliffordElem
-
-        with pytest.raises(DecompositionError):
+        with pytest.raises(ValueError, match="constant term"):
             c2_coords(CliffordElem.one(config))
 
 
@@ -160,6 +154,22 @@ class TestC2ClosedForms:
         with pytest.raises(ValueError, match="grade-2"):
             _c2_move(Rationals(), ("s2", 3, 0), 0)
 
+    @pytest.mark.parametrize("n", list(range(1, 9)))
+    @pytest.mark.parametrize("field", FIELDS, ids=["q", "fp7"])
+    def test_grading_element_closed_form(self, n, field):
+        # eps e_M.v = (-1)^|M| e_M.v, and eps centralizes every grade-2
+        # label: the closed form and the parity check e6 relies on
+        config = Config(n, field)
+        eps = grading_element(config)
+        for mask in range(config.size):
+            sign = field.from_int(-1 if parity(mask) else 1)
+            assert act(eps, SpinorVec.basis(config, mask)).terms == {mask: sign}
+        for lab in c2_labels(n):
+            assert commutator(eps, c2_elem(config, lab)).is_zero(), lab
+            for mask in range(config.size):
+                hit = _c2_move(field, lab, mask)
+                assert hit is None or parity(hit[0]) == parity(mask)
+
 
 class TestLieAlgebraCore:
     def test_bracket_orders(self, e6):
@@ -167,6 +177,11 @@ class TestLieAlgebraCore:
         rev = e6.bracket(50, 0)
         assert fwd == tuple((k, -c) for k, c in rev)
         assert e6.bracket(5, 5) == ()
+
+    @pytest.mark.parametrize("i", [500, 78, -1])
+    def test_bracket_rejects_bad_diagonal_index(self, e6, i):
+        with pytest.raises(ValueError, match="bad index pair"):
+            e6.bracket(i, i)
 
     def test_table_stores_lower_triangle(self, e6):
         e6.bracket(60, 2)
@@ -389,6 +404,26 @@ class TestBuildE6:
 
     def test_coefficient_sweep_line(self):
         assert sweep_e6_coefficients([(1, 48), (1, 96)]) == [(1, 48)]
+
+    def test_grading_element_action_matches_act(self, e6):
+        config = e6.config
+        eps = e6.index[("eps",)]
+        for mask in range(config.size):
+            out = act(grading_element(config), SpinorVec.basis(config, mask))
+            want = {e6.index[("s", m)]: c for m, c in out.terms.items()}
+            assert dict(e6.bracket(eps, e6.index[("s", mask)])) == want
+
+    def test_centralizer_check_raises_on_parity_change(self, e6, monkeypatch):
+        eps, lab = ("eps",), ("ei", 1, 2)
+        assert e6.raw_bracket(eps, lab) == {} == e6.raw_bracket(lab, eps)
+
+        def odd_move(field, label, mask):
+            return mask ^ 1, field.one()
+
+        monkeypatch.setattr(exceptional_mod, "_c2_move", odd_move)
+        for la, lb in ((eps, lab), (lab, eps)):
+            with pytest.raises(RuntimeError, match="failed to centralize"):
+                e6.raw_bracket(la, lb)
 
 
 class TestMutations:
@@ -627,6 +662,14 @@ class TestBracketsBuiltOnce:
         with pytest.raises(ValueError):
             e6.remember(9, 2, {})
 
+    @pytest.mark.parametrize("pair", [(-1, -1), (0, 78), (78, 0), (2, -3)])
+    def test_antisymmetry_rejects_bad_pairs(self, e6, pair):
+        L, calls = wrapped_e6(e6)
+        with pytest.raises(ValueError, match=r"bad index pair"):
+            verify_antisymmetry(L, [(0, 1), pair])
+        # checked before any bracket is evaluated
+        assert not calls
+
 
 class TestKillingForm:
     def test_e6_full_rank_and_symmetry(self, e6):
@@ -782,6 +825,21 @@ class TestRootDecomposition:
         )
         with pytest.raises(ValueError):
             root_decomposition(L)
+
+
+class TestCliffordFreeBuild:
+    @pytest.mark.parametrize("field", FIELDS, ids=["q", "fp7"])
+    def test_builders_form_no_clifford_element(self, field, monkeypatch):
+        forms = {n: solve_spinor_norm(Config(n, field)) for n in (5, 6, 8)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the build path formed a Clifford element")
+
+        monkeypatch.setattr(CliffordElem, "_make", refuse)
+        monkeypatch.setattr(CliffordElem, "__init__", refuse)
+        for build, n in ((build_e6, 5), (build_e7, 6), (build_e8, 8)):
+            L = build(field=field, form=forms[n])
+            assert verify_antisymmetry(L) == []
 
 
 class TestFormRobustness:

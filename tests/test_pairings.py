@@ -21,6 +21,7 @@ from spinor_forge.clifford import (
     witt_e,
     witt_i,
 )
+from spinor_forge.exceptional import _l2_coords
 from spinor_forge.field import PrimeField, Rationals
 from spinor_forge.fock import Config, SpinorVec, mask_from_indices, parity
 from spinor_forge.norms import b_eval, graded_norm, solve_spinor_norm
@@ -28,7 +29,6 @@ import spinor_forge.pairings as pairings_mod
 from spinor_forge.pairings import (
     PolarisationChange,
     apply_swapped_word,
-    basis_grade2_pairing,
     basis_top_grade_coefficient,
     change_polarisation,
     endomorphism_pairing,
@@ -43,7 +43,7 @@ from spinor_forge.pairings import (
     vacuum_projector,
 )
 
-from .helpers import rand_spinor, rng
+from .helpers import c2_coords, rand_spinor, rng
 
 # (symmetry sign, pairing parity) keyed by n mod 4
 GRADE2_TABLE = {0: (-1, 0), 1: (-1, 1), 2: (1, 0), 3: (1, 1)}
@@ -321,7 +321,7 @@ class TestBasisClosedForm:
         for im in range(config.size):
             for jm in range(config.size):
                 oracle = grade2_pairing(form, basis(config, im), basis(config, jm))
-                assert basis_grade2_pairing(form, im, jm) == oracle, (im, jm)
+                assert _l2_coords(form, im, jm) == c2_coords(oracle), (im, jm)
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.spec)
     @pytest.mark.parametrize("n", range(1, 7))
@@ -347,8 +347,6 @@ class TestBasisClosedForm:
     def test_mask_range_checked(self):
         config = Config(2)
         form = solve_spinor_norm(config)
-        with pytest.raises(ValueError, match="out of range"):
-            basis_grade2_pairing(form, 0, 4)
         with pytest.raises(ValueError, match="out of range"):
             basis_top_grade_coefficient(form, -1, 0)
 
@@ -598,7 +596,7 @@ class TestDirectMoveOracles:
         def refuse(*args):
             raise AssertionError("the four-sum must not use the basis closed forms")
 
-        monkeypatch.setattr(pairings_mod, "basis_grade2_pairing", refuse)
+        monkeypatch.setattr(pairings_mod, "basis_top_grade_coefficient", refuse)
         monkeypatch.setattr(pairings_mod, "grade2_pairing_on_basis", refuse)
         config = Config(n)
         form = solve_spinor_norm(config)
