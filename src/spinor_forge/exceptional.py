@@ -7,10 +7,12 @@ algebra (plus sl2 or the grading element where the construction calls for
 it) acting on one of its spinor modules.  The builders work on labels
 only and form no Clifford element: the spinor-spinor bracket is the
 paper's L_2 on a pair of basis spinors, written straight in grade-2 labels
-by its closed form (_l2_coords), plus the top-grade coefficient
+by its closed form (pairings._l2_coords, the package's one copy of that
+case table), plus the top-grade coefficient
 (pairings.basis_top_grade_coefficient) for e6; brackets inside the
 grade-2 part come from the so(2n) table on labels (_c2_bracket), and the
-action of a label on a spinor basis vector is one Fock move (_c2_move).
+action of a label on a spinor basis vector is one Fock move
+(pairings._c2_move).
 The generic Clifford route (the four-sum pairing, commutators, act) is the
 test oracle.  Each bracket enters the table once: verify_antisymmetry
 hands the results it computes to the table, so a later sweep does not
@@ -35,12 +37,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from .field import Field, Rationals, Scalar, scalar_str
-from .fock import Config, apply_monomial, mask_str, parity
-from .linalg import IncrementalRank, echelon_rank, nullspace, rank_mod_p
+from .fock import Config, mask_str, parity
+from .linalg import IncrementalRank, echelon_rank, inverse, nullspace, rank_mod_p
 from .norms import BilinearForm, solve_spinor_norm
-from .pairings import basis_top_grade_coefficient
-
-Label = tuple
+from .pairings import (
+    Label,
+    _c2_move,
+    _l2_coords,
+    basis_top_grade_coefficient,
+    grade2_pairing_on_basis,
+)
 
 
 def c2_labels(n: int) -> list[Label]:
@@ -120,16 +126,18 @@ class LieAlgebra:
 
     def bracket(self, i: int, j: int) -> tuple[tuple[int, Scalar], ...]:
         """[b_i, b_j] as ((k, coefficient), ...) ascending in k."""
-        if i == j:
-            if not 0 <= i < self.dim:
-                raise ValueError(f"bad index pair ({i}, {j})")
-            return ()
-        if i > j:
-            return tuple((k, -c) for k, c in self.bracket(j, i))
-        got = self._table.get((i, j))
+        key = (i, j) if i < j else (j, i)
+        got = self._table.get(key)
         if got is None:
-            got = self.remember(i, j, self.raw_bracket(self.basis[i], self.basis[j]))
-        return got
+            lo, hi = key
+            # checked before the bracket function runs; [b_i, b_i] = 0
+            if lo < 0 or hi >= len(self.basis):
+                raise ValueError(f"bad index pair ({i}, {j})")
+            if lo == hi:
+                return ()
+            coords = self.raw_bracket(self.basis[lo], self.basis[hi])
+            got = self.remember(lo, hi, coords)
+        return got if i <= j else tuple((k, -c) for k, c in got)
 
     def remember(self, i: int, j: int, coords: dict[Label, Scalar]) -> tuple:
         """Store coords = raw_bracket(b_i, b_j), i < j, unless [b_i, b_j] is stored.
@@ -256,74 +264,6 @@ def _c2_bracket(field: Field, la: Label, lb: Label) -> dict[Label, Scalar]:
     return {lab: field.from_int(k) for lab, k in coeffs.items() if k}
 
 
-def _c2_move(field: Field, label: Label, mask: int) -> Optional[tuple[int, Scalar]]:
-    """label . e_M.v for a grade-2 label: (new mask, coefficient) or None.
-
-    Each label is one Fock move: e_a e_b and i_a i_b are the monomials
-    themselves, F_ab = 2 e_a i_b for a != b, and F_aa = 2 e_a i_a - 1
-    acts on e_M.v by 2[a in M] - 1.
-    """
-    kind, a, b = label
-    if kind not in ("ee", "ii", "ei"):
-        raise ValueError(f"not a grade-2 label: {label!r}")
-    bit_a, bit_b = 1 << (a - 1), 1 << (b - 1)
-    if kind == "ee":
-        hit, scale = apply_monomial(bit_a | bit_b, 0, mask), 1
-    elif kind == "ii":
-        hit, scale = apply_monomial(0, bit_a | bit_b, mask), 1
-    elif a == b:
-        return mask, field.from_int(1 if mask & bit_a else -1)
-    else:
-        hit, scale = apply_monomial(bit_a, bit_b, mask), 2
-    if hit is None:
-        return None
-    sign, moved = hit
-    return moved, field.from_int(sign * scale)
-
-
-def _l2_coords(form: BilinearForm, imask: int, jmask: int) -> dict[Label, Scalar]:
-    """The normalized grade-2 pairing L_2(e_I.v, e_J.v) in grade-2 labels.
-
-    B pairs e_J.v only with e_{J^c}.v; write beta = B(e_{J^c}.v, e_J.v).
-    With P = I n J and R = I^c n J^c, the monomial e_R i_P sends e_I.v to
-    s e_{J^c}.v for a sign s, and the paper's basis matrix of L_2 reads
-
-        (|P|, |R|) = (0, 2): 2 s beta on ii(R),
-                     (2, 0): 2 s beta on ee(P),
-                     (1, 1):  -s beta on ei(b, a), P = {b} and R = {a},
-                     (0, 0): J = I^c, and beta/2 on ei(a, a) for a not
-                             in I, -beta/2 for a in I;
-
-    every other pair of masks gives zero.  Each coefficient is one int
-    numerator over the form's denominator.  These are the values of the
-    four-sum pairings.grade2_pairing in c2_labels coordinates, which the
-    tests keep as the oracle.
-    """
-    config = form.config
-    partner = jmask ^ (config.size - 1)
-    val = form._num.get(partner)
-    if val is None:
-        return {}
-    field, den = config.field, form._den
-    p, r = imask & jmask, partner & ~imask
-    if p == 0 and r == 0:
-        half = field.from_fraction(val, 2 * den)
-        return {
-            ("ei", a, a): -half if imask >> (a - 1) & 1 else half
-            for a in range(1, config.n + 1)
-        }
-    if p.bit_count() + r.bit_count() != 2:
-        return {}
-    # P lies in I and R outside it, so the move never vanishes
-    sign = apply_monomial(r, p, imask)[0]
-    if p and r:
-        label = ("ei", p.bit_length(), r.bit_length())
-        return {label: field.from_fraction(-sign * val, den)}
-    pair = p | r
-    label = ("ee" if p else "ii", (pair & -pair).bit_length(), pair.bit_length())
-    return {label: field.from_fraction(2 * sign * val, den)}
-
-
 def build_e8(
     field: Optional[Field] = None,
     half: str = "+",
@@ -390,8 +330,8 @@ def _e7_jacobi_rows(
     For [psi (x) x, phi (x) y] = c1 omega(x,y) pairing(psi,phi)
     + c2 B(psi,phi) sigma(x,y), the cyclic Jacobi sum over a triple is
     linear in (c1, c2); P collects the pairing-action part and Q the
-    sigma part, one row per output coordinate.  The pairing acts label by
-    label through _l2_coords and _c2_move, the operator the table stores.
+    sigma part, one row per output coordinate.  The pairing acts through
+    grade2_pairing_on_basis, the operator the table stores.
     """
     field = config.field
     pvals: dict[tuple[int, int], Scalar] = {}
@@ -403,12 +343,9 @@ def _e7_jacobi_rows(
         w = _OMEGA.get((sa, sb))
         if w:
             ws = field.from_int(w)
-            for lab, coeff in _l2_coords(form, ma, mb).items():
-                hit = _c2_move(field, lab, mc)
-                if hit is None:
-                    continue
-                key = (hit[0], sc)
-                add = coeff * hit[1] * ws
+            for mask, coeff in grade2_pairing_on_basis(form, ma, mb, mc).items():
+                key = (mask, sc)
+                add = coeff * ws
                 prev = pvals.get(key)
                 pvals[key] = add if prev is None else prev + add
         bval = form.entry(ma, mb)
@@ -460,12 +397,12 @@ def _solve_e7_constants(
             (rnd.choice(evens), rnd.choice((0, 1))) for _ in range(3)
         )
         rows.extend(_e7_jacobi_rows(config, form, triple))
-    rank = echelon_rank(rows, config.field)
-    if rank == 0:
+    null = nullspace(rows, 2, config.field)
+    if len(null) == 2:
         raise RuntimeError("sampled Jacobi triples constrain no bracket constants")
-    if rank > 1:
+    if not null:
         raise RuntimeError("no bracket constants satisfy the Jacobi identity")
-    return _normalize_pair(config.field, nullspace(rows, 2, config.field)[0])
+    return _normalize_pair(config.field, null[0])
 
 
 def solve_e7_constants(
@@ -1033,26 +970,6 @@ def _first_nonzero_positive(vec: tuple[int, ...]) -> bool:
     return False
 
 
-def _fraction_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    r = len(mat)
-    aug = [
-        list(row) + [Fraction(int(i == j)) for j in range(r)]
-        for i, row in enumerate(mat)
-    ]
-    for col in range(r):
-        piv = next((i for i in range(col, r) if aug[i][col]), None)
-        if piv is None:
-            raise ValueError("restricted Killing form is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(r):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[r:] for row in aug]
-
-
 def _dynkin_type(a: list[tuple[int, ...]]) -> str:
     r = len(a)
     adj = {i: [j for j in range(r) if j != i and a[i][j]] for i in range(r)}
@@ -1145,7 +1062,10 @@ def root_decomposition(L: LieAlgebra) -> RootDatum:
         [Fraction(sum(g[s] * g[t] for g in roots)) for t in range(r)]
         for s in range(r)
     ]
-    kinv = _fraction_inverse(killing)
+    try:
+        kinv = inverse(killing, L.config.field)
+    except ValueError:
+        raise ValueError("restricted Killing form is singular") from None
 
     def ip(al, be):
         return sum(

@@ -1,9 +1,9 @@
 """Exact linear algebra helpers over the scalar abstraction.
 
-Small dense eliminations for ranks and nullspaces, a sparse incremental
-rank accumulator for spanning checks, and vectorized elimination mod p
-used as an integer rank certificate.  Everything here is exact; no
-floating point.
+One dense Gauss-Jordan elimination (_reduce) serves ranks, nullspaces
+and inverses; a sparse incremental rank accumulator serves spanning
+checks, and vectorized elimination mod p serves as an integer rank
+certificate.  Everything here is exact; no floating point.
 """
 
 from __future__ import annotations
@@ -15,49 +15,24 @@ import numpy as np
 from .field import Field, Scalar
 
 
-def echelon_rank(rows: Sequence[Sequence[Scalar]], field: Field) -> int:
-    """Rank of a dense matrix by Gaussian elimination on a copy."""
-    work = [list(r) for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(work)):
-            if work[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = field.one() / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for i in range(len(work)):
-            if i == rank or not work[i][col]:
-                continue
-            f = work[i][col]
-            work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+def _reduce(
+    rows: Sequence[Sequence[Scalar]], ncols: int, field: Field
+) -> tuple[list[list[Scalar]], list[int]]:
+    """Reduced row echelon form of a copy, and its pivot columns.
 
-
-def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int, field: Field) -> list[list[Scalar]]:
-    """Basis of the right kernel of a dense matrix with ncols columns."""
+    Stops once every row holds a pivot: the columns after that are
+    free, and the rows are already reduced in every pivot column.
+    """
     work = [list(r) for r in rows]
     for r in work:
         if len(r) != ncols:
             raise ValueError("row length does not match ncols")
     pivot_cols: list[int] = []
-    rank = 0
     for col in range(ncols):
-        piv = None
-        for i in range(rank, len(work)):
-            if work[i][col]:
-                piv = i
-                break
+        rank = len(pivot_cols)
+        if rank == len(work):
+            break
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
         if piv is None:
             continue
         work[rank], work[piv] = work[piv], work[rank]
@@ -69,7 +44,17 @@ def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int, field: Field) -> lis
             f = work[i][col]
             work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
         pivot_cols.append(col)
-        rank += 1
+    return work, pivot_cols
+
+
+def echelon_rank(rows: Sequence[Sequence[Scalar]], field: Field) -> int:
+    """Rank of a dense matrix by Gauss-Jordan elimination on a copy."""
+    return len(_reduce(rows, len(rows[0]) if rows else 0, field)[1])
+
+
+def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int, field: Field) -> list[list[Scalar]]:
+    """Basis of the right kernel of a dense matrix with ncols columns."""
+    work, pivot_cols = _reduce(rows, ncols, field)
     basis = []
     pivot_set = set(pivot_cols)
     for free in range(ncols):
@@ -81,6 +66,20 @@ def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int, field: Field) -> lis
             vec[pc] = -work[i][free]
         basis.append(vec)
     return basis
+
+
+def inverse(rows: Sequence[Sequence[Scalar]], field: Field) -> list[list[Scalar]]:
+    """Inverse of a square matrix, by eliminating [A | I]; ValueError if singular."""
+    r = len(rows)
+    one, zero = field.one(), field.zero()
+    aug = [
+        list(row) + [one if i == j else zero for j in range(r)]
+        for i, row in enumerate(rows)
+    ]
+    work, pivot_cols = _reduce(aug, 2 * r, field)
+    if pivot_cols != list(range(r)):
+        raise ValueError("matrix is singular")
+    return [row[r:] for row in work]
 
 
 class IncrementalRank:

@@ -6,12 +6,13 @@ generic four-sum grade2_pairing works on any two spinors and is the
 oracle; each of its terms B(w.psi1, psi2) for a two-generator word w is
 evaluated by direct Fock moves, one signed move per (word term, spinor
 term), with no pruning by the basis case table.  On a pair of Fock basis
-vectors the exceptional builders read the pairing in closed form, straight
-in grade-2 labels (exceptional._l2_coords), and the top-grade coefficient
-from basis_top_grade_coefficient.  The case-table action
-grade2_pairing_on_basis is implemented without the four-sum so the routes
-validate each other.  The top-grade and graded variants (the graded one
-also by direct moves) and the orbit-map adjoint round out the toolkit.
+vectors the pairing has the paper's closed form, the one case table of
+this package: _l2_coords writes it straight in grade-2 labels, and
+grade2_pairing_on_basis applies it to a third basis spinor label by label
+through _c2_move.  The exceptional builders run these same functions, and
+basis_top_grade_coefficient for the top grade.  The top-grade and graded
+variants (the graded one also by direct moves) and the orbit-map adjoint
+round out the toolkit.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ from .clifford import (
     witt_e,
     witt_i,
 )
-from .field import Scalar
+from .field import Field, Scalar
 from .fock import Config, SpinorVec, apply_monomial, mask_str, parity
 from .norms import BilinearForm, b_eval
+
+Label = tuple
 
 
 def _check_pair(form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec) -> Config:
@@ -115,7 +118,7 @@ def grade2_pairing(form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec) -> Clif
     Every coefficient B(w.psi1, psi2), all n(n-1) off-diagonal words of
     each sum and all n diagonal ones, is evaluated by `_move_pairing`;
     no term is skipped by the basis case table, so this stays the oracle
-    for exceptional._l2_coords and grade2_pairing_on_basis.
+    for _l2_coords and grade2_pairing_on_basis.
 
     Equals 2^(n-1) times the grade-2 projection of the endomorphism
     pairing; that identity is checked in tests, not assumed here.  The
@@ -160,85 +163,6 @@ def grade2_pairing_projected(
     return grade2_pairing(form, psi1, psi2).scale(scale)
 
 
-def grade2_pairing_on_basis(
-    form: BilinearForm, imask: int, jmask: int, kmask: int
-) -> SpinorVec:
-    """grade2_pairing(e_I.v, e_J.v) applied to e_K.v, by the case table.
-
-    Writing P = I n J and R = I^c n J^c, the pairing of two Fock basis
-    vectors is nonzero only when (|P|, |R|) is (0,2), (2,0), (1,1) or
-    (0,0); each case is a single norm entry times a two-generator move on
-    e_K.v.  Implemented without the four-sum formula on purpose: the two
-    routes cross-validate.
-    """
-    config = form.config
-    _check_masks(config, imask, jmask, kmask)
-    full = config.size - 1
-    zero = SpinorVec.zero(config)
-    p = imask & jmask
-    r = full & ~(imask | jmask)
-
-    def entry(mask: int) -> Optional[int]:
-        # the numerator of B(e_mask.v, e_J.v), None off the support
-        return form._num.get(mask) if mask ^ jmask == full else None
-
-    if p == 0 and r.bit_count() == 2:
-        # 2 B(e_a e_b e_I.v, e_J.v) i_a i_b e_K.v with {a,b} = R
-        left = apply_monomial(r, 0, imask)
-        if left is None:
-            return zero
-        val = entry(left[1])
-        if val is None:
-            return zero
-        move = apply_monomial(0, r, kmask)
-        if move is None:
-            return zero
-        coeff = 2 * val * left[0] * move[0]
-        return SpinorVec._make(config, {move[1]: coeff}, form._den)
-
-    if p.bit_count() == 2 and r == 0:
-        # 2 B(i_a i_b e_I.v, e_J.v) e_a e_b e_K.v with {a,b} = P
-        left = apply_monomial(0, p, imask)
-        if left is None:
-            return zero
-        val = entry(left[1])
-        if val is None:
-            return zero
-        move = apply_monomial(p, 0, kmask)
-        if move is None:
-            return zero
-        coeff = 2 * val * left[0] * move[0]
-        return SpinorVec._make(config, {move[1]: coeff}, form._den)
-
-    if p.bit_count() == 1 and r.bit_count() == 1:
-        # 2 B(e_a i_b e_I.v, e_J.v) i_a e_b e_K.v with b in P, a in R
-        left = apply_monomial(r, p, imask)
-        if left is None:
-            return zero
-        val = entry(left[1])
-        if val is None:
-            return zero
-        first = apply_monomial(p, 0, kmask)  # e_b first, then i_a
-        if first is None:
-            return zero
-        second = apply_monomial(0, r, first[1])
-        if second is None:
-            return zero
-        coeff = 2 * val * left[0] * first[0] * second[0]
-        return SpinorVec._make(config, {second[1]: coeff}, form._den)
-
-    if p == 0 and r == 0:
-        # (1/2) B(e_I.v, e_J.v) (n - 2|I n K| - 2|I^c n K^c|) e_K.v
-        val = entry(imask)
-        if val is None:
-            return zero
-        count = config.n - 2 * (imask & kmask).bit_count()
-        count -= 2 * (full & ~imask & ~kmask).bit_count()
-        return SpinorVec._make(config, {kmask: val * count}, 2 * form._den)
-
-    return zero
-
-
 def top_grade_coefficient(
     form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec
 ) -> Scalar:
@@ -263,6 +187,93 @@ def basis_top_grade_coefficient(form: BilinearForm, imask: int, jmask: int) -> S
     if val is None or jmask != imask ^ (config.size - 1):
         return field.zero()
     return field.from_fraction(-val if parity(jmask) else val, config.size * form._den)
+
+
+def _c2_move(field: Field, label: Label, mask: int) -> Optional[tuple[int, Scalar]]:
+    """label . e_M.v for a grade-2 label: (new mask, coefficient) or None.
+
+    Each label is one Fock move: e_a e_b and i_a i_b are the monomials
+    themselves, F_ab = 2 e_a i_b for a != b, and F_aa = 2 e_a i_a - 1
+    acts on e_M.v by 2[a in M] - 1.
+    """
+    kind, a, b = label
+    if kind not in ("ee", "ii", "ei"):
+        raise ValueError(f"not a grade-2 label: {label!r}")
+    bit_a, bit_b = 1 << (a - 1), 1 << (b - 1)
+    if kind == "ee":
+        hit, scale = apply_monomial(bit_a | bit_b, 0, mask), 1
+    elif kind == "ii":
+        hit, scale = apply_monomial(0, bit_a | bit_b, mask), 1
+    elif a == b:
+        return mask, field.from_int(1 if mask & bit_a else -1)
+    else:
+        hit, scale = apply_monomial(bit_a, bit_b, mask), 2
+    if hit is None:
+        return None
+    sign, moved = hit
+    return moved, field.from_int(sign * scale)
+
+
+def _l2_coords(form: BilinearForm, imask: int, jmask: int) -> dict[Label, Scalar]:
+    """The normalized grade-2 pairing L_2(e_I.v, e_J.v) in grade-2 labels.
+
+    B pairs e_J.v only with e_{J^c}.v; write beta = B(e_{J^c}.v, e_J.v).
+    With P = I n J and R = I^c n J^c, the monomial e_R i_P sends e_I.v to
+    s e_{J^c}.v for a sign s, and the paper's basis matrix of L_2 reads
+
+        (|P|, |R|) = (0, 2): 2 s beta on ii(R),
+                     (2, 0): 2 s beta on ee(P),
+                     (1, 1):  -s beta on ei(b, a), P = {b} and R = {a},
+                     (0, 0): J = I^c, and beta/2 on ei(a, a) for a not
+                             in I, -beta/2 for a in I;
+
+    every other pair of masks gives zero.  Each coefficient is one int
+    numerator over the form's denominator.  These are the values of the
+    four-sum grade2_pairing in exceptional.c2_labels coordinates, which
+    the tests keep as the oracle.
+    """
+    config = form.config
+    partner = jmask ^ (config.size - 1)
+    val = form._num.get(partner)
+    if val is None:
+        return {}
+    field, den = config.field, form._den
+    p, r = imask & jmask, partner & ~imask
+    if p == 0 and r == 0:
+        half = field.from_fraction(val, 2 * den)
+        return {
+            ("ei", a, a): -half if imask >> (a - 1) & 1 else half
+            for a in range(1, config.n + 1)
+        }
+    if p.bit_count() + r.bit_count() != 2:
+        return {}
+    # P lies in I and R outside it, so the move never vanishes
+    sign = apply_monomial(r, p, imask)[0]
+    if p and r:
+        label = ("ei", p.bit_length(), r.bit_length())
+        return {label: field.from_fraction(-sign * val, den)}
+    pair = p | r
+    label = ("ee" if p else "ii", (pair & -pair).bit_length(), pair.bit_length())
+    return {label: field.from_fraction(2 * sign * val, den)}
+
+
+def grade2_pairing_on_basis(
+    form: BilinearForm, imask: int, jmask: int, kmask: int
+) -> SpinorVec:
+    """grade2_pairing(e_I.v, e_J.v) applied to e_K.v, by the basis matrix.
+
+    Each grade-2 label of _l2_coords(form, I, J) moves e_K.v by one Fock
+    move (_c2_move); the coefficients add up on the image masks.
+    """
+    config = form.config
+    _check_masks(config, imask, jmask, kmask)
+    field = config.field
+    out: dict[int, Scalar] = {}
+    for label, coeff in _l2_coords(form, imask, jmask).items():
+        hit = _c2_move(field, label, kmask)
+        if hit is not None:
+            out[hit[0]] = out.get(hit[0], field.zero()) + coeff * hit[1]
+    return SpinorVec(config, out)
 
 
 def top_grade_pairing(

@@ -709,7 +709,9 @@ def check_matrix_agreement(n: int, samples: int | None = None) -> CheckResult:
     """The closed-form basis matrix of the grade-2 pairing agrees with
     the four-sum route applied to basis vectors: exhaustive over all
     (I, J, K) triples for n <= 5, seeded triples beyond (600 by default,
-    more when requested)."""
+    more when requested).  grade2_pairing_on_basis runs the same
+    _l2_coords and _c2_move as the e6/e7/e8 builders, so this checks the
+    closed form the builders use against the independent four-sum."""
     config = _config(n)
     form = solve_spinor_norm(config)
     size = config.size

@@ -1,6 +1,7 @@
 """Tests for the exceptional algebra constructions and their verifiers."""
 
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -183,6 +184,13 @@ class TestLieAlgebraCore:
         with pytest.raises(ValueError, match="bad index pair"):
             e6.bracket(i, i)
 
+    @pytest.mark.parametrize("pair", [(-1, 5), (5, -1), (100, 200), (78, 3)])
+    def test_bracket_rejects_bad_pair_before_evaluating(self, e6, pair):
+        L, calls = wrapped_e6(e6)
+        with pytest.raises(ValueError, match=re.escape(f"bad index pair {pair}")):
+            L.bracket(*pair)
+        assert not calls and not L._table
+
     def test_table_stores_lower_triangle(self, e6):
         e6.bracket(60, 2)
         assert (2, 60) in e6._table and (60, 2) not in e6._table
@@ -285,6 +293,21 @@ class TestBuildE7:
         field = PrimeField(7)
         c1, c2 = solve_e7_constants(field=field)
         assert c1 == field.one() and c2 == field.one()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([], "constrain no bracket constants"),
+            ([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]], "no bracket"),
+        ],
+        ids=["rank0", "rank2"],
+    )
+    def test_constant_solve_rejects_bad_rank(self, monkeypatch, rows, message):
+        monkeypatch.setattr(
+            exceptional_mod, "_e7_jacobi_rows", lambda config, form, triple: rows
+        )
+        with pytest.raises(RuntimeError, match=message):
+            solve_e7_constants()
 
     def test_sl2_block(self, e7):
         h, e, f = (e7.index[("sl2", t)] for t in ("h", "e", "f"))
@@ -816,6 +839,24 @@ class TestRootDecomposition:
 
         L = LieAlgebra("bad", config, [("ei", 1, 1), ("s", 0), ("s", 1)], fn)
         with pytest.raises(ValueError):
+            root_decomposition(L)
+
+    def test_rejects_singular_restricted_killing_form(self):
+        # two Cartan elements acting alike: roots (1, 1) and (-1, -1) give
+        # the restricted Killing form [[2, 2], [2, 2]]
+        config = Config(2)
+        one = config.field.one()
+
+        def fn(la, lb):
+            if la[0] == "ei" and lb[0] == "s":
+                return {lb: one if lb[1] == 0 else -one}
+            if la[0] == "s" and lb[0] == "ei":
+                return {la: -one if la[1] == 0 else one}
+            return {}
+
+        basis = [("ei", 1, 1), ("ei", 2, 2), ("s", 0), ("s", 1)]
+        L = LieAlgebra("degenerate", config, basis, fn)
+        with pytest.raises(ValueError, match="restricted Killing form is singular"):
             root_decomposition(L)
 
     def test_rejects_zero_weight_outside_cartan(self):

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinor_forge.field import PrimeField, Rationals
-from spinor_forge.linalg import IncrementalRank, echelon_rank, nullspace, rank_mod_p
+from spinor_forge.linalg import (
+    IncrementalRank,
+    echelon_rank,
+    inverse,
+    nullspace,
+    rank_mod_p,
+)
 
 Q = Rationals()
 F7 = PrimeField(7)
@@ -43,6 +49,61 @@ class TestEchelonRank:
     def test_wide_and_tall(self):
         assert echelon_rank(frac_rows([[1, 2, 3, 4]]), Q) == 1
         assert echelon_rank(frac_rows([[1], [2], [5]]), Q) == 1
+
+    def test_row_length_checked(self):
+        with pytest.raises(ValueError, match="ncols"):
+            echelon_rank(frac_rows([[1, 2], [3]]), Q)
+        with pytest.raises(ValueError, match="ncols"):
+            echelon_rank(frac_rows([[1], [2, 3]]), Q)
+
+
+class TestInverse:
+    @pytest.mark.parametrize("field", [Q, F7], ids=["q", "fp7"])
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
+    def test_inverse_both_sides(self, field, size):
+        r = random.Random(700 + size)
+        one, zero = field.one(), field.zero()
+        ident = [[one if i == j else zero for j in range(size)] for i in range(size)]
+        found = 0
+        while found < 4:
+            a = [
+                [field.from_int(r.randint(-5, 5)) for _ in range(size)]
+                for _ in range(size)
+            ]
+            if echelon_rank(a, field) < size:
+                with pytest.raises(ValueError, match="singular"):
+                    inverse(a, field)
+                continue
+            b = inverse(a, field)
+            for x, y in ((a, b), (b, a)):
+                prod = [
+                    [sum((u * v for u, v in zip(row, col)), zero) for col in zip(*y)]
+                    for row in x
+                ]
+                assert prod == ident
+            found += 1
+
+    def test_empty(self):
+        assert inverse([], Q) == []
+
+    @pytest.mark.parametrize("field", [Q, F7], ids=["q", "fp7"])
+    def test_singular_rejected(self, field):
+        a = [[field.from_int(x) for x in row] for row in [[1, 2], [2, 4]]]
+        with pytest.raises(ValueError, match="singular"):
+            inverse(a, field)
+
+    def test_singular_only_mod_p(self):
+        # det = 7: invertible over Q, singular over F_7
+        assert inverse(frac_rows([[1, 0], [0, 7]]), Q) == frac_rows(
+            [[1, 0], [0, Fraction(1, 7)]]
+        )
+        with pytest.raises(ValueError, match="singular"):
+            inverse(f7_rows([[1, 0], [0, 7]]), F7)
+
+    def test_input_untouched(self):
+        a = frac_rows([[0, 1], [1, 0]])
+        assert inverse(a, Q) == a
+        assert a == frac_rows([[0, 1], [1, 0]])
 
 
 class TestNullspace:

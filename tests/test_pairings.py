@@ -596,8 +596,13 @@ class TestDirectMoveOracles:
         def refuse(*args):
             raise AssertionError("the four-sum must not use the basis closed forms")
 
-        monkeypatch.setattr(pairings_mod, "basis_top_grade_coefficient", refuse)
-        monkeypatch.setattr(pairings_mod, "grade2_pairing_on_basis", refuse)
+        for name in (
+            "basis_top_grade_coefficient",
+            "grade2_pairing_on_basis",
+            "_l2_coords",
+            "_c2_move",
+        ):
+            monkeypatch.setattr(pairings_mod, name, refuse)
         config = Config(n)
         form = solve_spinor_norm(config)
         for im in range(config.size):
@@ -606,6 +611,27 @@ class TestDirectMoveOracles:
                 assert pairings_mod.grade2_pairing(form, p1, p2) == four_sum_oracle(
                     form, p1, p2
                 )
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.spec)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_basis_closed_form_independent_of_four_sum(self, n, field, monkeypatch):
+        config = Config(n, field)
+        form = solve_spinor_norm(config)
+        vecs = [basis(config, m) for m in range(config.size)]
+        want = {}
+        for im, jm in itertools.product(range(config.size), repeat=2):
+            elem = grade2_pairing(form, vecs[im], vecs[jm])
+            for km in range(config.size):
+                want[(im, jm, km)] = act(elem, vecs[km])
+
+        def refuse(*args):
+            raise AssertionError("the basis closed form must not use the four-sum")
+
+        monkeypatch.setattr(pairings_mod, "grade2_pairing", refuse)
+        monkeypatch.setattr(pairings_mod, "_move_pairing", refuse)
+        for (im, jm, km), expect in want.items():
+            got = pairings_mod.grade2_pairing_on_basis(form, im, jm, km)
+            assert got == expect, (im, jm, km)
 
 
 class TestOrbitAdjoint:
