@@ -174,7 +174,8 @@ def cmd_export(cfg: RunConfig) -> int:
 def cmd_props(cfg: RunConfig) -> int:
     results = []
     start = time.perf_counter()
-    for name in suite_names(cfg.n, cfg.suite):
+    names = suite_names(cfg.n, cfg.suite)
+    for name in names:
         for fn in SUITES[name]:
             t0 = time.perf_counter()
             res = fn(cfg.n)
@@ -187,7 +188,7 @@ def cmd_props(cfg: RunConfig) -> int:
         {
             "command": "props",
             "n": cfg.n,
-            "suites": sorted(SUITES) if cfg.suite is None else list(cfg.suite),
+            "suites": sorted(SUITES) if cfg.suite is None else list(names),
             "results": results,
             "seconds": round(time.perf_counter() - start, 3),
             "ok": ok,

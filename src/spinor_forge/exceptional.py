@@ -95,10 +95,11 @@ class LieAlgebra:
     resolved by a sign, so the stored table is antisymmetric by
     construction (verify_antisymmetry checks fn itself).  Each entry is
     stored once and never replaced, so every bracket is evaluated at most
-    once into the table.
+    once into the table, and the engine built from the complete table is
+    kept for every later Jacobi or Killing call.
     """
 
-    __slots__ = ("name", "config", "basis", "index", "_fn", "_table")
+    __slots__ = ("name", "config", "basis", "index", "_fn", "_table", "_engine")
 
     def __init__(
         self,
@@ -115,6 +116,7 @@ class LieAlgebra:
             raise ValueError("duplicate basis labels")
         self._fn = fn
         self._table: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
+        self._engine: Optional[_AdjointProducts] = None
 
     @property
     def dim(self) -> int:
@@ -155,15 +157,6 @@ class LieAlgebra:
             self._table[(i, j)] = got
         return got
 
-    def with_entry(
-        self, i: int, j: int, terms: tuple[tuple[int, Scalar], ...], name: str
-    ) -> "LieAlgebra":
-        """A copy named `name` that shares every stored bracket but [b_i, b_j]."""
-        clone = LieAlgebra(name, self.config, self.basis, self._fn)
-        clone._table = dict(self._table)
-        clone._table[(i, j)] = terms
-        return clone
-
     def materialize(self) -> "LieAlgebra":
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
@@ -173,6 +166,16 @@ class LieAlgebra:
     def nonzero_brackets(self) -> list[tuple[tuple[int, int], tuple]]:
         """Sorted ((i, j), terms) over the memoized nonzero brackets."""
         return [(ij, t) for ij, t in sorted(self._table.items()) if t]
+
+    def adjoint_products(self) -> "_AdjointProducts":
+        """The integer ad arrays of the complete table, built on first use.
+
+        Building them materializes the table, whose entries are never
+        replaced, so the kept engine stays exact for this algebra.
+        """
+        if self._engine is None:
+            self._engine = _AdjointProducts(self)
+        return self._engine
 
     def spinor_indices(self) -> list[int]:
         return [i for i, lab in enumerate(self.basis) if is_spinor_label(lab)]
@@ -190,8 +193,8 @@ class LieAlgebra:
 def with_flipped_sign(L: LieAlgebra, i: int, j: int, k: int) -> LieAlgebra:
     """A copy of L with the sign of one structure constant flipped.
 
-    The copy shares every other table entry; it exists to feed the
-    verifiers deliberately broken input.
+    The copy shares every other stored table entry, but not L's engine;
+    it exists to feed the verifiers deliberately broken input.
     """
     if i == j:
         raise ValueError("mutation needs two distinct basis indices")
@@ -200,8 +203,10 @@ def with_flipped_sign(L: LieAlgebra, i: int, j: int, k: int) -> LieAlgebra:
     terms = L.bracket(i, j)
     if k not in {t[0] for t in terms}:
         raise ValueError(f"no structure constant at ({i}, {j}, {k})")
-    flipped = tuple((kk, -c if kk == k else c) for kk, c in terms)
-    return L.with_entry(i, j, flipped, f"{L.name}~flip({i},{j},{k})")
+    clone = LieAlgebra(f"{L.name}~flip({i},{j},{k})", L.config, L.basis, L._fn)
+    clone._table = dict(L._table)
+    clone._table[(i, j)] = tuple((kk, -c if kk == k else c) for kk, c in terms)
+    return clone
 
 
 def _builder_setup(
@@ -575,26 +580,6 @@ def sweep_e6_coefficients(
 # --- integer lifts and the keyed-product engine for Jacobi and Killing ---
 
 
-def _lifted_table(L: LieAlgebra) -> tuple[dict, int, Optional[int]]:
-    """Materialize L and lift its structure constants to integers.
-
-    Over Q every constant is scaled by D = lcm of all denominators, so a
-    product of two constants lives on the D^2 scale; over F_p constants
-    are lifted to canonical representatives and residuals reduced mod p.
-    """
-    table = L.materialize().nonzero_brackets()
-    p = L.config.field.characteristic or None
-    if p is None:
-        d = 1
-        for _, terms in table:
-            for _, c in terms:
-                d = lcm(d, c.denominator)
-        lifted = {ij: tuple((k, int(c * d)) for k, c in terms) for ij, terms in table}
-        return lifted, d, None
-    lifted = {ij: tuple((k, c.value) for k, c in terms) for ij, terms in table}
-    return lifted, 1, p
-
-
 # Index pairs per batch of the product engine: the joined arrays of one
 # batch stay a few MiB on e8, so memory does not grow with the sweep.
 _BATCH_PAIRS = 1024
@@ -611,50 +596,55 @@ def _ragged(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarr
 class _AdjointProducts:
     """Every ad b_a stored once, as row-sorted COO arrays over integer lifts.
 
-    Indices are int64 arrays and values Python ints in object arrays, so
-    no product or sum can overflow and one code path serves Q and every
-    prime.  Products ad_a ad_b for a batch of index pairs come from a
-    ragged join of the entries of ad_a with the rows of ad_b.
+    These arrays are the engine's only copy of the structure constants:
+    c_ij^k is the entry ad_i[k, j].  Over Q every constant is scaled by
+    D = lcm of all denominators, so a product of two constants lives on
+    the D^2 scale; over F_p constants are lifted to canonical
+    representatives and residuals reduced mod p.  Indices are int64
+    arrays and values Python ints in object arrays, so no product or sum
+    can overflow and one code path serves Q and every prime.  Products
+    ad_a ad_b for a batch of index pairs come from a ragged join of the
+    entries of ad_a with the rows of ad_b.
     """
 
     def __init__(self, L: LieAlgebra) -> None:
-        lifted, self.scale, self.p = _lifted_table(L)
         n = self.n = L.dim
-        mat, row, col, val = [], [], [], []
-        keys, ptr, term_k, term_v = [], [0], [], []
-        for (i, j), terms in lifted.items():
-            keys.append(i * n + j)
-            for k, v in terms:
-                term_k.append(k)
-                term_v.append(v)
-                # ad_i[k, j] = v and ad_j[k, i] = -v
+        self.p = L.config.field.characteristic or None
+        mat, row, col, consts = [], [], [], []
+        for (i, j), terms in L.materialize().nonzero_brackets():
+            for k, c in terms:
+                # ad_i[k, j] = c and ad_j[k, i] = -c
                 mat += (i, j)
                 row += (k, k)
                 col += (j, i)
-                val += (v, -v)
-            ptr.append(len(term_k))
-        # a sentinel past every real key keeps lookups in range
-        self.pair_key = np.array(keys + [n * n], dtype=np.int64)
-        self.term_ptr = np.array(ptr + [len(term_k)], dtype=np.int64)
-        self.term_k = np.array(term_k, dtype=np.int64)
-        self.term_v = np.array(term_v, dtype=object)
+                consts.append(c)
+        if self.p is None:
+            self.scale = lcm(1, *(c.denominator for c in consts))
+            lifted = [int(c * self.scale) for c in consts]
+        else:
+            self.scale = 1
+            lifted = [c.value for c in consts]
         mat_a = np.array(mat, dtype=np.int64)
         row_a = np.array(row, dtype=np.int64)
         order = np.lexsort((row_a, mat_a))
         self.row = row_a[order]
         self.col = np.array(col, dtype=np.int64)[order]
-        self.val = np.array(val, dtype=object)[order]
+        self.val = np.array([(v, -v) for v in lifted], dtype=object).ravel()[order]
         mat_a = mat_a[order]
         self.mat_ptr = np.searchsorted(mat_a, np.arange(n + 1))
         self.row_ptr = np.searchsorted(mat_a * n + self.row, np.arange(n * n + 1))
 
-    def join(self, left: np.ndarray, right: np.ndarray):
-        """(q, e, f): entry e of ad_left[q] meets entry f of ad_right[q].
+    def entries(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(q, e): e runs over the entries of ad_mats[q], q ascending."""
+        return _ragged(self.mat_ptr[mats], self.mat_ptr[mats + 1])
 
-        Each triple is one term of (ad_left[q] ad_right[q])[row[e], col[f]],
-        with value val[e] * val[f].
+    def join(self, q: np.ndarray, e: np.ndarray, right: np.ndarray):
+        """(q, e, f): entry e of a left matrix meets entry f of ad_right[q].
+
+        (q, e) are the entries of a batch of left matrices, as entries()
+        gives them.  Each triple is one term of
+        (ad_left[q] ad_right[q])[row[e], col[f]], with value val[e] * val[f].
         """
-        q, e = _ragged(self.mat_ptr[left], self.mat_ptr[left + 1])
         at = right[q] * self.n + self.col[e]
         hit, f = _ragged(self.row_ptr[at], self.row_ptr[at + 1])
         return q[hit], e[hit], f
@@ -663,23 +653,19 @@ class _AdjointProducts:
         """Batch positions q, ascending, where ad [b_l, b_r] != [ad b_l, ad b_r]
         for l = left[q] < r = right[q]."""
         n = self.n
+        ql, el = self.entries(left)
         keys, vals = [], []
-        for a, b, sign in ((left, right, 1), (right, left, -1)):
-            q, e, f = self.join(a, b)
+        for q, e, b, sign in ((ql, el, right, 1), (*self.entries(right), left, -1)):
+            q, e, f = self.join(q, e, b)
             keys.append((q * n + self.row[e]) * n + self.col[f])
             vals.append(sign * (self.val[e] * self.val[f]))
-        # minus sum_m c_lr^m ad_m, from the stored terms of [b_l, b_r]
-        want = left * n + right
-        pos = np.searchsorted(self.pair_key, want)
-        found = self.pair_key[pos] == want
-        q, s = _ragged(
-            np.where(found, self.term_ptr[pos], 0),
-            np.where(found, self.term_ptr[pos + 1], 0),
-        )
-        m = self.term_k[s]
-        hit, g = _ragged(self.mat_ptr[m], self.mat_ptr[m + 1])
+        # minus sum_m c_lr^m ad_m, where c_lr^m = ad_l[m, r] is an entry
+        # of ad_l in column r
+        in_col = self.col[el] == right[ql]
+        q, s = ql[in_col], el[in_col]
+        hit, g = self.entries(self.row[s])
         keys.append((q[hit] * n + self.row[g]) * n + self.col[g])
-        vals.append(-(self.term_v[s[hit]] * self.val[g]))
+        vals.append(-(self.val[s[hit]] * self.val[g]))
         key = np.concatenate(keys)
         if not key.size:
             return key
@@ -699,7 +685,7 @@ class _AdjointProducts:
         for s in range(0, upper_i.size, _BATCH_PAIRS):
             left = upper_i[s : s + _BATCH_PAIRS]
             right = upper_j[s : s + _BATCH_PAIRS]
-            q, e, f = self.join(left, right)
+            q, e, f = self.join(*self.entries(left), right)
             diag = self.row[e] == self.col[f]
             q, e, f = q[diag], e[diag], f[diag]
             if not q.size:
@@ -763,41 +749,47 @@ def verify_jacobi(L: LieAlgebra, pairs=None) -> JacobiReport:
 
     Each pair identity covers every Jacobi triple (b_i, b_j, b_k) at once,
     so the default full sweep covers all C(dim, 3) distinct triples.  Work
-    is exact, on Python ints over integer lifts (reduced mod p over F_p):
-    the pairs go through the keyed-product engine in batches of at most
-    _BATCH_PAIRS, whose terms of ad_i ad_j, ad_j ad_i and
-    sum_k c_ij^k ad_k are summed by (pair, row, column) key.
+    is exact, on Python ints over the integer lifts of L's engine
+    (L.adjoint_products(), shared with killing_form; reduced mod p over
+    F_p): the pairs go through it in batches of at most _BATCH_PAIRS,
+    whose terms of ad_i ad_j, ad_j ad_i and sum_k c_ij^k ad_k are summed
+    by (pair, row, column) key.
     """
     t0 = perf_counter()
     n = L.dim
     if pairs is None:
-        pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        left, right = np.triu_indices(n, 1)
         triples = comb(n, 3)
     else:
         pair_list = sorted({(min(i, j), max(i, j)) for i, j in pairs})
         for i, j in pair_list:
             if i == j or not 0 <= i < j < n:
                 raise ValueError(f"bad index pair ({i}, {j})")
-        covered = {
-            (i, j, k) if k > j else ((i, k, j) if k > i else (k, i, j))
-            for i, j in pair_list
-            for k in range(n)
-            if k != i and k != j
-        }
-        triples = len(covered)
+        left, right = np.array(pair_list, dtype=np.int64).reshape(-1, 2).T
+        adj = np.zeros((n, n), dtype=np.int64)
+        adj[left, right] = adj[right, left] = 1
+        deg = adj.sum(axis=1)
+        # a triple holding t >= 1 pairs of P is counted t times by
+        # |P|(n - 2) and C(t, 2) times by the sum over vertices; t - C(t, 2)
+        # is 1 but for t = 3, so add back the triangles, each seen on its
+        # three edges
+        triangles = int((adj[left] * adj[right]).sum()) // 3
+        triples = (
+            len(pair_list) * (n - 2) - int((deg * (deg - 1) // 2).sum()) + triangles
+        )
 
-    engine = _AdjointProducts(L)
+    engine = L.adjoint_products()
     violations = []
-    for s in range(0, len(pair_list), _BATCH_PAIRS):
-        batch = np.array(pair_list[s : s + _BATCH_PAIRS], dtype=np.int64)
-        bad = engine.jacobi_violations(batch[:, 0], batch[:, 1])
-        violations += [pair_list[s + q] for q in bad.tolist()]
+    for s in range(0, left.size, _BATCH_PAIRS):
+        sl = slice(s, s + _BATCH_PAIRS)
+        bad = engine.jacobi_violations(left[sl], right[sl]) + s
+        violations += zip(left[bad].tolist(), right[bad].tolist())
 
     return JacobiReport(
         L.name,
         L.config.field.spec,
         n,
-        len(pair_list),
+        left.size,
         triples,
         tuple(violations),
         perf_counter() - t0,
@@ -841,14 +833,15 @@ def verify_antisymmetry(L: LieAlgebra, pairs=None) -> list[tuple[int, int]]:
 def killing_form(L: LieAlgebra) -> tuple[list[list[Scalar]], int]:
     """The Killing matrix kappa(b_i, b_j) = tr(ad b_i ad b_j) and its rank.
 
-    The Gram matrix comes from the keyed-product engine of verify_jacobi:
-    exact Python ints over the integer lifts, the pairs i <= j in bounded
-    batches, each entry the sum of the diagonal terms of ad_i ad_j.  Over
-    Q the rank is certified mod 2^31 - 1 (full rank mod a prime implies
-    full rank over Q) with an exact fraction elimination fallback; over
-    F_p the modular rank is the exact field rank.
+    The Gram matrix comes from L's keyed-product engine, the one
+    verify_jacobi uses (L.adjoint_products()): exact Python ints over the
+    integer lifts, the pairs i <= j in bounded batches, each entry the
+    sum of the diagonal terms of ad_i ad_j.  Over Q the rank is certified
+    mod 2^31 - 1 (full rank mod a prime implies full rank over Q) with an
+    exact fraction elimination fallback; over F_p the modular rank is the
+    exact field rank.
     """
-    engine = _AdjointProducts(L)
+    engine = L.adjoint_products()
     gram = engine.gram()
     n = L.dim
     field = L.config.field

@@ -768,10 +768,11 @@ SUITES: dict[str, tuple] = {
 
 
 def suite_names(n: int, suites=None) -> tuple[str, ...]:
-    """The suites a run_suites(n, suites) call runs; ValueError if it is invalid."""
+    """The suites a run_suites(n, suites) call runs, each once in first-seen
+    order; ValueError if the call is invalid."""
     if not 1 <= n <= 8:
         raise ValueError(f"property suites require 1 <= n <= 8, got {n}")
-    names = tuple(SUITES) if suites is None else tuple(suites)
+    names = tuple(SUITES) if suites is None else tuple(dict.fromkeys(suites))
     for name in names:
         if name not in SUITES:
             raise ValueError(

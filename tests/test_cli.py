@@ -218,6 +218,18 @@ class TestProps:
             "eps-duality",
         ]
 
+    def test_repeated_suite_reported_once(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["props", "--n", "1", "--suite", "fock", "--suite", "fock"]
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["suites"] == ["fock"]
+        assert [r["check"] for r in report["results"]] == [
+            "car-relations",
+            "h-eigenvalues",
+        ]
+
     def test_n_zero_exit_2(self, capsys):
         code, out, err = run_cli(capsys, ["props", "--n", "0"])
         assert code == 2

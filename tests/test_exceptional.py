@@ -54,6 +54,33 @@ def e8():
     return L
 
 
+def covered_triples(n, pairs):
+    """The distinct Jacobi triples {i, j, k} that the pairs (i, j) cover."""
+    return {
+        tuple(sorted((i, j, k))) for i, j in pairs for k in range(n) if k not in (i, j)
+    }
+
+
+def abelian(n):
+    """An n-dimensional abelian algebra: every bracket is zero."""
+    basis = [("x", a) for a in range(n)]
+    return LieAlgebra(f"abelian{n}", Config(1), basis, lambda la, lb: {})
+
+
+@pytest.fixture
+def engine_builds(monkeypatch):
+    """Names of the algebras whose Jacobi/Killing engine gets built."""
+    builds = []
+    init = exceptional_mod._AdjointProducts.__init__
+
+    def counted(self, L):
+        builds.append(L.name)
+        init(self, L)
+
+    monkeypatch.setattr(exceptional_mod._AdjointProducts, "__init__", counted)
+    return builds
+
+
 def pairs_touching(L, i, j):
     out = set()
     for x in range(L.dim):
@@ -496,6 +523,19 @@ class TestVerifyJacobi:
         assert rep.pairs_checked == 1
         assert rep.triples_covered == 76
 
+    def test_subset_triples_match_set_oracle(self, e7, e8):
+        r = rng(83)
+        for _ in range(200):
+            n = r.randrange(3, 31)
+            pairs = [tuple(r.sample(range(n), 2)) for _ in range(r.randrange(n * n))]
+            rep = verify_jacobi(abelian(n), pairs=pairs)
+            assert rep and rep.triples_covered == len(covered_triples(n, pairs))
+        # the pairs touching b_i or b_j cover C(dim, 3) - C(dim - 2, 3) triples
+        for L, i, j, want in ((e7, 3, 90, 17161), (e8, 0, 247, 60516)):
+            pairs = pairs_touching(L, i, j)
+            rep = verify_jacobi(L, pairs=pairs)
+            assert rep.triples_covered == len(covered_triples(L.dim, pairs)) == want
+
     def test_bad_pairs_rejected(self, e6):
         with pytest.raises(ValueError):
             verify_jacobi(e6, pairs=[(3, 3)])
@@ -615,6 +655,38 @@ class TestJacobiOracle:
         assert any(v not in set(pairs_touching(L, i, j)) for v in want)
         subset = verify_jacobi(mutant, pairs=pairs_touching(L, i, j))
         assert set(subset.violations) == set(want) & set(pairs_touching(L, i, j))
+
+
+class TestOneEngine:
+    """The Jacobi and Killing engine is built once per algebra."""
+
+    def test_jacobi_then_killing(self, engine_builds):
+        L = build_e6()
+        assert verify_jacobi(L)
+        assert killing_form(L)[1] == 78
+        assert engine_builds == ["e6"]
+
+    def test_cli_verify(self, engine_builds, capsys):
+        from spinor_forge.cli import main
+
+        assert main(["verify", "--algebra", "e6"]) == 0
+        capsys.readouterr()
+        assert engine_builds == ["e6"]
+
+    def test_flip_after_parent_engine(self, engine_builds):
+        L = build_e6(field=PrimeField(7))
+        assert verify_jacobi(L)
+        (i, j), terms = L.nonzero_brackets()[5]
+        mutant = with_flipped_sign(L, i, j, terms[0][0])
+        pairs = pairs_touching(L, i, j)
+        rep = verify_jacobi(mutant, pairs=pairs)
+        assert rep.violations
+        assert list(rep.violations) == oracle_violations(mutant, pairs)
+        assert not verify_jacobi(mutant)
+        # the parent keeps its own engine and still verifies clean
+        assert verify_jacobi(L, pairs=pairs) and verify_jacobi(L)
+        assert killing_form(L)[1] == 78
+        assert engine_builds == [L.name, mutant.name]
 
 
 def wrapped_e6(base, broken=None):

@@ -27,6 +27,7 @@ from spinor_forge.props import (
     check_q_isometry,
     check_top_symmetry,
     run_suites,
+    suite_names,
 )
 
 
@@ -87,6 +88,11 @@ class TestRunner:
         results = run_suites(2, ["pairings", "fock"])
         assert results[0].check == "grade2-symmetry"
         assert results[-1].check == "h-eigenvalues"
+
+    def test_repeated_suite_runs_once(self):
+        assert suite_names(1, ["fock", "norms", "fock"]) == ("fock", "norms")
+        results = run_suites(1, ["fock", "fock"])
+        assert [r.check for r in results] == ["car-relations", "h-eigenvalues"]
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
