@@ -26,6 +26,7 @@ recovers the Dynkin type from scratch.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 from fractions import Fraction
@@ -193,19 +194,24 @@ class LieAlgebra:
 def with_flipped_sign(L: LieAlgebra, i: int, j: int, k: int) -> LieAlgebra:
     """A copy of L with the sign of one structure constant flipped.
 
-    The copy shares every other stored table entry, but not L's engine;
-    it exists to feed the verifiers deliberately broken input.
+    Builds L's engine first (a mutant exists to be verified), so the copy
+    takes L's complete table, with one entry replaced, and an engine patched
+    from L's: the same index arrays, its own values with the two entries of
+    the flipped constant negated.  L itself is left unchanged; the copy
+    exists to feed the verifiers deliberately broken input.
     """
     if i == j:
         raise ValueError("mutation needs two distinct basis indices")
     if i > j:
         i, j = j, i
+    engine = L.adjoint_products()
     terms = L.bracket(i, j)
     if k not in {t[0] for t in terms}:
         raise ValueError(f"no structure constant at ({i}, {j}, {k})")
     clone = LieAlgebra(f"{L.name}~flip({i},{j},{k})", L.config, L.basis, L._fn)
     clone._table = dict(L._table)
     clone._table[(i, j)] = tuple((kk, -c if kk == k else c) for kk, c in terms)
+    clone._engine = engine.flipped(i, j, k)
     return clone
 
 
@@ -600,11 +606,12 @@ class _AdjointProducts:
     c_ij^k is the entry ad_i[k, j].  Over Q every constant is scaled by
     D = lcm of all denominators, so a product of two constants lives on
     the D^2 scale; over F_p constants are lifted to canonical
-    representatives and residuals reduced mod p.  Indices are int64
-    arrays and values Python ints in object arrays, so no product or sum
-    can overflow and one code path serves Q and every prime.  Products
-    ad_a ad_b for a batch of index pairs come from a ragged join of the
-    entries of ad_a with the rows of ad_b.
+    representatives and each product is reduced mod p before the sum.
+    Indices and values are int64: a Gram or Jacobi key sums at most
+    n * max(n, 3) products, and the constructor proves that count times
+    max|v|^2 over Q (p over F_p) is below 2^63, or raises ValueError.
+    Products ad_a ad_b for a batch of index pairs come from a ragged join
+    of the entries of ad_a with the rows of ad_b.
     """
 
     def __init__(self, L: LieAlgebra) -> None:
@@ -621,18 +628,36 @@ class _AdjointProducts:
         if self.p is None:
             self.scale = lcm(1, *(c.denominator for c in consts))
             lifted = [int(c * self.scale) for c in consts]
+            term_bound = max(map(abs, lifted), default=0) ** 2
         else:
             self.scale = 1
             lifted = [c.value for c in consts]
+            term_bound = self.p
+        if n * max(n, 3) * term_bound >= 1 << 63:
+            raise ValueError(f"{L.name}: structure constants too large for int64")
         mat_a = np.array(mat, dtype=np.int64)
         row_a = np.array(row, dtype=np.int64)
         order = np.lexsort((row_a, mat_a))
         self.row = row_a[order]
         self.col = np.array(col, dtype=np.int64)[order]
-        self.val = np.array([(v, -v) for v in lifted], dtype=object).ravel()[order]
+        self.val = np.outer(np.array(lifted, dtype=np.int64), (1, -1)).ravel()[order]
         mat_a = mat_a[order]
         self.mat_ptr = np.searchsorted(mat_a, np.arange(n + 1))
         self.row_ptr = np.searchsorted(mat_a * n + self.row, np.arange(n * n + 1))
+
+    def flipped(self, i: int, j: int, k: int) -> "_AdjointProducts":
+        """A copy with c_ij^k negated: its two entries ad_i[k, j] and ad_j[k, i].
+
+        The index arrays are shared; val is copied, so self is unchanged.
+        """
+        n = self.n
+        out = copy.copy(self)
+        out.val = self.val.copy()
+        for a, b in ((i, j), (j, i)):
+            lo, hi = self.row_ptr[a * n + k], self.row_ptr[a * n + k + 1]
+            e = lo + np.flatnonzero(self.col[lo:hi] == b)
+            out.val[e] = -out.val[e]
+        return out
 
     def entries(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(q, e): e runs over the entries of ad_mats[q], q ascending."""
@@ -643,11 +668,18 @@ class _AdjointProducts:
 
         (q, e) are the entries of a batch of left matrices, as entries()
         gives them.  Each triple is one term of
-        (ad_left[q] ad_right[q])[row[e], col[f]], with value val[e] * val[f].
+        (ad_left[q] ad_right[q])[row[e], col[f]], with value product(e, f).
         """
         at = right[q] * self.n + self.col[e]
         hit, f = _ragged(self.row_ptr[at], self.row_ptr[at + 1])
         return q[hit], e[hit], f
+
+    def product(self, e: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """val[e] * val[f], each product reduced mod p over F_p."""
+        prod = self.val[e] * self.val[f]
+        if self.p is not None:
+            prod %= self.p
+        return prod
 
     def jacobi_violations(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Batch positions q, ascending, where ad [b_l, b_r] != [ad b_l, ad b_r]
@@ -658,14 +690,14 @@ class _AdjointProducts:
         for q, e, b, sign in ((ql, el, right, 1), (*self.entries(right), left, -1)):
             q, e, f = self.join(q, e, b)
             keys.append((q * n + self.row[e]) * n + self.col[f])
-            vals.append(sign * (self.val[e] * self.val[f]))
+            vals.append(sign * self.product(e, f))
         # minus sum_m c_lr^m ad_m, where c_lr^m = ad_l[m, r] is an entry
         # of ad_l in column r
         in_col = self.col[el] == right[ql]
         q, s = ql[in_col], el[in_col]
         hit, g = self.entries(self.row[s])
         keys.append((q[hit] * n + self.row[g]) * n + self.col[g])
-        vals.append(-(self.val[s[hit]] * self.val[g]))
+        vals.append(-self.product(s[hit], g))
         key = np.concatenate(keys)
         if not key.size:
             return key
@@ -674,28 +706,27 @@ class _AdjointProducts:
         starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
         sums = np.add.reduceat(np.concatenate(vals)[order], starts)
         if self.p is not None:
-            sums = sums % self.p
+            sums %= self.p
         return np.unique(key[starts][sums != 0] // (n * n))
 
-    def gram(self) -> list[list[int]]:
-        """tr(ad_i ad_j) for all i, j: the diagonal terms of the products."""
+    def gram(self) -> np.ndarray:
+        """The int64 array tr(ad_i ad_j) = sum over a, m of ad_i[a, m] ad_j[m, a].
+
+        Each entry (a, m) of some ad_i meets every entry of every ad_j at
+        the transposed position (m, a), read off the entries sorted by
+        position.
+        """
         n = self.n
-        gram = [[0] * n for _ in range(n)]
-        upper_i, upper_j = np.triu_indices(n)
-        for s in range(0, upper_i.size, _BATCH_PAIRS):
-            left = upper_i[s : s + _BATCH_PAIRS]
-            right = upper_j[s : s + _BATCH_PAIRS]
-            q, e, f = self.join(*self.entries(left), right)
-            diag = self.row[e] == self.col[f]
-            q, e, f = q[diag], e[diag], f[diag]
-            if not q.size:
-                continue
-            starts = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
-            sums = np.add.reduceat(self.val[e] * self.val[f], starts)
-            for t, v in zip(q[starts].tolist(), sums):
-                i, j = int(left[t]), int(right[t])
-                gram[i][j] = gram[j][i] = v
-        return gram
+        mat = np.repeat(np.arange(n), np.diff(self.mat_ptr))
+        pos = self.row * n + self.col
+        by_pos = np.argsort(pos)
+        pos_ptr = np.searchsorted(pos[by_pos], np.arange(n * n + 1))
+        at = self.col * n + self.row
+        e, t = _ragged(pos_ptr[at], pos_ptr[at + 1])
+        f = by_pos[t]
+        gram = np.zeros(n * n, dtype=np.int64)
+        np.add.at(gram, mat[e] * n + mat[f], self.product(e, f))
+        return gram.reshape(n, n)
 
 
 class JacobiReport:
@@ -749,9 +780,10 @@ def verify_jacobi(L: LieAlgebra, pairs=None) -> JacobiReport:
 
     Each pair identity covers every Jacobi triple (b_i, b_j, b_k) at once,
     so the default full sweep covers all C(dim, 3) distinct triples.  Work
-    is exact, on Python ints over the integer lifts of L's engine
-    (L.adjoint_products(), shared with killing_form; reduced mod p over
-    F_p): the pairs go through it in batches of at most _BATCH_PAIRS,
+    is exact, on int64 over the integer lifts of L's engine
+    (L.adjoint_products(), shared with killing_form; its constructor
+    proves every sum fits, and over F_p each product is reduced mod p):
+    the pairs go through it in batches of at most _BATCH_PAIRS,
     whose terms of ad_i ad_j, ad_j ad_i and sum_k c_ij^k ad_k are summed
     by (pair, row, column) key.
     """
@@ -834,31 +866,24 @@ def killing_form(L: LieAlgebra) -> tuple[list[list[Scalar]], int]:
     """The Killing matrix kappa(b_i, b_j) = tr(ad b_i ad b_j) and its rank.
 
     The Gram matrix comes from L's keyed-product engine, the one
-    verify_jacobi uses (L.adjoint_products()): exact Python ints over the
-    integer lifts, the pairs i <= j in bounded batches, each entry the
-    sum of the diagonal terms of ad_i ad_j.  Over Q the rank is certified
+    verify_jacobi uses (L.adjoint_products()): exact int64 sums over the
+    integer lifts, each entry the sum of the diagonal terms of
+    ad_i ad_j, every i and j in one pass.  Over Q the rank is certified
     mod 2^31 - 1 (full rank mod a prime implies full rank over Q) with an
-    exact fraction elimination fallback; over F_p the modular rank is the
-    exact field rank.
+    exact fraction elimination fallback; over F_p (p < 2^31 by the field's
+    bound) the modular rank is the exact field rank.
     """
     engine = L.adjoint_products()
-    gram = engine.gram()
-    n = L.dim
+    gram = engine.gram().tolist()
     field = L.config.field
-    p = engine.p
-    if p is None:
-        denom = engine.scale * engine.scale
-        zero = Fraction(0)
-        matrix = [[Fraction(v, denom) if v else zero for v in row] for row in gram]
-        rank = rank_mod_p(gram, (1 << 31) - 1)
-        if rank < n:
-            rank = echelon_rank(matrix, field)
-    else:
-        matrix = [[field.from_int(v) for v in row] for row in gram]
-        if p <= (1 << 31) - 1:
-            rank = rank_mod_p(gram, p)
-        else:
-            rank = echelon_rank(matrix, field)
+    denom = engine.scale * engine.scale
+    zero = field.zero()
+    matrix = [
+        [field.from_fraction(v, denom) if v else zero for v in row] for row in gram
+    ]
+    rank = rank_mod_p(gram, engine.p or (1 << 31) - 1)
+    if engine.p is None and rank < L.dim:
+        rank = echelon_rank(matrix, field)
     return matrix, rank
 
 

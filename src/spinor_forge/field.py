@@ -2,7 +2,7 @@
 
 Downstream equality checks are exact, never approximate, so scalars are
 either `fractions.Fraction` (characteristic 0) or `Residue` instances
-(characteristic p with p prime, p not in {2, 3}).  The two kinds never mix:
+(characteristic p with p prime, 5 <= p < 2^31).  The two kinds never mix:
 mixing residues of different moduli raises ValueError, mixing a Residue
 with a Fraction raises TypeError through the normal operator protocol.
 
@@ -18,36 +18,21 @@ numerator and the denominator back into a field scalar.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Hashable, Union
 
 Scalar = Union[Fraction, "Residue"]
 
-# Deterministic Miller-Rabin witness set, valid for all m < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Prime fields are bounded to 5 <= p < 2^31: a product of two canonical
+# residues then fits int64, and primality is decided exactly.
+MAX_PRIME = (1 << 31) - 1
 
 
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    for q in _MR_WITNESSES:
-        if m % q == 0:
-            return m == q
-    d, r = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
+    """Exact primality by trial division, for m <= MAX_PRIME only."""
+    if m > MAX_PRIME:
+        raise ValueError(f"{m} exceeds the prime field bound 2^31 - 1")
+    return m > 1 and all(m % d for d in range(2, isqrt(m) + 1))
 
 
 class Residue:
@@ -194,7 +179,7 @@ class Rationals:
 
 
 class PrimeField:
-    """The field F_p.  Characteristic 2 and 3 are rejected outright."""
+    """The field F_p for a prime 5 <= p < 2^31; 2 and 3 are rejected first."""
 
     def __init__(self, p: int) -> None:
         if p in (2, 3):

@@ -83,6 +83,21 @@ class TestVerify:
         assert code == 2
         assert "not prime" in err
 
+    @pytest.mark.parametrize("p", ["3317044064679887385961981", "2147483659"])
+    def test_prime_outside_bound_rejected(self, capsys, monkeypatch, p):
+        from spinor_forge import cli
+
+        def never(field=None, form=None):
+            raise AssertionError("built despite a usage error")
+
+        monkeypatch.setitem(cli._BUILDERS, "e6", never)
+        code, out, err = run_cli(
+            capsys, ["verify", "--algebra", "e6", "--field", f"fp:{p}"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "bound 2^31 - 1" in err
+
     def test_bad_field_spec_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, ["verify", "--algebra", "e6", "--field", "r"]
@@ -152,13 +167,35 @@ class TestExport:
         assert report["sha256"] == hashlib.sha256(raw).hexdigest()
         assert list(report) == [
             "command", "algebra", "field", "dim", "out", "bytes", "sha256",
-            "build_seconds", "seconds",
+            "build_seconds", "table_seconds", "seconds",
         ]
         assert 0 <= report["build_seconds"] <= report["seconds"]
         data = json.loads(raw)
         assert list(data) == ["name", "field", "dim", "basis", "brackets"]
         assert data["dim"] == 78
         assert str(out_path) in err
+
+    def test_table_built_before_to_json(self, capsys, tmp_path, monkeypatch):
+        from math import comb
+
+        from spinor_forge import cli
+
+        real = cli.to_json
+        stored = []
+
+        def checked(algebra):
+            stored.append(len(algebra._table))
+            assert stored[-1] == comb(algebra.dim, 2)
+            return real(algebra)
+
+        monkeypatch.setattr(cli, "to_json", checked)
+        code, out, _ = run_cli(
+            capsys, ["export", "--algebra", "e6", "--out", str(tmp_path / "e6.json")]
+        )
+        assert code == 0
+        assert stored == [comb(78, 2)]
+        report = json.loads(out)
+        assert 0 <= report["table_seconds"] <= report["seconds"]
 
     def test_reexport_identical(self, capsys, tmp_path):
         first = tmp_path / "a.json"

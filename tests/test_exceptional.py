@@ -4,7 +4,9 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
+import numpy as np
 import pytest
 
 import spinor_forge.exceptional as exceptional_mod
@@ -686,7 +688,97 @@ class TestOneEngine:
         # the parent keeps its own engine and still verifies clean
         assert verify_jacobi(L, pairs=pairs) and verify_jacobi(L)
         assert killing_form(L)[1] == 78
-        assert engine_builds == [L.name, mutant.name]
+        assert engine_builds == [L.name]
+
+    def test_flip_leaves_parent_engine(self, engine_builds):
+        L = build_e7(field=PrimeField(7))
+        engine = L.adjoint_products()
+        before = engine.val.copy()
+        for _, _, mutant in seeded_flips(L, 23, 5):
+            patched = mutant.adjoint_products()
+            assert patched.row is engine.row and patched.row_ptr is engine.row_ptr
+            assert not np.shares_memory(patched.val, engine.val)
+            assert np.count_nonzero(patched.val != before) == 2
+        assert np.array_equal(engine.val, before)
+        assert L.adjoint_products() is engine
+        assert verify_jacobi(L) and killing_form(L)[1] == 133
+        assert engine_builds == [L.name]
+
+    @pytest.mark.parametrize("p", [None, 7])
+    def test_patched_engine_matches_rebuild(self, engine_builds, p):
+        # the flip builds the parent's engine when it does not exist yet
+        L = build_e6(field=PrimeField(p) if p else None)
+        mutants = [mutant for _, _, mutant in seeded_flips(L, 5, 4)]
+        assert engine_builds == [L.name]
+        for mutant in mutants:
+            patched = mutant.adjoint_products()
+            fresh = exceptional_mod._AdjointProducts(mutant)
+            for name in ("row", "col", "mat_ptr", "row_ptr"):
+                assert np.array_equal(getattr(fresh, name), getattr(patched, name))
+            want, got = fresh.val, patched.val
+            if p:
+                # a rebuild lifts -c to p - c where the patch keeps -c
+                want, got = want % p, got % p
+            assert np.array_equal(want, got)
+
+
+class TestEngineBounds:
+    """The engine's int64 sums are proven to fit when it is built."""
+
+    @staticmethod
+    def heisenberg(c):
+        # [x0, x1] = c x2, every other bracket zero
+        basis = [("x", a) for a in range(3)]
+
+        def fn(la, lb):
+            return {("x", 2): Fraction(c)} if (la[1], lb[1]) == (0, 1) else {}
+
+        return LieAlgebra(f"heisenberg{c}", Config(1), basis, fn)
+
+    def test_oversized_constant_rejected(self, monkeypatch):
+        def no_batch(self, left, right):
+            raise AssertionError("a Jacobi batch ran")
+
+        engine = exceptional_mod._AdjointProducts
+        monkeypatch.setattr(engine, "jacobi_violations", no_batch)
+        L = self.heisenberg(1 << 40)
+        with pytest.raises(ValueError, match="too large"):
+            L.adjoint_products()
+        with pytest.raises(ValueError, match="too large"):
+            verify_jacobi(L)
+        with pytest.raises(ValueError, match="too large"):
+            killing_form(L)
+
+    def test_largest_constants_stay_exact(self):
+        # 3 * 3 * (2^29)^2 < 2^63; the Jacobi sums of this nilpotent
+        # algebra cancel exactly and its Killing form vanishes
+        L = self.heisenberg(1 << 29)
+        assert L.adjoint_products().val.tolist() == [1 << 29, -(1 << 29)]
+        assert verify_jacobi(L)
+        assert killing_form(L)[1] == 0
+
+    @pytest.mark.parametrize("build", [build_e6, build_e7])
+    def test_largest_prime_sums_stay_exact(self, build):
+        # lifted residues reach p - 1, so the sums of unreduced products
+        # would overflow int64; the Killing matrix over F_p is the one over
+        # Q reduced mod p
+        field = PrimeField((1 << 31) - 1)
+        L = build(field=field)
+        assert verify_jacobi(L)
+        mat, rank = killing_form(L)
+        assert rank == L.dim
+        q_mat, _ = killing_form(build())
+        assert mat == [
+            [field.from_fraction(x.numerator, x.denominator) for x in row]
+            for row in q_mat
+        ]
+
+    @pytest.mark.parametrize("p", [None, 7, (1 << 31) - 1])
+    def test_values_are_int64(self, p):
+        L = build_e6(field=PrimeField(p) if p else None)
+        engine = L.adjoint_products()
+        assert engine.val.dtype == np.int64
+        assert engine.gram().dtype == np.int64
 
 
 def wrapped_e6(base, broken=None):
@@ -793,6 +885,25 @@ class TestKillingForm:
             lhs = kappa_of(e6.bracket(x, y), z)
             rhs = -kappa_of(e6.bracket(x, z), y)
             assert lhs == rhs
+
+    @pytest.mark.parametrize("p", [None, 7])
+    def test_matrix_matches_dense_traces(self, p):
+        # the reference: dense integer ad matrices from L.bracket alone
+        field = PrimeField(p) if p else Rationals()
+        L = build_e6(field=field)
+        n = L.dim
+        brackets = [[L.bracket(i, j) for j in range(n)] for i in range(n)]
+        consts = [c for row in brackets for terms in row for _, c in terms]
+        scale = p or lcm(*(c.denominator for c in consts))
+        ad = np.zeros((n, n, n), dtype=np.int64)
+        for i in range(n):
+            for j in range(n):
+                for k, c in brackets[i][j]:
+                    ad[i, k, j] = c.value if p else int(c * scale)
+        traces = np.einsum("iab,jba->ij", ad, ad).tolist()
+        denom = 1 if p else scale * scale
+        mat, _ = killing_form(L)
+        assert mat == [[field.from_fraction(t, denom) for t in row] for row in traces]
 
     def test_f7_rank_matches_dense_elimination(self):
         from spinor_forge.linalg import echelon_rank

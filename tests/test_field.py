@@ -76,6 +76,48 @@ def test_is_prime():
     assert not any(is_prime(m) for m in composites)
 
 
+# psi_13 = 1287836182261 * 2575672364521, the least strong pseudoprime to
+# the 13 prime bases 2..41; 2147483659 is the first prime above 2^31, and
+# 25326001 the least strong pseudoprime to the bases 2, 3 and 5.
+PSI13 = 3317044064679887385961981
+
+
+@pytest.mark.parametrize("p", [PSI13, 2147483659, 25326001])
+def test_field_bound_rejects(p):
+    with pytest.raises(ValueError):
+        PrimeField(p)
+    with pytest.raises(ValueError):
+        make_field(f"fp:{p}")
+
+
+def test_field_bound_accepts_largest_prime():
+    assert make_field("fp:2147483647") == PrimeField((1 << 31) - 1)
+    with pytest.raises(ValueError, match="bound 2\\^31 - 1"):
+        PrimeField(1 << 31)
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(-7)
+
+
+def test_is_prime_bounded():
+    assert PSI13 == 1287836182261 * 2575672364521
+    with pytest.raises(ValueError):
+        is_prime(PSI13)
+    with pytest.raises(ValueError):
+        is_prime(1 << 31)
+    assert not is_prime(25326001)
+
+
+def test_is_prime_matches_sieve():
+    size = 5000
+    sieve = [False, False] + [True] * (size - 2)
+    for d in range(2, size):
+        if sieve[d]:
+            sieve[d * d :: d] = [False] * len(sieve[d * d :: d])
+    assert [m for m in range(size) if is_prime(m)] == [
+        m for m in range(size) if sieve[m]
+    ]
+
+
 def test_make_field():
     assert make_field("q") == Rationals()
     f = make_field("fp:7")
