@@ -29,7 +29,7 @@ from .exceptional import (
     verify_antisymmetry,
     verify_jacobi,
 )
-from .field import make_field
+from .field import Field, make_field
 from .fock import Config
 from .norms import solve_spinor_norm
 from .props import SUITES, suite_names
@@ -70,9 +70,8 @@ def _say(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig, field: Field) -> int:
     start = time.perf_counter()
-    field = make_field(cfg.field)
     form = solve_spinor_norm(Config(_SPINOR_N[cfg.algebra], field))
     norm_seconds = time.perf_counter() - start
     t0 = time.perf_counter()
@@ -145,9 +144,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_export(cfg: RunConfig) -> int:
+def cmd_export(cfg: RunConfig, field: Field) -> int:
     start = time.perf_counter()
-    field = make_field(cfg.field)
     algebra = _BUILDERS[cfg.algebra](field=field)
     build_seconds = time.perf_counter() - start
     t0 = time.perf_counter()
@@ -237,12 +235,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(cfg: RunConfig) -> None:
-    """Raise ValueError for a usage error, before any work starts."""
+def _validate(cfg: RunConfig) -> Optional[Field]:
+    """Raise ValueError for a usage error, before any work starts.
+
+    Returns the field that verify and export run over (None for props),
+    built once here and handed to the command.
+    """
     if cfg.command == "props":
         suite_names(cfg.n, cfg.suite)
-        return
-    make_field(cfg.field)
+        return None
+    return make_field(cfg.field)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -255,14 +257,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out=getattr(args, "out", None),
         suite=getattr(args, "suite", None),
     )
-    handlers = {"verify": cmd_verify, "export": cmd_export, "props": cmd_props}
+    handlers = {"verify": cmd_verify, "export": cmd_export}
     try:
-        _validate(cfg)
+        field = _validate(cfg)
     except ValueError as exc:
         _say(f"error: {exc}")
         return 2
     try:
-        return handlers[cfg.command](cfg)
+        if cfg.command == "props":
+            return cmd_props(cfg)
+        return handlers[cfg.command](cfg, field)
     except Exception as exc:
         traceback.print_exc(file=sys.stderr)
         message = f"{type(exc).__name__}: {exc}"

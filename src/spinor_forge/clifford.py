@@ -22,9 +22,12 @@ product of two monomials is Wick's theorem in closed form (see `_wick`):
 contracting i_B against e_C over each subset S of B n C leaves one
 signed monomial, whose sign is a sum of popcount parities.
 `trace_product` runs the same closed form but keeps only the diagonal
-outputs, so Tr(xy) never builds xy.  `to_blades` expands a monomial with
-integer coefficients over one common power of two, and `_blade_terms`
-expands an orthonormal blade back into monomials block by block.
+outputs, so Tr(xy) never builds xy.  `vector_commutator` gives [x, E_s]
+for an even x and an orthonormal vector in closed form, one contraction
+per term, with `commutator` as its test oracle.  `to_blades` expands a
+monomial with integer coefficients over one common power of two, and
+`_blade_terms` expands an orthonormal blade back into monomials block by
+block.
 
 An orthonormal basis is derived from the Witt basis by E_{2a-1} = e_a + i_a
 (square +1) and E_{2a} = e_a - i_a (square -1).  Internally these 2n vectors
@@ -183,6 +186,39 @@ def commutator(x: CliffordElem, y: CliffordElem) -> CliffordElem:
     return CliffordElem._make(x.config, acc, x._den * y._den)
 
 
+def vector_commutator(x: CliffordElem, slot: int) -> CliffordElem:
+    """[x, E_slot] for an even element x, one contraction per term.
+
+    E_slot = e_a + i_a (even slot) or e_a - i_a (odd slot).  For an even
+    monomial the uncontracted parts of the two products cancel, leaving
+
+        [e_A i_B, e_c] =  [c in B] (-1)^#{b in B : b > c} e_A i_{B - c},
+        [e_A i_B, i_c] = -[c in A] (-1)^#{a in A : a < c} e_{A - c} i_B.
+
+    `commutator(x, orthonormal_vector(config, slot))` is the oracle.
+    Raises ValueError for an odd term or a slot outside 0..2n-1.
+    """
+    config = x.config
+    if not 0 <= slot < 2 * config.n:
+        raise ValueError(f"slot {slot} out of range for n={config.n}")
+    bit = 1 << (slot >> 1)
+    # the i_a term's own minus sign, plus the minus of e_a - i_a on odd slots
+    i_odd = 1 + (slot & 1)
+    acc: dict[Monomial, int] = {}
+    for (emask, imask), c in x._num.items():
+        if (emask.bit_count() + imask.bit_count()) & 1:
+            raise ValueError("vector_commutator expects an even element")
+        if imask & bit:
+            key = (emask, imask ^ bit)
+            odd = (imask >> ((slot >> 1) + 1)).bit_count()
+            acc[key] = acc.get(key, 0) + (-c if odd & 1 else c)
+        if emask & bit:
+            key = (emask ^ bit, imask)
+            odd = i_odd + (emask & (bit - 1)).bit_count()
+            acc[key] = acc.get(key, 0) + (-c if odd & 1 else c)
+    return CliffordElem._make(config, acc, x._den)
+
+
 def act(x: CliffordElem, psi: SpinorVec) -> SpinorVec:
     """Apply x to a spinor: each monomial is the composite of the fock
     creation/annihilation moves in the monomial's written order."""
@@ -315,11 +351,6 @@ def slot_metric(slot: int) -> int:
     return -1 if slot & 1 else 1
 
 
-def slot_str(slot: int) -> str:
-    a = slot // 2 + 1
-    return f"E{a}~" if slot & 1 else f"E{a}"
-
-
 @lru_cache(maxsize=None)
 def orthonormal_vector(config: Config, slot: int) -> CliffordElem:
     if not 0 <= slot < 2 * config.n:
@@ -428,17 +459,6 @@ def _blade_terms(bmask: int) -> dict[Monomial, int]:
     }
 
 
-def blade_to_elem(config: Config, bmask: int) -> CliffordElem:
-    """The orthonormal blade `bmask` (bit s set for slot s) as an element.
-
-    Equal to q_map of its ascending slots, expanded in closed form by
-    `_blade_terms` instead of as a product of vectors.
-    """
-    if not 0 <= bmask < 1 << (2 * config.n):
-        raise ValueError(f"blade mask {bmask} out of range for n={config.n}")
-    return CliffordElem._make(config, _blade_terms(bmask))
-
-
 def _project(config: Config, blades: dict[int, int], den: int, k: int) -> CliffordElem:
     """The grade-k part of the element with blade coordinates blades / den.
 
@@ -518,17 +538,3 @@ def h_operator(config: Config) -> CliffordElem:
         ea, ia = witt_e(config, a), witt_i(config, a)
         out = out + (multiply(ea, ia) - multiply(ia, ea)).scale(half)
     return out
-
-
-def to_endomorphism_matrix(x: CliffordElem) -> list[list[Scalar]]:
-    """Dense matrix of the Fock action: M[row][col] is the coefficient of
-    basis vector `row` in x applied to basis vector `col`."""
-    config = x.config
-    zero = config.field.zero()
-    size = config.size
-    mat = [[zero] * size for _ in range(size)]
-    for col in range(size):
-        image = act(x, SpinorVec.basis(config, col))
-        for row, c in image.terms.items():
-            mat[row][col] = c
-    return mat

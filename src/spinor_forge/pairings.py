@@ -5,14 +5,16 @@ an element of the grade-2 part (the orthogonal Lie algebra inside C).  The
 generic four-sum grade2_pairing works on any two spinors and is the
 oracle; each of its terms B(w.psi1, psi2) for a two-generator word w is
 evaluated by direct Fock moves, one signed move per (word term, spinor
-term), with no pruning by the basis case table.  On a pair of Fock basis
-vectors the pairing has the paper's closed form, the one case table of
-this package: _l2_coords writes it straight in grade-2 labels, and
-grade2_pairing_on_basis applies it to a third basis spinor label by label
-through _c2_move.  The exceptional builders run these same functions, and
-basis_top_grade_coefficient for the top grade.  The top-grade and graded
-variants (the graded one also by direct moves) and the orbit-map adjoint
-round out the toolkit.
+term), with no pruning by the basis case table: `_move_pairing` tests
+from the masks whether the move survives, then looks up psi2 at the
+image's complement and the form entry, and computes the sign only on a
+hit.  On a pair of Fock basis vectors the pairing has the paper's closed
+form, the one case table of this package: _l2_coords writes it straight
+in grade-2 labels, and grade2_pairing_on_basis applies it to a third
+basis spinor label by label through _c2_move.  The exceptional builders
+run these same functions, and basis_top_grade_coefficient for the top
+grade.  The top-grade and graded variants (the graded one also by direct
+moves) and the orbit-map adjoint round out the toolkit.
 """
 
 from __future__ import annotations
@@ -30,7 +32,14 @@ from .clifford import (
     witt_i,
 )
 from .field import Field, Scalar
-from .fock import Config, SpinorVec, apply_monomial, mask_str, parity
+from .fock import (
+    Config,
+    SpinorVec,
+    apply_monomial,
+    inversion_parity,
+    mask_str,
+    parity,
+)
 from .norms import BilinearForm, b_eval
 
 Label = tuple
@@ -54,20 +63,25 @@ def _move_pairing(
 ) -> Optional[int]:
     """B(word.phi, psi) by direct Fock moves, or None if no term meets psi.
 
-    Each (word term, phi term) pair is one `apply_monomial`; B pairs the
-    image mask only with psi's coefficient at its complement.  Equals
-    b_eval(form, act(word, phi), psi) without building the spinor.
-    Returns the int numerator over den(word) den(phi) den(psi) den(B).
+    Each (word term, phi term) pair is one move of `apply_monomial`, taken
+    in the order that settles most pairs soonest: the masks alone decide
+    whether e_A i_B survives on e_M.v, then psi's coefficient at the
+    complement of the image and the form entry are looked up, and only on
+    a hit is the sign (-1)^(inv(B, M) + inv(A, M - B)) computed.  Every
+    word and every term is still evaluated, so the four-sum stays the
+    oracle.  Equals b_eval(form, act(word, phi), psi) without building the
+    spinor.  Returns the int numerator over den(word) den(phi) den(psi)
+    den(B).
     """
     full = form.config.size - 1
     entries, psi_num = form._num, psi._num
     acc = None
     for (emask, imask), cw in word._num.items():
         for mask, cp in phi._num.items():
-            hit = apply_monomial(emask, imask, mask)
-            if hit is None:
+            rest = mask ^ imask
+            if imask & ~mask or emask & rest:
                 continue
-            sign, new = hit
+            new = rest | emask
             cq = psi_num.get(new ^ full)
             if cq is None:
                 continue
@@ -75,7 +89,7 @@ def _move_pairing(
             if val is None:
                 continue
             term = cw * cp * cq * val
-            if sign < 0:
+            if inversion_parity(imask, mask) ^ inversion_parity(emask, rest):
                 term = -term
             acc = term if acc is None else acc + term
     return acc
@@ -152,15 +166,6 @@ def _check_masks(config: Config, *masks: int) -> None:
     for m in masks:
         if not 0 <= m < config.size:
             raise ValueError(f"mask {m} out of range for n={config.n}")
-
-
-def grade2_pairing_projected(
-    form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec
-) -> CliffordElem:
-    """The unnormalized variant: 1/2^(n-1) times grade2_pairing."""
-    config = form.config
-    scale = config.field.from_fraction(1, 1 << (config.n - 1))
-    return grade2_pairing(form, psi1, psi2).scale(scale)
 
 
 def top_grade_coefficient(
@@ -377,55 +382,6 @@ def orbit_map_adjoint(
             term = 2 * cp * val * c
             key = (one, 0) if mask & one else (0, one)
             out[key] = out.get(key, 0) + (-term if odd else term)
-    return CliffordElem._make(config, out, phi._den * psi._den * form._den)
-
-
-@lru_cache(maxsize=None)
-def vacuum_projector(config: Config) -> CliffordElem:
-    """The product of (1 - e_a i_a) over all a: kills e_I.v unless I = {}."""
-    out = CliffordElem.one(config)
-    for a in range(1, config.n + 1):
-        factor = CliffordElem.one(config) - multiply(
-            witt_e(config, a), witt_i(config, a)
-        )
-        out = multiply(out, factor)
-    return out
-
-
-@lru_cache(maxsize=None)
-def matrix_unit(config: Config, pmask: int, qmask: int) -> CliffordElem:
-    """The element sending e_Q.v to e_P.v and every other basis vector to 0.
-
-    e_P N i_Q up to the sign of i_Q e_Q.v = (-1)^{C(|Q|,2)} v.
-    """
-    left = CliffordElem.monomial(config, pmask, 0)
-    right = CliffordElem.monomial(config, 0, qmask)
-    unit = multiply(multiply(left, vacuum_projector(config)), right)
-    k = qmask.bit_count()
-    if (k * (k - 1) // 2) & 1:
-        return -1 * unit
-    return unit
-
-
-def endomorphism_pairing(
-    form: BilinearForm, phi: SpinorVec, psi: SpinorVec
-) -> CliffordElem:
-    """The rank-one endomorphism xi -> B(phi, xi) psi as a Clifford element.
-
-    Works for either flavor; grade projections of this element are the
-    independent oracle for the specialized pairings.
-    """
-    config = _check_pair(form, phi, psi)
-    out: dict = {}
-    full = config.size - 1
-    for imask, ci in phi._num.items():
-        val = form._num.get(imask)
-        if val is None:
-            continue
-        bval = ci * val
-        for pmask, cp in psi._num.items():
-            # every matrix unit is integral (denominator 1)
-            _accum(out, matrix_unit(config, pmask, imask ^ full)._num, bval * cp)
     return CliffordElem._make(config, out, phi._den * psi._den * form._den)
 
 

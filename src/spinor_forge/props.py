@@ -28,10 +28,18 @@ from .clifford import (
     slot_metric,
     trace_product,
     transpose,
+    vector_commutator,
     witt_e,
     witt_i,
 )
-from .fock import Config, SpinorVec, annihilate, create, parity
+from .fock import (
+    Config,
+    SpinorVec,
+    annihilate,
+    create,
+    is_zero_combination,
+    parity,
+)
 from .norms import (
     BilinearForm,
     b_eval,
@@ -648,26 +656,32 @@ def check_bracket_relations(n: int, pairs: int = 1000) -> CheckResult:
         2 B(phi, psi) w    = s psi*(w.phi) + phi*(w.psi)
 
     with s the reversal sign (-1)^(n(n-1)/2), for every orthonormal
-    vector w.  Exhaustive on basis pairs for n <= 3, plus seeded random
-    pairs (basis and sparse) for every n.
+    vector w.  L is the four-sum grade2_pairing; [L, w] is the closed-form
+    vector_commutator, whose oracle is the generic commutator (tests).
+    Each relation is compared exactly on int numerators in one
+    cross-multiplied pass (fock.is_zero_combination).  Exhaustive on
+    basis pairs for n <= 3, plus seeded random pairs (basis and sparse)
+    for every n.
     """
     config = _config(n)
     form = solve_spinor_norm(config)
     field = config.field
     sign = -1 if (n * (n - 1) // 2) & 1 else 1
-    sgn = field.from_int(sign)
-    two = field.from_int(2)
     vecs = [orthonormal_vector(config, s) for s in range(2 * n)]
 
     def pair_ok(phi: SpinorVec, psi: SpinorVec) -> bool:
         elem = grade2_pairing(form, phi, psi)
-        two_b = two * b_eval(form, phi, psi)
-        for vec in vecs:
-            first = orbit_map_adjoint(form, psi, act(vec, phi)).scale(sgn)
+        b_num, b_den = field.parts(b_eval(form, phi, psi))
+        for slot, vec in enumerate(vecs):
+            first = orbit_map_adjoint(form, psi, act(vec, phi))
             second = orbit_map_adjoint(form, phi, act(vec, psi))
-            if commutator(elem, vec).scale(two) != first - second:
+            comm = vector_commutator(elem, slot)
+            if not is_zero_combination([(2, comm), (-sign, first), (1, second)]):
                 return False
-            if vec.scale(two_b) != first + second:
+            # 2 B w - s first - second, times B's denominator
+            if not is_zero_combination(
+                [(2 * b_num, vec), (-sign * b_den, first), (-b_den, second)]
+            ):
                 return False
         return True
 

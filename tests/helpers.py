@@ -1,4 +1,10 @@
-"""Deterministic random generators and Clifford-route oracles shared by the tests."""
+"""Deterministic random generators and Clifford-route oracles shared by the tests.
+
+The Clifford-route oracles (the endomorphism pairing with its matrix units
+and vacuum projector, the dense Fock matrix, blades as elements, the
+unnormalized grade-2 pairing, slot names) are used only by the tests, so
+they live here rather than in the package.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +12,18 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from spinor_forge.clifford import CliffordElem, multiply, witt_e, witt_i
+from spinor_forge.clifford import (
+    CliffordElem,
+    _blade_terms,
+    act,
+    multiply,
+    witt_e,
+    witt_i,
+)
+from spinor_forge.field import Scalar
 from spinor_forge.fock import Config, SpinorVec
+from spinor_forge.norms import BilinearForm
+from spinor_forge.pairings import _accum, _check_pair, grade2_pairing
 
 
 def rng(seed: int) -> random.Random:
@@ -92,3 +108,94 @@ def c2_coords(x: CliffordElem) -> dict:
     if field.from_int(2 * const + diag):
         raise ValueError("constant term does not match the diagonal part")
     return coords
+
+
+# ------------------------------------------- Clifford-route oracles
+
+
+def slot_str(slot: int) -> str:
+    a = slot // 2 + 1
+    return f"E{a}~" if slot & 1 else f"E{a}"
+
+
+def blade_to_elem(config: Config, bmask: int) -> CliffordElem:
+    """The orthonormal blade `bmask` (bit s set for slot s) as an element.
+
+    Equal to q_map of its ascending slots, expanded in closed form by
+    `_blade_terms` instead of as a product of vectors.
+    """
+    if not 0 <= bmask < 1 << (2 * config.n):
+        raise ValueError(f"blade mask {bmask} out of range for n={config.n}")
+    return CliffordElem._make(config, _blade_terms(bmask))
+
+
+def to_endomorphism_matrix(x: CliffordElem) -> list[list[Scalar]]:
+    """Dense matrix of the Fock action: M[row][col] is the coefficient of
+    basis vector `row` in x applied to basis vector `col`."""
+    config = x.config
+    zero = config.field.zero()
+    size = config.size
+    mat = [[zero] * size for _ in range(size)]
+    for col in range(size):
+        image = act(x, SpinorVec.basis(config, col))
+        for row, c in image.terms.items():
+            mat[row][col] = c
+    return mat
+
+
+def grade2_pairing_projected(
+    form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec
+) -> CliffordElem:
+    """The unnormalized variant: 1/2^(n-1) times grade2_pairing."""
+    config = form.config
+    scale = config.field.from_fraction(1, 1 << (config.n - 1))
+    return grade2_pairing(form, psi1, psi2).scale(scale)
+
+
+@lru_cache(maxsize=None)
+def vacuum_projector(config: Config) -> CliffordElem:
+    """The product of (1 - e_a i_a) over all a: kills e_I.v unless I = {}."""
+    out = CliffordElem.one(config)
+    for a in range(1, config.n + 1):
+        factor = CliffordElem.one(config) - multiply(
+            witt_e(config, a), witt_i(config, a)
+        )
+        out = multiply(out, factor)
+    return out
+
+
+@lru_cache(maxsize=None)
+def matrix_unit(config: Config, pmask: int, qmask: int) -> CliffordElem:
+    """The element sending e_Q.v to e_P.v and every other basis vector to 0.
+
+    e_P N i_Q up to the sign of i_Q e_Q.v = (-1)^{C(|Q|,2)} v.
+    """
+    left = CliffordElem.monomial(config, pmask, 0)
+    right = CliffordElem.monomial(config, 0, qmask)
+    unit = multiply(multiply(left, vacuum_projector(config)), right)
+    k = qmask.bit_count()
+    if (k * (k - 1) // 2) & 1:
+        return -1 * unit
+    return unit
+
+
+def endomorphism_pairing(
+    form: BilinearForm, phi: SpinorVec, psi: SpinorVec
+) -> CliffordElem:
+    """The rank-one endomorphism xi -> B(phi, xi) psi as a Clifford element.
+
+    Works for either flavor; grade projections of this element are the
+    independent oracle for the specialized pairings.
+    """
+    config = _check_pair(form, phi, psi)
+    out: dict = {}
+    full = config.size - 1
+    for imask, ci in phi._num.items():
+        val = form._num.get(imask)
+        if val is None:
+            continue
+        bval = ci * val
+        for pmask, cp in psi._num.items():
+            # every matrix unit is integral (denominator 1)
+            _accum(out, matrix_unit(config, pmask, imask ^ full)._num, bval * cp)
+    return CliffordElem._make(config, out, phi._den * psi._den * form._den)

@@ -98,6 +98,26 @@ class TestVerify:
         assert out == ""
         assert "bound 2^31 - 1" in err
 
+    @pytest.mark.parametrize("command", ["verify", "export"])
+    def test_prime_field_built_once(self, capsys, monkeypatch, tmp_path, command):
+        from spinor_forge import field as field_mod
+
+        calls = []
+        real = field_mod.is_prime
+
+        def counted(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(field_mod, "is_prime", counted)
+        argv = [command, "--algebra", "e6", "--field", "fp:2147483647"]
+        if command == "export":
+            argv += ["--out", str(tmp_path / "e6.json")]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["field"] == "fp:2147483647"
+        assert calls == [2147483647]
+
     def test_bad_field_spec_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, ["verify", "--algebra", "e6", "--field", "r"]

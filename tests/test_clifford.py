@@ -19,7 +19,6 @@ from spinor_forge.clifford import (
     CliffordElem,
     act,
     blade_mul,
-    blade_to_elem,
     commutator,
     grade_project,
     grade_projections,
@@ -30,18 +29,25 @@ from spinor_forge.clifford import (
     orthonormal_vector,
     q_map,
     slot_metric,
-    slot_str,
     to_blades,
-    to_endomorphism_matrix,
     trace,
     transpose,
+    vector_commutator,
     witt_e,
     witt_i,
 )
 from spinor_forge.field import PrimeField, Rationals
 from spinor_forge.fock import Config, SpinorVec, epsilon_action, inversion_parity
 
-from .helpers import rand_elem, rand_spinor, rng
+from .helpers import (
+    blade_to_elem,
+    rand_elem,
+    rand_scalar,
+    rand_spinor,
+    rng,
+    slot_str,
+    to_endomorphism_matrix,
+)
 
 F7 = PrimeField(7)
 
@@ -777,6 +783,59 @@ class TestWickOracle:
         for low in masks:
             for high in masks:
                 assert inversion_parity(low, high) == loop(low, high), (low, high)
+
+
+def rand_even_elem(c: Config, r: random.Random, nterms: int) -> CliffordElem:
+    terms = {}
+    while len(terms) < nterms:
+        emask, imask = r.randrange(c.size), r.randrange(c.size)
+        if not (emask.bit_count() + imask.bit_count()) & 1:
+            terms[(emask, imask)] = rand_scalar(c, r)
+    return CliffordElem(c, terms)
+
+
+class TestVectorCommutator:
+    """The closed-form [x, E_slot] against the generic Wick commutator."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_even_monomial(self, n):
+        c = cfg(n)
+        for emask, imask in all_monomials(c):
+            if (emask.bit_count() + imask.bit_count()) & 1:
+                continue
+            x = CliffordElem.monomial(c, emask, imask)
+            for slot in range(2 * n):
+                vec = orthonormal_vector(c, slot)
+                assert vector_commutator(x, slot) == commutator(x, vec), (x, slot)
+
+    @pytest.mark.parametrize("field", [Q, F7], ids=["q", "fp7"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_seeded_even_elements(self, n, field):
+        c = Config(n, field)
+        r = rng(900 + n)
+        for _ in range(25):
+            x = rand_even_elem(c, r, r.randint(1, min(4, c.size * c.size // 2)))
+            for slot in range(2 * n):
+                vec = orthonormal_vector(c, slot)
+                assert vector_commutator(x, slot) == commutator(x, vec), (x, slot)
+
+    def test_grade_two_gives_a_vector(self):
+        c = cfg(4)
+        x = q_map(c, (1, 6))
+        for slot in range(8):
+            com = vector_commutator(x, slot)
+            assert com == grade_project(com, 1)
+
+    def test_odd_element_rejected(self):
+        c = cfg(3)
+        x = CliffordElem.monomial(c, 1, 0) + CliffordElem.monomial(c, 3, 0)
+        with pytest.raises(ValueError, match="even element"):
+            vector_commutator(x, 0)
+
+    @pytest.mark.parametrize("slot", [-1, 6, 7])
+    def test_bad_slot_rejected(self, slot):
+        with pytest.raises(ValueError, match="out of range"):
+            vector_commutator(CliffordElem.one(cfg(3)), slot)
 
 
 class TestConfigGuards:

@@ -34,9 +34,15 @@ from spinor_forge.exceptional import (
 from spinor_forge.field import PrimeField, Rationals
 from spinor_forge.fock import Config, SpinorVec, parity
 from spinor_forge.norms import BilinearForm, b_eval, solve_spinor_norm
-from spinor_forge.pairings import grade2_pairing, grade2_pairing_projected
+from spinor_forge.pairings import grade2_pairing
 
-from .helpers import c2_coords, c2_elem, rand_spinor, rng
+from .helpers import (
+    c2_coords,
+    c2_elem,
+    grade2_pairing_projected,
+    rand_spinor,
+    rng,
+)
 
 
 @pytest.fixture(scope="module")

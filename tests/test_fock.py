@@ -14,6 +14,7 @@ from spinor_forge.fock import (
     apply_monomial,
     create,
     epsilon_action,
+    is_zero_combination,
     mask_from_indices,
     mask_str,
     parity,
@@ -289,3 +290,36 @@ def test_operators_are_linear(data):
     for op in (create, annihilate):
         assert op(a, x + y) == op(a, x) + op(a, y)
         assert op(a, x.scale(lam)) == op(a, x).scale(lam)
+
+
+class TestZeroCombination:
+    """is_zero_combination against the value route: scale, add, compare."""
+
+    @pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["q", "fp7"])
+    def test_matches_value_route(self, field):
+        c = Config(4, field)
+        r = rng(77)
+        for _ in range(60):
+            xs = [rand_spinor(c, r, nterms=r.randint(0, 4)) for _ in range(3)]
+            ks = [r.randint(-3, 3) for _ in xs]
+            total = SpinorVec.zero(c)
+            for k, x in zip(ks, xs):
+                total = total + x.scale(field.from_int(k))
+            assert is_zero_combination(list(zip(ks, xs))) == total.is_zero()
+            # the combination minus its own value is always zero
+            terms = list(zip(ks, xs)) + [(-1, total)]
+            assert is_zero_combination(terms)
+
+    def test_cross_multiplies_denominators(self):
+        c = cfg(2)
+        half = SpinorVec(c, {1: Fraction(1, 2), 2: Fraction(1, 3)})
+        whole = SpinorVec(c, {1: Fraction(3), 2: Fraction(2)})
+        assert half._den != whole._den
+        assert is_zero_combination([(6, half), (-1, whole)])
+        assert not is_zero_combination([(5, half), (-1, whole)])
+
+    def test_config_mismatch(self):
+        with pytest.raises(ValueError, match="config mismatch"):
+            is_zero_combination(
+                [(1, SpinorVec.vacuum(cfg(2))), (1, SpinorVec.vacuum(cfg(3)))]
+            )

@@ -17,7 +17,6 @@ import pytest
 from spinor_forge.clifford import (
     CliffordElem,
     act,
-    blade_to_elem,
     commutator,
     grade_project,
     grade_projections,
@@ -52,7 +51,7 @@ from spinor_forge.pairings import (
     orbit_map_adjoint,
 )
 
-from .helpers import c2_coords, c2_elem, rng
+from .helpers import blade_to_elem, c2_coords, c2_elem, rng
 
 FIELDS = {"q": Rationals(), "fp7": PrimeField(7)}
 NS = range(1, 7)

@@ -31,19 +31,23 @@ from spinor_forge.pairings import (
     apply_swapped_word,
     basis_top_grade_coefficient,
     change_polarisation,
-    endomorphism_pairing,
     grade2_pairing,
     grade2_pairing_on_basis,
-    grade2_pairing_projected,
     graded_pairing,
-    matrix_unit,
     orbit_map_adjoint,
     top_grade_coefficient,
     top_grade_pairing,
-    vacuum_projector,
 )
 
-from .helpers import c2_coords, rand_spinor, rng
+from .helpers import (
+    c2_coords,
+    endomorphism_pairing,
+    grade2_pairing_projected,
+    matrix_unit,
+    rand_spinor,
+    rng,
+    vacuum_projector,
+)
 
 # (symmetry sign, pairing parity) keyed by n mod 4
 GRADE2_TABLE = {0: (-1, 0), 1: (-1, 1), 2: (1, 0), 3: (1, 1)}

@@ -218,3 +218,64 @@ class TestChecksAreLive:
     def test_graded_norm_detects_wrong_row(self, monkeypatch):
         monkeypatch.setitem(props.GRADED_NORM_TABLE, 3, (-1, 1))
         assert not check_graded_symmetry(3)
+
+
+def _negate_top_term(x):
+    """x with the coefficient of its largest key negated (x if x is zero).
+
+    The largest key is never the scalar monomial of a nonzero grade-2
+    element, so the fault changes every commutator it enters.
+    """
+    if not x._num:
+        return x
+    num = dict(x._num)
+    key = max(num)
+    num[key] = -num[key]
+    return type(x)._make(x.config, num, x._den)
+
+
+class TestPairingChecksCatchFaults:
+    """A fault injected into one pairing route must flip the verdict of
+    the check that compares it with another."""
+
+    def test_bracket_relations_catch_grade2_pairing(self, monkeypatch):
+        real = props.grade2_pairing
+
+        def faulty(form, phi, psi):
+            out = real(form, phi, psi)
+            return _negate_top_term(out) if max(phi._num) & 1 else out
+
+        monkeypatch.setattr(props, "grade2_pairing", faulty)
+        out = check_bracket_relations(3)
+        assert not out and "relation failed" in out.detail
+
+    def test_bracket_relations_catch_orbit_map_adjoint(self, monkeypatch):
+        real = props.orbit_map_adjoint
+
+        def faulty(form, phi, psi):
+            out = real(form, phi, psi)
+            return _negate_top_term(out) if max(phi._num, default=0) & 1 else out
+
+        monkeypatch.setattr(props, "orbit_map_adjoint", faulty)
+        out = check_bracket_relations(3)
+        assert not out and "relation failed" in out.detail
+
+    def test_matrix_agreement_catches_move_sign(self, monkeypatch):
+        # every move of the four-sum oracle taken with sign +1
+        from spinor_forge import pairings
+
+        monkeypatch.setattr(pairings, "inversion_parity", lambda low, high: 0)
+        out = check_matrix_agreement(4)
+        assert not out and "routes disagree" in out.detail
+
+    def test_matrix_agreement_catches_negated_move(self, monkeypatch):
+        from spinor_forge import pairings
+
+        real = pairings._move_pairing
+
+        def faulty(form, word, phi, psi):
+            acc = real(form, word, phi, psi)
+            return None if acc is None else -acc
+
+        monkeypatch.setattr(pairings, "_move_pairing", faulty)
+        assert not check_matrix_agreement(4)
