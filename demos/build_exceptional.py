@@ -11,13 +11,10 @@ rank, over the rationals and over a prime field.
 
 import time
 
+from spinor_forge.builders import build_e6, build_e7, build_e8, solve_e7_constants
 from spinor_forge.exceptional import (
-    build_e6,
-    build_e7,
-    build_e8,
     killing_form,
     label_str,
-    solve_e7_constants,
     spanning_check,
     verify_jacobi,
     with_flipped_sign,

@@ -9,13 +9,8 @@ and the reconstructed Cartan matrix names the type with no outside
 tables involved.
 """
 
-from spinor_forge.exceptional import (
-    build_e6,
-    build_e7,
-    build_e8,
-    label_str,
-    root_decomposition,
-)
+from spinor_forge.builders import build_e6, build_e7, build_e8
+from spinor_forge.exceptional import label_str, root_decomposition
 
 for builder in (build_e6, build_e7, build_e8):
     algebra = builder()

@@ -37,9 +37,6 @@ from spinor_forge.pairings import (
 )
 from spinor_forge.exceptional import (
     LieAlgebra,
-    build_e6,
-    build_e7,
-    build_e8,
     killing_form,
     label_str,
     root_decomposition,
@@ -47,6 +44,7 @@ from spinor_forge.exceptional import (
     to_json,
     verify_jacobi,
 )
+from spinor_forge.builders import build_e6, build_e7, build_e8
 from spinor_forge.props import SUITES, run_suites
 
 __version__ = "0.1.0"

@@ -1,0 +1,406 @@
+"""The e6, e7 and e8 constructions from spinor pairings.
+
+Each algebra is g0 + M on one chassis (_graded_algebra): the degree-zero
+part g0 is the grade-2 part of the Clifford algebra, plus sl2 or the
+grading element where the construction calls for it, acting on a spinor
+module M.  The builders work on labels only and form no Clifford element:
+the spinor-spinor bracket is the paper's L_2 on a pair of basis spinors,
+written straight in grade-2 labels by its closed form (pairings._l2_coords,
+the package's one copy of that case table), plus the top-grade coefficient
+(pairings.basis_top_grade_coefficient) for e6; brackets inside the grade-2
+part come from the so(2n) table on labels (_c2_bracket), and the action of
+a grade-2 label on a spinor basis vector is one Fock move
+(pairings._c2_move).  The generic Clifford route (the four-sum pairing,
+commutators, act) is the test oracle.
+
+The result of each builder is a LieAlgebra; the checks of the
+construction live in exceptional and use none of this module.
+"""
+
+from __future__ import annotations
+
+import random
+from math import gcd, lcm
+from typing import Callable, Optional
+
+from .exceptional import LieAlgebra
+from .field import Field, Rationals, Scalar
+from .fock import Config, parity
+from .linalg import nullspace
+from .norms import BilinearForm, solve_spinor_norm
+from .pairings import (
+    Label,
+    _c2_move,
+    _l2_coords,
+    basis_top_grade_coefficient,
+    grade2_pairing_on_basis,
+)
+
+Bracket = Callable[[Label, Label], dict[Label, Scalar]]
+
+
+def c2_labels(n: int) -> list[Label]:
+    """Basis labels for the grade-2 part, dimension n(2n-1).
+
+    ("ee", a, b) and ("ii", a, b) with a < b name e_a e_b and i_a i_b;
+    ("ei", a, b) over all pairs names F_ab = e_a i_b - i_b e_a.  The order
+    is ee block, ii block, ei block, each lexicographic.
+    """
+    out: list[Label] = []
+    out += [("ee", a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    out += [("ii", a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    out += [("ei", a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+    return out
+
+
+def _builder_setup(
+    n: int, field: Optional[Field], form: Optional[BilinearForm]
+) -> tuple[Config, BilinearForm]:
+    config = Config(n, field if field is not None else Rationals())
+    if form is None:
+        form = solve_spinor_norm(config)
+    else:
+        config.check_same(form.config)
+        if form.flavor != "plain":
+            raise ValueError("builders expect the plain-flavor norm")
+    return config, form
+
+
+def _c2_bracket(field: Field, la: Label, lb: Label) -> dict[Label, Scalar]:
+    """[la, lb] for grade-2 labels, read off the so(2n) table.
+
+    With F_ab = 2 e_a i_b - delta_ab, E_ab = e_a e_b and I_ab = i_a i_b
+    (E and I antisymmetric in their indices, zero on a = b), the Witt
+    relations give
+
+        [F_ab, F_cd] = 2 d_bc F_ad - 2 d_ad F_cb,
+        [F_ab, E_cd] = 2 d_bc E_ad - 2 d_bd E_ac,
+        [F_ab, I_cd] = 2 d_ac I_db - 2 d_ad I_cb,
+        [E_ab, I_cd] = (d_bc F_ad - d_bd F_ac - d_ac F_bd + d_ad F_bc) / 2,
+
+    and E's commute with E's, I's with I's.  No Clifford product is formed.
+    """
+    ka, kb = la[0], lb[0]
+    if (ka != "ei" and kb == "ei") or (ka, kb) == ("ii", "ee"):
+        return {lab: -c for lab, c in _c2_bracket(field, lb, la).items()}
+    _, a, b = la
+    _, c, d = lb
+    if ka == "ei":
+        if kb == "ei":
+            terms = ((b == c, 2, "ei", a, d), (a == d, -2, "ei", c, b))
+        elif kb == "ee":
+            terms = ((b == c, 2, "ee", a, d), (b == d, -2, "ee", a, c))
+        else:
+            terms = ((a == c, 2, "ii", d, b), (a == d, -2, "ii", c, b))
+    elif ka == kb:
+        return {}
+    else:
+        terms = (
+            (b == c, 1, "ei", a, d),
+            (b == d, -1, "ei", a, c),
+            (a == c, -1, "ei", b, d),
+            (a == d, 1, "ei", b, c),
+        )
+    coeffs: dict[Label, int] = {}
+    for hit, k, kind, x, y in terms:
+        if not hit or (kind != "ei" and x == y):
+            continue
+        if kind != "ei" and x > y:
+            x, y, k = y, x, -k
+        coeffs[(kind, x, y)] = coeffs.get((kind, x, y), 0) + k
+    if ka == "ee":
+        return {lab: field.from_fraction(k, 2) for lab, k in coeffs.items() if k}
+    return {lab: field.from_int(k) for lab, k in coeffs.items() if k}
+
+
+def _graded_algebra(
+    name: str,
+    config: Config,
+    extra: list[Label],
+    module: list[Label],
+    pair: Bracket,
+    extra_bracket: Optional[Bracket] = None,
+    extra_act: Optional[Bracket] = None,
+) -> LieAlgebra:
+    """g0 + M with basis c2_labels(n) + extra + module.
+
+    g0 is the grade-2 part plus the `extra` degree-zero labels.  Two
+    grade-2 labels bracket by _c2_bracket, and a grade-2 label acts on a
+    module label (kind, mask, ...) by one Fock move on the mask, keeping
+    the rest of the label.  [m, x] = -[x, m] for m in M and x in g0, and
+    [m, m'] = pair(m, m').  extra_bracket takes the g0 pairs that hold an
+    extra label, extra_act an extra label acting on a module label.
+    """
+    field = config.field
+    module_kinds = {lab[0] for lab in module}
+    extra_kinds = {lab[0] for lab in extra}
+
+    def fn(la: Label, lb: Label) -> dict[Label, Scalar]:
+        ka, kb = la[0], lb[0]
+        ma, mb = ka in module_kinds, kb in module_kinds
+        if ma and mb:
+            return pair(la, lb)
+        if not (ma or mb):
+            if ka in extra_kinds or kb in extra_kinds:
+                return extra_bracket(la, lb)
+            return _c2_bracket(field, la, lb)
+        x, m = (lb, la) if ma else (la, lb)
+        if x[0] in extra_kinds:
+            out = extra_act(x, m)
+            return {lab: -c for lab, c in out.items()} if ma else out
+        hit = _c2_move(field, x, m[1])
+        if hit is None:
+            return {}
+        return {(m[0], hit[0]) + m[2:]: -hit[1] if ma else hit[1]}
+
+    return LieAlgebra(name, config, c2_labels(config.n) + extra + module, fn)
+
+
+def build_e8(
+    field: Optional[Field] = None,
+    half: str = "+",
+    form: Optional[BilinearForm] = None,
+) -> LieAlgebra:
+    """248-dimensional: grade-2 part (120) plus a half-spinor module (128).
+
+    The spinor-spinor bracket is the normalized grade-2 pairing.  Either
+    half-spinor module works; `half` selects the even ("+") or odd ("-")
+    basis masks.  A plain-flavor norm may be injected to check that the
+    construction only depends on it up to scale.
+    """
+    config, form = _builder_setup(8, field, form)
+    if half not in ("+", "-"):
+        raise ValueError("half must be '+' or '-'")
+    want = 0 if half == "+" else 1
+    module = [("s", m) for m in range(config.size) if parity(m) == want]
+
+    def pair(la: Label, lb: Label) -> dict[Label, Scalar]:
+        return _l2_coords(form, la[1], lb[1])
+
+    return _graded_algebra("e8", config, [], module, pair)
+
+
+# sl2 = span(h, e, f) with [h,e] = 2e, [h,f] = -2f, [e,f] = h, acting on
+# k^2 = span(x1, x2) by h x1 = x1, h x2 = -x2, e x2 = x1, f x1 = x2.
+# omega is the symplectic form with omega(x1, x2) = 1 and sigma(x, y) the
+# symmetrized operator sigma(x, y) z = omega(x, z) y + omega(y, z) x.
+_SL2_TABLE = {
+    ("h", "e"): (("e", 2),),
+    ("h", "f"): (("f", -2),),
+    ("e", "f"): (("h", 1),),
+}
+_SL2_ACTION: dict[str, dict[int, tuple[tuple[int, int], ...]]] = {
+    "h": {0: ((0, 1),), 1: ((1, -1),)},
+    "e": {1: ((0, 1),)},
+    "f": {0: ((1, 1),)},
+}
+_OMEGA = {(0, 1): 1, (1, 0): -1}
+_SIGMA = {
+    (0, 0): (("e", 2),),
+    (1, 1): (("f", -2),),
+    (0, 1): (("h", -1),),
+    (1, 0): (("h", -1),),
+}
+
+
+def _e7_jacobi_rows(
+    config: Config, form: BilinearForm, triple: tuple
+) -> list[list[Scalar]]:
+    """Constraint rows c1 * P + c2 * Q = 0 from one spinor-tensor triple.
+
+    For [psi (x) x, phi (x) y] = c1 omega(x,y) pairing(psi,phi)
+    + c2 B(psi,phi) sigma(x,y), the cyclic Jacobi sum over a triple is
+    linear in (c1, c2); P collects the pairing-action part and Q the
+    sigma part, one row per output coordinate.  The pairing acts through
+    grade2_pairing_on_basis, the operator the table stores.
+    """
+    field = config.field
+    pvals: dict[tuple[int, int], Scalar] = {}
+    qvals: dict[tuple[int, int], Scalar] = {}
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        ma, sa = triple[a]
+        mb, sb = triple[b]
+        mc, sc = triple[c]
+        w = _OMEGA.get((sa, sb))
+        if w:
+            ws = field.from_int(w)
+            for mask, coeff in grade2_pairing_on_basis(form, ma, mb, mc).items():
+                key = (mask, sc)
+                add = coeff * ws
+                prev = pvals.get(key)
+                pvals[key] = add if prev is None else prev + add
+        bval = form.entry(ma, mb)
+        if bval:
+            for slot, w2 in ((sb, _OMEGA.get((sa, sc))), (sa, _OMEGA.get((sb, sc)))):
+                if not w2:
+                    continue
+                key = (mc, slot)
+                add = bval * field.from_int(w2)
+                prev = qvals.get(key)
+                qvals[key] = add if prev is None else prev + add
+    zero = field.zero()
+    return [
+        [pvals.get(key, zero), qvals.get(key, zero)]
+        for key in sorted(set(pvals) | set(qvals))
+    ]
+
+
+def _normalize_pair(field: Field, vec: list[Scalar]) -> tuple[Scalar, Scalar]:
+    a, b = vec
+    if field.characteristic == 0:
+        den = lcm(a.denominator, b.denominator)
+        ai, bi = int(a * den), int(b * den)
+        g = gcd(ai, bi)
+        if g:
+            ai, bi = ai // g, bi // g
+        if ai < 0 or (ai == 0 and bi < 0):
+            ai, bi = -ai, -bi
+        return field.from_int(ai), field.from_int(bi)
+    lead = a if a else b
+    return a / lead, b / lead
+
+
+def solve_e7_constants(
+    field: Optional[Field] = None, form: Optional[BilinearForm] = None
+) -> tuple[Scalar, Scalar]:
+    """The e7 bracket constants (c1, c2), solved from sampled Jacobi triples.
+
+    Same defaults as build_e7.  The solution space must be exactly
+    one-dimensional: rank 0 would mean the sampled triples constrain
+    nothing, rank 2 that no choice of constants closes the bracket.  Never
+    hardcoded; the full identity is verified downstream by verify_jacobi.
+    """
+    config, form = _builder_setup(6, field, form)
+    rnd = random.Random(20240801)
+    evens = [m for m in range(config.size) if parity(m) == 0]
+    rows: list[list[Scalar]] = []
+    for _ in range(60):
+        triple = tuple(
+            (rnd.choice(evens), rnd.choice((0, 1))) for _ in range(3)
+        )
+        rows.extend(_e7_jacobi_rows(config, form, triple))
+    null = nullspace(rows, 2, config.field)
+    if len(null) == 2:
+        raise RuntimeError("sampled Jacobi triples constrain no bracket constants")
+    if not null:
+        raise RuntimeError("no bracket constants satisfy the Jacobi identity")
+    return _normalize_pair(config.field, null[0])
+
+
+def build_e7(
+    field: Optional[Field] = None, form: Optional[BilinearForm] = None
+) -> LieAlgebra:
+    """133-dimensional: grade-2 part (66) + sl2 (3) + spinors tensor k^2 (64).
+
+    n=6 pairings are symmetric where n=8 ones are antisymmetric, so the
+    spinor module is doubled and twisted by the symplectic form:
+
+        [psi (x) x, phi (x) y] = c1 omega(x, y) pairing(psi, phi)
+                               + c2 B(psi, phi) sigma(x, y)
+
+    with (c1, c2) solved at build time from the Jacobi identity itself.
+    """
+    config, form = _builder_setup(6, field, form)
+    field_ = config.field
+    c1, c2 = solve_e7_constants(field_, form)
+    module = [
+        ("s2", m, s)
+        for m in range(config.size)
+        if parity(m) == 0
+        for s in (0, 1)
+    ]
+
+    def pair(la: Label, lb: Label) -> dict[Label, Scalar]:
+        ma, sa = la[1], la[2]
+        mb, sb = lb[1], lb[2]
+        coords: dict[Label, Scalar] = {}
+        w = _OMEGA.get((sa, sb))
+        if w:
+            cw = c1 * field_.from_int(w)
+            for lab, c in _l2_coords(form, ma, mb).items():
+                coords[lab] = c * cw
+        bval = form.entry(ma, mb)
+        if bval:
+            cb = c2 * bval
+            for t, k in _SIGMA[(sa, sb)]:
+                lab = ("sl2", t)
+                add = cb * field_.from_int(k)
+                prev = coords.get(lab)
+                coords[lab] = add if prev is None else prev + add
+        return coords
+
+    def sl2_bracket(la: Label, lb: Label) -> dict[Label, Scalar]:
+        if la[0] != lb[0]:
+            # sl2 commutes with the grade-2 part
+            return {}
+        ta, tb = la[1], lb[1]
+        if ta == tb:
+            return {}
+        entry = _SL2_TABLE.get((ta, tb))
+        if entry is not None:
+            return {("sl2", t): field_.from_int(k) for t, k in entry}
+        return {("sl2", t): field_.from_int(-k) for t, k in _SL2_TABLE[(tb, ta)]}
+
+    def slot_act(la: Label, lb: Label) -> dict[Label, Scalar]:
+        moves = _SL2_ACTION[la[1]].get(lb[2], ())
+        return {("s2", lb[1], s): field_.from_int(k) for s, k in moves}
+
+    sl2 = [("sl2", t) for t in ("h", "e", "f")]
+    return _graded_algebra("e7", config, sl2, module, pair, sl2_bracket, slot_act)
+
+
+def build_e6(
+    field: Optional[Field] = None,
+    spinor_coeffs: tuple[int, int] = (2, 96),
+    form: Optional[BilinearForm] = None,
+) -> LieAlgebra:
+    """78-dimensional: grade-2 part (45) + grading element (1) + spinors (32).
+
+    The degree-zero part gains the grading element, whose bracket grades
+    the spinor module by basis-mask parity.  The spinor-spinor bracket is
+
+        [psi1, psi2] = a * pairing(psi1, psi2) + b * top_pairing(psi1, psi2)
+
+    with (a, b) = spinor_coeffs, default (2, 96); Jacobi holds exactly on
+    the line b = 48a.
+    """
+    config, form = _builder_setup(5, field, form)
+    field_ = config.field
+    a_s = field_.from_int(spinor_coeffs[0])
+    b_s = field_.from_int(spinor_coeffs[1])
+    module = [("s", m) for m in range(config.size)]
+
+    def centralizes(lab: Label) -> bool:
+        # C = End(S), so eps commutes with lab iff lab's Fock move keeps
+        # |M| mod 2 on every basis vector e_M.v
+        if lab[0] == "eps":
+            return True
+        for mask in range(config.size):
+            hit = _c2_move(field_, lab, mask)
+            if hit is not None and parity(hit[0]) != parity(mask):
+                return False
+        return True
+
+    def eps_bracket(la: Label, lb: Label) -> dict[Label, Scalar]:
+        if not (centralizes(la) and centralizes(lb)):
+            raise RuntimeError(
+                "grading element failed to centralize the grade-2 part"
+            )
+        return {}
+
+    def parity_act(la: Label, lb: Label) -> dict[Label, Scalar]:
+        # eps e_M.v = (-1)^|M| e_M.v
+        return {lb: field_.from_int(-1 if parity(lb[1]) else 1)}
+
+    def pair(la: Label, lb: Label) -> dict[Label, Scalar]:
+        coords: dict[Label, Scalar] = {
+            lab: c * a_s for lab, c in _l2_coords(form, la[1], lb[1]).items()
+        }
+        top = basis_top_grade_coefficient(form, la[1], lb[1])
+        if top:
+            coords[("eps",)] = top * b_s
+        return coords
+
+    return _graded_algebra(
+        "e6", config, [("eps",)], module, pair, eps_bracket, parity_act
+    )

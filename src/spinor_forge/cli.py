@@ -19,10 +19,8 @@ import time
 import traceback
 from typing import Optional, Sequence
 
+from .builders import build_e6, build_e7, build_e8
 from .exceptional import (
-    build_e6,
-    build_e7,
-    build_e8,
     killing_form,
     spanning_check,
     to_json,
@@ -39,28 +37,6 @@ _BUILDERS = {"e6": build_e6, "e7": build_e7, "e8": build_e8}
 _SPINOR_N = {"e6": 5, "e7": 6, "e8": 8}
 
 
-class RunConfig:
-    """One parsed invocation: the command plus its arguments."""
-
-    __slots__ = ("command", "algebra", "n", "field", "out", "suite")
-
-    def __init__(
-        self,
-        command: str,
-        algebra: Optional[str] = None,
-        n: Optional[int] = None,
-        field: str = "q",
-        out: Optional[str] = None,
-        suite: Optional[Sequence[str]] = None,
-    ) -> None:
-        self.command = command
-        self.algebra = algebra
-        self.n = n
-        self.field = field
-        self.out = out
-        self.suite = suite
-
-
 def _emit(report: dict) -> None:
     json.dump(report, sys.stdout, separators=(",", ":"))
     sys.stdout.write("\n")
@@ -70,12 +46,12 @@ def _say(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def cmd_verify(cfg: RunConfig, field: Field) -> int:
+def cmd_verify(args: argparse.Namespace, field: Field) -> int:
     start = time.perf_counter()
-    form = solve_spinor_norm(Config(_SPINOR_N[cfg.algebra], field))
+    form = solve_spinor_norm(Config(_SPINOR_N[args.algebra], field))
     norm_seconds = time.perf_counter() - start
     t0 = time.perf_counter()
-    algebra = _BUILDERS[cfg.algebra](field=field, form=form)
+    algebra = _BUILDERS[args.algebra](field=field, form=form)
     build_seconds = time.perf_counter() - t0
     _say(f"norm solve {norm_seconds:.2f}s, build {build_seconds:.2f}s")
     checks = []
@@ -131,7 +107,7 @@ def cmd_verify(cfg: RunConfig, field: Field) -> int:
     _emit(
         {
             "command": "verify",
-            "algebra": cfg.algebra,
+            "algebra": args.algebra,
             "field": field.spec,
             "dim": algebra.dim,
             "norm_seconds": round(norm_seconds, 3),
@@ -144,25 +120,25 @@ def cmd_verify(cfg: RunConfig, field: Field) -> int:
     return 0 if ok else 1
 
 
-def cmd_export(cfg: RunConfig, field: Field) -> int:
+def cmd_export(args: argparse.Namespace, field: Field) -> int:
     start = time.perf_counter()
-    algebra = _BUILDERS[cfg.algebra](field=field)
+    algebra = _BUILDERS[args.algebra](field=field)
     build_seconds = time.perf_counter() - start
     t0 = time.perf_counter()
     algebra.materialize()
     table_seconds = time.perf_counter() - t0
     raw = to_json(algebra).encode("utf-8")
-    with open(cfg.out, "wb") as fh:
+    with open(args.out, "wb") as fh:
         fh.write(raw)
     digest = hashlib.sha256(raw).hexdigest()
-    _say(f"wrote {cfg.out}: {len(raw)} bytes, sha256 {digest}")
+    _say(f"wrote {args.out}: {len(raw)} bytes, sha256 {digest}")
     _emit(
         {
             "command": "export",
-            "algebra": cfg.algebra,
+            "algebra": args.algebra,
             "field": field.spec,
             "dim": algebra.dim,
-            "out": cfg.out,
+            "out": args.out,
             "bytes": len(raw),
             "sha256": digest,
             "build_seconds": round(build_seconds, 3),
@@ -173,14 +149,14 @@ def cmd_export(cfg: RunConfig, field: Field) -> int:
     return 0
 
 
-def cmd_props(cfg: RunConfig) -> int:
+def cmd_props(args: argparse.Namespace, field: None) -> int:
     results = []
     start = time.perf_counter()
-    names = suite_names(cfg.n, cfg.suite)
+    names = suite_names(args.n, args.suite)
     for name in names:
         for fn in SUITES[name]:
             t0 = time.perf_counter()
-            res = fn(cfg.n)
+            res = fn(args.n)
             seconds = time.perf_counter() - t0
             results.append({**res.to_dict(), "seconds": round(seconds, 3)})
             status = "ok  " if res.ok else "FAIL"
@@ -189,8 +165,8 @@ def cmd_props(cfg: RunConfig) -> int:
     _emit(
         {
             "command": "props",
-            "n": cfg.n,
-            "suites": sorted(SUITES) if cfg.suite is None else list(names),
+            "n": args.n,
+            "suites": sorted(SUITES) if args.suite is None else list(names),
             "results": results,
             "seconds": round(time.perf_counter() - start, 3),
             "ok": ok,
@@ -210,6 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify", help="build one algebra and run the verification battery"
     )
+    verify.set_defaults(run=cmd_verify)
     verify.add_argument("--algebra", required=True, choices=sorted(_BUILDERS))
     verify.add_argument(
         "--field",
@@ -218,6 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     export = sub.add_parser("export", help="write the JSON structure constants")
+    export.set_defaults(run=cmd_export)
     export.add_argument("--algebra", required=True, choices=sorted(_BUILDERS))
     export.add_argument(
         "--field", default="q", help="as for verify: q or fp:<p>, 5 <= p < 2^31"
@@ -225,6 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     export.add_argument("--out", required=True, help="output file path")
 
     props = sub.add_parser("props", help="run the property suites for one n")
+    props.set_defaults(run=cmd_props)
     props.add_argument("--n", required=True, type=int, help="number of Witt pairs")
     props.add_argument(
         "--suite",
@@ -235,43 +214,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(cfg: RunConfig) -> Optional[Field]:
+def _validate(args: argparse.Namespace) -> Optional[Field]:
     """Raise ValueError for a usage error, before any work starts.
 
     Returns the field that verify and export run over (None for props),
     built once here and handed to the command.
     """
-    if cfg.command == "props":
-        suite_names(cfg.n, cfg.suite)
+    if args.command == "props":
+        suite_names(args.n, args.suite)
         return None
-    return make_field(cfg.field)
+    return make_field(args.field)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        algebra=getattr(args, "algebra", None),
-        n=getattr(args, "n", None),
-        field=getattr(args, "field", "q"),
-        out=getattr(args, "out", None),
-        suite=getattr(args, "suite", None),
-    )
-    handlers = {"verify": cmd_verify, "export": cmd_export}
     try:
-        field = _validate(cfg)
+        field = _validate(args)
     except ValueError as exc:
         _say(f"error: {exc}")
         return 2
     try:
-        if cfg.command == "props":
-            return cmd_props(cfg)
-        return handlers[cfg.command](cfg, field)
+        return args.run(args, field)
     except Exception as exc:
         traceback.print_exc(file=sys.stderr)
         message = f"{type(exc).__name__}: {exc}"
         _say(f"internal error: {message}")
-        _emit({"command": cfg.command, "error": message})
+        _emit({"command": args.command, "error": message})
         return 3
 
 

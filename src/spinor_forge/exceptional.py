@@ -1,67 +1,40 @@
-"""The exceptional Lie algebras assembled from spinor pairings.
+"""Structure-constant tables of Lie algebras and their exact verifiers.
 
-Three constructions on one chassis: a labeled basis, a bracket function on
-label pairs, and a sparse structure-constant table memoized per unordered
-pair.  The degree-zero part is always the grade-2 part of the Clifford
-algebra (plus sl2 or the grading element where the construction calls for
-it) acting on one of its spinor modules.  The builders work on labels
-only and form no Clifford element: the spinor-spinor bracket is the
-paper's L_2 on a pair of basis spinors, written straight in grade-2 labels
-by its closed form (pairings._l2_coords, the package's one copy of that
-case table), plus the top-grade coefficient
-(pairings.basis_top_grade_coefficient) for e6; brackets inside the
-grade-2 part come from the so(2n) table on labels (_c2_bracket), and the
-action of a label on a spinor basis vector is one Fock move
-(pairings._c2_move).
-The generic Clifford route (the four-sum pairing, commutators, act) is the
-test oracle.  Each bracket enters the table once: verify_antisymmetry
-hands the results it computes to the table, so a later sweep does not
-evaluate them again.
+A LieAlgebra is a labeled basis, a bracket function on label pairs, and a
+sparse structure-constant table memoized per unordered pair.  The e6, e7
+and e8 constructions that supply the bracket functions live in builders;
+this module checks whatever table it is given and imports none of the
+construction code (no norms, pairings, clifford or builders), so the
+checks stay independent of what they check.  Each bracket enters the
+table once: verify_antisymmetry hands the results it computes to the
+table, so a later sweep does not evaluate them again.
 
 Verification is numeric and exact: the Jacobi identity is checked as the
 matrix identity ad([x,y]) = [ad x, ad y] over integer lifts, the Killing
-form and its rank certify semisimplicity, and the root decomposition
-recovers the Dynkin type from scratch.
+form and its rank certify semisimplicity, the degree-zero span of the
+spinor brackets is ranked, and the root decomposition recovers the Dynkin
+type from scratch.  with_flipped_sign makes the broken copies that show
+the checks fire.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, lcm
 from time import perf_counter
 from typing import Callable, Optional
 
 import numpy as np
 
-from .field import Field, Rationals, Scalar, scalar_str
-from .fock import Config, mask_str, parity
-from .linalg import IncrementalRank, echelon_rank, inverse, nullspace, rank_mod_p
-from .norms import BilinearForm, solve_spinor_norm
-from .pairings import (
-    Label,
-    _c2_move,
-    _l2_coords,
-    basis_top_grade_coefficient,
-    grade2_pairing_on_basis,
-)
+from .field import Scalar, scalar_str
+from .fock import Config, mask_str
+from .linalg import IncrementalRank, echelon_rank, inverse, rank_mod_p
 
-
-def c2_labels(n: int) -> list[Label]:
-    """Basis labels for the grade-2 part, dimension n(2n-1).
-
-    ("ee", a, b) and ("ii", a, b) with a < b name e_a e_b and i_a i_b;
-    ("ei", a, b) over all pairs names F_ab = e_a i_b - i_b e_a.  The order
-    is ee block, ii block, ei block, each lexicographic.
-    """
-    out: list[Label] = []
-    out += [("ee", a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    out += [("ii", a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    out += [("ei", a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-    return out
+# A basis label: (kind, *fields), e.g. ("ei", 1, 2) or ("s", mask).
+Label = tuple
 
 
 def label_str(label: Label) -> str:
@@ -194,393 +167,26 @@ class LieAlgebra:
 def with_flipped_sign(L: LieAlgebra, i: int, j: int, k: int) -> LieAlgebra:
     """A copy of L with the sign of one structure constant flipped.
 
-    Builds L's engine first (a mutant exists to be verified), so the copy
-    takes L's complete table, with one entry replaced, and an engine patched
-    from L's: the same index arrays, its own values with the two entries of
-    the flipped constant negated.  L itself is left unchanged; the copy
-    exists to feed the verifiers deliberately broken input.
+    Once (i, j, k) is known to name a structure constant, builds L's
+    engine (a mutant exists to be verified), so the copy takes L's complete
+    table, with one entry replaced, and an engine patched from L's: the
+    same index arrays, its own values with the two entries of the flipped
+    constant negated.  L itself is left unchanged; the copy exists to feed
+    the verifiers deliberately broken input.
     """
     if i == j:
         raise ValueError("mutation needs two distinct basis indices")
     if i > j:
         i, j = j, i
-    engine = L.adjoint_products()
     terms = L.bracket(i, j)
     if k not in {t[0] for t in terms}:
         raise ValueError(f"no structure constant at ({i}, {j}, {k})")
+    engine = L.adjoint_products()
     clone = LieAlgebra(f"{L.name}~flip({i},{j},{k})", L.config, L.basis, L._fn)
     clone._table = dict(L._table)
     clone._table[(i, j)] = tuple((kk, -c if kk == k else c) for kk, c in terms)
     clone._engine = engine.flipped(i, j, k)
     return clone
-
-
-def _builder_setup(
-    n: int, field: Optional[Field], form: Optional[BilinearForm]
-) -> tuple[Config, BilinearForm]:
-    config = Config(n, field if field is not None else Rationals())
-    if form is None:
-        form = solve_spinor_norm(config)
-    else:
-        config.check_same(form.config)
-        if form.flavor != "plain":
-            raise ValueError("builders expect the plain-flavor norm")
-    return config, form
-
-
-def _c2_bracket(field: Field, la: Label, lb: Label) -> dict[Label, Scalar]:
-    """[la, lb] for grade-2 labels, read off the so(2n) table.
-
-    With F_ab = 2 e_a i_b - delta_ab, E_ab = e_a e_b and I_ab = i_a i_b
-    (E and I antisymmetric in their indices, zero on a = b), the Witt
-    relations give
-
-        [F_ab, F_cd] = 2 d_bc F_ad - 2 d_ad F_cb,
-        [F_ab, E_cd] = 2 d_bc E_ad - 2 d_bd E_ac,
-        [F_ab, I_cd] = 2 d_ac I_db - 2 d_ad I_cb,
-        [E_ab, I_cd] = (d_bc F_ad - d_bd F_ac - d_ac F_bd + d_ad F_bc) / 2,
-
-    and E's commute with E's, I's with I's.  No Clifford product is formed.
-    """
-    ka, kb = la[0], lb[0]
-    if (ka != "ei" and kb == "ei") or (ka, kb) == ("ii", "ee"):
-        return {lab: -c for lab, c in _c2_bracket(field, lb, la).items()}
-    _, a, b = la
-    _, c, d = lb
-    if ka == "ei":
-        if kb == "ei":
-            terms = ((b == c, 2, "ei", a, d), (a == d, -2, "ei", c, b))
-        elif kb == "ee":
-            terms = ((b == c, 2, "ee", a, d), (b == d, -2, "ee", a, c))
-        else:
-            terms = ((a == c, 2, "ii", d, b), (a == d, -2, "ii", c, b))
-    elif ka == kb:
-        return {}
-    else:
-        terms = (
-            (b == c, 1, "ei", a, d),
-            (b == d, -1, "ei", a, c),
-            (a == c, -1, "ei", b, d),
-            (a == d, 1, "ei", b, c),
-        )
-    coeffs: dict[Label, int] = {}
-    for hit, k, kind, x, y in terms:
-        if not hit or (kind != "ei" and x == y):
-            continue
-        if kind != "ei" and x > y:
-            x, y, k = y, x, -k
-        coeffs[(kind, x, y)] = coeffs.get((kind, x, y), 0) + k
-    if ka == "ee":
-        return {lab: field.from_fraction(k, 2) for lab, k in coeffs.items() if k}
-    return {lab: field.from_int(k) for lab, k in coeffs.items() if k}
-
-
-def build_e8(
-    field: Optional[Field] = None,
-    half: str = "+",
-    form: Optional[BilinearForm] = None,
-) -> LieAlgebra:
-    """248-dimensional: grade-2 part (120) plus a half-spinor module (128).
-
-    The spinor-spinor bracket is the normalized grade-2 pairing.  Either
-    half-spinor module works; `half` selects the even ("+") or odd ("-")
-    basis masks.  A plain-flavor norm may be injected to check that the
-    construction only depends on it up to scale.
-    """
-    config, form = _builder_setup(8, field, form)
-    field_ = config.field
-    if half not in ("+", "-"):
-        raise ValueError("half must be '+' or '-'")
-    want = 0 if half == "+" else 1
-    labels = c2_labels(8)
-    labels += [("s", m) for m in range(config.size) if parity(m) == want]
-
-    def fn(la: Label, lb: Label) -> dict[Label, Scalar]:
-        sa, sb = la[0] == "s", lb[0] == "s"
-        if not sa and not sb:
-            return _c2_bracket(field_, la, lb)
-        if not sa:
-            hit = _c2_move(field_, la, lb[1])
-            return {} if hit is None else {("s", hit[0]): hit[1]}
-        if not sb:
-            hit = _c2_move(field_, lb, la[1])
-            return {} if hit is None else {("s", hit[0]): -hit[1]}
-        return _l2_coords(form, la[1], lb[1])
-
-    return LieAlgebra("e8", config, labels, fn)
-
-
-# sl2 = span(h, e, f) with [h,e] = 2e, [h,f] = -2f, [e,f] = h, acting on
-# k^2 = span(x1, x2) by h x1 = x1, h x2 = -x2, e x2 = x1, f x1 = x2.
-# omega is the symplectic form with omega(x1, x2) = 1 and sigma(x, y) the
-# symmetrized operator sigma(x, y) z = omega(x, z) y + omega(y, z) x.
-_SL2_TABLE = {
-    ("h", "e"): (("e", 2),),
-    ("h", "f"): (("f", -2),),
-    ("e", "f"): (("h", 1),),
-}
-_SL2_ACTION: dict[str, dict[int, tuple[tuple[int, int], ...]]] = {
-    "h": {0: ((0, 1),), 1: ((1, -1),)},
-    "e": {1: ((0, 1),)},
-    "f": {0: ((1, 1),)},
-}
-_OMEGA = {(0, 1): 1, (1, 0): -1}
-_SIGMA = {
-    (0, 0): (("e", 2),),
-    (1, 1): (("f", -2),),
-    (0, 1): (("h", -1),),
-    (1, 0): (("h", -1),),
-}
-
-
-def _e7_jacobi_rows(
-    config: Config, form: BilinearForm, triple: tuple
-) -> list[list[Scalar]]:
-    """Constraint rows c1 * P + c2 * Q = 0 from one spinor-tensor triple.
-
-    For [psi (x) x, phi (x) y] = c1 omega(x,y) pairing(psi,phi)
-    + c2 B(psi,phi) sigma(x,y), the cyclic Jacobi sum over a triple is
-    linear in (c1, c2); P collects the pairing-action part and Q the
-    sigma part, one row per output coordinate.  The pairing acts through
-    grade2_pairing_on_basis, the operator the table stores.
-    """
-    field = config.field
-    pvals: dict[tuple[int, int], Scalar] = {}
-    qvals: dict[tuple[int, int], Scalar] = {}
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        ma, sa = triple[a]
-        mb, sb = triple[b]
-        mc, sc = triple[c]
-        w = _OMEGA.get((sa, sb))
-        if w:
-            ws = field.from_int(w)
-            for mask, coeff in grade2_pairing_on_basis(form, ma, mb, mc).items():
-                key = (mask, sc)
-                add = coeff * ws
-                prev = pvals.get(key)
-                pvals[key] = add if prev is None else prev + add
-        bval = form.entry(ma, mb)
-        if bval:
-            for slot, w2 in ((sb, _OMEGA.get((sa, sc))), (sa, _OMEGA.get((sb, sc)))):
-                if not w2:
-                    continue
-                key = (mc, slot)
-                add = bval * field.from_int(w2)
-                prev = qvals.get(key)
-                qvals[key] = add if prev is None else prev + add
-    zero = field.zero()
-    return [
-        [pvals.get(key, zero), qvals.get(key, zero)]
-        for key in sorted(set(pvals) | set(qvals))
-    ]
-
-
-def _normalize_pair(field: Field, vec: list[Scalar]) -> tuple[Scalar, Scalar]:
-    a, b = vec
-    if field.characteristic == 0:
-        den = lcm(a.denominator, b.denominator)
-        ai, bi = int(a * den), int(b * den)
-        g = gcd(ai, bi)
-        if g:
-            ai, bi = ai // g, bi // g
-        if ai < 0 or (ai == 0 and bi < 0):
-            ai, bi = -ai, -bi
-        return field.from_int(ai), field.from_int(bi)
-    lead = a if a else b
-    return a / lead, b / lead
-
-
-def _solve_e7_constants(
-    config: Config, form: BilinearForm
-) -> tuple[Scalar, Scalar]:
-    """The bracket constants (c1, c2), solved from sampled Jacobi triples.
-
-    The solution space must be exactly one-dimensional: rank 0 would mean
-    the sampled triples constrain nothing, rank 2 that no choice of
-    constants closes the bracket.  Never hardcoded; the full identity is
-    verified downstream by verify_jacobi.
-    """
-    rnd = random.Random(20240801)
-    evens = [m for m in range(config.size) if parity(m) == 0]
-    rows: list[list[Scalar]] = []
-    for _ in range(60):
-        triple = tuple(
-            (rnd.choice(evens), rnd.choice((0, 1))) for _ in range(3)
-        )
-        rows.extend(_e7_jacobi_rows(config, form, triple))
-    null = nullspace(rows, 2, config.field)
-    if len(null) == 2:
-        raise RuntimeError("sampled Jacobi triples constrain no bracket constants")
-    if not null:
-        raise RuntimeError("no bracket constants satisfy the Jacobi identity")
-    return _normalize_pair(config.field, null[0])
-
-
-def solve_e7_constants(
-    field: Optional[Field] = None, form: Optional[BilinearForm] = None
-) -> tuple[Scalar, Scalar]:
-    """Public wrapper around the n=6 constant solve (same defaults as build_e7)."""
-    config, form = _builder_setup(6, field, form)
-    return _solve_e7_constants(config, form)
-
-
-def build_e7(
-    field: Optional[Field] = None, form: Optional[BilinearForm] = None
-) -> LieAlgebra:
-    """133-dimensional: grade-2 part (66) + sl2 (3) + spinors tensor k^2 (64).
-
-    n=6 pairings are symmetric where n=8 ones are antisymmetric, so the
-    spinor module is doubled and twisted by the symplectic form:
-
-        [psi (x) x, phi (x) y] = c1 omega(x, y) pairing(psi, phi)
-                               + c2 B(psi, phi) sigma(x, y)
-
-    with (c1, c2) solved at build time from the Jacobi identity itself.
-    """
-    config, form = _builder_setup(6, field, form)
-    field_ = config.field
-    c1, c2 = _solve_e7_constants(config, form)
-    labels = c2_labels(6) + [("sl2", t) for t in ("h", "e", "f")]
-    labels += [
-        ("s2", m, s)
-        for m in range(config.size)
-        if parity(m) == 0
-        for s in (0, 1)
-    ]
-
-    def fn(la: Label, lb: Label) -> dict[Label, Scalar]:
-        ka, kb = la[0], lb[0]
-        if ka == "s2" and kb == "s2":
-            ma, sa = la[1], la[2]
-            mb, sb = lb[1], lb[2]
-            coords: dict[Label, Scalar] = {}
-            w = _OMEGA.get((sa, sb))
-            if w:
-                cw = c1 * field_.from_int(w)
-                for lab, c in _l2_coords(form, ma, mb).items():
-                    coords[lab] = c * cw
-            bval = form.entry(ma, mb)
-            if bval:
-                cb = c2 * bval
-                for t, k in _SIGMA[(sa, sb)]:
-                    lab = ("sl2", t)
-                    add = cb * field_.from_int(k)
-                    prev = coords.get(lab)
-                    coords[lab] = add if prev is None else prev + add
-            return coords
-        if ka == "sl2" and kb == "sl2":
-            ta, tb = la[1], lb[1]
-            if ta == tb:
-                return {}
-            entry = _SL2_TABLE.get((ta, tb))
-            if entry is not None:
-                return {("sl2", t): field_.from_int(k) for t, k in entry}
-            return {
-                ("sl2", t): field_.from_int(-k) for t, k in _SL2_TABLE[(tb, ta)]
-            }
-        if ka == "sl2" and kb == "s2":
-            moves = _SL2_ACTION[la[1]].get(lb[2], ())
-            return {("s2", lb[1], s): field_.from_int(k) for s, k in moves}
-        if ka == "s2" and kb == "sl2":
-            moves = _SL2_ACTION[lb[1]].get(la[2], ())
-            return {("s2", la[1], s): field_.from_int(-k) for s, k in moves}
-        if ka == "sl2" or kb == "sl2":
-            # sl2 commutes with the grade-2 part
-            return {}
-        if ka == "s2":
-            hit = _c2_move(field_, lb, la[1])
-            return {} if hit is None else {("s2", hit[0], la[2]): -hit[1]}
-        if kb == "s2":
-            hit = _c2_move(field_, la, lb[1])
-            return {} if hit is None else {("s2", hit[0], lb[2]): hit[1]}
-        return _c2_bracket(field_, la, lb)
-
-    return LieAlgebra("e7", config, labels, fn)
-
-
-def build_e6(
-    field: Optional[Field] = None,
-    spinor_coeffs: tuple[int, int] = (2, 96),
-    form: Optional[BilinearForm] = None,
-) -> LieAlgebra:
-    """78-dimensional: grade-2 part (45) + grading element (1) + spinors (32).
-
-    The degree-zero part gains the grading element, whose bracket grades
-    the spinor module by basis-mask parity.  The spinor-spinor bracket is
-
-        [psi1, psi2] = a * pairing(psi1, psi2) + b * top_pairing(psi1, psi2)
-
-    with (a, b) = spinor_coeffs, default (2, 96); Jacobi holds exactly on
-    the line b = 48a (see sweep_e6_coefficients).
-    """
-    config, form = _builder_setup(5, field, form)
-    field_ = config.field
-    a_s = field_.from_int(spinor_coeffs[0])
-    b_s = field_.from_int(spinor_coeffs[1])
-    labels = c2_labels(5) + [("eps",)]
-    labels += [("s", m) for m in range(config.size)]
-
-    def move(lab: Label, mask: int) -> dict[int, Scalar]:
-        if lab[0] == "eps":
-            # eps e_M.v = (-1)^|M| e_M.v
-            return {mask: field_.from_int(-1 if parity(mask) else 1)}
-        hit = _c2_move(field_, lab, mask)
-        return {} if hit is None else {hit[0]: hit[1]}
-
-    def centralizes(lab: Label) -> bool:
-        # C = End(S), so eps commutes with lab iff lab's Fock move keeps
-        # |M| mod 2 on every basis vector e_M.v
-        if lab[0] == "eps":
-            return True
-        for mask in range(config.size):
-            hit = _c2_move(field_, lab, mask)
-            if hit is not None and parity(hit[0]) != parity(mask):
-                return False
-        return True
-
-    def fn(la: Label, lb: Label) -> dict[Label, Scalar]:
-        ka, kb = la[0], lb[0]
-        if ka != "s" and kb != "s":
-            if ka == "eps" or kb == "eps":
-                if not (centralizes(la) and centralizes(lb)):
-                    raise RuntimeError(
-                        "grading element failed to centralize the grade-2 part"
-                    )
-                return {}
-            return _c2_bracket(field_, la, lb)
-        if ka != "s":
-            return {("s", m): c for m, c in move(la, lb[1]).items()}
-        if kb != "s":
-            return {("s", m): -c for m, c in move(lb, la[1]).items()}
-        coords: dict[Label, Scalar] = {
-            lab: c * a_s for lab, c in _l2_coords(form, la[1], lb[1]).items()
-        }
-        top = basis_top_grade_coefficient(form, la[1], lb[1])
-        if top:
-            coords[("eps",)] = top * b_s
-        return coords
-
-    return LieAlgebra("e6", config, labels, fn)
-
-
-def sweep_e6_coefficients(
-    candidates: list[tuple[int, int]], field: Optional[Field] = None
-) -> list[tuple[int, int]]:
-    """The (a, b) candidates whose spinor bracket satisfies Jacobi.
-
-    Only spinor-spinor pairs are scanned: triples with at most one spinor
-    hold for every (a, b) because both pairing components are equivariant
-    for the degree-zero action.  (0, 0) passes vacuously but gives an
-    algebra whose spinor brackets span nothing.
-    """
-    good = []
-    for a, b in candidates:
-        L = build_e6(field=field, spinor_coeffs=(a, b))
-        spin = L.spinor_indices()
-        pairs = [(x, y) for i, x in enumerate(spin) for y in spin[i + 1 :]]
-        if verify_jacobi(L, pairs=pairs):
-            good.append((a, b))
-    return good
 
 
 # --- integer lifts and the keyed-product engine for Jacobi and Killing ---

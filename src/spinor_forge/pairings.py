@@ -11,7 +11,7 @@ image's complement and the form entry, and computes the sign only on a
 hit.  On a pair of Fock basis vectors the pairing has the paper's closed
 form, the one case table of this package: _l2_coords writes it straight
 in grade-2 labels, and grade2_pairing_on_basis applies it to a third
-basis spinor label by label through _c2_move.  The exceptional builders
+basis spinor label by label through _c2_move.  The e6/e7/e8 builders
 run these same functions, and basis_top_grade_coefficient for the top
 grade.  The top-grade and graded variants (the graded one also by direct
 moves) and the orbit-map adjoint round out the toolkit.
@@ -234,7 +234,7 @@ def _l2_coords(form: BilinearForm, imask: int, jmask: int) -> dict[Label, Scalar
 
     every other pair of masks gives zero.  Each coefficient is one int
     numerator over the form's denominator.  These are the values of the
-    four-sum grade2_pairing in exceptional.c2_labels coordinates, which
+    four-sum grade2_pairing in builders.c2_labels coordinates, which
     the tests keep as the oracle.
     """
     config = form.config

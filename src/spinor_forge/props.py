@@ -661,8 +661,10 @@ def check_bracket_relations(n: int, pairs: int = 1000) -> CheckResult:
     Each relation is compared exactly on int numerators in one
     cross-multiplied pass (fock.is_zero_combination).  Exhaustive on
     basis pairs for n <= 3, plus seeded random pairs (basis and sparse)
-    for every n.
+    for every n.  ValueError if pairs < 1.
     """
+    if pairs < 1:
+        raise ValueError(f"bracket-relations needs pairs >= 1, got {pairs}")
     config = _config(n)
     form = solve_spinor_norm(config)
     field = config.field
@@ -725,7 +727,10 @@ def check_matrix_agreement(n: int, samples: int | None = None) -> CheckResult:
     (I, J, K) triples for n <= 5, seeded triples beyond (600 by default,
     more when requested).  grade2_pairing_on_basis runs the same
     _l2_coords and _c2_move as the e6/e7/e8 builders, so this checks the
-    closed form the builders use against the independent four-sum."""
+    closed form the builders use against the independent four-sum.
+    ValueError if samples < 1."""
+    if samples is not None and samples < 1:
+        raise ValueError(f"matrix-agreement needs samples >= 1, got {samples}")
     config = _config(n)
     form = solve_spinor_norm(config)
     size = config.size

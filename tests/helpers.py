@@ -2,8 +2,8 @@
 
 The Clifford-route oracles (the endomorphism pairing with its matrix units
 and vacuum projector, the dense Fock matrix, blades as elements, the
-unnormalized grade-2 pairing, slot names) are used only by the tests, so
-they live here rather than in the package.
+unnormalized grade-2 pairing, slot names) and the e6 coefficient sweep are
+used only by the tests, so they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+from spinor_forge.builders import build_e6
 from spinor_forge.clifford import (
     CliffordElem,
     _blade_terms,
@@ -20,7 +21,8 @@ from spinor_forge.clifford import (
     witt_e,
     witt_i,
 )
-from spinor_forge.field import Scalar
+from spinor_forge.exceptional import verify_jacobi
+from spinor_forge.field import Field, Scalar
 from spinor_forge.fock import Config, SpinorVec
 from spinor_forge.norms import BilinearForm
 from spinor_forge.pairings import _accum, _check_pair, grade2_pairing
@@ -199,3 +201,23 @@ def endomorphism_pairing(
             # every matrix unit is integral (denominator 1)
             _accum(out, matrix_unit(config, pmask, imask ^ full)._num, bval * cp)
     return CliffordElem._make(config, out, phi._den * psi._den * form._den)
+
+
+def sweep_e6_coefficients(
+    candidates: list[tuple[int, int]], field: Field | None = None
+) -> list[tuple[int, int]]:
+    """The (a, b) candidates whose e6 spinor bracket satisfies Jacobi.
+
+    Only spinor-spinor pairs are scanned: triples with at most one spinor
+    hold for every (a, b) because both pairing components are equivariant
+    for the degree-zero action.  (0, 0) passes vacuously but gives an
+    algebra whose spinor brackets span nothing.
+    """
+    good = []
+    for a, b in candidates:
+        L = build_e6(field=field, spinor_coeffs=(a, b))
+        spin = L.spinor_indices()
+        pairs = [(x, y) for i, x in enumerate(spin) for y in spin[i + 1 :]]
+        if verify_jacobi(L, pairs=pairs):
+            good.append((a, b))
+    return good

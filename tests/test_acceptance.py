@@ -15,10 +15,8 @@ import pytest
 
 from spinor_forge.cli import main as cli_main
 from spinor_forge.clifford import act
+from spinor_forge.builders import build_e6, build_e7, build_e8
 from spinor_forge.exceptional import (
-    build_e6,
-    build_e7,
-    build_e8,
     killing_form,
     root_decomposition,
     spanning_check,

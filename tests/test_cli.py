@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from spinor_forge.cli import RunConfig, main
+from spinor_forge.cli import main
 
 
 def run_cli(capsys, argv):
@@ -308,11 +308,6 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
-
-    def test_run_config_defaults(self):
-        cfg = RunConfig("verify")
-        assert cfg.field == "q"
-        assert cfg.algebra is None and cfg.out is None and cfg.suite is None
 
     def test_module_invocation(self):
         import subprocess

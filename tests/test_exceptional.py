@@ -1,31 +1,35 @@
 """Tests for the exceptional algebra constructions and their verifiers."""
 
+import ast
 import json
 import re
 from collections import Counter
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinor_forge.builders as builders_mod
 import spinor_forge.exceptional as exceptional_mod
-from spinor_forge.clifford import CliffordElem, act, commutator, grading_element
-from spinor_forge.exceptional import (
+from spinor_forge.builders import (
     _c2_bracket,
     _c2_move,
-    JacobiReport,
-    LieAlgebra,
     build_e6,
     build_e7,
     build_e8,
     c2_labels,
+    solve_e7_constants,
+)
+from spinor_forge.clifford import CliffordElem, act, commutator, grading_element
+from spinor_forge.exceptional import (
+    JacobiReport,
+    LieAlgebra,
     killing_form,
     label_str,
     root_decomposition,
-    solve_e7_constants,
     spanning_check,
-    sweep_e6_coefficients,
     to_json,
     verify_antisymmetry,
     verify_jacobi,
@@ -42,6 +46,7 @@ from .helpers import (
     grade2_pairing_projected,
     rand_spinor,
     rng,
+    sweep_e6_coefficients,
 )
 
 
@@ -339,7 +344,7 @@ class TestBuildE7:
     )
     def test_constant_solve_rejects_bad_rank(self, monkeypatch, rows, message):
         monkeypatch.setattr(
-            exceptional_mod, "_e7_jacobi_rows", lambda config, form, triple: rows
+            builders_mod, "_e7_jacobi_rows", lambda config, form, triple: rows
         )
         with pytest.raises(RuntimeError, match=message):
             solve_e7_constants()
@@ -478,7 +483,7 @@ class TestBuildE6:
         def odd_move(field, label, mask):
             return mask ^ 1, field.one()
 
-        monkeypatch.setattr(exceptional_mod, "_c2_move", odd_move)
+        monkeypatch.setattr(builders_mod, "_c2_move", odd_move)
         for la, lb in ((eps, lab), (lab, eps)):
             with pytest.raises(RuntimeError, match="failed to centralize"):
                 e6.raw_bracket(la, lb)
@@ -695,6 +700,24 @@ class TestOneEngine:
         assert verify_jacobi(L, pairs=pairs) and verify_jacobi(L)
         assert killing_form(L)[1] == 78
         assert engine_builds == [L.name]
+
+    @pytest.mark.parametrize(
+        "i, j, k, message",
+        [
+            (0, 9999, 1, "bad index pair (0, 9999)"),
+            (9999, 0, 1, "bad index pair (0, 9999)"),
+            (-1, 3, 1, "bad index pair (-1, 3)"),
+            (0, 1, 9999, "no structure constant at (0, 1, 9999)"),
+        ],
+        ids=["high", "high-swapped", "negative", "no-constant"],
+    )
+    def test_flip_bad_input_builds_nothing(self, engine_builds, i, j, k, message):
+        L = build_e8()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            with_flipped_sign(L, i, j, k)
+        assert engine_builds == []
+        # at most the one bracket the flip names was evaluated
+        assert set(L._table) <= {(0, 1)}
 
     def test_flip_leaves_parent_engine(self, engine_builds):
         L = build_e7(field=PrimeField(7))
@@ -1070,6 +1093,37 @@ class TestCliffordFreeBuild:
         for build, n in ((build_e6, 5), (build_e7, 6), (build_e8, 8)):
             L = build(field=field, form=forms[n])
             assert verify_antisymmetry(L) == []
+
+
+def imported_names(module):
+    """Every module path component and name in module's import statements.
+
+    Read from the source: the package __init__ imports every module, so
+    sys.modules cannot show what one module imports.
+    """
+    out = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            out.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                out.update(alias.name.split("."))
+    return out
+
+
+class TestIndependence:
+    """The checks import no construction code; the builders import no check."""
+
+    def test_exceptional_imports_no_construction(self):
+        construction = {"norms", "pairings", "clifford", "builders", "props", "cli"}
+        assert not imported_names(exceptional_mod) & construction
+
+    def test_builders_import_no_verifier(self):
+        names = imported_names(builders_mod)
+        assert "LieAlgebra" in names
+        verifiers = {"killing_form", "spanning_check", "root_decomposition"}
+        assert not names & verifiers
+        assert not [name for name in names if name.startswith("verify_")]
 
 
 class TestFormRobustness:

@@ -29,7 +29,7 @@ from spinor_forge.clifford import (
     trace_product,
     transpose,
 )
-from spinor_forge.exceptional import _l2_coords, c2_labels
+from spinor_forge.builders import c2_labels
 from spinor_forge.field import PrimeField, Rationals, Residue
 from spinor_forge.fock import (
     Config,
@@ -43,6 +43,7 @@ from spinor_forge.fock import (
 from spinor_forge.norms import BilinearForm, b_eval, graded_norm, solve_spinor_norm
 from spinor_forge.pairings import (
     _four_sum_elements,
+    _l2_coords,
     _move_pairing,
     basis_top_grade_coefficient,
     grade2_pairing,

@@ -21,13 +21,13 @@ from spinor_forge.clifford import (
     witt_e,
     witt_i,
 )
-from spinor_forge.exceptional import _l2_coords
 from spinor_forge.field import PrimeField, Rationals
 from spinor_forge.fock import Config, SpinorVec, mask_from_indices, parity
 from spinor_forge.norms import b_eval, graded_norm, solve_spinor_norm
 import spinor_forge.pairings as pairings_mod
 from spinor_forge.pairings import (
     PolarisationChange,
+    _l2_coords,
     apply_swapped_word,
     basis_top_grade_coefficient,
     change_polarisation,

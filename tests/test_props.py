@@ -189,6 +189,29 @@ class TestPairingChecks:
         out = check_matrix_agreement(6, samples=120)
         assert out and "120 seeded" in out.detail
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: check_matrix_agreement(4, samples=-5),
+            lambda: check_matrix_agreement(6, samples=0),
+            lambda: check_bracket_relations(5, pairs=0),
+            lambda: check_bracket_relations(2, pairs=-1),
+        ],
+        ids=[
+            "agreement-negative",
+            "agreement-zero",
+            "relations-zero",
+            "relations-negative",
+        ],
+    )
+    def test_empty_sample_rejected_before_work(self, monkeypatch, run):
+        def refuse(config):
+            raise AssertionError("the norm was solved")
+
+        monkeypatch.setattr(props, "solve_spinor_norm", refuse)
+        with pytest.raises(ValueError, match=">= 1"):
+            run()
+
 
 class TestChecksAreLive:
     """Corrupting an expected table row must flip the verdict; the
