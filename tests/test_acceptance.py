@@ -132,16 +132,18 @@ def test_criterion_05_root_identification(e6q, e7q, e8q):
 def test_criterion_06_property_suites_all_n():
     want_checks = {fn.__name__ for fns in SUITES.values() for fn in fns}
     assert len(want_checks) == 14
+    golden = json.loads((GOLDEN_DIR / "props.json").read_text())
     for n in range(1, 9):
         results = run_suites(n)
         failing = [r for r in results if not r]
         assert not failing, f"n={n}: {[(r.check, r.detail) for r in failing]}"
         assert len(results) == 14
+        assert [[r.check, r.ok, r.detail] for r in results] == golden[str(n)]
         relations = next(r for r in results if r.check == "bracket-relations")
         assert "1000 seeded pairs" in relations.detail
         if n <= 3:
             assert "exhaustive" in relations.detail
-    passed(6, "all 14 checks of the four suites pass exactly for n = 1..8")
+    passed(6, "all 14 checks pass for n = 1..8, each detail as in golden/props.json")
 
 
 def test_criterion_07_matrix_route_agreement():

@@ -4,6 +4,8 @@ actually firing on corrupted expectations."""
 import pytest
 
 from spinor_forge import props
+from spinor_forge.clifford import CliffordElem
+from spinor_forge.fock import SpinorVec
 from spinor_forge.props import (
     CheckResult,
     GRADE2_TABLE,
@@ -302,3 +304,121 @@ class TestPairingChecksCatchFaults:
 
         monkeypatch.setattr(pairings, "_move_pairing", faulty)
         assert not check_matrix_agreement(4)
+
+
+
+def _zero_spinor(a, psi):
+    return SpinorVec.zero(psi.config)
+
+
+def _field_zero(x, y):
+    return x.config.field.zero()
+
+
+def _scalar_of_first_mask(form, psi1, psi2):
+    return CliffordElem.monomial(form.config, max(psi1._num), 0)
+
+
+# (check, n, props name patched, fault, the detail of the first failing case)
+FAULTS = [
+    (
+        check_car_relations,
+        3,
+        "create",
+        _zero_spinor,
+        "identity failed at basis mask 0, a=1, b=1",
+    ),
+    (
+        check_h_eigenvalues,
+        3,
+        "h_operator",
+        CliffordElem.zero,
+        "wrong eigenvalue on basis mask 0",
+    ),
+    (check_q_isometry, 3, "trace_product", _field_zero, "failed at pair () x ()"),
+    (check_q_isometry, 5, "trace_product", _field_zero, "failed at pair () x ()"),
+    (
+        check_pi_completeness,
+        3,
+        "grade_projections",
+        lambda x: [],
+        "projections do not sum back at monomial (0, 0)",
+    ),
+    (
+        check_pi_completeness,
+        5,
+        "grade_projections",
+        lambda x: [],
+        "projections do not sum back at sample 0",
+    ),
+    (
+        check_eps_duality,
+        3,
+        "multiply",
+        lambda x, y: y,
+        "failed at monomial (0, 0), grade 0",
+    ),
+    (
+        check_eps_duality,
+        5,
+        "multiply",
+        lambda x, y: y,
+        "failed at monomial (7, 18), grade 3",
+    ),
+    (
+        check_norm_dimension,
+        3,
+        "norm_solution_dimension",
+        lambda config: 2,
+        "solution space has dimension 2, not 1",
+    ),
+    (
+        check_ck_invariance,
+        3,
+        "b_eval",
+        lambda form, phi, psi: 1,
+        "direct identity failed at blade (0, 1), pair (0, 0)",
+    ),
+    (
+        check_ck_invariance,
+        5,
+        "transpose",
+        lambda x: x,
+        "transpose(c) != -c at blade (0, 1)",
+    ),
+    (
+        check_top_symmetry,
+        4,
+        "top_grade_coefficient",
+        lambda form, phi, psi: 0,
+        "vanishes on its support at pair (0, 15)",
+    ),
+    (
+        check_graded_pairing_symmetry,
+        3,
+        "graded_pairing",
+        _scalar_of_first_mask,
+        "failed at basis pair (0, 0)",
+    ),
+    (
+        check_graded_pairing_symmetry,
+        5,
+        "graded_pairing",
+        _scalar_of_first_mask,
+        "failed at basis pair (22, 1)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "check, n, name, fault, detail",
+    FAULTS,
+    ids=[f"{check.__name__[6:]}-n{n}-{name}" for check, n, name, *_ in FAULTS],
+)
+def test_fault_reports_first_failing_case(monkeypatch, check, n, name, fault, detail):
+    """A faulty kernel fails the check, whose detail names the first
+    failing case."""
+    monkeypatch.setattr(props, name, fault)
+    out = check(n)
+    assert out.ok is False
+    assert out.detail == detail
