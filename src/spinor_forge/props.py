@@ -6,13 +6,17 @@ relations) as a pass/fail result with an explicit coverage regime.  The
 same battery backs the test suite and the command line `props` report.
 Everything runs over the rationals, exactly; sampled regimes draw from
 seeded generators so repeat runs are byte-identical.
+
+Every check runs on one harness: `_check(name)` names it once and builds
+its CheckResult, and the body walks its cases in a fixed order, stops at
+the first failing one and names that case in `detail`.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, wraps
+from itertools import combinations, product
 
 from .clifford import (
     CliffordElem,
@@ -98,12 +102,42 @@ class CheckResult:
 _config = lru_cache(maxsize=None)(Config)
 
 
-def _ok(check: str, n: int, detail: str) -> CheckResult:
-    return CheckResult(check, n, True, detail)
+class _Failed(Exception):
+    """Ends the running check; its one argument is the failure detail."""
 
 
-def _fail(check: str, n: int, detail: str) -> CheckResult:
-    return CheckResult(check, n, False, detail)
+def _check(name: str):
+    """Make a check body fn(n, ...) into the check called name.
+
+    The body returns its ok detail, or raises _Failed(detail) at its first
+    failing case, from any depth; either way the check returns one
+    CheckResult, the return type the body is annotated with.  Every other
+    exception propagates.  The check keeps the body's name, docstring and
+    signature.
+    """
+
+    def decorate(fn):
+        @wraps(fn)
+        def run(n: int, *args, **kwargs) -> CheckResult:
+            try:
+                return CheckResult(name, n, True, fn(n, *args, **kwargs))
+            except _Failed as failed:
+                return CheckResult(name, n, False, str(failed))
+
+        return run
+
+    return decorate
+
+
+def _first(cases, ok):
+    """The first case (a tuple of ok's arguments) for which ok(*case) is
+    false, or None; a case is a nonempty tuple, so a found one is truthy."""
+    return next((case for case in cases if not ok(*case)), None)
+
+
+def _seeded_pairs(r: random.Random, size: int, count: int) -> list[tuple[int, int]]:
+    """count basis pairs (im, jm) drawn from r, im first."""
+    return [(r.randrange(size), r.randrange(size)) for _ in range(count)]
 
 
 def _sample_spinor(config: Config, r: random.Random, nterms: int = 2) -> SpinorVec:
@@ -116,36 +150,31 @@ def _sample_spinor(config: Config, r: random.Random, nterms: int = 2) -> SpinorV
 # ---------------------------------------------------------------- fock
 
 
+@_check("car-relations")
 def check_car_relations(n: int) -> CheckResult:
     """create/annihilate anticommute among themselves; the mixed bracket
     is delta_ab times the identity.  Exhaustive on every basis vector."""
     config = _config(n)
     zero = SpinorVec.zero(config)
-    checked = 0
-    for m in range(config.size):
-        psi = SpinorVec.basis(config, m)
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                cc = create(a, create(b, psi)) + create(b, create(a, psi))
-                aa = annihilate(a, annihilate(b, psi)) + annihilate(
-                    b, annihilate(a, psi)
-                )
-                mixed = annihilate(a, create(b, psi)) + create(b, annihilate(a, psi))
-                want = psi if a == b else zero
-                if not (cc.is_zero() and aa.is_zero() and mixed == want):
-                    return _fail(
-                        "car-relations",
-                        n,
-                        f"identity failed at basis mask {m}, a={a}, b={b}",
-                    )
-                checked += 1
-    return _ok(
-        "car-relations",
-        n,
-        f"all {checked} (a, b, basis vector) operator identities hold exactly",
+    basis_vecs = [SpinorVec.basis(config, m) for m in range(config.size)]
+
+    def car_ok(m: int, a: int, b: int) -> bool:
+        psi = basis_vecs[m]
+        cc = create(a, create(b, psi)) + create(b, create(a, psi))
+        aa = annihilate(a, annihilate(b, psi)) + annihilate(b, annihilate(a, psi))
+        mixed = annihilate(a, create(b, psi)) + create(b, annihilate(a, psi))
+        return cc.is_zero() and aa.is_zero() and mixed == (psi if a == b else zero)
+
+    modes = range(1, n + 1)
+    if bad := _first(product(range(config.size), modes, modes), car_ok):
+        raise _Failed("identity failed at basis mask {}, a={}, b={}".format(*bad))
+    return (
+        f"all {config.size * n * n} (a, b, basis vector) operator identities "
+        "hold exactly"
     )
 
 
+@_check("h-eigenvalues")
 def check_h_eigenvalues(n: int) -> CheckResult:
     """The number operator acts on a k-particle basis vector with
     eigenvalue k - n/2 and satisfies [H, e_a] = e_a, [H, i_a] = -i_a."""
@@ -154,29 +183,25 @@ def check_h_eigenvalues(n: int) -> CheckResult:
     h = h_operator(config)
     for m in range(config.size):
         psi = SpinorVec.basis(config, m)
-        lam = field.from_fraction(2 * m.bit_count() - n, 2)
-        if act(h, psi) != psi.scale(lam):
-            return _fail(
-                "h-eigenvalues", n, f"wrong eigenvalue on basis mask {m}"
-            )
+        if act(h, psi) != psi.scale(field.from_fraction(2 * m.bit_count() - n, 2)):
+            raise _Failed(f"wrong eigenvalue on basis mask {m}")
     minus_one = field.from_int(-1)
     for a in range(1, n + 1):
         ea, ia = witt_e(config, a), witt_i(config, a)
         if commutator(h, ea) != ea:
-            return _fail("h-eigenvalues", n, f"[H, e_{a}] != e_{a}")
+            raise _Failed(f"[H, e_{a}] != e_{a}")
         if commutator(h, ia) != ia.scale(minus_one):
-            return _fail("h-eigenvalues", n, f"[H, i_{a}] != -i_{a}")
-    return _ok(
-        "h-eigenvalues",
-        n,
+            raise _Failed(f"[H, i_{a}] != -i_{a}")
+    return (
         f"eigenvalue k - n/2 on all {config.size} basis vectors; "
-        f"[H, e_a] = e_a and [H, i_a] = -i_a for a <= {n}",
+        f"[H, e_a] = e_a and [H, i_a] = -i_a for a <= {n}"
     )
 
 
 # ------------------------------------------------------------ clifford
 
 
+@_check("q-isometry")
 def check_q_isometry(n: int) -> CheckResult:
     """2^n g(alpha, beta) = Tr(transpose(Q(alpha)) Q(beta)) on wedge
     basis pairs: exhaustive for n <= 3, exhaustive up to grade 2 plus
@@ -191,48 +216,40 @@ def check_q_isometry(n: int) -> CheckResult:
             g *= slot_metric(s)
         return g
 
-    def failure(outer: list, inner: list) -> str | None:
-        """The first failing (s1, s2) pair; each blade and each outer
-        transpose is built once, every pair traces its product without
-        forming it."""
+    def require(outer: list, inner: list) -> None:
+        """Fail at the first (s1, s2) pair off the metric; each blade and
+        each outer transpose is built once, every pair traces its product
+        without forming it."""
         blades = {s: q_map(config, s) for s in outer + inner}
-        for s1 in outer:
-            t1 = transpose(blades[s1])
-            for s2 in inner:
-                got = trace_product(t1, blades[s2])
-                want = config.size * metric(s1) if s1 == s2 else 0
-                if got != field.from_int(want):
-                    return f"failed at pair {s1} x {s2}"
-        return None
+        transposed = {s: transpose(blades[s]) for s in outer}
+
+        def pair_ok(s1: tuple, s2: tuple) -> bool:
+            want = config.size * metric(s1) if s1 == s2 else 0
+            return trace_product(transposed[s1], blades[s2]) == field.from_int(want)
+
+        if bad := _first(product(outer, inner), pair_ok):
+            raise _Failed("failed at pair {} x {}".format(*bad))
 
     if n <= 3:
         every = [s for k in range(nslots + 1) for s in combinations(range(nslots), k)]
-        if bad := failure(every, every):
-            return _fail("q-isometry", n, bad)
-        return _ok(
-            "q-isometry", n, f"exhaustive over all {len(every)}^2 wedge pairs"
-        )
+        require(every, every)
+        return f"exhaustive over all {len(every)}^2 wedge pairs"
 
     low = [s for k in range(3) for s in combinations(range(nslots), k)]
-    if bad := failure(low, low):
-        return _fail("q-isometry", n, bad)
+    require(low, low)
     r = random.Random(1009 + n)
-    extra = 0
     for k in range(3, nslots + 1):
         a = tuple(sorted(r.sample(range(nslots), k)))
         b = tuple(sorted(r.sample(range(nslots), k)))
         c = tuple(sorted(r.sample(range(nslots), r.randrange(k))))
-        if bad := failure([a], [a, b, c]):
-            return _fail("q-isometry", n, bad)
-        extra += 3
-    return _ok(
-        "q-isometry",
-        n,
-        f"exhaustive to grade 2 ({len(low)}^2 pairs) plus {extra} stratified "
-        "higher-grade pairs",
+        require([a], [a, b, c])
+    return (
+        f"exhaustive to grade 2 ({len(low)}^2 pairs) plus {3 * (nslots - 2)} "
+        "stratified higher-grade pairs"
     )
 
 
+@_check("pi-completeness")
 def check_pi_completeness(n: int) -> CheckResult:
     """The grade projections sum to the identity: exhaustive on basis
     monomials for n <= 3, seeded sparse elements plus the structured
@@ -247,20 +264,15 @@ def check_pi_completeness(n: int) -> CheckResult:
 
     if n <= 3:
         one = config.field.from_int(1)
-        for emask in range(config.size):
-            for imask in range(config.size):
-                x = CliffordElem(config, {(emask, imask): one})
-                if not complete(x):
-                    return _fail(
-                        "pi-completeness",
-                        n,
-                        f"projections do not sum back at monomial ({emask}, {imask})",
-                    )
-        return _ok(
-            "pi-completeness",
-            n,
-            f"exhaustive over all {config.size ** 2} basis monomials",
-        )
+
+        def monomial_ok(emask: int, imask: int) -> bool:
+            return complete(CliffordElem(config, {(emask, imask): one}))
+
+        if bad := _first(product(range(config.size), repeat=2), monomial_ok):
+            raise _Failed(
+                "projections do not sum back at monomial ({}, {})".format(*bad)
+            )
+        return f"exhaustive over all {config.size ** 2} basis monomials"
 
     r = random.Random(2003 + n)
     samples = []
@@ -274,16 +286,11 @@ def check_pi_completeness(n: int) -> CheckResult:
     samples.append(grading_element(config))
     for idx, x in enumerate(samples):
         if not complete(x):
-            return _fail(
-                "pi-completeness", n, f"projections do not sum back at sample {idx}"
-            )
-    return _ok(
-        "pi-completeness",
-        n,
-        "6 seeded sparse elements plus H and the grading element",
-    )
+            raise _Failed(f"projections do not sum back at sample {idx}")
+    return "6 seeded sparse elements plus H and the grading element"
 
 
+@_check("eps-duality")
 def check_eps_duality(n: int) -> CheckResult:
     """Multiplying by the grading element swaps complementary grades:
     projecting eps*c to grade 2n-k equals eps times the grade-k part of
@@ -293,105 +300,81 @@ def check_eps_duality(n: int) -> CheckResult:
     config = _config(n)
     eps = grading_element(config)
 
-    def dual_ok(c: CliffordElem, k: int) -> bool:
-        lhs = grade_project(multiply(eps, c), 2 * n - k)
-        rhs = multiply(eps, grade_project(c, k))
-        return lhs == rhs
-
-    one = config.field.from_int(1)
-    if n <= 3:
-        for emask in range(config.size):
-            for imask in range(config.size):
-                c = CliffordElem(config, {(emask, imask): one})
-                for k in range(2 * n + 1):
-                    if not dual_ok(c, k):
-                        return _fail(
-                            "eps-duality",
-                            n,
-                            f"failed at monomial ({emask}, {imask}), grade {k}",
-                        )
-        return _ok(
-            "eps-duality",
-            n,
-            f"exhaustive over all {config.size ** 2} monomials and "
-            f"{2 * n + 1} grades",
+    def dual_ok(mono: tuple[int, int], coeff, k: int) -> bool:
+        c = CliffordElem(config, {mono: coeff})
+        return grade_project(multiply(eps, c), 2 * n - k) == multiply(
+            eps, grade_project(c, k)
         )
 
-    r = random.Random(3001 + n)
-    checked = 0
-    for _ in range(8):
-        mono = (r.randrange(config.size), r.randrange(config.size))
-        c = CliffordElem(config, {mono: config.field.from_int(r.randrange(1, 7))})
-        for k in range(4):
-            if not dual_ok(c, k):
-                return _fail(
-                    "eps-duality", n, f"failed at monomial {mono}, grade {k}"
-                )
-            checked += 1
-    return _ok(
-        "eps-duality",
-        n,
-        f"{checked} seeded (monomial, grade) pairs at k <= 3, covering the "
-        "complementary grades on the left side",
-    )
+    if n <= 3:
+        one = config.field.from_int(1)
+        monomials = product(range(config.size), repeat=2)
+        cases = ((mono, one, k) for mono in monomials for k in range(2 * n + 1))
+        regime = (
+            f"exhaustive over all {config.size ** 2} monomials and "
+            f"{2 * n + 1} grades"
+        )
+    else:
+        r = random.Random(3001 + n)
+        drawn = []
+        for _ in range(8):
+            mono = (r.randrange(config.size), r.randrange(config.size))
+            drawn.append((mono, config.field.from_int(r.randrange(1, 7))))
+        cases = ((mono, coeff, k) for mono, coeff in drawn for k in range(4))
+        regime = (
+            f"{4 * len(drawn)} seeded (monomial, grade) pairs at k <= 3, covering "
+            "the complementary grades on the left side"
+        )
+    if bad := _first(cases, dual_ok):
+        raise _Failed(f"failed at monomial {bad[0]}, grade {bad[2]}")
+    return regime
 
 
 # --------------------------------------------------------------- norms
 
 
+@_check("norm-dimension")
 def check_norm_dimension(n: int) -> CheckResult:
     """The defining system for the spinor norm has a one dimensional
     solution space; re-solved from scratch over all basis pairs."""
     dim = norm_solution_dimension(_config(n))
     if dim != 1:
-        return _fail(
-            "norm-dimension", n, f"solution space has dimension {dim}, not 1"
-        )
-    return _ok(
-        "norm-dimension",
-        n,
-        f"defining system over all {4 ** n} unknowns solved: dimension 1",
-    )
+        raise _Failed(f"solution space has dimension {dim}, not 1")
+    return f"defining system over all {4 ** n} unknowns solved: dimension 1"
 
 
-def _symmetry_check(
-    check: str, n: int, form: BilinearForm, table: dict[int, tuple[int, int]]
-) -> CheckResult:
+def _symmetry_check(form: BilinearForm, table: dict[int, tuple[int, int]]) -> str:
     config = form.config
-    sym, par = table[n % 4]
+    sym, par = table[config.n % 4]
     try:
         got = (form.symmetry(), form.pairing_parity())
     except AssertionError as exc:
-        return _fail(check, n, str(exc))
+        raise _Failed(str(exc)) from None
     if got != (sym, par):
-        return _fail(check, n, f"expected (sign, parity) {(sym, par)}, got {got}")
+        raise _Failed(f"expected (sign, parity) {(sym, par)}, got {got}")
     if len(form.entries) != config.size:
-        return _fail(check, n, "antidiagonal support is incomplete")
-    return _ok(
-        check,
-        n,
+        raise _Failed("antidiagonal support is incomplete")
+    return (
         f"sign {sym:+d}, parity {par}, full antidiagonal support "
-        f"({config.size} entries), checked over every entry",
+        f"({config.size} entries), checked over every entry"
     )
 
 
+@_check("plain-symmetry")
 def check_plain_symmetry(n: int) -> CheckResult:
     """The spinor norm matches its n mod 4 symmetry and parity row."""
-    return _symmetry_check(
-        "plain-symmetry", n, solve_spinor_norm(_config(n)), PLAIN_NORM_TABLE
-    )
+    return _symmetry_check(solve_spinor_norm(_config(n)), PLAIN_NORM_TABLE)
 
 
+@_check("graded-symmetry")
 def check_graded_symmetry(n: int) -> CheckResult:
     """The graded norm matches its n mod 4 symmetry and parity row."""
     return _symmetry_check(
-        "graded-symmetry",
-        n,
-        graded_norm(solve_spinor_norm(_config(n))),
-        GRADED_NORM_TABLE,
+        graded_norm(solve_spinor_norm(_config(n))), GRADED_NORM_TABLE
     )
 
 
+@_check("ck-invariance")
 def check_ck_invariance(n: int) -> CheckResult:
     """Grade-k elements with k = 2, 3 (mod 4) are infinitesimal
     isometries of the norm: B(c.phi, psi) + B(phi, c.psi) = 0.
@@ -405,86 +388,70 @@ def check_ck_invariance(n: int) -> CheckResult:
     config = _config(n)
     form = solve_spinor_norm(config)
     field = config.field
+    zero = field.zero()
     nslots = 2 * n
     grades = [k for k in range(2, nslots + 1) if k % 4 in (2, 3)]
 
     if n <= 3:
         basis_vecs = [SpinorVec.basis(config, m) for m in range(config.size)]
-        zero = field.zero()
-        blades = 0
-        for k in grades:
-            for slots in combinations(range(nslots), k):
-                c = q_map(config, slots)
-                images = [act(c, psi) for psi in basis_vecs]
-                for im in range(config.size):
-                    for jm in range(config.size):
-                        total = b_eval(form, images[im], basis_vecs[jm]) + b_eval(
-                            form, basis_vecs[im], images[jm]
-                        )
-                        if total != zero:
-                            return _fail(
-                                "ck-invariance",
-                                n,
-                                f"direct identity failed at blade {slots}, "
-                                f"pair ({im}, {jm})",
-                            )
-                blades += 1
-        return _ok(
-            "ck-invariance",
-            n,
-            f"direct, exhaustive: {blades} blades x {config.size}^2 basis pairs",
+        blades = [s for k in grades for s in combinations(range(nslots), k)]
+
+        @lru_cache(maxsize=1)
+        def images(slots: tuple[int, ...]) -> list[SpinorVec]:
+            c = q_map(config, slots)
+            return [act(c, psi) for psi in basis_vecs]
+
+        def direct_ok(slots: tuple[int, ...], im: int, jm: int) -> bool:
+            img = images(slots)
+            total = b_eval(form, img[im], basis_vecs[jm]) + b_eval(
+                form, basis_vecs[im], img[jm]
+            )
+            return total == zero
+
+        pairs = list(product(range(config.size), repeat=2))
+        cases = ((slots, im, jm) for slots in blades for im, jm in pairs)
+        if bad := _first(cases, direct_ok):
+            raise _Failed(
+                "direct identity failed at blade {}, pair ({}, {})".format(*bad)
+            )
+        return (
+            f"direct, exhaustive: {len(blades)} blades x {config.size}^2 basis pairs"
         )
 
-    minus_one = field.from_int(-1)
-
-    def reversal_ok(slots: tuple[int, ...]) -> bool:
-        c = q_map(config, slots)
-        return transpose(c) == c.scale(minus_one)
-
-    blades = 0
-    sampled = 0
+    # every exhaustive grade (all for n <= 5, else k <= 3) precedes every
+    # sampled one, so the blades are checked in grade order
     r = random.Random(4007 + n)
+    exhaustive, sampled = [], []
     for k in grades:
         if n <= 5 or k <= 3:
-            for slots in combinations(range(nslots), k):
-                if not reversal_ok(slots):
-                    return _fail(
-                        "ck-invariance", n, f"transpose(c) != -c at blade {slots}"
-                    )
-                blades += 1
+            exhaustive += combinations(range(nslots), k)
         else:
-            for _ in range(6):
-                slots = tuple(sorted(r.sample(range(nslots), k)))
-                if not reversal_ok(slots):
-                    return _fail(
-                        "ck-invariance", n, f"transpose(c) != -c at blade {slots}"
-                    )
-                sampled += 1
+            sampled += (tuple(sorted(r.sample(range(nslots), k))) for _ in range(6))
+    minus_one = field.from_int(-1)
+    for slots in exhaustive + sampled:
+        c = q_map(config, slots)
+        if transpose(c) != c.scale(minus_one):
+            raise _Failed(f"transpose(c) != -c at blade {slots}")
 
-    zero = field.zero()
-    direct = 0
-    for _ in range(30):
+    direct = 30
+    for _ in range(direct):
         k = r.choice(grades)
         slots = tuple(sorted(r.sample(range(nslots), k)))
         c = q_map(config, slots)
         phi = _sample_spinor(config, r)
         psi = _sample_spinor(config, r)
         if b_eval(form, act(c, phi), psi) + b_eval(form, phi, act(c, psi)) != zero:
-            return _fail(
-                "ck-invariance", n, f"direct identity failed at blade {slots}"
-            )
-        direct += 1
-    return _ok(
-        "ck-invariance",
-        n,
-        f"transpose characterization on {blades} exhaustive and {sampled} "
-        f"sampled blades, plus {direct} direct seeded triples",
+            raise _Failed(f"direct identity failed at blade {slots}")
+    return (
+        f"transpose characterization on {len(exhaustive)} exhaustive and "
+        f"{len(sampled)} sampled blades, plus {direct} direct seeded triples"
     )
 
 
 # ------------------------------------------------------------ pairings
 
 
+@_check("grade2-symmetry")
 def check_grade2_symmetry(n: int) -> CheckResult:
     """The grade-2 pairing matches its n mod 4 symmetry sign and
     vanishes off its parity row: exhaustive on basis pairs for n <= 5,
@@ -503,39 +470,25 @@ def check_grade2_symmetry(n: int) -> CheckResult:
         )
         if fwd != rev.scale(sgn):
             return False
-        if (parity(im) + parity(jm)) % 2 != par and not fwd.is_zero():
-            return False
-        return True
+        return (parity(im) + parity(jm)) % 2 == par or fwd.is_zero()
 
     if n <= 5:
-        for im in range(config.size):
-            for jm in range(config.size):
-                if not basis_pair_ok(im, jm):
-                    return _fail(
-                        "grade2-symmetry", n, f"failed at basis pair ({im}, {jm})"
-                    )
-        return _ok(
-            "grade2-symmetry",
-            n,
-            f"exhaustive over all {config.size}^2 basis pairs",
-        )
+        if bad := _first(product(range(config.size), repeat=2), basis_pair_ok):
+            raise _Failed("failed at basis pair ({}, {})".format(*bad))
+        return f"exhaustive over all {config.size}^2 basis pairs"
 
     r = random.Random(5003 + n)
-    for _ in range(520):
-        im, jm = r.randrange(config.size), r.randrange(config.size)
-        if not basis_pair_ok(im, jm):
-            return _fail("grade2-symmetry", n, f"failed at basis pair ({im}, {jm})")
+    pairs = _seeded_pairs(r, config.size, 520)
+    if bad := _first(pairs, basis_pair_ok):
+        raise _Failed("failed at basis pair ({}, {})".format(*bad))
     for _ in range(15):
         p1, p2 = _sample_spinor(config, r), _sample_spinor(config, r)
         if grade2_pairing(form, p1, p2) != grade2_pairing(form, p2, p1).scale(sgn):
-            return _fail("grade2-symmetry", n, "failed at a seeded sparse pair")
-    return _ok(
-        "grade2-symmetry",
-        n,
-        "520 seeded basis pairs with parity, plus 15 sparse pairs",
-    )
+            raise _Failed("failed at a seeded sparse pair")
+    return "520 seeded basis pairs with parity, plus 15 sparse pairs"
 
 
+@_check("top-symmetry")
 def check_top_symmetry(n: int) -> CheckResult:
     """The top-grade coefficient is supported exactly on the
     antidiagonal and matches its n mod 4 symmetry sign; exhaustive over
@@ -558,40 +511,27 @@ def check_top_symmetry(n: int) -> CheckResult:
         jm = im ^ full
         fwd = coeff(im, jm)
         if fwd == zero:
-            return _fail(
-                "top-symmetry", n, f"vanishes on its support at pair ({im}, {jm})"
-            )
+            raise _Failed(f"vanishes on its support at pair ({im}, {jm})")
         if fwd != sgn * coeff(jm, im):
-            return _fail("top-symmetry", n, f"wrong sign at pair ({im}, {jm})")
+            raise _Failed(f"wrong sign at pair ({im}, {jm})")
         if (parity(im) + parity(jm)) % 2 != par:
-            return _fail("top-symmetry", n, f"parity row violated at ({im}, {jm})")
+            raise _Failed(f"parity row violated at ({im}, {jm})")
 
     if n <= 4:
-        for im in range(config.size):
-            for jm in range(config.size):
-                if jm != im ^ full and coeff(im, jm) != zero:
-                    return _fail(
-                        "top-symmetry", n, f"nonzero off support at ({im}, {jm})"
-                    )
+        pairs = product(range(config.size), repeat=2)
         off = f"off-support vanishing exhaustive over {config.size}^2 pairs"
     else:
         r = random.Random(6007 + n)
-        for _ in range(100):
-            im = r.randrange(config.size)
-            jm = r.randrange(config.size)
-            if jm != im ^ full and coeff(im, jm) != zero:
-                return _fail(
-                    "top-symmetry", n, f"nonzero off support at ({im}, {jm})"
-                )
+        pairs = _seeded_pairs(r, config.size, 100)
         off = "off-support vanishing on 100 seeded pairs"
-    return _ok(
-        "top-symmetry",
-        n,
-        f"sign {sym:+d} and parity {par} on all {config.size} support pairs; "
-        + off,
+    if bad := _first(pairs, lambda im, jm: jm == im ^ full or coeff(im, jm) == zero):
+        raise _Failed("nonzero off support at ({}, {})".format(*bad))
+    return (
+        f"sign {sym:+d} and parity {par} on all {config.size} support pairs; " + off
     )
 
 
+@_check("graded-pairing-symmetry")
 def check_graded_pairing_symmetry(n: int) -> CheckResult:
     """The graded pairing matches its n mod 4 symmetry sign and its two
     components vanish off their complementary parity rows: exhaustive on
@@ -614,40 +554,24 @@ def check_graded_pairing_symmetry(n: int) -> CheckResult:
         mismatch = (parity(im) + parity(jm)) % 2
         if mismatch != par2 and not grade_project(fwd, 2).is_zero():
             return False
-        if mismatch != par1 and not grade_project(fwd, 1).is_zero():
-            return False
-        return True
+        return mismatch == par1 or grade_project(fwd, 1).is_zero()
 
     if n <= 4:
-        for im in range(config.size):
-            for jm in range(config.size):
-                if not basis_pair_ok(im, jm):
-                    return _fail(
-                        "graded-pairing-symmetry",
-                        n,
-                        f"failed at basis pair ({im}, {jm})",
-                    )
-        return _ok(
-            "graded-pairing-symmetry",
-            n,
+        pairs = product(range(config.size), repeat=2)
+        regime = (
             f"exhaustive over all {config.size}^2 basis pairs with "
-            "per-component parity",
+            "per-component parity"
         )
-
-    r = random.Random(7001 + n)
-    for _ in range(500):
-        im, jm = r.randrange(config.size), r.randrange(config.size)
-        if not basis_pair_ok(im, jm):
-            return _fail(
-                "graded-pairing-symmetry", n, f"failed at basis pair ({im}, {jm})"
-            )
-    return _ok(
-        "graded-pairing-symmetry",
-        n,
-        "500 seeded basis pairs with per-component parity",
-    )
+    else:
+        r = random.Random(7001 + n)
+        pairs = _seeded_pairs(r, config.size, 500)
+        regime = "500 seeded basis pairs with per-component parity"
+    if bad := _first(pairs, basis_pair_ok):
+        raise _Failed("failed at basis pair ({}, {})".format(*bad))
+    return regime
 
 
+@_check("bracket-relations")
 def check_bracket_relations(n: int, pairs: int = 1000) -> CheckResult:
     """The two vector-valued relations tying the grade-2 pairing, the
     orbit-map adjoint and the norm together:
@@ -687,40 +611,27 @@ def check_bracket_relations(n: int, pairs: int = 1000) -> CheckResult:
                 return False
         return True
 
-    exhaustive = 0
+    def basis_pair_ok(im: int, jm: int) -> bool:
+        return pair_ok(SpinorVec.basis(config, im), SpinorVec.basis(config, jm))
+
+    sparse = pairs // 4
+    detail = f"{pairs} seeded pairs ({sparse} sparse) over all {2 * n} vectors"
     if n <= 3:
-        for im in range(config.size):
-            for jm in range(config.size):
-                if not pair_ok(
-                    SpinorVec.basis(config, im), SpinorVec.basis(config, jm)
-                ):
-                    return _fail(
-                        "bracket-relations",
-                        n,
-                        f"relation failed at basis pair ({im}, {jm})",
-                    )
-                exhaustive += 1
+        if bad := _first(product(range(config.size), repeat=2), basis_pair_ok):
+            raise _Failed("relation failed at basis pair ({}, {})".format(*bad))
+        detail = f"exhaustive over {config.size ** 2} basis pairs, plus " + detail
 
     r = random.Random(8009 + n)
-    sparse = pairs // 4
     for idx in range(pairs - sparse):
-        phi = SpinorVec.basis(config, r.randrange(config.size))
-        psi = SpinorVec.basis(config, r.randrange(config.size))
-        if not pair_ok(phi, psi):
-            return _fail(
-                "bracket-relations", n, f"relation failed at random basis pair {idx}"
-            )
+        if not basis_pair_ok(r.randrange(config.size), r.randrange(config.size)):
+            raise _Failed(f"relation failed at random basis pair {idx}")
     for idx in range(sparse):
         if not pair_ok(_sample_spinor(config, r), _sample_spinor(config, r)):
-            return _fail(
-                "bracket-relations", n, f"relation failed at random sparse pair {idx}"
-            )
-    detail = f"{pairs} seeded pairs ({sparse} sparse) over all {2 * n} vectors"
-    if exhaustive:
-        detail = f"exhaustive over {exhaustive} basis pairs, plus " + detail
-    return _ok("bracket-relations", n, detail)
+            raise _Failed(f"relation failed at random sparse pair {idx}")
+    return detail
 
 
+@_check("matrix-agreement")
 def check_matrix_agreement(n: int, samples: int | None = None) -> CheckResult:
     """The closed-form basis matrix of the grade-2 pairing agrees with
     the four-sum route applied to basis vectors: exhaustive over all
@@ -736,35 +647,26 @@ def check_matrix_agreement(n: int, samples: int | None = None) -> CheckResult:
     size = config.size
     basis_vecs = [SpinorVec.basis(config, m) for m in range(size)]
 
-    if n <= 5 and samples is None:
-        for im in range(size):
-            for jm in range(size):
-                elem = grade2_pairing(form, basis_vecs[im], basis_vecs[jm])
-                for km in range(size):
-                    if act(elem, basis_vecs[km]) != grade2_pairing_on_basis(
-                        form, im, jm, km
-                    ):
-                        return _fail(
-                            "matrix-agreement",
-                            n,
-                            f"routes disagree at triple ({im}, {jm}, {km})",
-                        )
-        return _ok(
-            "matrix-agreement", n, f"exhaustive over all {size}^3 basis triples"
-        )
+    # triples come grouped by (im, jm), so the last pairing is the one reused
+    @lru_cache(maxsize=1)
+    def pairing(im: int, jm: int) -> CliffordElem:
+        return grade2_pairing(form, basis_vecs[im], basis_vecs[jm])
 
-    count = 600 if samples is None else samples
-    r = random.Random(9001 + n)
-    for _ in range(count):
-        im, jm, km = (r.randrange(size) for _ in range(3))
-        elem = grade2_pairing(form, basis_vecs[im], basis_vecs[jm])
-        if act(elem, basis_vecs[km]) != grade2_pairing_on_basis(form, im, jm, km):
-            return _fail(
-                "matrix-agreement",
-                n,
-                f"routes disagree at triple ({im}, {jm}, {km})",
-            )
-    return _ok("matrix-agreement", n, f"{count} seeded basis triples")
+    def agrees(im: int, jm: int, km: int) -> bool:
+        got = act(pairing(im, jm), basis_vecs[km])
+        return got == grade2_pairing_on_basis(form, im, jm, km)
+
+    if n <= 5 and samples is None:
+        triples = product(range(size), repeat=3)
+        regime = f"exhaustive over all {size}^3 basis triples"
+    else:
+        count = 600 if samples is None else samples
+        r = random.Random(9001 + n)
+        triples = [tuple(r.randrange(size) for _ in range(3)) for _ in range(count)]
+        regime = f"{count} seeded basis triples"
+    if bad := _first(triples, agrees):
+        raise _Failed("routes disagree at triple ({}, {}, {})".format(*bad))
+    return regime
 
 
 SUITES: dict[str, tuple] = {
