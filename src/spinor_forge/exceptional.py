@@ -24,6 +24,7 @@ import json
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
+from numbers import Integral
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -381,6 +382,15 @@ class JacobiReport:
         )
 
 
+def _check_pairs(pairs: list, n: int) -> None:
+    """ValueError unless pairs is nonempty and every index is an int in [0, n)."""
+    if not pairs:
+        raise ValueError("no index pairs given; pass pairs=None for all of them")
+    for i, j in pairs:
+        if not all(isinstance(x, Integral) and 0 <= x < n for x in (i, j)):
+            raise ValueError(f"bad index pair ({i}, {j})")
+
+
 def verify_jacobi(L: LieAlgebra, pairs=None) -> JacobiReport:
     """Check ad([b_i, b_j]) = [ad b_i, ad b_j] for the given index pairs.
 
@@ -391,7 +401,8 @@ def verify_jacobi(L: LieAlgebra, pairs=None) -> JacobiReport:
     proves every sum fits, and over F_p each product is reduced mod p):
     the pairs go through it in batches of at most _BATCH_PAIRS,
     whose terms of ad_i ad_j, ad_j ad_i and sum_k c_ij^k ad_k are summed
-    by (pair, row, column) key.
+    by (pair, row, column) key.  ValueError, before the engine is built,
+    for an empty pair set or a pair that is not two distinct int indices.
     """
     t0 = perf_counter()
     n = L.dim
@@ -399,9 +410,11 @@ def verify_jacobi(L: LieAlgebra, pairs=None) -> JacobiReport:
         left, right = np.triu_indices(n, 1)
         triples = comb(n, 3)
     else:
+        pairs = list(pairs)
+        _check_pairs(pairs, n)
         pair_list = sorted({(min(i, j), max(i, j)) for i, j in pairs})
         for i, j in pair_list:
-            if i == j or not 0 <= i < j < n:
+            if i == j:
                 raise ValueError(f"bad index pair ({i}, {j})")
         left, right = np.array(pair_list, dtype=np.int64).reshape(-1, 2).T
         adj = np.zeros((n, n), dtype=np.int64)
@@ -440,17 +453,16 @@ def verify_antisymmetry(L: LieAlgebra, pairs=None) -> list[tuple[int, int]]:
     The stored table is antisymmetric by construction, so this evaluates
     the raw bracket function in both orders (and on the diagonal, which
     must vanish).  The ascending-order result is handed to L.remember, so
-    a later materialize or Jacobi sweep does not evaluate it again.  Every
-    index must lie in [0, dim), checked before any bracket is evaluated.
+    a later materialize or Jacobi sweep does not evaluate it again.  The
+    pairs must be nonempty and every index an int in [0, dim), checked
+    before any bracket is evaluated.
     """
     n = L.dim
     if pairs is None:
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
     else:
         pairs = list(pairs)
-        for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"bad index pair ({i}, {j})")
+        _check_pairs(pairs, n)
     bad = []
     for i, j in pairs:
         fwd = L.raw_bracket(L.basis[i], L.basis[j])

@@ -541,6 +541,10 @@ class TestVerifyJacobi:
         for _ in range(200):
             n = r.randrange(3, 31)
             pairs = [tuple(r.sample(range(n), 2)) for _ in range(r.randrange(n * n))]
+            if not pairs:
+                with pytest.raises(ValueError, match="no index pairs"):
+                    verify_jacobi(abelian(n), pairs=pairs)
+                continue
             rep = verify_jacobi(abelian(n), pairs=pairs)
             assert rep and rep.triples_covered == len(covered_triples(n, pairs))
         # the pairs touching b_i or b_j cover C(dim, 3) - C(dim - 2, 3) triples
@@ -718,6 +722,23 @@ class TestOneEngine:
         assert engine_builds == []
         # at most the one bracket the flip names was evaluated
         assert set(L._table) <= {(0, 1)}
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([], "no index pairs given"),
+            ([(1.5, 3)], "bad index pair (1.5, 3)"),
+            ([(0, 1), (2, 3.0)], "bad index pair (2, 3.0)"),
+        ],
+        ids=["empty", "float", "integral-float"],
+    )
+    @pytest.mark.parametrize("verify", [verify_jacobi, verify_antisymmetry])
+    def test_bad_pair_set_builds_nothing(self, engine_builds, verify, pairs, message):
+        L = build_e6()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            verify(L, pairs=pairs)
+        assert engine_builds == []
+        assert not L._table
 
     def test_flip_leaves_parent_engine(self, engine_builds):
         L = build_e7(field=PrimeField(7))
