@@ -24,7 +24,6 @@ import json
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
-from numbers import Integral
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -382,12 +381,16 @@ class JacobiReport:
         )
 
 
+_INT = (int, np.integer)  # the index types the verifiers accept
+
+
 def _check_pairs(pairs: list, n: int) -> None:
     """ValueError unless pairs is nonempty and every index is an int in [0, n)."""
     if not pairs:
         raise ValueError("no index pairs given; pass pairs=None for all of them")
     for i, j in pairs:
-        if not all(isinstance(x, Integral) and 0 <= x < n for x in (i, j)):
+        ok = isinstance(i, _INT) and isinstance(j, _INT) and 0 <= i < n and 0 <= j < n
+        if not ok:
             raise ValueError(f"bad index pair ({i}, {j})")
 
 

@@ -15,8 +15,10 @@ the first failing one and names that case in `detail`.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from functools import lru_cache, wraps
 from itertools import combinations, product
+from math import prod
 
 from .clifford import (
     CliffordElem,
@@ -135,9 +137,9 @@ def _first(cases, ok):
     return next((case for case in cases if not ok(*case)), None)
 
 
-def _seeded_pairs(r: random.Random, size: int, count: int) -> list[tuple[int, int]]:
-    """count basis pairs (im, jm) drawn from r, im first."""
-    return [(r.randrange(size), r.randrange(size)) for _ in range(count)]
+def _seeded_pairs(r: random.Random, size: int, count: int) -> Iterator[tuple[int, int]]:
+    """count basis pairs (im, jm), each drawn from r as it is reached."""
+    return ((r.randrange(size), r.randrange(size)) for _ in range(count))
 
 
 def _sample_spinor(config: Config, r: random.Random, nterms: int = 2) -> SpinorVec:
@@ -210,12 +212,6 @@ def check_q_isometry(n: int) -> CheckResult:
     field = config.field
     nslots = 2 * n
 
-    def metric(slots: tuple[int, ...]) -> int:
-        g = 1
-        for s in slots:
-            g *= slot_metric(s)
-        return g
-
     def require(outer: list, inner: list) -> None:
         """Fail at the first (s1, s2) pair off the metric; each blade and
         each outer transpose is built once, every pair traces its product
@@ -224,7 +220,7 @@ def check_q_isometry(n: int) -> CheckResult:
         transposed = {s: transpose(blades[s]) for s in outer}
 
         def pair_ok(s1: tuple, s2: tuple) -> bool:
-            want = config.size * metric(s1) if s1 == s2 else 0
+            want = config.size * prod(map(slot_metric, s1)) if s1 == s2 else 0
             return trace_product(transposed[s1], blades[s2]) == field.from_int(want)
 
         if bad := _first(product(outer, inner), pair_ok):
@@ -662,7 +658,7 @@ def check_matrix_agreement(n: int, samples: int | None = None) -> CheckResult:
     else:
         count = 600 if samples is None else samples
         r = random.Random(9001 + n)
-        triples = [tuple(r.randrange(size) for _ in range(3)) for _ in range(count)]
+        triples = (tuple(r.randrange(size) for _ in range(3)) for _ in range(count))
         regime = f"{count} seeded basis triples"
     if bad := _first(triples, agrees):
         raise _Failed("routes disagree at triple ({}, {}, {})".format(*bad))
