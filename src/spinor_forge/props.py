@@ -392,6 +392,7 @@ def check_ck_invariance(n: int) -> CheckResult:
         basis_vecs = [SpinorVec.basis(config, m) for m in range(config.size)]
         blades = [s for k in grades for s in combinations(range(nslots), k)]
 
+        # cases come grouped by blade: one set of images serves a group
         @lru_cache(maxsize=1)
         def images(slots: tuple[int, ...]) -> list[SpinorVec]:
             c = q_map(config, slots)
@@ -643,7 +644,7 @@ def check_matrix_agreement(n: int, samples: int | None = None) -> CheckResult:
     size = config.size
     basis_vecs = [SpinorVec.basis(config, m) for m in range(size)]
 
-    # triples come grouped by (im, jm), so the last pairing is the one reused
+    # exhaustive triples come grouped by (im, jm): one pairing serves a group
     @lru_cache(maxsize=1)
     def pairing(im: int, jm: int) -> CliffordElem:
         return grade2_pairing(form, basis_vecs[im], basis_vecs[jm])
