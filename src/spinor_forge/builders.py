@@ -10,8 +10,10 @@ the package's one copy of that case table), plus the top-grade coefficient
 (pairings.basis_top_grade_coefficient) for e6; brackets inside the grade-2
 part come from the so(2n) table on labels (_c2_bracket), and the action of
 a grade-2 label on a spinor basis vector is one Fock move
-(pairings._c2_move).  The generic Clifford route (the four-sum pairing,
-commutators, act) is the test oracle.
+(pairings._c2_move).  The e7 bracket is written once, in _e7_chassis;
+its constants are solved from the Jacobi identity of that same bracket.
+The generic Clifford route (the four-sum pairing, commutators, act) is
+the test oracle.
 
 The result of each builder is a LieAlgebra; the checks of the
 construction live in exceptional and use none of this module.
@@ -28,13 +30,7 @@ from .field import Field, Rationals, Scalar
 from .fock import Config, parity
 from .linalg import nullspace
 from .norms import BilinearForm, solve_spinor_norm
-from .pairings import (
-    Label,
-    _c2_move,
-    _l2_coords,
-    basis_top_grade_coefficient,
-    grade2_pairing_on_basis,
-)
+from .pairings import Label, _c2_move, _l2_coords, basis_top_grade_coefficient
 
 Bracket = Callable[[Label, Label], dict[Label, Scalar]]
 
@@ -203,46 +199,14 @@ _SIGMA = {
 }
 
 
-def _e7_jacobi_rows(
-    config: Config, form: BilinearForm, triple: tuple
-) -> list[list[Scalar]]:
-    """Constraint rows c1 * P + c2 * Q = 0 from one spinor-tensor triple.
-
-    For [psi (x) x, phi (x) y] = c1 omega(x,y) pairing(psi,phi)
-    + c2 B(psi,phi) sigma(x,y), the cyclic Jacobi sum over a triple is
-    linear in (c1, c2); P collects the pairing-action part and Q the
-    sigma part, one row per output coordinate.  The pairing acts through
-    grade2_pairing_on_basis, the operator the table stores.
-    """
-    field = config.field
-    pvals: dict[tuple[int, int], Scalar] = {}
-    qvals: dict[tuple[int, int], Scalar] = {}
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        ma, sa = triple[a]
-        mb, sb = triple[b]
-        mc, sc = triple[c]
-        w = _OMEGA.get((sa, sb))
-        if w:
-            ws = field.from_int(w)
-            for mask, coeff in grade2_pairing_on_basis(form, ma, mb, mc).items():
-                key = (mask, sc)
-                add = coeff * ws
-                prev = pvals.get(key)
-                pvals[key] = add if prev is None else prev + add
-        bval = form.entry(ma, mb)
-        if bval:
-            for slot, w2 in ((sb, _OMEGA.get((sa, sc))), (sa, _OMEGA.get((sb, sc)))):
-                if not w2:
-                    continue
-                key = (mc, slot)
-                add = bval * field.from_int(w2)
-                prev = qvals.get(key)
-                qvals[key] = add if prev is None else prev + add
-    zero = field.zero()
-    return [
-        [pvals.get(key, zero), qvals.get(key, zero)]
-        for key in sorted(set(pvals) | set(qvals))
-    ]
+def _jacobi_sum(L: LieAlgebra, x: int, y: int, z: int) -> dict[int, Scalar]:
+    """[[x, y], z] + [[y, z], x] + [[z, x], y] on basis indices, through L.bracket."""
+    out: dict[int, Scalar] = {}
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        for k, s in L.bracket(a, b):
+            for m, t in L.bracket(k, c):
+                out[m] = out[m] + s * t if m in out else s * t
+    return out
 
 
 def _normalize_pair(field: Field, vec: list[Scalar]) -> tuple[Scalar, Scalar]:
@@ -260,25 +224,76 @@ def _normalize_pair(field: Field, vec: list[Scalar]) -> tuple[Scalar, Scalar]:
     return a / lead, b / lead
 
 
+def _e7_chassis(
+    config: Config, form: BilinearForm, c1: Scalar, c2: Scalar
+) -> LieAlgebra:
+    """e7 on the graded chassis with the spinor bracket constants (c1, c2)."""
+    field = config.field
+    evens = [m for m in range(config.size) if parity(m) == 0]
+    module = [("s2", m, s) for m in evens for s in (0, 1)]
+
+    def pair(la: Label, lb: Label) -> dict[Label, Scalar]:
+        ma, sa = la[1], la[2]
+        mb, sb = lb[1], lb[2]
+        coords: dict[Label, Scalar] = {}
+        w = _OMEGA.get((sa, sb))
+        if w:
+            cw = c1 * field.from_int(w)
+            for lab, c in _l2_coords(form, ma, mb).items():
+                coords[lab] = c * cw
+        bval = form.entry(ma, mb)
+        if bval:
+            for t, k in _SIGMA[(sa, sb)]:
+                coords[("sl2", t)] = c2 * bval * field.from_int(k)
+        return coords
+
+    def sl2_bracket(la: Label, lb: Label) -> dict[Label, Scalar]:
+        if la[0] != lb[0]:
+            # sl2 commutes with the grade-2 part
+            return {}
+        ta, tb = la[1], lb[1]
+        if ta == tb:
+            return {}
+        entry = _SL2_TABLE.get((ta, tb))
+        if entry is not None:
+            return {("sl2", t): field.from_int(k) for t, k in entry}
+        return {("sl2", t): field.from_int(-k) for t, k in _SL2_TABLE[(tb, ta)]}
+
+    def slot_act(la: Label, lb: Label) -> dict[Label, Scalar]:
+        moves = _SL2_ACTION[la[1]].get(lb[2], ())
+        return {("s2", lb[1], s): field.from_int(k) for s, k in moves}
+
+    sl2 = [("sl2", t) for t in ("h", "e", "f")]
+    return _graded_algebra("e7", config, sl2, module, pair, sl2_bracket, slot_act)
+
+
 def solve_e7_constants(
     field: Optional[Field] = None, form: Optional[BilinearForm] = None
 ) -> tuple[Scalar, Scalar]:
     """The e7 bracket constants (c1, c2), solved from sampled Jacobi triples.
 
-    Same defaults as build_e7.  The solution space must be exactly
-    one-dimensional: rank 0 would mean the sampled triples constrain
-    nothing, rank 2 that no choice of constants closes the bracket.  Never
-    hardcoded; the full identity is verified downstream by verify_jacobi.
+    Same defaults as build_e7.  The cyclic Jacobi sum on 60 seeded triples
+    of spinor-tensor basis vectors is read through the bracket that
+    build_e7 stores, on its chassis at (c1, c2) = (1, 0) and (0, 1).  The
+    solution space must be exactly one-dimensional: rank 0 would mean the
+    sampled triples constrain nothing, rank 2 that no choice of constants
+    closes the bracket.  Never hardcoded; the full identity is verified
+    downstream by verify_jacobi.
     """
     config, form = _builder_setup(6, field, form)
+    one, zero = config.field.one(), config.field.zero()
+    parts = (_e7_chassis(config, form, one, zero), _e7_chassis(config, form, zero, one))
+    index = parts[0].index
     rnd = random.Random(20240801)
     evens = [m for m in range(config.size) if parity(m) == 0]
     rows: list[list[Scalar]] = []
     for _ in range(60):
-        triple = tuple(
-            (rnd.choice(evens), rnd.choice((0, 1))) for _ in range(3)
-        )
-        rows.extend(_e7_jacobi_rows(config, form, triple))
+        triple = [
+            index[("s2", rnd.choice(evens), rnd.choice((0, 1)))] for _ in range(3)
+        ]
+        # the sum is linear in the constants: c1 P + c2 Q = 0 at each index
+        p, q = (_jacobi_sum(L, *triple) for L in parts)
+        rows += ([p.get(k, zero), q.get(k, zero)] for k in sorted(p.keys() | q.keys()))
     null = nullspace(rows, 2, config.field)
     if len(null) == 2:
         raise RuntimeError("sampled Jacobi triples constrain no bracket constants")
@@ -298,55 +313,12 @@ def build_e7(
         [psi (x) x, phi (x) y] = c1 omega(x, y) pairing(psi, phi)
                                + c2 B(psi, phi) sigma(x, y)
 
-    with (c1, c2) solved at build time from the Jacobi identity itself.
+    with (c1, c2) solved at build time by solve_e7_constants from the
+    Jacobi identity of this same bracket.
     """
     config, form = _builder_setup(6, field, form)
-    field_ = config.field
-    c1, c2 = solve_e7_constants(field_, form)
-    module = [
-        ("s2", m, s)
-        for m in range(config.size)
-        if parity(m) == 0
-        for s in (0, 1)
-    ]
-
-    def pair(la: Label, lb: Label) -> dict[Label, Scalar]:
-        ma, sa = la[1], la[2]
-        mb, sb = lb[1], lb[2]
-        coords: dict[Label, Scalar] = {}
-        w = _OMEGA.get((sa, sb))
-        if w:
-            cw = c1 * field_.from_int(w)
-            for lab, c in _l2_coords(form, ma, mb).items():
-                coords[lab] = c * cw
-        bval = form.entry(ma, mb)
-        if bval:
-            cb = c2 * bval
-            for t, k in _SIGMA[(sa, sb)]:
-                lab = ("sl2", t)
-                add = cb * field_.from_int(k)
-                prev = coords.get(lab)
-                coords[lab] = add if prev is None else prev + add
-        return coords
-
-    def sl2_bracket(la: Label, lb: Label) -> dict[Label, Scalar]:
-        if la[0] != lb[0]:
-            # sl2 commutes with the grade-2 part
-            return {}
-        ta, tb = la[1], lb[1]
-        if ta == tb:
-            return {}
-        entry = _SL2_TABLE.get((ta, tb))
-        if entry is not None:
-            return {("sl2", t): field_.from_int(k) for t, k in entry}
-        return {("sl2", t): field_.from_int(-k) for t, k in _SL2_TABLE[(tb, ta)]}
-
-    def slot_act(la: Label, lb: Label) -> dict[Label, Scalar]:
-        moves = _SL2_ACTION[la[1]].get(lb[2], ())
-        return {("s2", lb[1], s): field_.from_int(k) for s, k in moves}
-
-    sl2 = [("sl2", t) for t in ("h", "e", "f")]
-    return _graded_algebra("e7", config, sl2, module, pair, sl2_bracket, slot_act)
+    c1, c2 = solve_e7_constants(config.field, form)
+    return _e7_chassis(config, form, c1, c2)
 
 
 def build_e6(

@@ -61,6 +61,15 @@ def is_spinor_label(label: Label) -> bool:
     return label[0] in ("s", "s2")
 
 
+_INT = (int, np.integer)  # the index types the table and the verifiers accept
+
+
+def _check_pair(i, j, n: int) -> None:
+    """ValueError unless i and j are int indices in [0, n)."""
+    if not (isinstance(i, _INT) and isinstance(j, _INT) and 0 <= i < n and 0 <= j < n):
+        raise ValueError(f"bad index pair ({i}, {j})")
+
+
 class LieAlgebra:
     """A Lie algebra with labeled basis and lazily computed sparse brackets.
 
@@ -105,10 +114,9 @@ class LieAlgebra:
         key = (i, j) if i < j else (j, i)
         got = self._table.get(key)
         if got is None:
-            lo, hi = key
             # checked before the bracket function runs; [b_i, b_i] = 0
-            if lo < 0 or hi >= len(self.basis):
-                raise ValueError(f"bad index pair ({i}, {j})")
+            _check_pair(i, j, self.dim)
+            lo, hi = key
             if lo == hi:
                 return ()
             coords = self.raw_bracket(self.basis[lo], self.basis[hi])
@@ -123,7 +131,8 @@ class LieAlgebra:
         already present (a mutated copy's flipped sign, say) is kept.
         Returns the stored entry.
         """
-        if not 0 <= i < j < self.dim:
+        _check_pair(i, j, self.dim)
+        if i >= j:
             raise ValueError(f"bad index pair ({i}, {j})")
         got = self._table.get((i, j))
         if got is None:
@@ -172,14 +181,16 @@ def with_flipped_sign(L: LieAlgebra, i: int, j: int, k: int) -> LieAlgebra:
     table, with one entry replaced, and an engine patched from L's: the
     same index arrays, its own values with the two entries of the flipped
     constant negated.  L itself is left unchanged; the copy exists to feed
-    the verifiers deliberately broken input.
+    the verifiers deliberately broken input.  ValueError, before any
+    engine is built, unless i, j and k are int indices that name one.
     """
     if i == j:
         raise ValueError("mutation needs two distinct basis indices")
     if i > j:
         i, j = j, i
+    _check_pair(i, j, L.dim)
     terms = L.bracket(i, j)
-    if k not in {t[0] for t in terms}:
+    if not isinstance(k, _INT) or k not in {t[0] for t in terms}:
         raise ValueError(f"no structure constant at ({i}, {j}, {k})")
     engine = L.adjoint_products()
     clone = LieAlgebra(f"{L.name}~flip({i},{j},{k})", L.config, L.basis, L._fn)
@@ -313,7 +324,9 @@ class _AdjointProducts:
         sums = np.add.reduceat(np.concatenate(vals)[order], starts)
         if self.p is not None:
             sums %= self.p
-        return np.unique(key[starts][sums != 0] // (n * n))
+        # the keys are sorted, so the pairs ascend: keep the first of each
+        bad = key[starts][sums != 0] // (n * n)
+        return bad[np.diff(bad, prepend=-1) != 0]
 
     def gram(self) -> np.ndarray:
         """The int64 array tr(ad_i ad_j) = sum over a, m of ad_i[a, m] ad_j[m, a].
@@ -381,17 +394,12 @@ class JacobiReport:
         )
 
 
-_INT = (int, np.integer)  # the index types the verifiers accept
-
-
 def _check_pairs(pairs: list, n: int) -> None:
     """ValueError unless pairs is nonempty and every index is an int in [0, n)."""
     if not pairs:
         raise ValueError("no index pairs given; pass pairs=None for all of them")
     for i, j in pairs:
-        ok = isinstance(i, _INT) and isinstance(j, _INT) and 0 <= i < n and 0 <= j < n
-        if not ok:
-            raise ValueError(f"bad index pair ({i}, {j})")
+        _check_pair(i, j, n)
 
 
 def verify_jacobi(L: LieAlgebra, pairs=None) -> JacobiReport:

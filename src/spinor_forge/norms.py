@@ -215,7 +215,8 @@ def _solve_components(config: Config) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def _dimension(plus: np.ndarray, minus: np.ndarray, zero: np.ndarray) -> int:
     """Mirror pairs of surviving components, each named by its smaller label."""
-    return int(np.unique(np.minimum(plus, minus)[~zero]).size)
+    names = np.sort(np.minimum(plus, minus)[~zero])
+    return int(np.count_nonzero(np.diff(names, prepend=-1)))
 
 
 def norm_solution_dimension(config: Config) -> int:

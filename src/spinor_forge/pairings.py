@@ -12,9 +12,10 @@ hit.  On a pair of Fock basis vectors the pairing has the paper's closed
 form, the one case table of this package: _l2_coords writes it straight
 in grade-2 labels, and grade2_pairing_on_basis applies it to a third
 basis spinor label by label through _c2_move.  The e6/e7/e8 builders
-run these same functions, and basis_top_grade_coefficient for the top
-grade.  The top-grade and graded variants (the graded one also by direct
-moves) and the orbit-map adjoint round out the toolkit.
+run _l2_coords and _c2_move themselves (not grade2_pairing_on_basis),
+and basis_top_grade_coefficient for the top grade.  The top-grade and
+graded variants (the graded one also by direct moves) and the orbit-map
+adjoint round out the toolkit.
 """
 
 from __future__ import annotations

@@ -2,7 +2,10 @@
 
 import ast
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -224,7 +227,9 @@ class TestLieAlgebraCore:
         with pytest.raises(ValueError, match="bad index pair"):
             e6.bracket(i, i)
 
-    @pytest.mark.parametrize("pair", [(-1, 5), (5, -1), (100, 200), (78, 3)])
+    @pytest.mark.parametrize(
+        "pair", [(-1, 5), (5, -1), (100, 200), (78, 3), (1.5, 3), (2, 2.5)]
+    )
     def test_bracket_rejects_bad_pair_before_evaluating(self, e6, pair):
         L, calls = wrapped_e6(e6)
         with pytest.raises(ValueError, match=re.escape(f"bad index pair {pair}")):
@@ -335,18 +340,25 @@ class TestBuildE7:
         assert c1 == field.one() and c2 == field.one()
 
     @pytest.mark.parametrize(
-        "rows, message",
+        "null, message",
         [
-            ([], "constrain no bracket constants"),
-            ([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]], "no bracket"),
+            ([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]],
+             "constrain no bracket constants"),
+            ([], "no bracket"),
         ],
         ids=["rank0", "rank2"],
     )
-    def test_constant_solve_rejects_bad_rank(self, monkeypatch, rows, message):
-        monkeypatch.setattr(
-            builders_mod, "_e7_jacobi_rows", lambda config, form, triple: rows
-        )
+    def test_constant_solve_rejects_bad_rank(self, monkeypatch, null, message):
+        monkeypatch.setattr(builders_mod, "nullspace", lambda rows, ncols, field: null)
         with pytest.raises(RuntimeError, match=message):
+            solve_e7_constants()
+
+    def test_constants_solved_on_the_stored_bracket(self, monkeypatch):
+        # a wrong sigma(x1, x2) in the stored bracket leaves no constants
+        # that close it
+        monkeypatch.setitem(builders_mod._SIGMA, (0, 1), (("h", 1),))
+        monkeypatch.setitem(builders_mod._SIGMA, (1, 0), (("h", 1),))
+        with pytest.raises(RuntimeError, match="no bracket constants satisfy"):
             solve_e7_constants()
 
     def test_sl2_block(self, e7):
@@ -712,8 +724,11 @@ class TestOneEngine:
             (9999, 0, 1, "bad index pair (0, 9999)"),
             (-1, 3, 1, "bad index pair (-1, 3)"),
             (0, 1, 9999, "no structure constant at (0, 1, 9999)"),
+            (1.0, 3, 0, "bad index pair (1.0, 3)"),
+            (3, 1.5, 0, "bad index pair (1.5, 3)"),
         ],
-        ids=["high", "high-swapped", "negative", "no-constant"],
+        ids=["high", "high-swapped", "negative", "no-constant", "integral-float",
+             "float"],
     )
     def test_flip_bad_input_builds_nothing(self, engine_builds, i, j, k, message):
         L = build_e8()
@@ -722,6 +737,24 @@ class TestOneEngine:
         assert engine_builds == []
         # at most the one bracket the flip names was evaluated
         assert set(L._table) <= {(0, 1)}
+
+    def test_remember_rejects_non_integer_index(self, engine_builds):
+        L = build_e6()
+        coords = L.raw_bracket(L.basis[0], L.basis[10])
+        with pytest.raises(ValueError, match=re.escape("bad index pair (0.5, 10)")):
+            L.remember(0.5, 10, coords)
+        assert not L._table
+        assert engine_builds == []
+
+    def test_flip_non_integer_constant_builds_nothing(self, engine_builds):
+        L = build_e6().materialize()
+        table = dict(L._table)
+        (i, j), terms = L.nonzero_brackets()[5]
+        k = float(terms[0][0])
+        with pytest.raises(ValueError, match=re.escape(f"({i}, {j}, {k})")):
+            with_flipped_sign(L, i, j, k)
+        assert L._table == table and L._engine is None
+        assert engine_builds == []
 
     @pytest.mark.parametrize(
         "pairs, message",
@@ -770,6 +803,27 @@ class TestOneEngine:
                 # a rebuild lifts -c to p - c where the patch keeps -c
                 want, got = want % p, got % p
             assert np.array_equal(want, got)
+
+
+def test_norm_solve_and_jacobi_leave_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call under numpy 2.x, a cost
+    # paid by every process that solves a norm or sweeps Jacobi
+    code = (
+        "import sys\n"
+        "from spinor_forge.builders import build_e6\n"
+        "from spinor_forge.exceptional import verify_jacobi\n"
+        "from spinor_forge.fock import Config\n"
+        "from spinor_forge.norms import norm_solution_dimension\n"
+        "assert norm_solution_dimension(Config(4)) == 1\n"
+        "assert verify_jacobi(build_e6())\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = Path(exceptional_mod.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestEngineBounds:
