@@ -4,35 +4,35 @@ Building e6, e7 and e8 from spinor pairings
 
 Each algebra is a grade-2 Clifford piece plus one or two spinor
 modules, with the spinor-spinor bracket supplied by the pairings.  The
-construction is verified on the spot: antisymmetry, the full Jacobi
-sweep, the spanning rank of the spinor brackets, and the Killing-form
-rank, over the rationals and over a prime field.
+construction is verified on the spot by exceptional.run_checks, the one
+battery: antisymmetry, the full Jacobi sweep, the spanning rank of the
+spinor brackets, and the Killing-form rank, over the rationals and over
+a prime field.
 """
-
-import time
 
 from spinor_forge.builders import build_e6, build_e7, build_e8, solve_e7_constants
 from spinor_forge.exceptional import (
-    killing_form,
     label_str,
-    spanning_check,
+    run_checks,
     verify_jacobi,
     with_flipped_sign,
 )
 from spinor_forge.field import PrimeField
 
-for builder in (build_e6, build_e7, build_e8):
-    algebra = builder()
-    start = time.perf_counter()
-    report = verify_jacobi(algebra)
-    span = spanning_check(algebra)
-    _, rank = killing_form(algebra)
-    print(
-        f"{algebra.name}: dim {algebra.dim}, jacobi "
-        f"{'clean' if report else 'VIOLATED'} over {report.triples_covered} "
-        f"triples, spinor span {span.rank}/{span.expected}, killing rank "
-        f"{rank}, {time.perf_counter() - start:.1f}s"
+
+def verify(algebra):
+    """Run the battery on algebra and print one line of verdicts."""
+    checks = run_checks(algebra)
+    verdicts = ", ".join(
+        f"{c['check']} {'ok' if c['ok'] else 'FAILED'}" for c in checks
     )
+    seconds = sum(c["seconds"] for c in checks)
+    print(f"{algebra.name} over {algebra.config.field.spec}: dim {algebra.dim}; "
+          f"{verdicts}; {seconds:.1f}s")
+
+
+for builder in (build_e6, build_e7, build_e8):
+    verify(builder())
 
 # a taste of the structure constants: one spinor-spinor bracket in e8
 e8 = build_e8()
@@ -61,6 +61,4 @@ report = verify_jacobi(mutant, pairs=pairs)
 print(f"one flipped sign -> {len(report.violations)} violating pairs found")
 
 # the same pipeline runs over any prime field away from 2 and 3
-modular = build_e6(field=PrimeField(7))
-report = verify_jacobi(modular)
-print(f"e6 over the 7-element field: jacobi {'clean' if report else 'VIOLATED'}")
+verify(build_e6(field=PrimeField(7)))

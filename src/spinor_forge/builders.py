@@ -33,6 +33,7 @@ from .norms import BilinearForm, solve_spinor_norm
 from .pairings import Label, _c2_move, _l2_coords, basis_top_grade_coefficient
 
 Bracket = Callable[[Label, Label], dict[Label, Scalar]]
+SPINOR_N = {"e6": 5, "e7": 6, "e8": 8}  # the n of each construction's form=
 
 
 def c2_labels(n: int) -> list[Label]:
@@ -164,7 +165,7 @@ def build_e8(
     basis masks.  A plain-flavor norm may be injected to check that the
     construction only depends on it up to scale.
     """
-    config, form = _builder_setup(8, field, form)
+    config, form = _builder_setup(SPINOR_N["e8"], field, form)
     if half not in ("+", "-"):
         raise ValueError("half must be '+' or '-'")
     want = 0 if half == "+" else 1
@@ -280,7 +281,7 @@ def solve_e7_constants(
     closes the bracket.  Never hardcoded; the full identity is verified
     downstream by verify_jacobi.
     """
-    config, form = _builder_setup(6, field, form)
+    config, form = _builder_setup(SPINOR_N["e7"], field, form)
     one, zero = config.field.one(), config.field.zero()
     parts = (_e7_chassis(config, form, one, zero), _e7_chassis(config, form, zero, one))
     index = parts[0].index
@@ -316,7 +317,7 @@ def build_e7(
     with (c1, c2) solved at build time by solve_e7_constants from the
     Jacobi identity of this same bracket.
     """
-    config, form = _builder_setup(6, field, form)
+    config, form = _builder_setup(SPINOR_N["e7"], field, form)
     c1, c2 = solve_e7_constants(config.field, form)
     return _e7_chassis(config, form, c1, c2)
 
@@ -336,7 +337,7 @@ def build_e6(
     with (a, b) = spinor_coeffs, default (2, 96); Jacobi holds exactly on
     the line b = 48a.
     """
-    config, form = _builder_setup(5, field, form)
+    config, form = _builder_setup(SPINOR_N["e6"], field, form)
     field_ = config.field
     a_s = field_.from_int(spinor_coeffs[0])
     b_s = field_.from_int(spinor_coeffs[1])

@@ -1,7 +1,8 @@
 """Command line entry point.
 
-Three subcommands: `verify` builds one algebra and runs the
-antisymmetry, Jacobi, spanning and Killing-rank battery; `export`
+Three subcommands: `verify` builds one algebra and runs
+exceptional.run_checks, the one battery (antisymmetry, Jacobi,
+spanning, Killing rank), one stderr line per check; `export`
 writes the JSON structure constants; `props` runs the property suites
 for one n, timing each check.  JSON goes to stdout, human-readable
 summaries to stderr.  Exit codes: 0 success, 1 verification failure,
@@ -19,22 +20,14 @@ import time
 import traceback
 from typing import Optional, Sequence
 
-from .builders import build_e6, build_e7, build_e8
-from .exceptional import (
-    killing_form,
-    spanning_check,
-    to_json,
-    verify_antisymmetry,
-    verify_jacobi,
-)
+from .builders import SPINOR_N, build_e6, build_e7, build_e8
+from .exceptional import run_checks, to_json
 from .field import Field, make_field
 from .fock import Config
 from .norms import solve_spinor_norm
 from .props import SUITES, suite_names
 
 _BUILDERS = {"e6": build_e6, "e7": build_e7, "e8": build_e8}
-# The n of the spinor norm each builder takes as form=.
-_SPINOR_N = {"e6": 5, "e7": 6, "e8": 8}
 
 
 def _emit(report: dict) -> None:
@@ -46,63 +39,30 @@ def _say(line: str) -> None:
     print(line, file=sys.stderr)
 
 
+def _summary(c: dict) -> str:
+    """The stderr line of one run_checks entry."""
+    name, bad = c["check"], len(c.get("violations", ()))
+    if name == "antisymmetry":
+        return f"antisymmetry: {f'{bad} violations' if bad else 'ok'}"
+    if name == "jacobi":
+        head = f"jacobi: {bad} violating pairs" if bad else "jacobi: ok"
+        return f"{head} ({c['triples_covered']} triples, {c['seconds']:.1f}s)"
+    if name == "degree-zero-spanning":
+        return f"degree-zero spanning: rank {c['rank']} of {c['expected']}"
+    return f"killing rank: {c['rank']} of {c['dim']}"
+
+
 def cmd_verify(args: argparse.Namespace, field: Field) -> int:
     start = time.perf_counter()
-    form = solve_spinor_norm(Config(_SPINOR_N[args.algebra], field))
+    form = solve_spinor_norm(Config(SPINOR_N[args.algebra], field))
     norm_seconds = time.perf_counter() - start
     t0 = time.perf_counter()
     algebra = _BUILDERS[args.algebra](field=field, form=form)
     build_seconds = time.perf_counter() - t0
     _say(f"norm solve {norm_seconds:.2f}s, build {build_seconds:.2f}s")
-    checks = []
-
-    t0 = time.perf_counter()
-    bad_pairs = verify_antisymmetry(algebra)
-    checks.append(
-        {
-            "check": "antisymmetry",
-            "ok": not bad_pairs,
-            "violations": [list(p) for p in bad_pairs],
-            "seconds": round(time.perf_counter() - t0, 3),
-        }
-    )
-    _say(f"antisymmetry: {'ok' if not bad_pairs else f'{len(bad_pairs)} violations'}")
-
-    jacobi = verify_jacobi(algebra)
-    entry = {"check": "jacobi"}
-    entry.update(
-        {k: v for k, v in jacobi.to_dict().items() if k not in ("algebra", "field")}
-    )
-    checks.append(entry)
-    _say(
-        f"jacobi: {'ok' if jacobi else f'{len(jacobi.violations)} violating pairs'} "
-        f"({jacobi.triples_covered} triples, {jacobi.seconds:.1f}s)"
-    )
-
-    t0 = time.perf_counter()
-    span = spanning_check(algebra)
-    checks.append(
-        {
-            "check": "degree-zero-spanning",
-            **span.to_dict(),
-            "seconds": round(time.perf_counter() - t0, 3),
-        }
-    )
-    _say(f"degree-zero spanning: rank {span.rank} of {span.expected}")
-
-    t0 = time.perf_counter()
-    _, rank = killing_form(algebra)
-    checks.append(
-        {
-            "check": "killing-rank",
-            "rank": rank,
-            "dim": algebra.dim,
-            "ok": rank == algebra.dim,
-            "seconds": round(time.perf_counter() - t0, 3),
-        }
-    )
-    _say(f"killing rank: {rank} of {algebra.dim}")
-
+    checks = run_checks(algebra)
+    for c in checks:
+        _say(_summary(c))
     ok = all(c["ok"] for c in checks)
     _emit(
         {

@@ -13,14 +13,16 @@ Verification is numeric and exact: the Jacobi identity is checked as the
 matrix identity ad([x,y]) = [ad x, ad y] over integer lifts, the Killing
 form and its rank certify semisimplicity, the degree-zero span of the
 spinor brackets is ranked, and the root decomposition recovers the Dynkin
-type from scratch.  with_flipped_sign makes the broken copies that show
-the checks fire.
+type from scratch.  run_checks is the one battery: antisymmetry, Jacobi,
+span and Killing rank in order, each entry timed.  with_flipped_sign
+makes the broken copies that show the checks fire.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
@@ -348,29 +350,17 @@ class _AdjointProducts:
         return gram.reshape(n, n)
 
 
+@dataclass(slots=True)
 class JacobiReport:
     """Outcome of a Jacobi sweep; truthy exactly when no pair violated."""
 
-    __slots__ = (
-        "algebra",
-        "field",
-        "dim",
-        "pairs_checked",
-        "triples_covered",
-        "violations",
-        "seconds",
-    )
-
-    def __init__(
-        self, algebra, field, dim, pairs_checked, triples_covered, violations, seconds
-    ) -> None:
-        self.algebra = algebra
-        self.field = field
-        self.dim = dim
-        self.pairs_checked = pairs_checked
-        self.triples_covered = triples_covered
-        self.violations = violations
-        self.seconds = seconds
+    algebra: str
+    field: str
+    dim: int
+    pairs_checked: int
+    triples_covered: int
+    violations: tuple[tuple[int, int], ...]
+    seconds: float
 
     def __bool__(self) -> bool:
         return not self.violations
@@ -516,29 +506,19 @@ def killing_form(L: LieAlgebra) -> tuple[list[list[Scalar]], int]:
     return matrix, rank
 
 
+@dataclass(slots=True)
 class SpanReport:
     """Rank of the degree-zero span of all spinor-spinor brackets."""
 
-    __slots__ = ("rank", "expected", "pairs_used")
-
-    def __init__(self, rank: int, expected: int, pairs_used: int) -> None:
-        self.rank = rank
-        self.expected = expected
-        self.pairs_used = pairs_used
+    rank: int
+    expected: int
+    pairs_used: int
 
     def __bool__(self) -> bool:
         return self.rank == self.expected
 
     def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "expected": self.expected,
-            "pairs_used": self.pairs_used,
-            "ok": bool(self),
-        }
-
-    def __repr__(self) -> str:
-        return f"SpanReport(rank={self.rank}, expected={self.expected})"
+        return {**asdict(self), "ok": bool(self)}
 
 
 def spanning_check(L: LieAlgebra) -> SpanReport:
@@ -571,26 +551,50 @@ def spanning_check(L: LieAlgebra) -> SpanReport:
     return SpanReport(acc.rank, expected, pairs_used)
 
 
+def run_checks(L: LieAlgebra) -> list[dict]:
+    """The battery, in order: {"check": name, ...fields, "ok", "seconds"} each.
+
+    seconds is the check's own wall time.  Antisymmetry runs first, so the
+    brackets it evaluates fill the table the later checks read.
+    """
+
+    def antisymmetry() -> dict:
+        bad = verify_antisymmetry(L)
+        return {"ok": not bad, "violations": [list(p) for p in bad]}
+
+    def killing() -> dict:
+        rank = killing_form(L)[1]
+        return {"rank": rank, "dim": L.dim, "ok": rank == L.dim}
+
+    checks = []
+    for name, check in (
+        ("antisymmetry", antisymmetry),
+        ("jacobi", lambda: verify_jacobi(L).to_dict()),
+        ("degree-zero-spanning", lambda: spanning_check(L).to_dict()),
+        ("killing-rank", killing),
+    ):
+        t0 = perf_counter()
+        fields = {k: v for k, v in check().items() if k not in ("algebra", "field")}
+        seconds = round(perf_counter() - t0, 3)
+        checks.append({"check": name, **fields, "seconds": seconds})
+    return checks
+
+
+@dataclass(slots=True)
 class RootDatum:
     """Cartan weights, roots, simple roots and the detected Dynkin type."""
 
-    __slots__ = (
-        "algebra",
-        "cartan_labels",
-        "cartan_indices",
-        "weights",
-        "roots",
-        "positive_roots",
-        "simple_roots",
-        "cartan_matrix",
-        "rank",
-        "type_name",
-        "root_norms",
-    )
-
-    def __init__(self, **kw) -> None:
-        for name in self.__slots__:
-            setattr(self, name, kw[name])
+    algebra: str
+    cartan_labels: tuple[Label, ...]
+    cartan_indices: tuple[int, ...]
+    weights: tuple[tuple[int, ...], ...]
+    roots: tuple[tuple[int, ...], ...]
+    positive_roots: tuple[tuple[int, ...], ...]
+    simple_roots: tuple[tuple[int, ...], ...]
+    cartan_matrix: tuple[tuple[int, ...], ...]
+    rank: int
+    type_name: str
+    root_norms: frozenset
 
     def to_dict(self) -> dict:
         return {

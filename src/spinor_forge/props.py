@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
+from dataclasses import asdict, dataclass
 from functools import lru_cache, wraps
 from itertools import combinations, product
 from math import prod
@@ -72,16 +73,14 @@ TOP_TABLE = {0: (1, 0), 1: (-1, 1), 2: (-1, 0), 3: (1, 1)}
 GRADED_PAIRING_TABLE = {0: (-1, 0), 1: (1, 1), 2: (1, 0), 3: (-1, 1)}
 
 
+@dataclass(slots=True)
 class CheckResult:
     """Outcome of one named check at one n."""
 
-    __slots__ = ("check", "n", "ok", "detail")
-
-    def __init__(self, check: str, n: int, ok: bool, detail: str) -> None:
-        self.check = check
-        self.n = n
-        self.ok = ok
-        self.detail = detail
+    check: str
+    n: int
+    ok: bool
+    detail: str
 
     def __bool__(self) -> bool:
         return self.ok
@@ -91,12 +90,7 @@ class CheckResult:
         return f"CheckResult({self.check!r}, n={self.n}, {status})"
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "n": self.n,
-            "ok": self.ok,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 # One Config per n for every check, so the cached norms and Clifford

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from spinor_forge.builders import build_e6
 from spinor_forge.cli import main
+from spinor_forge.exceptional import with_flipped_sign
 
 
 def run_cli(capsys, argv):
@@ -57,16 +59,20 @@ class TestVerify:
         stages += [c["seconds"] for c in report["checks"]]
         assert all(isinstance(t, float) and t >= 0 for t in stages)
         assert report["seconds"] >= report["norm_seconds"] + report["build_seconds"]
-        jacobi = report["checks"][1]
-        assert set(jacobi) == {
-            "check",
-            "dim",
-            "pairs_checked",
-            "triples_covered",
-            "violations",
-            "ok",
-            "seconds",
-        }
+        assert [list(c) for c in report["checks"]] == [
+            ["check", "ok", "violations", "seconds"],
+            [
+                "check",
+                "dim",
+                "pairs_checked",
+                "triples_covered",
+                "violations",
+                "ok",
+                "seconds",
+            ],
+            ["check", "rank", "expected", "pairs_used", "ok", "seconds"],
+            ["check", "rank", "dim", "ok", "seconds"],
+        ]
 
     def test_characteristic_2_rejected(self, capsys):
         code, out, err = run_cli(
@@ -145,6 +151,24 @@ class TestExitCodes:
         assert report["command"] == "verify"
         assert report["error"].startswith("RuntimeError: grading element")
         assert "internal error" in err
+
+    def test_verification_failure_exit_1(self, capsys, monkeypatch):
+        from spinor_forge import cli
+
+        def flipped(field=None, form=None):
+            L = build_e6(field=field, form=form).materialize()
+            (i, j), terms = L.nonzero_brackets()[0]
+            return with_flipped_sign(L, i, j, terms[0][0])
+
+        monkeypatch.setitem(cli._BUILDERS, "e6", flipped)
+        code, out, err = run_cli(capsys, ["verify", "--algebra", "e6"])
+        assert code == 1
+        report = json.loads(out)
+        assert report["ok"] is False
+        bad = [c for c in report["checks"] if not c["ok"]]
+        assert [c["check"] for c in bad] == ["jacobi"]
+        assert bad[0]["violations"]
+        assert f"jacobi: {len(bad[0]['violations'])} violating pairs" in err
 
     def test_runtime_error_exit_3(self, capsys, monkeypatch):
         from spinor_forge import cli

@@ -32,6 +32,7 @@ from spinor_forge.exceptional import (
     killing_form,
     label_str,
     root_decomposition,
+    run_checks,
     spanning_check,
     to_json,
     verify_antisymmetry,
@@ -503,7 +504,7 @@ class TestBuildE6:
 
 class TestMutations:
     def test_flip_detected_by_touching_pairs(self, e8):
-        nonzero = [(ij, t) for ij, t in sorted(e8._table.items()) if t]
+        nonzero = e8.nonzero_brackets()
         (i, j), terms = nonzero[0]
         clone = with_flipped_sign(e8, i, j, terms[0][0])
         rep = verify_jacobi(clone, pairs=pairs_touching(e8, i, j))
@@ -511,7 +512,7 @@ class TestMutations:
         assert rep.violations
 
     def test_original_untouched(self, e8):
-        nonzero = [(ij, t) for ij, t in sorted(e8._table.items()) if t]
+        nonzero = e8.nonzero_brackets()
         (i, j), terms = nonzero[3]
         before = e8.bracket(i, j)
         with_flipped_sign(e8, i, j, terms[0][0])
@@ -520,14 +521,14 @@ class TestMutations:
     def test_flip_errors(self, e8):
         with pytest.raises(ValueError):
             with_flipped_sign(e8, 4, 4, 0)
-        nonzero = [(ij, t) for ij, t in sorted(e8._table.items()) if t]
+        nonzero = e8.nonzero_brackets()
         (i, j), terms = nonzero[0]
         missing = next(k for k in range(e8.dim) if k not in dict(terms))
         with pytest.raises(ValueError):
             with_flipped_sign(e8, i, j, missing)
 
     def test_flip_order_normalized(self, e8):
-        nonzero = [(ij, t) for ij, t in sorted(e8._table.items()) if t]
+        nonzero = e8.nonzero_brackets()
         (i, j), terms = nonzero[1]
         k = terms[0][0]
         a = with_flipped_sign(e8, i, j, k)
@@ -583,9 +584,7 @@ class TestVerifyJacobi:
         field = PrimeField((1 << 31) - 1)
         L = build_e6(field=field)
         L.materialize()
-        (i, j), terms = next(
-            (ij, t) for ij, t in sorted(L._table.items()) if t
-        )
+        (i, j), terms = L.nonzero_brackets()[0]
         clone = with_flipped_sign(L, i, j, terms[0][0])
         rep = verify_jacobi(clone, pairs=pairs_touching(L, i, j))
         assert not rep
@@ -947,6 +946,19 @@ class TestBracketsBuiltOnce:
         assert verify_antisymmetry(clone, [(i, j), (j, i)]) == []
         assert clone.bracket(i, j) == flipped != e6.bracket(i, j)
 
+    def test_run_checks_evaluates_each_bracket_once(self, e6):
+        L, calls = wrapped_e6(e6)
+        checks = run_checks(L)
+        assert [c["check"] for c in checks] == [
+            "antisymmetry",
+            "jacobi",
+            "degree-zero-spanning",
+            "killing-rank",
+        ]
+        assert all(c["ok"] for c in checks)
+        assert set(calls.values()) == {1}
+        assert len(calls) == L.dim * L.dim
+
     def test_remember_rejects_bad_pairs(self, e6):
         with pytest.raises(ValueError):
             e6.remember(5, 5, {})
@@ -1199,6 +1211,18 @@ class TestIndependence:
         verifiers = {"killing_form", "spanning_check", "root_decomposition"}
         assert not names & verifiers
         assert not [name for name in names if name.startswith("verify_")]
+
+    def test_cli_runs_the_one_battery(self):
+        import spinor_forge.cli as cli_mod
+
+        tree = ast.parse(Path(cli_mod.__file__).read_text())
+        from_exceptional = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "exceptional"
+            for alias in node.names
+        }
+        assert from_exceptional == {"run_checks", "to_json"}
 
 
 class TestFormRobustness:
