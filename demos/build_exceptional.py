@@ -31,11 +31,11 @@ def verify(algebra):
           f"{verdicts}; {seconds:.1f}s")
 
 
-for builder in (build_e6, build_e7, build_e8):
-    verify(builder())
+e8 = build_e8()
+for algebra in (build_e6(), build_e7(), e8):
+    verify(algebra)
 
 # a taste of the structure constants: one spinor-spinor bracket in e8
-e8 = build_e8()
 spinors = e8.spinor_indices()
 i, j, terms = next(
     (a, b, e8.bracket(a, b))
