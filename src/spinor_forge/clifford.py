@@ -24,7 +24,7 @@ signed monomial, whose sign is a sum of popcount parities.
 `trace_product` runs the same closed form but keeps only the diagonal
 outputs, so Tr(xy) never builds xy.  `vector_commutator` gives [x, E_s]
 for an even x and an orthonormal vector in closed form, one contraction
-per term, with `commutator` as its test oracle.  `to_blades` expands a
+per term, with `commutator` as its test oracle.  `_blade_ints` expands a
 monomial with integer coefficients over one common power of two, and
 `_blade_terms` expands an orthonormal blade back into monomials block by
 block.
@@ -419,13 +419,6 @@ def _blade_ints(x: CliffordElem) -> tuple[dict[int, int], int]:
         for bmask, cb in acc.items():
             out[bmask] = out.get(bmask, 0) + scale * cb
     return x.config.field.canon(out, x._den << top)
-
-
-def to_blades(x: CliffordElem) -> dict[int, Scalar]:
-    """Coordinates of x in the orthonormal blade basis (see `_blade_ints`)."""
-    num, den = _blade_ints(x)
-    scalar = x.config.field.from_fraction
-    return {bmask: scalar(cb, den) for bmask, cb in num.items()}
 
 
 def _blade_terms(bmask: int) -> dict[Monomial, int]:

@@ -13,9 +13,15 @@ Verification is numeric and exact: the Jacobi identity is checked as the
 matrix identity ad([x,y]) = [ad x, ad y] over integer lifts, the Killing
 form and its rank certify semisimplicity, the degree-zero span of the
 spinor brackets is ranked, and the root decomposition recovers the Dynkin
-type from scratch.  run_checks is the one battery: antisymmetry, Jacobi,
-span and Killing rank in order, each entry timed.  with_flipped_sign
-makes the broken copies that show the checks fire.
+type from scratch.  The Jacobi engine works in groups: a left index l
+with its set R_l of right indices, each ad_l expanded once per group and
+joined with the rows and columns of every ad_r, r in R_l.  Column k of
+the residue of pair (l, r) is the Jacobiator of (b_l, b_r, b_k), totally
+antisymmetric because the table is, so the full sweep sums it only for
+k > r and sees each triple once; a pair subset keeps every column.
+run_checks is the one battery: antisymmetry, Jacobi, span and Killing
+rank in order, each entry timed.  with_flipped_sign makes the broken
+copies that show the checks fire.
 """
 
 from __future__ import annotations
@@ -205,9 +211,10 @@ def with_flipped_sign(L: LieAlgebra, i: int, j: int, k: int) -> LieAlgebra:
 # --- integer lifts and the keyed-product engine for Jacobi and Killing ---
 
 
-# Index pairs per batch of the product engine: the joined arrays of one
-# batch stay a few MiB on e8, so memory does not grow with the sweep.
-_BATCH_PAIRS = 1024
+# Left indices per batch of the Jacobi engine: a batch of e8's full sweep
+# joins a few tens of thousands of terms, so memory does not grow with the
+# sweep.
+_BATCH_LEFT = 2
 
 
 def _ragged(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,18 +226,24 @@ def _ragged(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 class _AdjointProducts:
-    """Every ad b_a stored once, as row-sorted COO arrays over integer lifts.
+    """Every ad b_a stored once, as COO arrays over integer lifts.
 
     These arrays are the engine's only copy of the structure constants:
-    c_ij^k is the entry ad_i[k, j].  Over Q every constant is scaled by
-    D = lcm of all denominators, so a product of two constants lives on
-    the D^2 scale; over F_p constants are lifted to canonical
-    representatives and each product is reduced mod p before the sum.
-    Indices and values are int64: a Gram or Jacobi key sums at most
-    n * max(n, 3) products, and the constructor proves that count times
-    max|v|^2 over Q (p over F_p) is below 2^63, or raises ValueError.
-    Products ad_a ad_b for a batch of index pairs come from a ragged join
-    of the entries of ad_a with the rows of ad_b.
+    c_ij^k is the entry ad_i[k, j], and mat, row, col, val list the entries
+    sorted by (mat, row).  Over Q every constant is scaled by D = lcm of
+    all denominators, so a product of two constants lives on the D^2
+    scale; over F_p constants are lifted to canonical representatives and
+    each product is reduced mod p before the sum.  Indices and values are
+    int64: a Gram or Jacobi key sums at most n * max(n, 3) products, and
+    the constructor proves that count times max|v|^2 over Q (p over F_p)
+    is below 2^63, or raises ValueError.
+
+    Two permutations of the entries, by (row, mat, col) and by
+    (col, mat, row), give row x or column x of every ad_r with r in a
+    range as one slice.  A Jacobi batch is a few left indices l, each with
+    its set R_l of right indices: each entry of ad_l is expanded once and
+    meets those slices, so ad_l ad_r and ad_r ad_l come for every r in R_l
+    from one join.
     """
 
     def __init__(self, L: LieAlgebra) -> None:
@@ -257,12 +270,17 @@ class _AdjointProducts:
         mat_a = np.array(mat, dtype=np.int64)
         row_a = np.array(row, dtype=np.int64)
         order = np.lexsort((row_a, mat_a))
+        self.mat = mat_a[order]
         self.row = row_a[order]
         self.col = np.array(col, dtype=np.int64)[order]
         self.val = np.outer(np.array(lifted, dtype=np.int64), (1, -1)).ravel()[order]
-        mat_a = mat_a[order]
-        self.mat_ptr = np.searchsorted(mat_a, np.arange(n + 1))
-        self.row_ptr = np.searchsorted(mat_a * n + self.row, np.arange(n * n + 1))
+        cells = np.arange(n * n + 1)
+        self.mat_ptr = np.searchsorted(self.mat, np.arange(n + 1))
+        self.row_ptr = np.searchsorted(self.mat * n + self.row, cells)
+        self.by_row = np.lexsort((self.col, self.mat, self.row))
+        self.by_row_ptr = np.searchsorted((self.row * n + self.mat)[self.by_row], cells)
+        self.by_col = np.lexsort((self.row, self.mat, self.col))
+        self.by_col_ptr = np.searchsorted((self.col * n + self.mat)[self.by_col], cells)
 
     def flipped(self, i: int, j: int, k: int) -> "_AdjointProducts":
         """A copy with c_ij^k negated: its two entries ad_i[k, j] and ad_j[k, i].
@@ -282,17 +300,6 @@ class _AdjointProducts:
         """(q, e): e runs over the entries of ad_mats[q], q ascending."""
         return _ragged(self.mat_ptr[mats], self.mat_ptr[mats + 1])
 
-    def join(self, q: np.ndarray, e: np.ndarray, right: np.ndarray):
-        """(q, e, f): entry e of a left matrix meets entry f of ad_right[q].
-
-        (q, e) are the entries of a batch of left matrices, as entries()
-        gives them.  Each triple is one term of
-        (ad_left[q] ad_right[q])[row[e], col[f]], with value product(e, f).
-        """
-        at = right[q] * self.n + self.col[e]
-        hit, f = _ragged(self.row_ptr[at], self.row_ptr[at + 1])
-        return q[hit], e[hit], f
-
     def product(self, e: np.ndarray, f: np.ndarray) -> np.ndarray:
         """val[e] * val[f], each product reduced mod p over F_p."""
         prod = self.val[e] * self.val[f]
@@ -300,23 +307,52 @@ class _AdjointProducts:
             prod %= self.p
         return prod
 
-    def jacobi_violations(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Batch positions q, ascending, where ad [b_l, b_r] != [ad b_l, ad b_r]
-        for l = left[q] < r = right[q]."""
+    def jacobi_violations(
+        self, left: np.ndarray, member: np.ndarray, full: bool
+    ) -> np.ndarray:
+        """Codes a * n + b, a < b, of the pairs where ad [b_a, b_b] != [ad b_a, ad b_b].
+
+        Group q is l = left[q] with R_l = {r : member[q, r]}; the residue
+        ad_l ad_r - ad_r ad_l - sum_m c_lr^m ad_m is summed by (q, r, k, t)
+        key for r in R_l.  Its column k is the Jacobiator J(b_l, b_r, b_k),
+        which is totally antisymmetric because the table is.  With full
+        (R_l = {r > l}) only columns k > r are summed, so each triple
+        a < b < c is seen once, at pair (a, b), column c, and a failing
+        triple reports (a, b), (a, c) and (b, c); otherwise every column
+        is summed and a failing (l, r) reports itself.  Codes may repeat.
+        """
         n = self.n
-        ql, el = self.entries(left)
+        row, col, mat = self.row, self.col, self.mat
+        start = member.argmax(axis=1)  # the first r of each group
+        stop = n - member[:, ::-1].argmax(axis=1)  # one past its last
+        q, e = self.entries(left)
+        parts = []
+        # ad_l ad_r: entry (t, x) of ad_l meets row x of every ad_r
+        x = col[e] * n
+        hit, s = _ragged(self.by_row_ptr[x + start[q]], self.by_row_ptr[x + stop[q]])
+        f = self.by_row[s]
+        parts.append((q[hit], mat[f], col[f], row[e[hit]], self.product(e[hit], f)))
+        # -ad_r ad_l: entry (x, k) of ad_l meets column x of every ad_r, and
+        # on the full sweep only the ad_r with r < k
+        x = row[e] * n
+        last = np.maximum(np.minimum(stop[q], col[e]), start[q]) if full else stop[q]
+        hit, s = _ragged(self.by_col_ptr[x + start[q]], self.by_col_ptr[x + last])
+        f = self.by_col[s]
+        parts.append((q[hit], mat[f], col[e[hit]], row[f], -self.product(e[hit], f)))
+        # -sum_m c_lr^m ad_m, where c_lr^m = ad_l[m, r] is an entry of ad_l
+        # in column r
+        in_r = member[q, col[e]]
+        c, s = q[in_r], e[in_r]
+        hit, g = self.entries(row[s])
+        parts.append((c[hit], col[s[hit]], col[g], row[g], -self.product(s[hit], g)))
+
         keys, vals = [], []
-        for q, e, b, sign in ((ql, el, right, 1), (*self.entries(right), left, -1)):
-            q, e, f = self.join(q, e, b)
-            keys.append((q * n + self.row[e]) * n + self.col[f])
-            vals.append(sign * self.product(e, f))
-        # minus sum_m c_lr^m ad_m, where c_lr^m = ad_l[m, r] is an entry
-        # of ad_l in column r
-        in_col = self.col[el] == right[ql]
-        q, s = ql[in_col], el[in_col]
-        hit, g = self.entries(self.row[s])
-        keys.append((q[hit] * n + self.row[g]) * n + self.col[g])
-        vals.append(-self.product(s[hit], g))
+        for qq, r, k, t, v in parts:
+            keep = member[qq, r]
+            if full:
+                keep &= k > r
+            keys.append((((qq * n + r) * n + k) * n + t)[keep])
+            vals.append(v[keep])
         key = np.concatenate(keys)
         if not key.size:
             return key
@@ -326,9 +362,12 @@ class _AdjointProducts:
         sums = np.add.reduceat(np.concatenate(vals)[order], starts)
         if self.p is not None:
             sums %= self.p
-        # the keys are sorted, so the pairs ascend: keep the first of each
-        bad = key[starts][sums != 0] // (n * n)
-        return bad[np.diff(bad, prepend=-1) != 0]
+        bad = key[starts][sums != 0] // n
+        k, bad = bad % n, bad // n
+        r, l = bad % n, left[bad // n]
+        if full:
+            return np.concatenate(((l * n + r), (l * n + k), (r * n + k)))
+        return np.minimum(l, r) * n + np.maximum(l, r)
 
     def gram(self) -> np.ndarray:
         """The int64 array tr(ad_i ad_j) = sum over a, m of ad_i[a, m] ad_j[m, a].
@@ -361,6 +400,8 @@ class JacobiReport:
     triples_covered: int
     violations: tuple[tuple[int, int], ...]
     seconds: float
+    batches: int
+    engine_seconds: float
 
     def __bool__(self) -> bool:
         return not self.violations
@@ -375,6 +416,8 @@ class JacobiReport:
             "violations": [list(v) for v in self.violations],
             "ok": bool(self),
             "seconds": round(self.seconds, 3),
+            "batches": self.batches,
+            "engine_seconds": round(self.engine_seconds, 3),
         }
 
     def __repr__(self) -> str:
@@ -399,17 +442,24 @@ def verify_jacobi(L: LieAlgebra, pairs=None) -> JacobiReport:
     so the default full sweep covers all C(dim, 3) distinct triples.  Work
     is exact, on int64 over the integer lifts of L's engine
     (L.adjoint_products(), shared with killing_form; its constructor
-    proves every sum fits, and over F_p each product is reduced mod p):
-    the pairs go through it in batches of at most _BATCH_PAIRS,
-    whose terms of ad_i ad_j, ad_j ad_i and sum_k c_ij^k ad_k are summed
-    by (pair, row, column) key.  ValueError, before the engine is built,
-    for an empty pair set or a pair that is not two distinct int indices.
+    proves every sum fits, and over F_p each product is reduced mod p).
+    Each pair is oriented toward its endpoint of higher degree in the pair
+    set, ties to the smaller index, and the pairs sharing a left index l
+    form its group R_l; _BATCH_LEFT groups go through the engine at a
+    time.  The full sweep is every pair, so l = min and R_l = {r > l}:
+    there the engine sums only columns k > r, and since the Jacobiator of
+    the antisymmetric table is totally antisymmetric, each triple is
+    summed once and a failing one reports its three pairs.  A pair subset
+    keeps every column.  Either way the violations are the pairs with a
+    nonzero Jacobiator, ascending.  batches counts the engine calls and
+    engine_seconds is the time this call spent building the engine (0.0
+    if it was built).  ValueError, before the engine is built, for an
+    empty pair set or a pair that is not two distinct int indices.
     """
     t0 = perf_counter()
     n = L.dim
     if pairs is None:
-        left, right = np.triu_indices(n, 1)
-        triples = comb(n, 3)
+        low, high = np.triu_indices(n, 1)
     else:
         pairs = list(pairs)
         _check_pairs(pairs, n)
@@ -417,34 +467,46 @@ def verify_jacobi(L: LieAlgebra, pairs=None) -> JacobiReport:
         for i, j in pair_list:
             if i == j:
                 raise ValueError(f"bad index pair ({i}, {j})")
-        left, right = np.array(pair_list, dtype=np.int64).reshape(-1, 2).T
-        adj = np.zeros((n, n), dtype=np.int64)
-        adj[left, right] = adj[right, left] = 1
-        deg = adj.sum(axis=1)
+        low, high = np.array(pair_list, dtype=np.int64).reshape(-1, 2).T
+    deg = np.bincount(np.r_[low, high], minlength=n)
+    up = deg[high] > deg[low]
+    member = np.zeros((n, n), dtype=bool)
+    member[np.where(up, high, low), np.where(up, low, high)] = True
+    if pairs is None:
+        triples = comb(n, 3)
+    else:
         # a triple holding t >= 1 pairs of P is counted t times by
         # |P|(n - 2) and C(t, 2) times by the sum over vertices; t - C(t, 2)
         # is 1 but for t = 3, so add back the triangles, each seen on its
         # three edges
-        triangles = int((adj[left] * adj[right]).sum()) // 3
-        triples = (
-            len(pair_list) * (n - 2) - int((deg * (deg - 1) // 2).sum()) + triangles
-        )
+        adj = member | member.T
+        triangles = int((adj[low] & adj[high]).sum()) // 3
+        triples = low.size * (n - 2) - int((deg * (deg - 1) // 2).sum()) + triangles
 
+    built = L._engine is not None
+    t1 = perf_counter()
     engine = L.adjoint_products()
-    violations = []
-    for s in range(0, left.size, _BATCH_PAIRS):
-        sl = slice(s, s + _BATCH_PAIRS)
-        bad = engine.jacobi_violations(left[sl], right[sl]) + s
-        violations += zip(left[bad].tolist(), right[bad].tolist())
+    engine_seconds = 0.0 if built else perf_counter() - t1
+    groups = np.flatnonzero(member.any(axis=1))
+    batches = [groups[s : s + _BATCH_LEFT] for s in range(0, groups.size, _BATCH_LEFT)]
+    codes = np.sort(
+        np.concatenate(
+            [np.zeros(0, dtype=np.int64)]
+            + [engine.jacobi_violations(b, member[b], pairs is None) for b in batches]
+        )
+    )
+    codes = codes[np.diff(codes, prepend=-1) != 0]
 
     return JacobiReport(
         L.name,
         L.config.field.spec,
         n,
-        left.size,
+        low.size,
         triples,
-        tuple(violations),
+        tuple(zip((codes // n).tolist(), (codes % n).tolist())),
         perf_counter() - t0,
+        len(batches),
+        engine_seconds,
     )
 
 

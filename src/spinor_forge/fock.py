@@ -7,9 +7,8 @@ stored as bitmasks: bit a-1 set iff a is in I.  Even-popcount masks span
 the half-spinor space S_plus containing v, odd masks span S_minus.
 
 A spinor stores int numerators over one denominator, in the field's
-canonical form (see `field`).  The moves `create`, `annihilate` and
-`epsilon_action` work on those ints; the public accessors return field
-scalars.
+canonical form (see `field`).  The moves `create` and `annihilate` work
+on those ints; the public accessors return field scalars.
 """
 
 from __future__ import annotations
@@ -307,12 +306,3 @@ def annihilate(a: int, psi: SpinorVec) -> SpinorVec:
     if not 1 <= a <= psi.config.n:
         raise ValueError(f"generator index {a} out of range for n={psi.config.n}")
     return _apply_single(psi.config, 0, 1 << (a - 1), psi)
-
-
-def epsilon_action(psi: SpinorVec) -> SpinorVec:
-    """The grading element: +1 on S_plus, -1 on S_minus."""
-    return SpinorVec._make(
-        psi.config,
-        {m: (c if not parity(m) else -c) for m, c in psi._num.items()},
-        psi._den,
-    )

@@ -38,7 +38,6 @@ from .fock import (
     SpinorVec,
     apply_monomial,
     inversion_parity,
-    mask_str,
     parity,
 )
 from .norms import BilinearForm, b_eval
@@ -384,95 +383,3 @@ def orbit_map_adjoint(
             key = (one, 0) if mask & one else (0, one)
             out[key] = out.get(key, 0) + (-term if odd else term)
     return CliffordElem._make(config, out, phi._den * psi._den * form._den)
-
-
-class PolarisationChange:
-    """Result of rewriting a basis-index triple in a swapped polarisation.
-
-    source and target are (I, J, K) mask triples; swap_mask marks the
-    positions where the creation and annihilation roles exchange; sign
-    relates the first component: e'_{I'}.v' = sign * e_I.v.
-    """
-
-    __slots__ = ("source", "target", "swap_mask", "sign")
-
-    def __init__(
-        self,
-        source: tuple[int, int, int],
-        target: tuple[int, int, int],
-        swap_mask: int,
-        sign: int,
-    ) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "swap_mask", swap_mask)
-        object.__setattr__(self, "sign", sign)
-
-    def __setattr__(self, name: str, val: object) -> None:
-        raise AttributeError("PolarisationChange is immutable")
-
-    def __repr__(self) -> str:
-        src = ",".join(mask_str(m) for m in self.source)
-        tgt = ",".join(mask_str(m) for m in self.target)
-        return (
-            f"PolarisationChange(({src}) -> ({tgt}), "
-            f"swap={mask_str(self.swap_mask)}, sign={self.sign:+d})"
-        )
-
-
-def apply_swapped_word(
-    config: Config, word_mask: int, swap_mask: int
-) -> tuple[int, int]:
-    """Apply the primed creation word e'_W to e_{swap}.v in original terms.
-
-    Primed creation at a swapped position is original annihilation.  The
-    word lists generators in ascending index order and factors apply right
-    to left, so the result is a signed basis vector (sign, mask); the
-    proposition guarantees no term dies.
-    """
-    mask = swap_mask
-    sign = 1
-    for bit in range(config.n - 1, -1, -1):
-        if not (word_mask >> bit) & 1:
-            continue
-        b = 1 << bit
-        step = apply_monomial(0, b, mask) if (swap_mask >> bit) & 1 else apply_monomial(
-            b, 0, mask
-        )
-        if step is None:
-            raise AssertionError("swapped word annihilated the swapped vacuum")
-        sign *= step[0]
-        mask = step[1]
-    return sign, mask
-
-
-def change_polarisation(
-    config: Config, imask: int, jmask: int, kmask: int
-) -> PolarisationChange:
-    """Rewrite (I, J, K) in the polarisation that swaps the overlaps.
-
-    Preconditions: I n J n K and I^c n J^c n K^c are empty.  The target
-    triple is pairwise disjoint with union {1..n} and K' = I'^c n J'^c,
-    and the sign satisfies e'_{I'}.v' = sign * e_I.v with v' = e_M.v over
-    the swap set M.
-    """
-    full = config.size - 1
-    for m in (imask, jmask, kmask):
-        if not 0 <= m <= full:
-            raise ValueError(f"mask {m} out of range for n={config.n}")
-    if imask & jmask & kmask:
-        raise ValueError("masks share a common element")
-    if full & ~imask & ~jmask & ~kmask:
-        raise ValueError("complements share a common element")
-
-    ip = (full & ~jmask & ~kmask) | (jmask & kmask)
-    jp = (full & ~kmask & ~imask) | (kmask & imask)
-    kp = (full & ~imask & ~jmask) | (imask & jmask)
-    swap = (imask & jmask) | (jmask & kmask) | (kmask & imask)
-
-    sign, mask = apply_swapped_word(config, ip, swap)
-    if mask != imask:
-        raise AssertionError("swapped word did not reproduce the source index")
-    return PolarisationChange(
-        (imask, jmask, kmask), (ip, jp, kp), swap, sign
-    )

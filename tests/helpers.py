@@ -1,9 +1,11 @@
 """Deterministic random generators and Clifford-route oracles shared by the tests.
 
 The Clifford-route oracles (the endomorphism pairing with its matrix units
-and vacuum projector, the dense Fock matrix, blades as elements, the
-unnormalized grade-2 pairing, slot names) and the e6 coefficient sweep are
-used only by the tests, so they live here rather than in the package.
+and vacuum projector, the dense Fock matrix, blades as elements and blade
+coordinates, the unnormalized grade-2 pairing, slot names), the grading
+element's action on a spinor, the polarisation change of a basis-index
+triple and the e6 coefficient sweep are used only by the tests, so they
+live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from functools import lru_cache
 from spinor_forge.builders import build_e6
 from spinor_forge.clifford import (
     CliffordElem,
+    _blade_ints,
     _blade_terms,
     act,
     multiply,
@@ -23,7 +26,7 @@ from spinor_forge.clifford import (
 )
 from spinor_forge.exceptional import verify_jacobi
 from spinor_forge.field import Field, Scalar
-from spinor_forge.fock import Config, SpinorVec
+from spinor_forge.fock import Config, SpinorVec, apply_monomial, mask_str, parity
 from spinor_forge.norms import BilinearForm
 from spinor_forge.pairings import _accum, _check_pair, grade2_pairing
 
@@ -221,3 +224,111 @@ def sweep_e6_coefficients(
         if verify_jacobi(L, pairs=pairs):
             good.append((a, b))
     return good
+
+
+def to_blades(x: CliffordElem) -> dict[int, Scalar]:
+    """Coordinates of x in the orthonormal blade basis (see `_blade_ints`)."""
+    num, den = _blade_ints(x)
+    scalar = x.config.field.from_fraction
+    return {bmask: scalar(cb, den) for bmask, cb in num.items()}
+
+
+def epsilon_action(psi: SpinorVec) -> SpinorVec:
+    """The grading element: +1 on S_plus, -1 on S_minus."""
+    return SpinorVec._make(
+        psi.config,
+        {m: (c if not parity(m) else -c) for m, c in psi._num.items()},
+        psi._den,
+    )
+
+
+class PolarisationChange:
+    """Result of rewriting a basis-index triple in a swapped polarisation.
+
+    source and target are (I, J, K) mask triples; swap_mask marks the
+    positions where the creation and annihilation roles exchange; sign
+    relates the first component: e'_{I'}.v' = sign * e_I.v.
+    """
+
+    __slots__ = ("source", "target", "swap_mask", "sign")
+
+    def __init__(
+        self,
+        source: tuple[int, int, int],
+        target: tuple[int, int, int],
+        swap_mask: int,
+        sign: int,
+    ) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "swap_mask", swap_mask)
+        object.__setattr__(self, "sign", sign)
+
+    def __setattr__(self, name: str, val: object) -> None:
+        raise AttributeError("PolarisationChange is immutable")
+
+    def __repr__(self) -> str:
+        src = ",".join(mask_str(m) for m in self.source)
+        tgt = ",".join(mask_str(m) for m in self.target)
+        return (
+            f"PolarisationChange(({src}) -> ({tgt}), "
+            f"swap={mask_str(self.swap_mask)}, sign={self.sign:+d})"
+        )
+
+
+def apply_swapped_word(
+    config: Config, word_mask: int, swap_mask: int
+) -> tuple[int, int]:
+    """Apply the primed creation word e'_W to e_{swap}.v in original terms.
+
+    Primed creation at a swapped position is original annihilation.  The
+    word lists generators in ascending index order and factors apply right
+    to left, so the result is a signed basis vector (sign, mask); the
+    proposition guarantees no term dies.
+    """
+    mask = swap_mask
+    sign = 1
+    for bit in range(config.n - 1, -1, -1):
+        if not (word_mask >> bit) & 1:
+            continue
+        b = 1 << bit
+        step = apply_monomial(0, b, mask) if (swap_mask >> bit) & 1 else apply_monomial(
+            b, 0, mask
+        )
+        if step is None:
+            raise AssertionError("swapped word annihilated the swapped vacuum")
+        sign *= step[0]
+        mask = step[1]
+    return sign, mask
+
+
+def change_polarisation(
+    config: Config, imask: int, jmask: int, kmask: int
+) -> PolarisationChange:
+    """Rewrite (I, J, K) in the polarisation that swaps the overlaps.
+
+    Preconditions: I n J n K and I^c n J^c n K^c are empty.  The target
+    triple is pairwise disjoint with union {1..n} and K' = I'^c n J'^c,
+    and the sign satisfies e'_{I'}.v' = sign * e_I.v with v' = e_M.v over
+    the swap set M.
+    """
+    full = config.size - 1
+    for m in (imask, jmask, kmask):
+        if not 0 <= m <= full:
+            raise ValueError(f"mask {m} out of range for n={config.n}")
+    if imask & jmask & kmask:
+        raise ValueError("masks share a common element")
+    if full & ~imask & ~jmask & ~kmask:
+        raise ValueError("complements share a common element")
+
+    ip = (full & ~jmask & ~kmask) | (jmask & kmask)
+    jp = (full & ~kmask & ~imask) | (kmask & imask)
+    kp = (full & ~imask & ~jmask) | (imask & jmask)
+    swap = (imask & jmask) | (jmask & kmask) | (kmask & imask)
+
+    sign, mask = apply_swapped_word(config, ip, swap)
+    if mask != imask:
+        raise AssertionError("swapped word did not reproduce the source index")
+    return PolarisationChange(
+        (imask, jmask, kmask), (ip, jp, kp), swap, sign
+    )

@@ -69,6 +69,8 @@ class TestVerify:
                 "violations",
                 "ok",
                 "seconds",
+                "batches",
+                "engine_seconds",
             ],
             ["check", "rank", "expected", "pairs_used", "ok", "seconds"],
             ["check", "rank", "dim", "ok", "seconds"],

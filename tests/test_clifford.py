@@ -29,7 +29,6 @@ from spinor_forge.clifford import (
     orthonormal_vector,
     q_map,
     slot_metric,
-    to_blades,
     trace,
     transpose,
     vector_commutator,
@@ -37,15 +36,17 @@ from spinor_forge.clifford import (
     witt_i,
 )
 from spinor_forge.field import PrimeField, Rationals
-from spinor_forge.fock import Config, SpinorVec, epsilon_action, inversion_parity
+from spinor_forge.fock import Config, SpinorVec, inversion_parity
 
 from .helpers import (
     blade_to_elem,
+    epsilon_action,
     rand_elem,
     rand_scalar,
     rand_spinor,
     rng,
     slot_str,
+    to_blades,
     to_endomorphism_matrix,
 )
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from pathlib import Path
 
@@ -605,6 +606,8 @@ class TestVerifyJacobi:
             "violations",
             "ok",
             "seconds",
+            "batches",
+            "engine_seconds",
         }
         assert d["ok"] is True and d["violations"] == []
 
@@ -662,18 +665,18 @@ class TestJacobiOracle:
 
     @pytest.mark.parametrize("batch", [None, 97])
     def test_full_sweep_across_batches(self, monkeypatch, batch):
-        # e7 has 8778 pairs, so the full sweep spans several batches.  A
+        # e7 has 133 left indices, so the full sweep spans several batches.  A
         # flip at (i, j) can only break pairs touching i or j, or pairs
         # whose bracket has a b_i or b_j term; the oracle checks exactly
         # those.
         from spinor_forge import exceptional
 
         if batch is not None:
-            monkeypatch.setattr(exceptional, "_BATCH_PAIRS", batch)
+            monkeypatch.setattr(exceptional, "_BATCH_LEFT", batch)
         L = build_e7(field=PrimeField(7))
         ((i, j, mutant),) = seeded_flips(L, 11, 1)
         full = verify_jacobi(mutant)
-        assert full.pairs_checked > exceptional._BATCH_PAIRS
+        assert full.batches > 1
         candidates = set(pairs_touching(L, i, j))
         for (a, b), terms in L.nonzero_brackets():
             if {i, j} & {k for k, _ in terms}:
@@ -683,6 +686,61 @@ class TestJacobiOracle:
         assert any(v not in set(pairs_touching(L, i, j)) for v in want)
         subset = verify_jacobi(mutant, pairs=pairs_touching(L, i, j))
         assert set(subset.violations) == set(want) & set(pairs_touching(L, i, j))
+
+
+    @pytest.mark.parametrize(
+        "build, p",
+        [(build_e6, None), (build_e6, 7), (build_e6, (1 << 31) - 1), (build_e7, 7)],
+        ids=["e6-q", "e6-fp7", "e6-fp2147483647", "e7-fp7"],
+    )
+    def test_full_sweep_sums_each_triple_once(self, build, p):
+        # the full sweep sums column k of pair (l, r) only for k > r; naming
+        # every pair makes a subset sweep, which sums every column, so the
+        # two agree only if each failing triple reports all three pairs
+        L = build(field=PrimeField(p) if p else None)
+        every = list(combinations(range(L.dim), 2))
+        for n, (i, j, mutant) in enumerate(seeded_flips(L, 31, 2)):
+            full = verify_jacobi(mutant)
+            assert full.violations
+            assert full.violations == verify_jacobi(mutant, pairs=every).violations
+            if build is build_e6 and n == 0:
+                assert list(full.violations) == oracle_violations(mutant, every)
+
+    @pytest.mark.parametrize("p", [None, 7])
+    def test_subset_orientation_matches_oracle(self, monkeypatch, p):
+        # a star, a path and isolated pairs: each pair joins the group of
+        # its endpoint of higher degree, ties to the smaller index, so the
+        # star's centre takes its leaves on either side of it
+        L = build_e6(field=PrimeField(p) if p else None)
+        ((i, j, mutant),) = seeded_flips(L, 47, 1)
+        rest = [x for x in range(L.dim) if x not in (i, j)]
+        rng(p or 0).shuffle(rest)
+        leaves, path, single = rest[:8] + [i], [i] + rest[8:12], rest[12:18]
+        pairs = [(j, x) for x in leaves]
+        pairs += list(zip(path, path[1:]))
+        pairs += list(zip(single[::2], single[1::2]))
+        used = {j, *leaves, *path, *single}
+        for (a, b), terms in L.nonzero_brackets():
+            # an untouched pair whose bracket holds b_i or b_j can fail too
+            if not {a, b} & used and {i, j} & {k for k, _ in terms}:
+                pairs.append((b, a))
+                break
+        engine = mutant.adjoint_products()
+        run, groups = engine.jacobi_violations, []
+
+        def spy(left, member, full):
+            groups.extend(
+                (int(l), set(np.flatnonzero(m).tolist())) for l, m in zip(left, member)
+            )
+            return run(left, member, full)
+
+        monkeypatch.setattr(engine, "jacobi_violations", spy)
+        rep = verify_jacobi(mutant, pairs=pairs)
+        assert (j, set(leaves)) in groups
+        assert any(l > min(r) for l, r in groups)
+        want = oracle_violations(mutant, sorted({tuple(sorted(ab)) for ab in pairs}))
+        assert want and len(want) < len(pairs)
+        assert list(rep.violations) == want
 
 
 class TestOneEngine:

@@ -13,14 +13,13 @@ from spinor_forge.fock import (
     annihilate,
     apply_monomial,
     create,
-    epsilon_action,
     is_zero_combination,
     mask_from_indices,
     mask_str,
     parity,
 )
 
-from .helpers import rand_spinor, rng
+from .helpers import epsilon_action, rand_spinor, rng
 
 Q = Rationals()
 

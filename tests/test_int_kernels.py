@@ -24,7 +24,6 @@ from spinor_forge.clifford import (
     multiply,
     orthonormal_vector,
     q_map,
-    to_blades,
     trace,
     trace_product,
     transpose,
@@ -52,7 +51,7 @@ from spinor_forge.pairings import (
     orbit_map_adjoint,
 )
 
-from .helpers import blade_to_elem, c2_coords, c2_elem, rng
+from .helpers import blade_to_elem, c2_coords, c2_elem, rng, to_blades
 
 FIELDS = {"q": Rationals(), "fp7": PrimeField(7)}
 NS = range(1, 7)

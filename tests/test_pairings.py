@@ -17,7 +17,6 @@ from spinor_forge.clifford import (
     orthonormal_vector,
     q_map,
     slot_metric,
-    to_blades,
     witt_e,
     witt_i,
 )
@@ -26,11 +25,8 @@ from spinor_forge.fock import Config, SpinorVec, mask_from_indices, parity
 from spinor_forge.norms import b_eval, graded_norm, solve_spinor_norm
 import spinor_forge.pairings as pairings_mod
 from spinor_forge.pairings import (
-    PolarisationChange,
     _l2_coords,
-    apply_swapped_word,
     basis_top_grade_coefficient,
-    change_polarisation,
     grade2_pairing,
     grade2_pairing_on_basis,
     graded_pairing,
@@ -40,12 +36,16 @@ from spinor_forge.pairings import (
 )
 
 from .helpers import (
+    PolarisationChange,
+    apply_swapped_word,
     c2_coords,
+    change_polarisation,
     endomorphism_pairing,
     grade2_pairing_projected,
     matrix_unit,
     rand_spinor,
     rng,
+    to_blades,
     vacuum_projector,
 )
 
