@@ -225,12 +225,18 @@ def _ragged(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return owner, np.arange(owner.size) - offsets[owner] + starts[owner]
 
 
+def _starts(keys: np.ndarray, size: int) -> np.ndarray:
+    """ptr[v] for v in 0..size: the entries with key v sit at
+    [ptr[v], ptr[v + 1]) once sorted by key."""
+    return np.r_[0, np.cumsum(np.bincount(keys, minlength=size))]
+
+
 class _AdjointProducts:
     """Every ad b_a stored once, as COO arrays over integer lifts.
 
     These arrays are the engine's only copy of the structure constants:
     c_ij^k is the entry ad_i[k, j], and mat, row, col, val list the entries
-    sorted by (mat, row).  Over Q every constant is scaled by D = lcm of
+    sorted by (mat, row), each ptr array giving where a key's entries start.  Over Q every constant is scaled by D = lcm of
     all denominators, so a product of two constants lives on the D^2
     scale; over F_p constants are lifted to canonical representatives and
     each product is reduced mod p before the sum.  Indices and values are
@@ -238,9 +244,8 @@ class _AdjointProducts:
     the constructor proves that count times max|v|^2 over Q (p over F_p)
     is below 2^63, or raises ValueError.
 
-    Two permutations of the entries, by (row, mat, col) and by
-    (col, mat, row), give row x or column x of every ad_r with r in a
-    range as one slice.  A Jacobi batch is a few left indices l, each with
+    Two permutations of the entries, by (row, mat) and by (col, mat), give
+    row x or column x of every ad_r with r in a range as one slice.  A Jacobi batch is a few left indices l, each with
     its set R_l of right indices: each entry of ad_l is expanded once and
     meets those slices, so ad_l ad_r and ad_r ad_l come for every r in R_l
     from one join.
@@ -269,18 +274,18 @@ class _AdjointProducts:
             raise ValueError(f"{L.name}: structure constants too large for int64")
         mat_a = np.array(mat, dtype=np.int64)
         row_a = np.array(row, dtype=np.int64)
-        order = np.lexsort((row_a, mat_a))
+        order = np.argsort(mat_a * n + row_a, kind="stable")
         self.mat = mat_a[order]
         self.row = row_a[order]
         self.col = np.array(col, dtype=np.int64)[order]
         self.val = np.outer(np.array(lifted, dtype=np.int64), (1, -1)).ravel()[order]
-        cells = np.arange(n * n + 1)
-        self.mat_ptr = np.searchsorted(self.mat, np.arange(n + 1))
-        self.row_ptr = np.searchsorted(self.mat * n + self.row, cells)
-        self.by_row = np.lexsort((self.col, self.mat, self.row))
-        self.by_row_ptr = np.searchsorted((self.row * n + self.mat)[self.by_row], cells)
-        self.by_col = np.lexsort((self.row, self.mat, self.col))
-        self.by_col_ptr = np.searchsorted((self.col * n + self.mat)[self.by_col], cells)
+        self.mat_ptr = _starts(self.mat, n)
+        self.row_ptr = _starts(self.mat * n + self.row, n * n)
+        row_key, col_key = self.row * n + self.mat, self.col * n + self.mat
+        self.by_row = np.argsort(row_key, kind="stable")
+        self.by_row_ptr = _starts(row_key, n * n)
+        self.by_col = np.argsort(col_key, kind="stable")
+        self.by_col_ptr = _starts(col_key, n * n)
 
     def flipped(self, i: int, j: int, k: int) -> "_AdjointProducts":
         """A copy with c_ij^k negated: its two entries ad_i[k, j] and ad_j[k, i].
@@ -380,7 +385,7 @@ class _AdjointProducts:
         mat = np.repeat(np.arange(n), np.diff(self.mat_ptr))
         pos = self.row * n + self.col
         by_pos = np.argsort(pos)
-        pos_ptr = np.searchsorted(pos[by_pos], np.arange(n * n + 1))
+        pos_ptr = _starts(pos, n * n)
         at = self.col * n + self.row
         e, t = _ragged(pos_ptr[at], pos_ptr[at + 1])
         f = by_pos[t]
