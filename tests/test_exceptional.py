@@ -687,7 +687,6 @@ class TestJacobiOracle:
         subset = verify_jacobi(mutant, pairs=pairs_touching(L, i, j))
         assert set(subset.violations) == set(want) & set(pairs_touching(L, i, j))
 
-
     @pytest.mark.parametrize(
         "build, p",
         [(build_e6, None), (build_e6, 7), (build_e6, (1 << 31) - 1), (build_e7, 7)],
