@@ -2,25 +2,21 @@
 
 The central object is the normalized grade-2 pairing taking two spinors to
 an element of the grade-2 part (the orthogonal Lie algebra inside C).  The
-generic four-sum grade2_pairing works on any two spinors and is the
-oracle; each of its terms B(w.psi1, psi2) for a two-generator word w is
-evaluated by direct Fock moves, one signed move per (word term, spinor
-term), with no pruning by the basis case table: `_move_pairing` tests
-from the masks whether the move survives, then looks up psi2 at the
-image's complement and the form entry, and computes the sign only on a
-hit.  On a pair of Fock basis vectors the pairing has the paper's closed
-form, the one case table of this package: _l2_coords writes it straight
-in grade-2 labels, and grade2_pairing_on_basis applies it to a third
-basis spinor label by label through _c2_move.  The e6/e7/e8 builders
-run _l2_coords and _c2_move themselves (not grade2_pairing_on_basis),
-and basis_top_grade_coefficient for the top grade.  The top-grade and
-graded variants (the graded one also by direct moves) and the orbit-map
-adjoint round out the toolkit.
+four-sum grade2_pairing works on any two spinors and is the oracle: one
+signed Fock move per (word term, spinor term), with no pruning by the
+basis case table.  On Fock basis pairs the pairing has the paper's closed
+form, the one case table of this package: _l2_coords writes it in grade-2
+labels, grade2_pairing_on_basis applies it to a third basis spinor through
+_c2_move, and the e6/e7/e8 builders run the two themselves, with
+basis_top_grade_coefficient for the top grade.  The top-grade and graded
+pairings and the orbit-map adjoint (after one move: _adjoint_after_move)
+round out the toolkit.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
 from typing import Optional
 
 from .clifford import (
@@ -58,43 +54,6 @@ def _accum(dst: dict, num: dict, scalar: int) -> None:
         dst[mono] = dst.get(mono, 0) + c * scalar
 
 
-def _move_pairing(
-    form: BilinearForm, word: CliffordElem, phi: SpinorVec, psi: SpinorVec
-) -> Optional[int]:
-    """B(word.phi, psi) by direct Fock moves, or None if no term meets psi.
-
-    Each (word term, phi term) pair is one move of `apply_monomial`, taken
-    in the order that settles most pairs soonest: the masks alone decide
-    whether e_A i_B survives on e_M.v, then psi's coefficient at the
-    complement of the image and the form entry are looked up, and only on
-    a hit is the sign (-1)^(inv(B, M) + inv(A, M - B)) computed.  Every
-    word and every term is still evaluated, so the four-sum stays the
-    oracle.  Equals b_eval(form, act(word, phi), psi) without building the
-    spinor.  Returns the int numerator over den(word) den(phi) den(psi)
-    den(B).
-    """
-    full = form.config.size - 1
-    entries, psi_num = form._num, psi._num
-    acc = None
-    for (emask, imask), cw in word._num.items():
-        for mask, cp in phi._num.items():
-            rest = mask ^ imask
-            if imask & ~mask or emask & rest:
-                continue
-            new = rest | emask
-            cq = psi_num.get(new ^ full)
-            if cq is None:
-                continue
-            val = entries.get(new)
-            if val is None:
-                continue
-            term = cw * cp * cq * val
-            if inversion_parity(imask, mask) ^ inversion_parity(emask, rest):
-                term = -term
-            acc = term if acc is None else acc + term
-    return acc
-
-
 @lru_cache(maxsize=None)
 def _four_sum_elements(config: Config):
     """Constant Clifford elements appearing in the four-sum formula.
@@ -119,6 +78,18 @@ def _four_sum_elements(config: Config):
     return ee, ii, ei, ie_minus, diag_in, diag_out
 
 
+@lru_cache(maxsize=None)
+def _four_sum_words(config: Config) -> tuple:
+    """The four-sum's 3n(n-1) + n words in grade2_pairing's order, each as
+    (its ((emask, imask), numerator) terms, its target's numerator map,
+    weight 2 off the diagonal or 1 on it, where the sum carries a half)."""
+    ee, ii, ei, ie_minus, diag_in, diag_out = _four_sum_elements(config)
+    sums, indices = ((ee, ii), (ii, ee), (ei, ie_minus)), range(1, config.n + 1)
+    words = [(w[ab], t[ab], 2) for ab in permutations(indices, 2) for w, t in sums]
+    words += [(diag_in[a], diag_out[a], 1) for a in indices]
+    return tuple((tuple(w._num.items()), t._num, k) for w, t, k in words)
+
+
 def grade2_pairing(form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec) -> CliffordElem:
     """The normalized grade-2 pairing of two spinors, in Witt coordinates.
 
@@ -130,35 +101,35 @@ def grade2_pairing(form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec) -> Clif
       + (1/2) sum_a B((e_a i_a - i_a e_a).psi1, psi2) (i_a e_a - e_a i_a).
 
     Every coefficient B(w.psi1, psi2), all n(n-1) off-diagonal words of
-    each sum and all n diagonal ones, is evaluated by `_move_pairing`;
-    no term is skipped by the basis case table, so this stays the oracle
-    for _l2_coords and grade2_pairing_on_basis.
-
-    Equals 2^(n-1) times the grade-2 projection of the endomorphism
-    pairing; that identity is checked in tests, not assumed here.  The
-    sum runs on int numerators over den(psi1) den(psi2) den(B) times 2,
-    the 2 carrying the diagonal half.
+    each sum and all n diagonal ones, is summed in one pass over words x
+    word terms x psi1 terms with no pruning by the basis case table, so
+    this is the oracle of _l2_coords and grade2_pairing_on_basis: the masks
+    decide whether e_A i_B survives on e_M.v, psi2 and the form are looked
+    up at the image, and only a hit computes the sign (-1)^(inv(B, M) +
+    inv(A, M - B)).  Int numerators over den(psi1) den(psi2) den(B) times
+    2, the 2 carrying the diagonal half.  Equals 2^(n-1) times the grade-2
+    projection of the endomorphism pairing (checked in tests).
     """
     config = _check_pair(form, psi1, psi2)
-    ee, ii, ei, ie_minus, diag_in, diag_out = _four_sum_elements(config)
+    full = config.size - 1
+    entries, psi2_num = form._num, psi2._num
+    terms1 = tuple(psi1._num.items())
     out: dict = {}
-    for a in range(1, config.n + 1):
-        for b in range(1, config.n + 1):
-            if a == b:
-                continue
-            c = _move_pairing(form, ee[(a, b)], psi1, psi2)
-            if c:
-                _accum(out, ii[(a, b)]._num, 2 * c)
-            c = _move_pairing(form, ii[(a, b)], psi1, psi2)
-            if c:
-                _accum(out, ee[(a, b)]._num, 2 * c)
-            c = _move_pairing(form, ei[(a, b)], psi1, psi2)
-            if c:
-                _accum(out, ie_minus[(a, b)]._num, 2 * c)
-    for a in range(1, config.n + 1):
-        c = _move_pairing(form, diag_in[a], psi1, psi2)
-        if c:
-            _accum(out, diag_out[a]._num, c)
+    for word, target, weight in _four_sum_words(config):
+        acc = 0
+        for (emask, imask), cw in word:
+            for mask, cp in terms1:
+                rest = mask ^ imask
+                if imask & ~mask or emask & rest:
+                    continue
+                new = rest | emask
+                cq = psi2_num.get(new ^ full)
+                if cq is not None and (val := entries.get(new)) is not None:
+                    term = cw * cp * cq * val
+                    odd = inversion_parity(imask, mask) ^ inversion_parity(emask, rest)
+                    acc += -term if odd else term
+        if acc:
+            _accum(out, target, weight * acc)
     return CliffordElem._make(config, out, 2 * psi1._den * psi2._den * form._den)
 
 
@@ -232,10 +203,11 @@ def _l2_coords(form: BilinearForm, imask: int, jmask: int) -> dict[Label, Scalar
                      (0, 0): J = I^c, and beta/2 on ei(a, a) for a not
                              in I, -beta/2 for a in I;
 
-    every other pair of masks gives zero.  Each coefficient is one int
-    numerator over the form's denominator.  These are the values of the
-    four-sum grade2_pairing in builders.c2_labels coordinates, which
-    the tests keep as the oracle.
+    every other pair of masks gives zero.  Each coefficient is a field
+    scalar, built by field.from_fraction from beta's int numerator over
+    the form's denominator.  These are the values of the four-sum
+    grade2_pairing in builders.c2_labels coordinates, which the tests keep
+    as the oracle.
     """
     config = form.config
     partner = jmask ^ (config.size - 1)
@@ -382,4 +354,31 @@ def orbit_map_adjoint(
             term = 2 * cp * val * c
             key = (one, 0) if mask & one else (0, one)
             out[key] = out.get(key, 0) + (-term if odd else term)
+    return CliffordElem._make(config, out, phi._den * psi._den * form._den)
+
+
+def _adjoint_after_move(
+    form: BilinearForm, phi: SpinorVec, slot: int, psi: SpinorVec
+) -> CliffordElem:
+    """phi^*(E_slot.psi) summed from psi's moved terms, never building E_slot.psi;
+    the tests hold it to orbit_map_adjoint(form, phi, act(E_slot, psi))."""
+    config = _check_pair(form, phi, psi)
+    if not 0 <= slot < 2 * config.n:
+        raise ValueError(f"slot {slot} out of range for n={config.n}")
+    full = config.size - 1
+    entries, phi_num = form._num, phi._num
+    move = 1 << (slot >> 1)
+    out: dict = {}
+    for mask, c in psi._num.items():
+        # E_s e_M.v = +-e_{M xor a}.v; an odd slot's i_a (a in M) adds a minus
+        odd = (mask & (move - 1)).bit_count() + (slot & 1 and mask & move != 0)
+        mask ^= move
+        c = -2 * c if odd & 1 else 2 * c
+        for bit in range(config.n):
+            one = 1 << bit
+            cp, val = phi_num.get(mask ^ one ^ full), entries.get(mask ^ one ^ full)
+            if cp is not None and val is not None:
+                key = (one, 0) if mask & one else (0, one)
+                odd = (mask & (one - 1)).bit_count() & 1
+                out[key] = out.get(key, 0) + (-cp * val * c if odd else cp * val * c)
     return CliffordElem._make(config, out, phi._den * psi._den * form._den)

@@ -55,10 +55,10 @@ from .norms import (
     solve_spinor_norm,
 )
 from .pairings import (
+    _adjoint_after_move,
     grade2_pairing,
     grade2_pairing_on_basis,
     graded_pairing,
-    orbit_map_adjoint,
     top_grade_coefficient,
 )
 
@@ -571,8 +571,9 @@ def check_bracket_relations(n: int, pairs: int = 1000) -> CheckResult:
         2 B(phi, psi) w    = s psi*(w.phi) + phi*(w.psi)
 
     with s the reversal sign (-1)^(n(n-1)/2), for every orthonormal
-    vector w.  L is the four-sum grade2_pairing; [L, w] is the closed-form
-    vector_commutator, whose oracle is the generic commutator (tests).
+    vector w.  L is the four-sum grade2_pairing, [L, w] the closed-form
+    vector_commutator and psi*(w.phi) _adjoint_after_move; their test
+    oracles are the generic commutator and orbit_map_adjoint after act.
     Each relation is compared exactly on int numerators in one
     cross-multiplied pass (fock.is_zero_combination).  Exhaustive on
     basis pairs for n <= 3, plus seeded random pairs (basis and sparse)
@@ -590,8 +591,8 @@ def check_bracket_relations(n: int, pairs: int = 1000) -> CheckResult:
         elem = grade2_pairing(form, phi, psi)
         b_num, b_den = field.parts(b_eval(form, phi, psi))
         for slot, vec in enumerate(vecs):
-            first = orbit_map_adjoint(form, psi, act(vec, phi))
-            second = orbit_map_adjoint(form, phi, act(vec, psi))
+            first = _adjoint_after_move(form, psi, slot, phi)
+            second = _adjoint_after_move(form, phi, slot, psi)
             comm = vector_commutator(elem, slot)
             if not is_zero_combination([(2, comm), (-sign, first), (1, second)]):
                 return False

@@ -2,10 +2,10 @@
 
 The Clifford-route oracles (the endomorphism pairing with its matrix units
 and vacuum projector, the dense Fock matrix, blades as elements and blade
-coordinates, the unnormalized grade-2 pairing, slot names), the grading
-element's action on a spinor, the polarisation change of a basis-index
-triple and the e6 coefficient sweep are used only by the tests, so they
-live here rather than in the package.
+coordinates, the unnormalized grade-2 pairing, slot names), the four-sum
+taken one word at a time, the grading element's action on a spinor, the
+polarisation change of a basis-index triple and the e6 coefficient sweep
+are used only by the tests, so they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from typing import Optional
 
 from spinor_forge.builders import build_e6
 from spinor_forge.clifford import (
@@ -26,9 +27,21 @@ from spinor_forge.clifford import (
 )
 from spinor_forge.exceptional import verify_jacobi
 from spinor_forge.field import Field, Scalar
-from spinor_forge.fock import Config, SpinorVec, apply_monomial, mask_str, parity
+from spinor_forge.fock import (
+    Config,
+    SpinorVec,
+    apply_monomial,
+    inversion_parity,
+    mask_str,
+    parity,
+)
 from spinor_forge.norms import BilinearForm
-from spinor_forge.pairings import _accum, _check_pair, grade2_pairing
+from spinor_forge.pairings import (
+    _accum,
+    _check_pair,
+    _four_sum_elements,
+    grade2_pairing,
+)
 
 
 def rng(seed: int) -> random.Random:
@@ -156,6 +169,67 @@ def grade2_pairing_projected(
     scale = config.field.from_fraction(1, 1 << (config.n - 1))
     return grade2_pairing(form, psi1, psi2).scale(scale)
 
+
+
+# ------------------------------------------- the four-sum, one word at a time
+
+
+def _move_pairing(
+    form: BilinearForm, word: CliffordElem, phi: SpinorVec, psi: SpinorVec
+) -> Optional[int]:
+    """B(word.phi, psi) by direct Fock moves, or None if no term meets psi.
+
+    Each (word term, phi term) pair is one move of `apply_monomial`, taken
+    in the order that settles most pairs soonest: the masks alone decide
+    whether e_A i_B survives on e_M.v, then psi's coefficient at the
+    complement of the image and the form entry are looked up, and only on
+    a hit is the sign (-1)^(inv(B, M) + inv(A, M - B)) computed.  Equals
+    b_eval(form, act(word, phi), psi) without building the spinor.
+    Returns the int numerator over den(word) den(phi) den(psi) den(B).
+    """
+    full = form.config.size - 1
+    entries, psi_num = form._num, psi._num
+    acc = None
+    for (emask, imask), cw in word._num.items():
+        for mask, cp in phi._num.items():
+            rest = mask ^ imask
+            if imask & ~mask or emask & rest:
+                continue
+            new = rest | emask
+            cq = psi_num.get(new ^ full)
+            if cq is None:
+                continue
+            val = entries.get(new)
+            if val is None:
+                continue
+            term = cw * cp * cq * val
+            if inversion_parity(imask, mask) ^ inversion_parity(emask, rest):
+                term = -term
+            acc = term if acc is None else acc + term
+    return acc
+
+
+def grade2_pairing_per_word(
+    form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec
+) -> CliffordElem:
+    """pairings.grade2_pairing as one `_move_pairing` call per four-sum
+    word, each coefficient accumulated onto its target element."""
+    config = _check_pair(form, psi1, psi2)
+    ee, ii, ei, ie_minus, diag_in, diag_out = _four_sum_elements(config)
+    out: dict = {}
+    for a in range(1, config.n + 1):
+        for b in range(1, config.n + 1):
+            if a == b:
+                continue
+            for word, target in ((ee, ii), (ii, ee), (ei, ie_minus)):
+                c = _move_pairing(form, word[(a, b)], psi1, psi2)
+                if c:
+                    _accum(out, target[(a, b)]._num, 2 * c)
+    for a in range(1, config.n + 1):
+        c = _move_pairing(form, diag_in[a], psi1, psi2)
+        if c:
+            _accum(out, diag_out[a]._num, c)
+    return CliffordElem._make(config, out, 2 * psi1._den * psi2._den * form._den)
 
 @lru_cache(maxsize=None)
 def vacuum_projector(config: Config) -> CliffordElem:

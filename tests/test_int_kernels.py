@@ -41,9 +41,10 @@ from spinor_forge.fock import (
 )
 from spinor_forge.norms import BilinearForm, b_eval, graded_norm, solve_spinor_norm
 from spinor_forge.pairings import (
+    _adjoint_after_move,
     _four_sum_elements,
+    _four_sum_words,
     _l2_coords,
-    _move_pairing,
     basis_top_grade_coefficient,
     grade2_pairing,
     grade2_pairing_on_basis,
@@ -51,7 +52,15 @@ from spinor_forge.pairings import (
     orbit_map_adjoint,
 )
 
-from .helpers import blade_to_elem, c2_coords, c2_elem, rng, to_blades
+from .helpers import (
+    _move_pairing,
+    blade_to_elem,
+    c2_coords,
+    c2_elem,
+    grade2_pairing_per_word,
+    rng,
+    to_blades,
+)
 
 FIELDS = {"q": Rationals(), "fp7": PrimeField(7)}
 NS = range(1, 7)
@@ -674,3 +683,73 @@ class TestConstructorBounds:
         assert repr(CliffordElem(config, {(7, 0): Fraction(1, 3)})) == "+ (1/3) e1 e2 e3"
         assert SpinorVec(config, {7: Fraction(1)}).get(7) == 1
         assert orthonormal_vector(config, 5).terms == {(4, 0): 1, (0, 4): -1}
+
+
+# ------------------------------------------- one-pass props kernels
+
+
+WIDE_FIELDS = {"q": Rationals(), "fp7": PrimeField(7), "fp2147483647": PrimeField(2147483647)}
+
+
+def one_pass_pairs(config, r):
+    """(form, x, y) cases under each of `forms`' two plain norms: every
+    basis pair for n <= 4, else 6 seeded sparse pairs in which y holds the
+    partners of x's masks flipped at no bit or at two random bits (the
+    shifts that every four-sum word and every move-then-adjoint make), so
+    that most cases meet."""
+    full = config.size - 1
+    basis = [SpinorVec.basis(config, m) for m in range(config.size)]
+    cases = []
+    for form, _ in forms(config):
+        if config.n <= 4:
+            cases += [(form, x, y) for x in basis for y in basis]
+            continue
+        for _ in range(6):
+            x = rand_spinor(config, r, 3)
+            flips = [0]
+            for _ in range(2):
+                flips.append((1 << r.randrange(config.n)) | (1 << r.randrange(config.n)))
+            y = rand_spinor(config, r, 2) + SpinorVec(config, {
+                m ^ full ^ flip: c for m, c in x.terms.items() for flip in flips
+            })
+            cases.append((form, x, y))
+    return cases
+
+
+@pytest.mark.parametrize("field", WIDE_FIELDS.values(), ids=WIDE_FIELDS.keys())
+@pytest.mark.parametrize("n", range(1, 9))
+class TestOnePassKernels:
+    def test_adjoint_after_move_matches_act_route(self, n, field):
+        config = Config(n, field)
+        vecs = [orthonormal_vector(config, s) for s in range(2 * n)]
+        nonzero_seen = 0
+        for form, x, y in one_pass_pairs(config, rng(1100 + n)):
+            for phi, psi in ((y, x), (x, y)):
+                for slot, vec in enumerate(vecs):
+                    got = _adjoint_after_move(form, phi, slot, psi)
+                    assert got == orbit_map_adjoint(form, phi, act(vec, psi)), slot
+                    nonzero_seen += not got.is_zero()
+        assert nonzero_seen
+
+    def test_grade2_pairing_matches_per_word_sum(self, n, field):
+        config = Config(n, field)
+        assert len(_four_sum_words(config)) == 3 * n * (n - 1) + n
+        nonzero_seen = 0
+        for form, x, y in one_pass_pairs(config, rng(1200 + n)):
+            for psi1, psi2 in ((x, y), (y, x)):
+                got = grade2_pairing(form, psi1, psi2)
+                assert got == grade2_pairing_per_word(form, psi1, psi2)
+                assert got.terms == o_grade2_pairing(form, psi1.terms, psi2.terms)
+                nonzero_seen += not got.is_zero()
+        assert nonzero_seen
+
+
+def test_adjoint_after_move_rejects_bad_input():
+    config = Config(3)
+    form = solve_spinor_norm(config)
+    v = SpinorVec.vacuum(config)
+    for slot in (-1, 6):
+        with pytest.raises(ValueError, match="slot"):
+            _adjoint_after_move(form, v, slot, v)
+    with pytest.raises(ValueError):
+        _adjoint_after_move(form, v, 0, SpinorVec.vacuum(Config(2)))

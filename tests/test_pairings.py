@@ -632,7 +632,7 @@ class TestDirectMoveOracles:
             raise AssertionError("the basis closed form must not use the four-sum")
 
         monkeypatch.setattr(pairings_mod, "grade2_pairing", refuse)
-        monkeypatch.setattr(pairings_mod, "_move_pairing", refuse)
+        monkeypatch.setattr(pairings_mod, "_four_sum_words", refuse)
         for (im, jm, km), expect in want.items():
             got = pairings_mod.grade2_pairing_on_basis(form, im, jm, km)
             assert got == expect, (im, jm, km)

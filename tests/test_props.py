@@ -275,13 +275,14 @@ class TestPairingChecksCatchFaults:
         assert not out and "relation failed" in out.detail
 
     def test_bracket_relations_catch_orbit_map_adjoint(self, monkeypatch):
-        real = props.orbit_map_adjoint
+        # the orbit-map adjoint the check sums after each move
+        real = props._adjoint_after_move
 
-        def faulty(form, phi, psi):
-            out = real(form, phi, psi)
+        def faulty(form, phi, slot, psi):
+            out = real(form, phi, slot, psi)
             return _negate_top_term(out) if max(phi._num, default=0) & 1 else out
 
-        monkeypatch.setattr(props, "orbit_map_adjoint", faulty)
+        monkeypatch.setattr(props, "_adjoint_after_move", faulty)
         out = check_bracket_relations(3)
         assert not out and "relation failed" in out.detail
 
@@ -294,15 +295,18 @@ class TestPairingChecksCatchFaults:
         assert not out and "routes disagree" in out.detail
 
     def test_matrix_agreement_catches_negated_move(self, monkeypatch):
+        # every word of the four-sum taken with its coefficients negated
         from spinor_forge import pairings
 
-        real = pairings._move_pairing
+        real = pairings._four_sum_words
 
-        def faulty(form, word, phi, psi):
-            acc = real(form, word, phi, psi)
-            return None if acc is None else -acc
+        def faulty(config):
+            return tuple(
+                (tuple((mono, -c) for mono, c in word), target, weight)
+                for word, target, weight in real(config)
+            )
 
-        monkeypatch.setattr(pairings, "_move_pairing", faulty)
+        monkeypatch.setattr(pairings, "_four_sum_words", faulty)
         assert not check_matrix_agreement(4)
 
 
