@@ -45,7 +45,7 @@ from .fock import (
     Config,
     SparseTerms,
     SpinorVec,
-    apply_monomial,
+    _apply_words,
     inversion_parity,
     prefix_parity,
 )
@@ -222,16 +222,7 @@ def vector_commutator(x: CliffordElem, slot: int) -> CliffordElem:
 def act(x: CliffordElem, psi: SpinorVec) -> SpinorVec:
     """Apply x to a spinor: each monomial is the composite of the fock
     creation/annihilation moves in the monomial's written order."""
-    x.config.check_same(psi.config)
-    out: dict[int, int] = {}
-    for (emask, imask), c in x._num.items():
-        for mask, cm in psi._num.items():
-            hit = apply_monomial(emask, imask, mask)
-            if hit is None:
-                continue
-            sign, new = hit
-            out[new] = out.get(new, 0) + (c * cm if sign > 0 else -(c * cm))
-    return SpinorVec._make(x.config, out, x._den * psi._den)
+    return _apply_words(x.config, x._num, x._den, psi)
 
 
 def transpose(x: CliffordElem) -> CliffordElem:
@@ -342,11 +333,6 @@ def trace_product(x: CliffordElem, y: CliffordElem) -> Scalar:
 
 # Orthonormal slots: slot 2(a-1) is e_a + i_a with square +1, slot 2a-1 is
 # e_a - i_a with square -1; ascending slots give the ordered basis.
-
-
-_ODD_SLOTS = 0xAAAAAA  # slots 1, 3, ..., 23: the vectors of square -1
-
-
 def slot_metric(slot: int) -> int:
     return -1 if slot & 1 else 1
 
@@ -377,16 +363,6 @@ def q_map(config: Config, slots: tuple[int, ...] | list[int]) -> CliffordElem:
     for s in slots:
         out = multiply(out, orthonormal_vector(config, s))
     return out
-
-
-def blade_mul(m1: int, m2: int) -> tuple[int, int]:
-    """Product of two orthonormal blades: (coefficient, blade mask).
-
-    Each pair of slots out of order costs a sign, and each shared slot
-    contracts to its metric, -1 on the odd slots.
-    """
-    odd = inversion_parity(m1, m2) + (m1 & m2 & _ODD_SLOTS).bit_count()
-    return (-1 if odd & 1 else 1), m1 ^ m2
 
 
 def _blade_ints(x: CliffordElem) -> tuple[dict[int, int], int]:
@@ -452,25 +428,14 @@ def _blade_terms(bmask: int) -> dict[Monomial, int]:
     }
 
 
-def _project(config: Config, blades: dict[int, int], den: int, k: int) -> CliffordElem:
-    """The grade-k part of the element with blade coordinates blades / den.
-
-    Every blade passed in has grade k.  The orthonormal trace formula's
-    factors are evaluated per blade as integers, the 1/2^n going into the
-    denominator, and each blade is expanded once by `_blade_terms` into
-    one accumulator.
-    """
-    size = config.size
-    rev_sign = -1 if (k * (k - 1) // 2) & 1 else 1
+def _project(config: Config, blades: dict[int, int], den: int) -> CliffordElem:
+    """The element with blade coordinates blades / den, each blade expanded
+    once by `_blade_terms` into one accumulator."""
     acc: dict[Monomial, int] = {}
     for bmask, cb in blades.items():
-        gpref = -1 if (bmask & _ODD_SLOTS).bit_count() & 1 else 1
-        square_coeff, _ = blade_mul(bmask, bmask)
-        tr = cb * rev_sign * square_coeff * size
-        scalar = gpref * tr
         for mono, c in _blade_terms(bmask).items():
-            acc[mono] = acc.get(mono, 0) + scalar * c
-    return CliffordElem._make(config, acc, den * size)
+            acc[mono] = acc.get(mono, 0) + cb * c
+    return CliffordElem._make(config, acc, den)
 
 
 def grade_project(x: CliffordElem, k: int) -> CliffordElem:
@@ -483,18 +448,20 @@ def grade_project(x: CliffordElem, k: int) -> CliffordElem:
 
     The trace factor vanishes unless the blade coordinates of x meet the
     combination, so the sum runs over the grade-k blades of one
-    `_blade_ints(x)`; every sign and metric factor of the formula is
-    evaluated literally, and each kept blade is expanded once in closed
-    form.  The cost is the blade expansion of x's own terms, so every n
-    that `Config` accepts is accepted.  Completeness (the projections sum
-    to x) is the independent crosscheck.
+    `_blade_ints(x)`.  As E_k...E_1 E_1...E_k = g(E_1,E_1)...g(E_k,E_k)
+    and the trace of 1 is 2^n, the factors cancel: each kept blade keeps
+    its coordinate and is expanded once in closed form.  The tests'
+    `project_by_products` evaluates every factor literally.  The cost is
+    the blade expansion of x's own terms, so every n that `Config`
+    accepts is accepted.  Completeness (the projections sum to x) is the
+    independent crosscheck.
     """
     config = x.config
     if not 0 <= k <= 2 * config.n:
         raise ValueError(f"grade {k} out of range for n={config.n}")
     num, den = _blade_ints(x)
     blades = {m: cb for m, cb in num.items() if m.bit_count() == k}
-    return _project(config, blades, den, k)
+    return _project(config, blades, den)
 
 
 def grade_projections(x: CliffordElem) -> list[CliffordElem]:
@@ -504,7 +471,7 @@ def grade_projections(x: CliffordElem) -> list[CliffordElem]:
     by_grade: list[dict[int, int]] = [{} for _ in range(2 * config.n + 1)]
     for bmask, cb in num.items():
         by_grade[bmask.bit_count()][bmask] = cb
-    return [_project(config, blades, den, k) for k, blades in enumerate(by_grade)]
+    return [_project(config, blades, den) for blades in by_grade]
 
 
 @lru_cache(maxsize=None)

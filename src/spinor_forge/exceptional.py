@@ -168,6 +168,34 @@ class LieAlgebra:
             self._engine = _AdjointProducts(self)
         return self._engine
 
+    def with_flipped_sign(self, i: int, j: int, k: int) -> "LieAlgebra":
+        """A copy with the sign of one structure constant flipped.
+
+        Once (i, j, k) is known to name a structure constant, builds this
+        algebra's engine (a mutant exists to be verified), so the copy
+        takes the complete table, with one entry replaced, and an engine
+        patched from this one's: the same index arrays, its own values
+        with the two entries of the flipped constant negated.  This
+        algebra is left unchanged; the copy feeds the verifiers
+        deliberately broken input.  ValueError, before any engine is
+        built, unless i, j and k are int indices that name one.
+        """
+        if i == j:
+            raise ValueError("mutation needs two distinct basis indices")
+        if i > j:
+            i, j = j, i
+        _check_pair(i, j, self.dim)
+        terms = self.bracket(i, j)
+        if not isinstance(k, _INT) or k not in {t[0] for t in terms}:
+            raise ValueError(f"no structure constant at ({i}, {j}, {k})")
+        engine = self.adjoint_products()
+        name = f"{self.name}~flip({i},{j},{k})"
+        clone = LieAlgebra(name, self.config, self.basis, self._fn)
+        clone._table = dict(self._table)
+        clone._table[(i, j)] = tuple((kk, -c if kk == k else c) for kk, c in terms)
+        clone._engine = engine.flipped(i, j, k)
+        return clone
+
     def spinor_indices(self) -> list[int]:
         return [i for i, lab in enumerate(self.basis) if is_spinor_label(lab)]
 
@@ -181,31 +209,7 @@ class LieAlgebra:
         )
 
 
-def with_flipped_sign(L: LieAlgebra, i: int, j: int, k: int) -> LieAlgebra:
-    """A copy of L with the sign of one structure constant flipped.
-
-    Once (i, j, k) is known to name a structure constant, builds L's
-    engine (a mutant exists to be verified), so the copy takes L's complete
-    table, with one entry replaced, and an engine patched from L's: the
-    same index arrays, its own values with the two entries of the flipped
-    constant negated.  L itself is left unchanged; the copy exists to feed
-    the verifiers deliberately broken input.  ValueError, before any
-    engine is built, unless i, j and k are int indices that name one.
-    """
-    if i == j:
-        raise ValueError("mutation needs two distinct basis indices")
-    if i > j:
-        i, j = j, i
-    _check_pair(i, j, L.dim)
-    terms = L.bracket(i, j)
-    if not isinstance(k, _INT) or k not in {t[0] for t in terms}:
-        raise ValueError(f"no structure constant at ({i}, {j}, {k})")
-    engine = L.adjoint_products()
-    clone = LieAlgebra(f"{L.name}~flip({i},{j},{k})", L.config, L.basis, L._fn)
-    clone._table = dict(L._table)
-    clone._table[(i, j)] = tuple((kk, -c if kk == k else c) for kk, c in terms)
-    clone._engine = engine.flipped(i, j, k)
-    return clone
+with_flipped_sign = LieAlgebra.with_flipped_sign
 
 
 # --- integer lifts and the keyed-product engine for Jacobi and Killing ---
@@ -236,19 +240,20 @@ class _AdjointProducts:
 
     These arrays are the engine's only copy of the structure constants:
     c_ij^k is the entry ad_i[k, j], and mat, row, col, val list the entries
-    sorted by (mat, row), each ptr array giving where a key's entries start.  Over Q every constant is scaled by D = lcm of
-    all denominators, so a product of two constants lives on the D^2
-    scale; over F_p constants are lifted to canonical representatives and
-    each product is reduced mod p before the sum.  Indices and values are
+    sorted by (mat, row), each ptr array giving where a key's entries
+    start.  Over Q every constant is scaled by D = lcm of all
+    denominators, so a product of two constants lives on the D^2 scale;
+    over F_p constants are lifted to canonical representatives and each
+    product is reduced mod p before the sum.  Indices and values are
     int64: a Gram or Jacobi key sums at most n * max(n, 3) products, and
     the constructor proves that count times max|v|^2 over Q (p over F_p)
     is below 2^63, or raises ValueError.
 
     Two permutations of the entries, by (row, mat) and by (col, mat), give
-    row x or column x of every ad_r with r in a range as one slice.  A Jacobi batch is a few left indices l, each with
-    its set R_l of right indices: each entry of ad_l is expanded once and
-    meets those slices, so ad_l ad_r and ad_r ad_l come for every r in R_l
-    from one join.
+    row x or column x of every ad_r with r in a range as one slice.  A
+    Jacobi batch is a few left indices l, each with its set R_l of right
+    indices: each entry of ad_l is expanded once and meets those slices,
+    so ad_l ad_r and ad_r ad_l come for every r in R_l from one join.
     """
 
     def __init__(self, L: LieAlgebra) -> None:
@@ -557,7 +562,9 @@ def killing_form(L: LieAlgebra) -> tuple[list[list[Scalar]], int]:
     ad_i ad_j, every i and j in one pass.  Over Q the rank is certified
     mod 2^31 - 1 (full rank mod a prime implies full rank over Q) with an
     exact fraction elimination fallback; over F_p (p < 2^31 by the field's
-    bound) the modular rank is the exact field rank.
+    bound) the modular rank is the exact field rank.  The Killing form is
+    2h^v times the normalised invariant form (24, 36 and 60 times it for
+    e6, e7, e8), so for p >= 5 it vanishes only for e8 over F_5: rank 0.
     """
     engine = L.adjoint_products()
     gram = engine.gram().tolist()
@@ -845,15 +852,12 @@ def to_json(L: LieAlgebra) -> str:
     "brackets": [{"i", "j", "terms": [[k, scalar string], ...]}, ...]}
     with i < j ascending and only nonzero brackets listed.
     """
-    brackets = [
-        {"i": i, "j": j, "terms": [[k, scalar_str(c)] for k, c in terms]}
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    head = {"name": L.name, "field": L.config.field.spec, "dim": L.dim}
+    head["basis"] = [label_str(lab) for lab in L.basis]
+    # one JSON text per bracket, so no list of bracket dicts is ever held
+    brackets = ",".join(
+        encode({"i": i, "j": j, "terms": [[k, scalar_str(c)] for k, c in terms]})
         for (i, j), terms in L.materialize().nonzero_brackets()
-    ]
-    obj = {
-        "name": L.name,
-        "field": L.config.field.spec,
-        "dim": L.dim,
-        "basis": [label_str(lab) for lab in L.basis],
-        "brackets": brackets,
-    }
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+    )
+    return f'{encode(head)[:-1]},"brackets":[{brackets}]}}\n'

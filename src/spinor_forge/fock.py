@@ -282,27 +282,29 @@ class SpinorVec(SparseTerms):
     __rmul__ = __mul__
 
 
-def _apply_single(config: Config, emask: int, imask: int, psi: SpinorVec) -> SpinorVec:
+def _apply_words(config: Config, words: dict, den: int, psi: SpinorVec) -> SpinorVec:
+    """The element with Witt-word numerators words / den applied to psi,
+    each word e_A i_B moving each term of psi by apply_monomial."""
     config.check_same(psi.config)
     out: dict[int, int] = {}
-    for mask, c in psi._num.items():
-        hit = apply_monomial(emask, imask, mask)
-        if hit is None:
-            continue
-        sign, new = hit
-        out[new] = out.get(new, 0) + (c if sign > 0 else -c)
-    return SpinorVec._make(config, out, psi._den)
+    for (emask, imask), c in words.items():
+        for mask, cm in psi._num.items():
+            hit = apply_monomial(emask, imask, mask)
+            if hit is not None:
+                sign, new = hit
+                out[new] = out.get(new, 0) + (c * cm if sign > 0 else -(c * cm))
+    return SpinorVec._make(config, out, den * psi._den)
 
 
 def create(a: int, psi: SpinorVec) -> SpinorVec:
     """Left multiplication by e_a.  Kills terms already containing a."""
     if not 1 <= a <= psi.config.n:
         raise ValueError(f"generator index {a} out of range for n={psi.config.n}")
-    return _apply_single(psi.config, 1 << (a - 1), 0, psi)
+    return _apply_words(psi.config, {(1 << (a - 1), 0): 1}, 1, psi)
 
 
 def annihilate(a: int, psi: SpinorVec) -> SpinorVec:
     """Left multiplication by i_a.  Kills terms not containing a; i_a.v = 0."""
     if not 1 <= a <= psi.config.n:
         raise ValueError(f"generator index {a} out of range for n={psi.config.n}")
-    return _apply_single(psi.config, 0, 1 << (a - 1), psi)
+    return _apply_words(psi.config, {(0, 1 << (a - 1)): 1}, 1, psi)

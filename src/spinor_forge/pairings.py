@@ -10,7 +10,8 @@ labels, grade2_pairing_on_basis applies it to a third basis spinor through
 _c2_move, and the e6/e7/e8 builders run the two themselves, with
 basis_top_grade_coefficient for the top grade.  The top-grade and graded
 pairings and the orbit-map adjoint (after one move: _adjoint_after_move)
-round out the toolkit.
+round out the toolkit.  Each sign rule is written once: E_s on e_M.v in
+_slot_move, the adjoint's sum over spinor terms in _adjoint_sum.
 """
 
 from __future__ import annotations
@@ -261,6 +262,15 @@ def top_grade_pairing(
     return grading_element(config).scale(top_grade_coefficient(form, psi1, psi2))
 
 
+def _slot_move(mask: int, slot: int) -> tuple[int, int]:
+    """E_slot e_M.v = (-1)^odd e_new.v as (odd, new): of E_slot = e_a +- i_a
+    only i_a (a in M) or e_a (a not in M) survives, moving M to M xor {a}
+    with sign (-1)^#{b in M : b < a}, and the odd slot's i_a adds a minus."""
+    bit = 1 << (slot >> 1)
+    odd = (mask & (bit - 1)).bit_count() + (slot & 1 and mask & bit != 0)
+    return odd, mask ^ bit
+
+
 def graded_pairing(
     form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec
 ) -> CliffordElem:
@@ -271,11 +281,10 @@ def graded_pairing(
         (1/2^n) ( sum_s g_ss B_eps(psi1, E_s.psi2) E_s
                 + sum_{s<t} g_ss g_tt B_eps(psi1, E_t E_s.psi2) E_s E_t ).
 
-    Evaluated by direct Fock moves: on e_M.v exactly one Witt term of
-    E_s = e_a +- i_a survives (i_a if a is in M, else e_a), so E_s and
-    E_t E_s send each psi2 term to one signed basis vector, which B pairs
-    only with psi1's coefficient at the complement.  One scalar is summed
-    per blade and each blade is expanded once.
+    Evaluated by direct Fock moves (_slot_move): E_s and E_t E_s send
+    each psi2 term to one signed basis vector, which B pairs only with
+    psi1's coefficient at the complement.  One scalar is summed per blade
+    and each blade is expanded once.
 
     Expects the graded norm; with it the result is equivariant for the
     degree one-plus-two part, not just for grade 2.
@@ -286,16 +295,6 @@ def graded_pairing(
     full = config.size - 1
     entries, psi1_num = form._num, psi1._num
     nslots = 2 * config.n
-
-    def move(mask: int, slot: int) -> tuple[int, int]:
-        # E_slot on e_M.v: (sign parity times g_ss, new mask); the i_a term
-        # of E~ = e_a - i_a and the metric g = -1 both sit on odd slots
-        bit = 1 << (slot >> 1)
-        odd = (mask & (bit - 1)).bit_count()
-        if slot & 1:
-            odd += 1 + ((mask & bit) != 0)
-        return odd, mask ^ bit
-
     scal: dict[int, int] = {}
 
     def add(blade: int, odd: int, new: int, c: int) -> None:
@@ -311,16 +310,40 @@ def graded_pairing(
 
     for mask, c in psi2._num.items():
         for s in range(nslots):
-            odd_s, m1 = move(mask, s)
+            # the metric g_ss = -1 sits on the odd slots
+            odd_s, m1 = _slot_move(mask, s)
+            odd_s += s & 1
             add(1 << s, odd_s, m1, c)
             for t in range(s + 1, nslots):
-                odd_t, m2 = move(m1, t)
-                add((1 << s) | (1 << t), odd_s + odd_t, m2, c)
+                odd_t, m2 = _slot_move(m1, t)
+                add((1 << s) | (1 << t), odd_s + odd_t + (t & 1), m2, c)
     out: dict = {}
     for blade, c in scal.items():
         if c:
             _accum(out, _blade_terms(blade), c)
     den = config.size * psi1._den * psi2._den * form._den
+    return CliffordElem._make(config, out, den)
+
+
+def _adjoint_sum(form: BilinearForm, phi: SpinorVec, terms, den: int) -> CliffordElem:
+    """phi^*(x) for x = sum c e_M.v over (M, c) in terms, over den: on e_M.v
+    only i_a (a in M) or e_a (a not in M) survives, moving M to M xor {a}
+    with sign (-1)^#{b in M : b < a}; B pairs the image only with phi's
+    coefficient at the complement."""
+    config = form.config
+    full = config.size - 1
+    entries, phi_num = form._num, phi._num
+    out: dict = {}
+    for mask, c in terms:
+        for bit in range(config.n):
+            one = 1 << bit
+            comp = mask ^ one ^ full
+            cp, val = phi_num.get(comp), entries.get(comp)
+            if cp is not None and val is not None:
+                term = 2 * cp * val * c
+                key = (one, 0) if mask & one else (0, one)
+                odd = (mask & (one - 1)).bit_count() & 1
+                out[key] = out.get(key, 0) + (-term if odd else term)
     return CliffordElem._make(config, out, den)
 
 
@@ -332,29 +355,12 @@ def orbit_map_adjoint(
     Adjoint to the orbit map v -> v.phi in the sense
     B(v.phi, psi) = g(v, phi^*(psi)).  As E_s = e_a +- i_a with g_ss = +-1,
 
-        phi^*(psi) = 2 sum_a ( B(phi, i_a.psi) e_a + B(phi, e_a.psi) i_a ).
+        phi^*(psi) = 2 sum_a ( B(phi, i_a.psi) e_a + B(phi, e_a.psi) i_a ),
 
-    On e_M.v exactly one of the two moves survives (i_a if a is in M, else
-    e_a); it sends M to M xor {a} with sign (-1)^#{b in M : b < a}, and B
-    pairs the image only with phi's coefficient at the complement.
+    summed term by term of psi (_adjoint_sum).
     """
-    config = _check_pair(form, phi, psi)
-    full = config.size - 1
-    entries, phi_num = form._num, phi._num
-    out: dict = {}
-    for mask, c in psi._num.items():
-        for bit in range(config.n):
-            one = 1 << bit
-            new = mask ^ one
-            cp = phi_num.get(new ^ full)
-            val = entries.get(new ^ full)
-            if cp is None or val is None:
-                continue
-            odd = (mask & (one - 1)).bit_count() & 1
-            term = 2 * cp * val * c
-            key = (one, 0) if mask & one else (0, one)
-            out[key] = out.get(key, 0) + (-term if odd else term)
-    return CliffordElem._make(config, out, phi._den * psi._den * form._den)
+    _check_pair(form, phi, psi)
+    return _adjoint_sum(form, phi, psi._num.items(), phi._den * psi._den * form._den)
 
 
 def _adjoint_after_move(
@@ -365,20 +371,8 @@ def _adjoint_after_move(
     config = _check_pair(form, phi, psi)
     if not 0 <= slot < 2 * config.n:
         raise ValueError(f"slot {slot} out of range for n={config.n}")
-    full = config.size - 1
-    entries, phi_num = form._num, phi._num
-    move = 1 << (slot >> 1)
-    out: dict = {}
+    terms = []
     for mask, c in psi._num.items():
-        # E_s e_M.v = +-e_{M xor a}.v; an odd slot's i_a (a in M) adds a minus
-        odd = (mask & (move - 1)).bit_count() + (slot & 1 and mask & move != 0)
-        mask ^= move
-        c = -2 * c if odd & 1 else 2 * c
-        for bit in range(config.n):
-            one = 1 << bit
-            cp, val = phi_num.get(mask ^ one ^ full), entries.get(mask ^ one ^ full)
-            if cp is not None and val is not None:
-                key = (one, 0) if mask & one else (0, one)
-                odd = (mask & (one - 1)).bit_count() & 1
-                out[key] = out.get(key, 0) + (-cp * val * c if odd else cp * val * c)
-    return CliffordElem._make(config, out, phi._den * psi._den * form._den)
+        odd, new = _slot_move(mask, slot)
+        terms.append((new, -c if odd & 1 else c))
+    return _adjoint_sum(form, phi, terms, phi._den * psi._den * form._den)

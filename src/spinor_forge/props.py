@@ -7,9 +7,9 @@ same battery backs the test suite and the command line `props` report.
 Everything runs over the rationals, exactly; sampled regimes draw from
 seeded generators so repeat runs are byte-identical.
 
-Every check runs on one harness: `_check(name)` names it once and builds
-its CheckResult, and the body walks its cases in a fixed order, stops at
-the first failing one and names that case in `detail`.
+Every check runs on one harness: `_check` names it after its function
+and builds its CheckResult, and the body walks its cases in a fixed
+order, stops at the first failing one and names that case in `detail`.
 """
 
 from __future__ import annotations
@@ -102,8 +102,9 @@ class _Failed(Exception):
     """Ends the running check; its one argument is the failure detail."""
 
 
-def _check(name: str):
-    """Make a check body fn(n, ...) into the check called name.
+def _check(fn):
+    """Make a check body fn(n, ...) into the check named after it:
+    check_q_isometry is the check "q-isometry".
 
     The body returns its ok detail, or raises _Failed(detail) at its first
     failing case, from any depth; either way the check returns one
@@ -111,18 +112,16 @@ def _check(name: str):
     exception propagates.  The check keeps the body's name, docstring and
     signature.
     """
+    name = fn.__name__.removeprefix("check_").replace("_", "-")
 
-    def decorate(fn):
-        @wraps(fn)
-        def run(n: int, *args, **kwargs) -> CheckResult:
-            try:
-                return CheckResult(name, n, True, fn(n, *args, **kwargs))
-            except _Failed as failed:
-                return CheckResult(name, n, False, str(failed))
+    @wraps(fn)
+    def run(n: int, *args, **kwargs) -> CheckResult:
+        try:
+            return CheckResult(name, n, True, fn(n, *args, **kwargs))
+        except _Failed as failed:
+            return CheckResult(name, n, False, str(failed))
 
-        return run
-
-    return decorate
+    return run
 
 
 def _first(cases, ok):
@@ -146,7 +145,7 @@ def _sample_spinor(config: Config, r: random.Random, nterms: int = 2) -> SpinorV
 # ---------------------------------------------------------------- fock
 
 
-@_check("car-relations")
+@_check
 def check_car_relations(n: int) -> CheckResult:
     """create/annihilate anticommute among themselves; the mixed bracket
     is delta_ab times the identity.  Exhaustive on every basis vector."""
@@ -170,7 +169,7 @@ def check_car_relations(n: int) -> CheckResult:
     )
 
 
-@_check("h-eigenvalues")
+@_check
 def check_h_eigenvalues(n: int) -> CheckResult:
     """The number operator acts on a k-particle basis vector with
     eigenvalue k - n/2 and satisfies [H, e_a] = e_a, [H, i_a] = -i_a."""
@@ -197,7 +196,7 @@ def check_h_eigenvalues(n: int) -> CheckResult:
 # ------------------------------------------------------------ clifford
 
 
-@_check("q-isometry")
+@_check
 def check_q_isometry(n: int) -> CheckResult:
     """2^n g(alpha, beta) = Tr(transpose(Q(alpha)) Q(beta)) on wedge
     basis pairs: exhaustive for n <= 3, exhaustive up to grade 2 plus
@@ -239,7 +238,7 @@ def check_q_isometry(n: int) -> CheckResult:
     )
 
 
-@_check("pi-completeness")
+@_check
 def check_pi_completeness(n: int) -> CheckResult:
     """The grade projections sum to the identity: exhaustive on basis
     monomials for n <= 3, seeded sparse elements plus the structured
@@ -280,7 +279,7 @@ def check_pi_completeness(n: int) -> CheckResult:
     return "6 seeded sparse elements plus H and the grading element"
 
 
-@_check("eps-duality")
+@_check
 def check_eps_duality(n: int) -> CheckResult:
     """Multiplying by the grading element swaps complementary grades:
     projecting eps*c to grade 2n-k equals eps times the grade-k part of
@@ -323,7 +322,7 @@ def check_eps_duality(n: int) -> CheckResult:
 # --------------------------------------------------------------- norms
 
 
-@_check("norm-dimension")
+@_check
 def check_norm_dimension(n: int) -> CheckResult:
     """The defining system for the spinor norm has a one dimensional
     solution space; re-solved from scratch over all basis pairs."""
@@ -350,13 +349,13 @@ def _symmetry_check(form: BilinearForm, table: dict[int, tuple[int, int]]) -> st
     )
 
 
-@_check("plain-symmetry")
+@_check
 def check_plain_symmetry(n: int) -> CheckResult:
     """The spinor norm matches its n mod 4 symmetry and parity row."""
     return _symmetry_check(solve_spinor_norm(_config(n)), PLAIN_NORM_TABLE)
 
 
-@_check("graded-symmetry")
+@_check
 def check_graded_symmetry(n: int) -> CheckResult:
     """The graded norm matches its n mod 4 symmetry and parity row."""
     return _symmetry_check(
@@ -364,7 +363,7 @@ def check_graded_symmetry(n: int) -> CheckResult:
     )
 
 
-@_check("ck-invariance")
+@_check
 def check_ck_invariance(n: int) -> CheckResult:
     """Grade-k elements with k = 2, 3 (mod 4) are infinitesimal
     isometries of the norm: B(c.phi, psi) + B(phi, c.psi) = 0.
@@ -442,7 +441,7 @@ def check_ck_invariance(n: int) -> CheckResult:
 # ------------------------------------------------------------ pairings
 
 
-@_check("grade2-symmetry")
+@_check
 def check_grade2_symmetry(n: int) -> CheckResult:
     """The grade-2 pairing matches its n mod 4 symmetry sign and
     vanishes off its parity row: exhaustive on basis pairs for n <= 5,
@@ -479,7 +478,7 @@ def check_grade2_symmetry(n: int) -> CheckResult:
     return "520 seeded basis pairs with parity, plus 15 sparse pairs"
 
 
-@_check("top-symmetry")
+@_check
 def check_top_symmetry(n: int) -> CheckResult:
     """The top-grade coefficient is supported exactly on the
     antidiagonal and matches its n mod 4 symmetry sign; exhaustive over
@@ -522,7 +521,7 @@ def check_top_symmetry(n: int) -> CheckResult:
     )
 
 
-@_check("graded-pairing-symmetry")
+@_check
 def check_graded_pairing_symmetry(n: int) -> CheckResult:
     """The graded pairing matches its n mod 4 symmetry sign and its two
     components vanish off their complementary parity rows: exhaustive on
@@ -562,7 +561,7 @@ def check_graded_pairing_symmetry(n: int) -> CheckResult:
     return regime
 
 
-@_check("bracket-relations")
+@_check
 def check_bracket_relations(n: int, pairs: int = 1000) -> CheckResult:
     """The two vector-valued relations tying the grade-2 pairing, the
     orbit-map adjoint and the norm together:
@@ -623,7 +622,7 @@ def check_bracket_relations(n: int, pairs: int = 1000) -> CheckResult:
     return detail
 
 
-@_check("matrix-agreement")
+@_check
 def check_matrix_agreement(n: int, samples: int | None = None) -> CheckResult:
     """The closed-form basis matrix of the grade-2 pairing agrees with
     the four-sum route applied to basis vectors: exhaustive over all

@@ -2,10 +2,11 @@
 
 The Clifford-route oracles (the endomorphism pairing with its matrix units
 and vacuum projector, the dense Fock matrix, blades as elements and blade
-coordinates, the unnormalized grade-2 pairing, slot names), the four-sum
-taken one word at a time, the grading element's action on a spinor, the
-polarisation change of a basis-index triple and the e6 coefficient sweep
-are used only by the tests, so they live here rather than in the package.
+coordinates, the blade product and the literal grade projection, the
+unnormalized grade-2 pairing, slot names), the four-sum taken one word at
+a time, the grading element's action on a spinor, the polarisation change
+of a basis-index triple and the e6 coefficient sweep are used only by the
+tests, so they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from spinor_forge.clifford import (
     _blade_terms,
     act,
     multiply,
+    q_map,
+    slot_metric,
     witt_e,
     witt_i,
 )
@@ -145,6 +148,44 @@ def blade_to_elem(config: Config, bmask: int) -> CliffordElem:
     if not 0 <= bmask < 1 << (2 * config.n):
         raise ValueError(f"blade mask {bmask} out of range for n={config.n}")
     return CliffordElem._make(config, _blade_terms(bmask))
+
+
+_ODD_SLOTS = 0xAAAAAA  # slots 1, 3, ..., 23: the vectors of square -1
+
+
+def blade_mul(m1: int, m2: int) -> tuple[int, int]:
+    """Product of two orthonormal blades: (coefficient, blade mask).
+
+    Each pair of slots out of order costs a sign, and each shared slot
+    contracts to its metric, -1 on the odd slots.
+    """
+    odd = inversion_parity(m1, m2) + (m1 & m2 & _ODD_SLOTS).bit_count()
+    return (-1 if odd & 1 else 1), m1 ^ m2
+
+
+def blade_slots(n: int, bmask: int) -> tuple[int, ...]:
+    return tuple(s for s in range(2 * n) if (bmask >> s) & 1)
+
+
+def project_by_products(x: CliffordElem, k: int) -> CliffordElem:
+    """grade_project by the literal trace formula: each kept blade built
+    by q_map and added as an element, every sign and metric factor of
+    the formula evaluated as written (they cancel in grade_project)."""
+    config = x.config
+    field = config.field
+    out = CliffordElem.zero(config)
+    for bmask, cb in sorted(to_blades(x).items()):
+        if bmask.bit_count() != k:
+            continue
+        gpref = 1
+        for s in blade_slots(config.n, bmask):
+            gpref *= slot_metric(s)
+        rev_sign = -1 if (k * (k - 1) // 2) & 1 else 1
+        square_coeff, _ = blade_mul(bmask, bmask)
+        tr = cb * field.from_int(rev_sign * square_coeff * config.size)
+        scalar = field.from_fraction(1, config.size) * field.from_int(gpref) * tr
+        out = out + q_map(config, blade_slots(config.n, bmask)).scale(scalar)
+    return out
 
 
 def to_endomorphism_matrix(x: CliffordElem) -> list[list[Scalar]]:

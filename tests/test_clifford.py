@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from spinor_forge.clifford import (
     CliffordElem,
     act,
-    blade_mul,
     commutator,
     grade_project,
     grade_projections,
@@ -39,8 +38,11 @@ from spinor_forge.field import PrimeField, Rationals
 from spinor_forge.fock import Config, SpinorVec, inversion_parity
 
 from .helpers import (
+    blade_mul,
+    blade_slots,
     blade_to_elem,
     epsilon_action,
+    project_by_products,
     rand_elem,
     rand_scalar,
     rand_spinor,
@@ -508,33 +510,7 @@ class TestGradeProjection:
             assert commutator(q_map(c, (s1, s2)), eps).is_zero()
 
 
-# The routes the closed-form blade expansion and the one-pass projection
-# replaced, kept here as oracles: each blade is the literal product
-# `q_map`, and the projection adds one scaled blade element per kept blade.
-
-
-def blade_slots(n: int, bmask: int) -> tuple[int, ...]:
-    return tuple(s for s in range(2 * n) if (bmask >> s) & 1)
-
-
-def project_by_products(x: CliffordElem, k: int) -> CliffordElem:
-    """grade_project with each kept blade built by q_map and added as an
-    element, every factor of the trace formula taken as written."""
-    config = x.config
-    field = config.field
-    out = CliffordElem.zero(config)
-    for bmask, cb in sorted(to_blades(x).items()):
-        if bmask.bit_count() != k:
-            continue
-        gpref = 1
-        for s in blade_slots(config.n, bmask):
-            gpref *= slot_metric(s)
-        rev_sign = -1 if (k * (k - 1) // 2) & 1 else 1
-        square_coeff, _ = blade_mul(bmask, bmask)
-        tr = cb * field.from_int(rev_sign * square_coeff * config.size)
-        scalar = field.from_fraction(1, config.size) * field.from_int(gpref) * tr
-        out = out + q_map(config, blade_slots(config.n, bmask)).scale(scalar)
-    return out
+# The route the one-pass transpose replaced, kept here as its oracle.
 
 
 def transpose_by_copies(x: CliffordElem) -> CliffordElem:
@@ -576,6 +552,19 @@ class TestClosedFormBlades:
             for k, part in enumerate(parts):
                 assert part == grade_project(x, k)
                 assert part == project_by_products(x, k)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_trace_formula_factors_cancel(self, n):
+        # grade_project drops the metric prefactor, the reversal sign and
+        # the blade's square, whose product is 1 on every blade
+        for bmask in range(1 << (2 * n)):
+            k = bmask.bit_count()
+            gpref = 1
+            for s in blade_slots(n, bmask):
+                gpref *= slot_metric(s)
+            rev_sign = -1 if (k * (k - 1) // 2) & 1 else 1
+            square_coeff, square = blade_mul(bmask, bmask)
+            assert (gpref * rev_sign * square_coeff, square) == (1, 0), bmask
 
     @pytest.mark.parametrize("field", [Q, F7], ids=["q", "fp7"])
     def test_transpose_matches_copying_route(self, field):

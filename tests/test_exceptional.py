@@ -1043,6 +1043,13 @@ class TestKillingForm:
         _, rank = killing_form(e7)
         assert rank == 133
 
+    def test_e8_killing_vanishes_over_f5(self):
+        # the Killing form is 2h^v = 60 times the normalised invariant form
+        # of e8, so over F_5 it is zero although the table is a Lie algebra
+        L = build_e8(field=PrimeField(5))
+        assert verify_jacobi(L)
+        assert killing_form(L)[1] == 0
+
     def test_ad_invariance_sampled(self, e6):
         mat, _ = killing_form(e6)
         r = rng(31)
@@ -1281,6 +1288,25 @@ class TestIndependence:
         }
         assert from_exceptional == {"run_checks", "to_json"}
 
+
+    def test_only_lie_algebra_touches_its_table(self):
+        # no code outside the LieAlgebra class body reads or writes the
+        # stored table or the bracket function
+        src = Path(exceptional_mod.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            inside = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef) and node.name == "LieAlgebra":
+                    inside.update(id(sub) for sub in ast.walk(node))
+            touches = [
+                (path.name, node.lineno)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr in ("_table", "_fn")
+                and id(node) not in inside
+            ]
+            assert not touches
 
 class TestFormRobustness:
     def test_doubled_norm_same_algebra_class(self):

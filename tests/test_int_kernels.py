@@ -42,6 +42,7 @@ from spinor_forge.fock import (
 from spinor_forge.norms import BilinearForm, b_eval, graded_norm, solve_spinor_norm
 from spinor_forge.pairings import (
     _adjoint_after_move,
+    _slot_move,
     _four_sum_elements,
     _four_sum_words,
     _l2_coords,
@@ -742,6 +743,24 @@ class TestOnePassKernels:
                 assert got.terms == o_grade2_pairing(form, psi1.terms, psi2.terms)
                 nonzero_seen += not got.is_zero()
         assert nonzero_seen
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
+@pytest.mark.parametrize("n", range(1, 7))
+def test_slot_move_is_the_one_surviving_witt_term(n, field):
+    # E_slot = e_a +- i_a: of its two Witt terms, applied by apply_monomial,
+    # exactly one survives on e_M.v, with _slot_move's mask and sign
+    config = Config(n, field)
+    for slot in range(2 * n):
+        terms = orthonormal_vector(config, slot).terms.items()
+        for mask in range(config.size):
+            hits = [
+                (hit[1], field.from_int(hit[0]) * c)
+                for (emask, imask), c in terms
+                if (hit := apply_monomial(emask, imask, mask)) is not None
+            ]
+            odd, new = _slot_move(mask, slot)
+            assert hits == [(new, field.from_int(-1 if odd & 1 else 1))], (slot, mask)
 
 
 def test_adjoint_after_move_rejects_bad_input():
