@@ -18,16 +18,20 @@ the kernels compute on those ints alone, with integer signs on the
 masks, build each result through one private constructor that brings it
 to canonical form, and turn numbers into field scalars only at the
 public boundary (`terms`, `get`, `items`, the returned traces).  The
-product of two monomials is Wick's theorem in closed form (see `_wick`):
-contracting i_B against e_C over each subset S of B n C leaves one
-signed monomial, whose sign is a sum of popcount parities.
-`trace_product` runs the same closed form but keeps only the diagonal
-outputs, so Tr(xy) never builds xy.  `vector_commutator` gives [x, E_s]
-for an even x and an orthonormal vector in closed form, one contraction
-per term, with `commutator` as its test oracle.  `_blade_ints` expands a
-monomial with integer coefficients over one common power of two, and
-`_blade_terms` expands an orthonormal blade back into monomials block by
-block.
+product of two monomials is Wick's theorem in closed form, and one walk,
+`_wick`, writes it: contracting i_B against e_C over each subset S of
+B n C leaves one signed monomial, whose sign is a sum of popcount
+parities.  `multiply` and `commutator` run it on all term pairs,
+`transpose` on i_B . e_A for each reversed term, and `trace_product` on
+the term pairs whose contractions are diagonal, so Tr(xy) never builds
+xy.  `vector_commutator` gives [x, E_s] for an even x and an orthonormal
+vector in closed form, one contraction per term, with `commutator` as
+its test oracle.  `_blade_ints` expands a monomial with integer
+coefficients over one common power of two, and `_blade_terms`, the one
+blade constructor, expands an orthonormal blade back into monomials
+block by block: `q_map`, `grading_element` (the top blade) and the grade
+projections all build their blades from it.  The tests keep the
+vector-by-vector products as its oracle.
 
 An orthonormal basis is derived from the Witt basis by E_{2a-1} = e_a + i_a
 (square +1) and E_{2a} = e_a - i_a (square -1).  Internally these 2n vectors
@@ -38,7 +42,7 @@ match the ordered orthonormal basis used by the grade projection.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .field import Scalar
 from .fock import (
@@ -113,12 +117,21 @@ def witt_i(config: Config, a: int) -> CliffordElem:
     return CliffordElem.monomial(config, 0, 1 << (a - 1))
 
 
-def _wick(acc: dict[Monomial, int], xs: dict, ys: dict, flip: int) -> None:
-    """acc += (-1)^flip times the product of the int term maps xs and ys.
+def _y_terms(ys: dict[Monomial, int]) -> list[tuple[int, ...]]:
+    """(C, D, prefix parities of C and D, c_y) for each term c_y e_C i_D."""
+    return [(c, d, prefix_parity(c), prefix_parity(d), v) for (c, d), v in ys.items()]
 
-    Wick's theorem in closed form.  For an x-term c_x e_A i_B and a
-    y-term c_y e_C i_D, each subset S of B n C (the i factors contracted
-    against matching e factors) gives, with B' = B - S and C' = C - S,
+
+def _wick(
+    acc: dict[Monomial, int], xs: Iterable, ys: list[tuple[int, ...]], flip: int
+) -> None:
+    """acc += (-1)^flip times the product of the x-terms ((A, B), c_x) of
+    xs and the y-terms of ys (see `_y_terms`).
+
+    Wick's theorem in closed form, and the one walk over its contractions.
+    For an x-term c_x e_A i_B and a y-term c_y e_C i_D, each subset S of
+    B n C (the i factors contracted against matching e factors) gives,
+    with B' = B - S and C' = C - S,
 
         (-1)^sigma c_x c_y e_{A u C'} i_{B' u D},
 
@@ -129,15 +142,10 @@ def _wick(acc: dict[Monomial, int], xs: dict, ys: dict, flip: int) -> None:
 
     and inv(L, H) = #{x in L, y in H : y < x} (`inversion_parity`).  The
     first four terms normal-order i_B e_C, the last two merge the e and i
-    blocks.  inv(A, C') is computed as inv(A, C) + inv(A, S), so with the
-    prefix parities of C and D taken once per y-term, the common case
-    B n C = {} (only S = {}) costs four popcounts.
+    blocks.  inv(A, C') is computed as inv(A, C) + inv(A, S), so the
+    common case B n C = {} (only S = {}) costs four popcounts.
     """
-    ys = [
-        (c, d, prefix_parity(c), prefix_parity(d), cy)
-        for (c, d), cy in ys.items()
-    ]
-    for (amask, bmask), cx in xs.items():
+    for (amask, bmask), cx in xs:
         for cmask, dmask, pc, pd, cy in ys:
             both = sub = bmask & cmask
             while True:
@@ -173,7 +181,7 @@ def multiply(x: CliffordElem, y: CliffordElem) -> CliffordElem:
     """
     x.config.check_same(y.config)
     acc: dict[Monomial, int] = {}
-    _wick(acc, x._num, y._num, 0)
+    _wick(acc, x._num.items(), _y_terms(y._num), 0)
     return CliffordElem._make(x.config, acc, x._den * y._den)
 
 
@@ -181,8 +189,8 @@ def commutator(x: CliffordElem, y: CliffordElem) -> CliffordElem:
     """xy - yx, both Wick products summed into one accumulator."""
     x.config.check_same(y.config)
     acc: dict[Monomial, int] = {}
-    _wick(acc, x._num, y._num, 0)
-    _wick(acc, y._num, x._num, 1)
+    _wick(acc, x._num.items(), _y_terms(y._num), 0)
+    _wick(acc, y._num.items(), _y_terms(x._num), 1)
     return CliffordElem._make(x.config, acc, x._den * y._den)
 
 
@@ -230,104 +238,43 @@ def transpose(x: CliffordElem) -> CliffordElem:
 
     Reversing e_A i_B gives the word i_B-reversed e_A-reversed; reversing
     inside a block of p anticommuting generators costs (-1)^(p(p-1)/2).
-    The word i_B e_A is then normal-ordered by the two-monomial case of
-    Wick's theorem (see `_wick`): each S in A n B contracts to the term
-
-        (-1)^(|B - S||A - S| + C(|S|, 2) + inv(B - S, S) + inv(S, A - S))
-            e_{A - S} i_{B - S},
-
-    which never vanishes, since the outer blocks of i_B e_A are empty.
+    The word i_B e_A is then normal-ordered by `_wick` with empty outer
+    blocks, whose contractions never vanish.
     """
     acc: dict[Monomial, int] = {}
     for (amask, bmask), c in x._num.items():
         p, q = amask.bit_count(), bmask.bit_count()
         rev = (p * (p - 1) >> 1) + (q * (q - 1) >> 1)
-        both = sub = amask & bmask
-        while True:
-            a_rest, b_rest = amask ^ sub, bmask ^ sub
-            sigma = rev + b_rest.bit_count() * a_rest.bit_count()
-            if sub:
-                k = sub.bit_count()
-                sigma += (
-                    (k * (k - 1) >> 1)
-                    + inversion_parity(b_rest, sub)
-                    + inversion_parity(sub, a_rest)
-                )
-            key = (a_rest, b_rest)
-            acc[key] = acc.get(key, 0) + (-c if sigma & 1 else c)
-            if not sub:
-                break
-            sub = (sub - 1) & both
+        _wick(acc, [((0, bmask), c)], [(amask, 0, 0, 0, 1)], rev)
     return CliffordElem._make(x.config, acc, x._den)
-
-
-def trace(x: CliffordElem) -> Scalar:
-    """Trace of the Fock action.
-
-    Off-diagonal monomials (emask != imask) move every basis vector, so
-    only diagonal monomials e_K i_K contribute.  e_K i_K fixes each of
-    the 2^(n-|K|) basis vectors e_M.v with K in M, with sign
-    (-1)^C(|K|, 2) (`apply_monomial` on M = K), and kills the others.
-    Summed on the int numerators and divided once.
-    """
-    n = x.config.n
-    total = 0
-    for (emask, imask), c in x._num.items():
-        if emask != imask:
-            continue
-        k = emask.bit_count()
-        term = c << (n - k)
-        total += -term if (k * (k - 1) >> 1) & 1 else term
-    return x.config.field.from_fraction(total, x._den)
 
 
 def trace_product(x: CliffordElem, y: CliffordElem) -> Scalar:
     """Tr(x y) without building the product.
 
-    Runs the Wick closed form of `_wick`, but keeps only the contractions
-    whose output monomial is diagonal, e_K i_K, each weighted as in
-    `trace` by (-1)^C(|K|, 2) 2^(n-|K|).  The term pair e_A i_B, e_C i_D
-    is skipped unless A u C = B u D: the output e_{A u C'} i_{B' u D} of
-    a contraction S is diagonal only if adding S to both sides gives
-    A u C = B u D.
+    Only diagonal monomials e_K i_K have a trace: e_K i_K fixes the
+    2^(n-|K|) basis vectors e_M.v with K in M, with sign (-1)^C(|K|, 2),
+    and kills the others.  A surviving contraction S of e_A i_B . e_C i_D
+    (see `_wick`) is diagonal exactly when A u C = B u D and S misses
+    A ^ D, and survival forces every index of B n C n (A ^ D) into S.  So
+    a term pair has either only diagonal contractions (A u C = B u D, and
+    B n C misses A ^ D) or none, and only the first kind is walked.
     """
     config = x.config
     config.check_same(y.config)
-    n = config.n
-    ys = [
-        (c, d, prefix_parity(c), prefix_parity(d), cy)
-        for (c, d), cy in y._num.items()
-    ]
-    total = 0
+    ys = _y_terms(y._num)
+    diagonal: dict[Monomial, int] = {}
     for (amask, bmask), cx in x._num.items():
-        for cmask, dmask, pc, pd, cy in ys:
-            if amask | cmask != bmask | dmask:
-                continue
-            both = sub = bmask & cmask
-            while True:
-                b_rest, c_rest = bmask ^ sub, cmask ^ sub
-                kmask = amask | c_rest
-                if kmask == b_rest | dmask and not (amask & c_rest or b_rest & dmask):
-                    k = kmask.bit_count()
-                    sigma = (
-                        (k * (k - 1) >> 1)
-                        + b_rest.bit_count() * c_rest.bit_count()
-                        + (amask & pc).bit_count()
-                        + (b_rest & pd).bit_count()
-                    )
-                    if sub:
-                        s = sub.bit_count()
-                        sigma += (
-                            (s * (s - 1) >> 1)
-                            + inversion_parity(b_rest, sub)
-                            + inversion_parity(sub, c_rest)
-                            + inversion_parity(amask, sub)
-                        )
-                    term = (cx * cy) << (n - k)
-                    total += -term if sigma & 1 else term
-                if not sub:
-                    break
-                sub = (sub - 1) & both
+        kept = []
+        for t in ys:
+            if amask | t[0] == bmask | t[1] and not bmask & t[0] & (amask ^ t[1]):
+                kept.append(t)
+        if kept:
+            _wick(diagonal, [((amask, bmask), cx)], kept, 0)
+    total = 0
+    for (kmask, _), c in diagonal.items():
+        k = kmask.bit_count()
+        total += (-c if (k * (k - 1) >> 1) & 1 else c) << (config.n - k)
     return config.field.from_fraction(total, x._den * y._den)
 
 
@@ -339,19 +286,16 @@ def slot_metric(slot: int) -> int:
 
 @lru_cache(maxsize=None)
 def orthonormal_vector(config: Config, slot: int) -> CliffordElem:
-    if not 0 <= slot < 2 * config.n:
-        raise ValueError(f"slot {slot} out of range for n={config.n}")
-    a = slot // 2 + 1
-    if slot & 1:
-        return witt_e(config, a) - witt_i(config, a)
-    return witt_e(config, a) + witt_i(config, a)
+    """E_slot = e_a + i_a (even slot) or e_a - i_a (odd slot), a blade."""
+    return q_map(config, (slot,))
 
 
 def q_map(config: Config, slots: tuple[int, ...] | list[int]) -> CliffordElem:
     """Clifford product of strictly ascending orthonormal basis vectors.
 
     For orthogonal arguments the exterior-to-Clifford quantization is the
-    plain product, so these products are exactly the grade-k basis.
+    plain product, so these products are exactly the grade-k basis.  The
+    product is expanded in closed form by `_blade_terms`.
     """
     slots = tuple(slots)
     for s in slots:
@@ -359,10 +303,7 @@ def q_map(config: Config, slots: tuple[int, ...] | list[int]) -> CliffordElem:
             raise ValueError(f"slot {s} out of range for n={config.n}")
     if any(s2 <= s1 for s1, s2 in zip(slots, slots[1:])):
         raise ValueError(f"slots must be strictly ascending, got {slots}")
-    out = CliffordElem.one(config)
-    for s in slots:
-        out = multiply(out, orthonormal_vector(config, s))
-    return out
+    return CliffordElem._make(config, _blade_terms(sum(1 << s for s in slots)))
 
 
 def _blade_ints(x: CliffordElem) -> tuple[dict[int, int], int]:
@@ -476,25 +417,19 @@ def grade_projections(x: CliffordElem) -> list[CliffordElem]:
 
 @lru_cache(maxsize=None)
 def grading_element(config: Config) -> CliffordElem:
-    """The product (i_1 - e_1)(i_1 + e_1)...(i_n - e_n)(i_n + e_n).
+    """The top blade E_1 E_1~ ... E_n E_n~, which is the product
+    (i_1 - e_1)(i_1 + e_1)...(i_n - e_n)(i_n + e_n).
 
     Acts as +1 on S_plus and -1 on S_minus, squares to 1, and is the
     top-grade volume element of the ordered orthonormal basis.
     """
-    out = CliffordElem.one(config)
-    for a in range(1, config.n + 1):
-        out = multiply(out, witt_i(config, a) - witt_e(config, a))
-        out = multiply(out, witt_i(config, a) + witt_e(config, a))
-    return out
+    return q_map(config, range(2 * config.n))
 
 
 @lru_cache(maxsize=None)
 def h_operator(config: Config) -> CliffordElem:
     """The grade-2 element (1/2) sum_a (e_a i_a - i_a e_a), the particle
-    number shifted by -n/2."""
-    half = config.field.from_fraction(1, 2)
-    out = CliffordElem.zero(config)
-    for a in range(1, config.n + 1):
-        ea, ia = witt_e(config, a), witt_i(config, a)
-        out = out + (multiply(ea, ia) - multiply(ia, ea)).scale(half)
-    return out
+    number shifted by -n/2: sum_a e_a i_a - n/2, as numerators over 2."""
+    num = {(1 << a, 1 << a): 2 for a in range(config.n)}
+    num[(0, 0)] = -config.n
+    return CliffordElem._make(config, num, 2)

@@ -792,11 +792,12 @@ def root_decomposition(L: LieAlgebra) -> RootDatum:
     except ValueError:
         raise ValueError("restricted Killing form is singular") from None
 
+    # ip(al, be) * den = al^T gram be, with gram = den * kinv an int matrix
+    den = lcm(*(c.denominator for row in kinv for c in row))
+    gram = [[int(c * den) for c in row] for row in kinv]
+
     def ip(al, be):
-        return sum(
-            Fraction(al[s]) * sum(kinv[s][t] * be[t] for t in range(r))
-            for s in range(r)
-        )
+        return sum(al[s] * sum(gram[s][t] * be[t] for t in range(r)) for s in range(r))
 
     positive = sorted(g for g in roots if _first_nonzero_positive(g))
     if 2 * len(positive) != len(roots):
@@ -818,10 +819,10 @@ def root_decomposition(L: LieAlgebra) -> RootDatum:
     for al in simple:
         row = []
         for be in simple:
-            val = 2 * ip(al, be) / ip(be, be)
-            if val.denominator != 1:
+            val, rem = divmod(2 * ip(al, be), ip(be, be))
+            if rem:
                 raise ValueError("non-integral Cartan matrix entry")
-            row.append(int(val))
+            row.append(val)
         cartan_matrix.append(tuple(row))
     for i in range(r):
         if cartan_matrix[i][i] != 2:
@@ -841,7 +842,7 @@ def root_decomposition(L: LieAlgebra) -> RootDatum:
         cartan_matrix=tuple(cartan_matrix),
         rank=r,
         type_name=_dynkin_type(cartan_matrix),
-        root_norms=frozenset(ip(g, g) for g in roots),
+        root_norms=frozenset(Fraction(ip(g, g), den) for g in roots),
     )
 
 

@@ -1,8 +1,9 @@
 """Deterministic random generators and Clifford-route oracles shared by the tests.
 
 The Clifford-route oracles (the endomorphism pairing with its matrix units
-and vacuum projector, the dense Fock matrix, blades as elements and blade
-coordinates, the blade product and the literal grade projection, the
+and vacuum projector, the dense Fock matrix, the trace, blades as elements
+and blade coordinates, blades, the grading element and H built as
+products, the blade product and the literal grade projection, the
 unnormalized grade-2 pairing, slot names), the four-sum taken one word at
 a time, the grading element's action on a spinor, the polarisation change
 of a basis-index triple and the e6 coefficient sweep are used only by the
@@ -23,7 +24,6 @@ from spinor_forge.clifford import (
     _blade_terms,
     act,
     multiply,
-    q_map,
     slot_metric,
     witt_e,
     witt_i,
@@ -139,11 +139,65 @@ def slot_str(slot: int) -> str:
     return f"E{a}~" if slot & 1 else f"E{a}"
 
 
+def trace(x: CliffordElem) -> Scalar:
+    """Trace of the Fock action, the oracle of `trace_product`.
+
+    Off-diagonal monomials (emask != imask) move every basis vector, so
+    only diagonal monomials e_K i_K contribute.  e_K i_K fixes each of
+    the 2^(n-|K|) basis vectors e_M.v with K in M, with sign
+    (-1)^C(|K|, 2) (`apply_monomial` on M = K), and kills the others.
+    Summed on the int numerators and divided once.
+    """
+    n = x.config.n
+    total = 0
+    for (emask, imask), c in x._num.items():
+        if emask != imask:
+            continue
+        k = emask.bit_count()
+        term = c << (n - k)
+        total += -term if (k * (k - 1) >> 1) & 1 else term
+    return x.config.field.from_fraction(total, x._den)
+
+
+def q_map_by_products(config: Config, slots) -> CliffordElem:
+    """q_map as the Clifford product of its orthonormal vectors, one at a
+    time, each vector written as e_a + i_a (even slot) or e_a - i_a (odd
+    slot)."""
+    out = CliffordElem.one(config)
+    for s in slots:
+        a = s // 2 + 1
+        if s & 1:
+            vec = witt_e(config, a) - witt_i(config, a)
+        else:
+            vec = witt_e(config, a) + witt_i(config, a)
+        out = multiply(out, vec)
+    return out
+
+
+def grading_element_by_products(config: Config) -> CliffordElem:
+    """The product (i_1 - e_1)(i_1 + e_1)...(i_n - e_n)(i_n + e_n)."""
+    out = CliffordElem.one(config)
+    for a in range(1, config.n + 1):
+        out = multiply(out, witt_i(config, a) - witt_e(config, a))
+        out = multiply(out, witt_i(config, a) + witt_e(config, a))
+    return out
+
+
+def h_by_multiply(config: Config) -> CliffordElem:
+    """(1/2) sum_a (e_a i_a - i_a e_a), each product by `multiply`."""
+    half = config.field.from_fraction(1, 2)
+    out = CliffordElem.zero(config)
+    for a in range(1, config.n + 1):
+        ea, ia = witt_e(config, a), witt_i(config, a)
+        out = out + (multiply(ea, ia) - multiply(ia, ea)).scale(half)
+    return out
+
+
 def blade_to_elem(config: Config, bmask: int) -> CliffordElem:
     """The orthonormal blade `bmask` (bit s set for slot s) as an element.
 
-    Equal to q_map of its ascending slots, expanded in closed form by
-    `_blade_terms` instead of as a product of vectors.
+    q_map of its ascending slots, addressed by mask: both expand the
+    blade in closed form by `_blade_terms`.
     """
     if not 0 <= bmask < 1 << (2 * config.n):
         raise ValueError(f"blade mask {bmask} out of range for n={config.n}")
@@ -169,8 +223,9 @@ def blade_slots(n: int, bmask: int) -> tuple[int, ...]:
 
 def project_by_products(x: CliffordElem, k: int) -> CliffordElem:
     """grade_project by the literal trace formula: each kept blade built
-    by q_map and added as an element, every sign and metric factor of
-    the formula evaluated as written (they cancel in grade_project)."""
+    by `q_map_by_products` and added as an element, every sign and metric
+    factor of the formula evaluated as written (they cancel in
+    grade_project)."""
     config = x.config
     field = config.field
     out = CliffordElem.zero(config)
@@ -184,7 +239,8 @@ def project_by_products(x: CliffordElem, k: int) -> CliffordElem:
         square_coeff, _ = blade_mul(bmask, bmask)
         tr = cb * field.from_int(rev_sign * square_coeff * config.size)
         scalar = field.from_fraction(1, config.size) * field.from_int(gpref) * tr
-        out = out + q_map(config, blade_slots(config.n, bmask)).scale(scalar)
+        blade = q_map_by_products(config, blade_slots(config.n, bmask))
+        out = out + blade.scale(scalar)
     return out
 
 

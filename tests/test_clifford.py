@@ -28,7 +28,6 @@ from spinor_forge.clifford import (
     orthonormal_vector,
     q_map,
     slot_metric,
-    trace,
     transpose,
     vector_commutator,
     witt_e,
@@ -42,7 +41,10 @@ from .helpers import (
     blade_slots,
     blade_to_elem,
     epsilon_action,
+    grading_element_by_products,
+    h_by_multiply,
     project_by_products,
+    q_map_by_products,
     rand_elem,
     rand_scalar,
     rand_spinor,
@@ -50,6 +52,7 @@ from .helpers import (
     slot_str,
     to_blades,
     to_endomorphism_matrix,
+    trace,
 )
 
 F7 = PrimeField(7)
@@ -325,7 +328,7 @@ class TestOrthonormalBasis:
     def test_volume_is_full_product(self):
         for n in (1, 2, 3):
             c = cfg(n)
-            assert grading_element(c) == q_map(c, tuple(range(2 * n)))
+            assert grading_element(c) == q_map_by_products(c, tuple(range(2 * n)))
 
 
 class TestBlades:
@@ -533,7 +536,16 @@ class TestClosedFormBlades:
     def test_blade_to_elem_matches_q_map_every_blade(self, n, field):
         c = Config(n, field)
         for bmask in range(1 << (2 * n)):
-            assert blade_to_elem(c, bmask) == q_map(c, blade_slots(n, bmask)), bmask
+            slots = blade_slots(n, bmask)
+            want = q_map_by_products(c, slots)
+            assert blade_to_elem(c, bmask) == q_map(c, slots) == want, bmask
+
+    @pytest.mark.parametrize("field", [Q, F7], ids=["q", "fp7"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_grading_element_and_h_match_products(self, n, field):
+        c = Config(n, field)
+        assert grading_element(c) == grading_element_by_products(c)
+        assert h_operator(c) == h_by_multiply(c)
 
     def test_blade_mask_range_checked(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -1308,6 +1308,36 @@ class TestIndependence:
             ]
             assert not touches
 
+    def test_clifford_constructions_written_once(self):
+        # one function walks the contraction subsets with the step
+        # (sub - 1) & ..., and the blade constructors call no multiply
+        path = Path(exceptional_mod.__file__).parent / "clifford.py"
+        tree = ast.parse(path.read_text())
+        funcs = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+
+        def walks_subsets(fn):
+            return any(
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.BitAnd)
+                and isinstance(node.left, ast.BinOp)
+                and isinstance(node.left.op, ast.Sub)
+                and isinstance(node.left.right, ast.Constant)
+                and node.left.right.value == 1
+                for node in ast.walk(fn)
+            )
+
+        walkers = [name for name, fn in funcs.items() if walks_subsets(fn)]
+        assert walkers == ["_wick"]
+        for name in ("q_map", "grading_element", "h_operator"):
+            called = {
+                node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                for node in ast.walk(funcs[name])
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, (ast.Name, ast.Attribute))
+            }
+            assert "multiply" not in called, name
+
+
 class TestFormRobustness:
     def test_doubled_norm_same_algebra_class(self):
         config = Config(5)

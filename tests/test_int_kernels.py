@@ -24,7 +24,6 @@ from spinor_forge.clifford import (
     multiply,
     orthonormal_vector,
     q_map,
-    trace,
     trace_product,
     transpose,
 )
@@ -61,6 +60,7 @@ from .helpers import (
     grade2_pairing_per_word,
     rng,
     to_blades,
+    trace,
 )
 
 FIELDS = {"q": Rationals(), "fp7": PrimeField(7)}
@@ -571,6 +571,21 @@ def test_trace_product_every_transposed_blade_pair(field, n):
         for s2 in slots:
             want = o_trace(config, o_multiply(t1.terms, blades[s2].terms))
             assert trace_product(t1, blades[s2]) == want, (s1, s2)
+
+
+@pytest.mark.parametrize("field", list(FIELDS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_trace_product_every_monomial_pair(field, n):
+    # trace_product walks only the term pairs with A u C = B u D whose
+    # B n C misses A ^ D: every other pair has no diagonal contraction
+    config = Config(n, FIELDS[field])
+    one = config.field.one()
+    monos = [(a, b) for a in range(config.size) for b in range(config.size)]
+    for m1 in monos:
+        x = CliffordElem(config, {m1: one})
+        for m2 in monos:
+            want = o_trace(config, o_multiply({m1: one}, {m2: one}))
+            assert trace_product(x, CliffordElem(config, {m2: one})) == want, (m1, m2)
 
 
 # ----------------------------------------------------------- canonical form

@@ -15,7 +15,6 @@ from spinor_forge.clifford import (
     grading_element,
     multiply,
     orthonormal_vector,
-    q_map,
     slot_metric,
     witt_e,
     witt_i,
@@ -43,6 +42,7 @@ from .helpers import (
     endomorphism_pairing,
     grade2_pairing_projected,
     matrix_unit,
+    q_map_by_products,
     rand_spinor,
     rng,
     to_blades,
@@ -520,7 +520,7 @@ def four_sum_oracle(form, psi1, psi2) -> CliffordElem:
 
 def graded_pairing_oracle(gform, psi1, psi2) -> CliffordElem:
     """graded_pairing with each slot term as act, act and b_eval, and each
-    blade as q_map."""
+    blade as a product of vectors."""
     config = gform.config
     field = config.field
     out = CliffordElem.zero(config)
@@ -532,7 +532,8 @@ def graded_pairing_oracle(gform, psi1, psi2) -> CliffordElem:
             vt = orthonormal_vector(config, t)
             c = b_eval(gform, psi1, act(vt, act(vs, psi2)))
             g = slot_metric(s) * slot_metric(t)
-            out = out + q_map(config, (s, t)).scale(c * field.from_int(g))
+            blade = q_map_by_products(config, (s, t))
+            out = out + blade.scale(c * field.from_int(g))
     return out.scale(field.from_fraction(1, config.size))
 
 
