@@ -6,14 +6,14 @@ grading element where the construction calls for it, acting on a spinor
 module M.  The builders work on labels only and form no Clifford element:
 the spinor-spinor bracket is the paper's L_2 on a pair of basis spinors,
 written straight in grade-2 labels by its closed form (pairings._l2_coords,
-the package's one copy of that case table), plus the top-grade coefficient
-(pairings.basis_top_grade_coefficient) for e6; brackets inside the grade-2
-part come from the so(2n) table on labels (_c2_bracket), and the action of
-a grade-2 label on a spinor basis vector is one Fock move
-(pairings._c2_move).  The e7 bracket is written once, in _e7_chassis;
-its constants are solved from the Jacobi identity of that same bracket.
-The generic Clifford route (the four-sum pairing, commutators, act) is
-the test oracle.
+the package's one copy of that case table), plus the top-grade term for
+e6; brackets inside the grade-2 part come from the so(2n) table on labels
+(_c2_bracket), and a grade-2 label acts on a spinor basis vector by one
+Fock move (pairings._c2_move).  Every bracket is int numerators over one
+denominator per algebra, and no field scalar is formed.  The e7 bracket
+is written once, in _e7_chassis; its constants are solved from the
+Jacobi identity of that same bracket.  The generic Clifford route (the
+four-sum pairing, commutators, act) is the test oracle.
 
 The result of each builder is a LieAlgebra; the checks of the
 construction live in exceptional and use none of this module.
@@ -22,17 +22,16 @@ construction live in exceptional and use none of this module.
 from __future__ import annotations
 
 import random
-from math import gcd, lcm
-from typing import Callable, Optional
+from math import gcd
+from typing import Optional
 
-from .exceptional import LieAlgebra
+from .exceptional import Bracket, LieAlgebra
 from .field import Field, Rationals, Scalar
 from .fock import Config, parity
 from .linalg import nullspace
 from .norms import BilinearForm, solve_spinor_norm
-from .pairings import Label, _c2_move, _l2_coords, basis_top_grade_coefficient
+from .pairings import Label, _b_num, _c2_move, _l2_coords
 
-Bracket = Callable[[Label, Label], dict[Label, Scalar]]
 SPINOR_N = {"e6": 5, "e7": 6, "e8": 8}  # the n of each construction's form=
 
 
@@ -63,8 +62,9 @@ def _builder_setup(
     return config, form
 
 
-def _c2_bracket(field: Field, la: Label, lb: Label) -> dict[Label, Scalar]:
-    """[la, lb] for grade-2 labels, read off the so(2n) table.
+def _c2_bracket(la: Label, lb: Label, half: int) -> dict[Label, int]:
+    """[la, lb] for grade-2 labels as int numerators over 2 half, read off
+    the so(2n) table.
 
     With F_ab = 2 e_a i_b - delta_ab, E_ab = e_a e_b and I_ab = i_a i_b
     (E and I antisymmetric in their indices, zero on a = b), the Witt
@@ -79,7 +79,7 @@ def _c2_bracket(field: Field, la: Label, lb: Label) -> dict[Label, Scalar]:
     """
     ka, kb = la[0], lb[0]
     if (ka != "ei" and kb == "ei") or (ka, kb) == ("ii", "ee"):
-        return {lab: -c for lab, c in _c2_bracket(field, lb, la).items()}
+        return {lab: -c for lab, c in _c2_bracket(lb, la, half).items()}
     _, a, b = la
     _, c, d = lb
     if ka == "ei":
@@ -89,6 +89,7 @@ def _c2_bracket(field: Field, la: Label, lb: Label) -> dict[Label, Scalar]:
             terms = ((b == c, 2, "ee", a, d), (b == d, -2, "ee", a, c))
         else:
             terms = ((a == c, 2, "ii", d, b), (a == d, -2, "ii", c, b))
+        half *= 2  # integer coefficients, where E-I brackets carry a half
     elif ka == kb:
         return {}
     else:
@@ -105,14 +106,13 @@ def _c2_bracket(field: Field, la: Label, lb: Label) -> dict[Label, Scalar]:
         if kind != "ei" and x > y:
             x, y, k = y, x, -k
         coeffs[(kind, x, y)] = coeffs.get((kind, x, y), 0) + k
-    if ka == "ee":
-        return {lab: field.from_fraction(k, 2) for lab, k in coeffs.items() if k}
-    return {lab: field.from_int(k) for lab, k in coeffs.items() if k}
+    return {lab: k * half for lab, k in coeffs.items() if k}
 
 
 def _graded_algebra(
     name: str,
     config: Config,
+    den: int,
     extra: list[Label],
     module: list[Label],
     pair: Bracket,
@@ -126,13 +126,14 @@ def _graded_algebra(
     module label (kind, mask, ...) by one Fock move on the mask, keeping
     the rest of the label.  [m, x] = -[x, m] for m in M and x in g0, and
     [m, m'] = pair(m, m').  extra_bracket takes the g0 pairs that hold an
-    extra label, extra_act an extra label acting on a module label.
+    extra label, extra_act an extra label acting on a module label.  Every
+    bracket is int numerators over den, an even number.
     """
-    field = config.field
+    half = den // 2
     module_kinds = {lab[0] for lab in module}
     extra_kinds = {lab[0] for lab in extra}
 
-    def fn(la: Label, lb: Label) -> dict[Label, Scalar]:
+    def fn(la: Label, lb: Label) -> dict[Label, int]:
         ka, kb = la[0], lb[0]
         ma, mb = ka in module_kinds, kb in module_kinds
         if ma and mb:
@@ -140,17 +141,17 @@ def _graded_algebra(
         if not (ma or mb):
             if ka in extra_kinds or kb in extra_kinds:
                 return extra_bracket(la, lb)
-            return _c2_bracket(field, la, lb)
+            return _c2_bracket(la, lb, half)
         x, m = (lb, la) if ma else (la, lb)
         if x[0] in extra_kinds:
             out = extra_act(x, m)
             return {lab: -c for lab, c in out.items()} if ma else out
-        hit = _c2_move(field, x, m[1])
+        hit = _c2_move(x, m[1])
         if hit is None:
             return {}
-        return {(m[0], hit[0]) + m[2:]: -hit[1] if ma else hit[1]}
+        return {(m[0], hit[0]) + m[2:]: -hit[1] * den if ma else hit[1] * den}
 
-    return LieAlgebra(name, config, c2_labels(config.n) + extra + module, fn)
+    return LieAlgebra(name, config, c2_labels(config.n) + extra + module, fn, den)
 
 
 def build_e8(
@@ -171,10 +172,10 @@ def build_e8(
     want = 0 if half == "+" else 1
     module = [("s", m) for m in range(config.size) if parity(m) == want]
 
-    def pair(la: Label, lb: Label) -> dict[Label, Scalar]:
+    def pair(la: Label, lb: Label) -> dict[Label, int]:
         return _l2_coords(form, la[1], lb[1])
 
-    return _graded_algebra("e8", config, [], module, pair)
+    return _graded_algebra("e8", config, 2 * form._den, [], module, pair)
 
 
 # sl2 = span(h, e, f) with [h,e] = 2e, [h,f] = -2f, [e,f] = h, acting on
@@ -210,45 +211,38 @@ def _jacobi_sum(L: LieAlgebra, x: int, y: int, z: int) -> dict[int, Scalar]:
     return out
 
 
-def _normalize_pair(field: Field, vec: list[Scalar]) -> tuple[Scalar, Scalar]:
-    a, b = vec
-    if field.characteristic == 0:
-        den = lcm(a.denominator, b.denominator)
-        ai, bi = int(a * den), int(b * den)
-        g = gcd(ai, bi)
-        if g:
-            ai, bi = ai // g, bi // g
-        if ai < 0 or (ai == 0 and bi < 0):
-            ai, bi = -ai, -bi
-        return field.from_int(ai), field.from_int(bi)
-    lead = a if a else b
-    return a / lead, b / lead
+def _normalize_pair(field: Field, vec: list[Scalar]) -> tuple[int, int]:
+    """vec scaled to lead 1, as residues over F_p and as the primitive int
+    pair over Q (one of the two scaled entries is 0 or 1)."""
+    a, b = (x / (vec[0] or vec[1]) for x in vec)
+    if field.characteristic:
+        return a.value, b.value
+    den = a.denominator * b.denominator
+    return int(a * den), int(b * den)
 
 
-def _e7_chassis(
-    config: Config, form: BilinearForm, c1: Scalar, c2: Scalar
-) -> LieAlgebra:
-    """e7 on the graded chassis with the spinor bracket constants (c1, c2)."""
-    field = config.field
+def _e7_chassis(config: Config, form: BilinearForm, c1: int, c2: int) -> LieAlgebra:
+    """e7 on the graded chassis with the int spinor bracket constants (c1, c2)."""
+    den = 2 * form._den
     evens = [m for m in range(config.size) if parity(m) == 0]
     module = [("s2", m, s) for m in evens for s in (0, 1)]
 
-    def pair(la: Label, lb: Label) -> dict[Label, Scalar]:
+    def pair(la: Label, lb: Label) -> dict[Label, int]:
         ma, sa = la[1], la[2]
         mb, sb = lb[1], lb[2]
-        coords: dict[Label, Scalar] = {}
+        coords: dict[Label, int] = {}
         w = _OMEGA.get((sa, sb))
         if w:
-            cw = c1 * field.from_int(w)
             for lab, c in _l2_coords(form, ma, mb).items():
-                coords[lab] = c * cw
-        bval = form.entry(ma, mb)
+                coords[lab] = c * c1 * w
+        # B's numerator is over form._den, half of den
+        bval = 2 * c2 * _b_num(form, ma, mb)
         if bval:
             for t, k in _SIGMA[(sa, sb)]:
-                coords[("sl2", t)] = c2 * bval * field.from_int(k)
+                coords[("sl2", t)] = bval * k
         return coords
 
-    def sl2_bracket(la: Label, lb: Label) -> dict[Label, Scalar]:
+    def sl2_bracket(la: Label, lb: Label) -> dict[Label, int]:
         if la[0] != lb[0]:
             # sl2 commutes with the grade-2 part
             return {}
@@ -257,21 +251,22 @@ def _e7_chassis(
             return {}
         entry = _SL2_TABLE.get((ta, tb))
         if entry is not None:
-            return {("sl2", t): field.from_int(k) for t, k in entry}
-        return {("sl2", t): field.from_int(-k) for t, k in _SL2_TABLE[(tb, ta)]}
+            return {("sl2", t): k * den for t, k in entry}
+        return {("sl2", t): -k * den for t, k in _SL2_TABLE[(tb, ta)]}
 
-    def slot_act(la: Label, lb: Label) -> dict[Label, Scalar]:
+    def slot_act(la: Label, lb: Label) -> dict[Label, int]:
         moves = _SL2_ACTION[la[1]].get(lb[2], ())
-        return {("s2", lb[1], s): field.from_int(k) for s, k in moves}
+        return {("s2", lb[1], s): k * den for s, k in moves}
 
     sl2 = [("sl2", t) for t in ("h", "e", "f")]
-    return _graded_algebra("e7", config, sl2, module, pair, sl2_bracket, slot_act)
+    return _graded_algebra("e7", config, den, sl2, module, pair, sl2_bracket, slot_act)
 
 
 def solve_e7_constants(
     field: Optional[Field] = None, form: Optional[BilinearForm] = None
-) -> tuple[Scalar, Scalar]:
-    """The e7 bracket constants (c1, c2), solved from sampled Jacobi triples.
+) -> tuple[int, int]:
+    """The e7 bracket constants (c1, c2) as ints, solved from sampled Jacobi
+    triples (residues over F_p).
 
     Same defaults as build_e7.  The cyclic Jacobi sum on 60 seeded triples
     of spinor-tensor basis vectors is read through the bracket that
@@ -282,8 +277,8 @@ def solve_e7_constants(
     downstream by verify_jacobi.
     """
     config, form = _builder_setup(SPINOR_N["e7"], field, form)
-    one, zero = config.field.one(), config.field.zero()
-    parts = (_e7_chassis(config, form, one, zero), _e7_chassis(config, form, zero, one))
+    zero = config.field.zero()
+    parts = (_e7_chassis(config, form, 1, 0), _e7_chassis(config, form, 0, 1))
     index = parts[0].index
     rnd = random.Random(20240801)
     evens = [m for m in range(config.size) if parity(m) == 0]
@@ -334,14 +329,18 @@ def build_e6(
 
         [psi1, psi2] = a * pairing(psi1, psi2) + b * top_pairing(psi1, psi2)
 
-    with (a, b) = spinor_coeffs, default (2, 96); Jacobi holds exactly on
-    the line b = 48a.
+    with (a, b) = spinor_coeffs, two ints (ValueError otherwise, before the
+    norm solve), default (2, 96); Jacobi holds exactly on the line b = 48a.
     """
+    if type(spinor_coeffs) is not tuple or list(map(type, spinor_coeffs)) != [int, int]:
+        raise ValueError(f"spinor_coeffs must be two ints, got {spinor_coeffs!r}")
     config, form = _builder_setup(SPINOR_N["e6"], field, form)
-    field_ = config.field
-    a_s = field_.from_int(spinor_coeffs[0])
-    b_s = field_.from_int(spinor_coeffs[1])
-    module = [("s", m) for m in range(config.size)]
+    a, b = spinor_coeffs
+    # a L_2 is over 2 form._den and b top over 2^n form._den: both go over
+    # den = 2 form._den m, with m the least for which 2^n divides 2 b m
+    m = config.size // gcd(config.size, 2 * b)
+    den, a, b = 2 * form._den * m, a * m, 2 * b * m // config.size
+    module = [("s", mask) for mask in range(config.size)]
 
     def centralizes(lab: Label) -> bool:
         # C = End(S), so eps commutes with lab iff lab's Fock move keeps
@@ -349,31 +348,29 @@ def build_e6(
         if lab[0] == "eps":
             return True
         for mask in range(config.size):
-            hit = _c2_move(field_, lab, mask)
+            hit = _c2_move(lab, mask)
             if hit is not None and parity(hit[0]) != parity(mask):
                 return False
         return True
 
-    def eps_bracket(la: Label, lb: Label) -> dict[Label, Scalar]:
+    def eps_bracket(la: Label, lb: Label) -> dict[Label, int]:
         if not (centralizes(la) and centralizes(lb)):
             raise RuntimeError(
                 "grading element failed to centralize the grade-2 part"
             )
         return {}
 
-    def parity_act(la: Label, lb: Label) -> dict[Label, Scalar]:
+    def parity_act(la: Label, lb: Label) -> dict[Label, int]:
         # eps e_M.v = (-1)^|M| e_M.v
-        return {lb: field_.from_int(-1 if parity(lb[1]) else 1)}
+        return {lb: -den if parity(lb[1]) else den}
 
-    def pair(la: Label, lb: Label) -> dict[Label, Scalar]:
-        coords: dict[Label, Scalar] = {
-            lab: c * a_s for lab, c in _l2_coords(form, la[1], lb[1]).items()
-        }
-        top = basis_top_grade_coefficient(form, la[1], lb[1])
+    def pair(la: Label, lb: Label) -> dict[Label, int]:
+        coords = {lab: c * a for lab, c in _l2_coords(form, la[1], lb[1]).items()}
+        top = _b_num(form, la[1], lb[1])
         if top:
-            coords[("eps",)] = top * b_s
+            coords[("eps",)] = -top * b if parity(lb[1]) else top * b
         return coords
 
     return _graded_algebra(
-        "e6", config, [("eps",)], module, pair, eps_bracket, parity_act
+        "e6", config, den, [("eps",)], module, pair, eps_bracket, parity_act
     )

@@ -1,16 +1,15 @@
 """Structure-constant tables of Lie algebras and their exact verifiers.
 
 A LieAlgebra is a labeled basis, a bracket function on label pairs, and a
-sparse structure-constant table memoized per unordered pair.  The e6, e7
-and e8 constructions that supply the bracket functions live in builders;
-this module checks whatever table it is given and imports none of the
+sparse table of int numerators over one denominator L.den, filled once
+per unordered pair; the checks read those ints.  The e6, e7 and e8
+constructions that supply the bracket functions live in builders; this
+module checks whatever table it is given and imports none of the
 construction code (no norms, pairings, clifford or builders), so the
-checks stay independent of what they check.  Each bracket enters the
-table once: verify_antisymmetry hands the results it computes to the
-table, so a later sweep does not evaluate them again.
+checks stay independent of what they check.
 
 Verification is numeric and exact: the Jacobi identity is checked as the
-matrix identity ad([x,y]) = [ad x, ad y] over integer lifts, the Killing
+matrix identity ad([x,y]) = [ad x, ad y] on the int numerators, the Killing
 form and its rank certify semisimplicity, the degree-zero span of the
 spinor brackets is ranked, and the root decomposition recovers the Dynkin
 type from scratch.  The Jacobi engine works in groups: a left index l
@@ -30,6 +29,7 @@ import copy
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
 from time import perf_counter
@@ -43,6 +43,7 @@ from .linalg import IncrementalRank, echelon_rank, inverse, rank_mod_p
 
 # A basis label: (kind, *fields), e.g. ("ei", 1, 2) or ("s", mask).
 Label = tuple
+Bracket = Callable[[Label, Label], dict[Label, int]]  # int numerators over den
 
 
 def label_str(label: Label) -> str:
@@ -81,23 +82,22 @@ def _check_pair(i, j, n: int) -> None:
 class LieAlgebra:
     """A Lie algebra with labeled basis and lazily computed sparse brackets.
 
-    Structure constants come from fn(label_a, label_b) -> {label: scalar}
-    on first use; only the i < j entry is stored and the flipped order is
-    resolved by a sign, so the stored table is antisymmetric by
-    construction (verify_antisymmetry checks fn itself).  Each entry is
-    stored once and never replaced, so every bracket is evaluated at most
-    once into the table, and the engine built from the complete table is
-    kept for every later Jacobi or Killing call.
+    fn(label_a, label_b) -> {label: int} gives int numerators over den.
+    The table stores sorted (k, numerator) int pairs over self.den: den
+    over Q; 1 over F_p, each numerator the residue of num / den in
+    [1, p).  Only the i < j entry is stored and the flipped order is its
+    negation, so the table is antisymmetric by construction
+    (verify_antisymmetry checks fn itself).  Each entry is stored once
+    and never replaced, so every bracket is evaluated at most once into
+    the table, and the engine built from the complete table is kept for
+    every later Jacobi or Killing call.  evaluated counts calls of fn.
     """
 
-    __slots__ = ("name", "config", "basis", "index", "_fn", "_table", "_engine")
+    __slots__ = ("name", "config", "basis", "index", "den", "evaluated", "_fn", "_unit",
+                 "_table", "_engine")
 
     def __init__(
-        self,
-        name: str,
-        config: Config,
-        basis: list[Label],
-        fn: Callable[[Label, Label], dict[Label, Scalar]],
+        self, name: str, config: Config, basis: list[Label], fn: Bracket, den: int
     ) -> None:
         self.name = name
         self.config = config
@@ -105,20 +105,29 @@ class LieAlgebra:
         self.index = {lab: i for i, lab in enumerate(self.basis)}
         if len(self.index) != len(self.basis):
             raise ValueError("duplicate basis labels")
+        p = config.field.characteristic
+        self.den = 1 if p else den
+        self.evaluated = 0
         self._fn = fn
-        self._table: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
+        self._unit = pow(den, -1, p) if p else 1
+        self._table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         self._engine: Optional[_AdjointProducts] = None
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def raw_bracket(self, la: Label, lb: Label) -> dict[Label, Scalar]:
-        """fn evaluated directly, zero coefficients dropped, unmemoized."""
-        return {lab: c for lab, c in self._fn(la, lb).items() if c}
+    def raw_bracket(self, la: Label, lb: Label) -> dict[Label, int]:
+        """fn evaluated directly in the table's form (residues over F_p),
+        zeros dropped, unmemoized."""
+        self.evaluated += 1
+        out, p, unit = self._fn(la, lb), self.config.field.characteristic, self._unit
+        if p:
+            return {lab: r for lab, c in out.items() if (r := c * unit % p)}
+        return {lab: c for lab, c in out.items() if c}
 
-    def bracket(self, i: int, j: int) -> tuple[tuple[int, Scalar], ...]:
-        """[b_i, b_j] as ((k, coefficient), ...) ascending in k."""
+    def numerators(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
+        """[b_i, b_j] as ((k, numerator over den), ...) ascending in k."""
         key = (i, j) if i < j else (j, i)
         got = self._table.get(key)
         if got is None:
@@ -129,16 +138,18 @@ class LieAlgebra:
                 return ()
             coords = self.raw_bracket(self.basis[lo], self.basis[hi])
             got = self.remember(lo, hi, coords)
-        return got if i <= j else tuple((k, -c) for k, c in got)
+        p = self.config.field.characteristic  # p - c: -c over Q, canonical over F_p
+        return got if i <= j else tuple((k, p - c) for k, c in got)
 
-    def remember(self, i: int, j: int, coords: dict[Label, Scalar]) -> tuple:
-        """Store coords = raw_bracket(b_i, b_j), i < j, unless [b_i, b_j] is stored.
+    def bracket(self, i: int, j: int) -> tuple[tuple[int, Scalar], ...]:
+        """[b_i, b_j] as ((k, field scalar), ...) ascending in k."""
+        scalar, den = self.config.field.from_fraction, self.den
+        return tuple((k, scalar(c, den)) for k, c in self.numerators(i, j))
 
-        For callers that have already evaluated the bracket function on
-        the pair, so the table does not evaluate it again.  An entry
-        already present (a mutated copy's flipped sign, say) is kept.
-        Returns the stored entry.
-        """
+    def remember(self, i: int, j: int, coords: dict[Label, int]) -> tuple:
+        """Store coords = raw_bracket(b_i, b_j), i < j, unless [b_i, b_j] is
+        stored (a mutated copy's flipped sign, say), and return the entry:
+        for callers that have already evaluated the pair."""
         _check_pair(i, j, self.dim)
         if i >= j:
             raise ValueError(f"bad index pair ({i}, {j})")
@@ -151,15 +162,16 @@ class LieAlgebra:
     def materialize(self) -> "LieAlgebra":
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                self.bracket(i, j)
+                self.numerators(i, j)
         return self
 
     def nonzero_brackets(self) -> list[tuple[tuple[int, int], tuple]]:
-        """Sorted ((i, j), terms) over the memoized nonzero brackets."""
+        """Sorted ((i, j), ((k, numerator), ...)) over the memoized nonzero
+        brackets."""
         return [(ij, t) for ij, t in sorted(self._table.items()) if t]
 
     def adjoint_products(self) -> "_AdjointProducts":
-        """The integer ad arrays of the complete table, built on first use.
+        """The int64 ad arrays of the complete table, built on first use.
 
         Building them materializes the table, whose entries are never
         replaced, so the kept engine stays exact for this algebra.
@@ -173,26 +185,26 @@ class LieAlgebra:
 
         Once (i, j, k) is known to name a structure constant, builds this
         algebra's engine (a mutant exists to be verified), so the copy
-        takes the complete table, with one entry replaced, and an engine
-        patched from this one's: the same index arrays, its own values
-        with the two entries of the flipped constant negated.  This
-        algebra is left unchanged; the copy feeds the verifiers
-        deliberately broken input.  ValueError, before any engine is
-        built, unless i, j and k are int indices that name one.
+        takes the complete table with one numerator negated, and an engine
+        patched from this one's: the same index arrays, its own values with
+        the flipped constant's two entries negated.  This algebra is left
+        unchanged.  ValueError, before any engine is built, unless i, j
+        and k are int indices that name one.
         """
         if i == j:
             raise ValueError("mutation needs two distinct basis indices")
         if i > j:
             i, j = j, i
         _check_pair(i, j, self.dim)
-        terms = self.bracket(i, j)
+        terms = self.numerators(i, j)
         if not isinstance(k, _INT) or k not in {t[0] for t in terms}:
             raise ValueError(f"no structure constant at ({i}, {j}, {k})")
         engine = self.adjoint_products()
-        name = f"{self.name}~flip({i},{j},{k})"
-        clone = LieAlgebra(name, self.config, self.basis, self._fn)
+        p = self.config.field.characteristic
+        clone = copy.copy(self)
+        clone.name = f"{self.name}~flip({i},{j},{k})"
         clone._table = dict(self._table)
-        clone._table[(i, j)] = tuple((kk, -c if kk == k else c) for kk, c in terms)
+        clone._table[(i, j)] = tuple((kk, p - c if kk == k else c) for kk, c in terms)
         clone._engine = engine.flipped(i, j, k)
         return clone
 
@@ -212,7 +224,7 @@ class LieAlgebra:
 with_flipped_sign = LieAlgebra.with_flipped_sign
 
 
-# --- integer lifts and the keyed-product engine for Jacobi and Killing ---
+# --- the keyed-product engine for Jacobi and Killing ---
 
 
 # Left indices per batch of the Jacobi engine: a batch of e8's full sweep
@@ -236,18 +248,17 @@ def _starts(keys: np.ndarray, size: int) -> np.ndarray:
 
 
 class _AdjointProducts:
-    """Every ad b_a stored once, as COO arrays over integer lifts.
+    """Every ad b_a stored once, as int64 COO arrays.
 
     These arrays are the engine's only copy of the structure constants:
     c_ij^k is the entry ad_i[k, j], and mat, row, col, val list the entries
     sorted by (mat, row), each ptr array giving where a key's entries
-    start.  Over Q every constant is scaled by D = lcm of all
-    denominators, so a product of two constants lives on the D^2 scale;
-    over F_p constants are lifted to canonical representatives and each
-    product is reduced mod p before the sum.  Indices and values are
-    int64: a Gram or Jacobi key sums at most n * max(n, 3) products, and
-    the constructor proves that count times max|v|^2 over Q (p over F_p)
-    is below 2^63, or raises ValueError.
+    start.  val holds the table's numerators as they are, over L.den, so
+    a product of two constants lives on the den^2 scale; over F_p they are
+    residues and each product is reduced mod p before the sum.  A Gram or
+    Jacobi key sums at most n * max(n, 3) products, and the constructor
+    proves that count times max|v|^2 over Q (p over F_p) is below 2^63,
+    or raises ValueError.
 
     Two permutations of the entries, by (row, mat) and by (col, mat), give
     row x or column x of every ad_r with r in a range as one slice.  A
@@ -267,14 +278,7 @@ class _AdjointProducts:
                 row += (k, k)
                 col += (j, i)
                 consts.append(c)
-        if self.p is None:
-            self.scale = lcm(1, *(c.denominator for c in consts))
-            lifted = [int(c * self.scale) for c in consts]
-            term_bound = max(map(abs, lifted), default=0) ** 2
-        else:
-            self.scale = 1
-            lifted = [c.value for c in consts]
-            term_bound = self.p
+        term_bound = self.p or max(map(abs, consts), default=0) ** 2
         if n * max(n, 3) * term_bound >= 1 << 63:
             raise ValueError(f"{L.name}: structure constants too large for int64")
         mat_a = np.array(mat, dtype=np.int64)
@@ -283,7 +287,7 @@ class _AdjointProducts:
         self.mat = mat_a[order]
         self.row = row_a[order]
         self.col = np.array(col, dtype=np.int64)[order]
-        self.val = np.outer(np.array(lifted, dtype=np.int64), (1, -1)).ravel()[order]
+        self.val = np.outer(np.array(consts, dtype=np.int64), (1, -1)).ravel()[order]
         self.mat_ptr = _starts(self.mat, n)
         self.row_ptr = _starts(self.mat * n + self.row, n * n)
         row_key, col_key = self.row * n + self.mat, self.col * n + self.mat
@@ -450,7 +454,7 @@ def verify_jacobi(L: LieAlgebra, pairs=None) -> JacobiReport:
 
     Each pair identity covers every Jacobi triple (b_i, b_j, b_k) at once,
     so the default full sweep covers all C(dim, 3) distinct triples.  Work
-    is exact, on int64 over the integer lifts of L's engine
+    is exact, on int64 over the int numerators in L's engine
     (L.adjoint_products(), shared with killing_form; its constructor
     proves every sum fits, and over F_p each product is reduced mod p).
     Each pair is oriented toward its endpoint of higher degree in the pair
@@ -525,10 +529,10 @@ def verify_antisymmetry(L: LieAlgebra, pairs=None) -> list[tuple[int, int]]:
 
     The stored table is antisymmetric by construction, so this evaluates
     the raw bracket function in both orders (and on the diagonal, which
-    must vanish).  The ascending-order result is handed to L.remember, so
-    a later materialize or Jacobi sweep does not evaluate it again.  The
-    pairs must be nonempty and every index an int in [0, dim), checked
-    before any bracket is evaluated.
+    must vanish), comparing int maps.  The ascending-order result is
+    handed to L.remember, so a later materialize or Jacobi sweep does not
+    evaluate it again.  The pairs must be nonempty and every index an int
+    in [0, dim), checked before any bracket is evaluated.
     """
     n = L.dim
     if pairs is None:
@@ -536,19 +540,18 @@ def verify_antisymmetry(L: LieAlgebra, pairs=None) -> list[tuple[int, int]]:
     else:
         pairs = list(pairs)
         _check_pairs(pairs, n)
+    p = L.config.field.characteristic
     bad = []
     for i, j in pairs:
         fwd = L.raw_bracket(L.basis[i], L.basis[j])
-        if i == j:
-            if fwd:
-                bad.append((i, j))
-            continue
-        rev = L.raw_bracket(L.basis[j], L.basis[i])
+        rev = L.raw_bracket(L.basis[j], L.basis[i]) if i != j else fwd
         if i < j:
             L.remember(i, j, fwd)
-        else:
+        elif i > j:
             L.remember(j, i, rev)
-        if fwd != {lab: -c for lab, c in rev.items()}:
+        # -c is p - c over F_p (raw_bracket gives residues in [1, p)); as p
+        # is odd, a diagonal bracket equals its negation only when it is zero
+        if fwd != {lab: p - c for lab, c in rev.items()}:
             bad.append((i, j))
     return bad
 
@@ -558,7 +561,7 @@ def killing_form(L: LieAlgebra) -> tuple[list[list[Scalar]], int]:
 
     The Gram matrix comes from L's keyed-product engine, the one
     verify_jacobi uses (L.adjoint_products()): exact int64 sums over the
-    integer lifts, each entry the sum of the diagonal terms of
+    int numerators over den^2, each entry the sum of the diagonal terms of
     ad_i ad_j, every i and j in one pass.  Over Q the rank is certified
     mod 2^31 - 1 (full rank mod a prime implies full rank over Q) with an
     exact fraction elimination fallback; over F_p (p < 2^31 by the field's
@@ -566,14 +569,10 @@ def killing_form(L: LieAlgebra) -> tuple[list[list[Scalar]], int]:
     2h^v times the normalised invariant form (24, 36 and 60 times it for
     e6, e7, e8), so for p >= 5 it vanishes only for e8 over F_5: rank 0.
     """
-    engine = L.adjoint_products()
+    engine, field = L.adjoint_products(), L.config.field
     gram = engine.gram().tolist()
-    field = L.config.field
-    denom = engine.scale * engine.scale
-    zero = field.zero()
-    matrix = [
-        [field.from_fraction(v, denom) if v else zero for v in row] for row in gram
-    ]
+    scalar, denom, zero = field.from_fraction, L.den * L.den, field.zero()
+    matrix = [[scalar(v, denom) if v else zero for v in row] for row in gram]
     rank = rank_mod_p(gram, engine.p or (1 << 31) - 1)
     if engine.p is None and rank < L.dim:
         rank = echelon_rank(matrix, field)
@@ -606,8 +605,9 @@ def spanning_check(L: LieAlgebra) -> SpanReport:
     pos = {k: t for t, k in enumerate(zero_idx)}
     acc = IncrementalRank(L.config.field)
     pairs_used = 0
+    # int numerators: every vector is den times its own, which keeps the rank
     for a, b in combinations(L.spinor_indices(), 2):
-        terms = L.bracket(a, b)
+        terms = L.numerators(a, b)
         if not terms:
             continue
         vec = {}
@@ -629,12 +629,15 @@ def run_checks(L: LieAlgebra) -> list[dict]:
     """The battery, in order: {"check": name, ...fields, "ok", "seconds"} each.
 
     seconds is the check's own wall time.  Antisymmetry runs first, so the
-    brackets it evaluates fill the table the later checks read.
+    brackets it evaluates (brackets_evaluated) fill the table the later
+    checks read; nonzero counts the nonzero ones stored.
     """
 
     def antisymmetry() -> dict:
-        bad = verify_antisymmetry(L)
-        return {"ok": not bad, "violations": [list(p) for p in bad]}
+        before, bad = L.evaluated, verify_antisymmetry(L)
+        return {"ok": not bad, "violations": [list(p) for p in bad],
+                "brackets_evaluated": L.evaluated - before,
+                "nonzero": len(L.nonzero_brackets())}
 
     def killing() -> dict:
         rank = killing_form(L)[1]
@@ -757,16 +760,16 @@ def root_decomposition(L: LieAlgebra) -> RootDatum:
     for x in range(L.dim):
         w = []
         for c in cartan_idx:
-            terms = L.bracket(c, x)
+            terms = L.numerators(c, x)
             if not terms:
                 w.append(0)
             elif len(terms) == 1 and terms[0][0] == x:
-                val = terms[0][1]
-                if val.denominator != 1:
+                val, rem = divmod(terms[0][1], L.den)
+                if rem:
                     raise ValueError(
                         f"non-integral weight on {label_str(L.basis[x])}"
                     )
-                w.append(int(val))
+                w.append(val)
             else:
                 raise ValueError(
                     f"{label_str(L.basis[x])} is not a Cartan eigenvector"
@@ -851,14 +854,16 @@ def to_json(L: LieAlgebra) -> str:
 
     Schema: {"name", "field", "dim", "basis": [label strings],
     "brackets": [{"i", "j", "terms": [[k, scalar string], ...]}, ...]}
-    with i < j ascending and only nonzero brackets listed.
+    with i < j ascending and only nonzero brackets listed.  Each numerator
+    over L.den prints as scalar_str prints its field scalar.
     """
+    text = lru_cache(None)(lambda c: scalar_str(L.config.field.from_fraction(c, L.den)))
     encode = json.JSONEncoder(separators=(",", ":")).encode
     head = {"name": L.name, "field": L.config.field.spec, "dim": L.dim}
     head["basis"] = [label_str(lab) for lab in L.basis]
     # one JSON text per bracket, so no list of bracket dicts is ever held
     brackets = ",".join(
-        encode({"i": i, "j": j, "terms": [[k, scalar_str(c)] for k, c in terms]})
+        encode({"i": i, "j": j, "terms": [[k, text(c)] for k, c in terms]})
         for (i, j), terms in L.materialize().nonzero_brackets()
     )
     return f'{encode(head)[:-1]},"brackets":[{brackets}]}}\n'

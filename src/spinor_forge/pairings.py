@@ -5,10 +5,10 @@ an element of the grade-2 part (the orthogonal Lie algebra inside C).  The
 four-sum grade2_pairing works on any two spinors and is the oracle: one
 signed Fock move per (word term, spinor term), with no pruning by the
 basis case table.  On Fock basis pairs the pairing has the paper's closed
-form, the one case table of this package: _l2_coords writes it in grade-2
-labels, grade2_pairing_on_basis applies it to a third basis spinor through
-_c2_move, and the e6/e7/e8 builders run the two themselves, with
-basis_top_grade_coefficient for the top grade.  The top-grade and graded
+form, the one case table of this package: _l2_coords writes it as int
+numerators on grade-2 labels, grade2_pairing_on_basis applies it to a third
+basis spinor through _c2_move, and the e6/e7/e8 builders run the two
+themselves, with the norm's numerator (_b_num).  The top-grade and graded
 pairings and the orbit-map adjoint (after one move: _adjoint_after_move)
 round out the toolkit.  Each sign rule is written once: E_s on e_M.v in
 _slot_move, the adjoint's sum over spinor terms in _adjoint_sum.
@@ -29,7 +29,7 @@ from .clifford import (
     witt_e,
     witt_i,
 )
-from .field import Field, Scalar
+from .field import Scalar
 from .fock import (
     Config,
     SpinorVec,
@@ -150,24 +150,25 @@ def top_grade_coefficient(
     return inv * b_eval(form, psi1, act(eps, psi2))
 
 
+def _b_num(form: BilinearForm, imask: int, jmask: int) -> int:
+    """B(e_I.v, e_J.v) as an int numerator over form._den (zero unless J = I^c)."""
+    return form._num.get(imask, 0) if jmask == imask ^ (form.config.size - 1) else 0
+
+
 def basis_top_grade_coefficient(form: BilinearForm, imask: int, jmask: int) -> Scalar:
     """top_grade_coefficient(form, e_I.v, e_J.v) for two Fock basis masks.
 
-    The grading element acts on e_J.v by (-1)^|J| and B pairs e_I.v only
-    with e_{I^c}.v, so the coefficient is B(e_I.v, e_J.v) (-1)^|J| / 2^n
-    when J = I^c and zero otherwise.
+    The grading element acts on e_J.v by (-1)^|J|, so the coefficient is
+    B(e_I.v, e_J.v) (-1)^|J| / 2^n.
     """
     config = form.config
     _check_masks(config, imask, jmask)
-    field = config.field
-    val = form._num.get(imask)
-    if val is None or jmask != imask ^ (config.size - 1):
-        return field.zero()
-    return field.from_fraction(-val if parity(jmask) else val, config.size * form._den)
+    val, den = _b_num(form, imask, jmask), config.size * form._den
+    return config.field.from_fraction(-val if parity(jmask) else val, den)
 
 
-def _c2_move(field: Field, label: Label, mask: int) -> Optional[tuple[int, Scalar]]:
-    """label . e_M.v for a grade-2 label: (new mask, coefficient) or None.
+def _c2_move(label: Label, mask: int) -> Optional[tuple[int, int]]:
+    """label . e_M.v for a grade-2 label: (new mask, int coefficient) or None.
 
     Each label is one Fock move: e_a e_b and i_a i_b are the monomials
     themselves, F_ab = 2 e_a i_b for a != b, and F_aa = 2 e_a i_a - 1
@@ -182,17 +183,18 @@ def _c2_move(field: Field, label: Label, mask: int) -> Optional[tuple[int, Scala
     elif kind == "ii":
         hit, scale = apply_monomial(0, bit_a | bit_b, mask), 1
     elif a == b:
-        return mask, field.from_int(1 if mask & bit_a else -1)
+        return mask, 1 if mask & bit_a else -1
     else:
         hit, scale = apply_monomial(bit_a, bit_b, mask), 2
     if hit is None:
         return None
     sign, moved = hit
-    return moved, field.from_int(sign * scale)
+    return moved, sign * scale
 
 
-def _l2_coords(form: BilinearForm, imask: int, jmask: int) -> dict[Label, Scalar]:
-    """The normalized grade-2 pairing L_2(e_I.v, e_J.v) in grade-2 labels.
+def _l2_coords(form: BilinearForm, imask: int, jmask: int) -> dict[Label, int]:
+    """The normalized grade-2 pairing L_2(e_I.v, e_J.v) in grade-2 labels, as
+    int numerators over 2 form._den.
 
     B pairs e_J.v only with e_{J^c}.v; write beta = B(e_{J^c}.v, e_J.v).
     With P = I n J and R = I^c n J^c, the monomial e_R i_P sends e_I.v to
@@ -204,9 +206,8 @@ def _l2_coords(form: BilinearForm, imask: int, jmask: int) -> dict[Label, Scalar
                      (0, 0): J = I^c, and beta/2 on ei(a, a) for a not
                              in I, -beta/2 for a in I;
 
-    every other pair of masks gives zero.  Each coefficient is a field
-    scalar, built by field.from_fraction from beta's int numerator over
-    the form's denominator.  These are the values of the four-sum
+    every other pair of masks gives zero; beta's numerator over the form's
+    denominator gives each numerator.  These are the values of the four-sum
     grade2_pairing in builders.c2_labels coordinates, which the tests keep
     as the oracle.
     """
@@ -215,12 +216,10 @@ def _l2_coords(form: BilinearForm, imask: int, jmask: int) -> dict[Label, Scalar
     val = form._num.get(partner)
     if val is None:
         return {}
-    field, den = config.field, form._den
     p, r = imask & jmask, partner & ~imask
     if p == 0 and r == 0:
-        half = field.from_fraction(val, 2 * den)
         return {
-            ("ei", a, a): -half if imask >> (a - 1) & 1 else half
+            ("ei", a, a): -val if imask >> (a - 1) & 1 else val
             for a in range(1, config.n + 1)
         }
     if p.bit_count() + r.bit_count() != 2:
@@ -229,10 +228,10 @@ def _l2_coords(form: BilinearForm, imask: int, jmask: int) -> dict[Label, Scalar
     sign = apply_monomial(r, p, imask)[0]
     if p and r:
         label = ("ei", p.bit_length(), r.bit_length())
-        return {label: field.from_fraction(-sign * val, den)}
+        return {label: -2 * sign * val}
     pair = p | r
     label = ("ee" if p else "ii", (pair & -pair).bit_length(), pair.bit_length())
-    return {label: field.from_fraction(2 * sign * val, den)}
+    return {label: 4 * sign * val}
 
 
 def grade2_pairing_on_basis(
@@ -241,17 +240,16 @@ def grade2_pairing_on_basis(
     """grade2_pairing(e_I.v, e_J.v) applied to e_K.v, by the basis matrix.
 
     Each grade-2 label of _l2_coords(form, I, J) moves e_K.v by one Fock
-    move (_c2_move); the coefficients add up on the image masks.
+    move (_c2_move); the int numerators add up on the image masks.
     """
     config = form.config
     _check_masks(config, imask, jmask, kmask)
-    field = config.field
-    out: dict[int, Scalar] = {}
-    for label, coeff in _l2_coords(form, imask, jmask).items():
-        hit = _c2_move(field, label, kmask)
+    out: dict[int, int] = {}
+    for label, c in _l2_coords(form, imask, jmask).items():
+        hit = _c2_move(label, kmask)
         if hit is not None:
-            out[hit[0]] = out.get(hit[0], field.zero()) + coeff * hit[1]
-    return SpinorVec(config, out)
+            out[hit[0]] = out.get(hit[0], 0) + c * hit[1]
+    return SpinorVec._make(config, out, 2 * form._den)
 
 
 def top_grade_pairing(

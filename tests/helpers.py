@@ -43,6 +43,7 @@ from spinor_forge.pairings import (
     _accum,
     _check_pair,
     _four_sum_elements,
+    _l2_coords,
     grade2_pairing,
 )
 
@@ -132,6 +133,13 @@ def c2_coords(x: CliffordElem) -> dict:
 
 
 # ------------------------------------------- Clifford-route oracles
+
+
+def l2_scalars(form: BilinearForm, imask: int, jmask: int) -> dict:
+    """pairings._l2_coords decoded: its int numerators over 2 form._den as
+    field scalars."""
+    scalar, den = form.config.field.from_fraction, 2 * form._den
+    return {lab: scalar(c, den) for lab, c in _l2_coords(form, imask, jmask).items()}
 
 
 def slot_str(slot: int) -> str:

@@ -60,7 +60,7 @@ class TestVerify:
         assert all(isinstance(t, float) and t >= 0 for t in stages)
         assert report["seconds"] >= report["norm_seconds"] + report["build_seconds"]
         assert [list(c) for c in report["checks"]] == [
-            ["check", "ok", "violations", "seconds"],
+            ["check", "ok", "violations", "brackets_evaluated", "nonzero", "seconds"],
             [
                 "check",
                 "dim",

@@ -82,7 +82,7 @@ def covered_triples(n, pairs):
 def abelian(n):
     """An n-dimensional abelian algebra: every bracket is zero."""
     basis = [("x", a) for a in range(n)]
-    return LieAlgebra(f"abelian{n}", Config(1), basis, lambda la, lb: {})
+    return LieAlgebra(f"abelian{n}", Config(1), basis, lambda la, lb: {}, 1)
 
 
 @pytest.fixture
@@ -181,7 +181,8 @@ class TestC2ClosedForms:
             x = c2_elem(config, la)
             for lb in labs:
                 want = c2_coords(commutator(x, c2_elem(config, lb)))
-                assert _c2_bracket(field, la, lb) == {
+                got = _c2_bracket(la, lb, 1)  # int numerators over 2
+                assert {lab: field.from_fraction(c, 2) for lab, c in got.items()} == {
                     lab: c for lab, c in want.items() if c
                 }, (la, lb)
 
@@ -193,12 +194,13 @@ class TestC2ClosedForms:
             x = c2_elem(config, lab)
             for mask in range(config.size):
                 want = act(x, SpinorVec.basis(config, mask)).terms
-                hit = _c2_move(field, lab, mask)
-                assert ({} if hit is None else {hit[0]: hit[1]}) == want, (lab, mask)
+                hit = _c2_move(lab, mask)
+                got = {} if hit is None else {hit[0]: field.from_int(hit[1])}
+                assert got == want, (lab, mask)
 
     def test_move_rejects_other_labels(self):
         with pytest.raises(ValueError, match="grade-2"):
-            _c2_move(Rationals(), ("s2", 3, 0), 0)
+            _c2_move(("s2", 3, 0), 0)
 
     @pytest.mark.parametrize("n", list(range(1, 9)))
     @pytest.mark.parametrize("field", FIELDS, ids=["q", "fp7"])
@@ -213,7 +215,7 @@ class TestC2ClosedForms:
         for lab in c2_labels(n):
             assert commutator(eps, c2_elem(config, lab)).is_zero(), lab
             for mask in range(config.size):
-                hit = _c2_move(field, lab, mask)
+                hit = _c2_move(lab, mask)
                 assert hit is None or parity(hit[0]) == parity(mask)
 
 
@@ -245,7 +247,7 @@ class TestLieAlgebraCore:
     def test_duplicate_labels_rejected(self):
         config = Config(1)
         with pytest.raises(ValueError):
-            LieAlgebra("dup", config, [("s", 0), ("s", 0)], lambda a, b: {})
+            LieAlgebra("dup", config, [("s", 0), ("s", 0)], lambda a, b: {}, 1)
 
     def test_repr(self, e6):
         assert "e6" in repr(e6) and "78" in repr(e6)
@@ -490,12 +492,25 @@ class TestBuildE6:
             want = {e6.index[("s", m)]: c for m, c in out.terms.items()}
             assert dict(e6.bracket(eps, e6.index[("s", mask)])) == want
 
+    @pytest.mark.parametrize(
+        "coeffs, field",
+        [(("2", "96"), None), ((2, 96, 3), None), ((1.5, 72), PrimeField(7))],
+        ids=["strings", "three", "float-fp7"],
+    )
+    def test_spinor_coeffs_must_be_two_ints(self, coeffs, field, monkeypatch):
+        def refuse(config):
+            raise AssertionError("the norm was solved before the check")
+
+        monkeypatch.setattr(builders_mod, "solve_spinor_norm", refuse)
+        with pytest.raises(ValueError, match="spinor_coeffs must be two ints"):
+            build_e6(field=field, spinor_coeffs=coeffs)
+
     def test_centralizer_check_raises_on_parity_change(self, e6, monkeypatch):
         eps, lab = ("eps",), ("ei", 1, 2)
         assert e6.raw_bracket(eps, lab) == {} == e6.raw_bracket(lab, eps)
 
-        def odd_move(field, label, mask):
-            return mask ^ 1, field.one()
+        def odd_move(label, mask):
+            return mask ^ 1, 1
 
         monkeypatch.setattr(builders_mod, "_c2_move", odd_move)
         for la, lb in ((eps, lab), (lab, eps)):
@@ -891,9 +906,9 @@ class TestEngineBounds:
         basis = [("x", a) for a in range(3)]
 
         def fn(la, lb):
-            return {("x", 2): Fraction(c)} if (la[1], lb[1]) == (0, 1) else {}
+            return {("x", 2): c} if (la[1], lb[1]) == (0, 1) else {}
 
-        return LieAlgebra(f"heisenberg{c}", Config(1), basis, fn)
+        return LieAlgebra(f"heisenberg{c}", Config(1), basis, fn, 1)
 
     def test_oversized_constant_rejected(self, monkeypatch):
         def no_batch(self, left, right):
@@ -951,10 +966,10 @@ def wrapped_e6(base, broken=None):
         calls[(la, lb)] += 1
         out = base.raw_bracket(la, lb)
         if (la, lb) == broken:
-            out[extra] = out.get(extra, 0) + 1
+            out[extra] = out.get(extra, 0) + base.den
         return out
 
-    return LieAlgebra("e6~wrapped", base.config, base.basis, fn), calls
+    return LieAlgebra("e6~wrapped", base.config, base.basis, fn, base.den), calls
 
 
 class TestBracketsBuiltOnce:
@@ -1029,6 +1044,80 @@ class TestBracketsBuiltOnce:
             verify_antisymmetry(L, [(0, 1), pair])
         # checked before any bracket is evaluated
         assert not calls
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "golden"
+BUILDS = {"e6": build_e6, "e7": build_e7, "e8": build_e8}
+
+
+class TestTableForm:
+    """The table's one form: sorted (k, numerator) int pairs over L.den."""
+
+    @pytest.mark.parametrize("p", [7, (1 << 31) - 1])
+    @pytest.mark.parametrize("name", list(BUILDS))
+    def test_prime_field_table_is_golden_mod_p(self, name, p):
+        want = []
+        for rec in json.loads((GOLDEN / f"{name}.json").read_text())["brackets"]:
+            terms = []
+            for k, text in rec["terms"]:
+                x = Fraction(text)
+                if r := x.numerator * pow(x.denominator, -1, p) % p:
+                    terms.append((k, r))
+            if terms:
+                want.append(((rec["i"], rec["j"]), tuple(terms)))
+        L = BUILDS[name](field=PrimeField(p)).materialize()
+        assert L.den == 1
+        assert L.nonzero_brackets() == want
+
+    @pytest.mark.parametrize("p", [None, 7])
+    @pytest.mark.parametrize("name", list(BUILDS))
+    def test_entries_are_int_numerators(self, name, p):
+        field = PrimeField(p) if p else Rationals()
+        L = BUILDS[name](field=field).materialize()
+        for i, j in combinations(range(L.dim), 2):
+            terms = L.numerators(i, j)
+            assert type(terms) is tuple
+            assert [k for k, _ in terms] == sorted({k for k, _ in terms})
+            for k, c in terms:
+                assert type(k) is int and type(c) is int and c
+                assert not p or 0 < c < p
+            assert L.bracket(i, j) == tuple(
+                (k, field.from_fraction(c, L.den)) for k, c in terms
+            )
+            assert L.bracket(j, i) == tuple(
+                (k, field.from_fraction(-c, L.den)) for k, c in terms
+            )
+
+    def test_run_checks_counts_brackets(self, e6, e7):
+        entry = run_checks(build_e6())[0]
+        assert entry["check"] == "antisymmetry"
+        assert entry["brackets_evaluated"] == 78 * 78
+        assert entry["nonzero"] == 1028
+        assert len(e7.materialize().nonzero_brackets()) == 2649
+
+    def test_bracket_functions_form_no_field_scalar(self):
+        # the builders compute on int numerators; the engine lifts nothing
+        def called(fn):
+            return {
+                node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, (ast.Name, ast.Attribute))
+            }
+
+        def defs(module, kind=ast.FunctionDef):
+            tree = ast.parse(Path(module.__file__).read_text())
+            return {n.name: n for n in ast.walk(tree) if isinstance(n, kind)}
+
+        import spinor_forge.pairings as pairings_mod
+
+        funcs = list(defs(builders_mod).values())
+        funcs += [defs(pairings_mod)[name] for name in ("_c2_move", "_l2_coords")]
+        assert {"fn", "pair", "_c2_bracket", "sl2_bracket"} <= {f.name for f in funcs}
+        for fn in funcs:
+            assert not called(fn) & {"from_fraction", "from_int"}, fn.name
+        engine = defs(exceptional_mod, ast.ClassDef)["_AdjointProducts"]
+        assert "lcm" not in called(engine)
 
 
 class TestKillingForm:
@@ -1125,14 +1214,13 @@ class TestSpanningCheck:
 
     def test_leak_guard(self):
         config = Config(1)
-        one = config.field.one()
 
         def fn(la, lb):
             if la[0] == "s" and lb[0] == "s":
-                return {("s", 0): one}
+                return {("s", 0): 1}
             return {}
 
-        L = LieAlgebra("leaky", config, [("ei", 1, 1), ("s", 0), ("s", 1)], fn)
+        L = LieAlgebra("leaky", config, [("ei", 1, 1), ("s", 0), ("s", 1)], fn, 1)
         with pytest.raises(RuntimeError):
             spanning_check(L)
 
@@ -1191,16 +1279,15 @@ class TestRootDecomposition:
 
     def test_rejects_non_eigenvector(self):
         config = Config(1)
-        one = config.field.one()
 
         def fn(la, lb):
             if la[0] == "ei" and lb[0] == "s":
-                return {("s", 0): one, ("s", 1): one}
+                return {("s", 0): 1, ("s", 1): 1}
             if la[0] == "s" and lb[0] == "ei":
-                return {("s", 0): -one, ("s", 1): -one}
+                return {("s", 0): -1, ("s", 1): -1}
             return {}
 
-        L = LieAlgebra("bad", config, [("ei", 1, 1), ("s", 0), ("s", 1)], fn)
+        L = LieAlgebra("bad", config, [("ei", 1, 1), ("s", 0), ("s", 1)], fn, 1)
         with pytest.raises(ValueError):
             root_decomposition(L)
 
@@ -1208,24 +1295,23 @@ class TestRootDecomposition:
         # two Cartan elements acting alike: roots (1, 1) and (-1, -1) give
         # the restricted Killing form [[2, 2], [2, 2]]
         config = Config(2)
-        one = config.field.one()
 
         def fn(la, lb):
             if la[0] == "ei" and lb[0] == "s":
-                return {lb: one if lb[1] == 0 else -one}
+                return {lb: 1 if lb[1] == 0 else -1}
             if la[0] == "s" and lb[0] == "ei":
-                return {la: -one if la[1] == 0 else one}
+                return {la: -1 if la[1] == 0 else 1}
             return {}
 
         basis = [("ei", 1, 1), ("ei", 2, 2), ("s", 0), ("s", 1)]
-        L = LieAlgebra("degenerate", config, basis, fn)
+        L = LieAlgebra("degenerate", config, basis, fn, 1)
         with pytest.raises(ValueError, match="restricted Killing form is singular"):
             root_decomposition(L)
 
     def test_rejects_zero_weight_outside_cartan(self):
         config = Config(1)
         L = LieAlgebra(
-            "flat", config, [("ei", 1, 1), ("s", 0)], lambda a, b: {}
+            "flat", config, [("ei", 1, 1), ("s", 0)], lambda a, b: {}, 1
         )
         with pytest.raises(ValueError):
             root_decomposition(L)

@@ -24,7 +24,6 @@ from spinor_forge.fock import Config, SpinorVec, mask_from_indices, parity
 from spinor_forge.norms import b_eval, graded_norm, solve_spinor_norm
 import spinor_forge.pairings as pairings_mod
 from spinor_forge.pairings import (
-    _l2_coords,
     basis_top_grade_coefficient,
     grade2_pairing,
     grade2_pairing_on_basis,
@@ -41,6 +40,7 @@ from .helpers import (
     change_polarisation,
     endomorphism_pairing,
     grade2_pairing_projected,
+    l2_scalars,
     matrix_unit,
     q_map_by_products,
     rand_spinor,
@@ -325,7 +325,7 @@ class TestBasisClosedForm:
         for im in range(config.size):
             for jm in range(config.size):
                 oracle = grade2_pairing(form, basis(config, im), basis(config, jm))
-                assert _l2_coords(form, im, jm) == c2_coords(oracle), (im, jm)
+                assert l2_scalars(form, im, jm) == c2_coords(oracle), (im, jm)
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.spec)
     @pytest.mark.parametrize("n", range(1, 7))
