@@ -753,7 +753,7 @@ def root_decomposition(L: LieAlgebra) -> RootDatum:
         or lab == ("eps",)
     ]
     for a, b in combinations(cartan_idx, 2):
-        if L.bracket(a, b):
+        if L.numerators(a, b):
             raise ValueError("chosen Cartan subalgebra is not abelian")
     r = len(cartan_idx)
     weights = []
