@@ -30,7 +30,7 @@ from .field import Field, Rationals, Scalar
 from .fock import Config, parity
 from .linalg import nullspace
 from .norms import BilinearForm, solve_spinor_norm
-from .pairings import Label, _b_num, _c2_move, _l2_coords
+from .pairings import Label, _b_num, _c2_move, _l2_coords, _top_num
 
 SPINOR_N = {"e6": 5, "e7": 6, "e8": 8}  # the n of each construction's form=
 
@@ -366,9 +366,9 @@ def build_e6(
 
     def pair(la: Label, lb: Label) -> dict[Label, int]:
         coords = {lab: c * a for lab, c in _l2_coords(form, la[1], lb[1]).items()}
-        top = _b_num(form, la[1], lb[1])
+        top = _top_num(form, la[1], lb[1])
         if top:
-            coords[("eps",)] = -top * b if parity(lb[1]) else top * b
+            coords[("eps",)] = top * b
         return coords
 
     return _graded_algebra(

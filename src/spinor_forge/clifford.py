@@ -21,10 +21,11 @@ public boundary (`terms`, `get`, `items`, the returned traces).  The
 product of two monomials is Wick's theorem in closed form, and one walk,
 `_wick`, writes it: contracting i_B against e_C over each subset S of
 B n C leaves one signed monomial, whose sign is a sum of popcount
-parities.  `multiply` and `commutator` run it on all term pairs,
-`transpose` on i_B . e_A for each reversed term, and `trace_product` on
-the term pairs whose contractions are diagonal, so Tr(xy) never builds
-xy.  `vector_commutator` gives [x, E_s] for an even x and an orthonormal
+parities, and the walk visits only the subsets whose monomial survives.
+`multiply` and `commutator` run it on all term pairs, `transpose` on
+i_B . e_A for each reversed term, and `trace_product` on the term pairs
+whose contractions are diagonal, so Tr(xy) never builds xy.
+`vector_commutator` gives [x, E_s] for an even x and an orthonormal
 vector in closed form, one contraction per term, with `commutator` as
 its test oracle.  `_blade_ints` expands a monomial with integer
 coefficients over one common power of two, and `_blade_terms`, the one
@@ -144,33 +145,42 @@ def _wick(
     first four terms normal-order i_B e_C, the last two merge the e and i
     blocks.  inv(A, C') is computed as inv(A, C) + inv(A, S), so the
     common case B n C = {} (only S = {}) costs four popcounts.
+
+    A contraction survives iff S contains forced = (A n C) u (B n D), so
+    none does unless forced lies in B n C; then exactly the sets forced u P,
+    for each subset P of free = (B n C) - forced, survive, and only those
+    are walked.
     """
     for (amask, bmask), cx in xs:
         for cmask, dmask, pc, pd, cy in ys:
-            both = sub = bmask & cmask
+            both = bmask & cmask
+            forced = (amask & cmask) | (bmask & dmask)
+            if forced & ~both:
+                continue
+            free = part = both ^ forced
             while True:
+                sub = forced | part
                 b_rest, c_rest = bmask ^ sub, cmask ^ sub
-                if not (amask & c_rest or b_rest & dmask):
-                    sigma = (
-                        flip
-                        + b_rest.bit_count() * c_rest.bit_count()
-                        + (amask & pc).bit_count()
-                        + (b_rest & pd).bit_count()
+                sigma = (
+                    flip
+                    + b_rest.bit_count() * c_rest.bit_count()
+                    + (amask & pc).bit_count()
+                    + (b_rest & pd).bit_count()
+                )
+                if sub:
+                    k = sub.bit_count()
+                    sigma += (
+                        (k * (k - 1) >> 1)
+                        + inversion_parity(b_rest, sub)
+                        + inversion_parity(sub, c_rest)
+                        + inversion_parity(amask, sub)
                     )
-                    if sub:
-                        k = sub.bit_count()
-                        sigma += (
-                            (k * (k - 1) >> 1)
-                            + inversion_parity(b_rest, sub)
-                            + inversion_parity(sub, c_rest)
-                            + inversion_parity(amask, sub)
-                        )
-                    key = (amask | c_rest, b_rest | dmask)
-                    term = -(cx * cy) if sigma & 1 else cx * cy
-                    acc[key] = acc.get(key, 0) + term
-                if not sub:
+                key = (amask | c_rest, b_rest | dmask)
+                term = -(cx * cy) if sigma & 1 else cx * cy
+                acc[key] = acc.get(key, 0) + term
+                if not part:
                     break
-                sub = (sub - 1) & both
+                part = (part - 1) & free
 
 
 def multiply(x: CliffordElem, y: CliffordElem) -> CliffordElem:

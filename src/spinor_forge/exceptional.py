@@ -119,11 +119,13 @@ class LieAlgebra:
 
     def raw_bracket(self, la: Label, lb: Label) -> dict[Label, int]:
         """fn evaluated directly in the table's form (residues over F_p),
-        zeros dropped, unmemoized."""
+        zeros dropped, unmemoized; over Q fn's own dict when it has no zero."""
         self.evaluated += 1
         out, p, unit = self._fn(la, lb), self.config.field.characteristic, self._unit
         if p:
             return {lab: r for lab, c in out.items() if (r := c * unit % p)}
+        if 0 not in out.values():
+            return out
         return {lab: c for lab, c in out.items() if c}
 
     def numerators(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
@@ -137,7 +139,7 @@ class LieAlgebra:
             if lo == hi:
                 return ()
             coords = self.raw_bracket(self.basis[lo], self.basis[hi])
-            got = self.remember(lo, hi, coords)
+            got = self._store(lo, hi, coords)
         p = self.config.field.characteristic  # p - c: -c over Q, canonical over F_p
         return got if i <= j else tuple((k, p - c) for k, c in got)
 
@@ -153,6 +155,10 @@ class LieAlgebra:
         _check_pair(i, j, self.dim)
         if i >= j:
             raise ValueError(f"bad index pair ({i}, {j})")
+        return self._store(i, j, coords)
+
+    def _store(self, i: int, j: int, coords: dict[Label, int]) -> tuple:
+        """remember without its index checks, for pairs already checked."""
         got = self._table.get((i, j))
         if got is None:
             got = tuple(sorted((self.index[lab], c) for lab, c in coords.items()))
@@ -530,9 +536,10 @@ def verify_antisymmetry(L: LieAlgebra, pairs=None) -> list[tuple[int, int]]:
     The stored table is antisymmetric by construction, so this evaluates
     the raw bracket function in both orders (and on the diagonal, which
     must vanish), comparing int maps.  The ascending-order result is
-    handed to L.remember, so a later materialize or Jacobi sweep does not
-    evaluate it again.  The pairs must be nonempty and every index an int
-    in [0, dim), checked before any bracket is evaluated.
+    stored through L._store (the pairs were checked before the loop), so a
+    later materialize or Jacobi sweep does not evaluate it again.  The
+    pairs must be nonempty and every index an int in [0, dim), checked
+    before any bracket is evaluated.
     """
     n = L.dim
     if pairs is None:
@@ -546,9 +553,9 @@ def verify_antisymmetry(L: LieAlgebra, pairs=None) -> list[tuple[int, int]]:
         fwd = L.raw_bracket(L.basis[i], L.basis[j])
         rev = L.raw_bracket(L.basis[j], L.basis[i]) if i != j else fwd
         if i < j:
-            L.remember(i, j, fwd)
+            L._store(i, j, fwd)
         elif i > j:
-            L.remember(j, i, rev)
+            L._store(j, i, rev)
         # -c is p - c over F_p (raw_bracket gives residues in [1, p)); as p
         # is odd, a diagonal bracket equals its negation only when it is zero
         if fwd != {lab: p - c for lab, c in rev.items()}:

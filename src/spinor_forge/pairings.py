@@ -8,10 +8,11 @@ basis case table.  On Fock basis pairs the pairing has the paper's closed
 form, the one case table of this package: _l2_coords writes it as int
 numerators on grade-2 labels, grade2_pairing_on_basis applies it to a third
 basis spinor through _c2_move, and the e6/e7/e8 builders run the two
-themselves, with the norm's numerator (_b_num).  The top-grade and graded
-pairings and the orbit-map adjoint (after one move: _adjoint_after_move)
-round out the toolkit.  Each sign rule is written once: E_s on e_M.v in
-_slot_move, the adjoint's sum over spinor terms in _adjoint_sum.
+themselves, with the norm's numerator (_b_num) and the top-grade one
+(_top_num).  The top-grade and graded pairings and the orbit-map adjoint
+(after one move: _adjoint_after_move) round out the toolkit.  Each sign
+rule is written once: E_s on e_M.v in _slot_move, the adjoint's sum over
+spinor terms in _adjoint_sum, (-1)^|J| of the top-grade term in _top_num.
 """
 
 from __future__ import annotations
@@ -155,16 +156,21 @@ def _b_num(form: BilinearForm, imask: int, jmask: int) -> int:
     return form._num.get(imask, 0) if jmask == imask ^ (form.config.size - 1) else 0
 
 
-def basis_top_grade_coefficient(form: BilinearForm, imask: int, jmask: int) -> Scalar:
-    """top_grade_coefficient(form, e_I.v, e_J.v) for two Fock basis masks.
+def _top_num(form: BilinearForm, imask: int, jmask: int) -> int:
+    """B(e_I.v, eps e_J.v) = B(e_I.v, e_J.v) (-1)^|J| as an int numerator
+    over form._den: the grading element acts on e_J.v by (-1)^|J|."""
+    val = _b_num(form, imask, jmask)
+    return -val if parity(jmask) else val
 
-    The grading element acts on e_J.v by (-1)^|J|, so the coefficient is
-    B(e_I.v, e_J.v) (-1)^|J| / 2^n.
-    """
+
+def basis_top_grade_coefficient(form: BilinearForm, imask: int, jmask: int) -> Scalar:
+    """top_grade_coefficient(form, e_I.v, e_J.v) for two Fock basis masks:
+    B(e_I.v, e_J.v) (-1)^|J| / 2^n (`_top_num`)."""
     config = form.config
     _check_masks(config, imask, jmask)
-    val, den = _b_num(form, imask, jmask), config.size * form._den
-    return config.field.from_fraction(-val if parity(jmask) else val, den)
+    return config.field.from_fraction(
+        _top_num(form, imask, jmask), config.size * form._den
+    )
 
 
 def _c2_move(label: Label, mask: int) -> Optional[tuple[int, int]]:

@@ -42,8 +42,7 @@ from .clifford import (
 from .fock import (
     Config,
     SpinorVec,
-    annihilate,
-    create,
+    apply_monomial,
     is_zero_combination,
     parity,
 )
@@ -148,19 +147,34 @@ def _sample_spinor(config: Config, r: random.Random, nterms: int = 2) -> SpinorV
 @_check
 def check_car_relations(n: int) -> CheckResult:
     """create/annihilate anticommute among themselves; the mixed bracket
-    is delta_ab times the identity.  Exhaustive on every basis vector."""
+    is delta_ab times the identity.  Exhaustive on every basis vector.
+
+    On e_M.v, create(a) and annihilate(a) are the one-generator words
+    e_a and i_a, each one signed move of the mask (`apply_monomial`), so
+    xy + yx on e_M.v is two two-move paths, summed by mask."""
     config = _config(n)
-    zero = SpinorVec.zero(config)
-    basis_vecs = [SpinorVec.basis(config, m) for m in range(config.size)]
+    modes = range(1, n + 1)
+    e_word = {a: (1 << (a - 1), 0) for a in modes}
+    i_word = {a: (0, 1 << (a - 1)) for a in modes}
+
+    def anticommutator(m: int, x: tuple[int, int], y: tuple[int, int]) -> dict:
+        """(xy + yx) e_M.v for words x and y as {mask: coefficient}, zeros
+        dropped."""
+        out: dict[int, int] = {}
+        for first, second in ((y, x), (x, y)):
+            if (hit := apply_monomial(*first, m)) and (
+                end := apply_monomial(*second, hit[1])
+            ):
+                out[end[1]] = out.get(end[1], 0) + hit[0] * end[0]
+        return {mask: c for mask, c in out.items() if c}
 
     def car_ok(m: int, a: int, b: int) -> bool:
-        psi = basis_vecs[m]
-        cc = create(a, create(b, psi)) + create(b, create(a, psi))
-        aa = annihilate(a, annihilate(b, psi)) + annihilate(b, annihilate(a, psi))
-        mixed = annihilate(a, create(b, psi)) + create(b, annihilate(a, psi))
-        return cc.is_zero() and aa.is_zero() and mixed == (psi if a == b else zero)
+        return (
+            not anticommutator(m, e_word[a], e_word[b])
+            and not anticommutator(m, i_word[a], i_word[b])
+            and anticommutator(m, i_word[a], e_word[b]) == ({m: 1} if a == b else {})
+        )
 
-    modes = range(1, n + 1)
     if bad := _first(product(range(config.size), modes, modes), car_ok):
         raise _Failed("identity failed at basis mask {}, a={}, b={}".format(*bad))
     return (

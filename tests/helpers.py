@@ -5,9 +5,10 @@ and vacuum projector, the dense Fock matrix, the trace, blades as elements
 and blade coordinates, blades, the grading element and H built as
 products, the blade product and the literal grade projection, the
 unnormalized grade-2 pairing, slot names), the four-sum taken one word at
-a time, the grading element's action on a spinor, the polarisation change
-of a basis-index triple and the e6 coefficient sweep are used only by the
-tests, so they live here rather than in the package.
+a time, the CAR identities on spinor values, the grading element's action
+on a spinor, the polarisation change of a basis-index triple and the e6
+coefficient sweep are used only by the tests, so they live here rather
+than in the package.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from spinor_forge.field import Field, Scalar
 from spinor_forge.fock import (
     Config,
     SpinorVec,
+    annihilate,
     apply_monomial,
+    create,
     inversion_parity,
     mask_str,
     parity,
@@ -410,6 +413,32 @@ def to_blades(x: CliffordElem) -> dict[int, Scalar]:
     num, den = _blade_ints(x)
     scalar = x.config.field.from_fraction
     return {bmask: scalar(cb, den) for bmask, cb in num.items()}
+
+
+def car_relations_by_spinors(config: Config) -> tuple[bool, str]:
+    """check_car_relations's (ok, detail), on SpinorVec values: each side of
+    each identity built by create/annihilate on a basis vector and summed."""
+    n = config.n
+    zero = SpinorVec.zero(config)
+    for m in range(config.size):
+        psi = SpinorVec.basis(config, m)
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                cc = create(a, create(b, psi)) + create(b, create(a, psi))
+                aa = annihilate(a, annihilate(b, psi)) + annihilate(
+                    b, annihilate(a, psi)
+                )
+                mixed = annihilate(a, create(b, psi)) + create(b, annihilate(a, psi))
+                if not (
+                    cc.is_zero()
+                    and aa.is_zero()
+                    and mixed == (psi if a == b else zero)
+                ):
+                    return False, f"identity failed at basis mask {m}, a={a}, b={b}"
+    return True, (
+        f"all {config.size * n * n} (a, b, basis vector) operator identities "
+        "hold exactly"
+    )
 
 
 def epsilon_action(psi: SpinorVec) -> SpinorVec:

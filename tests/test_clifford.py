@@ -767,6 +767,19 @@ class TestWickOracle:
             x = CliffordElem.monomial(c, a, b | shared)
             y = CliffordElem.monomial(c, cm | shared, d)
             assert multiply(x, y).terms == rewrite_multiply(x, y)
+        # _wick walks forced u P over the subsets P of free, where forced
+        # = (A n C) u (B n D) must lie in B n C and free = (B n C) - forced:
+        # pairs with both nonempty, seeded, as elements with several terms
+        drawn = 0
+        while drawn < 40:
+            a, b, cm, d = (r.randrange(c.size) for _ in range(4))
+            both, forced = b & cm, (a & cm) | (b & d)
+            if forced & ~both or not forced or not both ^ forced:
+                continue
+            drawn += 1
+            x = CliffordElem(c, {(a, b): rand_scalar(c, r), (b, a): Q.one()})
+            y = CliffordElem(c, {(cm, d): rand_scalar(c, r), (d, cm): Q.one()})
+            assert multiply(x, y).terms == rewrite_multiply(x, y)
 
     def test_inversion_parity_against_double_loop(self):
         # 12 bits is Config's largest n, 24 bits its largest blade mask

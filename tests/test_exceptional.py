@@ -1089,6 +1089,21 @@ class TestTableForm:
                 (k, field.from_fraction(-c, L.den)) for k, c in terms
             )
 
+    @pytest.mark.parametrize("p", [None, 7])
+    def test_raw_bracket_drops_zero_numerators(self, p):
+        # a bracket function may return a zero numerator (an e7 chart with
+        # a constant 0); over Q a zero-free result is passed on as it is
+        field = PrimeField(p) if p else Rationals()
+        x, y, z = ("x",), ("y",), ("z",)
+        out = {(x, y): {x: 0, z: 3}, (y, x): {z: -3}}
+        L = LieAlgebra("toy", Config(1, field), [x, y, z], lambda a, b: out[(a, b)], 1)
+        assert L.raw_bracket(x, y) == {z: 3}
+        rev = L.raw_bracket(y, x)
+        assert rev == {z: p - 3 if p else -3}
+        assert (rev is out[(y, x)]) == (p is None)
+        assert verify_antisymmetry(L, [(0, 1)]) == []
+        assert L.numerators(0, 1) == ((2, 3),)
+
     def test_run_checks_counts_brackets(self, e7):
         entry = run_checks(build_e6())[0]
         assert entry["check"] == "antisymmetry"

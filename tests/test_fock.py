@@ -170,6 +170,22 @@ class TestCAR:
                     else:
                         assert anti_ie.is_zero()
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_ladder_is_one_signed_move(self, n):
+        # props' car-relations check composes these moves in place of
+        # create/annihilate on basis vectors
+        c = cfg(n)
+        for mask in range(c.size):
+            psi = SpinorVec.basis(c, mask)
+            for a in range(1, n + 1):
+                bit = 1 << (a - 1)
+                for op, word in ((create, (bit, 0)), (annihilate, (0, bit))):
+                    hit = apply_monomial(*word, mask)
+                    want = SpinorVec.zero(c)
+                    if hit is not None:
+                        want = SpinorVec.basis(c, hit[1]).scale(Q.from_int(hit[0]))
+                    assert op(a, psi) == want, (op.__name__, a, mask)
+
     def test_car_mod_p(self):
         c = Config(3, PrimeField(7))
         for mask in range(c.size):

@@ -1,11 +1,15 @@
 """The property-suite battery: runner plumbing, regimes, and the checks
 actually firing on corrupted expectations."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
-from spinor_forge import props
+from spinor_forge import fock, props
 from spinor_forge.clifford import CliffordElem
-from spinor_forge.fock import SpinorVec
+from spinor_forge.field import PrimeField, Rationals
+from spinor_forge.fock import Config
 from spinor_forge.props import (
     CheckResult,
     GRADE2_TABLE,
@@ -31,6 +35,8 @@ from spinor_forge.props import (
     run_suites,
     suite_names,
 )
+
+from .helpers import car_relations_by_spinors
 
 
 class TestCheckResult:
@@ -118,6 +124,77 @@ class TestFockChecks:
         out = check_h_eigenvalues(n)
         assert out
         assert "[H, e_a] = e_a" in out.detail
+
+
+def _flip_creation_onto_bit_2(hit, emask, imask, mask):
+    return (-hit[0], hit[1]) if emask and mask & 2 else hit
+
+
+def _kill_annihilation_from_3(hit, emask, imask, mask):
+    return None if imask and mask == 3 else hit
+
+
+def _land_creation_off_by_one(hit, emask, imask, mask):
+    return (hit[0], hit[1] ^ 1) if emask & 4 else hit
+
+
+class TestCarRelationsOnMoves:
+    """check_car_relations composes signed mask moves; the SpinorVec route
+    (create/annihilate on basis vectors, summed as values) is its oracle."""
+
+    @pytest.mark.parametrize("p", [None, 7], ids=["q", "fp7"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_agrees_with_spinor_route(self, monkeypatch, n, p):
+        config = Config(n, PrimeField(p) if p else Rationals())
+        monkeypatch.setattr(props, "_config", lambda n: config)
+        out = check_car_relations(n)
+        assert (out.ok, out.detail) == car_relations_by_spinors(config)
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            _flip_creation_onto_bit_2,
+            _kill_annihilation_from_3,
+            _land_creation_off_by_one,
+        ],
+    )
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_same_first_failure_on_faulty_moves(self, monkeypatch, n, fault):
+        # both routes take every move from apply_monomial: create and
+        # annihilate through fock's name, the check through its own
+        real = fock.apply_monomial
+
+        def faulty(emask, imask, mask):
+            hit = real(emask, imask, mask)
+            return hit and fault(hit, emask, imask, mask)
+
+        monkeypatch.setattr(fock, "apply_monomial", faulty)
+        monkeypatch.setattr(props, "apply_monomial", faulty)
+        out = check_car_relations(n)
+        assert not out.ok
+        assert (out.ok, out.detail) == car_relations_by_spinors(Config(n))
+
+    def test_builds_no_spinor(self):
+        # the check stays on (sign, mask) moves: no ladder operator, word
+        # loop or SpinorVec constructor inside it
+        tree = ast.parse(Path(props.__file__).read_text())
+        body = next(
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "check_car_relations"
+        )
+        called = set()
+        for node in ast.walk(body):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    called.add(func.id)
+                elif isinstance(func, ast.Attribute):
+                    called.add(func.attr)
+                    if isinstance(func.value, ast.Name):
+                        called.add(func.value.id)
+        assert "apply_monomial" in called
+        assert not called & {"create", "annihilate", "_apply_words", "SpinorVec"}
 
 
 class TestCliffordChecks:
@@ -311,8 +388,8 @@ class TestPairingChecksCatchFaults:
 
 
 
-def _zero_spinor(a, psi):
-    return SpinorVec.zero(psi.config)
+def _kill_move(emask, imask, mask):
+    return None
 
 
 def _field_zero(x, y):
@@ -328,8 +405,8 @@ FAULTS = [
     (
         check_car_relations,
         3,
-        "create",
-        _zero_spinor,
+        "apply_monomial",
+        _kill_move,
         "identity failed at basis mask 0, a=1, b=1",
     ),
     (
