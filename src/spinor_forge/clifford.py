@@ -27,17 +27,19 @@ i_B . e_A for each reversed term, and `trace_product` on the term pairs
 whose contractions are diagonal, so Tr(xy) never builds xy.
 `vector_commutator` gives [x, E_s] for an even x and an orthonormal
 vector in closed form, one contraction per term, with `commutator` as
-its test oracle.  `_blade_ints` expands a monomial with integer
-coefficients over one common power of two, and `_blade_terms`, the one
-blade constructor, expands an orthonormal blade back into monomials
-block by block: `q_map`, `grading_element` (the top blade) and the grade
-projections all build their blades from it.  The tests keep the
-vector-by-vector products as its oracle.
+its test oracle.  `_blade_terms`, the one blade constructor, expands an
+orthonormal blade into monomials block by block: `q_map` and
+`grading_element` (the top blade) build their blades from it, and the
+tests keep the vector-by-vector products as its oracle.  The grade
+projections never leave the Witt basis: V is the orthogonal sum of the
+planes span(e_a, i_a), so grades add over blocks, and
+`grade_projections` splits each e_a i_a of a term as
+(e_a i_a - 1/2) + 1/2, into grades 2 and 0.
 
 An orthonormal basis is derived from the Witt basis by E_{2a-1} = e_a + i_a
 (square +1) and E_{2a} = e_a - i_a (square -1).  Internally these 2n vectors
 are numbered by slots 0..2n-1 in that interleaved order, so ascending slots
-match the ordered orthonormal basis used by the grade projection.
+match the ordered orthonormal basis of `q_map`.
 """
 
 from __future__ import annotations
@@ -316,38 +318,6 @@ def q_map(config: Config, slots: tuple[int, ...] | list[int]) -> CliffordElem:
     return CliffordElem._make(config, _blade_terms(sum(1 << s for s in slots)))
 
 
-def _blade_ints(x: CliffordElem) -> tuple[dict[int, int], int]:
-    """Blade coordinates of x as canonical (numerators, denominator).
-
-    Each Witt generator is half a sum or difference of two orthonormal
-    vectors: e_a = (E + E~)/2 and i_a = (E - E~)/2 at block a.  A monomial
-    with k generators expands to 2^k signed blade products with integer
-    coefficients; over the common denominator den(x) 2^K, K the most
-    generators in a term, its blades carry c 2^(K-k).
-    """
-    top = max((e.bit_count() + i.bit_count() for e, i in x._num), default=0)
-    out: dict[int, int] = {}
-    for (emask, imask), c in x._num.items():
-        factors = [(b, False) for b in range(emask.bit_length()) if (emask >> b) & 1]
-        factors += [(b, True) for b in range(imask.bit_length()) if (imask >> b) & 1]
-        acc: dict[int, int] = {0: 1}
-        for bit, is_i in factors:
-            nxt: dict[int, int] = {}
-            for bmask, cb in acc.items():
-                for slot, odd in ((2 * bit, False), (2 * bit + 1, is_i)):
-                    # E_slot passes the blade's higher slots; on a repeat it
-                    # contracts to its metric, -1 on an odd slot
-                    odd += (bmask >> (slot + 1)).bit_count()
-                    odd += bmask >> slot & slot & 1
-                    new = bmask ^ (1 << slot)
-                    nxt[new] = nxt.get(new, 0) + (-cb if odd & 1 else cb)
-            acc = {m: cb for m, cb in nxt.items() if cb}
-        scale = c << (top - len(factors))
-        for bmask, cb in acc.items():
-            out[bmask] = out.get(bmask, 0) + scale * cb
-    return x.config.field.canon(out, x._den << top)
-
-
 def _blade_terms(bmask: int) -> dict[Monomial, int]:
     """Integer Witt coordinates of the ascending orthonormal blade `bmask`.
 
@@ -379,50 +349,58 @@ def _blade_terms(bmask: int) -> dict[Monomial, int]:
     }
 
 
-def _project(config: Config, blades: dict[int, int], den: int) -> CliffordElem:
-    """The element with blade coordinates blades / den, each blade expanded
-    once by `_blade_terms` into one accumulator."""
-    acc: dict[Monomial, int] = {}
-    for bmask, cb in blades.items():
-        for mono, c in _blade_terms(bmask).items():
-            acc[mono] = acc.get(mono, 0) + cb * c
-    return CliffordElem._make(config, acc, den)
-
-
 def grade_project(x: CliffordElem, k: int) -> CliffordElem:
-    """Projection onto grade k via the orthonormal trace formula.
+    """The grade-k part of x (see `grade_projections`).
 
-    For the ordered basis the formula reads, summed over ascending index
-    combinations of size k,
-
-        (1/2^n) g(E_1,E_1)...g(E_k,E_k) Tr(E_k...E_1 x) E_1...E_k.
-
-    The trace factor vanishes unless the blade coordinates of x meet the
-    combination, so the sum runs over the grade-k blades of one
-    `_blade_ints(x)`.  As E_k...E_1 E_1...E_k = g(E_1,E_1)...g(E_k,E_k)
-    and the trace of 1 is 2^n, the factors cancel: each kept blade keeps
-    its coordinate and is expanded once in closed form.  The tests'
-    `project_by_products` evaluates every factor literally.  The cost is
-    the blade expansion of x's own terms, so every n that `Config`
-    accepts is accepted.  Completeness (the projections sum to x) is the
-    independent crosscheck.
+    Raises ValueError for k outside 0..2n.
     """
-    config = x.config
-    if not 0 <= k <= 2 * config.n:
-        raise ValueError(f"grade {k} out of range for n={config.n}")
-    num, den = _blade_ints(x)
-    blades = {m: cb for m, cb in num.items() if m.bit_count() == k}
-    return _project(config, blades, den)
+    if not 0 <= k <= 2 * x.config.n:
+        raise ValueError(f"grade {k} out of range for n={x.config.n}")
+    return grade_projections(x)[k]
 
 
 def grade_projections(x: CliffordElem) -> list[CliffordElem]:
-    """[grade_project(x, k) for k in 0..2n] from one blade conversion."""
-    config = x.config
-    num, den = _blade_ints(x)
-    by_grade: list[dict[int, int]] = [{} for _ in range(2 * config.n + 1)]
-    for bmask, cb in num.items():
-        by_grade[bmask.bit_count()][bmask] = cb
-    return [_project(config, blades, den) for blades in by_grade]
+    """[grade_project(x, k) for k in 0..2n], block by block in Witt
+    coordinates.
+
+    V is the orthogonal sum of the planes span(e_a, i_a), so grades add
+    over blocks: a block holding e_a or i_a alone has grade 1, and one
+    holding both splits as e_a i_a = (e_a i_a - 1/2) + 1/2 into grades 2
+    and 0.  A term c e_A i_B is (-1)^inv(A, B) times its block word; with
+    D = A n B, keeping e_a i_a on the blocks T of D and -1/2 or 1/2 on
+    the rest of D leaves the monomial e_A' i_B', A' = (A - D) u T and
+    B' = (B - D) u T, in grade |A ^ B| + 2j for j the blocks given grade
+    2, and normal-ordering its block word costs (-1)^inv(A', B').  A
+    term starts as c 2^(n - |D|), and each block of D splits a numerator
+    v into 2v (e_a i_a), -v (its -1/2) and v (the 1/2 of grade 0), so
+    every part is an int numerator over den(x) 2^n.  The tests'
+    `project_by_products` evaluates the orthonormal trace formula
+    literally.
+    """
+    config, n = x.config, x.config.n
+    parts: list[dict[Monomial, int]] = [{} for _ in range(2 * n + 1)]
+    for (amask, bmask), c in x._num.items():
+        diag = amask & bmask
+        start = c << (n - diag.bit_count())
+        # (grade, A', B') -> numerator over den(x) 2^n
+        terms = {((amask ^ bmask).bit_count(), amask ^ diag, bmask ^ diag): start}
+        for a in range(diag.bit_length()):
+            if not (diag >> a) & 1:
+                continue
+            bit = 1 << a
+            nxt: dict[tuple[int, int, int], int] = {}
+            for (k, emask, imask), v in terms.items():
+                nxt[(k + 2, emask | bit, imask | bit)] = 2 * v
+                for key, w in (((k + 2, emask, imask), -v), ((k, emask, imask), v)):
+                    nxt[key] = nxt.get(key, 0) + w
+            terms = nxt
+        flip = inversion_parity(amask, bmask)
+        for (k, emask, imask), v in terms.items():
+            part, mono = parts[k], (emask, imask)
+            odd = flip + inversion_parity(emask, imask)
+            part[mono] = part.get(mono, 0) + (-v if odd & 1 else v)
+    den = x._den << n
+    return [CliffordElem._make(config, part, den) for part in parts]
 
 
 @lru_cache(maxsize=None)

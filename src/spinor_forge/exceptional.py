@@ -148,17 +148,10 @@ class LieAlgebra:
         scalar, den = self.config.field.from_fraction, self.den
         return tuple((k, scalar(c, den)) for k, c in self.numerators(i, j))
 
-    def remember(self, i: int, j: int, coords: dict[Label, int]) -> tuple:
-        """Store coords = raw_bracket(b_i, b_j), i < j, unless [b_i, b_j] is
-        stored (a mutated copy's flipped sign, say), and return the entry:
-        for callers that have already evaluated the pair."""
-        _check_pair(i, j, self.dim)
-        if i >= j:
-            raise ValueError(f"bad index pair ({i}, {j})")
-        return self._store(i, j, coords)
-
     def _store(self, i: int, j: int, coords: dict[Label, int]) -> tuple:
-        """remember without its index checks, for pairs already checked."""
+        """Store coords = raw_bracket(b_i, b_j), i < j, unless [b_i, b_j] is
+        stored (a mutated copy's flipped sign, say), and return the entry;
+        unchecked, for pairs already checked."""
         got = self._table.get((i, j))
         if got is None:
             got = tuple(sorted((self.index[lab], c) for lab, c in coords.items()))

@@ -163,16 +163,6 @@ def _top_num(form: BilinearForm, imask: int, jmask: int) -> int:
     return -val if parity(jmask) else val
 
 
-def basis_top_grade_coefficient(form: BilinearForm, imask: int, jmask: int) -> Scalar:
-    """top_grade_coefficient(form, e_I.v, e_J.v) for two Fock basis masks:
-    B(e_I.v, e_J.v) (-1)^|J| / 2^n (`_top_num`)."""
-    config = form.config
-    _check_masks(config, imask, jmask)
-    return config.field.from_fraction(
-        _top_num(form, imask, jmask), config.size * form._den
-    )
-
-
 def _c2_move(label: Label, mask: int) -> Optional[tuple[int, int]]:
     """label . e_M.v for a grade-2 label: (new mask, int coefficient) or None.
 

@@ -4,11 +4,12 @@ The Clifford-route oracles (the endomorphism pairing with its matrix units
 and vacuum projector, the dense Fock matrix, the trace, blades as elements
 and blade coordinates, blades, the grading element and H built as
 products, the blade product and the literal grade projection, the
-unnormalized grade-2 pairing, slot names), the four-sum taken one word at
-a time, the CAR identities on spinor values, the grading element's action
-on a spinor, the polarisation change of a basis-index triple and the e6
-coefficient sweep are used only by the tests, so they live here rather
-than in the package.
+unnormalized grade-2 pairing, slot names), the top-grade coefficient on
+two Fock basis masks, the four-sum taken one word at a time, the CAR
+identities on spinor values, the grading element's action on a spinor,
+the polarisation change of a basis-index triple and the e6 coefficient
+sweep are used only by the tests, so they live here rather than in the
+package.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Optional
 from spinor_forge.builders import build_e6
 from spinor_forge.clifford import (
     CliffordElem,
-    _blade_ints,
     _blade_terms,
     act,
     multiply,
@@ -44,9 +44,11 @@ from spinor_forge.fock import (
 from spinor_forge.norms import BilinearForm
 from spinor_forge.pairings import (
     _accum,
+    _check_masks,
     _check_pair,
     _four_sum_elements,
     _l2_coords,
+    _top_num,
     grade2_pairing,
 )
 
@@ -143,6 +145,16 @@ def l2_scalars(form: BilinearForm, imask: int, jmask: int) -> dict:
     field scalars."""
     scalar, den = form.config.field.from_fraction, 2 * form._den
     return {lab: scalar(c, den) for lab, c in _l2_coords(form, imask, jmask).items()}
+
+
+def basis_top_grade_coefficient(form: BilinearForm, imask: int, jmask: int) -> Scalar:
+    """top_grade_coefficient(form, e_I.v, e_J.v) for two Fock basis masks:
+    B(e_I.v, e_J.v) (-1)^|J| / 2^n (`_top_num`)."""
+    config = form.config
+    _check_masks(config, imask, jmask)
+    return config.field.from_fraction(
+        _top_num(form, imask, jmask), config.size * form._den
+    )
 
 
 def slot_str(slot: int) -> str:
@@ -406,6 +418,38 @@ def sweep_e6_coefficients(
         if verify_jacobi(L, pairs=pairs):
             good.append((a, b))
     return good
+
+
+def _blade_ints(x: CliffordElem) -> tuple[dict[int, int], int]:
+    """Blade coordinates of x as canonical (numerators, denominator).
+
+    Each Witt generator is half a sum or difference of two orthonormal
+    vectors: e_a = (E + E~)/2 and i_a = (E - E~)/2 at block a.  A monomial
+    with k generators expands to 2^k signed blade products with integer
+    coefficients; over the common denominator den(x) 2^K, K the most
+    generators in a term, its blades carry c 2^(K-k).
+    """
+    top = max((e.bit_count() + i.bit_count() for e, i in x._num), default=0)
+    out: dict[int, int] = {}
+    for (emask, imask), c in x._num.items():
+        factors = [(b, False) for b in range(emask.bit_length()) if (emask >> b) & 1]
+        factors += [(b, True) for b in range(imask.bit_length()) if (imask >> b) & 1]
+        acc: dict[int, int] = {0: 1}
+        for bit, is_i in factors:
+            nxt: dict[int, int] = {}
+            for bmask, cb in acc.items():
+                for slot, odd in ((2 * bit, False), (2 * bit + 1, is_i)):
+                    # E_slot passes the blade's higher slots; on a repeat it
+                    # contracts to its metric, -1 on an odd slot
+                    odd += (bmask >> (slot + 1)).bit_count()
+                    odd += bmask >> slot & slot & 1
+                    new = bmask ^ (1 << slot)
+                    nxt[new] = nxt.get(new, 0) + (-cb if odd & 1 else cb)
+            acc = {m: cb for m, cb in nxt.items() if cb}
+        scale = c << (top - len(factors))
+        for bmask, cb in acc.items():
+            out[bmask] = out.get(bmask, 0) + scale * cb
+    return x.config.field.canon(out, x._den << top)
 
 
 def to_blades(x: CliffordElem) -> dict[int, Scalar]:

@@ -481,8 +481,12 @@ class TestGradeProjection:
                 assert lhs == multiply(eps, grade_project(x, k))
 
     def test_range_check(self):
-        with pytest.raises(ValueError, match="out of range"):
-            grade_project(CliffordElem.one(cfg(2)), 5)
+        # a negative grade must not index the parts list from the end
+        for n in (1, 2, 3):
+            x = CliffordElem.one(cfg(n))
+            for k in (-1, 2 * n + 1):
+                with pytest.raises(ValueError, match="out of range"):
+                    grade_project(x, k)
 
     def test_commutator_of_vectors_is_grade_two(self):
         c = cfg(3)
@@ -564,6 +568,16 @@ class TestClosedFormBlades:
             for k, part in enumerate(parts):
                 assert part == grade_project(x, k)
                 assert part == project_by_products(x, k)
+
+    @pytest.mark.parametrize("field", [Q, F7], ids=["q", "fp7"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_projection_matches_product_route_every_monomial(self, n, field):
+        c = Config(n, field)
+        for m in all_monomials(c):
+            x = CliffordElem.monomial(c, *m)
+            parts = grade_projections(x)
+            for k, part in enumerate(parts):
+                assert part == grade_project(x, k) == project_by_products(x, k), (m, k)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_trace_formula_factors_cancel(self, n):

@@ -44,7 +44,6 @@ from spinor_forge.pairings import (
     _slot_move,
     _four_sum_elements,
     _four_sum_words,
-    basis_top_grade_coefficient,
     grade2_pairing,
     grade2_pairing_on_basis,
     graded_pairing,
@@ -53,6 +52,7 @@ from spinor_forge.pairings import (
 
 from .helpers import (
     _move_pairing,
+    basis_top_grade_coefficient,
     blade_to_elem,
     c2_coords,
     c2_elem,

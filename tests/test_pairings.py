@@ -24,7 +24,6 @@ from spinor_forge.fock import Config, SpinorVec, mask_from_indices, parity
 from spinor_forge.norms import b_eval, graded_norm, solve_spinor_norm
 import spinor_forge.pairings as pairings_mod
 from spinor_forge.pairings import (
-    basis_top_grade_coefficient,
     grade2_pairing,
     grade2_pairing_on_basis,
     graded_pairing,
@@ -34,6 +33,7 @@ from spinor_forge.pairings import (
 )
 
 from .helpers import (
+    basis_top_grade_coefficient,
     PolarisationChange,
     apply_swapped_word,
     c2_coords,
@@ -602,7 +602,7 @@ class TestDirectMoveOracles:
             raise AssertionError("the four-sum must not use the basis closed forms")
 
         for name in (
-            "basis_top_grade_coefficient",
+            "_top_num",
             "grade2_pairing_on_basis",
             "_l2_coords",
             "_c2_move",
