@@ -33,9 +33,9 @@ from spinor_forge.pairings import (
 )
 
 from .helpers import (
-    basis_top_grade_coefficient,
     PolarisationChange,
     apply_swapped_word,
+    basis_top_grade_coefficient,
     c2_coords,
     change_polarisation,
     endomorphism_pairing,
