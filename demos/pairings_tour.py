@@ -10,13 +10,14 @@ vector-valued relations.
 """
 
 from spinor_forge.fock import Config, SpinorVec
-from spinor_forge.clifford import act, commutator, orthonormal_vector
+from spinor_forge.clifford import act, commutator, grading_element, orthonormal_vector
 from spinor_forge.norms import b_eval, solve_spinor_norm
 from spinor_forge.pairings import (
     grade2_pairing,
     grade2_pairing_on_basis,
     orbit_map_adjoint,
     top_grade_coefficient,
+    top_grade_pairing,
 )
 
 n = 4
@@ -42,6 +43,7 @@ print("closed-form basis matrix agrees with the four-sum route")
 # exactly when the two masks are complementary
 coeff = top_grade_coefficient(form, phi, psi)
 print(f"top-grade coefficient on the complementary pair: {coeff}")
+assert top_grade_pairing(form, phi, psi) == grading_element(config).scale(coeff)
 assert top_grade_coefficient(form, phi, SpinorVec.basis(config, 0b0110)) == field.zero()
 
 # relations: for each vector w,

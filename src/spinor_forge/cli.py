@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 import traceback
@@ -178,11 +179,16 @@ def _validate(args: argparse.Namespace) -> Optional[Field]:
     """Raise ValueError for a usage error, before any work starts.
 
     Returns the field that verify and export run over (None for props),
-    built once here and handed to the command.
+    built once here and handed to the command.  An export path whose
+    directory does not exist is a usage error too.
     """
     if args.command == "props":
         suite_names(args.n, args.suite)
         return None
+    if args.command == "export":
+        folder = os.path.dirname(args.out) or "."
+        if not os.path.isdir(folder):
+            raise ValueError(f"output directory {folder} does not exist")
     return make_field(args.field)
 
 

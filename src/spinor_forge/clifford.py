@@ -22,9 +22,17 @@ product of two monomials is Wick's theorem in closed form, and one walk,
 `_wick`, writes it: contracting i_B against e_C over each subset S of
 B n C leaves one signed monomial, whose sign is a sum of popcount
 parities, and the walk visits only the subsets whose monomial survives.
-`multiply` and `commutator` run it on all term pairs, `transpose` on
-i_B . e_A for each reversed term, and `trace_product` on the term pairs
-whose contractions are diagonal, so Tr(xy) never builds xy.
+`multiply` and `commutator` run it on all term pairs and `transpose` on
+i_B . e_A for each reversed term.
+
+The trace form never builds a product.  With u_a = 2 e_a i_a - 1 =
+e_a i_a - i_a e_a, each plane span(e_a, i_a) of V has the algebra basis
+{1, e_a, i_a, u_a}, and products of one basis element per plane (the
+plane terms e_A0 i_B0 u_T, A0, B0 and T disjoint) span the algebra.  On
+one plane the trace pairs 1 with 1 and u_a with u_a (trace 2 each), e_a
+with i_a (trace 1), and nothing else, since e_a, i_a and u_a are
+traceless; so e_A0 i_B0 u_T pairs only with its dual e_B0 i_A0 u_T, and
+`trace_product` is one dict lookup per plane term.
 `vector_commutator` gives [x, E_s] for an even x and an orthonormal
 vector in closed form, one contraction per term, with `commutator` as
 its test oracle.  `_blade_terms`, the one blade constructor, expands an
@@ -45,7 +53,7 @@ match the ordered orthonormal basis of `q_map`.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .field import Scalar
 from .fock import (
@@ -131,10 +139,11 @@ def _wick(
     """acc += (-1)^flip times the product of the x-terms ((A, B), c_x) of
     xs and the y-terms of ys (see `_y_terms`).
 
-    Wick's theorem in closed form, and the one walk over its contractions.
-    For an x-term c_x e_A i_B and a y-term c_y e_C i_D, each subset S of
-    B n C (the i factors contracted against matching e factors) gives,
-    with B' = B - S and C' = C - S,
+    Wick's theorem in closed form, and the one walk over its contractions;
+    its three callers are `multiply`, `commutator` and `transpose`
+    (`trace_product` needs no product).  For an x-term c_x e_A i_B and a
+    y-term c_y e_C i_D, each subset S of B n C (the i factors contracted
+    against matching e factors) gives, with B' = B - S and C' = C - S,
 
         (-1)^sigma c_x c_y e_{A u C'} i_{B' u D},
 
@@ -261,33 +270,63 @@ def transpose(x: CliffordElem) -> CliffordElem:
     return CliffordElem._make(x.config, acc, x._den)
 
 
-def trace_product(x: CliffordElem, y: CliffordElem) -> Scalar:
-    """Tr(x y) without building the product.
+def _plane_terms(num: dict[Monomial, int], n: int) -> Iterator[tuple[Monomial, int]]:
+    """(key, v) for each plane term v 2^-n e_A0 i_B0 u_T of the sum of
+    c e_A i_B over the numerators `num`, keyed (A0 u T, B0 u T); the key's
+    two masks meet in T.  A key may come from several terms.
 
-    Only diagonal monomials e_K i_K have a trace: e_K i_K fixes the
-    2^(n-|K|) basis vectors e_M.v with K in M, with sign (-1)^C(|K|, 2),
-    and kills the others.  A surviving contraction S of e_A i_B . e_C i_D
-    (see `_wick`) is diagonal exactly when A u C = B u D and S misses
-    A ^ D, and survival forces every index of B n C n (A ^ D) into S.  So
-    a term pair has either only diagonal contractions (A u C = B u D, and
-    B n C misses A ^ D) or none, and only the first kind is walked.
+    For a term c e_A i_B put D = A n B, A0 = A - D and B0 = B - D.  Each
+    e_a i_a of D is (1 + u_a)/2, and the u_a commute with the other
+    planes, so the term is +-c 2^-|D| times the sum of e_A0 i_B0 u_T over
+    the subsets T of D, built block by block; reordering the block word
+    costs (-1)^(inv(A, B) + inv(A0, B0)).  A term with D = {} is its own
+    plane term.
     """
-    config = x.config
+    for (amask, bmask), c in num.items():
+        diag = amask & bmask
+        if not diag:
+            yield (amask, bmask), c << n
+            continue
+        keys = [(amask ^ diag, bmask ^ diag)]
+        v = c << (n - diag.bit_count())
+        if (inversion_parity(amask, bmask) + inversion_parity(*keys[0])) & 1:
+            v = -v
+        for a in range(diag.bit_length()):
+            if (diag >> a) & 1:
+                bit = 1 << a
+                keys += [(emask | bit, imask | bit) for emask, imask in keys]
+        for key in keys:
+            yield key, v
+
+
+def trace_product(x: CliffordElem, y: CliffordElem) -> Scalar:
+    """Tr(x y) without building the product: one dict lookup per plane
+    term of x (see `_plane_terms`).
+
+    In the plane basis (see the module docstring) the trace form is
+    orthogonal: e_A0 i_B0 u_T pairs only with e_B0 i_A0 u_T, and with
+    m = |A0| + |B0| their product has trace
+    (-1)^(|A0||B0| + C(m, 2)) 2^(n - m).  So the plane terms of y go into
+    one dict under their dual keys, and each plane term of x looks its
+    partner up; the sum is an int over den(x) den(y) 4^n.  The cost is
+    about the sum of 2^|A n B| over the terms of x and y.
+    """
+    config, n = x.config, x.config.n
     config.check_same(y.config)
-    ys = _y_terms(y._num)
-    diagonal: dict[Monomial, int] = {}
-    for (amask, bmask), cx in x._num.items():
-        kept = []
-        for t in ys:
-            if amask | t[0] == bmask | t[1] and not bmask & t[0] & (amask ^ t[1]):
-                kept.append(t)
-        if kept:
-            _wick(diagonal, [((amask, bmask), cx)], kept, 0)
+    dual: dict[Monomial, int] = {}
+    for (emask, imask), v in _plane_terms(y._num, n):
+        key = (imask, emask)
+        dual[key] = dual.get(key, 0) + v
     total = 0
-    for (kmask, _), c in diagonal.items():
-        k = kmask.bit_count()
-        total += (-c if (k * (k - 1) >> 1) & 1 else c) << (config.n - k)
-    return config.field.from_fraction(total, x._den * y._den)
+    for (emask, imask), v in _plane_terms(x._num, n):
+        w = dual.get((emask, imask))
+        if w:
+            diag = emask & imask
+            p, q = (emask ^ diag).bit_count(), (imask ^ diag).bit_count()
+            m = p + q
+            w = (v * w) << (n - m)
+            total += -w if (p * q + (m * (m - 1) >> 1)) & 1 else w
+    return config.field.from_fraction(total, x._den * y._den << 2 * n)
 
 
 # Orthonormal slots: slot 2(a-1) is e_a + i_a with square +1, slot 2a-1 is

@@ -256,6 +256,24 @@ class TestExport:
             main(["export", "--algebra", "e9", "--out", str(tmp_path / "x.json")])
         assert exc.value.code == 2
 
+    def test_missing_out_directory_exit_2_before_building(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from spinor_forge import cli
+
+        def never(field=None):
+            raise AssertionError("built despite a usage error")
+
+        monkeypatch.setitem(cli._BUILDERS, "e6", never)
+        out_path = tmp_path / "missing" / "e6.json"
+        code, out, err = run_cli(
+            capsys, ["export", "--algebra", "e6", "--out", str(out_path)]
+        )
+        assert code == 2
+        assert out == ""
+        assert "does not exist" in err
+        assert not out_path.parent.exists()
+
     def test_out_required(self):
         with pytest.raises(SystemExit) as exc:
             main(["export", "--algebra", "e6"])

@@ -8,14 +8,18 @@ field scalars.  Inputs carry non-dyadic coefficients (1/3, -5/7, 3/4) so
 that every denominator path is exercised, over Q and over F_7.
 """
 
+import ast
+import inspect
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
 
+from spinor_forge import clifford as clifford_mod
 from spinor_forge.clifford import (
     CliffordElem,
+    _plane_terms,
     act,
     commutator,
     grade_project,
@@ -576,8 +580,7 @@ def test_trace_product_every_transposed_blade_pair(field, n):
 @pytest.mark.parametrize("field", list(FIELDS))
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_trace_product_every_monomial_pair(field, n):
-    # trace_product walks only the term pairs with A u C = B u D whose
-    # B n C misses A ^ D: every other pair has no diagonal contraction
+    # every pair of plane terms, dual or not, meets here for n <= 3
     config = Config(n, FIELDS[field])
     one = config.field.one()
     monos = [(a, b) for a in range(config.size) for b in range(config.size)]
@@ -586,6 +589,102 @@ def test_trace_product_every_monomial_pair(field, n):
         for m2 in monos:
             want = o_trace(config, o_multiply({m1: one}, {m2: one}))
             assert trace_product(x, CliffordElem(config, {m2: one})) == want, (m1, m2)
+
+
+TRACE_FIELDS = {"q": Rationals(), "fp5": PrimeField(5), "fp7": PrimeField(7)}
+
+
+def diagonal_heavy_elem(config, r, nterms):
+    """nterms terms c e_A i_B with |A n B| >= 2: the terms whose plane
+    expansion has 4 or more plane terms."""
+    pool = [c for c in coeff_pool(config.field) if c]
+    terms = {}
+    for _ in range(nterms):
+        diag = sum(1 << a for a in r.sample(range(config.n), r.randint(2, config.n)))
+        rest = (config.size - 1) ^ diag
+        terms[(diag | (r.randrange(config.size) & rest),
+               diag | (r.randrange(config.size) & rest))] = r.choice(pool)
+    return CliffordElem(config, terms)
+
+
+@pytest.mark.parametrize("field", TRACE_FIELDS.values(), ids=TRACE_FIELDS.keys())
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_trace_product_diagonal_heavy_pairs(field, n):
+    # y holds, besides its own terms, each x-term's dual (A, B) -> (B, A)
+    # moved to a fresh diagonal, so that most pairs have a nonzero trace
+    config = Config(n, field)
+    r = rng(2400 + n)
+    nonzero_seen = 0
+    for _ in range(30):
+        x = diagonal_heavy_elem(config, r, r.randint(1, 4))
+        dual = {}
+        for (amask, bmask), c in x.terms.items():
+            diag = amask & bmask
+            keep = diag & r.randrange(config.size)
+            dual[(bmask ^ diag ^ keep, amask ^ diag ^ keep)] = c
+        y = diagonal_heavy_elem(config, r, r.randint(1, 3)) + CliffordElem(config, dual)
+        got = trace_product(x, y)
+        assert got == trace(multiply(x, y))
+        assert trace_product(y, x) == got
+        nonzero_seen += got != field.zero()
+    assert nonzero_seen >= 20
+
+
+@pytest.mark.parametrize("field", list(FIELDS))
+@pytest.mark.parametrize("n", [5, 6])
+def test_trace_product_top_grade_isometry_pairs(field, n):
+    # the blade pairs of props.check_q_isometry with grade k >= 2n - 2,
+    # whose terms are mostly diagonal
+    from random import Random
+
+    config = Config(n, FIELDS[field])
+    nslots = 2 * n
+    r = Random(1009 + n)
+    pairs = []
+    for k in range(3, nslots + 1):
+        a = tuple(sorted(r.sample(range(nslots), k)))
+        b = tuple(sorted(r.sample(range(nslots), k)))
+        c = tuple(sorted(r.sample(range(nslots), r.randrange(k))))
+        if k >= nslots - 2:
+            pairs += [(a, a), (a, b), (a, c)]
+    assert len(pairs) == 9
+    for s1, s2 in pairs:
+        x, y = transpose(q_map(config, s1)), q_map(config, s2)
+        assert trace_product(x, y) == trace(multiply(x, y)), (s1, s2)
+
+
+@pytest.mark.parametrize("field", list(FIELDS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_plane_terms_rebuild_every_monomial(field, n):
+    # sum over the plane terms of v e_A0 i_B0 u_T, multiplied out with
+    # u_a = 2 e_a i_a - 1, is 2^n times the monomial
+    config = Config(n, FIELDS[field])
+    one = config.field.one()
+    u = [
+        CliffordElem(config, {(1 << a, 1 << a): config.field.from_int(2), (0, 0): -one})
+        for a in range(n)
+    ]
+    for mono in product(range(config.size), repeat=2):
+        x = CliffordElem(config, {mono: one})
+        total = CliffordElem.zero(config)
+        for (emask, imask), v in _plane_terms(x._num, n):
+            diag = emask & imask
+            term = CliffordElem(config, {(emask ^ diag, imask ^ diag): config.field.from_int(v)})
+            for a in range(n):
+                if (diag >> a) & 1:
+                    term = multiply(term, u[a])
+            total = total + term
+        assert total == x.scale(config.field.from_int(config.size)), mono
+
+
+def test_trace_product_walks_no_contraction():
+    # the trace pairs plane terms by dict lookup; the Wick walk builds
+    # products, and trace_product builds none
+    tree = ast.parse(inspect.getsource(clifford_mod))
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("trace_product", "_plane_terms"):
+        names = {node.id for node in ast.walk(funcs[name]) if isinstance(node, ast.Name)}
+        assert "_wick" not in names and "multiply" not in names, name
 
 
 # ----------------------------------------------------------- canonical form
