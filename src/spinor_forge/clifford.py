@@ -287,10 +287,11 @@ def _plane_terms(num: dict[Monomial, int], n: int) -> Iterator[tuple[Monomial, i
         if not diag:
             yield (amask, bmask), c << n
             continue
-        keys = [(amask ^ diag, bmask ^ diag)]
+        a0, b0 = amask ^ diag, bmask ^ diag
         v = c << (n - diag.bit_count())
-        if (inversion_parity(amask, bmask) + inversion_parity(*keys[0])) & 1:
+        if (inversion_parity(amask, bmask) + inversion_parity(a0, b0)) & 1:
             v = -v
+        keys = [(a0, b0)]
         for a in range(diag.bit_length()):
             if (diag >> a) & 1:
                 bit = 1 << a
