@@ -635,11 +635,9 @@ def test_trace_product_diagonal_heavy_pairs(field, n):
 def test_trace_product_top_grade_isometry_pairs(field, n):
     # the blade pairs of props.check_q_isometry with grade k >= 2n - 2,
     # whose terms are mostly diagonal
-    from random import Random
-
     config = Config(n, FIELDS[field])
     nslots = 2 * n
-    r = Random(1009 + n)
+    r = rng(1009 + n)
     pairs = []
     for k in range(3, nslots + 1):
         a = tuple(sorted(r.sample(range(nslots), k)))
