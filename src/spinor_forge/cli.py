@@ -180,7 +180,8 @@ def _validate(args: argparse.Namespace) -> Optional[Field]:
 
     Returns the field that verify and export run over (None for props),
     built once here and handed to the command.  An export path whose
-    directory does not exist is a usage error too.
+    directory does not exist, or that names a directory, is a usage
+    error too.
     """
     if args.command == "props":
         suite_names(args.n, args.suite)
@@ -189,6 +190,8 @@ def _validate(args: argparse.Namespace) -> Optional[Field]:
         folder = os.path.dirname(args.out) or "."
         if not os.path.isdir(folder):
             raise ValueError(f"output directory {folder} does not exist")
+        if os.path.isdir(args.out):
+            raise ValueError(f"output path {args.out} is a directory")
     return make_field(args.field)
 
 

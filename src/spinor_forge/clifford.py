@@ -33,8 +33,8 @@ one plane the trace pairs 1 with 1 and u_a with u_a (trace 2 each), e_a
 with i_a (trace 1), and nothing else, since e_a, i_a and u_a are
 traceless; so e_A0 i_B0 u_T pairs only with its dual e_B0 i_A0 u_T, and
 `trace_product` is one dict lookup per plane term.
-`vector_commutator` gives [x, E_s] for an even x and an orthonormal
-vector in closed form, one contraction per term, with `commutator` as
+`vector_commutators` gives [x, E_s] for an even x and every orthonormal
+vector in closed form, one pass over the terms, with `commutator` as
 its test oracle.  `_blade_terms`, the one blade constructor, expands an
 orthonormal blade into monomials block by block: `q_map` and
 `grading_element` (the top blade) build their blades from it, and the
@@ -215,37 +215,42 @@ def commutator(x: CliffordElem, y: CliffordElem) -> CliffordElem:
     return CliffordElem._make(x.config, acc, x._den * y._den)
 
 
-def vector_commutator(x: CliffordElem, slot: int) -> CliffordElem:
-    """[x, E_slot] for an even element x, one contraction per term.
+def vector_commutators(x: CliffordElem) -> dict[int, dict[Monomial, int]]:
+    """[x, E_s] for an even element x and every slot s at once, as
+    {s: numerators} over x's denominator, one contraction per term and bit.
 
-    E_slot = e_a + i_a (even slot) or e_a - i_a (odd slot).  For an even
+    E_s = e_a + i_a (even slot) or e_a - i_a (odd slot).  For an even
     monomial the uncontracted parts of the two products cancel, leaving
 
         [e_A i_B, e_c] =  [c in B] (-1)^#{b in B : b > c} e_A i_{B - c},
-        [e_A i_B, i_c] = -[c in A] (-1)^#{a in A : a < c} e_{A - c} i_B.
+        [e_A i_B, i_c] = -[c in A] (-1)^#{a in A : a < c} e_{A - c} i_B,
 
-    `commutator(x, orthonormal_vector(config, slot))` is the oracle.
-    Raises ValueError for an odd term or a slot outside 0..2n-1.
+    so both slots of mode c take the first term and the odd one negates
+    the second.  `commutator(x, orthonormal_vector(config, s))` is the
+    oracle.  Raises ValueError for an odd term.
     """
-    config = x.config
-    if not 0 <= slot < 2 * config.n:
-        raise ValueError(f"slot {slot} out of range for n={config.n}")
-    bit = 1 << (slot >> 1)
-    # the i_a term's own minus sign, plus the minus of e_a - i_a on odd slots
-    i_odd = 1 + (slot & 1)
-    acc: dict[Monomial, int] = {}
+    rows: dict[int, dict[Monomial, int]] = {}
     for (emask, imask), c in x._num.items():
         if (emask.bit_count() + imask.bit_count()) & 1:
-            raise ValueError("vector_commutator expects an even element")
-        if imask & bit:
-            key = (emask, imask ^ bit)
-            odd = (imask >> ((slot >> 1) + 1)).bit_count()
-            acc[key] = acc.get(key, 0) + (-c if odd & 1 else c)
-        if emask & bit:
-            key = (emask ^ bit, imask)
-            odd = i_odd + (emask & (bit - 1)).bit_count()
-            acc[key] = acc.get(key, 0) + (-c if odd & 1 else c)
-    return CliffordElem._make(config, acc, x._den)
+            raise ValueError("vector_commutators expects an even element")
+        both = emask | imask
+        while both:
+            bit = both & -both
+            both ^= bit
+            mode = bit.bit_length() - 1
+            even = rows.setdefault(2 * mode, {})
+            odd = rows.setdefault(2 * mode + 1, {})
+            if imask & bit:
+                key = (emask, imask ^ bit)
+                v = -c if (imask >> (mode + 1)).bit_count() & 1 else c
+                even[key] = even.get(key, 0) + v
+                odd[key] = odd.get(key, 0) + v
+            if emask & bit:
+                key = (emask ^ bit, imask)
+                v = c if (emask & (bit - 1)).bit_count() & 1 else -c
+                even[key] = even.get(key, 0) + v
+                odd[key] = odd.get(key, 0) - v
+    return rows
 
 
 def act(x: CliffordElem, psi: SpinorVec) -> SpinorVec:

@@ -227,27 +227,6 @@ _set_num = SparseTerms._num.__set__
 _set_den = SparseTerms._den.__set__
 
 
-def is_zero_combination(terms: list[tuple[int, SparseTerms]]) -> bool:
-    """Whether sum k x over (k, x) in terms is zero, for int k.
-
-    One cross-multiplied pass on the numerators: x's numerator map is
-    scaled by k times the other values' denominators, and the field's
-    canonical form of the sum decides.  Builds no value, so checking a
-    linear relation costs no `scale`, `+` or `==` copies.
-    """
-    config = terms[0][1].config
-    total = 1
-    for _, x in terms:
-        config.check_same(x.config)
-        total *= x._den
-    acc: dict = {}
-    for k, x in terms:
-        f = k * (total // x._den)
-        for key, c in x._num.items():
-            acc[key] = acc.get(key, 0) + f * c
-    return not config.field.canon(acc, 1)[0]
-
-
 class SpinorVec(SparseTerms):
     """Sparse vector in S: a map from basis bitmask to nonzero coefficient."""
 

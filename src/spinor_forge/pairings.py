@@ -10,9 +10,10 @@ numerators on grade-2 labels, grade2_pairing_on_basis applies it to a third
 basis spinor through _c2_move, and the e6/e7/e8 builders run the two
 themselves, with the norm's numerator (_b_num) and the top-grade one
 (_top_num).  The top-grade and graded pairings and the orbit-map adjoint
-(after one move: _adjoint_after_move) round out the toolkit.  Each sign
-rule is written once: E_s on e_M.v in _slot_move, the adjoint's sum over
-spinor terms in _adjoint_sum, (-1)^|J| of the top-grade term in _top_num.
+(after every slot's move at once: _slot_adjoints) round out the toolkit.
+Each sign rule is written once: E_s on e_M.v in _slot_move, the adjoint's
+pairing of terms in _adjoint_rows (orbit_map_adjoint and _slot_adjoints
+both read it), (-1)^|J| of the top-grade term in _top_num.
 """
 
 from __future__ import annotations
@@ -319,26 +320,29 @@ def graded_pairing(
     return CliffordElem._make(config, out, den)
 
 
-def _adjoint_sum(form: BilinearForm, phi: SpinorVec, terms, den: int) -> CliffordElem:
-    """phi^*(x) for x = sum c e_M.v over (M, c) in terms, over den: on e_M.v
-    only i_a (a in M) or e_a (a not in M) survives, moving M to M xor {a}
-    with sign (-1)^#{b in M : b < a}; B pairs the image only with phi's
-    coefficient at the complement."""
-    config = form.config
-    full = config.size - 1
-    entries, phi_num = form._num, phi._num
-    out: dict = {}
-    for mask, c in terms:
-        for bit in range(config.n):
-            one = 1 << bit
-            comp = mask ^ one ^ full
-            cp, val = phi_num.get(comp), entries.get(comp)
-            if cp is not None and val is not None:
-                term = 2 * cp * val * c
+def _adjoint_rows(form: BilinearForm, phi: SpinorVec, terms) -> dict:
+    """phi^*(x_r) for each x_r = sum c e_M.v over the (r, M, c) in terms, as
+    {r: numerators} over den(phi) den(x_r) den(B).  Terms pair directly:
+    e_M.v meets phi's e_P.v only if P xor M is the complement of one bit b,
+    and then only i_b (b in M) or e_b (b not in M) survives, moving M to
+    M xor {b} with sign (-1)^#{a in M : a < b}; each of phi's terms is
+    weighted by its form entry once."""
+    full = form.config.size - 1
+    partners = [
+        (mask ^ full, 2 * cp * val)
+        for mask, cp in phi._num.items()
+        if (val := form._num.get(mask)) is not None
+    ]
+    rows: dict = {}
+    for r, mask, c in terms:
+        for new, w in partners:
+            one = mask ^ new
+            if one and not one & (one - 1):
+                row = rows.setdefault(r, {})
                 key = (one, 0) if mask & one else (0, one)
                 odd = (mask & (one - 1)).bit_count() & 1
-                out[key] = out.get(key, 0) + (-term if odd else term)
-    return CliffordElem._make(config, out, den)
+                row[key] = row.get(key, 0) + (-w * c if odd else w * c)
+    return rows
 
 
 def orbit_map_adjoint(
@@ -351,22 +355,31 @@ def orbit_map_adjoint(
 
         phi^*(psi) = 2 sum_a ( B(phi, i_a.psi) e_a + B(phi, e_a.psi) i_a ),
 
-    summed term by term of psi (_adjoint_sum).
+    the one row of _adjoint_rows on psi's terms.
     """
-    _check_pair(form, phi, psi)
-    return _adjoint_sum(form, phi, psi._num.items(), phi._den * psi._den * form._den)
-
-
-def _adjoint_after_move(
-    form: BilinearForm, phi: SpinorVec, slot: int, psi: SpinorVec
-) -> CliffordElem:
-    """phi^*(E_slot.psi) summed from psi's moved terms, never building E_slot.psi;
-    the tests hold it to orbit_map_adjoint(form, phi, act(E_slot, psi))."""
     config = _check_pair(form, phi, psi)
-    if not 0 <= slot < 2 * config.n:
-        raise ValueError(f"slot {slot} out of range for n={config.n}")
+    row = _adjoint_rows(form, phi, ((0, m, c) for m, c in psi._num.items()))
+    return CliffordElem._make(config, row.get(0, {}), phi._den * psi._den * form._den)
+
+
+def _slot_adjoints(form: BilinearForm, phi: SpinorVec, psi: SpinorVec) -> tuple:
+    """phi^*(E_s.psi) for every slot s, as ({s: numerators}, den): psi's terms
+    moved by _slot_move go through _adjoint_rows, and no E_s.psi is built.
+
+    E_s flips its mode's bit and the adjoint one more, so e_M.v meets phi's
+    e_P.v only if P xor M xor full is empty (every mode) or two bits (their
+    two modes); M is moved only for those modes.  The tests hold every row
+    to orbit_map_adjoint(form, phi, act(E_s, psi)).
+    """
+    config = _check_pair(form, phi, psi)
+    full = config.size - 1
     terms = []
     for mask, c in psi._num.items():
-        odd, new = _slot_move(mask, slot)
-        terms.append((new, -c if odd & 1 else c))
-    return _adjoint_sum(form, phi, terms, phi._den * psi._den * form._den)
+        modes = 0
+        for flip in (mask ^ other ^ full for other in phi._num):
+            modes |= full if not flip else flip if flip.bit_count() == 2 else 0
+        for s in range(2 * config.n):
+            if modes >> (s >> 1) & 1:
+                odd, new = _slot_move(mask, s)
+                terms.append((s, new, -c if odd & 1 else c))
+    return _adjoint_rows(form, phi, terms), phi._den * psi._den * form._den

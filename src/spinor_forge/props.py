@@ -35,7 +35,7 @@ from .clifford import (
     slot_metric,
     trace_product,
     transpose,
-    vector_commutator,
+    vector_commutators,
     witt_e,
     witt_i,
 )
@@ -43,7 +43,6 @@ from .fock import (
     Config,
     SpinorVec,
     apply_monomial,
-    is_zero_combination,
     parity,
 )
 from .norms import (
@@ -54,7 +53,7 @@ from .norms import (
     solve_spinor_norm,
 )
 from .pairings import (
-    _adjoint_after_move,
+    _slot_adjoints,
     grade2_pairing,
     grade2_pairing_on_basis,
     graded_pairing,
@@ -217,6 +216,7 @@ def check_q_isometry(n: int) -> CheckResult:
     stratified higher-grade samples for larger n."""
     config = _config(n)
     field = config.field
+    zero = field.zero()
     nslots = 2 * n
 
     def require(outer: list, inner: list) -> None:
@@ -227,8 +227,11 @@ def check_q_isometry(n: int) -> CheckResult:
         transposed = {s: transpose(blades[s]) for s in outer}
 
         def pair_ok(s1: tuple, s2: tuple) -> bool:
-            want = config.size * prod(map(slot_metric, s1)) if s1 == s2 else 0
-            return trace_product(transposed[s1], blades[s2]) == field.from_int(want)
+            if s1 != s2:
+                want = zero
+            else:
+                want = field.from_int(config.size * prod(map(slot_metric, s1)))
+            return trace_product(transposed[s1], blades[s2]) == want
 
         if bad := _first(product(outer, inner), pair_ok):
             raise _Failed("failed at pair {} x {}".format(*bad))
@@ -584,13 +587,15 @@ def check_bracket_relations(n: int, pairs: int = 1000) -> CheckResult:
         2 B(phi, psi) w    = s psi*(w.phi) + phi*(w.psi)
 
     with s the reversal sign (-1)^(n(n-1)/2), for every orthonormal
-    vector w.  L is the four-sum grade2_pairing, [L, w] the closed-form
-    vector_commutator and psi*(w.phi) _adjoint_after_move; their test
-    oracles are the generic commutator and orbit_map_adjoint after act.
-    Each relation is compared exactly on int numerators in one
-    cross-multiplied pass (fock.is_zero_combination).  Exhaustive on
-    basis pairs for n <= 3, plus seeded random pairs (basis and sparse)
-    for every n.  ValueError if pairs < 1.
+    vector w.  L is the four-sum grade2_pairing; [L, w] for every w comes
+    from one vector_commutators pass and psi*(w.phi) from one
+    pairings._slot_adjoints call (E_s moves by _slot_move, the adjoint by
+    _adjoint_rows, the rule orbit_map_adjoint runs on); their test oracles
+    are the generic commutator and orbit_map_adjoint after act.  Both
+    relations at every w go into one int sum keyed (relation, slot,
+    monomial), so one exact zero test per pair decides and no two cases
+    can cancel.  Exhaustive on basis pairs for n <= 3, plus seeded random
+    pairs (basis and sparse) for every n.  ValueError if pairs < 1.
     """
     if pairs < 1:
         raise ValueError(f"bracket-relations needs pairs >= 1, got {pairs}")
@@ -603,18 +608,25 @@ def check_bracket_relations(n: int, pairs: int = 1000) -> CheckResult:
     def pair_ok(phi: SpinorVec, psi: SpinorVec) -> bool:
         elem = grade2_pairing(form, phi, psi)
         b_num, b_den = field.parts(b_eval(form, phi, psi))
+        first, den = _slot_adjoints(form, psi, phi)
+        second = _slot_adjoints(form, phi, psi)[0]
+        # relation 0 is 2 [L, w] - s first + second times den(L) den,
+        # relation 1 is 2 B w - s first - second times den(B) den
+        acc: dict = {}
+        for slot, row in vector_commutators(elem).items():
+            for mono, c in row.items():
+                acc[0, slot, mono] = 2 * den * c
         for slot, vec in enumerate(vecs):
-            first = _adjoint_after_move(form, psi, slot, phi)
-            second = _adjoint_after_move(form, phi, slot, psi)
-            comm = vector_commutator(elem, slot)
-            if not is_zero_combination([(2, comm), (-sign, first), (1, second)]):
-                return False
-            # 2 B w - s first - second, times B's denominator
-            if not is_zero_combination(
-                [(2 * b_num, vec), (-sign * b_den, first), (-b_den, second)]
-            ):
-                return False
-        return True
+            for mono, c in vec._num.items():
+                acc[1, slot, mono] = 2 * b_num * den * c
+        for rows, k0, k1 in ((first, -sign, -sign), (second, 1, -1)):
+            k0 *= elem._den
+            k1 *= b_den
+            for slot, row in rows.items():
+                for mono, c in row.items():
+                    acc[0, slot, mono] = acc.get((0, slot, mono), 0) + k0 * c
+                    acc[1, slot, mono] = acc.get((1, slot, mono), 0) + k1 * c
+        return not field.canon(acc, 1)[0]
 
     def basis_pair_ok(im: int, jm: int) -> bool:
         return pair_ok(SpinorVec.basis(config, im), SpinorVec.basis(config, jm))

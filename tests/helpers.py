@@ -6,10 +6,12 @@ and blade coordinates, blades, the grading element and H built as
 products, the blade product and the literal grade projection, the
 unnormalized grade-2 pairing, slot names), the top-grade coefficient on
 two Fock basis masks, the four-sum taken one word at a time, the CAR
-identities on spinor values, the grading element's action on a spinor,
-the polarisation change of a basis-index triple and the e6 coefficient
-sweep are used only by the tests, so they live here rather than in the
-package.
+identities on spinor values, the bracket relations one slot at a time
+(with the exact zero test of a linear combination, one slot's vector
+commutator and the adjoint after one move), the grading element's
+action on a spinor, the polarisation change of a basis-index triple and
+the e6 coefficient sweep are used only by the tests, so they live here
+rather than in the package.
 """
 
 from __future__ import annotations
@@ -20,12 +22,15 @@ from functools import lru_cache
 from typing import Optional
 
 from spinor_forge.builders import build_e6
+from spinor_forge import props
 from spinor_forge.clifford import (
     CliffordElem,
     _blade_terms,
     act,
     multiply,
+    orthonormal_vector,
     slot_metric,
+    vector_commutators,
     witt_e,
     witt_i,
 )
@@ -33,6 +38,7 @@ from spinor_forge.exceptional import verify_jacobi
 from spinor_forge.field import Field, Scalar
 from spinor_forge.fock import (
     Config,
+    SparseTerms,
     SpinorVec,
     annihilate,
     apply_monomial,
@@ -41,15 +47,17 @@ from spinor_forge.fock import (
     mask_str,
     parity,
 )
-from spinor_forge.norms import BilinearForm
+from spinor_forge.norms import BilinearForm, b_eval, solve_spinor_norm
 from spinor_forge.pairings import (
     _accum,
     _check_masks,
     _check_pair,
     _four_sum_elements,
     _l2_coords,
+    _slot_move,
     _top_num,
     grade2_pairing,
+    orbit_map_adjoint,
 )
 
 
@@ -483,6 +491,92 @@ def car_relations_by_spinors(config: Config) -> tuple[bool, str]:
         f"all {config.size * n * n} (a, b, basis vector) operator identities "
         "hold exactly"
     )
+
+
+def is_zero_combination(terms: list[tuple[int, SparseTerms]]) -> bool:
+    """Whether sum k x over (k, x) in terms is zero, for int k.
+
+    One cross-multiplied pass on the numerators: x's numerator map is
+    scaled by k times the other values' denominators, and the field's
+    canonical form of the sum decides.
+    """
+    config = terms[0][1].config
+    total = 1
+    for _, x in terms:
+        config.check_same(x.config)
+        total *= x._den
+    acc: dict = {}
+    for k, x in terms:
+        f = k * (total // x._den)
+        for key, c in x._num.items():
+            acc[key] = acc.get(key, 0) + f * c
+    return not config.field.canon(acc, 1)[0]
+
+
+def vector_commutator(x: CliffordElem, slot: int) -> CliffordElem:
+    """[x, E_slot]: one row of clifford.vector_commutators, as an element."""
+    if not 0 <= slot < 2 * x.config.n:
+        raise ValueError(f"slot {slot} out of range for n={x.config.n}")
+    return CliffordElem._make(x.config, vector_commutators(x).get(slot, {}), x._den)
+
+
+def adjoint_after_move(
+    form: BilinearForm, phi: SpinorVec, slot: int, psi: SpinorVec
+) -> CliffordElem:
+    """phi^*(E_slot.psi), one slot at a time: psi's terms moved by
+    _slot_move into a spinor, then orbit_map_adjoint."""
+    num = {}
+    for mask, c in psi._num.items():
+        odd, new = _slot_move(mask, slot)
+        num[new] = -c if odd & 1 else c
+    return orbit_map_adjoint(form, phi, SpinorVec._make(psi.config, num, psi._den))
+
+
+def bracket_relations_by_slots(config: Config, pairs: int = 1000) -> tuple[bool, str]:
+    """check_bracket_relations's (ok, detail) on the same pairs, one slot at
+    a time: for each slot each relation is its own exact zero test, on one
+    row of the commutator and the adjoint after one move."""
+    n = config.n
+    form = solve_spinor_norm(config)
+    field = config.field
+    sign = -1 if (n * (n - 1) // 2) & 1 else 1
+
+    def pair_ok(phi: SpinorVec, psi: SpinorVec) -> bool:
+        elem = grade2_pairing(form, phi, psi)
+        b_num, b_den = field.parts(b_eval(form, phi, psi))
+        for slot in range(2 * n):
+            first = adjoint_after_move(form, psi, slot, phi)
+            second = adjoint_after_move(form, phi, slot, psi)
+            comm = vector_commutator(elem, slot)
+            if not is_zero_combination([(2, comm), (-sign, first), (1, second)]):
+                return False
+            vec = orthonormal_vector(config, slot)
+            if not is_zero_combination(
+                [(2 * b_num, vec), (-sign * b_den, first), (-b_den, second)]
+            ):
+                return False
+        return True
+
+    def basis(mask: int) -> SpinorVec:
+        return SpinorVec.basis(config, mask)
+
+    sparse = pairs // 4
+    detail = f"{pairs} seeded pairs ({sparse} sparse) over all {2 * n} vectors"
+    if n <= 3:
+        for im in range(config.size):
+            for jm in range(config.size):
+                if not pair_ok(basis(im), basis(jm)):
+                    return False, f"relation failed at basis pair ({im}, {jm})"
+        detail = f"exhaustive over {config.size ** 2} basis pairs, plus " + detail
+    r = random.Random(8009 + n)
+    for idx in range(pairs - sparse):
+        if not pair_ok(basis(r.randrange(config.size)), basis(r.randrange(config.size))):
+            return False, f"relation failed at random basis pair {idx}"
+    for idx in range(sparse):
+        phi = props._sample_spinor(config, r)
+        if not pair_ok(phi, props._sample_spinor(config, r)):
+            return False, f"relation failed at random sparse pair {idx}"
+    return True, detail
 
 
 def epsilon_action(psi: SpinorVec) -> SpinorVec:

@@ -274,6 +274,23 @@ class TestExport:
         assert "does not exist" in err
         assert not out_path.parent.exists()
 
+    def test_out_directory_exit_2_before_building(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from spinor_forge import cli
+
+        def never(field=None):
+            raise AssertionError("built despite a usage error")
+
+        monkeypatch.setitem(cli._BUILDERS, "e6", never)
+        code, out, err = run_cli(
+            capsys, ["export", "--algebra", "e6", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert out == ""
+        assert "is a directory" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_required(self):
         with pytest.raises(SystemExit) as exc:
             main(["export", "--algebra", "e6"])

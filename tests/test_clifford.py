@@ -29,7 +29,7 @@ from spinor_forge.clifford import (
     q_map,
     slot_metric,
     transpose,
-    vector_commutator,
+    vector_commutators,
     witt_e,
     witt_i,
 )
@@ -53,6 +53,7 @@ from .helpers import (
     to_blades,
     to_endomorphism_matrix,
     trace,
+    vector_commutator,
 )
 
 F7 = PrimeField(7)
@@ -824,7 +825,8 @@ def rand_even_elem(c: Config, r: random.Random, nterms: int) -> CliffordElem:
 
 
 class TestVectorCommutator:
-    """The closed-form [x, E_slot] against the generic Wick commutator."""
+    """The closed-form [x, E_slot] against the generic Wick commutator, one
+    row of vector_commutators at a time."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_even_monomial(self, n):
@@ -854,6 +856,13 @@ class TestVectorCommutator:
         for slot in range(8):
             com = vector_commutator(x, slot)
             assert com == grade_project(com, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_only_at_slots(self, n):
+        c = cfg(n)
+        x = rand_even_elem(c, rng(950 + n), min(6, c.size * c.size // 2))
+        rows = vector_commutators(x)
+        assert rows and set(rows) <= set(range(2 * n))
 
     def test_odd_element_rejected(self):
         c = cfg(3)

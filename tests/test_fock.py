@@ -13,13 +13,12 @@ from spinor_forge.fock import (
     annihilate,
     apply_monomial,
     create,
-    is_zero_combination,
     mask_from_indices,
     mask_str,
     parity,
 )
 
-from .helpers import epsilon_action, rand_spinor, rng
+from .helpers import epsilon_action, is_zero_combination, rand_spinor, rng
 
 Q = Rationals()
 

@@ -44,7 +44,7 @@ from spinor_forge.fock import (
 )
 from spinor_forge.norms import BilinearForm, b_eval, graded_norm, solve_spinor_norm
 from spinor_forge.pairings import (
-    _adjoint_after_move,
+    _slot_adjoints,
     _slot_move,
     _four_sum_elements,
     _four_sum_words,
@@ -833,13 +833,17 @@ def one_pass_pairs(config, r):
 @pytest.mark.parametrize("n", range(1, 9))
 class TestOnePassKernels:
     def test_adjoint_after_move_matches_act_route(self, n, field):
+        # every row of the all-slot route is the orbit-map adjoint of
+        # psi moved by act, and no row lies outside the 2n slots
         config = Config(n, field)
         vecs = [orthonormal_vector(config, s) for s in range(2 * n)]
         nonzero_seen = 0
         for form, x, y in one_pass_pairs(config, rng(1100 + n)):
             for phi, psi in ((y, x), (x, y)):
+                rows, den = _slot_adjoints(form, phi, psi)
+                assert set(rows) <= set(range(2 * n))
                 for slot, vec in enumerate(vecs):
-                    got = _adjoint_after_move(form, phi, slot, psi)
+                    got = CliffordElem._make(config, dict(rows.get(slot, {})), den)
                     assert got == orbit_map_adjoint(form, phi, act(vec, psi)), slot
                     nonzero_seen += not got.is_zero()
         assert nonzero_seen
@@ -876,11 +880,11 @@ def test_slot_move_is_the_one_surviving_witt_term(n, field):
 
 
 def test_adjoint_after_move_rejects_bad_input():
+    # the all-slot route takes no slot; a config mismatch still raises
     config = Config(3)
     form = solve_spinor_norm(config)
     v = SpinorVec.vacuum(config)
-    for slot in (-1, 6):
-        with pytest.raises(ValueError, match="slot"):
-            _adjoint_after_move(form, v, slot, v)
-    with pytest.raises(ValueError):
-        _adjoint_after_move(form, v, 0, SpinorVec.vacuum(Config(2)))
+    other = SpinorVec.vacuum(Config(2))
+    for phi, psi in ((v, other), (other, v)):
+        with pytest.raises(ValueError):
+            _slot_adjoints(form, phi, psi)

@@ -36,7 +36,8 @@ from spinor_forge.props import (
     suite_names,
 )
 
-from .helpers import car_relations_by_spinors
+from . import helpers
+from .helpers import bracket_relations_by_slots, car_relations_by_spinors
 
 
 class TestCheckResult:
@@ -197,6 +198,36 @@ class TestCarRelationsOnMoves:
         assert not called & {"create", "annihilate", "_apply_words", "SpinorVec"}
 
 
+class TestBracketRelationsOneSum:
+    """check_bracket_relations sums both relations for every slot of a
+    pair into one accumulator keyed (relation, slot, monomial); the
+    per-slot route, one exact zero test per relation and slot, is its
+    oracle."""
+
+    @pytest.mark.parametrize("p", [None, 7], ids=["q", "fp7"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_agrees_with_per_slot_route(self, monkeypatch, n, p):
+        config = Config(n, PrimeField(p) if p else Rationals())
+        monkeypatch.setattr(props, "_config", lambda n: config)
+        out = check_bracket_relations(n)
+        assert (out.ok, out.detail) == bracket_relations_by_slots(config)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_same_first_failure_on_faulty_pairing(self, monkeypatch, n):
+        # both routes take L from grade2_pairing, each through its own name
+        real = props.grade2_pairing
+
+        def faulty(form, phi, psi):
+            out = real(form, phi, psi)
+            return _negate_top_term(out) if max(phi._num) & 1 else out
+
+        monkeypatch.setattr(props, "grade2_pairing", faulty)
+        monkeypatch.setattr(helpers, "grade2_pairing", faulty)
+        out = check_bracket_relations(n)
+        assert not out.ok
+        assert (out.ok, out.detail) == bracket_relations_by_slots(Config(n))
+
+
 class TestCliffordChecks:
     def test_q_isometry_exhaustive_regime(self):
         out = check_q_isometry(2)
@@ -336,6 +367,12 @@ def _negate_top_term(x):
     return type(x)._make(x.config, num, x._den)
 
 
+def _negate_top_row(row):
+    """A numerator row with the value at its largest key negated."""
+    key = max(row)
+    return {**row, key: -row[key]}
+
+
 class TestPairingChecksCatchFaults:
     """A fault injected into one pairing route must flip the verdict of
     the check that compares it with another."""
@@ -352,14 +389,46 @@ class TestPairingChecksCatchFaults:
         assert not out and "relation failed" in out.detail
 
     def test_bracket_relations_catch_orbit_map_adjoint(self, monkeypatch):
-        # the orbit-map adjoint the check sums after each move
-        real = props._adjoint_after_move
+        # the orbit-map adjoint rows the check sums for every slot
+        real = props._slot_adjoints
 
-        def faulty(form, phi, slot, psi):
-            out = real(form, phi, slot, psi)
-            return _negate_top_term(out) if max(phi._num, default=0) & 1 else out
+        def faulty(form, phi, psi):
+            rows, den = real(form, phi, psi)
+            if max(phi._num, default=0) & 1:
+                rows = {slot: _negate_top_row(row) for slot, row in rows.items()}
+            return rows, den
 
-        monkeypatch.setattr(props, "_adjoint_after_move", faulty)
+        monkeypatch.setattr(props, "_slot_adjoints", faulty)
+        out = check_bracket_relations(3)
+        assert not out and "relation failed" in out.detail
+
+    @pytest.mark.parametrize("fault", ["dropped", "doubled", "moved-to-slot-0"])
+    def test_bracket_relations_catch_last_slot_of_one_relation(
+        self, monkeypatch, fault
+    ):
+        # only slot 2n - 1 of one relation is wrong: its commutator row
+        # (relation 0) dropped, its vector (relation 1) doubled, or its
+        # commutator row added to slot 0's instead, which a sum over the
+        # slots would not see
+        real_comms, real_vec = props.vector_commutators, props.orthonormal_vector
+
+        def comms(x):
+            rows = real_comms(x)
+            last = rows.pop(2 * x.config.n - 1, {})
+            if fault == "moved-to-slot-0":
+                row = rows.setdefault(0, {})
+                for mono, c in last.items():
+                    row[mono] = row.get(mono, 0) + c
+            return rows
+
+        def vec(config, slot):
+            out = real_vec(config, slot)
+            return out + out if slot == 2 * config.n - 1 else out
+
+        if fault == "doubled":
+            monkeypatch.setattr(props, "orthonormal_vector", vec)
+        else:
+            monkeypatch.setattr(props, "vector_commutators", comms)
         out = check_bracket_relations(3)
         assert not out and "relation failed" in out.detail
 
@@ -487,6 +556,34 @@ FAULTS = [
         "graded_pairing",
         _scalar_of_first_mask,
         "failed at basis pair (22, 1)",
+    ),
+    (
+        check_bracket_relations,
+        3,
+        "b_eval",
+        lambda form, phi, psi: 0,
+        "relation failed at basis pair (0, 7)",
+    ),
+    (
+        check_bracket_relations,
+        5,
+        "b_eval",
+        lambda form, phi, psi: 0,
+        "relation failed at random basis pair 39",
+    ),
+    (
+        check_bracket_relations,
+        3,
+        "vector_commutators",
+        lambda x: {},
+        "relation failed at basis pair (0, 1)",
+    ),
+    (
+        check_bracket_relations,
+        5,
+        "vector_commutators",
+        lambda x: {},
+        "relation failed at random basis pair 1",
     ),
 ]
 
