@@ -21,8 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from spinor_forge.builders import build_e6
 from spinor_forge import props
+from spinor_forge.builders import build_e6
 from spinor_forge.clifford import (
     CliffordElem,
     _blade_terms,
