@@ -39,7 +39,7 @@ import numpy as np
 
 from .field import Scalar, scalar_str
 from .fock import Config, mask_str
-from .linalg import IncrementalRank, echelon_rank, inverse, rank_mod_p
+from .linalg import IncrementalRank, echelon_rank, inverse
 
 # A basis label: (kind, *fields), e.g. ("ei", 1, 2) or ("s", mask).
 Label = tuple
@@ -562,21 +562,16 @@ def killing_form(L: LieAlgebra) -> tuple[list[list[Scalar]], int]:
     The Gram matrix comes from L's keyed-product engine, the one
     verify_jacobi uses (L.adjoint_products()): exact int64 sums over the
     int numerators over den^2, each entry the sum of the diagonal terms of
-    ad_i ad_j, every i and j in one pass.  Over Q the rank is certified
-    mod 2^31 - 1 (full rank mod a prime implies full rank over Q) with an
-    exact fraction elimination fallback; over F_p (p < 2^31 by the field's
-    bound) the modular rank is the exact field rank.  The Killing form is
-    2h^v times the normalised invariant form (24, 36 and 60 times it for
-    e6, e7, e8), so for p >= 5 it vanishes only for e8 over F_5: rank 0.
+    ad_i ad_j, every i and j in one pass.  The rank is echelon_rank of the
+    field matrix, the one sparse exact elimination, on every field.  The
+    Killing form is 2h^v times the normalised invariant form (24, 36 and
+    60 times it for e6, e7, e8), so for p >= 5 it vanishes only for e8
+    over F_5: rank 0.
     """
-    engine, field = L.adjoint_products(), L.config.field
-    gram = engine.gram().tolist()
+    field, gram = L.config.field, L.adjoint_products().gram().tolist()
     scalar, denom, zero = field.from_fraction, L.den * L.den, field.zero()
     matrix = [[scalar(v, denom) if v else zero for v in row] for row in gram]
-    rank = rank_mod_p(gram, engine.p or (1 << 31) - 1)
-    if engine.p is None and rank < L.dim:
-        rank = echelon_rank(matrix, field)
-    return matrix, rank
+    return matrix, echelon_rank(matrix, field)
 
 
 @dataclass(slots=True)

@@ -9,9 +9,11 @@ two Fock basis masks, the four-sum taken one word at a time, the CAR
 identities on spinor values, the bracket relations one slot at a time
 (with the exact zero test of a linear combination, one slot's vector
 commutator and the adjoint after one move), the grading element's
-action on a spinor, the polarisation change of a basis-index triple and
-the e6 coefficient sweep are used only by the tests, so they live here
-rather than in the package.
+action on a spinor, the polarisation change of a basis-index triple,
+the e6 coefficient sweep and the dense Gauss-Jordan elimination (the
+oracle of linalg's sparse reducer: its ranks, nullspaces and inverses)
+are used only by the tests, so they live here rather than in the
+package.
 """
 
 from __future__ import annotations
@@ -63,6 +65,44 @@ from spinor_forge.pairings import (
 
 def rng(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def dense_rref(
+    rows: list[list[Scalar]], ncols: int, field: Field
+) -> tuple[list[list[Scalar]], list[int]]:
+    """Reduced row echelon form of a copy, and its pivot columns.
+
+    Dense Gauss-Jordan elimination.  Stops once every row holds a pivot:
+    the columns after that are free, and the rows are already reduced in
+    every pivot column.
+    """
+    work = [list(r) for r in rows]
+    for r in work:
+        if len(r) != ncols:
+            raise ValueError("row length does not match ncols")
+    pivot_cols: list[int] = []
+    for col in range(ncols):
+        rank = len(pivot_cols)
+        if rank == len(work):
+            break
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = field.one() / work[rank][col]
+        work[rank] = [x * inv for x in work[rank]]
+        for i in range(len(work)):
+            if i == rank or not work[i][col]:
+                continue
+            f = work[i][col]
+            work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+        pivot_cols.append(col)
+    return work, pivot_cols
+
+
+def dense_rank(rows: list[list[Scalar]], field: Field) -> int:
+    """Rank of a dense matrix by dense_rref on a copy."""
+    return len(dense_rref(rows, len(rows[0]) if rows else 0, field)[1])
 
 
 def rand_scalar(config: Config, r: random.Random):

@@ -816,12 +816,27 @@ class TestWickOracle:
 
 
 def rand_even_elem(c: Config, r: random.Random, nterms: int) -> CliffordElem:
+    """nterms distinct even monomials of c with random nonzero coefficients;
+    ValueError if c has fewer even monomials than that."""
+    even = c.size * c.size // 2
+    if nterms > even:
+        raise ValueError(f"{nterms} terms asked of {even} even monomials")
     terms = {}
     while len(terms) < nterms:
         emask, imask = r.randrange(c.size), r.randrange(c.size)
         if not (emask.bit_count() + imask.bit_count()) & 1:
             terms[(emask, imask)] = rand_scalar(c, r)
     return CliffordElem(c, terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rand_even_elem_rejects_more_terms_than_monomials(n):
+    c = cfg(n)
+    even = c.size * c.size // 2
+    x = rand_even_elem(c, rng(40 + n), even)
+    assert len(x.terms) == even
+    with pytest.raises(ValueError, match="even monomials"):
+        rand_even_elem(c, rng(40 + n), even + 1)
 
 
 class TestVectorCommutator:

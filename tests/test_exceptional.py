@@ -8,6 +8,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import lcm
 from pathlib import Path
@@ -49,6 +50,7 @@ from spinor_forge.pairings import grade2_pairing
 from .helpers import (
     c2_coords,
     c2_elem,
+    dense_rank,
     grade2_pairing_projected,
     rand_spinor,
     rng,
@@ -632,12 +634,14 @@ def oracle_violations(L, pairs):
     """Pairs (i, j) with a k where the Jacobiator of (b_i, b_j, b_k) is
     nonzero, from L.bracket alone (no ad matrices, no integer lifts)."""
     zero = L.config.field.zero()
+    # each bracket read once per call; the tuples it returns are immutable
+    bracket = cache(L.bracket)
 
     def bracket_with(x, k):
         # [x, b_k] for x = {m: coefficient}
         out = {}
         for m, c in x.items():
-            for t, d in L.bracket(m, k):
+            for t, d in bracket(m, k):
                 out[t] = out.get(t, zero) + c * d
         return out
 
@@ -645,9 +649,9 @@ def oracle_violations(L, pairs):
     for i, j in pairs:
         for k in range(L.dim):
             # [[b_i, b_j], b_k] - [b_i, [b_j, b_k]] + [b_j, [b_i, b_k]]
-            resid = bracket_with(dict(L.bracket(i, j)), k)
+            resid = bracket_with(dict(bracket(i, j)), k)
             for x, y, sign in ((j, i, 1), (i, j, -1)):
-                for t, c in bracket_with(dict(L.bracket(x, k)), y).items():
+                for t, c in bracket_with(dict(bracket(x, k)), y).items():
                     resid[t] = resid.get(t, zero) + sign * c
             if any(resid.values()):
                 bad.append((i, j))
@@ -1178,13 +1182,21 @@ class TestKillingForm:
         mat, _ = killing_form(L)
         assert mat == [[field.from_fraction(t, denom) for t in row] for row in traces]
 
-    def test_f7_rank_matches_dense_elimination(self):
-        from spinor_forge.linalg import echelon_rank
-
-        field = PrimeField(7)
-        L = build_e6(field=field)
+    @pytest.mark.parametrize(
+        "field", [None, PrimeField(5), PrimeField(7)], ids=["q", "fp5", "fp7"]
+    )
+    @pytest.mark.parametrize("build", [build_e6, build_e7, build_e8], ids=["e6", "e7", "e8"])
+    def test_rank_matches_dense_elimination(self, build, field):
+        L = build(field=field)
         mat, rank = killing_form(L)
-        assert rank == echelon_rank(mat, field)
+        assert rank == dense_rank(mat, L.config.field)
+
+    def test_rank_deficient_over_q(self):
+        # with the spinor brackets zeroed the table is no longer simple: the
+        # Killing form is degenerate over Q
+        L = build_e6(spinor_coeffs=(0, 0))
+        mat, rank = killing_form(L)
+        assert rank == dense_rank(mat, Rationals()) == 46
 
     def test_zero_diagonal_on_nilpotents(self, e6):
         # kappa(e1e2, e1e2) = 0: ad of a square-zero partial creation

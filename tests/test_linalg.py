@@ -1,20 +1,21 @@
 """Tests for the exact linear algebra helpers."""
 
+import ast
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinor_forge.exceptional as exceptional_mod
+import spinor_forge.linalg as linalg_mod
 from spinor_forge.field import PrimeField, Rationals
-from spinor_forge.linalg import (
-    IncrementalRank,
-    echelon_rank,
-    inverse,
-    nullspace,
-    rank_mod_p,
-)
+from spinor_forge.linalg import IncrementalRank, echelon_rank, inverse, nullspace
+
+from .helpers import dense_rank, dense_rref
 
 Q = Rationals()
 F7 = PrimeField(7)
@@ -26,6 +27,16 @@ def frac_rows(data):
 
 def f7_rows(data):
     return [[F7.from_int(x) for x in row] for row in data]
+
+
+def rand_rows(field, r, nrows, ncols):
+    """A random nrows x ncols matrix with small entries and random density."""
+    density = r.random()
+    return [
+        [field.from_int(r.randint(-4, 4)) if r.random() < density else field.zero()
+         for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
 
 
 class TestEchelonRank:
@@ -70,7 +81,7 @@ class TestInverse:
                 [field.from_int(r.randint(-5, 5)) for _ in range(size)]
                 for _ in range(size)
             ]
-            if echelon_rank(a, field) < size:
+            if dense_rank(a, field) < size:
                 with pytest.raises(ValueError, match="singular"):
                     inverse(a, field)
                 continue
@@ -82,6 +93,23 @@ class TestInverse:
                 ]
                 assert prod == ident
             found += 1
+
+    @pytest.mark.parametrize("field", [Q, F7], ids=["q", "fp7"])
+    def test_matches_dense_oracle(self, field):
+        # the right half of the dense reduction of [A | I], or singular
+        r = random.Random(17)
+        zero, one = field.zero(), field.one()
+        for _ in range(300):
+            size = r.randint(1, 5)
+            a = rand_rows(field, r, size, size)
+            aug = [row + [one if i == j else zero for j in range(size)]
+                   for i, row in enumerate(a)]
+            work, pivot_cols = dense_rref(aug, 2 * size, field)
+            if pivot_cols != list(range(size)):
+                with pytest.raises(ValueError, match="singular"):
+                    inverse(a, field)
+            else:
+                assert inverse(a, field) == [row[size:] for row in work]
 
     def test_empty(self):
         assert inverse([], Q) == []
@@ -118,10 +146,29 @@ class TestNullspace:
         r = random.Random(5)
         rows = [[Fraction(r.randint(-4, 4)) for _ in range(5)] for _ in range(3)]
         basis = nullspace(rows, 5, Q)
-        assert len(basis) == 5 - echelon_rank(rows, Q)
+        assert len(basis) == 5 - dense_rank(rows, Q)
         for vec in basis:
             for row in rows:
                 assert sum(a * b for a, b in zip(row, vec)) == 0
+
+    @pytest.mark.parametrize("field", [Q, F7], ids=["q", "fp7"])
+    def test_matches_dense_oracle(self, field):
+        # one vector per free column of the dense reduction, in column order
+        r = random.Random(23)
+        for _ in range(300):
+            ncols = r.randint(1, 6)
+            rows = rand_rows(field, r, r.randint(0, 6), ncols)
+            work, pivot_cols = dense_rref(rows, ncols, field)
+            want = []
+            for free in range(ncols):
+                if free in pivot_cols:
+                    continue
+                vec = [field.zero()] * ncols
+                vec[free] = field.one()
+                for i, pc in enumerate(pivot_cols):
+                    vec[pc] = -work[i][free]
+                want.append(vec)
+            assert nullspace(rows, ncols, field) == want
 
     def test_full_rank_trivial_kernel(self):
         rows = frac_rows([[2, 0], [1, 1]])
@@ -150,7 +197,7 @@ class TestIncrementalRank:
         acc = IncrementalRank(Q)
         for row in rows:
             acc.add({i: x for i, x in enumerate(row) if x})
-        assert acc.rank == echelon_rank(rows, Q)
+        assert acc.rank == dense_rank(rows, Q)
 
     def test_add_reports_growth(self):
         acc = IncrementalRank(Q)
@@ -180,17 +227,43 @@ class TestIncrementalRank:
         acc = IncrementalRank(Q)
         for row in rows:
             acc.add({i: x for i, x in enumerate(row) if x})
-        assert acc.rank == echelon_rank(rows, Q)
+        assert acc.rank == dense_rank(rows, Q)
+
+    @pytest.mark.parametrize("field", [Q, F7], ids=["q", "fp7"])
+    def test_reduced_is_dense_rref(self, field):
+        # the nonzero rows of the dense reduction, keyed by pivot column,
+        # and the reducer keeps working after reduced()
+        r = random.Random(29)
+        for _ in range(300):
+            ncols = r.randint(1, 7)
+            rows = rand_rows(field, r, r.randint(1, 8), ncols)
+            acc = IncrementalRank(field)
+            for row in rows[:-1]:
+                acc.add(dict(enumerate(row)))
+            acc.reduced()
+            acc.add(dict(enumerate(rows[-1])))
+            work, pivot_cols = dense_rref(rows, ncols, field)
+            want = {
+                pc: {c: x for c, x in enumerate(work[i]) if x}
+                for i, pc in enumerate(pivot_cols)
+            }
+            assert acc.reduced() == want
 
 
 class TestRankModP:
+    """Ranks over F_p, from the same elimination as every other field."""
+
     def test_small_known(self):
-        assert rank_mod_p([[1, 2], [2, 4]], 7) == 1
-        assert rank_mod_p([[1, 2], [2, 5]], 7) == 2
+        assert echelon_rank(f7_rows([[1, 2], [2, 4]]), F7) == 1
+        assert echelon_rank(f7_rows([[1, 2], [2, 5]]), F7) == 2
 
     def test_reduction_changes_rank(self):
-        # full rank over Q but rank 1 mod 7
-        assert rank_mod_p([[1, 7], [3, 14]], 7) == 1
+        # full rank over Q but rank 1 mod p
+        assert echelon_rank(f7_rows([[1, 7], [3, 14]]), F7) == 1
+        p = (1 << 31) - 1
+        field = PrimeField(p)
+        rows = [[field.from_int(x) for x in row] for row in [[p, 1], [0, 1]]]
+        assert echelon_rank(rows, field) == 1
 
     def test_matches_field_elimination(self):
         r = random.Random(3)
@@ -199,17 +272,59 @@ class TestRankModP:
             for _ in range(10):
                 data = [[r.randint(-20, 20) for _ in range(6)] for _ in range(6)]
                 rows = [[field.from_int(x) for x in row] for row in data]
-                assert rank_mod_p(data, p) == echelon_rank(rows, field)
-
-    def test_big_entries(self):
-        p = (1 << 31) - 1
-        big = 10**40
-        assert rank_mod_p([[big, 0], [0, big]], p) == 2
-        assert rank_mod_p([[p * big, 1], [0, 1]], p) == 1
-
-    def test_modulus_guard(self):
-        with pytest.raises(ValueError, match="too large"):
-            rank_mod_p([[1]], 1 << 40)
+                assert echelon_rank(rows, field) == dense_rank(rows, field)
 
     def test_empty(self):
-        assert rank_mod_p([], 7) == 0
+        assert echelon_rank([], F7) == 0
+
+
+def parsed(module):
+    return ast.parse(Path(module.__file__).read_text())
+
+
+class TestOneElimination:
+    """linalg holds one exact elimination, and the verifiers rank by it."""
+
+    def test_linalg_imports_no_numpy(self):
+        imported = set()
+        for node in ast.walk(parsed(linalg_mod)):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").split(".")[0])
+        assert "numpy" not in imported
+
+    def test_no_second_elimination_in_src(self):
+        gone = {"rank_mod_p", "_reduce"}
+        for path in sorted(Path(linalg_mod.__file__).parent.glob("*.py")):
+            names = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            assert not names & gone, path.name
+
+    def test_verifiers_take_one_rank_route(self):
+        # every call that could rank, reduce or solve a matrix, numpy's
+        # linalg included, must be the reducer or echelon_rank: one each
+        route = re.compile(r"rank|reduc|echelon|elimin|nullspace|inverse|solve|linalg", re.I)
+        funcs = {
+            node.name: node
+            for node in ast.walk(parsed(exceptional_mod))
+            if isinstance(node, ast.FunctionDef)
+        }
+        for name in ("killing_form", "spanning_check"):
+            routes = set()
+            for node in ast.walk(funcs[name]):
+                if isinstance(node, ast.Call):
+                    for sub in ast.walk(node.func):
+                        word = getattr(sub, "id", None) or getattr(sub, "attr", None)
+                        if word and route.search(word):
+                            routes.add(word)
+            assert len(routes) == 1, (name, routes)
+            assert routes <= {"IncrementalRank", "echelon_rank"}, (name, routes)
