@@ -1192,8 +1192,8 @@ class TestKillingForm:
         assert rank == dense_rank(mat, L.config.field)
 
     def test_rank_deficient_over_q(self):
-        # with the spinor brackets zeroed the table is no longer simple: the
-        # Killing form is degenerate over Q
+        # with the spinor brackets zeroed the table still satisfies Jacobi but
+        # is not semisimple: its Killing form is degenerate over Q
         L = build_e6(spinor_coeffs=(0, 0))
         mat, rank = killing_form(L)
         assert rank == dense_rank(mat, Rationals()) == 46
