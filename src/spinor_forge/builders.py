@@ -26,9 +26,8 @@ from math import gcd
 from typing import Optional
 
 from .exceptional import Bracket, LieAlgebra
-from .field import Field, Rationals, Scalar
+from .field import Field
 from .fock import Config, parity
-from .linalg import nullspace
 from .norms import BilinearForm, solve_spinor_norm
 from .pairings import Label, _b_num, _c2_move, _l2_coords, _top_num
 
@@ -52,7 +51,7 @@ def c2_labels(n: int) -> list[Label]:
 def _builder_setup(
     n: int, field: Optional[Field], form: Optional[BilinearForm]
 ) -> tuple[Config, BilinearForm]:
-    config = Config(n, field if field is not None else Rationals())
+    config = Config(n, field)
     if form is None:
         form = solve_spinor_norm(config)
     else:
@@ -201,24 +200,15 @@ _SIGMA = {
 }
 
 
-def _jacobi_sum(L: LieAlgebra, x: int, y: int, z: int) -> dict[int, Scalar]:
-    """[[x, y], z] + [[y, z], x] + [[z, x], y] on basis indices, through L.bracket."""
-    out: dict[int, Scalar] = {}
+def _jacobi_sum(L: LieAlgebra, x: int, y: int, z: int) -> dict[int, int]:
+    """[[x, y], z] + [[y, z], x] + [[z, x], y] on basis indices, as int
+    numerators over L.den^2 (not reduced mod p), through L.numerators."""
+    out: dict[int, int] = {}
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        for k, s in L.bracket(a, b):
-            for m, t in L.bracket(k, c):
-                out[m] = out[m] + s * t if m in out else s * t
+        for k, s in L.numerators(a, b):
+            for m, t in L.numerators(k, c):
+                out[m] = out.get(m, 0) + s * t
     return out
-
-
-def _normalize_pair(field: Field, vec: list[Scalar]) -> tuple[int, int]:
-    """vec scaled to lead 1, as residues over F_p and as the primitive int
-    pair over Q (one of the two scaled entries is 0 or 1)."""
-    a, b = (x / (vec[0] or vec[1]) for x in vec)
-    if field.characteristic:
-        return a.value, b.value
-    den = a.denominator * b.denominator
-    return int(a * den), int(b * den)
 
 
 def _e7_chassis(config: Config, form: BilinearForm, c1: int, c2: int) -> LieAlgebra:
@@ -269,33 +259,44 @@ def solve_e7_constants(
     triples (residues over F_p).
 
     Same defaults as build_e7.  The cyclic Jacobi sum on 60 seeded triples
-    of spinor-tensor basis vectors is read through the bracket that
-    build_e7 stores, on its chassis at (c1, c2) = (1, 0) and (0, 1).  The
-    solution space must be exactly one-dimensional: rank 0 would mean the
-    sampled triples constrain nothing, rank 2 that no choice of constants
-    closes the bracket.  Never hardcoded; the full identity is verified
-    downstream by verify_jacobi.
+    of spinor-tensor basis vectors is read as int numerators off the table
+    that build_e7 stores, on its chassis at (c1, c2) = (1, 0) and (0, 1),
+    which share one den: each index gives a row (a, b), mod p over F_p,
+    with c1 a + c2 b = 0.  The pair is (b, -a) of the first nonzero row,
+    primitive and leading positive over Q, leading 1 over F_p, and every
+    other row must have a zero 2 x 2 minor with it.  No nonzero row means
+    the sampled triples constrain nothing, a nonzero minor that no choice
+    of constants closes the bracket.  Never hardcoded; the full identity
+    is verified downstream by verify_jacobi.
     """
     config, form = _builder_setup(SPINOR_N["e7"], field, form)
-    zero = config.field.zero()
+    p = config.field.characteristic
     parts = (_e7_chassis(config, form, 1, 0), _e7_chassis(config, form, 0, 1))
     index = parts[0].index
     rnd = random.Random(20240801)
     evens = [m for m in range(config.size) if parity(m) == 0]
-    rows: list[list[Scalar]] = []
+    rows: list[tuple[int, int]] = []
     for _ in range(60):
         triple = [
             index[("s2", rnd.choice(evens), rnd.choice((0, 1)))] for _ in range(3)
         ]
         # the sum is linear in the constants: c1 P + c2 Q = 0 at each index
-        p, q = (_jacobi_sum(L, *triple) for L in parts)
-        rows += ([p.get(k, zero), q.get(k, zero)] for k in sorted(p.keys() | q.keys()))
-    null = nullspace(rows, 2, config.field)
-    if len(null) == 2:
+        sums = [_jacobi_sum(L, *triple) for L in parts]
+        for k in sorted(sums[0].keys() | sums[1].keys()):
+            a, b = (s.get(k, 0) for s in sums)
+            rows.append((a % p, b % p) if p else (a, b))
+    nonzero = [row for row in rows if any(row)]
+    if not nonzero:
         raise RuntimeError("sampled Jacobi triples constrain no bracket constants")
-    if not null:
+    a, b = nonzero[0]
+    if any((a * y - b * x) % p if p else a * y - b * x for x, y in nonzero):
         raise RuntimeError("no bracket constants satisfy the Jacobi identity")
-    return _normalize_pair(config.field, null[0])
+    x, y = b, -a
+    if p:
+        lead = pow(x or y, -1, p)
+        return x * lead % p, y * lead % p
+    g = gcd(x, y) if (x or y) > 0 else -gcd(x, y)
+    return x // g, y // g
 
 
 def build_e7(

@@ -39,7 +39,7 @@ import numpy as np
 
 from .field import Scalar, scalar_str
 from .fock import Config, mask_str
-from .linalg import IncrementalRank, echelon_rank, inverse
+from .linalg import IncrementalRank, inverse
 
 # A basis label: (kind, *fields), e.g. ("ei", 1, 2) or ("s", mask).
 Label = tuple
@@ -562,16 +562,23 @@ def killing_form(L: LieAlgebra) -> tuple[list[list[Scalar]], int]:
     The Gram matrix comes from L's keyed-product engine, the one
     verify_jacobi uses (L.adjoint_products()): exact int64 sums over the
     int numerators over den^2, each entry the sum of the diagonal terms of
-    ad_i ad_j, every i and j in one pass.  The rank is echelon_rank of the
-    field matrix, the one sparse exact elimination, on every field.  The
-    Killing form is 2h^v times the normalised invariant form (24, 36 and
-    60 times it for e6, e7, e8), so for p >= 5 it vanishes only for e8
-    over F_5: rank 0.
+    ad_i ad_j, every i and j in one pass.  Its int rows, reduced mod p
+    over F_p, go straight into IncrementalRank, as spanning_check's do:
+    the common den^2 does not change the rank, and no field scalar is
+    formed before it.  The Killing form is 2h^v times the normalised
+    invariant form (24, 36 and 60 times it for e6, e7, e8), so for p >= 5
+    it vanishes only for e8 over F_5: rank 0.
     """
-    field, gram = L.config.field, L.adjoint_products().gram().tolist()
+    field, gram = L.config.field, L.adjoint_products().gram()
+    if field.characteristic:
+        # an int that is 0 mod p must not become a pivot
+        gram %= field.characteristic
     scalar, denom, zero = field.from_fraction, L.den * L.den, field.zero()
-    matrix = [[scalar(v, denom) if v else zero for v in row] for row in gram]
-    return matrix, echelon_rank(matrix, field)
+    acc, matrix = IncrementalRank(field), []
+    for row in gram.tolist():
+        acc.add({j: v for j, v in enumerate(row) if v})
+        matrix.append([scalar(v, denom) if v else zero for v in row])
+    return matrix, acc.rank
 
 
 @dataclass(slots=True)
@@ -667,17 +674,6 @@ class RootDatum:
     rank: int
     type_name: str
     root_norms: frozenset
-
-    def to_dict(self) -> dict:
-        return {
-            "algebra": self.algebra,
-            "type": self.type_name,
-            "rank": self.rank,
-            "root_count": len(self.roots),
-            "simple_roots": [list(r) for r in self.simple_roots],
-            "cartan_matrix": [list(r) for r in self.cartan_matrix],
-            "root_norms": sorted(str(v) for v in self.root_norms),
-        }
 
     def __repr__(self) -> str:
         return (

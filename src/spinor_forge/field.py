@@ -259,12 +259,3 @@ def make_field(spec: str) -> Field:
 def scalar_str(x: Scalar) -> str:
     """Canonical serialization: "p/q" style for Q, "r mod p" for F_p."""
     return str(x)
-
-
-def parse_scalar(s: str, field: Field) -> Scalar:
-    if isinstance(field, Rationals):
-        return Fraction(s)
-    value, sep, p = s.partition(" mod ")
-    if not sep or int(p) != field.p:
-        raise ValueError(f"cannot parse {s!r} as an element of {field!r}")
-    return Residue(int(value), field.p)

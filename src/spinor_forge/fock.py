@@ -58,13 +58,6 @@ def mask_str(mask: int) -> str:
     return "{" + ",".join(elems) + "}"
 
 
-def mask_from_indices(indices) -> int:
-    mask = 0
-    for a in indices:
-        mask |= 1 << (a - 1)
-    return mask
-
-
 def parity(mask: int) -> int:
     return mask.bit_count() & 1
 
@@ -247,13 +240,6 @@ class SpinorVec(SparseTerms):
     @classmethod
     def vacuum(cls, config: Config) -> "SpinorVec":
         return cls.basis(config, 0)
-
-    def parity(self) -> Optional[int]:
-        """0 if the vector lies in S_plus, 1 if in S_minus, None if mixed."""
-        parities = {parity(m) for m in self._num}
-        if len(parities) == 1:
-            return parities.pop()
-        return None
 
     def __mul__(self, s: Scalar) -> "SpinorVec":
         return self.scale(s)

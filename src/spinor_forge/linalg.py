@@ -3,7 +3,9 @@
 One sparse elimination (IncrementalRank) serves everything: rows are
 reduced against the stored pivots as they are added, which gives the
 rank, and reduced() back-substitutes them into reduced row echelon form,
-which gives nullspaces and inverses.  Everything here is exact; no
+which gives the inverse.  Rows may hold field scalars or ints (numerators
+over a common denominator, reduced mod p over F_p), so the structure
+table's numerators are ranked as they are.  Everything here is exact; no
 floating point.
 """
 
@@ -67,46 +69,17 @@ class IncrementalRank:
         return self._pivots
 
 
-def _span(rows: Sequence[Sequence[Scalar]], ncols: int, field: Field) -> IncrementalRank:
-    """The rows of a dense matrix with ncols columns, added to one reducer."""
-    acc = IncrementalRank(field)
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError("row length does not match ncols")
-        acc.add({c: v for c, v in enumerate(row) if v})
-    return acc
-
-
-def echelon_rank(rows: Sequence[Sequence[Scalar]], field: Field) -> int:
-    """Rank of a dense matrix."""
-    return _span(rows, len(rows[0]) if rows else 0, field).rank
-
-
-def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int, field: Field) -> list[list[Scalar]]:
-    """Basis of the right kernel of a dense matrix with ncols columns."""
-    pivots = _span(rows, ncols, field).reduced()
-    zero = field.zero()
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [zero] * ncols
-        vec[free] = field.one()
-        for pc, row in pivots.items():
-            vec[pc] = -row.get(free, zero)
-        basis.append(vec)
-    return basis
-
-
 def inverse(rows: Sequence[Sequence[Scalar]], field: Field) -> list[list[Scalar]]:
-    """Inverse of a square matrix, by reducing [A | I]; ValueError if singular."""
+    """Inverse of a square matrix, by reducing [A | I]; ValueError if singular
+    or not square."""
     r = len(rows)
     one, zero = field.one(), field.zero()
-    aug = [
-        list(row) + [one if i == j else zero for j in range(r)]
-        for i, row in enumerate(rows)
-    ]
-    pivots = _span(aug, 2 * r, field).reduced()
+    acc = IncrementalRank(field)
+    for i, row in enumerate(rows):
+        if len(row) != r:
+            raise ValueError("matrix is not square")
+        acc.add({c: v for c, v in enumerate(row) if v} | {r + i: one})
+    pivots = acc.reduced()
     if any(i not in pivots for i in range(r)):
         raise ValueError("matrix is singular")
     return [[pivots[i].get(r + j, zero) for j in range(r)] for i in range(r)]

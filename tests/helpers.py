@@ -10,10 +10,12 @@ identities on spinor values, the bracket relations one slot at a time
 (with the exact zero test of a linear combination, one slot's vector
 commutator and the adjoint after one move), the grading element's
 action on a spinor, the polarisation change of a basis-index triple,
-the e6 coefficient sweep and the dense Gauss-Jordan elimination (the
-oracle of linalg's sparse reducer: its ranks, nullspaces and inverses)
-are used only by the tests, so they live here rather than in the
-package.
+the e6 coefficient sweep, the dense Gauss-Jordan elimination (the
+oracle of linalg's sparse reducer: its ranks and inverses), the e7
+constant solve through field-scalar Jacobi rows and a dense kernel (the
+oracle of builders.solve_e7_constants), the parity of a spinor vector,
+masks from 1-based indices and scalar parsing are used only by the
+tests, so they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import lru_cache
 from typing import Optional
 
 from spinor_forge import props
-from spinor_forge.builders import build_e6
+from spinor_forge.builders import SPINOR_N, _builder_setup, _e7_chassis, build_e6
 from spinor_forge.clifford import (
     CliffordElem,
     _blade_terms,
@@ -36,8 +38,8 @@ from spinor_forge.clifford import (
     witt_e,
     witt_i,
 )
-from spinor_forge.exceptional import verify_jacobi
-from spinor_forge.field import Field, Scalar
+from spinor_forge.exceptional import LieAlgebra, verify_jacobi
+from spinor_forge.field import Field, Rationals, Residue, Scalar
 from spinor_forge.fock import (
     Config,
     SparseTerms,
@@ -103,6 +105,76 @@ def dense_rref(
 def dense_rank(rows: list[list[Scalar]], field: Field) -> int:
     """Rank of a dense matrix by dense_rref on a copy."""
     return len(dense_rref(rows, len(rows[0]) if rows else 0, field)[1])
+
+
+def e7_constants_by_nullspace(
+    field: Optional[Field] = None, form: Optional[BilinearForm] = None
+) -> tuple[int, int]:
+    """solve_e7_constants through field scalars: the Jacobi rows of its 60
+    seeded triples read through L.bracket, their kernel from dense_rref,
+    scaled to lead with 1 (residues over F_p, the primitive int pair over
+    Q)."""
+    config, form = _builder_setup(SPINOR_N["e7"], field, form)
+    zero = config.field.zero()
+    parts = (_e7_chassis(config, form, 1, 0), _e7_chassis(config, form, 0, 1))
+    index = parts[0].index
+    rnd = random.Random(20240801)
+    evens = [m for m in range(config.size) if parity(m) == 0]
+    rows: list[list[Scalar]] = []
+    for _ in range(60):
+        triple = [
+            index[("s2", rnd.choice(evens), rnd.choice((0, 1)))] for _ in range(3)
+        ]
+        p, q = (_scalar_jacobi_sum(L, *triple) for L in parts)
+        rows += ([p.get(k, zero), q.get(k, zero)] for k in sorted(p.keys() | q.keys()))
+    work, pivot_cols = dense_rref(rows, 2, config.field)
+    if len(pivot_cols) != 1:
+        raise RuntimeError(f"Jacobi rows of rank {len(pivot_cols)}, not 1")
+    free = 1 - pivot_cols[0]
+    vec = [zero, zero]
+    vec[free] = config.field.one()
+    vec[pivot_cols[0]] = -work[0][free]
+    a, b = (x / (vec[0] or vec[1]) for x in vec)
+    if config.field.characteristic:
+        return a.value, b.value
+    den = a.denominator * b.denominator
+    return int(a * den), int(b * den)
+
+
+def _scalar_jacobi_sum(L: LieAlgebra, x: int, y: int, z: int) -> dict[int, Scalar]:
+    """[[x, y], z] + [[y, z], x] + [[z, x], y] on basis indices, through L.bracket."""
+    out: dict[int, Scalar] = {}
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        for k, s in L.bracket(a, b):
+            for m, t in L.bracket(k, c):
+                out[m] = out[m] + s * t if m in out else s * t
+    return out
+
+
+def mask_from_indices(indices) -> int:
+    """The Fock mask of a set of 1-based indices."""
+    mask = 0
+    for a in indices:
+        mask |= 1 << (a - 1)
+    return mask
+
+
+def spinor_parity(psi: SpinorVec) -> Optional[int]:
+    """0 if psi lies in S_plus, 1 if in S_minus, None if mixed (or zero)."""
+    parities = {parity(m) for m in psi._num}
+    if len(parities) == 1:
+        return parities.pop()
+    return None
+
+
+def parse_scalar(s: str, field: Field) -> Scalar:
+    """The inverse of scalar_str: "p/q" over Q, "r mod p" over F_p."""
+    if isinstance(field, Rationals):
+        return Fraction(s)
+    value, sep, p = s.partition(" mod ")
+    if not sep or int(p) != field.p:
+        raise ValueError(f"cannot parse {s!r} as an element of {field!r}")
+    return Residue(int(value), field.p)
 
 
 def rand_scalar(config: Config, r: random.Random):

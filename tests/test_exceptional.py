@@ -9,7 +9,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, cycle
 from math import lcm
 from pathlib import Path
 
@@ -42,7 +42,7 @@ from spinor_forge.exceptional import (
     verify_jacobi,
     with_flipped_sign,
 )
-from spinor_forge.field import PrimeField, Rationals
+from spinor_forge.field import PrimeField, Rationals, make_field
 from spinor_forge.fock import Config, SpinorVec, parity
 from spinor_forge.norms import BilinearForm, b_eval, solve_spinor_norm
 from spinor_forge.pairings import grade2_pairing
@@ -51,6 +51,7 @@ from .helpers import (
     c2_coords,
     c2_elem,
     dense_rank,
+    e7_constants_by_nullspace,
     grade2_pairing_projected,
     rand_spinor,
     rng,
@@ -347,16 +348,26 @@ class TestBuildE7:
         assert c1 == field.one() and c2 == field.one()
 
     @pytest.mark.parametrize(
-        "null, message",
+        "spec", ["q", "fp:5", "fp:7", "fp:11", "fp:2147483647"]
+    )
+    def test_constants_match_the_nullspace_route(self, spec):
+        # the int rows and 2 x 2 minors give what the field-scalar rows
+        # and a dense kernel give
+        field = make_field(spec)
+        assert solve_e7_constants(field) == e7_constants_by_nullspace(field)
+
+    @pytest.mark.parametrize(
+        "sums, message",
         [
-            ([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]],
-             "constrain no bracket constants"),
-            ([], "no bracket"),
+            ([{}], "constrain no bracket constants"),
+            # P then Q for each triple: rows (1, 0) and (0, 1)
+            ([{0: 1}, {1: 1}], "no bracket"),
         ],
         ids=["rank0", "rank2"],
     )
-    def test_constant_solve_rejects_bad_rank(self, monkeypatch, null, message):
-        monkeypatch.setattr(builders_mod, "nullspace", lambda rows, ncols, field: null)
+    def test_constant_solve_rejects_bad_rank(self, monkeypatch, sums, message):
+        it = cycle(sums)
+        monkeypatch.setattr(builders_mod, "_jacobi_sum", lambda L, x, y, z: next(it))
         with pytest.raises(RuntimeError, match=message):
             solve_e7_constants()
 
@@ -1453,40 +1464,43 @@ class TestIndependence:
     def test_src_holds_no_test_only_code(self):
         # every top-level function and class method in the package is
         # referenced outside its own definition by the package, the demos
-        # or perfbench; an import is not a use
+        # or perfbench; an import is not a use, and a method counts only
+        # attribute references (obj.name), so a function of the same name
+        # does not keep it
         root = Path(exceptional_mod.__file__).parents[2]
         src = sorted((root / "src" / "spinor_forge").glob("*.py"))
         readers = src + sorted((root / "demos").glob("*.py"))
         readers += sorted((root / "perfbench").glob("*.py"))
         trees = {path: ast.parse(path.read_text()) for path in readers}
-        # test-only until the table loader of ROADMAP item 3 reads them
-        allowed = {"fock.mask_from_indices", "field.parse_scalar"}
         defs = []
         for path in src:
             for node in trees[path].body:
                 if isinstance(node, ast.FunctionDef):
-                    defs.append((f"{path.stem}.{node.name}", node.name, node))
+                    defs.append((f"{path.stem}.{node.name}", node.name, node, False))
                 elif isinstance(node, ast.ClassDef):
                     for sub in node.body:
                         if isinstance(sub, ast.FunctionDef):
                             name = f"{path.stem}.{node.name}.{sub.name}"
-                            defs.append((name, sub.name, sub))
+                            defs.append((name, sub.name, sub, True))
 
-        def names(tree):
+        def names(tree, method):
             for ref in ast.walk(tree):
-                if isinstance(ref, ast.Name):
+                if isinstance(ref, ast.Name) and not method:
                     yield ref.id
                 elif isinstance(ref, ast.Attribute):
                     yield ref.attr
 
-        everywhere = Counter(name for tree in trees.values() for name in names(tree))
+        everywhere = {
+            method: Counter(name for tree in trees.values() for name in names(tree, method))
+            for method in (False, True)
+        }
         unused = [
             qualified
-            for qualified, name, node in defs
+            for qualified, name, node, method in defs
             if not (name.startswith("__") and name.endswith("__"))
-            and everywhere[name] == Counter(names(node))[name]
+            and everywhere[method][name] == Counter(names(node, method))[name]
         ]
-        assert sorted(unused) == sorted(allowed)
+        assert unused == []
 
 
 class TestFormRobustness:

@@ -10,9 +10,10 @@ from spinor_forge.field import (
     Residue,
     is_prime,
     make_field,
-    parse_scalar,
     scalar_str,
 )
+
+from .helpers import parse_scalar
 
 
 def test_fraction_arithmetic():

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinor_forge.builders as builders_mod
 import spinor_forge.exceptional as exceptional_mod
 import spinor_forge.linalg as linalg_mod
+from spinor_forge.builders import build_e6
 from spinor_forge.field import PrimeField, Rationals
-from spinor_forge.linalg import IncrementalRank, echelon_rank, inverse, nullspace
+from spinor_forge.linalg import IncrementalRank, inverse
 
 from .helpers import dense_rank, dense_rref
 
@@ -39,33 +41,40 @@ def rand_rows(field, r, nrows, ncols):
     ]
 
 
+def rank(rows, field):
+    """The rank of a dense matrix, its rows added to one IncrementalRank."""
+    acc = IncrementalRank(field)
+    for row in rows:
+        acc.add({c: x for c, x in enumerate(row) if x})
+    return acc.rank
+
+
 class TestEchelonRank:
+    """Ranks of dense matrices through the reducer, against dense_rank."""
+
+    @staticmethod
+    def check(rows, field, want):
+        assert rank(rows, field) == dense_rank(rows, field) == want
+
     def test_identity(self):
-        assert echelon_rank(frac_rows([[1, 0], [0, 1]]), Q) == 2
+        self.check(frac_rows([[1, 0], [0, 1]]), Q, 2)
 
     def test_zero(self):
-        assert echelon_rank(frac_rows([[0, 0], [0, 0]]), Q) == 0
-        assert echelon_rank([], Q) == 0
+        self.check(frac_rows([[0, 0], [0, 0]]), Q, 0)
+        self.check([], Q, 0)
 
     def test_dependent_rows(self):
-        rows = frac_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-        assert echelon_rank(rows, Q) == 2
+        self.check(frac_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]]), Q, 2)
 
     def test_rank_depends_on_field(self):
         # second column is divisible by 7, so mod 7 the rank drops
         data = [[1, 7], [3, 14]]
-        assert echelon_rank(frac_rows(data), Q) == 2
-        assert echelon_rank(f7_rows(data), F7) == 1
+        self.check(frac_rows(data), Q, 2)
+        self.check(f7_rows(data), F7, 1)
 
     def test_wide_and_tall(self):
-        assert echelon_rank(frac_rows([[1, 2, 3, 4]]), Q) == 1
-        assert echelon_rank(frac_rows([[1], [2], [5]]), Q) == 1
-
-    def test_row_length_checked(self):
-        with pytest.raises(ValueError, match="ncols"):
-            echelon_rank(frac_rows([[1, 2], [3]]), Q)
-        with pytest.raises(ValueError, match="ncols"):
-            echelon_rank(frac_rows([[1], [2, 3]]), Q)
+        self.check(frac_rows([[1, 2, 3, 4]]), Q, 1)
+        self.check(frac_rows([[1], [2], [5]]), Q, 1)
 
 
 class TestInverse:
@@ -133,61 +142,10 @@ class TestInverse:
         assert inverse(a, Q) == a
         assert a == frac_rows([[0, 1], [1, 0]])
 
-
-class TestNullspace:
-    def test_plane_kernel(self):
-        rows = frac_rows([[1, 1, 1]])
-        basis = nullspace(rows, 3, Q)
-        assert len(basis) == 2
-        for vec in basis:
-            assert sum(vec, Fraction(0)) == 0
-
-    def test_kernel_orthogonal_to_rows(self):
-        r = random.Random(5)
-        rows = [[Fraction(r.randint(-4, 4)) for _ in range(5)] for _ in range(3)]
-        basis = nullspace(rows, 5, Q)
-        assert len(basis) == 5 - dense_rank(rows, Q)
-        for vec in basis:
-            for row in rows:
-                assert sum(a * b for a, b in zip(row, vec)) == 0
-
-    @pytest.mark.parametrize("field", [Q, F7], ids=["q", "fp7"])
-    def test_matches_dense_oracle(self, field):
-        # one vector per free column of the dense reduction, in column order
-        r = random.Random(23)
-        for _ in range(300):
-            ncols = r.randint(1, 6)
-            rows = rand_rows(field, r, r.randint(0, 6), ncols)
-            work, pivot_cols = dense_rref(rows, ncols, field)
-            want = []
-            for free in range(ncols):
-                if free in pivot_cols:
-                    continue
-                vec = [field.zero()] * ncols
-                vec[free] = field.one()
-                for i, pc in enumerate(pivot_cols):
-                    vec[pc] = -work[i][free]
-                want.append(vec)
-            assert nullspace(rows, ncols, field) == want
-
-    def test_full_rank_trivial_kernel(self):
-        rows = frac_rows([[2, 0], [1, 1]])
-        assert nullspace(rows, 2, Q) == []
-
-    def test_row_length_checked(self):
-        with pytest.raises(ValueError, match="ncols"):
-            nullspace(frac_rows([[1, 2]]), 3, Q)
-
-    def test_prime_field(self):
-        rows = f7_rows([[1, 3], [2, 6]])
-        basis = nullspace(rows, 2, F7)
-        assert len(basis) == 1
-        vec = basis[0]
-        for row in rows:
-            acc = F7.zero()
-            for a, b in zip(row, vec):
-                acc = acc + a * b
-            assert not acc
+    def test_non_square_rejected(self):
+        for a in ([[1, 2]], [[1, 0], [0]], [[1], [0, 1]]):
+            with pytest.raises(ValueError, match="not square"):
+                inverse(frac_rows(a), Q)
 
 
 class TestIncrementalRank:
@@ -228,6 +186,8 @@ class TestIncrementalRank:
         for row in rows:
             acc.add({i: x for i, x in enumerate(row) if x})
         assert acc.rank == dense_rank(rows, Q)
+        # the same rows as ints, as killing_form and spanning_check add them
+        assert rank(data, Q) == acc.rank
 
     @pytest.mark.parametrize("field", [Q, F7], ids=["q", "fp7"])
     def test_reduced_is_dense_rref(self, field):
@@ -254,16 +214,16 @@ class TestRankModP:
     """Ranks over F_p, from the same elimination as every other field."""
 
     def test_small_known(self):
-        assert echelon_rank(f7_rows([[1, 2], [2, 4]]), F7) == 1
-        assert echelon_rank(f7_rows([[1, 2], [2, 5]]), F7) == 2
+        assert rank(f7_rows([[1, 2], [2, 4]]), F7) == 1
+        assert rank(f7_rows([[1, 2], [2, 5]]), F7) == 2
 
     def test_reduction_changes_rank(self):
         # full rank over Q but rank 1 mod p
-        assert echelon_rank(f7_rows([[1, 7], [3, 14]]), F7) == 1
+        assert rank(f7_rows([[1, 7], [3, 14]]), F7) == 1
         p = (1 << 31) - 1
         field = PrimeField(p)
         rows = [[field.from_int(x) for x in row] for row in [[p, 1], [0, 1]]]
-        assert echelon_rank(rows, field) == 1
+        assert rank(rows, field) == dense_rank(rows, field) == 1
 
     def test_matches_field_elimination(self):
         r = random.Random(3)
@@ -272,10 +232,14 @@ class TestRankModP:
             for _ in range(10):
                 data = [[r.randint(-20, 20) for _ in range(6)] for _ in range(6)]
                 rows = [[field.from_int(x) for x in row] for row in data]
-                assert echelon_rank(rows, field) == dense_rank(rows, field)
+                assert rank(rows, field) == dense_rank(rows, field)
+                # int rows reduced mod p give the same rank
+                assert rank([[x % p for x in row] for row in data], field) == dense_rank(
+                    rows, field
+                )
 
     def test_empty(self):
-        assert echelon_rank([], F7) == 0
+        assert rank([], F7) == 0
 
 
 def parsed(module):
@@ -295,7 +259,7 @@ class TestOneElimination:
         assert "numpy" not in imported
 
     def test_no_second_elimination_in_src(self):
-        gone = {"rank_mod_p", "_reduce"}
+        gone = {"rank_mod_p", "_reduce", "echelon_rank", "nullspace", "_normalize_pair"}
         for path in sorted(Path(linalg_mod.__file__).parent.glob("*.py")):
             names = set()
             for node in ast.walk(ast.parse(path.read_text())):
@@ -311,7 +275,7 @@ class TestOneElimination:
 
     def test_verifiers_take_one_rank_route(self):
         # every call that could rank, reduce or solve a matrix, numpy's
-        # linalg included, must be the reducer or echelon_rank: one each
+        # linalg included, must be the reducer
         route = re.compile(r"rank|reduc|echelon|elimin|nullspace|inverse|solve|linalg", re.I)
         funcs = {
             node.name: node
@@ -327,4 +291,53 @@ class TestOneElimination:
                         if word and route.search(word):
                             routes.add(word)
             assert len(routes) == 1, (name, routes)
-            assert routes <= {"IncrementalRank", "echelon_rank"}, (name, routes)
+            assert routes == {"IncrementalRank"}, (name, routes)
+
+    def test_structure_constants_reach_the_reducer_as_ints(self, monkeypatch):
+        # linalg keeps the reducer and inverse; the builders solve the e7
+        # constants on int numerators, and killing_form ranks the int Gram
+        linalg_defs = set()
+        for node in parsed(linalg_mod).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                linalg_defs.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                linalg_defs.update(t.id for t in targets if isinstance(t, ast.Name))
+        public = {name for name in linalg_defs if not name.startswith("_")}
+        assert public == {"IncrementalRank", "inverse"}
+
+        scalar_calls = {"bracket", "from_fraction", "from_int", "zero", "one"}
+        for node in ast.walk(parsed(builders_mod)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+                modules += [alias.name for alias in node.names]
+                assert not any("linalg" in m for m in modules), ast.dump(node)
+            if isinstance(node, ast.Call):
+                func = node.func
+                word = getattr(func, "attr", None) or getattr(func, "id", None)
+                assert word not in scalar_calls, (word, node.lineno)
+
+        (killing,) = [
+            node
+            for node in parsed(exceptional_mod).body
+            if isinstance(node, ast.FunctionDef) and node.name == "killing_form"
+        ]
+        words = {
+            getattr(sub, "id", None) or getattr(sub, "attr", None)
+            for sub in ast.walk(killing)
+        }
+        assert "echelon_rank" not in words
+        added = []
+
+        class Recording(IncrementalRank):
+            def add(self, vec):
+                added.append(vec)
+                return super().add(vec)
+
+        monkeypatch.setattr(exceptional_mod, "IncrementalRank", Recording)
+        for field in (Q, F7):
+            added.clear()
+            L = build_e6(field=field)
+            assert exceptional_mod.killing_form(L)[1] == 78
+            assert len(added) == L.dim
+            assert all(type(v) is int for vec in added for v in vec.values())

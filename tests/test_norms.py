@@ -24,7 +24,6 @@ from spinor_forge.fock import (
     annihilate,
     apply_monomial,
     create,
-    mask_from_indices,
 )
 from spinor_forge.norms import (
     BilinearForm,
@@ -37,7 +36,7 @@ from spinor_forge.norms import (
     solve_spinor_norm,
 )
 
-from .helpers import rand_elem, rand_spinor, rng
+from .helpers import mask_from_indices, rand_elem, rand_spinor, rng
 
 Q = Rationals()
 

@@ -20,7 +20,7 @@ from spinor_forge.clifford import (
     witt_i,
 )
 from spinor_forge.field import PrimeField, Rationals
-from spinor_forge.fock import Config, SpinorVec, mask_from_indices, parity
+from spinor_forge.fock import Config, SpinorVec, parity
 from spinor_forge.norms import b_eval, graded_norm, solve_spinor_norm
 import spinor_forge.pairings as pairings_mod
 from spinor_forge.pairings import (
@@ -41,6 +41,7 @@ from .helpers import (
     endomorphism_pairing,
     grade2_pairing_projected,
     l2_scalars,
+    mask_from_indices,
     matrix_unit,
     q_map_by_products,
     rand_spinor,
