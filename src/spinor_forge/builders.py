@@ -1,9 +1,12 @@
 """The e6, e7 and e8 constructions from spinor pairings.
 
 Each algebra is g0 + M on one chassis (_graded_algebra): the degree-zero
-part g0 is the grade-2 part of the Clifford algebra, plus sl2 or the
-grading element where the construction calls for it, acting on a spinor
-module M.  The builders work on labels only and form no Clifford element:
+part g0 = so(2n) + z is the grade-2 part of the Clifford algebra plus the
+extras z (the grading element for e6, sl2 for e7, none for e8), acting on
+a spinor module M.  The chassis owns the shape of g0: z centralizes
+so(2n) by construction, so an extra and a grade-2 label bracket to zero
+and a builder brackets only extras with extras.  The builders work on
+labels only and form no Clifford element:
 the spinor-spinor bracket is the paper's L_2 on a pair of basis spinors,
 written straight in grade-2 labels by its closed form (pairings._l2_coords,
 the package's one copy of that case table), plus the top-grade term for
@@ -124,9 +127,10 @@ def _graded_algebra(
     grade-2 labels bracket by _c2_bracket, and a grade-2 label acts on a
     module label (kind, mask, ...) by one Fock move on the mask, keeping
     the rest of the label.  [m, x] = -[x, m] for m in M and x in g0, and
-    [m, m'] = pair(m, m').  extra_bracket takes the g0 pairs that hold an
-    extra label, extra_act an extra label acting on a module label.  Every
-    bracket is int numerators over den, an even number.
+    [m, m'] = pair(m, m').  An extra and a grade-2 label bracket to zero;
+    extra_bracket takes only pairs of extras (zero when it is None), and
+    extra_act an extra label acting on a module label.  Every bracket is
+    int numerators over den, an even number.
     """
     half = den // 2
     module_kinds = {lab[0] for lab in module}
@@ -138,9 +142,11 @@ def _graded_algebra(
         if ma and mb:
             return pair(la, lb)
         if not (ma or mb):
-            if ka in extra_kinds or kb in extra_kinds:
-                return extra_bracket(la, lb)
-            return _c2_bracket(la, lb, half)
+            xa, xb = ka in extra_kinds, kb in extra_kinds
+            if not (xa or xb):
+                return _c2_bracket(la, lb, half)
+            # g0 = so(2n) + z with z the centralizer of so(2n) in g0
+            return extra_bracket(la, lb) if xa and xb and extra_bracket else {}
         x, m = (lb, la) if ma else (la, lb)
         if x[0] in extra_kinds:
             out = extra_act(x, m)
@@ -165,9 +171,9 @@ def build_e8(
     basis masks.  A plain-flavor norm may be injected to check that the
     construction only depends on it up to scale.
     """
-    config, form = _builder_setup(SPINOR_N["e8"], field, form)
     if half not in ("+", "-"):
         raise ValueError("half must be '+' or '-'")
+    config, form = _builder_setup(SPINOR_N["e8"], field, form)
     want = 0 if half == "+" else 1
     module = [("s", m) for m in range(config.size) if parity(m) == want]
 
@@ -183,8 +189,11 @@ def build_e8(
 # symmetrized operator sigma(x, y) z = omega(x, z) y + omega(y, z) x.
 _SL2_TABLE = {
     ("h", "e"): (("e", 2),),
+    ("e", "h"): (("e", -2),),
     ("h", "f"): (("f", -2),),
+    ("f", "h"): (("f", 2),),
     ("e", "f"): (("h", 1),),
+    ("f", "e"): (("h", -1),),
 }
 _SL2_ACTION: dict[str, dict[int, tuple[tuple[int, int], ...]]] = {
     "h": {0: ((0, 1),), 1: ((1, -1),)},
@@ -233,16 +242,7 @@ def _e7_chassis(config: Config, form: BilinearForm, c1: int, c2: int) -> LieAlge
         return coords
 
     def sl2_bracket(la: Label, lb: Label) -> dict[Label, int]:
-        if la[0] != lb[0]:
-            # sl2 commutes with the grade-2 part
-            return {}
-        ta, tb = la[1], lb[1]
-        if ta == tb:
-            return {}
-        entry = _SL2_TABLE.get((ta, tb))
-        if entry is not None:
-            return {("sl2", t): k * den for t, k in entry}
-        return {("sl2", t): -k * den for t, k in _SL2_TABLE[(tb, ta)]}
+        return {("sl2", t): k * den for t, k in _SL2_TABLE.get((la[1], lb[1]), ())}
 
     def slot_act(la: Label, lb: Label) -> dict[Label, int]:
         moves = _SL2_ACTION[la[1]].get(lb[2], ())
@@ -343,24 +343,6 @@ def build_e6(
     den, a, b = 2 * form._den * m, a * m, 2 * b * m // config.size
     module = [("s", mask) for mask in range(config.size)]
 
-    def centralizes(lab: Label) -> bool:
-        # C = End(S), so eps commutes with lab iff lab's Fock move keeps
-        # |M| mod 2 on every basis vector e_M.v
-        if lab[0] == "eps":
-            return True
-        for mask in range(config.size):
-            hit = _c2_move(lab, mask)
-            if hit is not None and parity(hit[0]) != parity(mask):
-                return False
-        return True
-
-    def eps_bracket(la: Label, lb: Label) -> dict[Label, int]:
-        if not (centralizes(la) and centralizes(lb)):
-            raise RuntimeError(
-                "grading element failed to centralize the grade-2 part"
-            )
-        return {}
-
     def parity_act(la: Label, lb: Label) -> dict[Label, int]:
         # eps e_M.v = (-1)^|M| e_M.v
         return {lb: -den if parity(lb[1]) else den}
@@ -373,5 +355,5 @@ def build_e6(
         return coords
 
     return _graded_algebra(
-        "e6", config, den, [("eps",)], module, pair, eps_bracket, parity_act
+        "e6", config, den, [("eps",)], module, pair, extra_act=parity_act
     )

@@ -179,14 +179,16 @@ def _validate(args: argparse.Namespace) -> Optional[Field]:
     """Raise ValueError for a usage error, before any work starts.
 
     Returns the field that verify and export run over (None for props),
-    built once here and handed to the command.  An export path whose
-    directory does not exist, or that names a directory, is a usage
-    error too.
+    built once here and handed to the command.  An export path that is
+    empty, whose directory does not exist, or that names a directory, is
+    a usage error too.
     """
     if args.command == "props":
         suite_names(args.n, args.suite)
         return None
     if args.command == "export":
+        if not args.out:
+            raise ValueError("output path is empty")
         folder = os.path.dirname(args.out) or "."
         if not os.path.isdir(folder):
             raise ValueError(f"output directory {folder} does not exist")

@@ -244,15 +244,13 @@ Field = Union[Rationals, PrimeField]
 
 
 def make_field(spec: str) -> Field:
-    """Build a field from its run-configuration string: "q" or "fp:<p>"."""
+    """Build a field from its run-configuration string: "q" or "fp:<p>",
+    with p in ASCII decimal digits only (no sign, space or underscore)."""
     if spec == "q":
         return Rationals()
-    if spec.startswith("fp:"):
-        try:
-            p = int(spec[3:])
-        except ValueError:
-            raise ValueError(f"bad field spec {spec!r}") from None
-        return PrimeField(p)
+    digits = spec[3:]
+    if spec.startswith("fp:") and digits.isascii() and digits.isdigit():
+        return PrimeField(int(digits))
     raise ValueError(f"bad field spec {spec!r}")
 
 

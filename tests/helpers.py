@@ -14,8 +14,9 @@ the e6 coefficient sweep, the dense Gauss-Jordan elimination (the
 oracle of linalg's sparse reducer: its ranks and inverses), the e7
 constant solve through field-scalar Jacobi rows and a dense kernel (the
 oracle of builders.solve_e7_constants), the parity of a spinor vector,
-masks from 1-based indices and scalar parsing are used only by the
-tests, so they live here rather than in the package.
+masks from 1-based indices, scalar parsing and a parity-breaking patch
+of builders._c2_move are used only by the tests, so they live here
+rather than in the package.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
+import spinor_forge.builders as builders_mod
 from spinor_forge import props
 from spinor_forge.builders import SPINOR_N, _builder_setup, _e7_chassis, build_e6
 from spinor_forge.clifford import (
@@ -698,6 +700,21 @@ def epsilon_action(psi: SpinorVec) -> SpinorVec:
         {m: (c if not parity(m) else -c) for m, c in psi._num.items()},
         psi._den,
     )
+
+
+def flip_f12_parity(monkeypatch) -> None:
+    """Patch builders._c2_move so that F_12 = ("ei", 1, 2) moves e_M.v to a
+    mask of the other parity (bit 5 toggled), every other move kept: a
+    grade-2 label that no longer commutes with e6's grading element."""
+    real = builders_mod._c2_move
+
+    def moved(label, mask):
+        hit = real(label, mask)
+        if label == ("ei", 1, 2) and hit is not None:
+            return hit[0] ^ 0b10000, hit[1]
+        return hit
+
+    monkeypatch.setattr(builders_mod, "_c2_move", moved)
 
 
 class PolarisationChange:

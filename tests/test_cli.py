@@ -8,6 +8,8 @@ from spinor_forge.builders import build_e6
 from spinor_forge.cli import main
 from spinor_forge.exceptional import with_flipped_sign
 
+from .helpers import flip_f12_parity
+
 
 def run_cli(capsys, argv):
     code = main(argv)
@@ -126,6 +128,25 @@ class TestVerify:
         assert json.loads(out)["field"] == "fp:2147483647"
         assert calls == [2147483647]
 
+    @pytest.mark.parametrize("command", ["verify", "export"])
+    @pytest.mark.parametrize("spec", ["fp:+7", "fp: 7", "fp:1_000_003"])
+    def test_non_digit_prime_spec_exit_2_before_building(
+        self, capsys, monkeypatch, tmp_path, command, spec
+    ):
+        from spinor_forge import cli
+
+        def never(field=None, form=None):
+            raise AssertionError("built despite a usage error")
+
+        monkeypatch.setitem(cli._BUILDERS, "e7", never)
+        argv = [command, "--algebra", "e7", "--field", spec]
+        if command == "export":
+            argv += ["--out", str(tmp_path / "e7.json")]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "bad field spec" in err
+
     def test_bad_field_spec_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, ["verify", "--algebra", "e6", "--field", "r"]
@@ -144,14 +165,14 @@ class TestExitCodes:
         from spinor_forge import cli
 
         def broken(field=None, form=None):
-            raise RuntimeError("grading element failed to centralize the grade-2 part")
+            raise RuntimeError("builder failed while running")
 
         monkeypatch.setitem(cli._BUILDERS, "e6", broken)
         code, out, err = run_cli(capsys, ["verify", "--algebra", "e6"])
         assert code == 3
         report = json.loads(out)
         assert report["command"] == "verify"
-        assert report["error"].startswith("RuntimeError: grading element")
+        assert report["error"].startswith("RuntimeError: builder failed")
         assert "internal error" in err
 
     def test_verification_failure_exit_1(self, capsys, monkeypatch):
@@ -171,6 +192,17 @@ class TestExitCodes:
         assert [c["check"] for c in bad] == ["jacobi"]
         assert bad[0]["violations"]
         assert f"jacobi: {len(bad[0]['violations'])} violating pairs" in err
+
+    def test_parity_change_is_a_verification_failure(self, capsys, monkeypatch):
+        # a grade-2 move that breaks [eps, F_12] = 0 is found by the
+        # battery (exit 1), not raised inside the bracket (exit 3)
+        flip_f12_parity(monkeypatch)
+        code, out, err = run_cli(capsys, ["verify", "--algebra", "e6"])
+        assert code == 1
+        report = json.loads(out)
+        bad = [c for c in report["checks"] if not c["ok"]]
+        assert [c["check"] for c in bad] == ["jacobi"]
+        assert "internal error" not in err
 
     def test_runtime_error_exit_3(self, capsys, monkeypatch):
         from spinor_forge import cli
@@ -273,6 +305,18 @@ class TestExport:
         assert out == ""
         assert "does not exist" in err
         assert not out_path.parent.exists()
+
+    def test_empty_out_exit_2_before_building(self, capsys, monkeypatch):
+        from spinor_forge import cli
+
+        def never(field=None):
+            raise AssertionError("built despite a usage error")
+
+        monkeypatch.setitem(cli._BUILDERS, "e6", never)
+        code, out, err = run_cli(capsys, ["export", "--algebra", "e6", "--out", ""])
+        assert code == 2
+        assert out == ""
+        assert "output path is empty" in err
 
     def test_out_directory_exit_2_before_building(
         self, capsys, monkeypatch, tmp_path

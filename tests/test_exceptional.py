@@ -52,6 +52,7 @@ from .helpers import (
     c2_elem,
     dense_rank,
     e7_constants_by_nullspace,
+    flip_f12_parity,
     grade2_pairing_projected,
     rand_spinor,
     rng,
@@ -276,6 +277,15 @@ class TestBuildE8:
     def test_bad_half_rejected(self):
         with pytest.raises(ValueError):
             build_e8(half="x")
+
+    @pytest.mark.parametrize("half", ["x", "", None], ids=["x", "empty", "none"])
+    def test_half_checked_before_the_norm_solve(self, half, monkeypatch):
+        def refuse(config):
+            raise AssertionError("the norm was solved before the check")
+
+        monkeypatch.setattr(builders_mod, "solve_spinor_norm", refuse)
+        with pytest.raises(ValueError, match="half must be"):
+            build_e8(half=half)
 
     def test_vacuum_bracket_disjoint_small_overlap_vanishes(self, e8):
         # I = {}, J = {1,2}: complements share six indices, so the grade-2
@@ -519,17 +529,52 @@ class TestBuildE6:
         with pytest.raises(ValueError, match="spinor_coeffs must be two ints"):
             build_e6(field=field, spinor_coeffs=coeffs)
 
-    def test_centralizer_check_raises_on_parity_change(self, e6, monkeypatch):
-        eps, lab = ("eps",), ("ei", 1, 2)
-        assert e6.raw_bracket(eps, lab) == {} == e6.raw_bracket(lab, eps)
+    def test_parity_change_is_a_jacobi_violation(self, monkeypatch):
+        # the chassis sets [eps, F_12] = 0; a move of F_12 that changes
+        # parity breaks that, and the independent battery must see it
+        flip_f12_parity(monkeypatch)
+        L = build_e6()
+        rep = verify_jacobi(L)
+        assert (L.index[("ei", 1, 2)], L.index[("eps",)]) in rep.violations
 
-        def odd_move(label, mask):
-            return mask ^ 1, 1
+    def test_antisymmetry_moves_once_per_ordered_c2_module_pair(self, monkeypatch):
+        calls = []
+        real = builders_mod._c2_move
 
-        monkeypatch.setattr(builders_mod, "_c2_move", odd_move)
-        for la, lb in ((eps, lab), (lab, eps)):
-            with pytest.raises(RuntimeError, match="failed to centralize"):
-                e6.raw_bracket(la, lb)
+        def counted(label, mask):
+            calls.append(label)
+            return real(label, mask)
+
+        monkeypatch.setattr(builders_mod, "_c2_move", counted)
+        assert verify_antisymmetry(build_e6()) == []
+        assert len(calls) == 2 * 45 * 32
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:7"])
+@pytest.mark.parametrize("build", [build_e6, build_e7], ids=["e6", "e7"])
+def test_chassis_extras_centralize_so2n(build, spec):
+    L = build(field=make_field(spec))
+    p = L.config.field.characteristic
+    c2 = c2_labels(L.config.n)
+    extras = [L.basis[i] for i in L.degree_zero_indices()[len(c2):]]
+    assert extras == ([("eps",)] if L.name == "e6" else [("sl2", t) for t in "hef"])
+    for x in extras:
+        for y in c2:
+            assert L.raw_bracket(x, y) == {} == L.raw_bracket(y, x), (x, y)
+    # fn against [h, e] = 2e, [h, f] = -2f, [e, f] = h and their reverses
+    want = {("h", "e"): ("e", 2), ("h", "f"): ("f", -2), ("e", "f"): ("h", 1)}
+    want.update({(b, a): (t, -k) for (a, b), (t, k) in list(want.items())})
+    for x in extras:
+        for y in extras:
+            t, k = want.get((x[-1], y[-1]), (None, 0))
+            num = k * L.den % p if p else k * L.den
+            assert L.raw_bracket(x, y) == ({("sl2", t): num} if k else {}), (x, y)
+    if L.name == "e7":
+        F, ix = L.config.field, L.index
+        h, e, f = (ix[("sl2", t)] for t in "hef")
+        assert L.bracket(h, e) == ((e, F.from_int(2)),)
+        assert L.bracket(h, f) == ((f, F.from_int(-2)),)
+        assert L.bracket(e, f) == ((h, F.from_int(1)),)
 
 
 class TestMutations:

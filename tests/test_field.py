@@ -131,6 +131,15 @@ def test_make_field():
         make_field("float")
 
 
+@pytest.mark.parametrize(
+    "spec", ["fp:+7", "fp: 7", "fp:7 ", "fp:1_000_003", "fp:", "fp:-7", "fp:\u0667"]
+)
+def test_make_field_takes_ascii_digits_only(spec):
+    # int() reads all of these but "fp:" as an int, and most as the prime 7
+    with pytest.raises(ValueError, match="bad field spec"):
+        make_field(spec)
+
+
 def test_field_constructors():
     q = Rationals()
     assert q.from_fraction(2, 4) == Fraction(1, 2)
