@@ -5,8 +5,12 @@ part g0 = so(2n) + z is the grade-2 part of the Clifford algebra plus the
 extras z (the grading element for e6, sl2 for e7, none for e8), acting on
 a spinor module M.  The chassis owns the shape of g0: z centralizes
 so(2n) by construction, so an extra and a grade-2 label bracket to zero
-and a builder brackets only extras with extras.  The builders work on
-labels only and form no Clifford element:
+and a builder brackets only extras with extras.  The chassis writes each
+rule once, as a block routine over two index ranges that yields indexed
+rows of both orders in the table's form, so the verifiers fill the
+table block by block and a single bracket is the 1 x 1 block; one Fock
+move gives both orders of a grade-2 label on a spinor.  The builders
+work on labels only and form no Clifford element:
 the spinor-spinor bracket is the paper's L_2 on a pair of basis spinors,
 written straight in grade-2 labels by its closed form (pairings._l2_coords,
 the package's one copy of that case table), plus the top-grade term for
@@ -25,10 +29,11 @@ construction live in exceptional and use none of this module.
 from __future__ import annotations
 
 import random
+from functools import partial
 from math import gcd
 from typing import Optional
 
-from .exceptional import Bracket, LieAlgebra
+from .exceptional import Bracket, LieAlgebra, block_rows
 from .field import Field
 from .fock import Config, parity
 from .norms import BilinearForm, solve_spinor_norm
@@ -121,42 +126,65 @@ def _graded_algebra(
     extra_bracket: Optional[Bracket] = None,
     extra_act: Optional[Bracket] = None,
 ) -> LieAlgebra:
-    """g0 + M with basis c2_labels(n) + extra + module.
+    """g0 + M with basis c2_labels(n) + extra + module, bracketed by blocks.
 
-    g0 is the grade-2 part plus the `extra` degree-zero labels.  Two
-    grade-2 labels bracket by _c2_bracket, and a grade-2 label acts on a
-    module label (kind, mask, ...) by one Fock move on the mask, keeping
-    the rest of the label.  [m, x] = -[x, m] for m in M and x in g0, and
-    [m, m'] = pair(m, m').  An extra and a grade-2 label bracket to zero;
-    extra_bracket takes only pairs of extras (zero when it is None), and
-    extra_act an extra label acting on a module label.  Every bracket is
-    int numerators over den, an even number.
+    g0 is the grade-2 part plus the `extra` degree-zero labels.  Each rule
+    is written once, in the block routine fn over two index ranges, whose
+    rows hold both orders in the table's form (k ascending, residues in
+    [1, p) over F_p): _c2_bracket on two grade-2 labels and pair(m, m')
+    on two module labels, each order evaluated; one Fock move of a
+    grade-2 label on the mask of a module label (kind, mask, ...), or
+    extra_act of an extra label, gives [x, m] and [m, x] = -[x, m] at
+    once; extra_bracket takes two extras (zero when it is None); an extra
+    and a grade-2 label bracket to zero.  Every bracket is int numerators
+    over den, an even number.
     """
-    half = den // 2
+    half, p = den // 2, config.field.characteristic
+    unit = pow(den, -1, p) if p else 1
+    basis = c2_labels(config.n) + extra + module
+    index = {lab: i for i, lab in enumerate(basis)}
     module_kinds = {lab[0] for lab in module}
     extra_kinds = {lab[0] for lab in extra}
 
-    def fn(la: Label, lb: Label) -> dict[Label, int]:
-        ka, kb = la[0], lb[0]
-        ma, mb = ka in module_kinds, kb in module_kinds
-        if ma and mb:
-            return pair(la, lb)
-        if not (ma or mb):
-            xa, xb = ka in extra_kinds, kb in extra_kinds
-            if not (xa or xb):
-                return _c2_bracket(la, lb, half)
-            # g0 = so(2n) + z with z the centralizer of so(2n) in g0
-            return extra_bracket(la, lb) if xa and xb and extra_bracket else {}
-        x, m = (lb, la) if ma else (la, lb)
-        if x[0] in extra_kinds:
-            out = extra_act(x, m)
-            return {lab: -c for lab, c in out.items()} if ma else out
+    def terms(coords: dict[Label, int]) -> tuple:
+        if not coords:
+            return ()
+        if p:
+            coords = {lab: r for lab, c in coords.items() if (r := c * unit % p)}
+        return tuple(sorted((index[lab], c) for lab, c in coords.items() if c))
+
+    def move(x: Label, m: Label) -> tuple:
         hit = _c2_move(x, m[1])
         if hit is None:
-            return {}
-        return {(m[0], hit[0]) + m[2:]: -hit[1] * den if ma else hit[1] * den}
+            return ()
+        c = hit[1] * den
+        return ((index[(m[0], hit[0]) + m[2:]], c * unit % p if p else c),)
 
-    return LieAlgebra(name, config, c2_labels(config.n) + extra + module, fn, den)
+    def acts(X: range, M: range, act):
+        for x in X:
+            for m in M:
+                t = act(basis[x], basis[m])
+                yield x, m, t
+                yield m, x, tuple((k, p - c) for k, c in t)
+
+    def fn(A: range, B: range):
+        ka, kb = basis[A[0]][0], basis[B[0]][0]
+        ma, mb = ka in module_kinds, kb in module_kinds
+        xa, xb = ka in extra_kinds, kb in extra_kinds
+        if ma != mb:
+            X, M, x_extra = (B, A, xb) if ma else (A, B, xa)
+            return acts(X, M, (lambda x, m: terms(extra_act(x, m))) if x_extra else move)
+        if ma:
+            f = pair
+        elif not (xa or xb):
+            f = partial(_c2_bracket, half=half)
+        elif xa and xb and extra_bracket:
+            f = extra_bracket
+        else:  # g0 = so(2n) + z with z the centralizer of so(2n) in g0
+            return block_rows(A, B, lambda i, j: ())
+        return block_rows(A, B, lambda i, j: terms(f(basis[i], basis[j])))
+
+    return LieAlgebra(name, config, basis, fn, den, blocks=True)
 
 
 def build_e8(

@@ -1,8 +1,14 @@
 """Structure-constant tables of Lie algebras and their exact verifiers.
 
-A LieAlgebra is a labeled basis, a bracket function on label pairs, and a
-sparse table of int numerators over one denominator L.den, filled once
-per unordered pair; the checks read those ints.  The e6, e7 and e8
+A LieAlgebra is a labeled basis, a bracket function, and a sparse table
+of int numerators over one denominator L.den, one entry per unordered
+pair; the checks read those ints.  The bracket function is either one on
+label pairs or a block routine over two index ranges that gives the rows
+of both orders of every pair in the block, in the table's form.  The
+antisymmetry check and materialize fill the table in one loop, block by
+block, comparing each row with its other order's negation and dropping
+each block before the next; a pair subset is a set of 1 x 1 blocks, and
+a per-pair function is one whole-basis block.  The e6, e7 and e8
 constructions that supply the bracket functions live in builders; this
 module checks whatever table it is given and imports none of the
 construction code (no norms, pairings, clifford or builders), so the
@@ -79,25 +85,39 @@ def _check_pair(i, j, n: int) -> None:
         raise ValueError(f"bad index pair ({i}, {j})")
 
 
+def block_rows(A: range, B: range, terms: Callable[[int, int], tuple]):
+    """The rows (i, j, terms(i, j)) of a block: see LieAlgebra."""
+    for i in A:
+        for j in range(i, A.stop) if A == B else B:
+            yield i, j, terms(i, j)
+            if j != i:
+                yield j, i, terms(j, i)
+
+
 class LieAlgebra:
     """A Lie algebra with labeled basis and lazily computed sparse brackets.
 
     fn(label_a, label_b) -> {label: int} gives int numerators over den.
     The table stores sorted (k, numerator) int pairs over self.den: den
     over Q; 1 over F_p, each numerator the residue of num / den in
-    [1, p).  Only the i < j entry is stored and the flipped order is its
-    negation, so the table is antisymmetric by construction
+    [1, p).  With blocks, fn is a block rule: fn(A, B), for index ranges
+    A and B, each in one run of equal label kind, equal or disjoint,
+    yields the rows (i, j, terms) of every ordered pair in A x B and
+    B x A once, in the table's form, the row of (j, i) right after that
+    of (i, j).  Only the i < j entry is stored and the flipped order is
+    its negation, so the table is antisymmetric by construction
     (verify_antisymmetry checks fn itself).  Each entry is stored once
-    and never replaced, so every bracket is evaluated at most once into
-    the table, and the engine built from the complete table is kept for
-    every later Jacobi or Killing call.  evaluated counts calls of fn.
+    and never replaced, and the engine built from the complete table is
+    kept for every later Jacobi or Killing call.  evaluated counts the
+    ordered pairs evaluated into the table.
     """
 
     __slots__ = ("name", "config", "basis", "index", "den", "evaluated", "_fn", "_unit",
-                 "_table", "_engine")
+                 "_table", "_engine", "_blocks")
 
     def __init__(
-        self, name: str, config: Config, basis: list[Label], fn: Bracket, den: int
+        self, name: str, config: Config, basis: list[Label], fn: Callable, den: int,
+        blocks: bool = False,
     ) -> None:
         self.name = name
         self.config = config
@@ -109,6 +129,7 @@ class LieAlgebra:
         self.den = 1 if p else den
         self.evaluated = 0
         self._fn = fn
+        self._blocks = blocks
         self._unit = pow(den, -1, p) if p else 1
         self._table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         self._engine: Optional[_AdjointProducts] = None
@@ -119,14 +140,60 @@ class LieAlgebra:
 
     def raw_bracket(self, la: Label, lb: Label) -> dict[Label, int]:
         """fn evaluated directly in the table's form (residues over F_p),
-        zeros dropped, unmemoized; over Q fn's own dict when it has no zero."""
-        self.evaluated += 1
+        zeros dropped, unmemoized: a block rule's 1 x 1 row, else over Q
+        fn's own dict when it has no zero."""
+        if self._blocks:
+            return {self.basis[k]: c for k, c in self._row(self.index[la], self.index[lb])}
         out, p, unit = self._fn(la, lb), self.config.field.characteristic, self._unit
         if p:
             return {lab: r for lab, c in out.items() if (r := c * unit % p)}
         if 0 not in out.values():
             return out
         return {lab: c for lab, c in out.items() if c}
+
+    def _rows(self, A: range, B: range):
+        """A block's rows: the block rule's, or raw_bracket's indexed."""
+        if self._blocks:
+            return iter(self._fn(A, B))
+        raw, basis, index = self.raw_bracket, self.basis, self.index
+        return block_rows(A, B, lambda i, j: tuple(
+            sorted((index[lab], c) for lab, c in raw(basis[i], basis[j]).items())
+        ))
+
+    def _row(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
+        """[b_i, b_j] in the table's form, from the 1 x 1 block."""
+        rows = self._rows(range(i, i + 1), range(j, j + 1))
+        return next(t for a, b, t in rows if a == i and b == j)
+
+    def _sweep(self, pairs=None) -> list[tuple[int, int]]:
+        """Store the i < j entries of each block not yet stored (a mutated
+        copy's flipped sign stays) and return the (i, j), i <= j, whose two
+        orders are not negations.  The blocks pair up the runs of equal
+        label kind (the whole basis for a per-pair fn), or are 1 x 1, one
+        per pair given; each is dropped before the next."""
+        if pairs is not None:
+            blocks = [(range(i, i + 1), range(j, j + 1)) for i, j in pairs]
+        else:
+            n, kinds = self.dim, [lab[0] if self._blocks else 0 for lab in self.basis]
+            cuts = [0] + [i for i in range(1, n) if kinds[i] != kinds[i - 1]] + [n]
+            runs = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+            blocks = [(A, B) for a, A in enumerate(runs) for B in runs[a:]]
+        p, table, bad = self.config.field.characteristic, self._table, []
+        for A, B in blocks:
+            self.evaluated += len(A) * len(B) * (1 if A == B else 2)
+            rows = self._rows(A, B)
+            for i, j, t in rows:
+                u = t if i == j else next(rows)[2]
+                if i > j:
+                    i, j, t, u = j, i, u, t
+                if i < j:
+                    table.setdefault((i, j), t)
+                # -c is p - c over F_p (rows hold residues in [1, p)); as p
+                # is odd, a diagonal bracket equals its negation only when
+                # it is zero
+                if (t or u) and t != tuple((k, p - c) for k, c in u):
+                    bad.append((i, j))
+        return bad
 
     def numerators(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         """[b_i, b_j] as ((k, numerator over den), ...) ascending in k."""
@@ -138,8 +205,8 @@ class LieAlgebra:
             lo, hi = key
             if lo == hi:
                 return ()
-            coords = self.raw_bracket(self.basis[lo], self.basis[hi])
-            got = self._store(lo, hi, coords)
+            self.evaluated += 1
+            got = self._table[key] = self._row(lo, hi)
         p = self.config.field.characteristic  # p - c: -c over Q, canonical over F_p
         return got if i <= j else tuple((k, p - c) for k, c in got)
 
@@ -148,26 +215,20 @@ class LieAlgebra:
         scalar, den = self.config.field.from_fraction, self.den
         return tuple((k, scalar(c, den)) for k, c in self.numerators(i, j))
 
-    def _store(self, i: int, j: int, coords: dict[Label, int]) -> tuple:
-        """Store coords = raw_bracket(b_i, b_j), i < j, unless [b_i, b_j] is
-        stored (a mutated copy's flipped sign, say), and return the entry;
-        unchecked, for pairs already checked."""
-        got = self._table.get((i, j))
-        if got is None:
-            got = tuple(sorted((self.index[lab], c) for lab, c in coords.items()))
-            self._table[(i, j)] = got
-        return got
-
     def materialize(self) -> "LieAlgebra":
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                self.numerators(i, j)
+        """Fill the table by the block sweep; at once if it is complete."""
+        if len(self._table) < comb(self.dim, 2):
+            self._sweep()
         return self
+
+    def nonzero_count(self) -> int:
+        """The number of nonzero brackets stored, read without sorting."""
+        return sum(map(bool, self._table.values()))
 
     def nonzero_brackets(self) -> list[tuple[tuple[int, int], tuple]]:
         """Sorted ((i, j), ((k, numerator), ...)) over the memoized nonzero
         brackets."""
-        return [(ij, t) for ij, t in sorted(self._table.items()) if t]
+        return sorted((ij, t) for ij, t in self._table.items() if t)
 
     def adjoint_products(self) -> "_AdjointProducts":
         """The int64 ad arrays of the complete table, built on first use.
@@ -527,33 +588,20 @@ def verify_antisymmetry(L: LieAlgebra, pairs=None) -> list[tuple[int, int]]:
     """Index pairs where the builder function itself fails antisymmetry.
 
     The stored table is antisymmetric by construction, so this evaluates
-    the raw bracket function in both orders (and on the diagonal, which
-    must vanish), comparing int maps.  The ascending-order result is
-    stored through L._store (the pairs were checked before the loop), so a
-    later materialize or Jacobi sweep does not evaluate it again.  The
-    pairs must be nonempty and every index an int in [0, dim), checked
-    before any bracket is evaluated.
+    the bracket function in both orders (and on the diagonal, which must
+    vanish), block by block, comparing the rows.  The ascending-order
+    result is stored, so a later materialize or Jacobi sweep does not
+    evaluate it again.  The full run gives the pairs (i, j), i <= j,
+    ascending; a pair subset, each pair a 1 x 1 block, gives the failing
+    pairs as listed.  The pairs must be nonempty and every index an int
+    in [0, dim), checked before any bracket is evaluated.
     """
-    n = L.dim
     if pairs is None:
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    else:
-        pairs = list(pairs)
-        _check_pairs(pairs, n)
-    p = L.config.field.characteristic
-    bad = []
-    for i, j in pairs:
-        fwd = L.raw_bracket(L.basis[i], L.basis[j])
-        rev = L.raw_bracket(L.basis[j], L.basis[i]) if i != j else fwd
-        if i < j:
-            L._store(i, j, fwd)
-        elif i > j:
-            L._store(j, i, rev)
-        # -c is p - c over F_p (raw_bracket gives residues in [1, p)); as p
-        # is odd, a diagonal bracket equals its negation only when it is zero
-        if fwd != {lab: p - c for lab, c in rev.items()}:
-            bad.append((i, j))
-    return bad
+        return sorted(L._sweep())
+    pairs = list(pairs)
+    _check_pairs(pairs, L.dim)
+    bad = set(L._sweep(pairs))
+    return [(i, j) for i, j in pairs if (min(i, j), max(i, j)) in bad]
 
 
 def killing_form(L: LieAlgebra) -> tuple[list[list[Scalar]], int]:
@@ -639,7 +687,7 @@ def run_checks(L: LieAlgebra) -> list[dict]:
         before, bad = L.evaluated, verify_antisymmetry(L)
         return {"ok": not bad, "violations": [list(p) for p in bad],
                 "brackets_evaluated": L.evaluated - before,
-                "nonzero": len(L.nonzero_brackets())}
+                "nonzero": L.nonzero_count()}
 
     def killing() -> dict:
         rank = killing_form(L)[1]
@@ -846,15 +894,15 @@ def to_json(L: LieAlgebra) -> str:
     Schema: {"name", "field", "dim", "basis": [label strings],
     "brackets": [{"i", "j", "terms": [[k, scalar string], ...]}, ...]}
     with i < j ascending and only nonzero brackets listed.  Each numerator
-    over L.den prints as scalar_str prints its field scalar.
+    over L.den prints as scalar_str prints its field scalar; each distinct
+    one is JSON-encoded once per call, and each bracket is one f-string.
     """
-    text = lru_cache(None)(lambda c: scalar_str(L.config.field.from_fraction(c, L.den)))
-    encode = json.JSONEncoder(separators=(",", ":")).encode
+    scalar, den = L.config.field.from_fraction, L.den
+    text = lru_cache(None)(lambda c: json.dumps(scalar_str(scalar(c, den))))
     head = {"name": L.name, "field": L.config.field.spec, "dim": L.dim}
     head["basis"] = [label_str(lab) for lab in L.basis]
-    # one JSON text per bracket, so no list of bracket dicts is ever held
     brackets = ",".join(
-        encode({"i": i, "j": j, "terms": [[k, text(c)] for k, c in terms]})
+        f'{{"i":{i},"j":{j},"terms":[{",".join(f"[{k},{text(c)}]" for k, c in terms)}]}}'
         for (i, j), terms in L.materialize().nonzero_brackets()
     )
-    return f'{encode(head)[:-1]},"brackets":[{brackets}]}}\n'
+    return f'{json.dumps(head, separators=(",", ":"))[:-1]},"brackets":[{brackets}]}}\n'

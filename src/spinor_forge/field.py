@@ -249,9 +249,13 @@ def make_field(spec: str) -> Field:
     if spec == "q":
         return Rationals()
     digits = spec[3:]
-    if spec.startswith("fp:") and digits.isascii() and digits.isdigit():
-        return PrimeField(int(digits))
-    raise ValueError(f"bad field spec {spec!r}")
+    if not (spec.startswith("fp:") and digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad field spec {spec!r}")
+    # int() refuses more than 4300 digits, and MAX_PRIME has 10
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_PRIME)):
+        raise ValueError(f"a {len(digits)}-digit p exceeds the prime field bound 2^31 - 1")
+    return PrimeField(int(digits))
 
 
 def scalar_str(x: Scalar) -> str:

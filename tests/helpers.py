@@ -13,7 +13,8 @@ action on a spinor, the polarisation change of a basis-index triple,
 the e6 coefficient sweep, the dense Gauss-Jordan elimination (the
 oracle of linalg's sparse reducer: its ranks and inverses), the e7
 constant solve through field-scalar Jacobi rows and a dense kernel (the
-oracle of builders.solve_e7_constants), the parity of a spinor vector,
+oracle of builders.solve_e7_constants), the graded chassis's per-pair
+dispatch (the oracle of its block routines), the parity of a spinor vector,
 masks from 1-based indices, scalar parsing and a parity-breaking patch
 of builders._c2_move are used only by the tests, so they live here
 rather than in the package.
@@ -700,6 +701,63 @@ def epsilon_action(psi: SpinorVec) -> SpinorVec:
         {m: (c if not parity(m) else -c) for m, c in psi._num.items()},
         psi._den,
     )
+
+
+def chassis_with_dispatch(monkeypatch, build, field: Field):
+    """build(field=field) and the per-pair bracket of its chassis, as the
+    chassis dispatched each ordered label pair before its rules became
+    block routines: int numerators over den, read from the same rules
+    (_c2_bracket, _c2_move, the builder's pair, extra_bracket, extra_act).
+    The oracle of every block row (see dispatch_row)."""
+    calls = []
+    real = builders_mod._graded_algebra
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(builders_mod, "_graded_algebra", spy)
+    L = build(field=field)
+    monkeypatch.setattr(builders_mod, "_graded_algebra", real)
+    args, kwargs = calls[-1]  # e7's constant solve builds two charts first
+    _, _, den, extra, module, pair = args[:6]
+    extra_bracket, extra_act = (list(args[6:]) + [None, None])[:2]
+    extra_bracket = kwargs.get("extra_bracket", extra_bracket)
+    extra_act = kwargs.get("extra_act", extra_act)
+    half = den // 2
+    module_kinds = {lab[0] for lab in module}
+    extra_kinds = {lab[0] for lab in extra}
+
+    def fn(la, lb):
+        ka, kb = la[0], lb[0]
+        ma, mb = ka in module_kinds, kb in module_kinds
+        if ma and mb:
+            return pair(la, lb)
+        if not (ma or mb):
+            xa, xb = ka in extra_kinds, kb in extra_kinds
+            if not (xa or xb):
+                return builders_mod._c2_bracket(la, lb, half)
+            return extra_bracket(la, lb) if xa and xb and extra_bracket else {}
+        x, m = (lb, la) if ma else (la, lb)
+        if x[0] in extra_kinds:
+            out = extra_act(x, m)
+            return {lab: -c for lab, c in out.items()} if ma else out
+        hit = builders_mod._c2_move(x, m[1])
+        if hit is None:
+            return {}
+        return {(m[0], hit[0]) + m[2:]: -hit[1] * den if ma else hit[1] * den}
+
+    return L, fn, den
+
+
+def dispatch_row(L: LieAlgebra, fn, den: int, i: int, j: int) -> tuple:
+    """fn(b_i, b_j) in the table's form: ((k, numerator), ...) ascending in
+    k, numerators over L.den (residues of num / den in [1, p) over F_p),
+    zeros dropped."""
+    p = L.config.field.characteristic
+    out = fn(L.basis[i], L.basis[j])
+    terms = [(L.index[lab], c * pow(den, -1, p) % p if p else c) for lab, c in out.items()]
+    return tuple(sorted((k, c) for k, c in terms if c))
 
 
 def flip_f12_parity(monkeypatch) -> None:

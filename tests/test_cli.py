@@ -109,6 +109,25 @@ class TestVerify:
         assert "bound 2^31 - 1" in err
 
     @pytest.mark.parametrize("command", ["verify", "export"])
+    def test_prime_of_5000_digits_exit_2_with_the_bound(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        from spinor_forge import cli
+
+        def never(field=None, form=None):
+            raise AssertionError("built despite a usage error")
+
+        monkeypatch.setitem(cli._BUILDERS, "e6", never)
+        argv = [command, "--algebra", "e6", "--field", "fp:" + "9" * 5000]
+        if command == "export":
+            argv += ["--out", str(tmp_path / "e6.json")]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "bound 2^31 - 1" in err
+        assert "4300" not in err
+
+    @pytest.mark.parametrize("command", ["verify", "export"])
     def test_prime_field_built_once(self, capsys, monkeypatch, tmp_path, command):
         from spinor_forge import field as field_mod
 

@@ -50,6 +50,8 @@ from spinor_forge.pairings import grade2_pairing
 from .helpers import (
     c2_coords,
     c2_elem,
+    chassis_with_dispatch,
+    dispatch_row,
     dense_rank,
     e7_constants_by_nullspace,
     flip_f12_parity,
@@ -537,7 +539,8 @@ class TestBuildE6:
         rep = verify_jacobi(L)
         assert (L.index[("ei", 1, 2)], L.index[("eps",)]) in rep.violations
 
-    def test_antisymmetry_moves_once_per_ordered_c2_module_pair(self, monkeypatch):
+    def test_antisymmetry_moves_once_per_unordered_c2_module_pair(self, monkeypatch):
+        # one move gives [x, m] and [m, x] = -[x, m]
         calls = []
         real = builders_mod._c2_move
 
@@ -547,7 +550,7 @@ class TestBuildE6:
 
         monkeypatch.setattr(builders_mod, "_c2_move", counted)
         assert verify_antisymmetry(build_e6()) == []
-        assert len(calls) == 2 * 45 * 32
+        assert len(calls) == 45 * 32
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:7"])
@@ -1095,6 +1098,102 @@ class TestBracketsBuiltOnce:
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden"
 BUILDS = {"e6": build_e6, "e7": build_e7, "e8": build_e8}
+
+
+def kind_runs(L):
+    """The runs of equal label kind that the chassis's blocks range over."""
+    cuts = [0] + [i for i in range(1, L.dim) if L.basis[i][0] != L.basis[i - 1][0]]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:] + [L.dim])]
+
+
+class TestBlockRows:
+    """The chassis rules as block routines, held to the per-pair dispatch."""
+
+    @pytest.mark.parametrize("spec", ["q", "fp:5", "fp:7"])
+    @pytest.mark.parametrize("name", list(BUILDS))
+    def test_block_rows_match_the_per_pair_dispatch(self, monkeypatch, name, spec):
+        L, fn, den = chassis_with_dispatch(monkeypatch, BUILDS[name], make_field(spec))
+        runs = kind_runs(L)
+        for a, A in enumerate(runs):
+            for B in runs[a:]:
+                rows = list(L._rows(A, B))
+                want = {(i, j) for i in A for j in B} | {(j, i) for i in A for j in B}
+                assert len(rows) == len(want) == len({(i, j) for i, j, _ in rows})
+                assert {(i, j) for i, j, _ in rows} == want
+                at = 0
+                while at < len(rows):
+                    i, j, t = rows[at]
+                    assert t == dispatch_row(L, fn, den, i, j), (i, j)
+                    if i != j:  # the other order comes right after
+                        assert rows[at + 1][:2] == (j, i)
+                        assert rows[at + 1][2] == dispatch_row(L, fn, den, j, i)
+                    at += 2 if i != j else 1
+        assert L.evaluated == 0 and not L.nonzero_count()
+        # the per-pair path is the 1 x 1 call of the same routine
+        r = rng(len(spec) + L.dim)
+        for _ in range(40):
+            i, j = r.randrange(L.dim), r.randrange(L.dim)
+            want = dispatch_row(L, fn, den, i, j)
+            assert L.raw_bracket(L.basis[i], L.basis[j]) == {
+                L.basis[k]: c for k, c in want
+            }
+            assert L.numerators(i, j) == want
+
+    @pytest.mark.parametrize("build", [build_e6, build_e8], ids=["e6", "e8"])
+    def test_one_order_l2_fault_flips_the_verdict(self, monkeypatch, build):
+        real = builders_mod._l2_coords
+        ma, mb = 0b00011, 0b01100
+
+        def faulty(form, a, b):
+            out = real(form, a, b)
+            if (a, b) == (ma, mb):
+                out = {**out, ("ei", 1, 1): out.get(("ei", 1, 1), 0) + 2}
+            return out
+
+        monkeypatch.setattr(builders_mod, "_l2_coords", faulty)
+        L = build()
+        i, j = L.index[("s", ma)], L.index[("s", mb)]
+        assert verify_antisymmetry(L, [(j, i), (i, i)]) == [(j, i)]
+        assert verify_antisymmetry(L) == [(min(i, j), max(i, j))]
+
+    def test_one_order_c2_fault_flips_the_verdict(self, monkeypatch):
+        real = builders_mod._c2_bracket
+        x, y = ("ei", 1, 2), ("ei", 2, 1)
+
+        def faulty(la, lb, half):
+            out = real(la, lb, half)
+            if (la, lb) == (x, y):
+                return {lab: -c for lab, c in out.items()}
+            return out
+
+        monkeypatch.setattr(builders_mod, "_c2_bracket", faulty)
+        L = build_e6()
+        i, j = L.index[x], L.index[y]
+        assert i < j and L.numerators(i, j)
+        assert verify_antisymmetry(L, [(j, i)]) == [(j, i)]
+        assert verify_antisymmetry(L) == [(i, j)]
+
+    def test_materialize_on_a_complete_table_calls_no_bracket(self, monkeypatch, e6):
+        L, calls = wrapped_e6(e6)
+        assert verify_antisymmetry(L) == []
+        calls.clear()
+        assert L.materialize() is L and not calls
+        (i, j), terms = L.nonzero_brackets()[0]
+        clone = with_flipped_sign(L, i, j, terms[0][0])
+        flipped = clone.bracket(i, j)
+        assert clone.materialize().bracket(i, j) == flipped != L.bracket(i, j)
+        assert not calls
+        # a complete chassis table runs no block rule either
+        L = build_e6().materialize()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bracket rule ran")
+
+        for rule in ("_c2_bracket", "_c2_move", "_l2_coords", "_top_num"):
+            monkeypatch.setattr(builders_mod, rule, refuse)
+        before = L.evaluated
+        assert L.materialize().nonzero_count() == 1028
+        assert L.evaluated == before
 
 
 class TestTableForm:

@@ -140,6 +140,21 @@ def test_make_field_takes_ascii_digits_only(spec):
         make_field(spec)
 
 
+@pytest.mark.parametrize(
+    "digits", ["9" * 11, "9" * 5000, "1" + "0" * 4400], ids=["11", "5000", "4401"]
+)
+def test_make_field_bounds_digit_count_before_int(digits):
+    # past 4300 digits int() itself raises; the bound is what the user sees
+    with pytest.raises(ValueError, match="bound 2\\^31 - 1"):
+        make_field("fp:" + digits)
+
+
+def test_make_field_ignores_leading_zeros():
+    assert make_field("fp:" + "0" * 5000 + "7") == PrimeField(7)
+    with pytest.raises(ValueError, match="0 is not prime"):
+        make_field("fp:000")
+
+
 def test_field_constructors():
     q = Rationals()
     assert q.from_fraction(2, 4) == Fraction(1, 2)
