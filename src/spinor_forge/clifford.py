@@ -22,8 +22,8 @@ product of two monomials is Wick's theorem in closed form, and one walk,
 `_wick`, writes it: contracting i_B against e_C over each subset S of
 B n C leaves one signed monomial, whose sign is a sum of popcount
 parities, and the walk visits only the subsets whose monomial survives.
-`multiply` and `commutator` run it on all term pairs and `transpose` on
-i_B . e_A for each reversed term.
+`multiply` and `commutator` run it on all term pairs and `transpose`, in
+one call per element, on i_B . e_A for each reversed term.
 
 The trace form never builds a product.  With u_a = 2 e_a i_a - 1 =
 e_a i_a - i_a e_a, each plane span(e_a, i_a) of V has the algebra basis
@@ -53,6 +53,7 @@ match the ordered orthonormal basis of `q_map`.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Union
 
 from .field import Scalar
@@ -133,11 +134,10 @@ def _y_terms(ys: dict[Monomial, int]) -> list[tuple[int, ...]]:
     return [(c, d, prefix_parity(c), prefix_parity(d), v) for (c, d), v in ys.items()]
 
 
-def _wick(
-    acc: dict[Monomial, int], xs: Iterable, ys: list[tuple[int, ...]], flip: int
-) -> None:
-    """acc += (-1)^flip times the product of the x-terms ((A, B), c_x) of
-    xs and the y-terms of ys (see `_y_terms`).
+def _wick(acc: dict[Monomial, int], rows: Iterable, flip: int) -> None:
+    """acc += (-1)^flip times the sum, over the rows (x-term, y-terms), of
+    the products of the x-term ((A, B), c_x) with each of its y-terms (see
+    `_y_terms`).
 
     Wick's theorem in closed form, and the one walk over its contractions;
     its three callers are `multiply`, `commutator` and `transpose`
@@ -162,7 +162,7 @@ def _wick(
     for each subset P of free = (B n C) - forced, survive, and only those
     are walked.
     """
-    for (amask, bmask), cx in xs:
+    for ((amask, bmask), cx), ys in rows:
         for cmask, dmask, pc, pd, cy in ys:
             both = bmask & cmask
             forced = (amask & cmask) | (bmask & dmask)
@@ -202,7 +202,7 @@ def multiply(x: CliffordElem, y: CliffordElem) -> CliffordElem:
     """
     x.config.check_same(y.config)
     acc: dict[Monomial, int] = {}
-    _wick(acc, x._num.items(), _y_terms(y._num), 0)
+    _wick(acc, zip(x._num.items(), repeat(_y_terms(y._num))), 0)
     return CliffordElem._make(x.config, acc, x._den * y._den)
 
 
@@ -210,8 +210,8 @@ def commutator(x: CliffordElem, y: CliffordElem) -> CliffordElem:
     """xy - yx, both Wick products summed into one accumulator."""
     x.config.check_same(y.config)
     acc: dict[Monomial, int] = {}
-    _wick(acc, x._num.items(), _y_terms(y._num), 0)
-    _wick(acc, y._num.items(), _y_terms(x._num), 1)
+    _wick(acc, zip(x._num.items(), repeat(_y_terms(y._num))), 0)
+    _wick(acc, zip(y._num.items(), repeat(_y_terms(x._num))), 1)
     return CliffordElem._make(x.config, acc, x._den * y._den)
 
 
@@ -264,14 +264,17 @@ def transpose(x: CliffordElem) -> CliffordElem:
 
     Reversing e_A i_B gives the word i_B-reversed e_A-reversed; reversing
     inside a block of p anticommuting generators costs (-1)^(p(p-1)/2).
-    The word i_B e_A is then normal-ordered by `_wick` with empty outer
-    blocks, whose contractions never vanish.
+    Each word i_B e_A is then normal-ordered by one `_wick` call over all
+    the terms, one row (i_B, [e_A]) per term, with empty outer blocks,
+    whose contractions never vanish.
     """
-    acc: dict[Monomial, int] = {}
+    rows = []
     for (amask, bmask), c in x._num.items():
         p, q = amask.bit_count(), bmask.bit_count()
         rev = (p * (p - 1) >> 1) + (q * (q - 1) >> 1)
-        _wick(acc, [((0, bmask), c)], [(amask, 0, 0, 0, 1)], rev)
+        rows.append((((0, bmask), -c if rev & 1 else c), [(amask, 0, 0, 0, 1)]))
+    acc: dict[Monomial, int] = {}
+    _wick(acc, rows, 0)
     return CliffordElem._make(x.config, acc, x._den)
 
 

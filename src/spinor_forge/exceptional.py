@@ -613,20 +613,31 @@ def killing_form(L: LieAlgebra) -> tuple[list[list[Scalar]], int]:
     ad_i ad_j, every i and j in one pass.  Its int rows, reduced mod p
     over F_p, go straight into IncrementalRank, as spanning_check's do:
     the common den^2 does not change the rank, and no field scalar is
-    formed before it.  The Killing form is 2h^v times the normalised
+    formed before it (run_checks reads the rank alone, from _gram_into,
+    and builds no matrix).  The Killing form is 2h^v times the normalised
     invariant form (24, 36 and 60 times it for e6, e7, e8), so for p >= 5
     it vanishes only for e8 over F_5: rank 0.
     """
+    field = L.config.field
+    acc = IncrementalRank(field)
+    scalar, denom, zero = field.from_fraction, L.den * L.den, field.zero()
+    rows = _gram_into(acc, L)
+    matrix = [[scalar(v, denom) if v else zero for v in row] for row in rows]
+    return matrix, acc.rank
+
+
+def _gram_into(acc: IncrementalRank, L: LieAlgebra) -> list[list[int]]:
+    """Add the int rows of L's Killing Gram matrix (numerators over den^2,
+    reduced mod p over F_p) to the reducer `acc` and return them, so the
+    rank needs no scalar matrix."""
     field, gram = L.config.field, L.adjoint_products().gram()
     if field.characteristic:
         # an int that is 0 mod p must not become a pivot
         gram %= field.characteristic
-    scalar, denom, zero = field.from_fraction, L.den * L.den, field.zero()
-    acc, matrix = IncrementalRank(field), []
-    for row in gram.tolist():
+    rows = gram.tolist()
+    for row in rows:
         acc.add({j: v for j, v in enumerate(row) if v})
-        matrix.append([scalar(v, denom) if v else zero for v in row])
-    return matrix, acc.rank
+    return rows
 
 
 @dataclass(slots=True)
@@ -690,8 +701,9 @@ def run_checks(L: LieAlgebra) -> list[dict]:
                 "nonzero": L.nonzero_count()}
 
     def killing() -> dict:
-        rank = killing_form(L)[1]
-        return {"rank": rank, "dim": L.dim, "ok": rank == L.dim}
+        acc = IncrementalRank(L.config.field)
+        _gram_into(acc, L)
+        return {"rank": acc.rank, "dim": L.dim, "ok": acc.rank == L.dim}
 
     checks = []
     for name, check in (

@@ -3,17 +3,20 @@
 The central object is the normalized grade-2 pairing taking two spinors to
 an element of the grade-2 part (the orthogonal Lie algebra inside C).  The
 four-sum grade2_pairing works on any two spinors and is the oracle: one
-signed Fock move per (word term, spinor term), with no pruning by the
-basis case table.  On Fock basis pairs the pairing has the paper's closed
-form, the one case table of this package: _l2_coords writes it as int
-numerators on grade-2 labels, grade2_pairing_on_basis applies it to a third
-basis spinor through _c2_move, and the e6/e7/e8 builders run the two
+signed Fock move per (word term, spinor term), pruned by masks alone (each
+spinor term visits the word terms whose i-mask lies in its mask), never by
+the basis case table.  On Fock basis pairs the pairing has the paper's
+closed form, the one case table of this package: _l2_coords writes it as
+int numerators on grade-2 labels, grade2_pairing_on_basis applies it to a
+third basis spinor through _c2_move, and the e6/e7/e8 builders run the two
 themselves, with the norm's numerator (_b_num) and the top-grade one
 (_top_num).  The top-grade and graded pairings and the orbit-map adjoint
 (after every slot's move at once: _slot_adjoints) round out the toolkit.
-Each sign rule is written once: E_s on e_M.v in _slot_move, the adjoint's
-pairing of terms in _adjoint_rows (orbit_map_adjoint and _slot_adjoints
-both read it), (-1)^|J| of the top-grade term in _top_num.
+Each rule is written once: E_s on e_M.v in _slot_move, the modes whose
+moves can reach a partner in _reach_modes (graded_pairing and
+_slot_adjoints), the adjoint's pairing of terms in _adjoint_rows
+(orbit_map_adjoint and _slot_adjoints both read it), (-1)^|J| of the
+top-grade term in _top_num.
 """
 
 from __future__ import annotations
@@ -93,6 +96,18 @@ def _four_sum_words(config: Config) -> tuple:
     return tuple((tuple(w._num.items()), t._num, k) for w, t, k in words)
 
 
+@lru_cache(maxsize=None)
+def _four_sum_groups(config: Config) -> tuple:
+    """(imask, ((emask, w, t), ...)): the four-sum's word terms grouped by
+    i-mask, term t of word w of _four_sum_words, all in word order.  Masks
+    and places only: the words stay the one source of the coefficients."""
+    groups: dict[int, list] = {}
+    for w, (word, _, _) in enumerate(_four_sum_words(config)):
+        for t, ((emask, imask), _) in enumerate(word):
+            groups.setdefault(imask, []).append((emask, w, t))
+    return tuple((imask, tuple(terms)) for imask, terms in groups.items())
+
+
 def grade2_pairing(form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec) -> CliffordElem:
     """The normalized grade-2 pairing of two spinors, in Witt coordinates.
 
@@ -104,33 +119,38 @@ def grade2_pairing(form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec) -> Clif
       + (1/2) sum_a B((e_a i_a - i_a e_a).psi1, psi2) (i_a e_a - e_a i_a).
 
     Every coefficient B(w.psi1, psi2), all n(n-1) off-diagonal words of
-    each sum and all n diagonal ones, is summed in one pass over words x
-    word terms x psi1 terms with no pruning by the basis case table, so
-    this is the oracle of _l2_coords and grade2_pairing_on_basis: the masks
-    decide whether e_A i_B survives on e_M.v, psi2 and the form are looked
-    up at the image, and only a hit computes the sign (-1)^(inv(B, M) +
-    inv(A, M - B)).  Int numerators over den(psi1) den(psi2) den(B) times
-    2, the 2 carrying the diagonal half.  Equals 2^(n-1) times the grade-2
-    projection of the endomorphism pairing (checked in tests).
+    each sum and all n diagonal ones, is summed with no pruning by the
+    basis case table, so this is the oracle of _l2_coords and
+    grade2_pairing_on_basis: e_A i_B survives on e_M.v iff B lies in M and
+    A misses M - B, so each psi1 term visits only the i-mask groups inside
+    M (_four_sum_groups), psi2 and the form are looked up at the image,
+    and only a hit computes the sign (-1)^(inv(B, M) + inv(A, M - B)).
+    Int numerators over den(psi1) den(psi2) den(B) times 2, the 2 carrying
+    the diagonal half.  Equals 2^(n-1) times the grade-2 projection of the
+    endomorphism pairing (checked in tests).
     """
     config = _check_pair(form, psi1, psi2)
     full = config.size - 1
-    entries, psi2_num = form._num, psi2._num
-    terms1 = tuple(psi1._num.items())
-    out: dict = {}
-    for word, target, weight in _four_sum_words(config):
-        acc = 0
-        for (emask, imask), cw in word:
-            for mask, cp in terms1:
-                rest = mask ^ imask
-                if imask & ~mask or emask & rest:
-                    continue
-                new = rest | emask
-                cq = psi2_num.get(new ^ full)
-                if cq is not None and (val := entries.get(new)) is not None:
-                    term = cw * cp * cq * val
+    # B(e_new.v, psi2) as a numerator, for each new that meets psi2
+    weights = {
+        m ^ full: cq * val
+        for m, cq in psi2._num.items()
+        if (val := form._num.get(m ^ full)) is not None
+    }
+    words, groups = _four_sum_words(config), _four_sum_groups(config)
+    accs = [0] * len(words)
+    for mask, cp in psi1._num.items():
+        for imask, group in groups:
+            if imask & ~mask:
+                continue
+            rest = mask ^ imask
+            for emask, w, t in group:
+                if not emask & rest and (wt := weights.get(rest | emask)) is not None:
+                    term = words[w][0][t][1] * cp * wt
                     odd = inversion_parity(imask, mask) ^ inversion_parity(emask, rest)
-                    acc += -term if odd else term
+                    accs[w] += -term if odd else term
+    out: dict = {}
+    for (_, target, weight), acc in zip(words, accs):
         if acc:
             _accum(out, target, weight * acc)
     return CliffordElem._make(config, out, 2 * psi1._den * psi2._den * form._den)
@@ -266,6 +286,21 @@ def _slot_move(mask: int, slot: int) -> tuple[int, int]:
     return odd, mask ^ bit
 
 
+def _reach_modes(mask: int, others, full: int) -> int:
+    """The modes (as bits) whose slot moves can carry e_M.v to the
+    complement of a mask P in `others`: all of them if M xor P xor full is
+    empty (one mode moved twice), its bits if it has one or two, none from
+    a P at three bits or more."""
+    modes = 0
+    for other in others:
+        flip = mask ^ other ^ full
+        if not flip:
+            return full
+        if flip.bit_count() <= 2:
+            modes |= flip
+    return modes
+
+
 def graded_pairing(
     form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec
 ) -> CliffordElem:
@@ -278,8 +313,9 @@ def graded_pairing(
 
     Evaluated by direct Fock moves (_slot_move): E_s and E_t E_s send
     each psi2 term to one signed basis vector, which B pairs only with
-    psi1's coefficient at the complement.  One scalar is summed per blade
-    and each blade is expanded once.
+    psi1's coefficient at the complement, so s and t run over the slots
+    of _reach_modes only.  One scalar is summed per blade and each blade
+    is expanded once.
 
     Expects the graded norm; with it the result is equivariant for the
     degree one-plus-two part, not just for grade 2.
@@ -288,30 +324,27 @@ def graded_pairing(
         raise ValueError("graded_pairing expects the graded norm")
     config = _check_pair(form, psi1, psi2)
     full = config.size - 1
-    entries, psi1_num = form._num, psi1._num
-    nslots = 2 * config.n
+    # B_eps(psi1, e_new.v) as a numerator, for each new that meets psi1
+    weights = {
+        m ^ full: cp * val
+        for m, cp in psi1._num.items()
+        if (val := form._num.get(m)) is not None
+    }
     scal: dict[int, int] = {}
-
-    def add(blade: int, odd: int, new: int, c: int) -> None:
-        # scal[blade] += (-1)^odd B_eps(psi1, c e_new.v), on numerators
-        cp = psi1_num.get(new ^ full)
-        if cp is None:
-            return
-        val = entries.get(new ^ full)
-        if val is None:
-            return
-        term = cp * c * val
-        scal[blade] = scal.get(blade, 0) + (-term if odd & 1 else term)
-
     for mask, c in psi2._num.items():
-        for s in range(nslots):
+        modes = _reach_modes(mask, psi1._num, full)
+        slots = [s for s in range(2 * config.n) if modes >> (s >> 1) & 1]
+        for k, s in enumerate(slots):
             # the metric g_ss = -1 sits on the odd slots
             odd_s, m1 = _slot_move(mask, s)
             odd_s += s & 1
-            add(1 << s, odd_s, m1, c)
-            for t in range(s + 1, nslots):
+            moves = [(1 << s, odd_s, m1)]
+            for t in slots[k + 1:]:
                 odd_t, m2 = _slot_move(m1, t)
-                add((1 << s) | (1 << t), odd_s + odd_t + (t & 1), m2, c)
+                moves.append(((1 << s) | (1 << t), odd_s + odd_t + (t & 1), m2))
+            for blade, odd, new in moves:
+                if (w := weights.get(new)) is not None:
+                    scal[blade] = scal.get(blade, 0) + (-w * c if odd & 1 else w * c)
     out: dict = {}
     for blade, c in scal.items():
         if c:
@@ -366,18 +399,15 @@ def _slot_adjoints(form: BilinearForm, phi: SpinorVec, psi: SpinorVec) -> tuple:
     """phi^*(E_s.psi) for every slot s, as ({s: numerators}, den): psi's terms
     moved by _slot_move go through _adjoint_rows, and no E_s.psi is built.
 
-    E_s flips its mode's bit and the adjoint one more, so e_M.v meets phi's
-    e_P.v only if P xor M xor full is empty (every mode) or two bits (their
-    two modes); M is moved only for those modes.  The tests hold every row
-    to orbit_map_adjoint(form, phi, act(E_s, psi)).
+    E_s flips its mode's bit and the adjoint one more, so M is moved only
+    for the modes that _reach_modes allows.  The tests hold every row to
+    orbit_map_adjoint(form, phi, act(E_s, psi)).
     """
     config = _check_pair(form, phi, psi)
     full = config.size - 1
     terms = []
     for mask, c in psi._num.items():
-        modes = 0
-        for flip in (mask ^ other ^ full for other in phi._num):
-            modes |= full if not flip else flip if flip.bit_count() == 2 else 0
+        modes = _reach_modes(mask, phi._num, full)
         for s in range(2 * config.n):
             if modes >> (s >> 1) & 1:
                 odd, new = _slot_move(mask, s)

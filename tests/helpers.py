@@ -5,7 +5,8 @@ and vacuum projector, the dense Fock matrix, the trace, blades as elements
 and blade coordinates, blades, the grading element and H built as
 products, the blade product and the literal grade projection, the
 unnormalized grade-2 pairing, slot names), the top-grade coefficient on
-two Fock basis masks, the four-sum taken one word at a time, the CAR
+two Fock basis masks, the four-sum taken one word at a time and without
+its i-mask groups (the oracles of grade2_pairing's pruning), the CAR
 identities on spinor values, the bracket relations one slot at a time
 (with the exact zero test of a linear combination, one slot's vector
 commutator and the adjoint after one move), the grading element's
@@ -60,6 +61,7 @@ from spinor_forge.pairings import (
     _check_masks,
     _check_pair,
     _four_sum_elements,
+    _four_sum_words,
     _l2_coords,
     _slot_move,
     _top_num,
@@ -473,6 +475,36 @@ def grade2_pairing_per_word(
         if c:
             _accum(out, diag_out[a]._num, c)
     return CliffordElem._make(config, out, 2 * psi1._den * psi2._den * form._den)
+
+
+def grade2_pairing_unpruned(
+    form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec
+) -> CliffordElem:
+    """pairings.grade2_pairing without its i-mask groups: one pass over
+    words x word terms x psi1 terms, every word term tried on every psi1
+    term, each word's coefficient added to its target in word order."""
+    config = _check_pair(form, psi1, psi2)
+    full = config.size - 1
+    entries, psi2_num = form._num, psi2._num
+    terms1 = tuple(psi1._num.items())
+    out: dict = {}
+    for word, target, weight in _four_sum_words(config):
+        acc = 0
+        for (emask, imask), cw in word:
+            for mask, cp in terms1:
+                rest = mask ^ imask
+                if imask & ~mask or emask & rest:
+                    continue
+                new = rest | emask
+                cq = psi2_num.get(new ^ full)
+                if cq is not None and (val := entries.get(new)) is not None:
+                    term = cw * cp * cq * val
+                    odd = inversion_parity(imask, mask) ^ inversion_parity(emask, rest)
+                    acc += -term if odd else term
+        if acc:
+            _accum(out, target, weight * acc)
+    return CliffordElem._make(config, out, 2 * psi1._den * psi2._den * form._den)
+
 
 @lru_cache(maxsize=None)
 def vacuum_projector(config: Config) -> CliffordElem:

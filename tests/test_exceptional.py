@@ -1359,6 +1359,20 @@ class TestKillingForm:
         i = e6.index[("ee", 1, 2)]
         assert mat[i][i] == 0
 
+    @pytest.mark.parametrize("field", [None, PrimeField(7)], ids=["q", "fp7"])
+    def test_run_checks_ranks_without_the_scalar_matrix(self, field, monkeypatch):
+        # the battery reads the rank alone: killing_form, which also builds
+        # the dim x dim matrix of field scalars, is never called
+        L = build_e6(field=field)
+        want = killing_form(L)[1]
+
+        def refuse(L):
+            raise AssertionError("run_checks must not build the Killing matrix")
+
+        monkeypatch.setattr(exceptional_mod, "killing_form", refuse)
+        (entry,) = [c for c in run_checks(L) if c["check"] == "killing-rank"]
+        assert (entry["rank"], entry["ok"]) == (want, True)
+
     def test_large_prime_entries_are_traces(self):
         field = PrimeField((1 << 31) - 1)
         L = build_e6(field=field)

@@ -44,6 +44,7 @@ from spinor_forge.fock import (
 )
 from spinor_forge.norms import BilinearForm, b_eval, graded_norm, solve_spinor_norm
 from spinor_forge.pairings import (
+    _reach_modes,
     _slot_adjoints,
     _slot_move,
     _four_sum_elements,
@@ -61,6 +62,7 @@ from .helpers import (
     c2_coords,
     c2_elem,
     grade2_pairing_per_word,
+    grade2_pairing_unpruned,
     l2_scalars,
     rng,
     to_blades,
@@ -888,3 +890,96 @@ def test_adjoint_after_move_rejects_bad_input():
     for phi, psi in ((v, other), (other, v)):
         with pytest.raises(ValueError):
             _slot_adjoints(form, phi, psi)
+
+
+# ------------------------------------------- the pruned spinor-pair kernels
+
+
+def shifted_partners(config, r, psi1, moved):
+    """A spinor whose terms are the complements of psi1's masks, each
+    flipped at `moved` distinct seeded modes."""
+    full = config.size - 1
+    pool = coeff_pool(config.field)
+    terms = {}
+    for m in psi1.terms:
+        flip = sum(1 << bit for bit in r.sample(range(config.n), moved))
+        terms[m ^ full ^ flip] = r.choice(pool)
+    return SpinorVec(config, terms)
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
+@pytest.mark.parametrize("n", range(1, 6))
+def test_grade2_pairing_matches_unpruned_on_every_basis_pair(n, field):
+    config = Config(n, field)
+    vecs = [SpinorVec.basis(config, m) for m in range(config.size)]
+    for form, _ in forms(config):
+        nonzero_seen = 0
+        for x, y in product(vecs, repeat=2):
+            got = grade2_pairing(form, x, y)
+            assert got == grade2_pairing_unpruned(form, x, y), (x, y)
+            nonzero_seen += not got.is_zero()
+        assert nonzero_seen
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_grade2_pairing_matches_unpruned_on_multi_term_pairs(n, field):
+    # y holds x's partners moved at 0..3 modes and x's own masks, so the
+    # two spinors share masks; (y, y) pairs a spinor with itself
+    config = Config(n, field)
+    r = rng(3000 + n)
+    for form, _ in forms(config):
+        nonzero_seen = 0
+        for moved in range(4):
+            for _ in range(3):
+                x = rand_spinor(config, r, 4)
+                y = shifted_partners(config, r, x, moved) + x.scale(
+                    config.field.from_int(3)
+                )
+                for psi1, psi2 in ((x, y), (y, x), (y, y)):
+                    got = grade2_pairing(form, psi1, psi2)
+                    assert got == grade2_pairing_unpruned(form, psi1, psi2)
+                    nonzero_seen += not got.is_zero()
+        assert nonzero_seen
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
+@pytest.mark.parametrize("n", range(1, 9))
+def test_graded_pairing_matches_oracle_at_each_mode_shift(n, field):
+    # psi2's terms differ from psi1's complements in `moved` modes: 0 is
+    # reached by the two slots of one mode, 1 by one slot, 2 by a slot
+    # pair of two modes, 3 by nothing unless two psi1 terms combine
+    config = Config(n, field)
+    r = rng(3100 + n)
+    for _, gform in forms(config):
+        for moved in range(min(n, 3) + 1):
+            nonzero_seen = 0
+            for _ in range(4):
+                psi1 = rand_spinor(config, r, 3)
+                psi2 = shifted_partners(config, r, psi1, moved)
+                got = graded_pairing(gform, psi1, psi2)
+                assert got.terms == o_graded_pairing(gform, psi1.terms, psi2.terms)
+                nonzero_seen += not got.is_zero()
+            assert nonzero_seen or moved == 3, moved
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_reach_modes_holds_every_reaching_move(n):
+    # one slot or two slots moving e_M.v to the complement of P: each mode
+    # they use lies in _reach_modes(M, [P], full), and no mode at all
+    # when M xor P xor full has three or more bits
+    config = Config(n)
+    full = config.size - 1
+    slots = range(2 * n)
+    for mask, other in product(range(config.size), repeat=2):
+        modes = _reach_modes(mask, [other], full)
+        flip = mask ^ other ^ full
+        if flip.bit_count() >= 3:
+            assert modes == 0, (mask, other)
+        for s in slots:
+            m1 = _slot_move(mask, s)[1]
+            if m1 == other ^ full:
+                assert modes >> (s >> 1) & 1, (mask, other, s)
+            for t in slots:
+                if t > s and _slot_move(m1, t)[1] == other ^ full:
+                    assert modes >> (s >> 1) & modes >> (t >> 1) & 1, (mask, other, s, t)

@@ -1,7 +1,9 @@
 """Tests for the spinor-pair operators: grade-2, top-grade, graded, adjoints."""
 
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -617,6 +619,26 @@ class TestDirectMoveOracles:
                 assert pairings_mod.grade2_pairing(form, p1, p2) == four_sum_oracle(
                     form, p1, p2
                 )
+
+    def test_four_sum_calls_no_basis_closed_form(self):
+        # grade2_pairing and every pairings function it reaches (its word
+        # tables) name none of the basis closed forms, so matrix-agreement
+        # and criterion 07 never compare a rule with itself
+        tree = ast.parse(Path(pairings_mod.__file__).read_text())
+        funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+        closed = {"_l2_coords", "_c2_move", "grade2_pairing_on_basis", "_b_num", "_top_num"}
+        reached, todo = set(), ["grade2_pairing"]
+        while todo:
+            name = todo.pop()
+            reached.add(name)
+            words = {
+                sub.id if isinstance(sub, ast.Name) else sub.attr
+                for sub in ast.walk(funcs[name])
+                if isinstance(sub, (ast.Name, ast.Attribute))
+            }
+            assert not words & closed, (name, words & closed)
+            todo += [w for w in words if w in funcs and w not in reached]
+        assert {"_four_sum_groups", "_four_sum_words", "_four_sum_elements"} <= reached
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.spec)
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
