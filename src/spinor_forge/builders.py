@@ -184,7 +184,7 @@ def _graded_algebra(
             return block_rows(A, B, lambda i, j: ())
         return block_rows(A, B, lambda i, j: terms(f(basis[i], basis[j])))
 
-    return LieAlgebra(name, config, basis, fn, den, blocks=True)
+    return LieAlgebra(name, config, basis, fn, den)
 
 
 def build_e8(

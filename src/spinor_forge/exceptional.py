@@ -1,18 +1,16 @@
 """Structure-constant tables of Lie algebras and their exact verifiers.
 
-A LieAlgebra is a labeled basis, a bracket function, and a sparse table
-of int numerators over one denominator L.den, one entry per unordered
-pair; the checks read those ints.  The bracket function is either one on
-label pairs or a block routine over two index ranges that gives the rows
-of both orders of every pair in the block, in the table's form.  The
-antisymmetry check and materialize fill the table in one loop, block by
-block, comparing each row with its other order's negation and dropping
-each block before the next; a pair subset is a set of 1 x 1 blocks, and
-a per-pair function is one whole-basis block.  The e6, e7 and e8
-constructions that supply the bracket functions live in builders; this
-module checks whatever table it is given and imports none of the
-construction code (no norms, pairings, clifford or builders), so the
-checks stay independent of what they check.
+A LieAlgebra is a labeled basis, a block rule, and a sparse table of int
+numerators over one denominator L.den, one entry per unordered pair; the
+checks read those ints.  The block rule takes two index ranges and gives
+the rows of both orders of every pair in the block, in the table's form.
+The antisymmetry check and materialize fill the table in one loop, block
+by block, comparing each row with its other order's negation and
+dropping each block before the next; a pair subset is a set of 1 x 1
+blocks.  The e6, e7 and e8 constructions that supply the block rules
+live in builders; this module checks whatever table it is given and
+imports none of the construction code (no norms, pairings, clifford or
+builders), so the checks stay independent of what they check.
 
 Verification is numeric and exact: the Jacobi identity is checked as the
 matrix identity ad([x,y]) = [ad x, ad y] on the int numerators, the Killing
@@ -97,27 +95,27 @@ def block_rows(A: range, B: range, terms: Callable[[int, int], tuple]):
 class LieAlgebra:
     """A Lie algebra with labeled basis and lazily computed sparse brackets.
 
-    fn(label_a, label_b) -> {label: int} gives int numerators over den.
-    The table stores sorted (k, numerator) int pairs over self.den: den
-    over Q; 1 over F_p, each numerator the residue of num / den in
-    [1, p).  With blocks, fn is a block rule: fn(A, B), for index ranges
-    A and B, each in one run of equal label kind, equal or disjoint,
-    yields the rows (i, j, terms) of every ordered pair in A x B and
-    B x A once, in the table's form, the row of (j, i) right after that
-    of (i, j).  Only the i < j entry is stored and the flipped order is
-    its negation, so the table is antisymmetric by construction
-    (verify_antisymmetry checks fn itself).  Each entry is stored once
-    and never replaced, and the engine built from the complete table is
-    kept for every later Jacobi or Killing call.  evaluated counts the
-    ordered pairs evaluated into the table.
+    fn is a block rule: fn(A, B), for index ranges A and B, each in one
+    run of equal label kind, equal or disjoint, yields the rows
+    (i, j, terms) of every ordered pair in A x B and B x A once, the row
+    of (j, i) right after that of (i, j).  terms is the bracket
+    [b_i, b_j] as sorted (k, numerator) int pairs over self.den, zeros
+    dropped: den over Q; 1 over F_p, each numerator the residue of
+    num / den in [1, p).  den must be an int >= 1, over F_p prime to p.
+    Only the i < j entry is stored and the flipped order is its negation,
+    so the table is antisymmetric by construction (verify_antisymmetry
+    checks fn itself).  Each entry is stored once and never replaced, and
+    the engine built from the complete table is kept for every later
+    Jacobi or Killing call.  evaluated counts the ordered pairs evaluated
+    into the table.  A rule that yields no row for a pair it is asked for
+    is a ValueError, not an empty table.
     """
 
-    __slots__ = ("name", "config", "basis", "index", "den", "evaluated", "_fn", "_unit",
-                 "_table", "_engine", "_blocks")
+    __slots__ = ("name", "config", "basis", "index", "den", "evaluated", "_fn",
+                 "_table", "_engine")
 
     def __init__(
-        self, name: str, config: Config, basis: list[Label], fn: Callable, den: int,
-        blocks: bool = False,
+        self, name: str, config: Config, basis: list[Label], fn: Callable, den: int
     ) -> None:
         self.name = name
         self.config = config
@@ -126,11 +124,11 @@ class LieAlgebra:
         if len(self.index) != len(self.basis):
             raise ValueError("duplicate basis labels")
         p = config.field.characteristic
+        if not (isinstance(den, int) and den >= 1) or (p and den % p == 0):
+            raise ValueError(f"den must be an int >= 1 prime to p, got {den!r}")
         self.den = 1 if p else den
         self.evaluated = 0
         self._fn = fn
-        self._blocks = blocks
-        self._unit = pow(den, -1, p) if p else 1
         self._table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         self._engine: Optional[_AdjointProducts] = None
 
@@ -138,50 +136,32 @@ class LieAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def raw_bracket(self, la: Label, lb: Label) -> dict[Label, int]:
-        """fn evaluated directly in the table's form (residues over F_p),
-        zeros dropped, unmemoized: a block rule's 1 x 1 row, else over Q
-        fn's own dict when it has no zero."""
-        if self._blocks:
-            return {self.basis[k]: c for k, c in self._row(self.index[la], self.index[lb])}
-        out, p, unit = self._fn(la, lb), self.config.field.characteristic, self._unit
-        if p:
-            return {lab: r for lab, c in out.items() if (r := c * unit % p)}
-        if 0 not in out.values():
-            return out
-        return {lab: c for lab, c in out.items() if c}
-
-    def _rows(self, A: range, B: range):
-        """A block's rows: the block rule's, or raw_bracket's indexed."""
-        if self._blocks:
-            return iter(self._fn(A, B))
-        raw, basis, index = self.raw_bracket, self.basis, self.index
-        return block_rows(A, B, lambda i, j: tuple(
-            sorted((index[lab], c) for lab, c in raw(basis[i], basis[j]).items())
-        ))
-
     def _row(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
-        """[b_i, b_j] in the table's form, from the 1 x 1 block."""
-        rows = self._rows(range(i, i + 1), range(j, j + 1))
-        return next(t for a, b, t in rows if a == i and b == j)
+        """[b_i, b_j] in the table's form, from the 1 x 1 block, unmemoized."""
+        rows = self._fn(range(i, i + 1), range(j, j + 1))
+        got = next((t for a, b, t in rows if a == i and b == j), None)
+        if got is None:
+            raise ValueError(f"{self.name}: the block rule gave no row for ({i}, {j})")
+        return got
 
     def _sweep(self, pairs=None) -> list[tuple[int, int]]:
         """Store the i < j entries of each block not yet stored (a mutated
         copy's flipped sign stays) and return the (i, j), i <= j, whose two
         orders are not negations.  The blocks pair up the runs of equal
-        label kind (the whole basis for a per-pair fn), or are 1 x 1, one
-        per pair given; each is dropped before the next."""
+        label kind, or are 1 x 1, one per pair given; each is dropped
+        before the next.  ValueError if the rule left a swept pair i != j
+        without a row: on the full sweep, one count of the table."""
         if pairs is not None:
             blocks = [(range(i, i + 1), range(j, j + 1)) for i, j in pairs]
         else:
-            n, kinds = self.dim, [lab[0] if self._blocks else 0 for lab in self.basis]
+            n, kinds = self.dim, [lab[0] for lab in self.basis]
             cuts = [0] + [i for i in range(1, n) if kinds[i] != kinds[i - 1]] + [n]
             runs = [range(a, b) for a, b in zip(cuts, cuts[1:])]
             blocks = [(A, B) for a, A in enumerate(runs) for B in runs[a:]]
         p, table, bad = self.config.field.characteristic, self._table, []
         for A, B in blocks:
             self.evaluated += len(A) * len(B) * (1 if A == B else 2)
-            rows = self._rows(A, B)
+            rows = iter(self._fn(A, B))
             for i, j, t in rows:
                 u = t if i == j else next(rows)[2]
                 if i > j:
@@ -193,6 +173,13 @@ class LieAlgebra:
                 # it is zero
                 if (t or u) and t != tuple((k, p - c) for k, c in u):
                     bad.append((i, j))
+        if pairs is None:
+            short = len(table) < comb(self.dim, 2)
+        else:
+            short = any(i != j and (min(i, j), max(i, j)) not in table
+                        for i, j in pairs)
+        if short:
+            raise ValueError(f"{self.name}: the block rule left pairs without a row")
         return bad
 
     def numerators(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
@@ -200,7 +187,7 @@ class LieAlgebra:
         key = (i, j) if i < j else (j, i)
         got = self._table.get(key)
         if got is None:
-            # checked before the bracket function runs; [b_i, b_i] = 0
+            # checked before the block rule runs; [b_i, b_i] = 0
             _check_pair(i, j, self.dim)
             lo, hi = key
             if lo == hi:
@@ -585,16 +572,17 @@ def verify_jacobi(L: LieAlgebra, pairs=None) -> JacobiReport:
 
 
 def verify_antisymmetry(L: LieAlgebra, pairs=None) -> list[tuple[int, int]]:
-    """Index pairs where the builder function itself fails antisymmetry.
+    """Index pairs where the block rule itself fails antisymmetry.
 
     The stored table is antisymmetric by construction, so this evaluates
-    the bracket function in both orders (and on the diagonal, which must
+    the block rule in both orders (and on the diagonal, which must
     vanish), block by block, comparing the rows.  The ascending-order
     result is stored, so a later materialize or Jacobi sweep does not
     evaluate it again.  The full run gives the pairs (i, j), i <= j,
     ascending; a pair subset, each pair a 1 x 1 block, gives the failing
     pairs as listed.  The pairs must be nonempty and every index an int
-    in [0, dim), checked before any bracket is evaluated.
+    in [0, dim), checked before any bracket is evaluated; ValueError if
+    the rule gives no row for a pair.
     """
     if pairs is None:
         return sorted(L._sweep())

@@ -15,10 +15,11 @@ the e6 coefficient sweep, the dense Gauss-Jordan elimination (the
 oracle of linalg's sparse reducer: its ranks and inverses), the e7
 constant solve through field-scalar Jacobi rows and a dense kernel (the
 oracle of builders.solve_e7_constants), the graded chassis's per-pair
-dispatch (the oracle of its block routines), the parity of a spinor vector,
-masks from 1-based indices, scalar parsing and a parity-breaking patch
-of builders._c2_move are used only by the tests, so they live here
-rather than in the package.
+dispatch (the oracle of its block routines), the block rule of a bracket
+on label pairs and the unmemoized 1 x 1 read of a block rule, the
+parity of a spinor vector, masks from 1-based indices, scalar parsing
+and a parity-breaking patch of builders._c2_move are used only by the
+tests, so they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from spinor_forge.clifford import (
     witt_e,
     witt_i,
 )
-from spinor_forge.exceptional import LieAlgebra, verify_jacobi
+from spinor_forge.exceptional import LieAlgebra, block_rows, verify_jacobi
 from spinor_forge.field import Field, Rationals, Residue, Scalar
 from spinor_forge.fock import (
     Config,
@@ -790,6 +791,28 @@ def dispatch_row(L: LieAlgebra, fn, den: int, i: int, j: int) -> tuple:
     out = fn(L.basis[i], L.basis[j])
     terms = [(L.index[lab], c * pow(den, -1, p) % p if p else c) for lab, c in out.items()]
     return tuple(sorted((k, c) for k, c in terms if c))
+
+
+def label_rule(basis: list, fn):
+    """The block rule of a bracket given on label pairs over Q:
+    fn(label_a, label_b) -> {label: int numerator}, each row in index form
+    (k ascending, zeros dropped), through exceptional.block_rows."""
+    index = {lab: i for i, lab in enumerate(basis)}
+
+    def row(i: int, j: int) -> tuple:
+        out = fn(basis[i], basis[j])
+        return tuple(sorted((index[lab], c) for lab, c in out.items() if c))
+
+    return lambda A, B: block_rows(A, B, row)
+
+
+def bracket_1x1(L: LieAlgebra, la, lb) -> dict:
+    """[la, lb] read off L's block rule as its 1 x 1 block, keyed by label:
+    numerators in the table's form, nothing stored in L's table."""
+    i, j = L.index[la], L.index[lb]
+    rows = L._fn(range(i, i + 1), range(j, j + 1))
+    (terms,) = [t for a, b, t in rows if (a, b) == (i, j)]
+    return {L.basis[k]: c for k, c in terms}
 
 
 def flip_f12_parity(monkeypatch) -> None:

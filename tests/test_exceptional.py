@@ -1,6 +1,7 @@
 """Tests for the exceptional algebra constructions and their verifiers."""
 
 import ast
+import inspect
 import json
 import os
 import re
@@ -32,6 +33,7 @@ from spinor_forge.clifford import CliffordElem, act, commutator, grading_element
 from spinor_forge.exceptional import (
     JacobiReport,
     LieAlgebra,
+    block_rows,
     killing_form,
     label_str,
     root_decomposition,
@@ -48,6 +50,7 @@ from spinor_forge.norms import BilinearForm, b_eval, solve_spinor_norm
 from spinor_forge.pairings import grade2_pairing
 
 from .helpers import (
+    bracket_1x1,
     c2_coords,
     c2_elem,
     chassis_with_dispatch,
@@ -56,6 +59,7 @@ from .helpers import (
     e7_constants_by_nullspace,
     flip_f12_parity,
     grade2_pairing_projected,
+    label_rule,
     rand_spinor,
     rng,
     sweep_e6_coefficients,
@@ -86,10 +90,15 @@ def covered_triples(n, pairs):
     }
 
 
+def zero_rule(A, B):
+    """The block rule of the zero bracket."""
+    return block_rows(A, B, lambda i, j: ())
+
+
 def abelian(n):
     """An n-dimensional abelian algebra: every bracket is zero."""
     basis = [("x", a) for a in range(n)]
-    return LieAlgebra(f"abelian{n}", Config(1), basis, lambda la, lb: {}, 1)
+    return LieAlgebra(f"abelian{n}", Config(1), basis, zero_rule, 1)
 
 
 @pytest.fixture
@@ -254,10 +263,48 @@ class TestLieAlgebraCore:
     def test_duplicate_labels_rejected(self):
         config = Config(1)
         with pytest.raises(ValueError):
-            LieAlgebra("dup", config, [("s", 0), ("s", 0)], lambda a, b: {}, 1)
+            LieAlgebra("dup", config, [("s", 0), ("s", 0)], zero_rule, 1)
 
     def test_repr(self, e6):
         assert "e6" in repr(e6) and "78" in repr(e6)
+
+    def test_one_constructor_contract(self):
+        params = list(inspect.signature(LieAlgebra).parameters)
+        assert params == ["name", "config", "basis", "fn", "den"]
+        assert not hasattr(LieAlgebra, "raw_bracket")
+
+    @pytest.mark.parametrize(
+        "spec, den", [("q", 0), ("q", -2), ("q", 2.0), ("fp:7", 7)]
+    )
+    def test_bad_den_rejected(self, spec, den):
+        config = Config(1, make_field(spec))
+        with pytest.raises(ValueError, match="den must be"):
+            LieAlgebra("bad-den", config, [("x", 0), ("x", 1)], zero_rule, den)
+
+    @pytest.mark.parametrize("spec", ["q", "fp:7"])
+    def test_den_prime_to_p_accepted(self, spec):
+        L = LieAlgebra("den", Config(1, make_field(spec)), [("x", 0)], zero_rule, 6)
+        assert L.den == (1 if spec != "q" else 6)
+
+    @pytest.mark.parametrize(
+        "read", ["antisymmetry", "pair", "materialize", "numerators"]
+    )
+    def test_label_function_as_rule_fails_loudly(self, read):
+        # a bracket on label pairs yields no rows when called on index
+        # ranges; that must not leave an empty table that passes the checks
+        basis = [("x", a) for a in range(3)]
+        L = LieAlgebra("labels", Config(1), basis, lambda la, lb: {}, 1)
+        with pytest.raises(ValueError, match=r"no row|without a row") as err:
+            if read == "antisymmetry":
+                verify_antisymmetry(L)
+            elif read == "pair":
+                verify_antisymmetry(L, [(2, 0)])
+            elif read == "materialize":
+                L.materialize()
+            else:
+                L.numerators(2, 0)
+        if read == "numerators":
+            assert "(0, 2)" in str(err.value)
 
 
 class TestBuildE8:
@@ -563,7 +610,7 @@ def test_chassis_extras_centralize_so2n(build, spec):
     assert extras == ([("eps",)] if L.name == "e6" else [("sl2", t) for t in "hef"])
     for x in extras:
         for y in c2:
-            assert L.raw_bracket(x, y) == {} == L.raw_bracket(y, x), (x, y)
+            assert bracket_1x1(L, x, y) == {} == bracket_1x1(L, y, x), (x, y)
     # fn against [h, e] = 2e, [h, f] = -2f, [e, f] = h and their reverses
     want = {("h", "e"): ("e", 2), ("h", "f"): ("f", -2), ("e", "f"): ("h", 1)}
     want.update({(b, a): (t, -k) for (a, b), (t, k) in list(want.items())})
@@ -571,7 +618,7 @@ def test_chassis_extras_centralize_so2n(build, spec):
         for y in extras:
             t, k = want.get((x[-1], y[-1]), (None, 0))
             num = k * L.den % p if p else k * L.den
-            assert L.raw_bracket(x, y) == ({("sl2", t): num} if k else {}), (x, y)
+            assert bracket_1x1(L, x, y) == ({("sl2", t): num} if k else {}), (x, y)
     if L.name == "e7":
         F, ix = L.config.field, L.index
         h, e, f = (ix[("sl2", t)] for t in "hef")
@@ -964,7 +1011,7 @@ class TestEngineBounds:
         def fn(la, lb):
             return {("x", 2): c} if (la[1], lb[1]) == (0, 1) else {}
 
-        return LieAlgebra(f"heisenberg{c}", Config(1), basis, fn, 1)
+        return LieAlgebra(f"heisenberg{c}", Config(1), basis, label_rule(basis, fn), 1)
 
     def test_oversized_constant_rejected(self, monkeypatch):
         def no_batch(self, left, right):
@@ -1013,17 +1060,19 @@ class TestEngineBounds:
 
 
 def wrapped_e6(base, broken=None):
-    """e6's bracket function behind a call counter, optionally broken on
-    one ordered label pair (its result gains one extra term)."""
+    """e6's block rule behind a counter of the rows it yields, by ordered
+    label pair, optionally broken on one ordered label pair (its row gains
+    den on basis vector 0)."""
     calls = Counter()
-    extra = base.basis[0]
 
-    def fn(la, lb):
-        calls[(la, lb)] += 1
-        out = base.raw_bracket(la, lb)
-        if (la, lb) == broken:
-            out[extra] = out.get(extra, 0) + base.den
-        return out
+    def fn(A, B):
+        for i, j, t in base._fn(A, B):
+            calls[(base.basis[i], base.basis[j])] += 1
+            if (base.basis[i], base.basis[j]) == broken:
+                out = dict(t)
+                out[0] = out.get(0, 0) + base.den
+                t = tuple(sorted((k, c) for k, c in out.items() if c))
+            yield i, j, t
 
     return LieAlgebra("e6~wrapped", base.config, base.basis, fn, base.den), calls
 
@@ -1116,7 +1165,7 @@ class TestBlockRows:
         runs = kind_runs(L)
         for a, A in enumerate(runs):
             for B in runs[a:]:
-                rows = list(L._rows(A, B))
+                rows = list(L._fn(A, B))
                 want = {(i, j) for i in A for j in B} | {(j, i) for i in A for j in B}
                 assert len(rows) == len(want) == len({(i, j) for i, j, _ in rows})
                 assert {(i, j) for i, j, _ in rows} == want
@@ -1134,7 +1183,7 @@ class TestBlockRows:
         for _ in range(40):
             i, j = r.randrange(L.dim), r.randrange(L.dim)
             want = dispatch_row(L, fn, den, i, j)
-            assert L.raw_bracket(L.basis[i], L.basis[j]) == {
+            assert bracket_1x1(L, L.basis[i], L.basis[j]) == {
                 L.basis[k]: c for k, c in want
             }
             assert L.numerators(i, j) == want
@@ -1235,19 +1284,32 @@ class TestTableForm:
             )
 
     @pytest.mark.parametrize("p", [None, 7])
-    def test_raw_bracket_drops_zero_numerators(self, p):
-        # a bracket function may return a zero numerator (an e7 chart with
-        # a constant 0); over Q a zero-free result is passed on as it is
-        field = PrimeField(p) if p else Rationals()
-        x, y, z = ("x",), ("y",), ("z",)
-        out = {(x, y): {x: 0, z: 3}, (y, x): {z: -3}}
-        L = LieAlgebra("toy", Config(1, field), [x, y, z], lambda a, b: out[(a, b)], 1)
-        assert L.raw_bracket(x, y) == {z: 3}
-        rev = L.raw_bracket(y, x)
-        assert rev == {z: p - 3 if p else -3}
-        assert (rev is out[(y, x)]) == (p is None)
-        assert verify_antisymmetry(L, [(0, 1)]) == []
-        assert L.numerators(0, 1) == ((2, 3),)
+    def test_chassis_drops_zero_numerators(self, monkeypatch, p):
+        # e7's constant-solve charts compute zero numerators (c * 0 * w at
+        # c1 = 0); the chassis's terms() drops them before a row is stored
+        config, form = builders_mod._builder_setup(
+            6, PrimeField(p) if p else Rationals(), None
+        )
+        zeros = []
+        real = builders_mod._graded_algebra
+
+        def spy(name, config, den, extra, module, pair, *rest):
+            def counted(la, lb):
+                out = pair(la, lb)
+                zeros.extend(lab for lab, c in out.items() if not c)
+                return out
+
+            return real(name, config, den, extra, module, counted, *rest)
+
+        monkeypatch.setattr(builders_mod, "_graded_algebra", spy)
+        for c1, c2 in ((1, 0), (0, 1)):
+            L = builders_mod._e7_chassis(config, form, c1, c2).materialize()
+            assert L.nonzero_count()
+            for _, terms in L.nonzero_brackets():
+                assert all(c for _, c in terms)
+                assert not p or all(0 < c < p for _, c in terms)
+            assert len(L._table) == L.dim * (L.dim - 1) // 2
+        assert zeros
 
     def test_run_checks_counts_brackets(self, e7):
         entry = run_checks(build_e6())[0]
@@ -1405,7 +1467,8 @@ class TestSpanningCheck:
                 return {("s", 0): 1}
             return {}
 
-        L = LieAlgebra("leaky", config, [("ei", 1, 1), ("s", 0), ("s", 1)], fn, 1)
+        basis = [("ei", 1, 1), ("s", 0), ("s", 1)]
+        L = LieAlgebra("leaky", config, basis, label_rule(basis, fn), 1)
         with pytest.raises(RuntimeError):
             spanning_check(L)
 
@@ -1472,7 +1535,8 @@ class TestRootDecomposition:
                 return {("s", 0): -1, ("s", 1): -1}
             return {}
 
-        L = LieAlgebra("bad", config, [("ei", 1, 1), ("s", 0), ("s", 1)], fn, 1)
+        basis = [("ei", 1, 1), ("s", 0), ("s", 1)]
+        L = LieAlgebra("bad", config, basis, label_rule(basis, fn), 1)
         with pytest.raises(ValueError):
             root_decomposition(L)
 
@@ -1489,15 +1553,13 @@ class TestRootDecomposition:
             return {}
 
         basis = [("ei", 1, 1), ("ei", 2, 2), ("s", 0), ("s", 1)]
-        L = LieAlgebra("degenerate", config, basis, fn, 1)
+        L = LieAlgebra("degenerate", config, basis, label_rule(basis, fn), 1)
         with pytest.raises(ValueError, match="restricted Killing form is singular"):
             root_decomposition(L)
 
     def test_rejects_zero_weight_outside_cartan(self):
         config = Config(1)
-        L = LieAlgebra(
-            "flat", config, [("ei", 1, 1), ("s", 0)], lambda a, b: {}, 1
-        )
+        L = LieAlgebra("flat", config, [("ei", 1, 1), ("s", 0)], zero_rule, 1)
         with pytest.raises(ValueError):
             root_decomposition(L)
 
