@@ -287,12 +287,12 @@ def solve_e7_constants(
     triples (residues over F_p).
 
     Same defaults as build_e7.  The cyclic Jacobi sum on 60 seeded triples
-    of spinor-tensor basis vectors is read as int numerators off the table
-    that build_e7 stores, on its chassis at (c1, c2) = (1, 0) and (0, 1),
-    which share one den: each index gives a row (a, b), mod p over F_p,
-    with c1 a + c2 b = 0.  The pair is (b, -a) of the first nonzero row,
-    primitive and leading positive over Q, leading 1 over F_p, and every
-    other row must have a zero 2 x 2 minor with it.  No nonzero row means
+    of spinor-tensor basis vectors is read as int numerators off two
+    tables that build_e7 does not store: e7's chassis at (c1, c2) = (1, 0)
+    and (0, 1), which share one den.  Each index gives a row (a, b), mod p
+    over F_p, with c1 a + c2 b = 0.  The pair is (b, -a) of the first
+    nonzero row, primitive and leading positive over Q, leading 1 over
+    F_p, and every other row must have a zero 2 x 2 minor with it.  No nonzero row means
     the sampled triples constrain nothing, a nonzero minor that no choice
     of constants closes the bracket.  Never hardcoded; the full identity
     is verified downstream by verify_jacobi.

@@ -6,8 +6,8 @@ checks read those ints.  The block rule takes two index ranges and gives
 the rows of both orders of every pair in the block, in the table's form.
 The antisymmetry check and materialize fill the table in one loop, block
 by block, comparing each row with its other order's negation and
-dropping each block before the next; a pair subset is a set of 1 x 1
-blocks.  The e6, e7 and e8 constructions that supply the block rules
+dropping each block before the next; a single read is a 1 x 1 block.
+The e6, e7 and e8 constructions that supply the block rules
 live in builders; this module checks whatever table it is given and
 imports none of the construction code (no norms, pairings, clifford or
 builders), so the checks stay independent of what they check.
@@ -124,7 +124,7 @@ class LieAlgebra:
         if len(self.index) != len(self.basis):
             raise ValueError("duplicate basis labels")
         p = config.field.characteristic
-        if not (isinstance(den, int) and den >= 1) or (p and den % p == 0):
+        if type(den) is not int or den < 1 or (p and den % p == 0):
             raise ValueError(f"den must be an int >= 1 prime to p, got {den!r}")
         self.den = 1 if p else den
         self.evaluated = 0
@@ -144,20 +144,17 @@ class LieAlgebra:
             raise ValueError(f"{self.name}: the block rule gave no row for ({i}, {j})")
         return got
 
-    def _sweep(self, pairs=None) -> list[tuple[int, int]]:
+    def _sweep(self) -> list[tuple[int, int]]:
         """Store the i < j entries of each block not yet stored (a mutated
         copy's flipped sign stays) and return the (i, j), i <= j, whose two
         orders are not negations.  The blocks pair up the runs of equal
-        label kind, or are 1 x 1, one per pair given; each is dropped
-        before the next.  ValueError if the rule left a swept pair i != j
-        without a row: on the full sweep, one count of the table."""
-        if pairs is not None:
-            blocks = [(range(i, i + 1), range(j, j + 1)) for i, j in pairs]
-        else:
-            n, kinds = self.dim, [lab[0] for lab in self.basis]
-            cuts = [0] + [i for i in range(1, n) if kinds[i] != kinds[i - 1]] + [n]
-            runs = [range(a, b) for a, b in zip(cuts, cuts[1:])]
-            blocks = [(A, B) for a, A in enumerate(runs) for B in runs[a:]]
+        label kind; each is dropped before the next.  ValueError if the
+        rule left a pair i != j without a row, found by one count of the
+        table."""
+        n, kinds = self.dim, [lab[0] for lab in self.basis]
+        cuts = [0] + [i for i in range(1, n) if kinds[i] != kinds[i - 1]] + [n]
+        runs = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+        blocks = [(A, B) for a, A in enumerate(runs) for B in runs[a:]]
         p, table, bad = self.config.field.characteristic, self._table, []
         for A, B in blocks:
             self.evaluated += len(A) * len(B) * (1 if A == B else 2)
@@ -173,12 +170,7 @@ class LieAlgebra:
                 # it is zero
                 if (t or u) and t != tuple((k, p - c) for k, c in u):
                     bad.append((i, j))
-        if pairs is None:
-            short = len(table) < comb(self.dim, 2)
-        else:
-            short = any(i != j and (min(i, j), max(i, j)) not in table
-                        for i, j in pairs)
-        if short:
+        if len(table) < comb(n, 2):
             raise ValueError(f"{self.name}: the block rule left pairs without a row")
         return bad
 
@@ -571,25 +563,18 @@ def verify_jacobi(L: LieAlgebra, pairs=None) -> JacobiReport:
     )
 
 
-def verify_antisymmetry(L: LieAlgebra, pairs=None) -> list[tuple[int, int]]:
-    """Index pairs where the block rule itself fails antisymmetry.
+def verify_antisymmetry(L: LieAlgebra) -> list[tuple[int, int]]:
+    """The pairs (i, j), i <= j, ascending, where the block rule fails
+    antisymmetry.
 
     The stored table is antisymmetric by construction, so this evaluates
     the block rule in both orders (and on the diagonal, which must
-    vanish), block by block, comparing the rows.  The ascending-order
-    result is stored, so a later materialize or Jacobi sweep does not
-    evaluate it again.  The full run gives the pairs (i, j), i <= j,
-    ascending; a pair subset, each pair a 1 x 1 block, gives the failing
-    pairs as listed.  The pairs must be nonempty and every index an int
-    in [0, dim), checked before any bracket is evaluated; ValueError if
-    the rule gives no row for a pair.
+    vanish) over every block of the full sweep, comparing the rows.  The
+    ascending-order result is stored, so a later materialize or Jacobi
+    sweep does not evaluate it again.  ValueError if the rule gives no
+    row for a pair.
     """
-    if pairs is None:
-        return sorted(L._sweep())
-    pairs = list(pairs)
-    _check_pairs(pairs, L.dim)
-    bad = set(L._sweep(pairs))
-    return [(i, j) for i, j in pairs if (min(i, j), max(i, j)) in bad]
+    return sorted(L._sweep())
 
 
 def killing_form(L: LieAlgebra) -> tuple[list[list[Scalar]], int]:

@@ -133,9 +133,10 @@ def _seeded_pairs(r: random.Random, size: int, count: int) -> Iterator[tuple[int
     return ((r.randrange(size), r.randrange(size)) for _ in range(count))
 
 
-def _sample_spinor(config: Config, r: random.Random, nterms: int = 2) -> SpinorVec:
+def _sample_spinor(config: Config, r: random.Random) -> SpinorVec:
+    """A sparse spinor: two terms drawn from r, which may share a mask."""
     terms = {}
-    for _ in range(nterms):
+    for _ in range(2):
         terms[r.randrange(config.size)] = config.field.from_int(r.randrange(1, 9))
     return SpinorVec(config, terms)
 
@@ -579,7 +580,7 @@ def check_graded_pairing_symmetry(n: int) -> CheckResult:
 
 
 @_check
-def check_bracket_relations(n: int, pairs: int = 1000) -> CheckResult:
+def check_bracket_relations(n: int) -> CheckResult:
     """The two vector-valued relations tying the grade-2 pairing, the
     orbit-map adjoint and the norm together:
 
@@ -594,11 +595,9 @@ def check_bracket_relations(n: int, pairs: int = 1000) -> CheckResult:
     are the generic commutator and orbit_map_adjoint after act.  Both
     relations at every w go into one int sum keyed (relation, slot,
     monomial), so one exact zero test per pair decides and no two cases
-    can cancel.  Exhaustive on basis pairs for n <= 3, plus seeded random
-    pairs (basis and sparse) for every n.  ValueError if pairs < 1.
+    can cancel.  Exhaustive on basis pairs for n <= 3, plus 1000 seeded
+    random pairs for every n, a quarter of them sparse.
     """
-    if pairs < 1:
-        raise ValueError(f"bracket-relations needs pairs >= 1, got {pairs}")
     config = _config(n)
     form = solve_spinor_norm(config)
     field = config.field
@@ -631,18 +630,17 @@ def check_bracket_relations(n: int, pairs: int = 1000) -> CheckResult:
     def basis_pair_ok(im: int, jm: int) -> bool:
         return pair_ok(SpinorVec.basis(config, im), SpinorVec.basis(config, jm))
 
-    sparse = pairs // 4
-    detail = f"{pairs} seeded pairs ({sparse} sparse) over all {2 * n} vectors"
+    detail = f"1000 seeded pairs (250 sparse) over all {2 * n} vectors"
     if n <= 3:
         if bad := _first(product(range(config.size), repeat=2), basis_pair_ok):
             raise _Failed("relation failed at basis pair ({}, {})".format(*bad))
         detail = f"exhaustive over {config.size ** 2} basis pairs, plus " + detail
 
     r = random.Random(8009 + n)
-    for idx in range(pairs - sparse):
+    for idx in range(750):
         if not basis_pair_ok(r.randrange(config.size), r.randrange(config.size)):
             raise _Failed(f"relation failed at random basis pair {idx}")
-    for idx in range(sparse):
+    for idx in range(250):
         if not pair_ok(_sample_spinor(config, r), _sample_spinor(config, r)):
             raise _Failed(f"relation failed at random sparse pair {idx}")
     return detail
@@ -656,9 +654,11 @@ def check_matrix_agreement(n: int, samples: int | None = None) -> CheckResult:
     more when requested).  grade2_pairing_on_basis runs the same
     _l2_coords and _c2_move as the e6/e7/e8 builders, so this checks the
     closed form the builders use against the independent four-sum.
-    ValueError if samples < 1."""
-    if samples is not None and samples < 1:
-        raise ValueError(f"matrix-agreement needs samples >= 1, got {samples}")
+    ValueError unless samples is None or an int >= 1."""
+    if samples is not None and (type(samples) is not int or samples < 1):
+        raise ValueError(
+            f"matrix-agreement needs an int samples >= 1, got {samples!r}"
+        )
     config = _config(n)
     form = solve_spinor_norm(config)
     size = config.size
@@ -706,8 +706,9 @@ SUITES: dict[str, tuple] = {
 
 
 def suite_names(n: int, suites=None) -> tuple[str, ...]:
-    """The suites a run_suites(n, suites) call runs, each once in first-seen
-    order; ValueError if the call is invalid."""
+    """The named suites (all of them by default), each once in first-seen
+    order: the filter of `spinor-forge props --suite`.  ValueError for an
+    n outside 1..8 or an unknown name."""
     if not 1 <= n <= 8:
         raise ValueError(f"property suites require 1 <= n <= 8, got {n}")
     names = tuple(SUITES) if suites is None else tuple(dict.fromkeys(suites))
@@ -719,6 +720,7 @@ def suite_names(n: int, suites=None) -> tuple[str, ...]:
     return names
 
 
-def run_suites(n: int, suites=None) -> list[CheckResult]:
-    """Run the named property suites (all of them by default) at one n."""
-    return [fn(n) for name in suite_names(n, suites) for fn in SUITES[name]]
+def run_suites(n: int) -> list[CheckResult]:
+    """Run every property suite at one n, in SUITES order; ValueError for
+    an n outside 1..8."""
+    return [fn(n) for name in suite_names(n) for fn in SUITES[name]]

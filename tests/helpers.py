@@ -680,7 +680,7 @@ def adjoint_after_move(
     return orbit_map_adjoint(form, phi, SpinorVec._make(psi.config, num, psi._den))
 
 
-def bracket_relations_by_slots(config: Config, pairs: int = 1000) -> tuple[bool, str]:
+def bracket_relations_by_slots(config: Config) -> tuple[bool, str]:
     """check_bracket_relations's (ok, detail) on the same pairs, one slot at
     a time: for each slot each relation is its own exact zero test, on one
     row of the commutator and the adjoint after one move."""
@@ -708,8 +708,7 @@ def bracket_relations_by_slots(config: Config, pairs: int = 1000) -> tuple[bool,
     def basis(mask: int) -> SpinorVec:
         return SpinorVec.basis(config, mask)
 
-    sparse = pairs // 4
-    detail = f"{pairs} seeded pairs ({sparse} sparse) over all {2 * n} vectors"
+    detail = f"1000 seeded pairs (250 sparse) over all {2 * n} vectors"
     if n <= 3:
         for im in range(config.size):
             for jm in range(config.size):
@@ -717,10 +716,10 @@ def bracket_relations_by_slots(config: Config, pairs: int = 1000) -> tuple[bool,
                     return False, f"relation failed at basis pair ({im}, {jm})"
         detail = f"exhaustive over {config.size ** 2} basis pairs, plus " + detail
     r = random.Random(8009 + n)
-    for idx in range(pairs - sparse):
+    for idx in range(750):
         if not pair_ok(basis(r.randrange(config.size)), basis(r.randrange(config.size))):
             return False, f"relation failed at random basis pair {idx}"
-    for idx in range(sparse):
+    for idx in range(250):
         phi = props._sample_spinor(config, r)
         if not pair_ok(phi, props._sample_spinor(config, r)):
             return False, f"relation failed at random sparse pair {idx}"
