@@ -6,11 +6,11 @@ extras z (the grading element for e6, sl2 for e7, none for e8), acting on
 a spinor module M.  The chassis owns the shape of g0: z centralizes
 so(2n) by construction, so an extra and a grade-2 label bracket to zero
 and a builder brackets only extras with extras.  The chassis writes each
-rule once, as a block routine over two index ranges that yields indexed
-rows of both orders in the table's form, so the verifiers fill the
-table block by block and a single bracket is the 1 x 1 block; one Fock
-move gives both orders of a grade-2 label on a spinor.  The builders
-work on labels only and form no Clifford element:
+rule once, as a block routine over two index ranges that yields one
+indexed row per unordered pair, holding both orders in the table's form,
+so the verifiers fill the table block by block and a single bracket is
+the 1 x 1 block; one Fock move gives both orders of a grade-2 label on a
+spinor.  The builders work on labels only and form no Clifford element:
 the spinor-spinor bracket is the paper's L_2 on a pair of basis spinors,
 written straight in grade-2 labels by its closed form (pairings._l2_coords,
 the package's one copy of that case table), plus the top-grade term for
@@ -19,8 +19,8 @@ e6; brackets inside the grade-2 part come from the so(2n) table on labels
 Fock move (pairings._c2_move).  Every bracket is int numerators over one
 denominator per algebra, and no field scalar is formed.  The e7 bracket
 is written once, in _e7_chassis; its constants are solved from the
-Jacobi identity of that same bracket.  The generic Clifford route (the
-four-sum pairing, commutators, act) is the test oracle.
+Jacobi identity of that same bracket, on one chassis.  The generic
+Clifford route (the four-sum pairing, commutators, act) is the test oracle.
 
 The result of each builder is a LieAlgebra; the checks of the
 construction live in exceptional and use none of this module.
@@ -130,14 +130,14 @@ def _graded_algebra(
 
     g0 is the grade-2 part plus the `extra` degree-zero labels.  Each rule
     is written once, in the block routine fn over two index ranges, whose
-    rows hold both orders in the table's form (k ascending, residues in
-    [1, p) over F_p): _c2_bracket on two grade-2 labels and pair(m, m')
-    on two module labels, each order evaluated; one Fock move of a
-    grade-2 label on the mask of a module label (kind, mask, ...), or
-    extra_act of an extra label, gives [x, m] and [m, x] = -[x, m] at
-    once; extra_bracket takes two extras (zero when it is None); an extra
-    and a grade-2 label bracket to zero.  Every bracket is int numerators
-    over den, an even number.
+    one row per unordered pair holds both orders in the table's form (k
+    ascending, residues in [1, p) over F_p): _c2_bracket on two grade-2
+    labels and pair(m, m') on two module labels, each order evaluated; one
+    Fock move of a grade-2 label on the mask of a module label (kind, mask,
+    ...), or extra_act of an extra label, gives [x, m] and [m, x] = -[x, m]
+    at once; extra_bracket takes two extras (zero when it is None); an
+    extra and a grade-2 label bracket to zero.  Every bracket is int
+    numerators over den, an even number.
     """
     half, p = den // 2, config.field.characteristic
     unit = pow(den, -1, p) if p else 1
@@ -164,8 +164,7 @@ def _graded_algebra(
         for x in X:
             for m in M:
                 t = act(basis[x], basis[m])
-                yield x, m, t
-                yield m, x, tuple((k, p - c) for k, c in t)
+                yield x, m, t, tuple((k, p - c) for k, c in t)
 
     def fn(A: range, B: range):
         ka, kb = basis[A[0]][0], basis[B[0]][0]
@@ -237,15 +236,16 @@ _SIGMA = {
 }
 
 
-def _jacobi_sum(L: LieAlgebra, x: int, y: int, z: int) -> dict[int, int]:
-    """[[x, y], z] + [[y, z], x] + [[z, x], y] on basis indices, as int
-    numerators over L.den^2 (not reduced mod p), through L.numerators."""
-    out: dict[int, int] = {}
+def _jacobi_sum(L: LieAlgebra, x: int, y: int, z: int) -> tuple[dict, dict]:
+    """[[x, y], z] + [[y, z], x] + [[z, x], y] in two parts, through inner
+    terms b_k off sl2 and in sl2: int numerators over L.den^2, not mod p."""
+    parts: tuple[dict[int, int], dict[int, int]] = ({}, {})
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
         for k, s in L.numerators(a, b):
+            out = parts[L.basis[k][0] == "sl2"]
             for m, t in L.numerators(k, c):
                 out[m] = out.get(m, 0) + s * t
-    return out
+    return parts
 
 
 def _e7_chassis(config: Config, form: BilinearForm, c1: int, c2: int) -> LieAlgebra:
@@ -287,31 +287,30 @@ def solve_e7_constants(
     triples (residues over F_p).
 
     Same defaults as build_e7.  The cyclic Jacobi sum on 60 seeded triples
-    of spinor-tensor basis vectors is read as int numerators off two
-    tables that build_e7 does not store: e7's chassis at (c1, c2) = (1, 0)
-    and (0, 1), which share one den.  Each index gives a row (a, b), mod p
-    over F_p, with c1 a + c2 b = 0.  The pair is (b, -a) of the first
-    nonzero row, primitive and leading positive over Q, leading 1 over
-    F_p, and every other row must have a zero 2 x 2 minor with it.  No nonzero row means
-    the sampled triples constrain nothing, a nonzero minor that no choice
-    of constants closes the bracket.  Never hardcoded; the full identity
-    is verified downstream by verify_jacobi.
+    of spinor-tensor basis vectors is read as int numerators off e7's
+    chassis at (c1, c2) = (1, 1), which build_e7 does not store: at each
+    index its parts through so(12) and sl2 are c1 a and c2 b, a row (a, b),
+    mod p over F_p, with c1 a + c2 b = 0.  The pair is (b, -a) of the first
+    nonzero row, primitive and leading positive over Q, leading 1 over F_p,
+    and every other row must have a zero 2 x 2 minor with it.  No nonzero
+    row means the sampled triples constrain nothing, a nonzero minor that
+    no choice of constants closes the bracket.  Never hardcoded; the full
+    identity is verified downstream by verify_jacobi.
     """
     config, form = _builder_setup(SPINOR_N["e7"], field, form)
     p = config.field.characteristic
-    parts = (_e7_chassis(config, form, 1, 0), _e7_chassis(config, form, 0, 1))
-    index = parts[0].index
+    L = _e7_chassis(config, form, 1, 1)
     rnd = random.Random(20240801)
     evens = [m for m in range(config.size) if parity(m) == 0]
     rows: list[tuple[int, int]] = []
     for _ in range(60):
         triple = [
-            index[("s2", rnd.choice(evens), rnd.choice((0, 1)))] for _ in range(3)
+            L.index[("s2", rnd.choice(evens), rnd.choice((0, 1)))] for _ in range(3)
         ]
         # the sum is linear in the constants: c1 P + c2 Q = 0 at each index
-        sums = [_jacobi_sum(L, *triple) for L in parts]
-        for k in sorted(sums[0].keys() | sums[1].keys()):
-            a, b = (s.get(k, 0) for s in sums)
+        P, Q = _jacobi_sum(L, *triple)
+        for k in sorted(P.keys() | Q.keys()):
+            a, b = P.get(k, 0), Q.get(k, 0)
             rows.append((a % p, b % p) if p else (a, b))
     nonzero = [row for row in rows if any(row)]
     if not nonzero:

@@ -3,10 +3,10 @@
 A LieAlgebra is a labeled basis, a block rule, and a sparse table of int
 numerators over one denominator L.den, one entry per unordered pair; the
 checks read those ints.  The block rule takes two index ranges and gives
-the rows of both orders of every pair in the block, in the table's form.
-The antisymmetry check and materialize fill the table in one loop, block
-by block, comparing each row with its other order's negation and
-dropping each block before the next; a single read is a 1 x 1 block.
+one row per unordered pair of the block, with both orders in the table's
+form.  One sweep per algebra fills the table block by block, comparing the
+two orders and dropping each block before the next, and keeps its
+verdict; a single read is a 1 x 1 block.
 The e6, e7 and e8 constructions that supply the block rules
 live in builders; this module checks whatever table it is given and
 imports none of the construction code (no norms, pairings, clifford or
@@ -74,45 +74,45 @@ def is_spinor_label(label: Label) -> bool:
     return label[0] in ("s", "s2")
 
 
-_INT = (int, np.integer)  # the index types the table and the verifiers accept
+_INT = (int, np.integer)  # the index types the verifiers accept, bool aside
 
 
 def _check_pair(i, j, n: int) -> None:
-    """ValueError unless i and j are int indices in [0, n)."""
-    if not (isinstance(i, _INT) and isinstance(j, _INT) and 0 <= i < n and 0 <= j < n):
+    """ValueError unless i and j are int indices in [0, n), neither a bool."""
+    ok = isinstance(i, _INT) and isinstance(j, _INT) and 0 <= i < n and 0 <= j < n
+    if not ok or type(i) is bool or type(j) is bool:
         raise ValueError(f"bad index pair ({i}, {j})")
 
 
 def block_rows(A: range, B: range, terms: Callable[[int, int], tuple]):
-    """The rows (i, j, terms(i, j)) of a block: see LieAlgebra."""
+    """The rows (i, j, terms(i, j), terms(j, i)) of a block: see LieAlgebra."""
     for i in A:
         for j in range(i, A.stop) if A == B else B:
-            yield i, j, terms(i, j)
-            if j != i:
-                yield j, i, terms(j, i)
+            t = terms(i, j)
+            yield i, j, t, t if i == j else terms(j, i)
 
 
 class LieAlgebra:
     """A Lie algebra with labeled basis and lazily computed sparse brackets.
 
     fn is a block rule: fn(A, B), for index ranges A and B, each in one
-    run of equal label kind, equal or disjoint, yields the rows
-    (i, j, terms) of every ordered pair in A x B and B x A once, the row
-    of (j, i) right after that of (i, j).  terms is the bracket
-    [b_i, b_j] as sorted (k, numerator) int pairs over self.den, zeros
-    dropped: den over Q; 1 over F_p, each numerator the residue of
-    num / den in [1, p).  den must be an int >= 1, over F_p prime to p.
-    Only the i < j entry is stored and the flipped order is its negation,
-    so the table is antisymmetric by construction (verify_antisymmetry
-    checks fn itself).  Each entry is stored once and never replaced, and
-    the engine built from the complete table is kept for every later
-    Jacobi or Killing call.  evaluated counts the ordered pairs evaluated
-    into the table.  A rule that yields no row for a pair it is asked for
-    is a ValueError, not an empty table.
+    run of equal label kind, equal or disjoint, yields one row
+    (i, j, [b_i, b_j], [b_j, b_i]) per unordered pair of A x B, and
+    (i, i, t, t) on the diagonal.  Each bracket is sorted (k, numerator)
+    int pairs over self.den, zeros dropped: den over Q; 1 over F_p, each
+    numerator the residue of num / den in [1, p).  den must be an int
+    >= 1, over F_p prime to p.  Only the i < j entry is stored and the
+    flipped order is its negation, so the table is antisymmetric by
+    construction; the one sweep that fills it checks fn and keeps the
+    verdict (verify_antisymmetry).  Each entry is stored once and never
+    replaced, and the engine built from the complete table is kept for
+    every later Jacobi or Killing call.  evaluated counts the ordered
+    pairs evaluated into the table.  A rule that yields no row for a pair
+    it is asked for is a ValueError, not an empty table.
     """
 
     __slots__ = ("name", "config", "basis", "index", "den", "evaluated", "_fn",
-                 "_table", "_engine")
+                 "_table", "_verdict", "_engine")
 
     def __init__(
         self, name: str, config: Config, basis: list[Label], fn: Callable, den: int
@@ -130,6 +130,7 @@ class LieAlgebra:
         self.evaluated = 0
         self._fn = fn
         self._table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        self._verdict: Optional[list[tuple[int, int]]] = None
         self._engine: Optional[_AdjointProducts] = None
 
     @property
@@ -138,19 +139,19 @@ class LieAlgebra:
 
     def _row(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         """[b_i, b_j] in the table's form, from the 1 x 1 block, unmemoized."""
-        rows = self._fn(range(i, i + 1), range(j, j + 1))
-        got = next((t for a, b, t in rows if a == i and b == j), None)
-        if got is None:
-            raise ValueError(f"{self.name}: the block rule gave no row for ({i}, {j})")
-        return got
+        for a, _, t, u in self._fn(range(i, i + 1), range(j, j + 1)):
+            return t if a == i else u  # the block's one row
+        raise ValueError(f"{self.name}: the block rule gave no row for ({i}, {j})")
 
     def _sweep(self) -> list[tuple[int, int]]:
-        """Store the i < j entries of each block not yet stored (a mutated
-        copy's flipped sign stays) and return the (i, j), i <= j, whose two
-        orders are not negations.  The blocks pair up the runs of equal
-        label kind; each is dropped before the next.  ValueError if the
-        rule left a pair i != j without a row, found by one count of the
-        table."""
+        """The (i, j), i <= j, whose two orders are not negations, from the
+        table's one sweep: the first call stores the i < j entries not yet
+        stored and keeps the list in _verdict, which later calls return.
+        The blocks pair up the runs of equal label kind; each is dropped
+        before the next.  ValueError, keeping nothing, if the rule left a
+        pair i != j without a row, found by one count of the table."""
+        if self._verdict is not None:
+            return self._verdict
         n, kinds = self.dim, [lab[0] for lab in self.basis]
         cuts = [0] + [i for i in range(1, n) if kinds[i] != kinds[i - 1]] + [n]
         runs = [range(a, b) for a, b in zip(cuts, cuts[1:])]
@@ -158,9 +159,7 @@ class LieAlgebra:
         p, table, bad = self.config.field.characteristic, self._table, []
         for A, B in blocks:
             self.evaluated += len(A) * len(B) * (1 if A == B else 2)
-            rows = iter(self._fn(A, B))
-            for i, j, t in rows:
-                u = t if i == j else next(rows)[2]
+            for i, j, t, u in self._fn(A, B):
                 if i > j:
                     i, j, t, u = j, i, u, t
                 if i < j:
@@ -172,6 +171,7 @@ class LieAlgebra:
                     bad.append((i, j))
         if len(table) < comb(n, 2):
             raise ValueError(f"{self.name}: the block rule left pairs without a row")
+        self._verdict = bad
         return bad
 
     def numerators(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
@@ -195,9 +195,8 @@ class LieAlgebra:
         return tuple((k, scalar(c, den)) for k, c in self.numerators(i, j))
 
     def materialize(self) -> "LieAlgebra":
-        """Fill the table by the block sweep; at once if it is complete."""
-        if len(self._table) < comb(self.dim, 2):
-            self._sweep()
+        """Fill the table by its one sweep (_sweep); at once if that ran."""
+        self._sweep()
         return self
 
     def nonzero_count(self) -> int:
@@ -226,9 +225,10 @@ class LieAlgebra:
         algebra's engine (a mutant exists to be verified), so the copy
         takes the complete table with one numerator negated, and an engine
         patched from this one's: the same index arrays, its own values with
-        the flipped constant's two entries negated.  This algebra is left
-        unchanged.  ValueError, before any engine is built, unless i, j
-        and k are int indices that name one.
+        the flipped constant's two entries negated.  It keeps this one's
+        antisymmetry verdict (same rule).  This algebra is left unchanged.
+        ValueError, before any engine is built, unless i, j and k are int
+        indices that name one.
         """
         if i == j:
             raise ValueError("mutation needs two distinct basis indices")
@@ -236,7 +236,7 @@ class LieAlgebra:
             i, j = j, i
         _check_pair(i, j, self.dim)
         terms = self.numerators(i, j)
-        if not isinstance(k, _INT) or k not in {t[0] for t in terms}:
+        if not isinstance(k, _INT) or type(k) is bool or k not in {t[0] for t in terms}:
             raise ValueError(f"no structure constant at ({i}, {j}, {k})")
         engine = self.adjoint_products()
         p = self.config.field.characteristic
@@ -567,12 +567,12 @@ def verify_antisymmetry(L: LieAlgebra) -> list[tuple[int, int]]:
     """The pairs (i, j), i <= j, ascending, where the block rule fails
     antisymmetry.
 
-    The stored table is antisymmetric by construction, so this evaluates
-    the block rule in both orders (and on the diagonal, which must
-    vanish) over every block of the full sweep, comparing the rows.  The
-    ascending-order result is stored, so a later materialize or Jacobi
-    sweep does not evaluate it again.  ValueError if the rule gives no
-    row for a pair.
+    The stored table is antisymmetric by construction, so this reads the
+    verdict of its one sweep (L._sweep, run here or by materialize,
+    whichever comes first): the block rule's two orders of every pair
+    compared, and the diagonal, which must vanish.  The sweep stores the
+    ascending-order entries the later checks read.  ValueError if the
+    rule gives no row for a pair.
     """
     return sorted(L._sweep())
 
@@ -662,9 +662,9 @@ def spanning_check(L: LieAlgebra) -> SpanReport:
 def run_checks(L: LieAlgebra) -> list[dict]:
     """The battery, in order: {"check": name, ...fields, "ok", "seconds"} each.
 
-    seconds is the check's own wall time.  Antisymmetry runs first, so the
-    brackets it evaluates (brackets_evaluated) fill the table the later
-    checks read; nonzero counts the nonzero ones stored.
+    seconds is the check's own wall time.  Antisymmetry runs first: the one
+    sweep fills the table the later checks read (brackets_evaluated: dim^2
+    if it runs here, else 0); nonzero counts the nonzero brackets stored.
     """
 
     def antisymmetry() -> dict:

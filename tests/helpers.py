@@ -14,12 +14,12 @@ action on a spinor, the polarisation change of a basis-index triple,
 the e6 coefficient sweep, the dense Gauss-Jordan elimination (the
 oracle of linalg's sparse reducer: its ranks and inverses), the e7
 constant solve through field-scalar Jacobi rows and a dense kernel (the
-oracle of builders.solve_e7_constants), the graded chassis's per-pair
-dispatch (the oracle of its block routines), the block rule of a bracket
-on label pairs and the unmemoized 1 x 1 read of a block rule, the
-parity of a spinor vector, masks from 1-based indices, scalar parsing
-and a parity-breaking patch of builders._c2_move are used only by the
-tests, so they live here rather than in the package.
+oracle of builders.solve_e7_constants) and its seeded triples, the
+graded chassis's per-pair dispatch (the oracle of its block routines),
+the block rule of a bracket on label pairs and the unmemoized 1 x 1 read
+of a block rule, the parity of a spinor vector, masks from 1-based
+indices, scalar parsing and a parity-breaking patch of builders._c2_move
+are used only by the tests, so they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -123,14 +123,8 @@ def e7_constants_by_nullspace(
     config, form = _builder_setup(SPINOR_N["e7"], field, form)
     zero = config.field.zero()
     parts = (_e7_chassis(config, form, 1, 0), _e7_chassis(config, form, 0, 1))
-    index = parts[0].index
-    rnd = random.Random(20240801)
-    evens = [m for m in range(config.size) if parity(m) == 0]
     rows: list[list[Scalar]] = []
-    for _ in range(60):
-        triple = [
-            index[("s2", rnd.choice(evens), rnd.choice((0, 1)))] for _ in range(3)
-        ]
+    for triple in e7_seeded_triples(parts[0]):
         p, q = (_scalar_jacobi_sum(L, *triple) for L in parts)
         rows += ([p.get(k, zero), q.get(k, zero)] for k in sorted(p.keys() | q.keys()))
     work, pivot_cols = dense_rref(rows, 2, config.field)
@@ -145,6 +139,18 @@ def e7_constants_by_nullspace(
         return a.value, b.value
     den = a.denominator * b.denominator
     return int(a * den), int(b * den)
+
+
+def e7_seeded_triples(L: LieAlgebra) -> list[list[int]]:
+    """The 60 seeded spinor-tensor index triples that
+    builders.solve_e7_constants reads, drawn as it draws them, on e7's
+    chassis L."""
+    rnd = random.Random(20240801)
+    evens = [m for m in range(L.config.size) if parity(m) == 0]
+    return [
+        [L.index[("s2", rnd.choice(evens), rnd.choice((0, 1)))] for _ in range(3)]
+        for _ in range(60)
+    ]
 
 
 def _scalar_jacobi_sum(L: LieAlgebra, x: int, y: int, z: int) -> dict[int, Scalar]:
@@ -751,7 +757,7 @@ def chassis_with_dispatch(monkeypatch, build, field: Field):
     monkeypatch.setattr(builders_mod, "_graded_algebra", spy)
     L = build(field=field)
     monkeypatch.setattr(builders_mod, "_graded_algebra", real)
-    args, kwargs = calls[-1]  # e7's constant solve builds two charts first
+    args, kwargs = calls[-1]  # e7's constant solve builds one chart first
     _, _, den, extra, module, pair = args[:6]
     extra_bracket, extra_act = (list(args[6:]) + [None, None])[:2]
     extra_bracket = kwargs.get("extra_bracket", extra_bracket)
@@ -807,10 +813,12 @@ def label_rule(basis: list, fn):
 
 def bracket_1x1(L: LieAlgebra, la, lb) -> dict:
     """[la, lb] read off L's block rule as its 1 x 1 block, keyed by label:
-    numerators in the table's form, nothing stored in L's table."""
+    numerators in the table's form, nothing stored in L's table.  The
+    block's one row (a, b, [b_a, b_b], [b_b, b_a]) may hold (i, j) either
+    way round."""
     i, j = L.index[la], L.index[lb]
     rows = L._fn(range(i, i + 1), range(j, j + 1))
-    (terms,) = [t for a, b, t in rows if (a, b) == (i, j)]
+    (terms,) = [t if a == i else u for a, b, t, u in rows if {a, b} == {i, j}]
     return {L.basis[k]: c for k, c in terms}
 
 

@@ -58,6 +58,7 @@ from .helpers import (
     dispatch_row,
     dense_rank,
     e7_constants_by_nullspace,
+    e7_seeded_triples,
     flip_f12_parity,
     grade2_pairing_projected,
     label_rule,
@@ -249,7 +250,9 @@ class TestLieAlgebraCore:
             e6.bracket(i, i)
 
     @pytest.mark.parametrize(
-        "pair", [(-1, 5), (5, -1), (100, 200), (78, 3), (1.5, 3), (2, 2.5)]
+        "pair",
+        [(-1, 5), (5, -1), (100, 200), (78, 3), (1.5, 3), (2, 2.5), (True, 50),
+         (50, False)],
     )
     def test_bracket_rejects_bad_pair_before_evaluating(self, e6, pair):
         L, calls = wrapped_e6(e6)
@@ -386,6 +389,17 @@ class TestBuildE8:
         assert L.evaluated == 248 * 248
 
 
+def int_jacobi_sum(L, x, y, z):
+    """[[x, y], z] + [[y, z], x] + [[z, x], y], whole, as int numerators
+    over L.den^2 read through L.numerators."""
+    out = {}
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        for k, s in L.numerators(a, b):
+            for m, t in L.numerators(k, c):
+                out[m] = out.get(m, 0) + s * t
+    return out
+
+
 class TestBuildE7:
     def test_dimension(self, e7):
         assert e7.dim == 133
@@ -410,12 +424,40 @@ class TestBuildE7:
         field = make_field(spec)
         assert solve_e7_constants(field) == e7_constants_by_nullspace(field)
 
+    @pytest.mark.parametrize("spec", ["q", "fp:7"])
+    def test_build_makes_two_chassis(self, monkeypatch, spec):
+        # one chart for the constant solve, then the algebra itself
+        names = []
+        real = builders_mod._graded_algebra
+
+        def spy(*args, **kwargs):
+            names.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(builders_mod, "_graded_algebra", spy)
+        assert build_e7(field=make_field(spec)).dim == 133
+        assert names == ["e7", "e7"]
+
+    @pytest.mark.parametrize("spec", ["q", "fp:7"])
+    def test_split_sums_are_the_two_charts(self, spec):
+        # the so(12) and sl2 parts of the (1, 1) chart's Jacobi sums are the
+        # whole sums of the (1, 0) and (0, 1) charts on the seeded triples
+        config, form = builders_mod._builder_setup(6, make_field(spec), None)
+        one = builders_mod._e7_chassis(config, form, 1, 1)
+        charts = [builders_mod._e7_chassis(config, form, *c) for c in ((1, 0), (0, 1))]
+        nonzero = 0
+        for triple in e7_seeded_triples(one):
+            parts = builders_mod._jacobi_sum(one, *triple)
+            assert parts == tuple(int_jacobi_sum(L, *triple) for L in charts)
+            nonzero += any(any(part.values()) for part in parts)
+        assert nonzero
+
     @pytest.mark.parametrize(
         "sums, message",
         [
-            ([{}], "constrain no bracket constants"),
-            # P then Q for each triple: rows (1, 0) and (0, 1)
-            ([{0: 1}, {1: 1}], "no bracket"),
+            ([({}, {})], "constrain no bracket constants"),
+            # the so(12) and sl2 parts of each triple: rows (1, 0) and (0, 1)
+            ([({0: 1}, {1: 1})], "no bracket"),
         ],
         ids=["rank0", "rank2"],
     )
@@ -904,9 +946,11 @@ class TestOneEngine:
             (0, 1, 9999, "no structure constant at (0, 1, 9999)"),
             (1.0, 3, 0, "bad index pair (1.0, 3)"),
             (3, 1.5, 0, "bad index pair (1.5, 3)"),
+            (True, 3, 0, "bad index pair (True, 3)"),
+            (3, False, 0, "bad index pair (False, 3)"),
         ],
         ids=["high", "high-swapped", "negative", "no-constant", "integral-float",
-             "float"],
+             "float", "bool", "bool-swapped"],
     )
     def test_flip_bad_input_builds_nothing(self, engine_builds, i, j, k, message):
         L = build_e8()
@@ -915,6 +959,14 @@ class TestOneEngine:
         assert engine_builds == []
         # at most the one bracket the flip names was evaluated
         assert set(L._table) <= {(0, 1)}
+
+    def test_flip_bool_constant_builds_nothing(self, engine_builds):
+        # True == 1, so a bracket with a term on basis vector 1 would take it
+        L = build_e6().materialize()
+        (i, j), _ = next(e for e in L.nonzero_brackets() if 1 in dict(e[1]))
+        with pytest.raises(ValueError, match=re.escape(f"({i}, {j}, True)")):
+            with_flipped_sign(L, i, j, True)
+        assert L._engine is None and engine_builds == []
 
     def test_flip_non_integer_constant_builds_nothing(self, engine_builds):
         L = build_e6().materialize()
@@ -932,8 +984,9 @@ class TestOneEngine:
             ([], "no index pairs given"),
             ([(1.5, 3)], "bad index pair (1.5, 3)"),
             ([(0, 1), (2, 3.0)], "bad index pair (2, 3.0)"),
+            ([(True, 50)], "bad index pair (True, 50)"),
         ],
-        ids=["empty", "float", "integral-float"],
+        ids=["empty", "float", "integral-float", "bool"],
     )
     @pytest.mark.parametrize("verify", [verify_jacobi])
     def test_bad_pair_set_builds_nothing(self, engine_builds, verify, pairs, message):
@@ -1056,19 +1109,24 @@ class TestEngineBounds:
 
 
 def wrapped_e6(base, broken=None):
-    """e6's block rule behind a counter of the rows it yields, by ordered
-    label pair, optionally broken on one ordered label pair (its row gains
-    den on basis vector 0)."""
+    """e6's block rule behind a counter of the brackets it evaluates, by
+    ordered label pair (both orders of each row, the diagonal once),
+    optionally broken on one ordered label pair (that order gains den on
+    basis vector 0)."""
     calls = Counter()
 
+    def fault(t):
+        out = dict(t)
+        out[0] = out.get(0, 0) + base.den
+        return tuple(sorted((k, c) for k, c in out.items() if c))
+
     def fn(A, B):
-        for i, j, t in base._fn(A, B):
-            calls[(base.basis[i], base.basis[j])] += 1
-            if (base.basis[i], base.basis[j]) == broken:
-                out = dict(t)
-                out[0] = out.get(0, 0) + base.den
-                t = tuple(sorted((k, c) for k, c in out.items() if c))
-            yield i, j, t
+        for i, j, t, u in base._fn(A, B):
+            ij, ji = (base.basis[i], base.basis[j]), (base.basis[j], base.basis[i])
+            calls[ij] += 1
+            if i != j:
+                calls[ji] += 1
+            yield i, j, fault(t) if ij == broken else t, fault(u) if ji == broken else u
 
     return LieAlgebra("e6~wrapped", base.config, base.basis, fn, base.den), calls
 
@@ -1089,7 +1147,8 @@ class TestBracketsBuiltOnce:
         assert L.numerators(60, 2) == e6.numerators(60, 2)
         assert list(L._table) == [(2, 60)]
         assert L.bracket(2, 60) == e6.bracket(2, 60)
-        assert calls == {(L.basis[2], L.basis[60]): 1}
+        # the 1 x 1 block's one row holds both orders
+        assert calls == {(L.basis[2], L.basis[60]): 1, (L.basis[60], L.basis[2]): 1}
 
     @pytest.mark.parametrize("materialize_first", [False, True])
     @pytest.mark.parametrize("order", ["forward", "reverse"])
@@ -1129,6 +1188,49 @@ class TestBracketsBuiltOnce:
         assert set(calls.values()) == {1}
         assert len(calls) == L.dim * L.dim
 
+    def test_materialize_then_checks_evaluate_each_bracket_once(self, e6):
+        L, calls = wrapped_e6(e6)
+        L.materialize()
+        assert verify_antisymmetry(L) == []
+        assert all(c["ok"] for c in run_checks(L))
+        assert set(calls.values()) == {1}
+        assert len(calls) == L.evaluated == L.dim * L.dim
+
+    @pytest.mark.parametrize("order", ["forward", "reverse"])
+    def test_broken_pair_one_verdict_from_every_call(self, e6, order):
+        i, j = 3, 70
+        broken = (e6.basis[i], e6.basis[j])
+        L, calls = wrapped_e6(e6, broken if order == "forward" else broken[::-1])
+        L.materialize()
+        assert verify_antisymmetry(L) == [(i, j)]
+        assert run_checks(L)[0]["violations"] == [[i, j]]
+        assert verify_antisymmetry(L) == [(i, j)]
+        assert set(calls.values()) == {1} and L.evaluated == L.dim * L.dim
+
+    def test_run_checks_counts_the_one_sweep(self, e6):
+        # a fresh algebra (the CLI path) is swept by the antisymmetry
+        # check; one already swept evaluates nothing more
+        fresh, _ = wrapped_e6(e6)
+        assert run_checks(fresh)[0]["brackets_evaluated"] == fresh.dim ** 2
+        swept, calls = wrapped_e6(e6)
+        swept.materialize()
+        calls.clear()
+        entry = run_checks(swept)[0]
+        assert entry["brackets_evaluated"] == 0 and entry["nonzero"] == 1028
+        assert not calls
+
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_flip_keeps_the_parent_verdict(self, e6, broken):
+        i, j = 3, 70
+        L, calls = wrapped_e6(e6, (e6.basis[i], e6.basis[j]) if broken else None)
+        want = verify_antisymmetry(L)
+        assert want == ([(i, j)] if broken else [])
+        (a, b), terms = L.nonzero_brackets()[0]
+        clone = with_flipped_sign(L, a, b, terms[0][0])
+        calls.clear()
+        assert verify_antisymmetry(clone) == want
+        assert clone.materialize() is clone and not calls
+
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden"
 BUILDS = {"e6": build_e6, "e7": build_e7, "e8": build_e8}
@@ -1151,17 +1253,14 @@ class TestBlockRows:
         for a, A in enumerate(runs):
             for B in runs[a:]:
                 rows = list(L._fn(A, B))
-                want = {(i, j) for i in A for j in B} | {(j, i) for i in A for j in B}
-                assert len(rows) == len(want) == len({(i, j) for i, j, _ in rows})
-                assert {(i, j) for i, j, _ in rows} == want
-                at = 0
-                while at < len(rows):
-                    i, j, t = rows[at]
+                # one row per unordered pair, holding both orders
+                want = {(min(i, j), max(i, j)) for i in A for j in B}
+                got = [(min(i, j), max(i, j)) for i, j, _, _ in rows]
+                assert len(rows) == len(want) == len(set(got))
+                assert set(got) == want
+                for i, j, t, u in rows:
                     assert t == dispatch_row(L, fn, den, i, j), (i, j)
-                    if i != j:  # the other order comes right after
-                        assert rows[at + 1][:2] == (j, i)
-                        assert rows[at + 1][2] == dispatch_row(L, fn, den, j, i)
-                    at += 2 if i != j else 1
+                    assert u == dispatch_row(L, fn, den, j, i), (j, i)
         assert L.evaluated == 0 and not L.nonzero_count()
         # the per-pair path is the 1 x 1 call of the same routine
         r = rng(len(spec) + L.dim)
@@ -1268,8 +1367,9 @@ class TestTableForm:
 
     @pytest.mark.parametrize("p", [None, 7])
     def test_chassis_drops_zero_numerators(self, monkeypatch, p):
-        # e7's constant-solve charts compute zero numerators (c * 0 * w at
-        # c1 = 0); the chassis's terms() drops them before a row is stored
+        # e7's chassis at (1, 0) and (0, 1), the charts of the constant
+        # solve's test oracle, compute zero numerators (c * 0 * w at c1 = 0);
+        # the chassis's terms() drops them before a row is stored
         config, form = builders_mod._builder_setup(
             6, PrimeField(p) if p else Rationals(), None
         )
@@ -1629,7 +1729,7 @@ class TestIndependence:
 
     def test_only_lie_algebra_touches_its_table(self):
         # no code outside the LieAlgebra class body reads or writes the
-        # stored table or the bracket function
+        # stored table, the kept antisymmetry verdict or the bracket function
         src = Path(exceptional_mod.__file__).parent
         for path in sorted(src.glob("*.py")):
             tree = ast.parse(path.read_text())
@@ -1641,7 +1741,7 @@ class TestIndependence:
                 (path.name, node.lineno)
                 for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute)
-                and node.attr in ("_table", "_fn")
+                and node.attr in ("_table", "_verdict", "_fn")
                 and id(node) not in inside
             ]
             assert not touches
