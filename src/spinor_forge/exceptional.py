@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -43,7 +43,7 @@ import numpy as np
 
 from .field import Scalar, scalar_str
 from .fock import Config, mask_str
-from .linalg import IncrementalRank, inverse
+from .linalg import IncrementalRank
 
 # A basis label: (kind, *fields), e.g. ("ei", 1, 2) or ("s", mask).
 Label = tuple
@@ -176,6 +176,8 @@ class LieAlgebra:
 
     def numerators(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         """[b_i, b_j] as ((k, numerator over den), ...) ascending in k."""
+        if type(i) is bool or type(j) is bool:  # True == 1 would find (1, j)
+            _check_pair(i, j, self.dim)
         key = (i, j) if i < j else (j, i)
         got = self._table.get(key)
         if got is None:
@@ -715,13 +717,6 @@ class RootDatum:
         )
 
 
-def _first_nonzero_positive(vec: tuple[int, ...]) -> bool:
-    for v in vec:
-        if v:
-            return v > 0
-    return False
-
-
 def _dynkin_type(a: list[tuple[int, ...]]) -> str:
     r = len(a)
     adj = {i: [j for j in range(r) if j != i and a[i][j]] for i in range(r)}
@@ -761,11 +756,17 @@ def _dynkin_type(a: list[tuple[int, ...]]) -> str:
 def root_decomposition(L: LieAlgebra) -> RootDatum:
     """Decompose L under its diagonal Cartan subalgebra and name the type.
 
-    The Cartan basis is the diagonal grade-2 part F_aa (plus the sl2 h or
-    the grading element when present); every other basis vector must be a
-    simultaneous ad-eigenvector with integer weights.  Root lengths use
-    the Killing form restricted to the Cartan, computed from the roots
-    themselves.  Rational field only.
+    The Cartan basis H_s is the diagonal grade-2 part F_aa (plus the sl2 h
+    or the grading element when present); every other basis vector x_g
+    must be a simultaneous ad-eigenvector with integer weights g, g_s the
+    eigenvalue of ad H_s, and the roots must be closed under negation.
+    Positive means lexicographically positive.  Everything past the
+    weights is int arithmetic on the table's numerators: the coroot of a
+    root b is h_b = [x_b, x_-b], which must lie in the Cartan span with
+    b(h_b) != 0, and a_ij = 2 a_i(h_j) / a_j(h_j).  The root norms are
+    (b, b) = b(h_b)^2 / kappa(h_b, h_b), kappa(h, h') = sum over the roots
+    g of g(h) g(h') being the Killing form on the Cartan; den cancels from
+    both ratios.  Rational field only.
     """
     if L.config.field.characteristic != 0:
         raise ValueError("root decomposition requires the rational field")
@@ -800,53 +801,51 @@ def root_decomposition(L: LieAlgebra) -> RootDatum:
                 )
         weights.append(tuple(w))
     cartan_set = set(cartan_idx)
-    roots = []
+    at = {}  # root -> the index of its root vector
     for x in range(L.dim):
         if x in cartan_set:
             continue
         if not any(weights[x]):
             raise ValueError("zero weight outside the Cartan subalgebra")
-        roots.append(weights[x])
-    if len(set(roots)) != len(roots):
+        at[weights[x]] = x
+    roots = sorted(at)
+    if len(roots) != L.dim - r:
         raise ValueError("repeated root")
+    neg = {g: tuple(-v for v in g) for g in roots}
+    if not all(m in at for m in neg.values()):
+        raise ValueError("roots are not closed under negation")
 
-    killing = [
-        [Fraction(sum(g[s] * g[t] for g in roots)) for t in range(r)]
-        for s in range(r)
-    ]
-    try:
-        kinv = inverse(killing, L.config.field)
-    except ValueError:
-        raise ValueError("restricted Killing form is singular") from None
-
-    # ip(al, be) * den = al^T gram be, with gram = den * kinv an int matrix
-    den = lcm(*(c.denominator for row in kinv for c in row))
-    gram = [[int(c * den) for c in row] for row in kinv]
-
-    def ip(al, be):
-        return sum(al[s] * sum(gram[s][t] * be[t] for t in range(r)) for s in range(r))
-
-    positive = sorted(g for g in roots if _first_nonzero_positive(g))
-    if 2 * len(positive) != len(roots):
-        raise ValueError("roots do not split into opposite halves")
+    positive = [g for g in roots if g > (0,) * r]
     pos_set = set(positive)
-    simple = []
-    for al in positive:
-        if not any(
-            tuple(al[s] - be[s] for s in range(r)) in pos_set
-            for be in positive
-            if be != al
-        ):
-            simple.append(al)
+    simple = [
+        al
+        for al in positive
+        if not any(tuple(a - b for a, b in zip(al, be)) in pos_set for be in positive)
+    ]
     if len(simple) != r:
         raise ValueError(f"found {len(simple)} simple roots, expected {r}")
-    simple = sorted(simple)
+
+    def on(al, h):  # al(h), h in Cartan coordinates
+        return sum(a * b for a, b in zip(al, h))
+
+    slot = {k: s for s, k in enumerate(cartan_idx)}
+    coroot = {}  # root b -> (h_b, b(h_b)), numerators over den
+    for g in roots:
+        h = [0] * r
+        for k, c in L.numerators(at[g], at[neg[g]]):
+            if k not in slot:
+                raise ValueError(f"[x, x_-] of root {g} leaves the Cartan subalgebra")
+            h[slot[k]] = c
+        coroot[g] = h, on(g, h)
+        if not coroot[g][1]:
+            raise ValueError(f"root {g} vanishes on its coroot")
 
     cartan_matrix = []
     for al in simple:
         row = []
         for be in simple:
-            val, rem = divmod(2 * ip(al, be), ip(be, be))
+            h, bh = coroot[be]
+            val, rem = divmod(2 * on(al, h), bh)
             if rem:
                 raise ValueError("non-integral Cartan matrix entry")
             row.append(val)
@@ -858,18 +857,22 @@ def root_decomposition(L: LieAlgebra) -> RootDatum:
             if i != j and cartan_matrix[i][j] not in (0, -1):
                 raise ValueError("unexpected off-diagonal Cartan matrix entry")
 
+    gram = [[sum(g[s] * g[t] for g in roots) for t in range(r)] for s in range(r)]
     return RootDatum(
         algebra=L.name,
         cartan_labels=tuple(L.basis[i] for i in cartan_idx),
         cartan_indices=tuple(cartan_idx),
         weights=tuple(weights),
-        roots=tuple(sorted(roots)),
+        roots=tuple(roots),
         positive_roots=tuple(positive),
         simple_roots=tuple(simple),
         cartan_matrix=tuple(cartan_matrix),
         rank=r,
         type_name=_dynkin_type(cartan_matrix),
-        root_norms=frozenset(Fraction(ip(g, g), den) for g in roots),
+        root_norms=frozenset(
+            Fraction(bh * bh, on(h, [on(row, h) for row in gram]))
+            for h, bh in coroot.values()
+        ),
     )
 
 

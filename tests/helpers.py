@@ -12,7 +12,9 @@ identities on spinor values, the bracket relations one slot at a time
 commutator and the adjoint after one move), the grading element's
 action on a spinor, the polarisation change of a basis-index triple,
 the e6 coefficient sweep, the dense Gauss-Jordan elimination (the
-oracle of linalg's sparse reducer: its ranks and inverses), the e7
+oracle of linalg's sparse reducer: its ranks), the root data read
+through the inverse of the restricted Killing form (the oracle of
+root_decomposition's coroot read), the e7
 constant solve through field-scalar Jacobi rows and a dense kernel (the
 oracle of builders.solve_e7_constants) and its seeded triples, the
 graded chassis's per-pair dispatch (the oracle of its block routines),
@@ -106,6 +108,41 @@ def dense_rref(
             work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
         pivot_cols.append(col)
     return work, pivot_cols
+
+
+def killing_inverse_roots(roots) -> tuple:
+    """(simple roots, Cartan matrix, root norms) of a list of roots, read
+    through the inverse of the restricted Killing form.
+
+    K[s][t] = sum over the roots g of g[s] g[t] is inverted by dense_rref
+    of [K | I], (a, b) = a K^-1 b, positive means first nonzero entry
+    positive, simple means no difference with another positive root is
+    positive, and a_ij = 2 (a_i, a_j) / (a_j, a_j).
+    """
+    r, field = len(roots[0]), Rationals()
+    aug = [
+        [Fraction(sum(g[s] * g[t] for g in roots)) for t in range(r)]
+        + [Fraction(int(s == t)) for t in range(r)]
+        for s in range(r)
+    ]
+    work, pivot_cols = dense_rref(aug, 2 * r, field)
+    assert pivot_cols == list(range(r)), "restricted Killing form is singular"
+    kinv = [row[r:] for row in work]
+
+    def ip(al, be):
+        return sum(al[s] * kinv[s][t] * be[t] for s in range(r) for t in range(r))
+
+    positive = sorted(g for g in roots if next(v for v in g if v) > 0)
+    pos_set = set(positive)
+    simple = tuple(
+        al
+        for al in positive
+        if not any(
+            tuple(a - b for a, b in zip(al, be)) in pos_set for be in positive if be != al
+        )
+    )
+    cartan = tuple(tuple(2 * ip(al, be) / ip(be, be) for be in simple) for al in simple)
+    return simple, cartan, frozenset(ip(g, g) for g in roots)
 
 
 def dense_rank(rows: list[list[Scalar]], field: Field) -> int:

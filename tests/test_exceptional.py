@@ -61,6 +61,7 @@ from .helpers import (
     e7_seeded_triples,
     flip_f12_parity,
     grade2_pairing_projected,
+    killing_inverse_roots,
     label_rule,
     rand_spinor,
     rng,
@@ -259,6 +260,13 @@ class TestLieAlgebraCore:
         with pytest.raises(ValueError, match=re.escape(f"bad index pair {pair}")):
             L.bracket(*pair)
         assert not calls and not L._table
+        # on a table hit too: a bool must not read the entry of 0 or 1
+        L.materialize()
+        calls.clear()
+        for read in (L.numerators, L.bracket):
+            with pytest.raises(ValueError, match=re.escape(f"bad index pair {pair}")):
+                read(*pair)
+        assert not calls
 
     def test_table_stores_lower_triangle(self, e6):
         e6.bracket(60, 2)
@@ -1623,9 +1631,9 @@ class TestRootDecomposition:
         with pytest.raises(ValueError):
             root_decomposition(L)
 
-    def test_rejects_singular_restricted_killing_form(self):
-        # two Cartan elements acting alike: roots (1, 1) and (-1, -1) give
-        # the restricted Killing form [[2, 2], [2, 2]]
+    def test_rejects_degenerate_cartan(self):
+        # two Cartan elements acting alike: the roots (1, 1) and (-1, -1)
+        # do not span the rank-2 Cartan, so one root is simple, not two
         config = Config(2)
 
         def fn(la, lb):
@@ -1637,7 +1645,41 @@ class TestRootDecomposition:
 
         basis = [("ei", 1, 1), ("ei", 2, 2), ("s", 0), ("s", 1)]
         L = LieAlgebra("degenerate", config, basis, label_rule(basis, fn), 1)
-        with pytest.raises(ValueError, match="restricted Killing form is singular"):
+        with pytest.raises(ValueError, match="found 1 simple roots, expected 2"):
+            root_decomposition(L)
+
+    def test_coroot_read_matches_the_killing_inverse(self, e6, e7, e8):
+        for L in (e6, e7, e8):
+            rd = root_decomposition(L)
+            want = killing_inverse_roots(rd.roots)
+            assert (rd.simple_roots, rd.cartan_matrix, rd.root_norms) == want
+
+    @pytest.mark.parametrize(
+        "weight, coroot, match",
+        [
+            # sl2 with h = F_11 passes every coroot check; no rank-1 type
+            (-1, {("ei", 1, 1): 1}, "unrecognised Dynkin diagram"),
+            (2, {("ei", 1, 1): 1}, "not closed under negation"),
+            (-1, {("ei", 1, 1): 1, ("s", 0): 1}, "leaves the Cartan subalgebra"),
+            (-1, {}, "vanishes on its coroot"),
+        ],
+        ids=["sl2", "no-negative", "coroot-off-cartan", "zero-coroot"],
+    )
+    def test_rank_one_coroot_refusals(self, weight, coroot, match):
+        # Cartan H = F_11, root vectors s0 and s1 of weights 1 and `weight`,
+        # [s0, s1] = coroot
+        def fn(la, lb):
+            if la[0] == "ei" and lb[0] == "s":
+                return {lb: 1 if lb[1] == 0 else weight}
+            if la[0] == "s" and lb[0] == "ei":
+                return {la: -1 if la[1] == 0 else -weight}
+            if la[0] == lb[0] == "s" and la != lb:
+                return {k: c if la[1] == 0 else -c for k, c in coroot.items()}
+            return {}
+
+        basis = [("ei", 1, 1), ("s", 0), ("s", 1)]
+        L = LieAlgebra("rank-one", Config(1), basis, label_rule(basis, fn), 1)
+        with pytest.raises(ValueError, match=match):
             root_decomposition(L)
 
     def test_rejects_zero_weight_outside_cartan(self):
