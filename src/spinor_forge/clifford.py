@@ -22,17 +22,17 @@ product of two monomials is Wick's theorem in closed form, and one walk,
 `_wick`, writes it: contracting i_B against e_C over each subset S of
 B n C leaves one signed monomial, whose sign is a sum of popcount
 parities, and the walk visits only the subsets whose monomial survives.
-`multiply` and `commutator` run it on all term pairs and `transpose`, in
-one call per element, on i_B . e_A for each reversed term.
+`multiply` and `commutator` run it on all term pairs.
 
-The trace form never builds a product.  With u_a = 2 e_a i_a - 1 =
-e_a i_a - i_a e_a, each plane span(e_a, i_a) of V has the algebra basis
-{1, e_a, i_a, u_a}, and products of one basis element per plane (the
-plane terms e_A0 i_B0 u_T, A0, B0 and T disjoint) span the algebra.  On
-one plane the trace pairs 1 with 1 and u_a with u_a (trace 2 each), e_a
-with i_a (trace 1), and nothing else, since e_a, i_a and u_a are
-traceless; so e_A0 i_B0 u_T pairs only with its dual e_B0 i_A0 u_T, and
-`trace_product` is one dict lookup per plane term.
+The trace form and the transpose never build a product.  With
+u_a = 2 e_a i_a - 1 = e_a i_a - i_a e_a, each plane span(e_a, i_a) of V
+has the algebra basis {1, e_a, i_a, u_a}, and products of one basis
+element per plane (the plane terms e_A0 i_B0 u_T, A0, B0 and T
+disjoint) span the algebra.  On one plane the trace pairs 1 with 1 and
+u_a with u_a (trace 2 each), e_a with i_a (trace 1), and nothing else,
+since e_a, i_a and u_a are traceless; so e_A0 i_B0 u_T pairs only with
+its dual e_B0 i_A0 u_T, one dict lookup in `trace_rows`.  The transpose
+sends u_a to -u_a, so on e_A i_B it is a sign per subset of A n B.
 `vector_commutators` gives [x, E_s] for an even x and every orthonormal
 vector in closed form, one pass over the terms, with `commutator` as
 its test oracle.  `_blade_terms`, the one blade constructor, expands an
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
+from math import comb
 from typing import Iterable, Iterator, Optional, Union
 
 from .field import Scalar
@@ -140,8 +141,8 @@ def _wick(acc: dict[Monomial, int], rows: Iterable, flip: int) -> None:
     `_y_terms`).
 
     Wick's theorem in closed form, and the one walk over its contractions;
-    its three callers are `multiply`, `commutator` and `transpose`
-    (`trace_product` needs no product).  For an x-term c_x e_A i_B and a
+    its two callers are `multiply` and `commutator` (`transpose` and
+    `trace_rows` need no product).  For an x-term c_x e_A i_B and a
     y-term c_y e_C i_D, each subset S of B n C (the i factors contracted
     against matching e factors) gives, with B' = B - S and C' = C - S,
 
@@ -259,83 +260,102 @@ def act(x: CliffordElem, psi: SpinorVec) -> SpinorVec:
     return _apply_words(x.config, x._num, x._den, psi)
 
 
-def transpose(x: CliffordElem) -> CliffordElem:
-    """The anti-automorphism extending the identity on V.
+def _diag_keys(amask: int, bmask: int) -> list[Monomial]:
+    """The keys (A0 u S, B0 u S) over the subsets S of D = A n B, with
+    A0 = A - D and B0 = B - D, built block by block; S = {} comes first."""
+    diag = amask & bmask
+    keys = [(amask ^ diag, bmask ^ diag)]
+    for a in range(diag.bit_length()):
+        if (diag >> a) & 1:
+            bit = 1 << a
+            keys += [(emask | bit, imask | bit) for emask, imask in keys]
+    return keys
 
-    Reversing e_A i_B gives the word i_B-reversed e_A-reversed; reversing
-    inside a block of p anticommuting generators costs (-1)^(p(p-1)/2).
-    Each word i_B e_A is then normal-ordered by one `_wick` call over all
-    the terms, one row (i_B, [e_A]) per term, with empty outer blocks,
-    whose contractions never vanish.
+
+def transpose(x: CliffordElem) -> CliffordElem:
+    """The anti-automorphism extending the identity on V, in closed form.
+
+    A term c e_A i_B is (-1)^inv(A, B) c times its block word: e_a, i_a,
+    or e_d i_d for d in D = A n B.  Reversal costs (-1)^C(m, 2) on the
+    m = |A ^ B| one-generator blocks and sends e_d i_d to 1 - e_d i_d, so
+    the term goes to the sum over S in D (`_diag_keys`) of
+    (-1)^(inv(A, B) + C(m, 2) + |S| + inv(A0 u S, B0 u S)) c e_A0uS i_B0uS,
+    A0 = A - D, B0 = B - D.  By blocks, inv(A0 u T, B0 u T) = inv(A0, B0)
+    + C(|T|, 2) + |T n W| mod 2 for T in D, W the d in D with
+    #{b in B0 : b < d} + #{a in A0 : a > d} odd; so, with T = D and S, the
+    sign is (-1)^(C(m, 2) + C(|D|, 2) + C(|S| + 1, 2) + |(D - S) n W|).
     """
-    rows = []
-    for (amask, bmask), c in x._num.items():
-        p, q = amask.bit_count(), bmask.bit_count()
-        rev = (p * (p - 1) >> 1) + (q * (q - 1) >> 1)
-        rows.append((((0, bmask), -c if rev & 1 else c), [(amask, 0, 0, 0, 1)]))
     acc: dict[Monomial, int] = {}
-    _wick(acc, rows, 0)
+    for (amask, bmask), c in x._num.items():
+        diag, keys = amask & bmask, _diag_keys(amask, bmask)
+        a0, b0 = keys[0]
+        m, d = (a0 | b0).bit_count(), diag.bit_count()
+        flip = (m * (m - 1) >> 1) + (d * (d - 1) >> 1)
+        w = diag and prefix_parity(a0) ^ prefix_parity(b0) ^ -(a0.bit_count() & 1)
+        for key in keys:
+            sub = key[0] & diag
+            k = sub.bit_count()
+            odd = flip + (k * (k + 1) >> 1) + ((diag ^ sub) & w).bit_count()
+            acc[key] = acc.get(key, 0) + (-c if odd & 1 else c)
     return CliffordElem._make(x.config, acc, x._den)
 
 
-def _plane_terms(num: dict[Monomial, int], n: int) -> Iterator[tuple[Monomial, int]]:
-    """(key, v) for each plane term v 2^-n e_A0 i_B0 u_T of the sum of
-    c e_A i_B over the numerators `num`, keyed (A0 u T, B0 u T); the key's
-    two masks meet in T.  A key may come from several terms.
+def _plane_row(num: dict[Monomial, int], n: int) -> dict[Monomial, int]:
+    """{(A0 u T, B0 u T): v} for the sum of c e_A i_B over the numerators
+    `num`, written as the plane terms v 2^-n e_A0 i_B0 u_T.
 
     For a term c e_A i_B put D = A n B, A0 = A - D and B0 = B - D.  Each
     e_a i_a of D is (1 + u_a)/2, and the u_a commute with the other
     planes, so the term is +-c 2^-|D| times the sum of e_A0 i_B0 u_T over
-    the subsets T of D, built block by block; reordering the block word
-    costs (-1)^(inv(A, B) + inv(A0, B0)).  A term with D = {} is its own
-    plane term.
+    the subsets T of D (`_diag_keys`), the sign (-1)^(inv(A, B) +
+    inv(A0, B0)) of reordering the block word.
     """
+    row: dict[Monomial, int] = {}
     for (amask, bmask), c in num.items():
-        diag = amask & bmask
-        if not diag:
-            yield (amask, bmask), c << n
-            continue
-        a0, b0 = amask ^ diag, bmask ^ diag
-        v = c << (n - diag.bit_count())
-        if (inversion_parity(amask, bmask) + inversion_parity(a0, b0)) & 1:
+        keys = _diag_keys(amask, bmask)
+        v = c << (n - (amask & bmask).bit_count())
+        if (inversion_parity(amask, bmask) + inversion_parity(*keys[0])) & 1:
             v = -v
-        keys = [(a0, b0)]
-        for a in range(diag.bit_length()):
-            if (diag >> a) & 1:
-                bit = 1 << a
-                keys += [(emask | bit, imask | bit) for emask, imask in keys]
         for key in keys:
-            yield key, v
+            row[key] = row.get(key, 0) + v
+    return row
 
 
-def trace_product(x: CliffordElem, y: CliffordElem) -> Scalar:
-    """Tr(x y) without building the product: one dict lookup per plane
-    term of x (see `_plane_terms`).
+def trace_rows(config: Config, xs: Iterable, ys: Iterable) -> Iterator[list[Scalar]]:
+    """For each x of xs in turn, the row [Tr(x y) for y in ys], with no
+    product built.
 
-    In the plane basis (see the module docstring) the trace form is
-    orthogonal: e_A0 i_B0 u_T pairs only with e_B0 i_A0 u_T, and with
-    m = |A0| + |B0| their product has trace
-    (-1)^(|A0||B0| + C(m, 2)) 2^(n - m).  So the plane terms of y go into
-    one dict under their dual keys, and each plane term of x looks its
-    partner up; the sum is an int over den(x) den(y) 4^n.  The cost is
-    about the sum of 2^|A n B| over the terms of x and y.
+    The trace form pairs e_A0 i_B0 u_T only with its dual e_B0 i_A0 u_T
+    (see the module docstring), and with m = |A0| + |B0| their product has
+    trace (-1)^(|A0||B0| + C(m, 2)) 2^(n - m).  So the plane rows of the ys
+    go once into one index under their dual keys, and each plane term of x
+    looks its partners up.  A trace is an int over den(x) den(y) 4^n; only
+    a nonzero int becomes a scalar, every other entry one shared zero.
     """
-    config, n = x.config, x.config.n
-    config.check_same(y.config)
-    dual: dict[Monomial, int] = {}
-    for (emask, imask), v in _plane_terms(y._num, n):
-        key = (imask, emask)
-        dual[key] = dual.get(key, 0) + v
-    total = 0
-    for (emask, imask), v in _plane_terms(x._num, n):
-        w = dual.get((emask, imask))
-        if w:
-            diag = emask & imask
-            p, q = (emask ^ diag).bit_count(), (imask ^ diag).bit_count()
-            m = p + q
-            w = (v * w) << (n - m)
-            total += -w if (p * q + (m * (m - 1) >> 1)) & 1 else w
-    return config.field.from_fraction(total, x._den * y._den << 2 * n)
+    n, field = config.n, config.field
+    zero, ys = field.zero(), list(ys)
+    index: dict[Monomial, list[tuple[int, int]]] = {}
+    for j, y in enumerate(ys):
+        config.check_same(y.config)
+        for (emask, imask), w in _plane_row(y._num, n).items():
+            if w:
+                index.setdefault((imask, emask), []).append((j, w))
+    for x in xs:
+        config.check_same(x.config)
+        totals: dict[int, int] = {}
+        for (emask, imask), v in _plane_row(x._num, n).items():
+            if hits := index.get((emask, imask)):
+                diag = emask & imask
+                p, q = (emask ^ diag).bit_count(), (imask ^ diag).bit_count()
+                m = p + q
+                v = (-v if (p * q + (m * (m - 1) >> 1)) & 1 else v) << (n - m)
+                for j, w in hits:
+                    totals[j] = totals.get(j, 0) + v * w
+        row = [zero] * len(ys)
+        for j, total in totals.items():
+            if total:
+                row[j] = field.from_fraction(total, x._den * ys[j]._den << 2 * n)
+        yield row
 
 
 # Orthonormal slots: slot 2(a-1) is e_a + i_a with square +1, slot 2a-1 is
@@ -415,38 +435,28 @@ def grade_projections(x: CliffordElem) -> list[CliffordElem]:
     over blocks: a block holding e_a or i_a alone has grade 1, and one
     holding both splits as e_a i_a = (e_a i_a - 1/2) + 1/2 into grades 2
     and 0.  A term c e_A i_B is (-1)^inv(A, B) times its block word; with
-    D = A n B, keeping e_a i_a on the blocks T of D and -1/2 or 1/2 on
-    the rest of D leaves the monomial e_A' i_B', A' = (A - D) u T and
-    B' = (B - D) u T, in grade |A ^ B| + 2j for j the blocks given grade
-    2, and normal-ordering its block word costs (-1)^inv(A', B').  A
-    term starts as c 2^(n - |D|), and each block of D splits a numerator
-    v into 2v (e_a i_a), -v (its -1/2) and v (the 1/2 of grade 0), so
-    every part is an int numerator over den(x) 2^n.  The tests'
+    D = A n B, keeping e_a i_a on the blocks T of D (`_diag_keys`) and
+    -1/2 or 1/2 on the rest of D leaves e_A' i_B', A' = (A - D) u T and
+    B' = (B - D) u T, whose block word costs (-1)^inv(A', B') to
+    normal-order.  Choosing -1/2 on j of the |D - T| other blocks puts it
+    in grade |A ^ B| + 2(|T| + j) with numerator (-1)^j C(|D - T|, j)
+    c 2^(n - |D| + |T|) over den(x) 2^n.  The tests'
     `project_by_products` evaluates the orthonormal trace formula
     literally.
     """
     config, n = x.config, x.config.n
     parts: list[dict[Monomial, int]] = [{} for _ in range(2 * n + 1)]
     for (amask, bmask), c in x._num.items():
-        diag = amask & bmask
-        start = c << (n - diag.bit_count())
-        # (grade, A', B') -> numerator over den(x) 2^n
-        terms = {((amask ^ bmask).bit_count(), amask ^ diag, bmask ^ diag): start}
-        for a in range(diag.bit_length()):
-            if not (diag >> a) & 1:
-                continue
-            bit = 1 << a
-            nxt: dict[tuple[int, int, int], int] = {}
-            for (k, emask, imask), v in terms.items():
-                nxt[(k + 2, emask | bit, imask | bit)] = 2 * v
-                for key, w in (((k + 2, emask, imask), -v), ((k, emask, imask), v)):
-                    nxt[key] = nxt.get(key, 0) + w
-            terms = nxt
-        flip = inversion_parity(amask, bmask)
-        for (k, emask, imask), v in terms.items():
-            part, mono = parts[k], (emask, imask)
-            odd = flip + inversion_parity(emask, imask)
-            part[mono] = part.get(mono, 0) + (-v if odd & 1 else v)
+        diag, flip = amask & bmask, inversion_parity(amask, bmask)
+        d, base = diag.bit_count(), (amask ^ bmask).bit_count()
+        for key in _diag_keys(amask, bmask):
+            t = (key[0] & diag).bit_count()
+            v = c << (n - d + t)
+            if (flip + inversion_parity(*key)) & 1:
+                v = -v
+            for j in range(d - t + 1):
+                part = parts[base + 2 * (t + j)]
+                part[key] = part.get(key, 0) + (-v if j & 1 else v) * comb(d - t, j)
     den = x._den << n
     return [CliffordElem._make(config, part, den) for part in parts]
 

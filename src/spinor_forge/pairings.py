@@ -3,15 +3,16 @@
 The central object is the normalized grade-2 pairing taking two spinors to
 an element of the grade-2 part (the orthogonal Lie algebra inside C).  The
 four-sum grade2_pairing works on any two spinors and is the oracle: one
-signed Fock move per (word term, spinor term), pruned by masks alone (each
-spinor term visits the word terms whose i-mask lies in its mask), never by
-the basis case table.  On Fock basis pairs the pairing has the paper's
-closed form, the one case table of this package: _l2_coords writes it as
-int numerators on grade-2 labels, grade2_pairing_on_basis applies it to a
-third basis spinor through _c2_move, and the e6/e7/e8 builders run the two
-themselves, with the norm's numerator (_b_num) and the top-grade one
-(_top_num).  The top-grade and graded pairings and the orbit-map adjoint
-(after every slot's move at once: _slot_adjoints) round out the toolkit.
+signed Fock move per (word term, spinor term), pruned by masks alone (a
+spinor term visits the word terms whose i-mask lies in its mask and whose
+e-mask misses the rest), never by the basis case table.  On Fock basis
+pairs the pairing has the paper's closed form, the one case table of
+this package: _l2_coords writes it as int numerators on grade-2 labels,
+grade2_pairing_on_basis applies it to a third basis spinor through
+_c2_move, and the e6/e7/e8 builders run the two themselves, with the
+norm's numerator (_b_num) and the top-grade one (_top_num).  The
+top-grade and graded pairings and the orbit-map adjoint (after every
+slot's move at once: _slot_adjoints) round out the toolkit.
 Each rule is written once: E_s on e_M.v in _slot_move, the modes whose
 moves can reach a partner in _reach_modes (graded_pairing and
 _slot_adjoints), the adjoint's pairing of terms in _adjoint_rows
@@ -98,14 +99,14 @@ def _four_sum_words(config: Config) -> tuple:
 
 @lru_cache(maxsize=None)
 def _four_sum_groups(config: Config) -> tuple:
-    """(imask, ((emask, w, t), ...)): the four-sum's word terms grouped by
-    i-mask, term t of word w of _four_sum_words, all in word order.  Masks
-    and places only: the words stay the one source of the coefficients."""
-    groups: dict[int, list] = {}
+    """(imask, ((emask, [(w, t), ...]), ...)): term t of word w of
+    _four_sum_words, grouped by i-mask, then by e-mask, in word order.
+    Masks and places only: the words stay the one source of coefficients."""
+    groups: dict[int, dict[int, list]] = {}
     for w, (word, _, _) in enumerate(_four_sum_words(config)):
         for t, ((emask, imask), _) in enumerate(word):
-            groups.setdefault(imask, []).append((emask, w, t))
-    return tuple((imask, tuple(terms)) for imask, terms in groups.items())
+            groups.setdefault(imask, {}).setdefault(emask, []).append((w, t))
+    return tuple((imask, tuple(by_e.items())) for imask, by_e in groups.items())
 
 
 def grade2_pairing(form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec) -> CliffordElem:
@@ -123,8 +124,9 @@ def grade2_pairing(form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec) -> Clif
     basis case table, so this is the oracle of _l2_coords and
     grade2_pairing_on_basis: e_A i_B survives on e_M.v iff B lies in M and
     A misses M - B, so each psi1 term visits only the i-mask groups inside
-    M (_four_sum_groups), psi2 and the form are looked up at the image,
-    and only a hit computes the sign (-1)^(inv(B, M) + inv(A, M - B)).
+    M and in each the e-mask groups missing M - B (_four_sum_groups), psi2
+    and the form are looked up once per e-mask group, at the image, and
+    only a hit computes the sign (-1)^(inv(B, M) + inv(A, M - B)).
     Int numerators over den(psi1) den(psi2) den(B) times 2, the 2 carrying
     the diagonal half.  Equals 2^(n-1) times the grade-2 projection of the
     endomorphism pairing (checked in tests).
@@ -140,15 +142,16 @@ def grade2_pairing(form: BilinearForm, psi1: SpinorVec, psi2: SpinorVec) -> Clif
     words, groups = _four_sum_words(config), _four_sum_groups(config)
     accs = [0] * len(words)
     for mask, cp in psi1._num.items():
-        for imask, group in groups:
+        for imask, by_e in groups:
             if imask & ~mask:
                 continue
             rest = mask ^ imask
-            for emask, w, t in group:
+            for emask, places in by_e:
                 if not emask & rest and (wt := weights.get(rest | emask)) is not None:
-                    term = words[w][0][t][1] * cp * wt
                     odd = inversion_parity(imask, mask) ^ inversion_parity(emask, rest)
-                    accs[w] += -term if odd else term
+                    for w, t in places:
+                        term = words[w][0][t][1] * cp * wt
+                        accs[w] += -term if odd else term
     out: dict = {}
     for (_, target, weight), acc in zip(words, accs):
         if acc:

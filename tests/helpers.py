@@ -1,7 +1,8 @@
 """Deterministic random generators and Clifford-route oracles shared by the tests.
 
 The Clifford-route oracles (the endomorphism pairing with its matrix units
-and vacuum projector, the dense Fock matrix, the trace, blades as elements
+and vacuum projector, the dense Fock matrix, the trace, the transpose
+as a sum of products, blades as elements
 and blade coordinates, blades, the grading element and H built as
 products, the blade product and the literal grade projection, the
 unnormalized grade-2 pairing, slot names), the top-grade coefficient on
@@ -331,8 +332,24 @@ def slot_str(slot: int) -> str:
     return f"E{a}~" if slot & 1 else f"E{a}"
 
 
+def transpose_by_copies(x: CliffordElem) -> CliffordElem:
+    """The transpose as a sum of products i_B e_A, one per reversed term:
+    the route before the Wick walk and the closed form."""
+    config = x.config
+    out = CliffordElem.zero(config)
+    for (emask, imask), c in x.terms.items():
+        p, q = emask.bit_count(), imask.bit_count()
+        sign = -1 if ((p * (p - 1) // 2) + (q * (q - 1) // 2)) & 1 else 1
+        prod = multiply(
+            CliffordElem.monomial(config, 0, imask),
+            CliffordElem.monomial(config, emask, 0),
+        )
+        out = out + prod.scale(c if sign > 0 else -c)
+    return out
+
+
 def trace(x: CliffordElem) -> Scalar:
-    """Trace of the Fock action, the oracle of `trace_product`.
+    """Trace of the Fock action, the oracle of `trace_rows`.
 
     Off-diagonal monomials (emask != imask) move every basis vector, so
     only diagonal monomials e_K i_K contribute.  e_K i_K fixes each of

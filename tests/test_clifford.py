@@ -53,6 +53,7 @@ from .helpers import (
     to_blades,
     to_endomorphism_matrix,
     trace,
+    transpose_by_copies,
     vector_commutator,
 )
 
@@ -516,23 +517,6 @@ class TestGradeProjection:
         eps = grading_element(c)
         for s1, s2 in combinations(range(6), 2):
             assert commutator(q_map(c, (s1, s2)), eps).is_zero()
-
-
-# The route the one-pass transpose replaced, kept here as its oracle.
-
-
-def transpose_by_copies(x: CliffordElem) -> CliffordElem:
-    config = x.config
-    out = CliffordElem.zero(config)
-    for (emask, imask), c in x.terms.items():
-        p, q = emask.bit_count(), imask.bit_count()
-        sign = -1 if ((p * (p - 1) // 2) + (q * (q - 1) // 2)) & 1 else 1
-        prod = multiply(
-            CliffordElem.monomial(config, 0, imask),
-            CliffordElem.monomial(config, emask, 0),
-        )
-        out = out + prod.scale(c if sign > 0 else -c)
-    return out
 
 
 class TestClosedFormBlades:

@@ -19,7 +19,8 @@ import pytest
 from spinor_forge import clifford as clifford_mod
 from spinor_forge.clifford import (
     CliffordElem,
-    _plane_terms,
+    _diag_keys,
+    _plane_row,
     act,
     commutator,
     grade_project,
@@ -28,7 +29,7 @@ from spinor_forge.clifford import (
     multiply,
     orthonormal_vector,
     q_map,
-    trace_product,
+    trace_rows,
     transpose,
 )
 from spinor_forge.builders import c2_labels
@@ -67,6 +68,7 @@ from .helpers import (
     rng,
     to_blades,
     trace,
+    transpose_by_copies,
 )
 
 FIELDS = {"q": Rationals(), "fp7": PrimeField(7)}
@@ -197,6 +199,12 @@ def o_trace(config, xt):
         sign, _ = apply_monomial(emask, imask, emask)
         total = total + c * config.field.from_int(sign * (1 << (config.n - emask.bit_count())))
     return total
+
+
+def trace_product(x, y):
+    """Tr(x y) as the one entry of the 1 x 1 case of `trace_rows`."""
+    (row,) = trace_rows(x.config, [x], [y])
+    return row[0]
 
 
 def o_to_blades(config, xt):
@@ -653,6 +661,103 @@ def test_trace_product_top_grade_isometry_pairs(field, n):
         assert trace_product(x, y) == trace(multiply(x, y)), (s1, s2)
 
 
+@pytest.mark.parametrize("field", TRACE_FIELDS.values(), ids=TRACE_FIELDS.keys())
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_trace_rows_rectangular(field, n):
+    # 4 xs by 7 ys, the last three ys duals of xs, so that the rows hold
+    # zero and nonzero traces; the rows come one x at a time
+    config = Config(n, field)
+    r = rng(2500 + n)
+    xs = [rand_elem(config, r) for _ in range(2)]
+    xs += [diagonal_heavy_elem(config, r, r.randint(1, 3)) for _ in range(2)]
+    ys = [rand_elem(config, r) for _ in range(3)] + [diagonal_heavy_elem(config, r, 2)]
+    ys += [CliffordElem(config, {(b, a): c for (a, b), c in x.terms.items()}) for x in xs[1:]]
+    rows = trace_rows(config, iter(xs), iter(ys))
+    for x in xs:
+        assert next(rows) == [trace(multiply(x, y)) for y in ys]
+    assert next(rows, None) is None
+    assert list(trace_rows(config, [xs[0]], [ys[0]])) == [[trace(multiply(xs[0], ys[0]))]]
+    assert list(trace_rows(config, xs, [])) == [[]] * len(xs)
+    assert list(trace_rows(config, [], ys)) == []
+
+
+@pytest.mark.parametrize("field", list(FIELDS))
+@pytest.mark.parametrize("n", [1, 2])
+def test_trace_rows_every_monomial_pair(field, n):
+    # one call over all monomials on both sides; over Q (where no nonzero
+    # int total reads zero) every zero entry is the one shared zero
+    config = Config(n, FIELDS[field])
+    c = coeff_pool(config.field)[0]
+    monos = list(product(range(config.size), repeat=2))
+    elems = [CliffordElem(config, {m: c}) for m in monos]
+    rows = list(trace_rows(config, elems, elems))
+    for m1, row in zip(monos, rows):
+        want = [o_trace(config, o_multiply({m1: c}, {m2: c})) for m2 in monos]
+        assert row == want, m1
+    zero = config.field.zero()
+    if field == "q":
+        assert len({id(t) for row in rows for t in row if t == zero}) == 1
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_trace_rows_multiple_of_p_reads_zero(n):
+    # Tr(1 + 5 e1 i1) = 2^(n-1) (2 + 5): the same int numerators over Q and
+    # F_7, so the int total is 7 2^(n-1) times a power of 2, nonzero, and
+    # over F_7 it must read zero
+    for field, want in ((Rationals(), 7 << (n - 1)), (PrimeField(7), 0)):
+        config = Config(n, field)
+        one = CliffordElem.one(config)
+        y = one + CliffordElem.monomial(config, 1, 1, field.from_int(5))
+        assert list(trace_rows(config, [one], [y])) == [[field.from_int(want)]]
+        assert trace(y) == field.from_int(want)
+
+
+@pytest.mark.parametrize("field", list(FIELDS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_transpose_every_monomial(field, n):
+    config = Config(n, FIELDS[field])
+    c = coeff_pool(config.field)[0]
+    for mono in product(range(config.size), repeat=2):
+        x = CliffordElem(config, {mono: c})
+        got = transpose(x)
+        assert got == transpose_by_copies(x), mono
+        assert got.terms == o_transpose(x.terms), mono
+
+
+@pytest.mark.parametrize("field", list(FIELDS))
+def test_transpose_seeded_elements_n7(field):
+    # for each d = |A n B| in 0..7, seeded elements whose terms' masks meet
+    # in exactly d modes
+    config = Config(7, FIELDS[field])
+    r = rng(2600)
+    pool = coeff_pool(config.field)
+    for d in range(8):
+        for _ in range(4):
+            terms = {}
+            for _ in range(r.randint(1, 3)):
+                diag = sum(1 << a for a in r.sample(range(7), d))
+                rest = (config.size - 1) ^ diag
+                extra_a = r.randrange(config.size) & rest
+                extra_b = r.randrange(config.size) & rest & ~extra_a
+                terms[(diag | extra_a, diag | extra_b)] = r.choice(pool)
+            x = CliffordElem(config, terms)
+            got = transpose(x)
+            assert got == transpose_by_copies(x), (d, terms)
+            assert got.terms == o_transpose(x.terms), (d, terms)
+            assert transpose(got) == x
+
+
+def test_diag_keys_every_subset():
+    # (A0 u S, B0 u S) once for each subset S of A n B, S = {} first
+    for amask, bmask in product(range(16), repeat=2):
+        diag = amask & bmask
+        keys = _diag_keys(amask, bmask)
+        assert keys[0] == (amask ^ diag, bmask ^ diag)
+        subsets = [e & diag for e, _ in keys]
+        assert sorted(subsets) == [s for s in range(16) if s & diag == s]
+        assert all((e ^ s, i ^ s) == keys[0] for (e, i), s in zip(keys, subsets))
+
+
 @pytest.mark.parametrize("field", list(FIELDS))
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_plane_terms_rebuild_every_monomial(field, n):
@@ -667,7 +772,7 @@ def test_plane_terms_rebuild_every_monomial(field, n):
     for mono in product(range(config.size), repeat=2):
         x = CliffordElem(config, {mono: one})
         total = CliffordElem.zero(config)
-        for (emask, imask), v in _plane_terms(x._num, n):
+        for (emask, imask), v in _plane_row(x._num, n).items():
             diag = emask & imask
             term = CliffordElem(config, {(emask ^ diag, imask ^ diag): config.field.from_int(v)})
             for a in range(n):
@@ -677,13 +782,25 @@ def test_plane_terms_rebuild_every_monomial(field, n):
         assert total == x.scale(config.field.from_int(config.size)), mono
 
 
-def test_trace_product_walks_no_contraction():
-    # the trace pairs plane terms by dict lookup; the Wick walk builds
-    # products, and trace_product builds none
+def clifford_names(name):
+    """The names that function `name` of clifford.py reads or calls."""
     tree = ast.parse(inspect.getsource(clifford_mod))
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("trace_product", "_plane_terms"):
-        names = {node.id for node in ast.walk(funcs[name]) if isinstance(node, ast.Name)}
+    return {node.id for node in ast.walk(funcs[name]) if isinstance(node, ast.Name)}
+
+
+def test_trace_product_walks_no_contraction():
+    # the trace pairs plane terms by dict lookup; the Wick walk builds
+    # products, and trace_rows builds none
+    for name in ("trace_rows", "_plane_row", "_diag_keys"):
+        names = clifford_names(name)
+        assert "_wick" not in names and "multiply" not in names, name
+
+
+def test_transpose_walks_no_contraction():
+    # the transpose is a sign per subset of A n B, in closed form
+    for name in ("transpose", "_diag_keys"):
+        names = clifford_names(name)
         assert "_wick" not in names and "multiply" not in names, name
 
 

@@ -461,8 +461,9 @@ def _kill_move(emask, imask, mask):
     return None
 
 
-def _field_zero(x, y):
-    return x.config.field.zero()
+def _zero_rows(config, xs, ys):
+    ys = list(ys)
+    return ([config.field.zero()] * len(ys) for _ in xs)
 
 
 def _scalar_of_first_mask(form, psi1, psi2):
@@ -485,8 +486,8 @@ FAULTS = [
         CliffordElem.zero,
         "wrong eigenvalue on basis mask 0",
     ),
-    (check_q_isometry, 3, "trace_product", _field_zero, "failed at pair () x ()"),
-    (check_q_isometry, 5, "trace_product", _field_zero, "failed at pair () x ()"),
+    (check_q_isometry, 3, "trace_rows", _zero_rows, "failed at pair () x ()"),
+    (check_q_isometry, 5, "trace_rows", _zero_rows, "failed at pair () x ()"),
     (
         check_pi_completeness,
         3,
