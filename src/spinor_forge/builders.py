@@ -8,9 +8,9 @@ so(2n) by construction, so an extra and a grade-2 label bracket to zero
 and a builder brackets only extras with extras.  The chassis writes each
 rule once, as a block routine over two index ranges that yields one
 indexed row per unordered pair, holding both orders in the table's form,
-so the verifiers fill the table block by block and a single bracket is
-the 1 x 1 block; one Fock move gives both orders of a grade-2 label on a
-spinor.  The builders work on labels only and form no Clifford element:
+so the table's one sweep fills it block by block; one Fock move gives
+both orders of a grade-2 label on a spinor.  The builders work on labels
+only and form no Clifford element:
 the spinor-spinor bracket is the paper's L_2 on a pair of basis spinors,
 written straight in grade-2 labels by its closed form (pairings._l2_coords,
 the package's one copy of that case table), plus the top-grade term for
@@ -19,8 +19,9 @@ e6; brackets inside the grade-2 part come from the so(2n) table on labels
 Fock move (pairings._c2_move).  Every bracket is int numerators over one
 denominator per algebra, and no field scalar is formed.  The e7 bracket
 is written once, in _e7_chassis; its constants are solved from the
-Jacobi identity of that same bracket, on one chassis.  The generic
-Clifford route (the four-sum pairing, commutators, act) is the test oracle.
+Jacobi identity of that same bracket, on the one chassis build_e7
+returns when they are (1, 1).  The generic Clifford route (the four-sum
+pairing, commutators, act) is the test oracle.
 
 The result of each builder is a LieAlgebra; the checks of the
 construction live in exceptional and use none of this module.
@@ -280,28 +281,24 @@ def _e7_chassis(config: Config, form: BilinearForm, c1: int, c2: int) -> LieAlge
     return _graded_algebra("e7", config, den, sl2, module, pair, sl2_bracket, slot_act)
 
 
-def solve_e7_constants(
-    field: Optional[Field] = None, form: Optional[BilinearForm] = None
-) -> tuple[int, int]:
+def _solve_e7_constants(L: LieAlgebra) -> tuple[int, int]:
     """The e7 bracket constants (c1, c2) as ints, solved from sampled Jacobi
-    triples (residues over F_p).
+    triples on L, e7's chassis at (c1, c2) = (1, 1) (residues over F_p).
 
-    Same defaults as build_e7.  The cyclic Jacobi sum on 60 seeded triples
-    of spinor-tensor basis vectors is read as int numerators off e7's
-    chassis at (c1, c2) = (1, 1), which build_e7 does not store: at each
-    index its parts through so(12) and sl2 are c1 a and c2 b, a row (a, b),
-    mod p over F_p, with c1 a + c2 b = 0.  The pair is (b, -a) of the first
-    nonzero row, primitive and leading positive over Q, leading 1 over F_p,
-    and every other row must have a zero 2 x 2 minor with it.  No nonzero
-    row means the sampled triples constrain nothing, a nonzero minor that
-    no choice of constants closes the bracket.  Never hardcoded; the full
-    identity is verified downstream by verify_jacobi.
+    The cyclic Jacobi sum on 60 seeded triples of spinor-tensor basis
+    vectors is read as int numerators off L, whose first read sweeps its
+    table: at each index its parts through so(12) and sl2 are c1 a and
+    c2 b, a row (a, b), mod p over F_p, with c1 a + c2 b = 0.  The pair is
+    (b, -a) of the first nonzero row, primitive and leading positive over
+    Q, leading 1 over F_p, and every other row must have a zero 2 x 2
+    minor with it.  No nonzero row means the sampled triples constrain
+    nothing, a nonzero minor that no choice of constants closes the
+    bracket.  Never hardcoded; the full identity is verified downstream
+    by verify_jacobi.
     """
-    config, form = _builder_setup(SPINOR_N["e7"], field, form)
-    p = config.field.characteristic
-    L = _e7_chassis(config, form, 1, 1)
+    p = L.config.field.characteristic
     rnd = random.Random(20240801)
-    evens = [m for m in range(config.size) if parity(m) == 0]
+    evens = [m for m in range(L.config.size) if parity(m) == 0]
     rows: list[tuple[int, int]] = []
     for _ in range(60):
         triple = [
@@ -326,6 +323,12 @@ def solve_e7_constants(
     return x // g, y // g
 
 
+def solve_e7_constants() -> tuple[int, int]:
+    """The e7 bracket constants (c1, c2) over Q, as build_e7 solves them."""
+    config, form = _builder_setup(SPINOR_N["e7"], None, None)
+    return _solve_e7_constants(_e7_chassis(config, form, 1, 1))
+
+
 def build_e7(
     field: Optional[Field] = None, form: Optional[BilinearForm] = None
 ) -> LieAlgebra:
@@ -337,12 +340,14 @@ def build_e7(
         [psi (x) x, phi (x) y] = c1 omega(x, y) pairing(psi, phi)
                                + c2 B(psi, phi) sigma(x, y)
 
-    with (c1, c2) solved at build time by solve_e7_constants from the
-    Jacobi identity of this same bracket.
+    with (c1, c2) solved at build time from the Jacobi identity of this
+    same bracket on its chassis at (1, 1), which the solve sweeps and which
+    is the algebra if the pair is (1, 1); another pair gets its own chassis.
     """
     config, form = _builder_setup(SPINOR_N["e7"], field, form)
-    c1, c2 = solve_e7_constants(config.field, form)
-    return _e7_chassis(config, form, c1, c2)
+    L = _e7_chassis(config, form, 1, 1)
+    c1, c2 = _solve_e7_constants(L)
+    return L if (c1, c2) == (1, 1) else _e7_chassis(config, form, c1, c2)
 
 
 def build_e6(

@@ -6,7 +6,7 @@ checks read those ints.  The block rule takes two index ranges and gives
 one row per unordered pair of the block, with both orders in the table's
 form.  One sweep per algebra fills the table block by block, comparing the
 two orders and dropping each block before the next, and keeps its
-verdict; a single read is a 1 x 1 block.
+verdict; the first read runs it, so a table is empty or complete.
 The e6, e7 and e8 constructions that supply the block rules
 live in builders; this module checks whatever table it is given and
 imports none of the construction code (no norms, pairings, clifford or
@@ -93,7 +93,7 @@ def block_rows(A: range, B: range, terms: Callable[[int, int], tuple]):
 
 
 class LieAlgebra:
-    """A Lie algebra with labeled basis and lazily computed sparse brackets.
+    """A Lie algebra with labeled basis and a swept sparse bracket table.
 
     fn is a block rule: fn(A, B), for index ranges A and B, each in one
     run of equal label kind, equal or disjoint, yields one row
@@ -104,11 +104,11 @@ class LieAlgebra:
     >= 1, over F_p prime to p.  Only the i < j entry is stored and the
     flipped order is its negation, so the table is antisymmetric by
     construction; the one sweep that fills it checks fn and keeps the
-    verdict (verify_antisymmetry).  Each entry is stored once and never
-    replaced, and the engine built from the complete table is kept for
-    every later Jacobi or Killing call.  evaluated counts the ordered
-    pairs evaluated into the table.  A rule that yields no row for a pair
-    it is asked for is a ValueError, not an empty table.
+    verdict (verify_antisymmetry).  The first read runs that sweep, so
+    the table is empty or complete and evaluated, the ordered pairs
+    evaluated into it, is 0 or dim^2; the engine built from it is kept
+    for every later Jacobi or Killing call.  A rule that yields no row
+    for a pair is a ValueError, not an empty table.
     """
 
     __slots__ = ("name", "config", "basis", "index", "den", "evaluated", "_fn",
@@ -137,41 +137,35 @@ class LieAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def _row(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
-        """[b_i, b_j] in the table's form, from the 1 x 1 block, unmemoized."""
-        for a, _, t, u in self._fn(range(i, i + 1), range(j, j + 1)):
-            return t if a == i else u  # the block's one row
-        raise ValueError(f"{self.name}: the block rule gave no row for ({i}, {j})")
-
     def _sweep(self) -> list[tuple[int, int]]:
         """The (i, j), i <= j, whose two orders are not negations, from the
-        table's one sweep: the first call stores the i < j entries not yet
-        stored and keeps the list in _verdict, which later calls return.
-        The blocks pair up the runs of equal label kind; each is dropped
-        before the next.  ValueError, keeping nothing, if the rule left a
-        pair i != j without a row, found by one count of the table."""
+        table's one sweep: the first call fills the empty table with the
+        i < j entries and keeps the list in _verdict for later calls.  The
+        blocks pair up the runs of equal label kind, each dropped before the
+        next.  ValueError, keeping nothing, if a pair i < j got no row (one
+        count of the table; the first such pair is named)."""
         if self._verdict is not None:
             return self._verdict
         n, kinds = self.dim, [lab[0] for lab in self.basis]
         cuts = [0] + [i for i in range(1, n) if kinds[i] != kinds[i - 1]] + [n]
         runs = [range(a, b) for a, b in zip(cuts, cuts[1:])]
         blocks = [(A, B) for a, A in enumerate(runs) for B in runs[a:]]
-        p, table, bad = self.config.field.characteristic, self._table, []
+        p, table, bad = self.config.field.characteristic, {}, []
         for A, B in blocks:
-            self.evaluated += len(A) * len(B) * (1 if A == B else 2)
             for i, j, t, u in self._fn(A, B):
                 if i > j:
                     i, j, t, u = j, i, u, t
                 if i < j:
-                    table.setdefault((i, j), t)
+                    table[i, j] = t
                 # -c is p - c over F_p (rows hold residues in [1, p)); as p
                 # is odd, a diagonal bracket equals its negation only when
                 # it is zero
                 if (t or u) and t != tuple((k, p - c) for k, c in u):
                     bad.append((i, j))
         if len(table) < comb(n, 2):
-            raise ValueError(f"{self.name}: the block rule left pairs without a row")
-        self._verdict = bad
+            ij = next(ij for ij in combinations(range(n), 2) if ij not in table)
+            raise ValueError(f"{self.name}: the block rule left {ij} without a row")
+        self._table, self._verdict, self.evaluated = table, bad, n * n
         return bad
 
     def numerators(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
@@ -181,13 +175,15 @@ class LieAlgebra:
         key = (i, j) if i < j else (j, i)
         got = self._table.get(key)
         if got is None:
-            # checked before the block rule runs; [b_i, b_i] = 0
+            # checked before the sweep runs; [b_i, b_i] = 0
             _check_pair(i, j, self.dim)
-            lo, hi = key
-            if lo == hi:
+            if i == j:
                 return ()
-            self.evaluated += 1
-            got = self._table[key] = self._row(lo, hi)
+            try:
+                self._sweep()
+            except ValueError as err:
+                raise ValueError(f"{err}; reading {key}") from None
+            got = self._table[key]
         p = self.config.field.characteristic  # p - c: -c over Q, canonical over F_p
         return got if i <= j else tuple((k, p - c) for k, c in got)
 
@@ -206,7 +202,7 @@ class LieAlgebra:
         return sum(map(bool, self._table.values()))
 
     def nonzero_brackets(self) -> list[tuple[tuple[int, int], tuple]]:
-        """Sorted ((i, j), ((k, numerator), ...)) over the memoized nonzero
+        """Sorted ((i, j), ((k, numerator), ...)) over the stored nonzero
         brackets."""
         return sorted((ij, t) for ij, t in self._table.items() if t)
 
@@ -570,10 +566,9 @@ def verify_antisymmetry(L: LieAlgebra) -> list[tuple[int, int]]:
     antisymmetry.
 
     The stored table is antisymmetric by construction, so this reads the
-    verdict of its one sweep (L._sweep, run here or by materialize,
-    whichever comes first): the block rule's two orders of every pair
-    compared, and the diagonal, which must vanish.  The sweep stores the
-    ascending-order entries the later checks read.  ValueError if the
+    verdict of its one sweep (L._sweep, run by the first of this check,
+    materialize and a read): the block rule's two orders of every pair
+    compared, and the diagonal, which must vanish.  ValueError if the
     rule gives no row for a pair.
     """
     return sorted(L._sweep())
@@ -664,16 +659,15 @@ def spanning_check(L: LieAlgebra) -> SpanReport:
 def run_checks(L: LieAlgebra) -> list[dict]:
     """The battery, in order: {"check": name, ...fields, "ok", "seconds"} each.
 
-    seconds is the check's own wall time.  Antisymmetry runs first: the one
-    sweep fills the table the later checks read (brackets_evaluated: dim^2
-    if it runs here, else 0); nonzero counts the nonzero brackets stored.
+    seconds is the check's own wall time.  Antisymmetry runs first and
+    sweeps the table, unless a read already did; brackets_evaluated is the
+    table's total (L.evaluated, dim^2), nonzero its nonzero brackets.
     """
 
     def antisymmetry() -> dict:
-        before, bad = L.evaluated, verify_antisymmetry(L)
+        bad = verify_antisymmetry(L)
         return {"ok": not bad, "violations": [list(p) for p in bad],
-                "brackets_evaluated": L.evaluated - before,
-                "nonzero": L.nonzero_count()}
+                "brackets_evaluated": L.evaluated, "nonzero": L.nonzero_count()}
 
     def killing() -> dict:
         acc = IncrementalRank(L.config.field)

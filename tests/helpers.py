@@ -17,7 +17,7 @@ oracle of linalg's sparse reducer: its ranks), the root data read
 through the inverse of the restricted Killing form (the oracle of
 root_decomposition's coroot read), the e7
 constant solve through field-scalar Jacobi rows and a dense kernel (the
-oracle of builders.solve_e7_constants) and its seeded triples, the
+oracle of builders._solve_e7_constants) and its seeded triples, the
 graded chassis's per-pair dispatch (the oracle of its block routines),
 the block rule of a bracket on label pairs and the unmemoized 1 x 1 read
 of a block rule, the parity of a spinor vector, masks from 1-based
@@ -154,10 +154,10 @@ def dense_rank(rows: list[list[Scalar]], field: Field) -> int:
 def e7_constants_by_nullspace(
     field: Optional[Field] = None, form: Optional[BilinearForm] = None
 ) -> tuple[int, int]:
-    """solve_e7_constants through field scalars: the Jacobi rows of its 60
-    seeded triples read through L.bracket, their kernel from dense_rref,
-    scaled to lead with 1 (residues over F_p, the primitive int pair over
-    Q)."""
+    """builders._solve_e7_constants through field scalars: the Jacobi rows
+    of its 60 seeded triples read through L.bracket, their kernel from
+    dense_rref, scaled to lead with 1 (residues over F_p, the primitive int
+    pair over Q)."""
     config, form = _builder_setup(SPINOR_N["e7"], field, form)
     zero = config.field.zero()
     parts = (_e7_chassis(config, form, 1, 0), _e7_chassis(config, form, 0, 1))
@@ -181,7 +181,7 @@ def e7_constants_by_nullspace(
 
 def e7_seeded_triples(L: LieAlgebra) -> list[list[int]]:
     """The 60 seeded spinor-tensor index triples that
-    builders.solve_e7_constants reads, drawn as it draws them, on e7's
+    builders._solve_e7_constants reads, drawn as it draws them, on e7's
     chassis L."""
     rnd = random.Random(20240801)
     evens = [m for m in range(L.config.size) if parity(m) == 0]
@@ -811,7 +811,7 @@ def chassis_with_dispatch(monkeypatch, build, field: Field):
     monkeypatch.setattr(builders_mod, "_graded_algebra", spy)
     L = build(field=field)
     monkeypatch.setattr(builders_mod, "_graded_algebra", real)
-    args, kwargs = calls[-1]  # e7's constant solve builds one chart first
+    ((args, kwargs),) = calls  # e7's constant solve reads the one chassis
     _, _, den, extra, module, pair = args[:6]
     extra_bracket, extra_act = (list(args[6:]) + [None, None])[:2]
     extra_bracket = kwargs.get("extra_bracket", extra_bracket)

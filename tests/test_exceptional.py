@@ -11,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, cycle
-from math import lcm
+from math import comb, lcm
 from pathlib import Path
 
 import numpy as np
@@ -397,6 +397,12 @@ class TestBuildE8:
         assert L.evaluated == 248 * 248
 
 
+def e7_one_one(field=None, form=None):
+    """e7's chassis at (c1, c2) = (1, 1), the one its constant solve reads."""
+    config, form = builders_mod._builder_setup(6, field, form)
+    return builders_mod._e7_chassis(config, form, 1, 1)
+
+
 def int_jacobi_sum(L, x, y, z):
     """[[x, y], z] + [[y, z], x] + [[z, x], y], whole, as int numerators
     over L.den^2 read through L.numerators."""
@@ -420,7 +426,7 @@ class TestBuildE7:
 
     def test_constants_over_f7(self):
         field = PrimeField(7)
-        c1, c2 = solve_e7_constants(field=field)
+        c1, c2 = builders_mod._solve_e7_constants(e7_one_one(field))
         assert c1 == field.one() and c2 == field.one()
 
     @pytest.mark.parametrize(
@@ -430,11 +436,12 @@ class TestBuildE7:
         # the int rows and 2 x 2 minors give what the field-scalar rows
         # and a dense kernel give
         field = make_field(spec)
-        assert solve_e7_constants(field) == e7_constants_by_nullspace(field)
+        got = builders_mod._solve_e7_constants(e7_one_one(field))
+        assert got == e7_constants_by_nullspace(field)
 
     @pytest.mark.parametrize("spec", ["q", "fp:7"])
-    def test_build_makes_two_chassis(self, monkeypatch, spec):
-        # one chart for the constant solve, then the algebra itself
+    def test_build_makes_one_chassis(self, monkeypatch, spec):
+        # the constant solve sweeps the (1, 1) chassis, which is the algebra
         names = []
         real = builders_mod._graded_algebra
 
@@ -443,8 +450,29 @@ class TestBuildE7:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(builders_mod, "_graded_algebra", spy)
-        assert build_e7(field=make_field(spec)).dim == 133
-        assert names == ["e7", "e7"]
+        L = build_e7(field=make_field(spec))
+        assert L.dim == 133 and names == ["e7"]
+        assert L.evaluated == L.dim**2 and len(L._table) == comb(L.dim, 2)
+
+    @pytest.mark.parametrize("spec", ["q", "fp:7"])
+    def test_other_constants_get_their_own_chassis(self, monkeypatch, spec):
+        # a solve giving a pair other than (1, 1) leaves the swept chassis
+        # and builds the algebra at that pair
+        field = make_field(spec)
+        pair = (2, 3)
+        solved_on = []
+
+        def solve(L):
+            solved_on.append(L.materialize())
+            return pair
+
+        monkeypatch.setattr(builders_mod, "_solve_e7_constants", solve)
+        L = build_e7(field=field)
+        config, form = builders_mod._builder_setup(6, field, None)
+        want = builders_mod._e7_chassis(config, form, *pair).materialize()
+        assert L is not solved_on[0] and L.evaluated == 0
+        assert L.materialize()._table == want._table
+        assert L._table != solved_on[0]._table
 
     @pytest.mark.parametrize("spec", ["q", "fp:7"])
     def test_split_sums_are_the_two_charts(self, spec):
@@ -965,8 +993,11 @@ class TestOneEngine:
         with pytest.raises(ValueError, match=re.escape(message)):
             with_flipped_sign(L, i, j, k)
         assert engine_builds == []
-        # at most the one bracket the flip names was evaluated
-        assert set(L._table) <= {(0, 1)}
+        # a bad index is refused before any read; a read of a pair with no
+        # such constant sweeps the whole table
+        read = message.startswith("no structure constant")
+        assert L.evaluated == (L.dim**2 if read else 0)
+        assert len(L._table) == (comb(L.dim, 2) if read else 0)
 
     def test_flip_bool_constant_builds_nothing(self, engine_builds):
         # True == 1, so a bracket with a term on basis vector 1 would take it
@@ -1153,10 +1184,11 @@ class TestBracketsBuiltOnce:
     def test_reversed_pairs_store_ascending_order(self, e6):
         L, calls = wrapped_e6(e6)
         assert L.numerators(60, 2) == e6.numerators(60, 2)
-        assert list(L._table) == [(2, 60)]
+        # the one read fills the table: every ordered pair evaluated once,
+        # each entry stored under its ascending pair
+        assert len(L._table) == comb(L.dim, 2) and all(i < j for i, j in L._table)
+        assert len(calls) == L.dim**2 and set(calls.values()) == {1}
         assert L.bracket(2, 60) == e6.bracket(2, 60)
-        # the 1 x 1 block's one row holds both orders
-        assert calls == {(L.basis[2], L.basis[60]): 1, (L.basis[60], L.basis[2]): 1}
 
     @pytest.mark.parametrize("materialize_first", [False, True])
     @pytest.mark.parametrize("order", ["forward", "reverse"])
@@ -1216,15 +1248,16 @@ class TestBracketsBuiltOnce:
         assert set(calls.values()) == {1} and L.evaluated == L.dim * L.dim
 
     def test_run_checks_counts_the_one_sweep(self, e6):
-        # a fresh algebra (the CLI path) is swept by the antisymmetry
-        # check; one already swept evaluates nothing more
+        # the entry reports the table's total: a fresh algebra is swept by
+        # the antisymmetry check, one already swept evaluates nothing more
         fresh, _ = wrapped_e6(e6)
         assert run_checks(fresh)[0]["brackets_evaluated"] == fresh.dim ** 2
         swept, calls = wrapped_e6(e6)
         swept.materialize()
         calls.clear()
         entry = run_checks(swept)[0]
-        assert entry["brackets_evaluated"] == 0 and entry["nonzero"] == 1028
+        assert entry["brackets_evaluated"] == swept.dim ** 2
+        assert entry["nonzero"] == 1028
         assert not calls
 
     @pytest.mark.parametrize("broken", [False, True])
@@ -1242,6 +1275,53 @@ class TestBracketsBuiltOnce:
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden"
 BUILDS = {"e6": build_e6, "e7": build_e7, "e8": build_e8}
+
+
+def refused_flip(L):
+    # the pair is read (its constants are looked up) before the refusal
+    with pytest.raises(ValueError, match="no structure constant"):
+        with_flipped_sign(L, 0, 1, L.dim + 5)
+
+
+EMPTY_OR_COMPLETE_READS = {
+    "numerators": lambda L: L.numerators(5, 2),
+    "diagonal": lambda L: L.numerators(3, 3),
+    "bracket": lambda L: L.bracket(2, 5),
+    "spanning": spanning_check,
+    "roots": root_decomposition,  # rational field only
+    "refused-flip": refused_flip,
+}
+
+
+class TestEmptyOrComplete:
+    """A table holds no entry or all C(dim, 2): no read stores one."""
+
+    @pytest.mark.parametrize(
+        "name, spec, read",
+        [
+            (name, spec, read)
+            for name in ("e6", "e7")
+            for spec in ("q", "fp:7")
+            for read in EMPTY_OR_COMPLETE_READS
+            if read != "roots" or spec == "q"
+        ],
+    )
+    def test_every_read_leaves_the_table_empty_or_complete(self, name, spec, read):
+        L = BUILDS[name](field=make_field(spec))
+        EMPTY_OR_COMPLETE_READS[read](L)
+        assert (L.evaluated, len(L._table)) in {(0, 0), (L.dim**2, comb(L.dim, 2))}
+
+    def test_a_rule_missing_a_pair_leaves_the_table_empty(self):
+        # the sweep names the first pair without a row and keeps nothing
+        def rule(A, B):
+            rows = block_rows(A, B, lambda i, j: ())
+            return (row for row in rows if row[:2] != (1, 3))
+
+        L = LieAlgebra("gappy", Config(1), [("x", a) for a in range(4)], rule, 1)
+        for read in (L.materialize, lambda: L.numerators(2, 0)):
+            with pytest.raises(ValueError, match=re.escape("left (1, 3) without a row")):
+                read()
+            assert L.evaluated == 0 and not L._table and L._verdict is None
 
 
 def kind_runs(L):
@@ -1269,8 +1349,11 @@ class TestBlockRows:
                 for i, j, t, u in rows:
                     assert t == dispatch_row(L, fn, den, i, j), (i, j)
                     assert u == dispatch_row(L, fn, den, j, i), (j, i)
-        assert L.evaluated == 0 and not L.nonzero_count()
-        # the per-pair path is the 1 x 1 call of the same routine
+        # e7's constant solve swept its table; e6 and e8 are untouched
+        swept = name == "e7"
+        assert L.evaluated == (L.dim**2 if swept else 0)
+        assert len(L._table) == (comb(L.dim, 2) if swept else 0)
+        # the 1 x 1 call of the same routine and the swept table agree
         r = rng(len(spec) + L.dim)
         for _ in range(40):
             i, j = r.randrange(L.dim), r.randrange(L.dim)
@@ -1788,6 +1871,47 @@ class TestIndependence:
             ]
             assert not touches
 
+    def test_only_the_sweep_runs_the_rule_and_fills_the_table(self):
+        # self._fn is called in one place, LieAlgebra._sweep, and the table
+        # is bound only there and in __init__; the flipped clone's copy in
+        # with_flipped_sign is the one other write, and every method call
+        # on a table reads it.  The test-side 1 x 1 read
+        # (helpers.bracket_1x1) is the rule's oracle
+        src = Path(exceptional_mod.__file__).parent
+        fn_uses, writes, methods = [], [], set()
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            owner = {}
+            for cls in ast.walk(tree):
+                if isinstance(cls, ast.ClassDef):
+                    for fn in cls.body:
+                        for node in ast.walk(fn):
+                            owner[id(node)] = f"{cls.name}.{getattr(fn, 'name', '')}"
+            calls = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+            for node in ast.walk(tree):
+                where = owner.get(id(node), path.name)
+                if isinstance(node, ast.Attribute) and node.attr == "_fn":
+                    use = "call" if id(node) in calls else type(node.ctx).__name__
+                    fn_uses.append((where, use))
+                if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                    if getattr(node.value, "attr", None) == "_table":
+                        writes.append((where, "item"))
+                if isinstance(node, ast.Attribute) and node.attr == "_table":
+                    if isinstance(node.ctx, ast.Store):
+                        writes.append((where, "bind"))
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    if getattr(node.func.value, "attr", None) == "_table":
+                        methods.add(node.func.attr)
+        assert sorted(fn_uses) == [("LieAlgebra.__init__", "Store"),
+                                   ("LieAlgebra._sweep", "call")]
+        assert sorted(writes) == [
+            ("LieAlgebra.__init__", "bind"),
+            ("LieAlgebra._sweep", "bind"),
+            ("LieAlgebra.with_flipped_sign", "bind"),
+            ("LieAlgebra.with_flipped_sign", "item"),
+        ]
+        assert methods <= {"get", "items", "values"}
+
     def test_clifford_constructions_written_once(self):
         # one function walks the contraction subsets with the step
         # (sub - 1) & ..., and the blade constructors call no multiply
@@ -1959,7 +2083,8 @@ class TestFormRobustness:
             "plain",
             {k: v * Fraction(2) for k, v in base.entries.items()},
         )
-        assert solve_e7_constants(form=doubled) == (Fraction(1), Fraction(1))
+        solved = builders_mod._solve_e7_constants(e7_one_one(form=doubled))
+        assert solved == (Fraction(1), Fraction(1))
 
     def test_rejects_graded_form(self):
         from spinor_forge.norms import graded_norm
