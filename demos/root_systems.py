@@ -2,11 +2,12 @@
 Root systems identify the algebras
 ==================================
 
-The diagonal grade-2 elements (plus the sl2 Cartan element for e7, the
-grading line for e6) form a maximal commuting subalgebra.  Decomposing
-each algebra into integer weight spaces recovers the full root system,
-and the reconstructed Cartan matrix names the type with no outside
-tables involved.
+The basis vectors whose ad is diagonal in the basis form a maximal
+commuting subalgebra, found in the structure table with no label read:
+the diagonal grade-2 elements, plus the sl2 Cartan element for e7 and
+the grading line for e6.  Decomposing each algebra into integer weight
+spaces recovers the full root system, and the reconstructed Cartan
+matrix names the type with no outside tables involved.
 """
 
 from spinor_forge.builders import build_e6, build_e7, build_e8

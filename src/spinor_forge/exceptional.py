@@ -16,12 +16,14 @@ Verification is numeric and exact: the Jacobi identity is checked as the
 matrix identity ad([x,y]) = [ad x, ad y] on the int numerators, the Killing
 form and its rank certify semisimplicity, the degree-zero span of the
 spinor brackets is ranked, and the root decomposition recovers the Dynkin
-type from scratch.  The Jacobi engine works in groups: a left index l
-with its set R_l of right indices, each ad_l expanded once per group and
-joined with the rows and columns of every ad_r, r in R_l.  Column k of
-the residue of pair (l, r) is the Jacobiator of (b_l, b_r, b_k), totally
-antisymmetric because the table is, so the full sweep sums it only for
-k > r and sees each triple once; a pair subset keeps every column.
+type from scratch, its Cartan found in the table (the basis vectors whose
+ad is diagonal in the basis), not picked by label.  The Jacobi engine
+works in groups: a left index l with its set R_l of right indices, each
+ad_l expanded once per group and joined with the rows and columns of
+every ad_r, r in R_l.  Column k of the residue of pair (l, r) is the
+Jacobiator of (b_l, b_r, b_k), totally antisymmetric because the table
+is, so the full sweep sums it only for k > r and sees each triple once;
+a pair subset keeps every column.
 run_checks is the one battery: antisymmetry, Jacobi, span and Killing
 rank in order, each entry timed.  with_flipped_sign makes the broken
 copies that show the checks fire.
@@ -81,7 +83,7 @@ def _check_pair(i, j, n: int) -> None:
     """ValueError unless i and j are int indices in [0, n), neither a bool."""
     ok = isinstance(i, _INT) and isinstance(j, _INT) and 0 <= i < n and 0 <= j < n
     if not ok or type(i) is bool or type(j) is bool:
-        raise ValueError(f"bad index pair ({i}, {j})")
+        raise ValueError(f"bad index pair {(i, j)!r}")
 
 
 def block_rows(A: range, B: range, terms: Callable[[int, int], tuple]):
@@ -170,7 +172,8 @@ class LieAlgebra:
 
     def numerators(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         """[b_i, b_j] as ((k, numerator over den), ...) ascending in k."""
-        if type(i) is bool or type(j) is bool:  # True == 1 would find (1, j)
+        if type(i) is not int or type(j) is not int:
+            # True == 1 would find (1, j), and a str or None fails i < j
             _check_pair(i, j, self.dim)
         key = (i, j) if i < j else (j, i)
         got = self._table.get(key)
@@ -198,12 +201,13 @@ class LieAlgebra:
         return self
 
     def nonzero_count(self) -> int:
-        """The number of nonzero brackets stored, read without sorting."""
+        """The number of nonzero brackets of the swept table, unsorted."""
+        self._sweep()
         return sum(map(bool, self._table.values()))
 
     def nonzero_brackets(self) -> list[tuple[tuple[int, int], tuple]]:
-        """Sorted ((i, j), ((k, numerator), ...)) over the stored nonzero
-        brackets."""
+        """Sorted ((i, j), ((k, numerator), ...)) over the nonzero brackets."""
+        self._sweep()
         return sorted((ij, t) for ij, t in self._table.items() if t)
 
     def adjoint_products(self) -> "_AdjointProducts":
@@ -230,8 +234,10 @@ class LieAlgebra:
         """
         if i == j:
             raise ValueError("mutation needs two distinct basis indices")
-        if i > j:
-            i, j = j, i
+        try:
+            i, j = min(i, j), max(i, j)
+        except TypeError:
+            pass  # not two numbers: _check_pair refuses them
         _check_pair(i, j, self.dim)
         terms = self.numerators(i, j)
         if not isinstance(k, _INT) or type(k) is bool or k not in {t[0] for t in terms}:
@@ -308,7 +314,7 @@ class _AdjointProducts:
         n = self.n = L.dim
         self.p = L.config.field.characteristic or None
         mat, row, col, consts = [], [], [], []
-        for (i, j), terms in L.materialize().nonzero_brackets():
+        for (i, j), terms in L.nonzero_brackets():
             for k, c in terms:
                 # ad_i[k, j] = c and ad_j[k, i] = -c
                 mat += (i, j)
@@ -479,11 +485,18 @@ class JacobiReport:
 
 
 def _check_pairs(pairs: list, n: int) -> None:
-    """ValueError unless pairs is nonempty and every index is an int in [0, n)."""
+    """ValueError unless pairs is nonempty and every entry is a pair of two
+    distinct int indices in [0, n)."""
     if not pairs:
         raise ValueError("no index pairs given; pass pairs=None for all of them")
-    for i, j in pairs:
+    for pair in pairs:
+        try:
+            i, j = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"bad index pair {pair!r}") from None
         _check_pair(i, j, n)
+        if i == j:
+            raise ValueError(f"bad index pair {(i, j)!r}")
 
 
 def verify_jacobi(L: LieAlgebra, pairs=None) -> JacobiReport:
@@ -515,9 +528,6 @@ def verify_jacobi(L: LieAlgebra, pairs=None) -> JacobiReport:
         pairs = list(pairs)
         _check_pairs(pairs, n)
         pair_list = sorted({(min(i, j), max(i, j)) for i, j in pairs})
-        for i, j in pair_list:
-            if i == j:
-                raise ValueError(f"bad index pair ({i}, {j})")
         low, high = np.array(pair_list, dtype=np.int64).reshape(-1, 2).T
     deg = np.bincount(np.r_[low, high], minlength=n)
     up = deg[high] > deg[low]
@@ -750,10 +760,13 @@ def _dynkin_type(a: list[tuple[int, ...]]) -> str:
 def root_decomposition(L: LieAlgebra) -> RootDatum:
     """Decompose L under its diagonal Cartan subalgebra and name the type.
 
-    The Cartan basis H_s is the diagonal grade-2 part F_aa (plus the sl2 h
-    or the grading element when present); every other basis vector x_g
-    must be a simultaneous ad-eigenvector with integer weights g, g_s the
-    eigenvalue of ad H_s, and the roots must be closed under negation.
+    The Cartan basis H_s is found in the table, in one pass over the
+    nonzero brackets: b_c is in it iff every nonzero [b_c, b_x] is a
+    multiple of b_x, and that multiple over den is g_s, the weight of x_g
+    on H_s, which must be an integer.  No label is read.  As the table is
+    antisymmetric, the H_s commute and every basis vector is a
+    simultaneous ad-eigenvector.  The other basis vectors must have
+    nonzero, distinct weights, and the roots must be closed under negation.
     Positive means lexicographically positive.  Everything past the
     weights is int arithmetic on the table's numerators: the coroot of a
     root b is h_b = [x_b, x_-b], which must lie in the Cartan span with
@@ -764,36 +777,22 @@ def root_decomposition(L: LieAlgebra) -> RootDatum:
     """
     if L.config.field.characteristic != 0:
         raise ValueError("root decomposition requires the rational field")
-    cartan_idx = [
-        i
-        for i, lab in enumerate(L.basis)
-        if (lab[0] == "ei" and lab[1] == lab[2])
-        or lab == ("sl2", "h")
-        or lab == ("eps",)
-    ]
-    for a, b in combinations(cartan_idx, 2):
-        if L.numerators(a, b):
-            raise ValueError("chosen Cartan subalgebra is not abelian")
+    # each stored [b_i, b_j] read both ways: [b_j, b_i] is its negation
+    off, eigen = set(), {}  # eigen[c, x]: [b_c, b_x] on b_x, over den
+    for (i, j), terms in L.nonzero_brackets():
+        for c, x, sign in ((i, j, 1), (j, i, -1)):
+            if len(terms) == 1 and terms[0][0] == x:
+                eigen[c, x] = sign * terms[0][1]
+            else:
+                off.add(c)
+    cartan_idx = [c for c in range(L.dim) if c not in off]
     r = len(cartan_idx)
     weights = []
     for x in range(L.dim):
-        w = []
-        for c in cartan_idx:
-            terms = L.numerators(c, x)
-            if not terms:
-                w.append(0)
-            elif len(terms) == 1 and terms[0][0] == x:
-                val, rem = divmod(terms[0][1], L.den)
-                if rem:
-                    raise ValueError(
-                        f"non-integral weight on {label_str(L.basis[x])}"
-                    )
-                w.append(val)
-            else:
-                raise ValueError(
-                    f"{label_str(L.basis[x])} is not a Cartan eigenvector"
-                )
-        weights.append(tuple(w))
+        w = [eigen.get((c, x), 0) for c in cartan_idx]
+        if any(v % L.den for v in w):
+            raise ValueError(f"non-integral weight on {label_str(L.basis[x])}")
+        weights.append(tuple(v // L.den for v in w))
     cartan_set = set(cartan_idx)
     at = {}  # root -> the index of its root vector
     for x in range(L.dim):
@@ -885,6 +884,6 @@ def to_json(L: LieAlgebra) -> str:
     head["basis"] = [label_str(lab) for lab in L.basis]
     brackets = ",".join(
         f'{{"i":{i},"j":{j},"terms":[{",".join(f"[{k},{text(c)}]" for k, c in terms)}]}}'
-        for (i, j), terms in L.materialize().nonzero_brackets()
+        for (i, j), terms in L.nonzero_brackets()
     )
     return f'{json.dumps(head, separators=(",", ":"))[:-1]},"brackets":[{brackets}]}}\n'

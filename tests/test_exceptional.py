@@ -253,7 +253,7 @@ class TestLieAlgebraCore:
     @pytest.mark.parametrize(
         "pair",
         [(-1, 5), (5, -1), (100, 200), (78, 3), (1.5, 3), (2, 2.5), (True, 50),
-         (50, False)],
+         (50, False), (0, "a"), (None, 3)],
     )
     def test_bracket_rejects_bad_pair_before_evaluating(self, e6, pair):
         L, calls = wrapped_e6(e6)
@@ -984,9 +984,11 @@ class TestOneEngine:
             (3, 1.5, 0, "bad index pair (1.5, 3)"),
             (True, 3, 0, "bad index pair (True, 3)"),
             (3, False, 0, "bad index pair (False, 3)"),
+            (0, "a", 1, "bad index pair (0, 'a')"),
+            (None, 3, 0, "bad index pair (None, 3)"),
         ],
         ids=["high", "high-swapped", "negative", "no-constant", "integral-float",
-             "float", "bool", "bool-swapped"],
+             "float", "bool", "bool-swapped", "str", "none"],
     )
     def test_flip_bad_input_builds_nothing(self, engine_builds, i, j, k, message):
         L = build_e8()
@@ -1024,8 +1026,11 @@ class TestOneEngine:
             ([(1.5, 3)], "bad index pair (1.5, 3)"),
             ([(0, 1), (2, 3.0)], "bad index pair (2, 3.0)"),
             ([(True, 50)], "bad index pair (True, 50)"),
+            ([(0, "a")], "bad index pair (0, 'a')"),
+            ([(None, 3)], "bad index pair (None, 3)"),
+            ([(0, 1), 0], "bad index pair 0"),
         ],
-        ids=["empty", "float", "integral-float", "bool"],
+        ids=["empty", "float", "integral-float", "bool", "str", "none", "non-pair"],
     )
     @pytest.mark.parametrize("verify", [verify_jacobi])
     def test_bad_pair_set_builds_nothing(self, engine_builds, verify, pairs, message):
@@ -1283,6 +1288,15 @@ def refused_flip(L):
         with_flipped_sign(L, 0, 1, L.dim + 5)
 
 
+def swept(read):
+    """A read that sweeps first: a fresh table must not read as empty."""
+
+    def check(L):
+        assert read(L)
+
+    return check
+
+
 EMPTY_OR_COMPLETE_READS = {
     "numerators": lambda L: L.numerators(5, 2),
     "diagonal": lambda L: L.numerators(3, 3),
@@ -1290,6 +1304,8 @@ EMPTY_OR_COMPLETE_READS = {
     "spanning": spanning_check,
     "roots": root_decomposition,  # rational field only
     "refused-flip": refused_flip,
+    "nonzero-count": swept(LieAlgebra.nonzero_count),
+    "nonzero-brackets": swept(LieAlgebra.nonzero_brackets),
 }
 
 
@@ -1695,6 +1711,24 @@ class TestRootDecomposition:
         assert ("sl2", "h") in rd7.cartan_labels
         assert sum(1 for lab in rd7.cartan_labels if lab[0] == "ei") == 6
 
+    @pytest.mark.parametrize("name", ["e6", "e7"])
+    def test_cartan_found_without_labels(self, request, name):
+        # every label ("x", i), the brackets copied from the built table:
+        # the Cartan comes from the table, not from the construction names
+        L = request.getfixturevalue(name)
+        basis = [("x", i) for i in range(L.dim)]
+
+        def fn(la, lb):
+            return {basis[k]: c for k, c in L.numerators(la[1], lb[1])}
+
+        relabelled = LieAlgebra(
+            f"{name}-relabelled", L.config, basis, label_rule(basis, fn), L.den
+        )
+        got, want = root_decomposition(relabelled), root_decomposition(L)
+        fields = ("cartan_indices", "roots", "simple_roots", "cartan_matrix",
+                  "root_norms", "type_name")
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+
     def test_rejects_prime_field(self):
         with pytest.raises(ValueError):
             root_decomposition(build_e6(field=PrimeField(7)))
@@ -1769,6 +1803,19 @@ class TestRootDecomposition:
         config = Config(1)
         L = LieAlgebra("flat", config, [("ei", 1, 1), ("s", 0)], zero_rule, 1)
         with pytest.raises(ValueError):
+            root_decomposition(L)
+
+    def test_rejects_zero_weight_outside_the_found_cartan(self):
+        # Heisenberg [x0, x1] = x2: only the central x2 is diagonal, and
+        # x0, x1 have weight 0 on it (the flat algebra above is all Cartan)
+        basis = [("x", a) for a in range(3)]
+
+        def fn(la, lb):
+            sign = {(0, 1): 1, (1, 0): -1}.get((la[1], lb[1]))
+            return {basis[2]: sign} if sign else {}
+
+        L = LieAlgebra("heisenberg", Config(1), basis, label_rule(basis, fn), 1)
+        with pytest.raises(ValueError, match="zero weight outside the Cartan"):
             root_decomposition(L)
 
 
@@ -1851,6 +1898,17 @@ class TestIndependence:
         }
         assert from_exceptional == {"run_checks", "to_json"}
 
+
+    def test_root_decomposition_reads_no_label(self):
+        # the Cartan is found in the table, so no comparison holds a str
+        tree = ast.parse(inspect.getsource(root_decomposition))
+        assert not [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+        ]
 
     def test_only_lie_algebra_touches_its_table(self):
         # no code outside the LieAlgebra class body reads or writes the
