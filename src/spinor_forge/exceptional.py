@@ -232,13 +232,14 @@ class LieAlgebra:
         ValueError, before any engine is built, unless i, j and k are int
         indices that name one.
         """
-        if i == j:
-            raise ValueError("mutation needs two distinct basis indices")
         try:
-            i, j = min(i, j), max(i, j)
+            if j < i:
+                i, j = j, i
         except TypeError:
             pass  # not two numbers: _check_pair refuses them
         _check_pair(i, j, self.dim)
+        if i == j:
+            raise ValueError("mutation needs two distinct basis indices")
         terms = self.numerators(i, j)
         if not isinstance(k, _INT) or type(k) is bool or k not in {t[0] for t in terms}:
             raise ValueError(f"no structure constant at ({i}, {j}, {k})")

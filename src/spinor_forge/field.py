@@ -128,9 +128,11 @@ class Rationals:
 
     characteristic = 0
     spec = "q"
+    _zero = Fraction(0)
 
     def zero(self) -> Fraction:
-        return Fraction(0)
+        """The one shared zero of Q (scalars are immutable)."""
+        return self._zero
 
     def one(self) -> Fraction:
         return Fraction(1)
@@ -189,9 +191,11 @@ class PrimeField:
         self.p = p
         self.characteristic = p
         self.spec = f"fp:{p}"
+        self._zero = Residue(0, p)
 
     def zero(self) -> Residue:
-        return Residue(0, self.p)
+        """This field's one shared zero (scalars are immutable)."""
+        return self._zero
 
     def one(self) -> Residue:
         return Residue(1, self.p)

@@ -83,6 +83,12 @@ def inversion_parity(low: int, high: int) -> int:
     return (low & prefix_parity(high)).bit_count() & 1
 
 
+# _PREFIX[m] = prefix_parity(m) for the Fock masks m < 2^n, filled by
+# apply_monomial on first use up to the power of two above the largest
+# mask it has seen, never at import.
+_PREFIX: list[int] = []
+
+
 def apply_monomial(emask: int, imask: int, mask: int) -> Optional[tuple[int, int]]:
     """Apply the normal-ordered generator word e_A i_B to the basis index `mask`.
 
@@ -92,13 +98,19 @@ def apply_monomial(emask: int, imask: int, mask: int) -> Optional[tuple[int, int
     annihilation of an absent index kills the term.  Taken in descending
     order, each move sees only the original bits below it, so the word
     sends M to (M - B) u A with sign (-1)^(inv(B, M) + inv(A, M - B)).
+    Both inversion parities are read off the prefix parities of M and of
+    M - B in `_PREFIX` (M - B <= M, so the table need only cover M).
     Returns (sign, new mask) or None when the result is zero.
     """
     rest = mask ^ imask
     if imask & ~mask or emask & rest:
         return None
-    odd = inversion_parity(imask, mask) ^ inversion_parity(emask, rest)
-    return (-1 if odd else 1, rest | emask)
+    try:
+        odd = (imask & _PREFIX[mask]).bit_count() ^ (emask & _PREFIX[rest]).bit_count()
+    except IndexError:
+        _PREFIX.extend(map(prefix_parity, range(len(_PREFIX), 1 << mask.bit_length())))
+        return apply_monomial(emask, imask, mask)
+    return (-1 if odd & 1 else 1, rest | emask)
 
 
 class SparseTerms:

@@ -986,9 +986,13 @@ class TestOneEngine:
             (3, False, 0, "bad index pair (False, 3)"),
             (0, "a", 1, "bad index pair (0, 'a')"),
             (None, 3, 0, "bad index pair (None, 3)"),
+            (True, 1, 0, "bad index pair (True, 1)"),
+            (1, 1.0, 0, "bad index pair (1, 1.0)"),
+            (3, 3, 0, "mutation needs two distinct basis indices"),
         ],
         ids=["high", "high-swapped", "negative", "no-constant", "integral-float",
-             "float", "bool", "bool-swapped", "str", "none"],
+             "float", "bool", "bool-swapped", "str", "none", "bool-equal",
+             "float-equal", "same"],
     )
     def test_flip_bad_input_builds_nothing(self, engine_builds, i, j, k, message):
         L = build_e8()

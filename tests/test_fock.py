@@ -1,11 +1,16 @@
 """Tests for the fermionic Fock space: basis vectors, ladder operators, CAR."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinor_forge import fock
 from spinor_forge.field import PrimeField, Rationals
 from spinor_forge.fock import (
     Config,
@@ -13,8 +18,10 @@ from spinor_forge.fock import (
     annihilate,
     apply_monomial,
     create,
+    inversion_parity,
     mask_str,
     parity,
+    prefix_parity,
 )
 
 from .helpers import (
@@ -257,6 +264,64 @@ class TestApplyMonomial:
                 for mask in range(size):
                     want = stepwise(emask, imask, mask)
                     assert apply_monomial(emask, imask, mask) == want
+
+
+def move_by_inversions(emask: int, imask: int, mask: int):
+    """apply_monomial's (sign, mask), its sign from two inversion parities."""
+    rest = mask ^ imask
+    if imask & ~mask or emask & rest:
+        return None
+    odd = inversion_parity(imask, mask) ^ inversion_parity(emask, rest)
+    return (-1 if odd else 1, rest | emask)
+
+
+class TestPrefixTable:
+    """apply_monomial reads its sign from fock's prefix-parity table, which
+    it fills on first use and grows to cover the largest mask it meets."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_inversion_parities(self, monkeypatch, n):
+        monkeypatch.setattr(fock, "_PREFIX", [])
+        size = 1 << n
+        for emask in range(size):
+            for imask in range(size):
+                for mask in range(size):
+                    want = move_by_inversions(emask, imask, mask)
+                    assert apply_monomial(emask, imask, mask) == want
+        assert fock._PREFIX == [prefix_parity(m) for m in range(size)]
+
+    @pytest.mark.parametrize("large_first", [True, False], ids=["large", "small"])
+    def test_grows_to_the_largest_mask(self, monkeypatch, large_first):
+        # seeded masks below 2^12: large-first fills the table in one step,
+        # small-first grows it many times
+        monkeypatch.setattr(fock, "_PREFIX", [])
+        r = rng(3901)
+        masks = sorted((r.randrange(1 << 12) for _ in range(300)), reverse=large_first)
+        for mask in masks + [(1 << 12) - 1, 0]:
+            for _ in range(6):
+                # a live move (B within M, A outside M - B), then any word
+                imask = mask & r.randrange(1 << 12)
+                emask = r.randrange(1 << 12) & ~(mask ^ imask)
+                words = [(emask, imask), (r.randrange(1 << 12), r.randrange(1 << 12))]
+                for e, i in words:
+                    assert apply_monomial(e, i, mask) == move_by_inversions(e, i, mask)
+        assert fock._PREFIX == [prefix_parity(m) for m in range(1 << 12)]
+
+    def test_import_leaves_table_empty(self):
+        code = (
+            "import spinor_forge\n"
+            "from spinor_forge import fock\n"
+            "from spinor_forge.props import check_car_relations\n"
+            "assert fock._PREFIX == [], len(fock._PREFIX)\n"
+            "assert check_car_relations(7)\n"
+            "assert len(fock._PREFIX) == 128, len(fock._PREFIX)\n"
+        )
+        src = Path(fock.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSpinorVecAlgebra:

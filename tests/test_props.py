@@ -181,6 +181,33 @@ class TestCarRelationsOnMoves:
         assert not out.ok
         assert (out.ok, out.detail) == car_relations_by_spinors(Config(n))
 
+    @pytest.mark.parametrize(
+        "flipped, detail",
+        [
+            (0, "identity failed at basis mask 0, a=1, b=1"),
+            (2, "identity failed at basis mask 0, a=1, b=2"),
+            (4, "identity failed at basis mask 0, a=1, b=3"),
+            (6, "identity failed at basis mask 2, a=1, b=3"),
+        ],
+    )
+    def test_one_flipped_move_is_found(self, monkeypatch, flipped, detail):
+        # e_1's move on one mask comes back with the wrong sign: the move
+        # lists carry every (generator, mask) move, so the check meets it at
+        # the first case whose two-move paths pass through it
+        real = props.apply_monomial
+
+        def faulty(emask, imask, mask):
+            hit = real(emask, imask, mask)
+            if (emask, imask, mask) == (1, 0, flipped):
+                return -hit[0], hit[1]
+            return hit
+
+        monkeypatch.setattr(props, "apply_monomial", faulty)
+        out = check_car_relations(3)
+        assert (out.ok, out.detail) == (False, detail)
+        monkeypatch.setattr(fock, "apply_monomial", faulty)
+        assert car_relations_by_spinors(Config(3)) == (False, detail)
+
     def test_builds_no_spinor(self):
         # the check stays on (sign, mask) moves: no ladder operator, word
         # loop or SpinorVec constructor inside it
