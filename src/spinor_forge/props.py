@@ -232,7 +232,7 @@ def check_q_isometry(n: int) -> CheckResult:
 
         def pair_ok(s1: tuple, s2: tuple, t) -> bool:
             if s1 != s2:
-                # an off-diagonal trace is the field's one shared zero
+                # trace_rows fills a zero entry with this same shared zero
                 return t is zero or t == zero
             return t == field.from_int(config.size * prod(map(slot_metric, s1)))
 

@@ -189,6 +189,7 @@ class TestCarRelationsOnMoves:
             (4, "identity failed at basis mask 0, a=1, b=3"),
             (6, "identity failed at basis mask 2, a=1, b=3"),
         ],
+        ids=["mask0", "mask2", "mask4", "mask6"],
     )
     def test_one_flipped_move_is_found(self, monkeypatch, flipped, detail):
         # e_1's move on one mask comes back with the wrong sign: the move
