@@ -5,12 +5,12 @@ part g0 = so(2n) + z is the grade-2 part of the Clifford algebra plus the
 extras z (the grading element for e6, sl2 for e7, none for e8), acting on
 a spinor module M.  The chassis owns the shape of g0: z centralizes
 so(2n) by construction, so an extra and a grade-2 label bracket to zero
-and a builder brackets only extras with extras.  The chassis writes each
-rule once, as a block routine over two index ranges that yields one
-indexed row per unordered pair, holding both orders in the table's form,
-so the table's one sweep fills it block by block; one Fock move gives
-both orders of a grade-2 label on a spinor.  The builders work on labels
-only and form no Clifford element:
+and a builder brackets only extras with extras.  The chassis is the
+table's row source: over its index ranges G (grade 2), X (extras) and M
+it yields the blocks G x G, G x X, X x X, G x M, X x M and M x M, one row
+per unordered pair with both orders in the table's form, read once by
+the table's sweep; one Fock move gives both orders of a grade-2 label on
+a spinor.  The builders work on labels only and form no Clifford element:
 the spinor-spinor bracket is the paper's L_2 on a pair of basis spinors,
 written straight in grade-2 labels by its closed form (pairings._l2_coords,
 the package's one copy of that case table), plus the top-grade term for
@@ -32,15 +32,16 @@ from __future__ import annotations
 import random
 from functools import partial
 from math import gcd
-from typing import Optional
+from typing import Callable, Optional
 
-from .exceptional import Bracket, LieAlgebra, block_rows
+from .exceptional import LieAlgebra
 from .field import Field
 from .fock import Config, parity
 from .norms import BilinearForm, solve_spinor_norm
 from .pairings import Label, _b_num, _c2_move, _l2_coords, _top_num
 
 SPINOR_N = {"e6": 5, "e7": 6, "e8": 8}  # the n of each construction's form=
+Bracket = Callable[[Label, Label], dict[Label, int]]  # int numerators over den
 
 
 def c2_labels(n: int) -> list[Label]:
@@ -117,6 +118,15 @@ def _c2_bracket(la: Label, lb: Label, half: int) -> dict[Label, int]:
     return {lab: k * half for lab, k in coeffs.items() if k}
 
 
+def block_rows(A: range, B: range, row: Callable[[int, int], tuple]):
+    """The rows (i, j, row(i, j), row(j, i)) of the block A x B, i <= j:
+    A x B is a triangle when A == B, else A lies before B."""
+    for i in A:
+        for j in range(i, A.stop) if A == B else B:
+            t = row(i, j)
+            yield i, j, t, t if i == j else row(j, i)
+
+
 def _graded_algebra(
     name: str,
     config: Config,
@@ -127,25 +137,24 @@ def _graded_algebra(
     extra_bracket: Optional[Bracket] = None,
     extra_act: Optional[Bracket] = None,
 ) -> LieAlgebra:
-    """g0 + M with basis c2_labels(n) + extra + module, bracketed by blocks.
+    """g0 + M with basis c2_labels(n) + extra + module, one row source.
 
-    g0 is the grade-2 part plus the `extra` degree-zero labels.  Each rule
-    is written once, in the block routine fn over two index ranges, whose
-    one row per unordered pair holds both orders in the table's form (k
-    ascending, residues in [1, p) over F_p): _c2_bracket on two grade-2
-    labels and pair(m, m') on two module labels, each order evaluated; one
-    Fock move of a grade-2 label on the mask of a module label (kind, mask,
-    ...), or extra_act of an extra label, gives [x, m] and [m, x] = -[x, m]
-    at once; extra_bracket takes two extras (zero when it is None); an
-    extra and a grade-2 label bracket to zero.  Every bracket is int
-    numerators over den, an even number.
+    g0 is the grade-2 part G plus the `extra` degree-zero labels X.  Each
+    rule is written once, in one block of the source fn, whose one row per
+    unordered pair holds both orders in the table's form (k ascending,
+    residues in [1, p) over F_p): _c2_bracket on G x G; zero on G x X, as
+    z centralizes so(2n); extra_bracket on X x X (zero when it is None);
+    one Fock move of a grade-2 label on the mask of a module label (kind,
+    mask, ...) on G x M, and extra_act on X x M, each giving [x, m] and
+    [m, x] = -[x, m] at once; pair on M x M, each order evaluated.  Every
+    bracket is int numerators over den, an even number.
     """
     half, p = den // 2, config.field.characteristic
     unit = pow(den, -1, p) if p else 1
     basis = c2_labels(config.n) + extra + module
     index = {lab: i for i, lab in enumerate(basis)}
-    module_kinds = {lab[0] for lab in module}
-    extra_kinds = {lab[0] for lab in extra}
+    x0, m0 = len(basis) - len(extra) - len(module), len(basis) - len(module)
+    G, X, M = range(x0), range(x0, m0), range(m0, len(basis))
 
     def terms(coords: dict[Label, int]) -> tuple:
         if not coords:
@@ -154,6 +163,9 @@ def _graded_algebra(
             coords = {lab: r for lab, c in coords.items() if (r := c * unit % p)}
         return tuple(sorted((index[lab], c) for lab, c in coords.items() if c))
 
+    def rows(A: range, B: range, f: Optional[Bracket]):  # zero if f is None
+        return block_rows(A, B, lambda i, j: terms(f(basis[i], basis[j]) if f else {}))
+
     def move(x: Label, m: Label) -> tuple:
         hit = _c2_move(x, m[1])
         if hit is None:
@@ -161,28 +173,19 @@ def _graded_algebra(
         c = hit[1] * den
         return ((index[(m[0], hit[0]) + m[2:]], c * unit % p if p else c),)
 
-    def acts(X: range, M: range, act):
-        for x in X:
+    def acts(A: range, act):
+        for x in A:
             for m in M:
                 t = act(basis[x], basis[m])
                 yield x, m, t, tuple((k, p - c) for k, c in t)
 
-    def fn(A: range, B: range):
-        ka, kb = basis[A[0]][0], basis[B[0]][0]
-        ma, mb = ka in module_kinds, kb in module_kinds
-        xa, xb = ka in extra_kinds, kb in extra_kinds
-        if ma != mb:
-            X, M, x_extra = (B, A, xb) if ma else (A, B, xa)
-            return acts(X, M, (lambda x, m: terms(extra_act(x, m))) if x_extra else move)
-        if ma:
-            f = pair
-        elif not (xa or xb):
-            f = partial(_c2_bracket, half=half)
-        elif xa and xb and extra_bracket:
-            f = extra_bracket
-        else:  # g0 = so(2n) + z with z the centralizer of so(2n) in g0
-            return block_rows(A, B, lambda i, j: ())
-        return block_rows(A, B, lambda i, j: terms(f(basis[i], basis[j])))
+    def fn():
+        yield from rows(G, G, partial(_c2_bracket, half=half))
+        yield from rows(G, X, None)
+        yield from rows(X, X, extra_bracket)
+        yield from acts(G, move)
+        yield from acts(X, lambda x, m: terms(extra_act(x, m)))
+        yield from rows(M, M, pair)
 
     return LieAlgebra(name, config, basis, fn, den)
 

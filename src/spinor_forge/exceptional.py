@@ -1,16 +1,16 @@
 """Structure-constant tables of Lie algebras and their exact verifiers.
 
-A LieAlgebra is a labeled basis, a block rule, and a sparse table of int
+A LieAlgebra is a labeled basis, a row source, and a sparse table of int
 numerators over one denominator L.den, one entry per unordered pair; the
-checks read those ints.  The block rule takes two index ranges and gives
-one row per unordered pair of the block, with both orders in the table's
-form.  One sweep per algebra fills the table block by block, comparing the
-two orders and dropping each block before the next, and keeps its
-verdict; the first read runs it, so a table is empty or complete.
-The e6, e7 and e8 constructions that supply the block rules
-live in builders; this module checks whatever table it is given and
-imports none of the construction code (no norms, pairings, clifford or
-builders), so the checks stay independent of what they check.
+checks read those ints.  The row source takes no argument and yields one
+row per unordered pair, with both orders in the table's form.  One sweep
+per algebra reads it once, comparing the two orders of each row, and
+keeps its verdict; the first read runs it, so a table is empty or
+complete.  The e6, e7 and e8 constructions that supply the row sources
+live in builders; this module checks whatever table it is given, reads
+no label to sweep it, and imports none of the construction code (no
+norms, pairings, clifford or builders), so the checks stay independent
+of what they check.
 
 Verification is numeric and exact: the Jacobi identity is checked as the
 matrix identity ad([x,y]) = [ad x, ad y] on the int numerators, the Killing
@@ -49,7 +49,6 @@ from .linalg import IncrementalRank
 
 # A basis label: (kind, *fields), e.g. ("ei", 1, 2) or ("s", mask).
 Label = tuple
-Bracket = Callable[[Label, Label], dict[Label, int]]  # int numerators over den
 
 
 def label_str(label: Label) -> str:
@@ -86,31 +85,22 @@ def _check_pair(i, j, n: int) -> None:
         raise ValueError(f"bad index pair {(i, j)!r}")
 
 
-def block_rows(A: range, B: range, terms: Callable[[int, int], tuple]):
-    """The rows (i, j, terms(i, j), terms(j, i)) of a block: see LieAlgebra."""
-    for i in A:
-        for j in range(i, A.stop) if A == B else B:
-            t = terms(i, j)
-            yield i, j, t, t if i == j else terms(j, i)
-
-
 class LieAlgebra:
     """A Lie algebra with labeled basis and a swept sparse bracket table.
 
-    fn is a block rule: fn(A, B), for index ranges A and B, each in one
-    run of equal label kind, equal or disjoint, yields one row
-    (i, j, [b_i, b_j], [b_j, b_i]) per unordered pair of A x B, and
-    (i, i, t, t) on the diagonal.  Each bracket is sorted (k, numerator)
-    int pairs over self.den, zeros dropped: den over Q; 1 over F_p, each
-    numerator the residue of num / den in [1, p).  den must be an int
-    >= 1, over F_p prime to p.  Only the i < j entry is stored and the
-    flipped order is its negation, so the table is antisymmetric by
-    construction; the one sweep that fills it checks fn and keeps the
-    verdict (verify_antisymmetry).  The first read runs that sweep, so
-    the table is empty or complete and evaluated, the ordered pairs
-    evaluated into it, is 0 or dim^2; the engine built from it is kept
-    for every later Jacobi or Killing call.  A rule that yields no row
-    for a pair is a ValueError, not an empty table.
+    fn is a row source: fn() yields one row (i, j, [b_i, b_j], [b_j, b_i])
+    per unordered pair, i < j, and (i, i, t, t) on the diagonal.  Each
+    bracket is sorted (k, numerator) int pairs over self.den, zeros
+    dropped: den over Q; 1 over F_p, each numerator the residue of
+    num / den in [1, p).  den must be an int >= 1, over F_p prime to p.
+    Only the i < j entry is stored and the flipped order is its negation,
+    so the table is antisymmetric by construction; the one sweep that
+    fills it reads fn once, checks it and keeps the verdict
+    (verify_antisymmetry).  The first read runs that sweep, so the table
+    is empty or complete and evaluated, the ordered pairs evaluated into
+    it, is 0 or dim^2; the engine built from it is kept for every later
+    Jacobi or Killing call.  A source that yields no row for a pair, or
+    gives it as (j, i), is a ValueError, not an empty table.
     """
 
     __slots__ = ("name", "config", "basis", "index", "den", "evaluated", "_fn",
@@ -142,28 +132,22 @@ class LieAlgebra:
     def _sweep(self) -> list[tuple[int, int]]:
         """The (i, j), i <= j, whose two orders are not negations, from the
         table's one sweep: the first call fills the empty table with the
-        i < j entries and keeps the list in _verdict for later calls.  The
-        blocks pair up the runs of equal label kind, each dropped before the
-        next.  ValueError, keeping nothing, if a pair i < j got no row (one
-        count of the table; the first such pair is named)."""
+        i < j entries of one pass of the row source and keeps the list in
+        _verdict for later calls.  ValueError, keeping nothing, if a pair
+        i < j got no row (one count of the table; the first such pair is
+        named)."""
         if self._verdict is not None:
             return self._verdict
-        n, kinds = self.dim, [lab[0] for lab in self.basis]
-        cuts = [0] + [i for i in range(1, n) if kinds[i] != kinds[i - 1]] + [n]
-        runs = [range(a, b) for a, b in zip(cuts, cuts[1:])]
-        blocks = [(A, B) for a, A in enumerate(runs) for B in runs[a:]]
-        p, table, bad = self.config.field.characteristic, {}, []
-        for A, B in blocks:
-            for i, j, t, u in self._fn(A, B):
-                if i > j:
-                    i, j, t, u = j, i, u, t
-                if i < j:
-                    table[i, j] = t
-                # -c is p - c over F_p (rows hold residues in [1, p)); as p
-                # is odd, a diagonal bracket equals its negation only when
-                # it is zero
-                if (t or u) and t != tuple((k, p - c) for k, c in u):
-                    bad.append((i, j))
+        n, p = self.dim, self.config.field.characteristic
+        table, bad = {}, []
+        for i, j, t, u in self._fn():
+            if i < j:
+                table[i, j] = t
+            # -c is p - c over F_p (rows hold residues in [1, p)); as p is
+            # odd, a diagonal bracket equals its negation only when it is
+            # zero
+            if (t or u) and t != tuple((k, p - c) for k, c in u):
+                bad.append((i, j))
         if len(table) < comb(n, 2):
             ij = next(ij for ij in combinations(range(n), 2) if ij not in table)
             raise ValueError(f"{self.name}: the block rule left {ij} without a row")
@@ -573,14 +557,14 @@ def verify_jacobi(L: LieAlgebra, pairs=None) -> JacobiReport:
 
 
 def verify_antisymmetry(L: LieAlgebra) -> list[tuple[int, int]]:
-    """The pairs (i, j), i <= j, ascending, where the block rule fails
+    """The pairs (i, j), i <= j, ascending, where the row source fails
     antisymmetry.
 
     The stored table is antisymmetric by construction, so this reads the
     verdict of its one sweep (L._sweep, run by the first of this check,
-    materialize and a read): the block rule's two orders of every pair
+    materialize and a read): the source's two orders of every pair
     compared, and the diagonal, which must vanish.  ValueError if the
-    rule gives no row for a pair.
+    source gives no row for a pair.
     """
     return sorted(L._sweep())
 
@@ -845,8 +829,6 @@ def root_decomposition(L: LieAlgebra) -> RootDatum:
             row.append(val)
         cartan_matrix.append(tuple(row))
     for i in range(r):
-        if cartan_matrix[i][i] != 2:
-            raise ValueError("Cartan matrix diagonal is not 2")
         for j in range(r):
             if i != j and cartan_matrix[i][j] not in (0, -1):
                 raise ValueError("unexpected off-diagonal Cartan matrix entry")

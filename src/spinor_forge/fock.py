@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Iterator, Optional
 
-from .field import Field, Rationals, Scalar
+from .field import Field, PrimeField, Rationals, Scalar
 
 
 class Config:
@@ -25,8 +25,10 @@ class Config:
     __slots__ = ("n", "field", "size")
 
     def __init__(self, n: int, field: Optional[Field] = None) -> None:
-        if not 1 <= n <= 12:
-            raise ValueError(f"n must be in 1..12, got {n}")
+        if type(n) is not int or not 1 <= n <= 12:
+            raise ValueError(f"n must be an int in 1..12, got {n!r}")
+        if not isinstance(field, (Rationals, PrimeField, type(None))):
+            raise ValueError(f"field must be Rationals or PrimeField, got {field!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "field", field if field is not None else Rationals())
         object.__setattr__(self, "size", 1 << n)

@@ -710,9 +710,9 @@ SUITES: dict[str, tuple] = {
 def suite_names(n: int, suites=None) -> tuple[str, ...]:
     """The named suites (all of them by default), each once in first-seen
     order: the filter of `spinor-forge props --suite`.  ValueError for an
-    n outside 1..8 or an unknown name."""
-    if not 1 <= n <= 8:
-        raise ValueError(f"property suites require 1 <= n <= 8, got {n}")
+    n that is not an int in 1..8 (a bool too) or an unknown name."""
+    if type(n) is not int or not 1 <= n <= 8:
+        raise ValueError(f"property suites require an int 1 <= n <= 8, got {n!r}")
     names = tuple(SUITES) if suites is None else tuple(dict.fromkeys(suites))
     for name in names:
         if name not in SUITES:
@@ -724,5 +724,5 @@ def suite_names(n: int, suites=None) -> tuple[str, ...]:
 
 def run_suites(n: int) -> list[CheckResult]:
     """Run every property suite at one n, in SUITES order; ValueError for
-    an n outside 1..8."""
+    an n that is not an int in 1..8."""
     return [fn(n) for name in suite_names(n) for fn in SUITES[name]]

@@ -18,9 +18,9 @@ through the inverse of the restricted Killing form (the oracle of
 root_decomposition's coroot read), the e7
 constant solve through field-scalar Jacobi rows and a dense kernel (the
 oracle of builders._solve_e7_constants) and its seeded triples, the
-graded chassis's per-pair dispatch (the oracle of its block routines),
-the block rule of a bracket on label pairs and the unmemoized 1 x 1 read
-of a block rule, the parity of a spinor vector, masks from 1-based
+graded chassis's per-pair dispatch (the oracle of its row source),
+the row source of a bracket on label pairs and the one-pair read of a
+row source, the parity of a spinor vector, masks from 1-based
 indices, scalar parsing and a parity-breaking patch of builders._c2_move
 are used only by the tests, so they live here rather than in the package.
 """
@@ -34,7 +34,13 @@ from typing import Optional
 
 import spinor_forge.builders as builders_mod
 from spinor_forge import props
-from spinor_forge.builders import SPINOR_N, _builder_setup, _e7_chassis, build_e6
+from spinor_forge.builders import (
+    SPINOR_N,
+    _builder_setup,
+    _e7_chassis,
+    block_rows,
+    build_e6,
+)
 from spinor_forge.clifford import (
     CliffordElem,
     _blade_terms,
@@ -46,7 +52,7 @@ from spinor_forge.clifford import (
     witt_e,
     witt_i,
 )
-from spinor_forge.exceptional import LieAlgebra, block_rows, verify_jacobi
+from spinor_forge.exceptional import LieAlgebra, verify_jacobi
 from spinor_forge.field import Field, Rationals, Residue, Scalar
 from spinor_forge.fock import (
     Config,
@@ -797,10 +803,11 @@ def epsilon_action(psi: SpinorVec) -> SpinorVec:
 
 def chassis_with_dispatch(monkeypatch, build, field: Field):
     """build(field=field) and the per-pair bracket of its chassis, as the
-    chassis dispatched each ordered label pair before its rules became
-    block routines: int numerators over den, read from the same rules
-    (_c2_bracket, _c2_move, the builder's pair, extra_bracket, extra_act).
-    The oracle of every block row (see dispatch_row)."""
+    chassis dispatched each ordered label pair by label kind before its
+    rules became the blocks of one row source: int numerators over den,
+    read from the same rules (_c2_bracket, _c2_move, the builder's pair,
+    extra_bracket, extra_act).  The oracle of every source row (see
+    dispatch_row)."""
     calls = []
     real = builders_mod._graded_algebra
 
@@ -853,27 +860,32 @@ def dispatch_row(L: LieAlgebra, fn, den: int, i: int, j: int) -> tuple:
 
 
 def label_rule(basis: list, fn):
-    """The block rule of a bracket given on label pairs over Q:
+    """The row source of a bracket given on label pairs over Q:
     fn(label_a, label_b) -> {label: int numerator}, each row in index form
-    (k ascending, zeros dropped), through exceptional.block_rows."""
-    index = {lab: i for i, lab in enumerate(basis)}
+    (k ascending, zeros dropped), through builders.block_rows."""
+    index, every = {lab: i for i, lab in enumerate(basis)}, range(len(basis))
 
     def row(i: int, j: int) -> tuple:
         out = fn(basis[i], basis[j])
         return tuple(sorted((index[lab], c) for lab, c in out.items() if c))
 
-    return lambda A, B: block_rows(A, B, row)
+    return lambda: block_rows(every, every, row)
+
+
+@lru_cache(maxsize=1)
+def _source_rows(L: LieAlgebra) -> dict:
+    """(i, j) -> ([b_i, b_j], [b_j, b_i]) over one pass of L's row source,
+    kept for the last algebra read."""
+    return {(i, j): (t, u) for i, j, t, u in L._fn()}
 
 
 def bracket_1x1(L: LieAlgebra, la, lb) -> dict:
-    """[la, lb] read off L's block rule as its 1 x 1 block, keyed by label:
-    numerators in the table's form, nothing stored in L's table.  The
-    block's one row (a, b, [b_a, b_b], [b_b, b_a]) may hold (i, j) either
-    way round."""
+    """[la, lb] read off L's row source, keyed by label: numerators in the
+    table's form, nothing stored in L's table.  The source is read in one
+    pass per algebra, not per call."""
     i, j = L.index[la], L.index[lb]
-    rows = L._fn(range(i, i + 1), range(j, j + 1))
-    (terms,) = [t if a == i else u for a, b, t, u in rows if {a, b} == {i, j}]
-    return {L.basis[k]: c for k, c in terms}
+    t, u = _source_rows(L)[min(i, j), max(i, j)]
+    return {L.basis[k]: c for k, c in (t if i <= j else u)}
 
 
 def flip_f12_parity(monkeypatch) -> None:

@@ -434,14 +434,19 @@ class TestPlumbing:
         assert exc.value.code == 2
 
     def test_module_invocation(self):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        # the checkout's package, not one installed in the environment
+        src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
             [sys.executable, "-m", "spinor_forge.cli", "props", "--n", "1",
              "--suite", "fock"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True

@@ -24,6 +24,7 @@ import spinor_forge.props as props_mod
 from spinor_forge.builders import (
     _c2_bracket,
     _c2_move,
+    block_rows,
     build_e6,
     build_e7,
     build_e8,
@@ -34,7 +35,6 @@ from spinor_forge.clifford import CliffordElem, act, commutator, grading_element
 from spinor_forge.exceptional import (
     JacobiReport,
     LieAlgebra,
-    block_rows,
     killing_form,
     label_str,
     root_decomposition,
@@ -93,15 +93,15 @@ def covered_triples(n, pairs):
     }
 
 
-def zero_rule(A, B):
-    """The block rule of the zero bracket."""
-    return block_rows(A, B, lambda i, j: ())
+def zero_rule(n):
+    """The row source of the zero bracket on n basis vectors."""
+    return lambda: block_rows(range(n), range(n), lambda i, j: ())
 
 
 def abelian(n):
     """An n-dimensional abelian algebra: every bracket is zero."""
     basis = [("x", a) for a in range(n)]
-    return LieAlgebra(f"abelian{n}", Config(1), basis, zero_rule, 1)
+    return LieAlgebra(f"abelian{n}", Config(1), basis, zero_rule(n), 1)
 
 
 @pytest.fixture
@@ -275,7 +275,7 @@ class TestLieAlgebraCore:
     def test_duplicate_labels_rejected(self):
         config = Config(1)
         with pytest.raises(ValueError):
-            LieAlgebra("dup", config, [("s", 0), ("s", 0)], zero_rule, 1)
+            LieAlgebra("dup", config, [("s", 0), ("s", 0)], zero_rule(2), 1)
 
     def test_repr(self, e6):
         assert "e6" in repr(e6) and "78" in repr(e6)
@@ -291,28 +291,27 @@ class TestLieAlgebraCore:
     def test_bad_den_rejected(self, spec, den):
         config = Config(1, make_field(spec))
         with pytest.raises(ValueError, match="den must be"):
-            LieAlgebra("bad-den", config, [("x", 0), ("x", 1)], zero_rule, den)
+            LieAlgebra("bad-den", config, [("x", 0), ("x", 1)], zero_rule(2), den)
 
     @pytest.mark.parametrize("spec", ["q", "fp:7"])
     def test_den_prime_to_p_accepted(self, spec):
-        L = LieAlgebra("den", Config(1, make_field(spec)), [("x", 0)], zero_rule, 6)
+        L = LieAlgebra("den", Config(1, make_field(spec)), [("x", 0)], zero_rule(1), 6)
         assert L.den == (1 if spec != "q" else 6)
 
     @pytest.mark.parametrize("read", ["antisymmetry", "materialize", "numerators"])
     def test_label_function_as_rule_fails_loudly(self, read):
-        # a bracket on label pairs yields no rows when called on index
-        # ranges; that must not leave an empty table that passes the checks
+        # a bracket on label pairs cannot be called as a row source; that
+        # must not leave an empty table that passes the checks
         basis = [("x", a) for a in range(3)]
         L = LieAlgebra("labels", Config(1), basis, lambda la, lb: {}, 1)
-        with pytest.raises(ValueError, match=r"no row|without a row") as err:
+        with pytest.raises(TypeError):
             if read == "antisymmetry":
                 verify_antisymmetry(L)
             elif read == "materialize":
                 L.materialize()
             else:
                 L.numerators(2, 0)
-        if read == "numerators":
-            assert "(0, 2)" in str(err.value)
+        assert L.evaluated == 0 and not L._table and L._verdict is None
 
 
 class TestBuildE8:
@@ -1157,7 +1156,7 @@ class TestEngineBounds:
 
 
 def wrapped_e6(base, broken=None):
-    """e6's block rule behind a counter of the brackets it evaluates, by
+    """e6's row source behind a counter of the brackets it evaluates, by
     ordered label pair (both orders of each row, the diagonal once),
     optionally broken on one ordered label pair (that order gains den on
     basis vector 0)."""
@@ -1168,8 +1167,8 @@ def wrapped_e6(base, broken=None):
         out[0] = out.get(0, 0) + base.den
         return tuple(sorted((k, c) for k, c in out.items() if c))
 
-    def fn(A, B):
-        for i, j, t, u in base._fn(A, B):
+    def fn():
+        for i, j, t, u in base._fn():
             ij, ji = (base.basis[i], base.basis[j]), (base.basis[j], base.basis[i])
             calls[ij] += 1
             if i != j:
@@ -1333,8 +1332,8 @@ class TestEmptyOrComplete:
 
     def test_a_rule_missing_a_pair_leaves_the_table_empty(self):
         # the sweep names the first pair without a row and keeps nothing
-        def rule(A, B):
-            rows = block_rows(A, B, lambda i, j: ())
+        def rule():
+            rows = block_rows(range(4), range(4), lambda i, j: ())
             return (row for row in rows if row[:2] != (1, 3))
 
         L = LieAlgebra("gappy", Config(1), [("x", a) for a in range(4)], rule, 1)
@@ -1343,37 +1342,40 @@ class TestEmptyOrComplete:
                 read()
             assert L.evaluated == 0 and not L._table and L._verdict is None
 
+    def test_a_reversed_row_leaves_the_table_empty(self):
+        # a row comes as (i, j) with i <= j: one given as (3, 1) is no row
+        # of (1, 3), and the sweep keeps nothing rather than swap it
+        def rule():
+            for i, j, t, u in block_rows(range(4), range(4), lambda i, j: ()):
+                yield (j, i, u, t) if (i, j) == (1, 3) else (i, j, t, u)
 
-def kind_runs(L):
-    """The runs of equal label kind that the chassis's blocks range over."""
-    cuts = [0] + [i for i in range(1, L.dim) if L.basis[i][0] != L.basis[i - 1][0]]
-    return [range(a, b) for a, b in zip(cuts, cuts[1:] + [L.dim])]
+        L = LieAlgebra("reversed", Config(1), [("x", a) for a in range(4)], rule, 1)
+        for read in (L.materialize, lambda: L.numerators(2, 0)):
+            with pytest.raises(ValueError, match=re.escape("left (1, 3) without a row")):
+                read()
+            assert L.evaluated == 0 and not L._table and L._verdict is None
 
 
 class TestBlockRows:
-    """The chassis rules as block routines, held to the per-pair dispatch."""
+    """The chassis's row source, held to the per-pair dispatch."""
 
     @pytest.mark.parametrize("spec", ["q", "fp:5", "fp:7"])
     @pytest.mark.parametrize("name", list(BUILDS))
     def test_block_rows_match_the_per_pair_dispatch(self, monkeypatch, name, spec):
         L, fn, den = chassis_with_dispatch(monkeypatch, BUILDS[name], make_field(spec))
-        runs = kind_runs(L)
-        for a, A in enumerate(runs):
-            for B in runs[a:]:
-                rows = list(L._fn(A, B))
-                # one row per unordered pair, holding both orders
-                want = {(min(i, j), max(i, j)) for i in A for j in B}
-                got = [(min(i, j), max(i, j)) for i, j, _, _ in rows]
-                assert len(rows) == len(want) == len(set(got))
-                assert set(got) == want
-                for i, j, t, u in rows:
-                    assert t == dispatch_row(L, fn, den, i, j), (i, j)
-                    assert u == dispatch_row(L, fn, den, j, i), (j, i)
+        rows = list(L._fn())
+        # one pass: one row per unordered pair, i <= j, holding both orders
+        got = [(i, j) for i, j, _, _ in rows]
+        assert len(rows) == comb(L.dim, 2) + L.dim == len(set(got))
+        assert all(i <= j for i, j in got)
+        for i, j, t, u in rows:
+            assert t == dispatch_row(L, fn, den, i, j), (i, j)
+            assert u == dispatch_row(L, fn, den, j, i), (j, i)
         # e7's constant solve swept its table; e6 and e8 are untouched
         swept = name == "e7"
         assert L.evaluated == (L.dim**2 if swept else 0)
         assert len(L._table) == (comb(L.dim, 2) if swept else 0)
-        # the 1 x 1 call of the same routine and the swept table agree
+        # the source's rows and the swept table agree
         r = rng(len(spec) + L.dim)
         for _ in range(40):
             i, j = r.randrange(L.dim), r.randrange(L.dim)
@@ -1425,7 +1427,7 @@ class TestBlockRows:
         flipped = clone.bracket(i, j)
         assert clone.materialize().bracket(i, j) == flipped != L.bracket(i, j)
         assert not calls
-        # a complete chassis table runs no block rule either
+        # a complete chassis table runs no bracket rule either
         L = build_e6().materialize()
 
         def refuse(*args, **kwargs):
@@ -1803,9 +1805,42 @@ class TestRootDecomposition:
         with pytest.raises(ValueError, match=match):
             root_decomposition(L)
 
+    @pytest.mark.parametrize(
+        "weights, coroots, den, match",
+        [
+            ([(1,), (-1,)], {}, 2, "non-integral weight"),
+            ([(1,), (1,)], {}, 1, "repeated root"),
+            # h_b = h1 + 3 h2 for b = (0, 1), so a = (1, 0) gives 2/3
+            ([(1, 0), (-1, 0), (0, 1), (0, -1)], {(0, 1): (1, 0), (2, 3): (1, 3)},
+             1, "non-integral Cartan matrix entry"),
+        ],
+        ids=["weight-over-den", "repeated-root", "cartan-entry-2/3"],
+    )
+    def test_toy_table_refusals(self, weights, coroots, den, match):
+        # Cartan h_s = ("ei", s, s), root vectors ("s", m) of the given
+        # weights (numerators over den), [x_a, x_b] = coroots[a, b] in
+        # Cartan coordinates for a < b, every other bracket zero
+        cartan = [("ei", s, s) for s in range(1, len(weights[0]) + 1)]
+        basis = cartan + [("s", m) for m in range(len(weights))]
+
+        def fn(la, lb):
+            if la in cartan and lb[0] == "s":
+                return {lb: weights[lb[1]][la[1] - 1]}
+            if lb in cartan and la[0] == "s":
+                return {la: -weights[la[1]][lb[1] - 1]}
+            if la[0] == lb[0] == "s":
+                sign = 1 if la[1] < lb[1] else -1
+                h = coroots.get(tuple(sorted((la[1], lb[1]))), ())
+                return {cartan[s]: sign * c for s, c in enumerate(h)}
+            return {}
+
+        L = LieAlgebra("toy", Config(1), basis, label_rule(basis, fn), den)
+        with pytest.raises(ValueError, match=match):
+            root_decomposition(L)
+
     def test_rejects_zero_weight_outside_cartan(self):
         config = Config(1)
-        L = LieAlgebra("flat", config, [("ei", 1, 1), ("s", 0)], zero_rule, 1)
+        L = LieAlgebra("flat", config, [("ei", 1, 1), ("s", 0)], zero_rule(2), 1)
         with pytest.raises(ValueError):
             root_decomposition(L)
 
@@ -1902,6 +1937,25 @@ class TestIndependence:
         }
         assert from_exceptional == {"run_checks", "to_json"}
 
+
+    def test_the_sweep_reads_no_label(self):
+        # the row source owns its blocks: _sweep names no basis, and the
+        # block routine and the bracket alias live in builders
+        cls = ast.parse(inspect.getsource(LieAlgebra)).body[0]
+        (sweep,) = [f for f in cls.body if getattr(f, "name", "") == "_sweep"]
+        assert not [
+            node.lineno
+            for node in ast.walk(sweep)
+            if "basis" in (getattr(node, "attr", None), getattr(node, "id", None))
+        ]
+        tree = ast.parse(Path(exceptional_mod.__file__).read_text())
+        defined = {getattr(node, "name", None) for node in ast.walk(tree)}
+        defined |= {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+        assert not defined & {"block_rows", "Bracket"}
 
     def test_root_decomposition_reads_no_label(self):
         # the Cartan is found in the table, so no comparison holds a str

@@ -49,6 +49,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             Config(13, Q)
 
+    @pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
+    def test_n_not_an_int_rejected(self, n):
+        # True == 1 would give n = True and size 2; 2.0 failed in 1 << n
+        with pytest.raises(ValueError, match="n must be an int"):
+            Config(n, Q)
+
+    @pytest.mark.parametrize("field", ["q", 7, Fraction(1)])
+    def test_unknown_field_rejected(self, field):
+        # "q" failed only later, in the norm solve's from_int
+        with pytest.raises(ValueError, match="field must be Rationals or PrimeField"):
+            Config(3, field)
+
     def test_size(self):
         assert cfg(3).size == 8
 

@@ -118,6 +118,14 @@ class TestRunner:
         with pytest.raises(ValueError, match="1 <= n <= 8"):
             run_suites(n)
 
+    @pytest.mark.parametrize("n", [True, False, 2.0, "3"])
+    def test_n_not_an_int(self, n):
+        # True == 1 would run every check at n = 1 and report n: True
+        with pytest.raises(ValueError, match="1 <= n <= 8"):
+            suite_names(n)
+        with pytest.raises(ValueError, match="1 <= n <= 8"):
+            run_suites(n)
+
 
 class TestFockChecks:
     @pytest.mark.parametrize("n", [1, 4])
